@@ -14,8 +14,7 @@ import sys
 import time
 from dataclasses import replace
 
-from .behaviour import IntegratorOp
-from .config_io import ConfigError, load_config
+from .config_io import ConfigError, load_config, parse_operators
 from .engine import DEFAULT_PATH_CEILING, ModelError, VerdictKind, explore
 from .scenarios import SCENARIOS, build_model
 from .trace_io import export_trace
@@ -52,24 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_operators(raw: str) -> tuple[IntegratorOp, ...]:
-    by_name = {op.name: op for op in IntegratorOp}
-    ops = []
-    for part in raw.split(","):
-        name = part.strip()
-        if not name:
-            continue
-        if name not in by_name:
-            raise ConfigError(f"unknown operator {name!r} "
-                              f"(use one of {', '.join(by_name)})")
-        ops.append(by_name[name])
-    if not ops:
-        raise ConfigError("--operators must name at least one operator")
-    if len(set(ops)) != len(ops):
-        raise ConfigError("--operators lists an operator twice")
-    return tuple(ops)
-
-
 def _run(args) -> int:
     if (args.scenario is None) == (args.config is None):
         print("give exactly one of a scenario name or --config",
@@ -81,10 +62,8 @@ def _run(args) -> int:
     else:
         config = SCENARIOS[args.scenario]()
     if args.operators is not None:
-        config = replace(config, operators=_parse_operators(args.operators))
+        config = replace(config, operators=parse_operators(args.operators))
     if args.bound is not None:
-        if args.bound < 1:
-            raise ConfigError("--bound must be at least 1")
         config = replace(config, bound=args.bound)
 
     model = build_model(config)

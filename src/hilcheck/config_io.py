@@ -65,6 +65,25 @@ def _parse_int(raw: str, lineno: int, key: str) -> int:
                           f"got {raw!r}") from None
 
 
+def parse_operators(raw: str) -> tuple[IntegratorOp, ...]:
+    """Comma-separated fatigue integrator names, as the `operators` key and
+    the CLI's `--operators` take them."""
+    ops = []
+    for part in raw.split(","):
+        name = part.strip()
+        if not name:
+            continue
+        if name not in _OPERATORS:
+            raise ConfigError(f"unknown operator {name!r} "
+                              f"(use one of {', '.join(_OPERATORS)})")
+        ops.append(_OPERATORS[name])
+    if not ops:
+        raise ConfigError("operators must name at least one operator")
+    if len(set(ops)) != len(ops):
+        raise ConfigError("operators lists an operator twice")
+    return tuple(ops)
+
+
 def _parse_route(raw: str, lineno: int) -> tuple[RoutePoint, ...]:
     points = []
     for part in raw.split(";"):
@@ -153,18 +172,11 @@ def load_config(path) -> ScenarioConfig:
 
     value, lineno = taken("operators")
     if value is not None:
-        names = [part.strip() for part in value.split(",") if part.strip()]
-        if not names:
-            raise ConfigError(f"line {lineno}: operators must name at least one")
-        ops = []
-        for name in names:
-            if name not in _OPERATORS:
-                raise ConfigError(f"line {lineno}: unknown operator {name!r} "
-                                  f"(use one of {', '.join(_OPERATORS)})")
-            ops.append(_OPERATORS[name])
-        if len(set(ops)) != len(ops):
-            raise ConfigError(f"line {lineno}: duplicate operator")
-        config = replace(config, operators=tuple(ops))
+        try:
+            ops = parse_operators(value)
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
+        config = replace(config, operators=ops)
 
     # collect numeric overrides and apply them in one replace at the end,
     # otherwise cross-field validation would depend on key order
@@ -215,7 +227,8 @@ def load_config(path) -> ScenarioConfig:
         config = replace(config, route_spec=replace(config.route_spec,
                                                     length=length))
 
-    assert not entries, f"unhandled config keys: {sorted(entries)}"
+    for key, (_, lineno) in entries.items():
+        raise ConfigError(f"line {lineno}: key {key!r} is known but not handled")
 
     try:
         if profile_updates:

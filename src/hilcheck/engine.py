@@ -34,14 +34,19 @@ re-executed from the initial state rather than snapshotted; this keeps the
 search trivially correct at the cost of redundant recomputation, which is
 acceptable at the scale this engine targets.
 
+A state is one flat tuple of values, one per declared variable in declared
+order.  `register_model` fixes each variable's position once (a `VarIndex`);
+views, steps, initial states and trace files all address values through it.
+
 The module holds no global mutable state; concurrent use of separate models
 is safe, single-threaded use is assumed per model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 Value = Union[int, bool, str, Enum]
@@ -190,18 +195,37 @@ class Assertion:
     predicate: Callable[["ModelState"], bool]
 
 
+@dataclass(frozen=True, eq=False)
+class VarIndex:
+    """Where each variable sits in a model's flat valuation, fixed by
+    `register_model`: `positions` maps (group, name) to a position in
+    declared order, `groups` maps each group to its name -> position map."""
+
+    positions: dict[tuple[Group, str], int]
+    groups: dict[Group, dict[str, int]]
+
+
 @dataclass(frozen=True)
 class ModelState:
-    """A complete valuation of every declared variable at one iteration."""
+    """A complete valuation of every declared variable at one iteration.
 
-    valuation: dict[VarId, Value]
+    `values` holds one value per variable in the model's declared order, and
+    `index` says which position belongs to which variable.  Equality and
+    hashing use the values and the iteration only.
+    """
+
+    values: tuple[Value, ...]
     iteration: int
+    index: VarIndex = field(compare=False, repr=False)
 
     def value(self, group: Group, name: str) -> Value:
-        try:
-            return self.valuation[VarId(name, group)]
-        except KeyError:
-            raise ModelError(f"unknown variable {group.value}.{name}") from None
+        return self.values[_normalize_key(self.index, (group, name))]
+
+    @property
+    def valuation(self) -> Mapping[VarId, Value]:
+        """Read-only VarId -> value mapping in declared order, built per call."""
+        return MappingProxyType({VarId(name, group): value for (group, name), value
+                                 in zip(self.index.positions, self.values)})
 
 
 Trace = tuple[ModelState, ...]
@@ -210,14 +234,18 @@ Trace = tuple[ModelState, ...]
 class GroupView:
     """Read-only view of one group's variables, by attribute or item access.
 
-    Update functions receive only the views their read-set allows, which is
-    how read-set violations are made structurally impossible.
+    Reads go through the group's name -> position map into a flat valuation:
+    the previous state's tuple, or the step's working values for a primed
+    read.  Update functions receive only the views their read-set allows,
+    which is how read-set violations are made structurally impossible.
     """
 
-    __slots__ = ("_group", "_values")
+    __slots__ = ("_group", "_names", "_values")
 
-    def __init__(self, group: Group, values: dict[str, Value]):
+    def __init__(self, group: Group, names: Mapping[str, int],
+                 values: Sequence[Value]):
         self._group = group
+        self._names = names
         self._values = values
 
     @property
@@ -227,21 +255,14 @@ class GroupView:
     def __getattr__(self, name: str):
         if name.startswith("_"):
             raise AttributeError(name)
-        try:
-            return self._values[name]
-        except KeyError:
-            raise ModelError(
-                f"no variable '{name}' in group {self._group.value}") from None
+        return self[name]
 
     def __getitem__(self, name: str) -> Value:
         try:
-            return self._values[name]
+            return self._values[self._names[name]]
         except KeyError:
             raise ModelError(
                 f"no variable '{name}' in group {self._group.value}") from None
-
-    def as_dict(self) -> dict[str, Value]:
-        return dict(self._values)
 
 
 @dataclass(frozen=True)
@@ -276,25 +297,21 @@ class _Slot:
     may_draw: bool
 
 
-_INPUT_PHASE = (
+# inputs, then outputs, then states; every primed read is of an input group
+# that an earlier slot has already written in the same step
+_SLOTS = (
     _Slot(Group.ENV_INPUT, "env_input",
           ((Group.SYS_OUTPUT, False), (Group.ENV_STATE, False)), True),
     _Slot(Group.SYS_INPUT, "sys_input",
           ((Group.BEH_OUTPUT, False), (Group.ENV_OUTPUT, False), (Group.SYS_STATE, False)), False),
     _Slot(Group.BEH_INPUT, "beh_input",
           ((Group.BEH_STATE, False), (Group.ENV_OUTPUT, False), (Group.SYS_OUTPUT, False)), True),
-)
-
-_OUTPUT_PHASE = {
-    Group.ENV_OUTPUT: _Slot(Group.ENV_OUTPUT, "env_output",
-                            ((Group.ENV_INPUT, True), (Group.ENV_STATE, False)), True),
-    Group.SYS_OUTPUT: _Slot(Group.SYS_OUTPUT, "sys_output",
-                            ((Group.SYS_INPUT, True), (Group.SYS_STATE, False)), False),
-    Group.BEH_OUTPUT: _Slot(Group.BEH_OUTPUT, "beh_output",
-                            ((Group.BEH_INPUT, True), (Group.BEH_STATE, False)), True),
-}
-
-_STATE_PHASE = (
+    _Slot(Group.ENV_OUTPUT, "env_output",
+          ((Group.ENV_INPUT, True), (Group.ENV_STATE, False)), True),
+    _Slot(Group.SYS_OUTPUT, "sys_output",
+          ((Group.SYS_INPUT, True), (Group.SYS_STATE, False)), False),
+    _Slot(Group.BEH_OUTPUT, "beh_output",
+          ((Group.BEH_INPUT, True), (Group.BEH_STATE, False)), True),
     _Slot(Group.ENV_STATE, "env_state",
           ((Group.ENV_INPUT, True), (Group.ENV_STATE, False)), True),
     _Slot(Group.SYS_STATE, "sys_state",
@@ -302,8 +319,6 @@ _STATE_PHASE = (
     _Slot(Group.BEH_STATE, "beh_state",
           ((Group.BEH_INPUT, True), (Group.BEH_STATE, False)), True),
 )
-
-DEFAULT_OUTPUT_ORDER = (Group.ENV_OUTPUT, Group.SYS_OUTPUT, Group.BEH_OUTPUT)
 
 
 Resolver = Callable[[ChoicePoint, int], Value]
@@ -316,13 +331,13 @@ def first_value_resolver(cp: ChoicePoint, iteration: int) -> Value:
 
 def log_resolver(log: Iterable[ChoiceEntry]) -> Resolver:
     """Resolver that replays a recorded choice log, strictly in order."""
-    queue = list(log)
+    entries = iter(tuple(log))
 
     def resolve(cp: ChoicePoint, iteration: int) -> Value:
-        if not queue:
+        entry = next(entries, None)
+        if entry is None:
             raise ModelError(f"replay log exhausted at '{cp.point_id}' "
                              f"(iteration {iteration})")
-        entry = queue.pop(0)
         if entry.point_id != cp.point_id or entry.iteration != iteration:
             raise ModelError(
                 f"replay mismatch: log has ({entry.iteration}, {entry.point_id}), "
@@ -372,17 +387,9 @@ class Model:
     updates: UpdateFunctions
     choices: dict[str, ChoicePoint]
     assertions: tuple[Assertion, ...]
-    init: dict[VarId, Value]
-    init_choices: tuple[tuple[VarId, ChoicePoint], ...]
-
-    def var(self, group: Group, name: str) -> Var:
-        for v in self.variables:
-            if v.group is group and v.name == name:
-                return v
-        raise ModelError(f"unknown variable {group.value}.{name}")
-
-    def group_vars(self, group: Group) -> tuple[Var, ...]:
-        return tuple(v for v in self.variables if v.group is group)
+    init: tuple[Value, ...]                           # declared order
+    init_choices: tuple[tuple[int, ChoicePoint], ...]  # (position, point)
+    index: VarIndex
 
 
 @dataclass(frozen=True)
@@ -436,12 +443,18 @@ class Verdict:
         return f"ModelError({self.message})"
 
 
-def _normalize_key(key, variables: Sequence[Var]) -> VarId:
+def _normalize_key(index: VarIndex, key, unknown: str = "unknown variable") -> int:
+    """Position of the variable named by a VarId or a (Group, name) pair;
+    `unknown` starts the error message for a name the model lacks."""
     if isinstance(key, VarId):
-        return key
-    if isinstance(key, tuple) and len(key) == 2 and isinstance(key[0], Group):
-        return VarId(key[1], key[0])
-    raise ModelError(f"cannot interpret {key!r} as a variable id")
+        key = (key.group, key.name)
+    elif not (isinstance(key, tuple) and len(key) == 2
+              and isinstance(key[0], Group)):
+        raise ModelError(f"cannot interpret {key!r} as a variable id")
+    try:
+        return index.positions[key]
+    except KeyError:
+        raise ModelError(f"{unknown} {key[0].value}.{key[1]}") from None
 
 
 def register_model(variables: Sequence[Var],
@@ -464,11 +477,14 @@ def register_model(variables: Sequence[Var],
     vars_t = tuple(variables)
     if not vars_t:
         raise ModelError("a model needs at least one variable")
-    seen: set[VarId] = set()
-    for v in vars_t:
-        if v.var_id in seen:
+    positions: dict[tuple[Group, str], int] = {}
+    groups: dict[Group, dict[str, int]] = {g: {} for g in Group}
+    for pos, v in enumerate(vars_t):
+        if (v.group, v.name) in positions:
             raise ModelError(f"duplicate variable {v.var_id}")
-        seen.add(v.var_id)
+        positions[(v.group, v.name)] = pos
+        groups[v.group][v.name] = pos
+    index = VarIndex(positions, groups)
 
     choice_map: dict[str, ChoicePoint] = {}
     for cp in choices:
@@ -481,42 +497,40 @@ def register_model(variables: Sequence[Var],
     if len(set(ids)) != len(ids):
         raise ModelError("duplicate assertion id")
 
-    if init is None:
-        init = {}
-    init_map: dict[VarId, Value] = {}
-    for key, value in init.items():
-        init_map[_normalize_key(key, vars_t)] = value
-    by_id = {v.var_id: v for v in vars_t}
-    for vid, value in init_map.items():
-        if vid not in by_id:
-            raise ModelError(f"initial value given for unknown variable {vid}")
-        if not by_id[vid].domain.contains(value):
-            raise ModelError(f"initial value {value!r} outside the domain of {vid}")
-    missing = [str(vid) for vid in by_id if vid not in init_map]
+    unset = object()
+    init_values: list = [unset] * len(vars_t)
+    for key, value in (init or {}).items():
+        pos = _normalize_key(index, key, "initial value given for unknown variable")
+        if not vars_t[pos].domain.contains(value):
+            raise ModelError(f"initial value {value!r} outside the domain of "
+                             f"{vars_t[pos].var_id}")
+        init_values[pos] = value
+    missing = [str(v.var_id) for v, value in zip(vars_t, init_values)
+               if value is unset]
     if missing:
         raise ModelError("no initial value for: " + ", ".join(sorted(missing)))
 
-    init_ch: list[tuple[VarId, ChoicePoint]] = []
+    init_ch: list[tuple[int, ChoicePoint]] = []
     for key, cp in init_choices:
-        vid = _normalize_key(key, vars_t)
-        if vid not in by_id:
-            raise ModelError(f"initialisation choice targets unknown variable {vid}")
+        pos = _normalize_key(index, key,
+                             "initialisation choice targets unknown variable")
         if cp.site is not None:
             raise ModelError(
                 f"initialisation choice '{cp.point_id}' must use site None")
         if cp.point_id in choice_map:
             raise ModelError(f"duplicate choice point '{cp.point_id}'")
         for value in cp.domain:
-            if not by_id[vid].domain.contains(value):
+            if not vars_t[pos].domain.contains(value):
                 raise ModelError(
                     f"initialisation choice '{cp.point_id}' offers {value!r}, "
-                    f"outside the domain of {vid}")
+                    f"outside the domain of {vars_t[pos].var_id}")
         choice_map[cp.point_id] = cp
-        init_ch.append((vid, cp))
+        init_ch.append((pos, cp))
 
     model = Model(name=name, variables=vars_t, updates=updates,
                   choices=choice_map, assertions=assert_t,
-                  init=init_map, init_choices=tuple(init_ch))
+                  init=tuple(init_values), init_choices=tuple(init_ch),
+                  index=index)
 
     # trial step: surfaces read/update wiring errors now
     trial, _ = resolve_initial(model, first_value_resolver)
@@ -529,21 +543,16 @@ def resolve_initial(model: Model,
                     ) -> tuple[ModelState, ChoiceLog]:
     """Build the iteration-0 state, resolving initialisation choices in
     declared order through the resolver."""
-    valuation = dict(model.init)
+    values = list(model.init)
     entries: list[ChoiceEntry] = []
-    for vid, cp in model.init_choices:
+    for pos, cp in model.init_choices:
         value = resolver(cp, 0)
         if value not in cp.domain:
             raise ModelError(
                 f"resolver produced {value!r}, outside the domain of '{cp.point_id}'")
-        valuation[vid] = value
+        values[pos] = value
         entries.append(ChoiceEntry(0, cp.point_id, value))
-    return ModelState(valuation, 0), tuple(entries)
-
-
-def _group_values(model: Model, valuation: Mapping[VarId, Value],
-                  group: Group) -> dict[str, Value]:
-    return {v.name: valuation[v.var_id] for v in model.variables if v.group is group}
+    return ModelState(tuple(values), 0, model.index), tuple(entries)
 
 
 def _eval_assertions(model: Model, state: ModelState) -> tuple[str, ...]:
@@ -562,8 +571,7 @@ def _eval_assertions(model: Model, state: ModelState) -> tuple[str, ...]:
     return tuple(violated)
 
 
-def step(model: Model, state: ModelState, resolver: Resolver,
-         *, _output_order: tuple[Group, ...] = DEFAULT_OUTPUT_ORDER) -> StepResult:
+def step(model: Model, state: ModelState, resolver: Resolver) -> StepResult:
     """Advance the loop by one iteration.
 
     Pure: given the same state and resolver decisions the result is
@@ -571,25 +579,19 @@ def step(model: Model, state: ModelState, resolver: Resolver,
     Returns the new state, the draws made, and the ids of every assertion
     violated by the new state (declared order).
 
-    `_output_order` exists for the self-test that output-phase functions
-    commute; it must be a permutation of the three output groups.
+    The new valuation starts as a copy of the previous one, so variables an
+    update omits carry over; each update writes its group in place.
     """
-    new_groups: dict[Group, dict[str, Value]] = {}
+    groups = model.index.groups
+    previous = state.values
+    current = list(previous)
     entries: list[ChoiceEntry] = []
     iteration = state.iteration + 1
 
-    def view(group: Group, primed: bool) -> GroupView:
-        if primed:
-            return GroupView(group, new_groups[group])
-        return GroupView(group, _group_values(model, state.valuation, group))
-
-    if sorted(g.value for g in _output_order) != sorted(g.value for g in _OUTPUT_PHASE):
-        raise ModelError("output order must be a permutation of the output groups")
-
-    slots = list(_INPUT_PHASE) + [_OUTPUT_PHASE[g] for g in _output_order] + list(_STATE_PHASE)
-    for slot in slots:
+    for slot in _SLOTS:
         fn = getattr(model.updates, slot.fn_name)
-        args = [view(g, primed) for g, primed in slot.reads]
+        args = [GroupView(g, groups[g], current if primed else previous)
+                for g, primed in slot.reads]
         try:
             if slot.may_draw:
                 ctx = StepContext(model, iteration, resolver, slot.target, entries)
@@ -604,26 +606,21 @@ def step(model: Model, state: ModelState, resolver: Resolver,
         if returned is None:
             raise ModelError(f"update for {slot.target.value} returned None "
                              "(return a mapping, possibly empty)")
-        merged = _group_values(model, state.valuation, slot.target)
-        group_names = set(merged)
+        names = groups[slot.target]
         for var_name, value in returned.items():
-            if var_name not in group_names:
+            pos = names.get(var_name)
+            if pos is None:
                 raise ModelError(
                     f"update for {slot.target.value} assigned unknown "
                     f"variable '{var_name}'")
-            var = model.var(slot.target, var_name)
+            var = model.variables[pos]
             if not var.domain.contains(value):
                 raise ModelError(
                     f"update produced {value!r} for {var.var_id}, outside its "
                     f"domain, at iteration {iteration}")
-            merged[var_name] = value
-        new_groups[slot.target] = merged
+            current[pos] = value
 
-    valuation: dict[VarId, Value] = {}
-    for group, values in new_groups.items():
-        for var_name, value in values.items():
-            valuation[VarId(var_name, group)] = value
-    new_state = ModelState(valuation, iteration)
+    new_state = ModelState(tuple(current), iteration, model.index)
     violated = _eval_assertions(model, new_state)
     return StepResult(new_state, tuple(entries), violated)
 
@@ -736,20 +733,20 @@ def probed_model(model: Model, var) -> Model:
     original, since only the former declares the probe choice point.
     """
     if isinstance(var, str):
-        matches = [v for v in model.variables if v.name == var]
+        matches = [pos for pos, v in enumerate(model.variables) if v.name == var]
         if not matches:
             raise ModelError(f"unknown variable '{var}'")
         if len(matches) > 1:
-            groups = ", ".join(v.group.value for v in matches)
+            groups = ", ".join(model.variables[pos].group.value for pos in matches)
             raise ModelError(f"variable name '{var}' is ambiguous ({groups})")
-        target = matches[0]
+        pos = matches[0]
     else:
-        vid = _normalize_key(var, model.variables)
-        target = model.var(vid.group, vid.name)
+        pos = _normalize_key(model.index, var)
+    target = model.variables[pos]
 
     cp = ChoicePoint(f"probe:{target.name}", target.domain.values(), site=None)
     return replace(model,
-                   init_choices=((target.var_id, cp),) + model.init_choices,
+                   init_choices=((pos, cp),) + model.init_choices,
                    choices={**model.choices, cp.point_id: cp})
 
 

@@ -29,7 +29,7 @@ from .behaviour import (FatigueLevel, InputMode, IntegratorOp, ReactionProfile,
                         set_reaction_time)
 from .engine import (Assertion, BoolDomain, ChoicePoint, Group, IntDomain,
                      Model, ModelState, SymbolicDomain, UpdateFunctions, Var,
-                     VarId, register_model)
+                     register_model)
 from .environment import (Route, RoutePoint, RouteSpec, Terrain, advance_route,
                           gen_hazard, nondet_route_choices, point_difficulty)
 
@@ -386,14 +386,14 @@ def build_model(config: ScenarioConfig) -> Model:
         choices.append(ChoicePoint("driverCommand", config.command_domain,
                                    site=Group.BEH_OUTPUT))
 
-    init_choices: list[tuple[VarId, ChoicePoint]] = []
+    init_choices: list[tuple[tuple[Group, str], ChoicePoint]] = []
     if config.route_spec is not None:
         for cp in nondet_route_choices(config.route_spec):
             # "route:seg3_terrain" -> variable seg3_terrain
             var_name = cp.point_id.split(":", 1)[1]
-            init_choices.append((VarId(var_name, Group.ENV_STATE), cp))
+            init_choices.append(((Group.ENV_STATE, var_name), cp))
     if len(config.operators) > 1:
-        init_choices.append((VarId("combine_op", Group.BEH_STATE),
+        init_choices.append(((Group.BEH_STATE, "combine_op"),
                              ChoicePoint("integrator", config.operators,
                                          site=None)))
 

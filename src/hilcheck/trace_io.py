@@ -64,13 +64,13 @@ def format_trace(verdict: Verdict, model: Model, scenario: str) -> str:
     by_iter: dict[int, list[ChoiceEntry]] = {}
     for entry in verdict.choice_log:
         by_iter.setdefault(entry.iteration, []).append(entry)
+    keys = [f"{v.group.value}.{v.name}=" for v in model.variables]
     for state in verdict.trace:
         for entry in by_iter.get(state.iteration, ()):
             lines.append(f"choice iter={entry.iteration} "
                          f"point={entry.point_id} value={_label(entry.value)}")
-        fields = " ".join(
-            f"{v.group.value}.{v.name}={_label(state.valuation[v.var_id])}"
-            for v in model.variables)
+        fields = " ".join(key + _label(value)
+                          for key, value in zip(keys, state.values))
         lines.append(f"state iter={state.iteration} {fields}")
     return "\n".join(lines) + "\n"
 
@@ -94,6 +94,8 @@ def read_trace(path, model: Model) -> TraceFile:
     ints, bools, and enumeration members that produced the file.
     """
     header: dict[str, str] | None = None
+    columns = {f"{v.group.value}.{v.name}": (pos, v.domain)
+               for pos, v in enumerate(model.variables)}
     states: list[ModelState] = []
     choices: list[ChoiceEntry] = []
     with open(path, encoding="ascii") as fh:
@@ -127,27 +129,22 @@ def read_trace(path, model: Model) -> TraceFile:
                 iteration = int(fields.pop("iter"))
                 if iteration != len(states):
                     raise ValueError(f"line {lineno}: state out of order")
-                valuation = {}
+                values: list = [None] * len(columns)
                 for key, token in fields.items():
-                    group_label, _, var_name = key.partition(".")
-                    matches = [v for v in model.variables
-                               if v.group.value == group_label
-                               and v.name == var_name]
-                    if not matches:
+                    if key not in columns:
                         raise ValueError(
                             f"line {lineno}: unknown variable {key}")
-                    var = matches[0]
+                    pos, domain = columns[key]
                     try:
-                        valuation[var.var_id] = _parse_with_domain(
-                            token, var.domain)
+                        values[pos] = _parse_with_domain(token, domain)
                     except ValueError as exc:
                         raise ValueError(f"line {lineno}: {key}: {exc}") from None
-                missing = [str(v.var_id) for v in model.variables
-                           if v.var_id not in valuation]
+                missing = [key for key, (pos, _) in columns.items()
+                           if values[pos] is None]
                 if missing:
                     raise ValueError(
                         f"line {lineno}: state misses " + ", ".join(missing))
-                states.append(ModelState(valuation, iteration))
+                states.append(ModelState(tuple(values), iteration, model.index))
             else:
                 raise ValueError(f"line {lineno}: unknown record kind {kind!r}")
     if header is None:

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from hilcheck import config_io
 from hilcheck.config_io import load_config
 from hilcheck.engine import Group
 from hilcheck.scenarios import build_model, is_okay, scenario_manual_override
@@ -114,6 +115,24 @@ def test_duplicate_config_key_is_rejected(tmp_path):
     cfg.write_text("bound = 5\nbound = 6\n")
     proc = run_cli("run", "--config", str(cfg), check=2)
     assert "duplicate" in proc.stderr and "line 2" in proc.stderr
+
+
+def test_known_but_unhandled_config_key_is_a_config_error(tmp_path,
+                                                          monkeypatch):
+    # the check must raise ConfigError, not an assert that -O strips
+    monkeypatch.setattr(config_io, "_KNOWN_KEYS",
+                        config_io._KNOWN_KEYS | {"mystery"})
+    cfg = tmp_path / "extra.cfg"
+    cfg.write_text("bound = 5\nmystery = 1\n")
+    with pytest.raises(config_io.ConfigError, match="line 2.*'mystery'"):
+        config_io.load_config(cfg)
+
+
+def test_config_operators_share_the_cli_parser(tmp_path):
+    cfg = tmp_path / "ops.cfg"
+    cfg.write_text("bound = 5\noperators = Max,Max\n")
+    with pytest.raises(config_io.ConfigError, match="line 2: .*twice"):
+        config_io.load_config(cfg)
 
 
 def test_missing_config_file_is_an_error(tmp_path):
