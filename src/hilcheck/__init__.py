@@ -18,8 +18,8 @@ from .engine import (Assertion, BoolDomain, ChoiceEntry, ChoicePoint, Group,
                      VerdictKind, explore, first_value_resolver, log_resolver,
                      probe_variable, probed_model, register_model,
                      replay_counterexample, resolve_initial, step)
-from .environment import (Hazard, Route, RoutePoint, RouteSpec, Terrain,
-                          advance_route, gen_hazard, point_difficulty)
+from .environment import (Route, RoutePoint, RouteSpec, Terrain, advance_route,
+                          point_difficulty)
 from .scenarios import (DEFAULT_ROUTE, SCENARIOS, ScenarioConfig,
                         ScenarioParams, build_model, is_okay, reaction_probe,
                         scenario_ideal, scenario_lowered_speed,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .behaviour import FatigueLevel, ReactionProfile, set_reaction_time
+from .behaviour import FatigueLevel
 
 
 class AccCommand(Enum):
@@ -30,18 +30,12 @@ class VehicleState:
     speed: int
     gap_to_lead: int
     acc_status: ControlMode
-    desired_separation: int
-    safe_stopping_distance: int
 
     def __post_init__(self) -> None:
         if self.speed < 0:
             raise ValueError("speed must be non-negative")
         if self.gap_to_lead < 0:
             raise ValueError("gap must be non-negative")
-        if self.desired_separation < 0:
-            raise ValueError("desired separation must be non-negative")
-        if self.safe_stopping_distance < 0:
-            raise ValueError("safe stopping distance must be non-negative")
 
 
 def acc_decide(preset: int, current_gap: int) -> AccCommand:
@@ -73,11 +67,8 @@ def apply_command(vehicle: VehicleState, command: AccCommand,
              AccCommand.Decelerate: -1}[command]
     new_speed = min(max_speed, max(0, vehicle.speed + delta))
     new_gap = max(0, vehicle.gap_to_lead + lead_speed - new_speed)
-    return VehicleState(speed=new_speed,
-                        gap_to_lead=new_gap,
-                        acc_status=vehicle.acc_status,
-                        desired_separation=vehicle.desired_separation,
-                        safe_stopping_distance=vehicle.safe_stopping_distance)
+    return VehicleState(speed=new_speed, gap_to_lead=new_gap,
+                        acc_status=vehicle.acc_status)
 
 
 def adaptive_separation(fatigue: FatigueLevel, base: int = 4) -> int:
@@ -111,9 +102,3 @@ def compute_safe_stopping(speed: int, reaction_time: int) -> int:
         raise ValueError("reaction time must be non-negative")
     return speed * reaction_time
 
-
-def stopping_distance_for(speed: int, mode, fatigue: FatigueLevel,
-                          profile: ReactionProfile = ReactionProfile()) -> int:
-    """Convenience composition: reaction time from the interaction mode and
-    fatigue, then the stopping distance at the given speed."""
-    return compute_safe_stopping(speed, set_reaction_time(mode, fatigue, profile))

@@ -30,7 +30,6 @@ _PARAM_INT_KEYS = {
     "exhaustedAfter": "exhausted_after",
     "timeCap": "time_cap",
     "maxHP": "max_hp",
-    "perceptionFloor": "perception_floor",
 }
 
 _PROFILE_INT_KEYS = {

@@ -1,9 +1,8 @@
-"""Environment: route geometry, terrain, hazards.
+"""Environment: route geometry and terrain.
 
 A route is a finite list of segments, each with a length in distance units
 and static attributes (terrain kind, obstacle density, curvature).  The
-vehicle consumes distance along the route as it moves; hazards of bounded
-size may appear on any iteration.
+vehicle consumes distance along the route as it moves.
 """
 
 from __future__ import annotations
@@ -102,23 +101,6 @@ def point_difficulty(terrain: Terrain, obstacle: int, curvature: int,
         or obstacle >= hard_obstacle \
         or curvature >= hard_curvature
     return 1 if demanding else 0
-
-
-@dataclass(frozen=True)
-class Hazard:
-    present: bool
-    size: int
-
-    def __post_init__(self) -> None:
-        if self.size < 0:
-            raise ValueError("hazard size must be non-negative")
-        if self.present != (self.size > 0):
-            raise ValueError("hazard is present exactly when its size is positive")
-
-
-def gen_hazard(draw: int) -> Hazard:
-    """Hazard from a drawn size; zero means no hazard this iteration."""
-    return Hazard(draw > 0, draw)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,7 @@ that may or may not widen with fatigue.  Two safety properties are checked
 every iteration:
 
     SeparationMaintained: the gap covers the driver's stopping distance and
-        the fatigue-adjusted minimum separation, and any present hazard is
-        still within the driver's perception budget.
+        the fatigue-adjusted minimum separation.
     FatigueBounded: the driver never reaches exhaustion while the journey
         is still in progress.
 
@@ -31,7 +30,7 @@ from .engine import (Assertion, BoolDomain, ChoicePoint, Group, IntDomain,
                      Model, ModelState, SymbolicDomain, UpdateFunctions, Var,
                      register_model)
 from .environment import (Route, RoutePoint, RouteSpec, Terrain, advance_route,
-                          gen_hazard, nondet_route_choices, point_difficulty)
+                          nondet_route_choices, point_difficulty)
 
 ALL_OPERATORS = (IntegratorOp.Max, IntegratorOp.Min,
                  IntegratorOp.Sum, IntegratorOp.RoundedMean)
@@ -74,11 +73,9 @@ class ScenarioParams:
     exhausted_after: int = 8
     time_cap: int = 12
     max_hp: int = 5
-    perception_floor: int = 2
     max_obstacle: int = 3
     max_curvature: int = 3
     max_route_distance: int = 3
-    max_hazard: int = 3
     hard_obstacle: int = 2
     hard_curvature: int = 2
 
@@ -91,8 +88,6 @@ class ScenarioParams:
             raise ValueError("separation base must be positive, margin non-negative")
         if self.time_cap < self.exhausted_after:
             raise ValueError("time cap must reach the exhaustion threshold")
-        if self.perception_floor < 0 or self.perception_floor > self.max_hp:
-            raise ValueError("perception floor must be in 0..max_hp")
 
 
 @dataclass(frozen=True)
@@ -115,7 +110,6 @@ class ScenarioConfig:
     command_domain: tuple[AccCommand, ...] = ALL_COMMANDS
     fatigue_source: str = CALCULATED
     adaptive_target: bool = True
-    fixed_speed: int | None = None
     operators: tuple[IntegratorOp, ...] = ALL_OPERATORS
     separation_only: bool = False
     bound: int = DEFAULT_BOUND
@@ -139,22 +133,15 @@ class ScenarioConfig:
             raise ValueError("bound must be at least 1")
 
 
-def is_okay(fatigue: FatigueLevel, hazard_perception: int,
-            stopping_distance: int, gap: int, *,
-            base_separation: int = 4, hazard_size: int = 0,
-            perception_floor: int = 2) -> bool:
+def is_okay(fatigue: FatigueLevel, stopping_distance: int, gap: int, *,
+            base_separation: int = 4) -> bool:
     """The per-iteration separation property.
 
     The gap must cover both the driver's stopping distance and the
-    fatigue-widened minimum separation; when a hazard is present the
-    driver must have enough perception budget left to notice it.
+    fatigue-widened minimum separation.
     """
     floor = adaptive_separation(fatigue, base_separation)
-    if gap < stopping_distance or gap < floor:
-        return False
-    if hazard_size > 0 and hazard_perception < perception_floor:
-        return False
-    return True
+    return gap >= stopping_distance and gap >= floor
 
 
 def _segment_count(config: ScenarioConfig) -> int:
@@ -217,12 +204,10 @@ def build_model(config: ScenarioConfig) -> Model:
         Var("lead_speed", Group.ENV_STATE, IntDomain(0, p.max_speed)),
 
         Var("moved", Group.ENV_INPUT, IntDomain(0, p.max_speed)),
-        Var("hazard_draw", Group.ENV_INPUT, IntDomain(0, p.max_hazard)),
 
         Var("terrain", Group.ENV_OUTPUT, terrain_dom),
         Var("obstacle", Group.ENV_OUTPUT, IntDomain(0, p.max_obstacle)),
         Var("curvature", Group.ENV_OUTPUT, IntDomain(0, p.max_curvature)),
-        Var("hazard_size", Group.ENV_OUTPUT, IntDomain(0, p.max_hazard)),
         Var("journey_done", Group.ENV_OUTPUT, BoolDomain()),
         Var("lead_speed", Group.ENV_OUTPUT, IntDomain(0, p.max_speed)),
 
@@ -270,11 +255,10 @@ def build_model(config: ScenarioConfig) -> Model:
         return Route(points, cursor=env_state.cursor, covered=env_state.covered)
 
     def env_input(sys_out, env_state, ctx):
-        return {"moved": sys_out.speed, "hazard_draw": 0}
+        return {"moved": sys_out.speed}
 
     def env_output(env_in, env_state, ctx):
         route = advance_route(route_from(env_state), env_in.moved)
-        hazard = gen_hazard(env_in.hazard_draw)
         if route.complete:
             seg = {"terrain": Terrain.onRoad, "obstacle": 0, "curvature": 0}
             done = True
@@ -283,8 +267,7 @@ def build_model(config: ScenarioConfig) -> Model:
             seg = {"terrain": here.terrain, "obstacle": here.obstacle,
                    "curvature": here.curvature}
             done = False
-        return {**seg, "hazard_size": hazard.size, "journey_done": done,
-                "lead_speed": env_state.lead_speed}
+        return {**seg, "journey_done": done, "lead_speed": env_state.lead_speed}
 
     def env_state_update(env_in, env_state, ctx):
         route = advance_route(route_from(env_state), env_in.moved)
@@ -305,20 +288,12 @@ def build_model(config: ScenarioConfig) -> Model:
                 "fatigue_seen": beh_out.fatigue, "done_seen": done}
 
     def drive(sys_in, sys_state) -> dict:
-        if config.fixed_speed is not None:
-            speed = min(p.max_speed, max(0, config.fixed_speed))
-            gap = max(0, sys_state.gap + sys_in.lead_speed - speed)
-        else:
-            vehicle = VehicleState(speed=sys_state.speed,
-                                   gap_to_lead=sys_state.gap,
-                                   acc_status=sys_in.active_mode,
-                                   desired_separation=sys_state.target_gap,
-                                   safe_stopping_distance=0)
-            moved = apply_command(vehicle, sys_in.command, sys_in.lead_speed,
-                                  p.max_speed)
-            speed, gap = moved.speed, moved.gap_to_lead
+        vehicle = VehicleState(speed=sys_state.speed, gap_to_lead=sys_state.gap,
+                               acc_status=sys_in.active_mode)
+        moved = apply_command(vehicle, sys_in.command, sys_in.lead_speed,
+                              p.max_speed)
         # the gap sensor saturates at max_gap once the lead pulls far ahead
-        return {"speed": speed, "gap": min(p.max_gap, gap),
+        return {"speed": moved.speed, "gap": min(p.max_gap, moved.gap_to_lead),
                 "acc_status": sys_in.active_mode}
 
     def sys_output(sys_in, sys_state):
@@ -422,11 +397,9 @@ def build_model(config: ScenarioConfig) -> Model:
         (Group.ENV_STATE, "covered"): 0,
         (Group.ENV_STATE, "lead_speed"): p.lead_speed,
         (Group.ENV_INPUT, "moved"): 0,
-        (Group.ENV_INPUT, "hazard_draw"): 0,
         (Group.ENV_OUTPUT, "terrain"): first_seg.terrain,
         (Group.ENV_OUTPUT, "obstacle"): first_seg.obstacle,
         (Group.ENV_OUTPUT, "curvature"): first_seg.curvature,
-        (Group.ENV_OUTPUT, "hazard_size"): 0,
         (Group.ENV_OUTPUT, "journey_done"): False,
         (Group.ENV_OUTPUT, "lead_speed"): p.lead_speed,
         (Group.SYS_INPUT, "command"): AccCommand.Maintain,
@@ -460,13 +433,8 @@ def build_model(config: ScenarioConfig) -> Model:
         stopping = compute_safe_stopping(
             state.value(Group.SYS_STATE, "speed"),
             state.value(Group.BEH_STATE, "reaction_time"))
-        return is_okay(fatigue,
-                       state.value(Group.BEH_STATE, "hazard_perception"),
-                       stopping,
-                       state.value(Group.SYS_STATE, "gap"),
-                       base_separation=p.base_separation,
-                       hazard_size=state.value(Group.ENV_OUTPUT, "hazard_size"),
-                       perception_floor=p.perception_floor)
+        return is_okay(fatigue, stopping, state.value(Group.SYS_STATE, "gap"),
+                       base_separation=p.base_separation)
 
     def fatigue_bounded(state: ModelState) -> bool:
         exhausted = state.value(Group.BEH_STATE, "fatigue") is FatigueLevel.Exhausted

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .engine import (BoolDomain, ChoiceEntry, ChoiceLog, IntDomain, Model,
-                     ModelState, Trace, Verdict, VerdictKind)
+from .engine import (ChoiceEntry, ChoiceLog, Model, ModelState, Trace, Verdict,
+                     VerdictKind)
 
 
 def _label(value) -> str:
@@ -28,26 +28,20 @@ def _label(value) -> str:
     raise ValueError(f"cannot serialize {value!r}")
 
 
-def _parse_with_domain(token: str, domain):
-    if isinstance(domain, IntDomain):
-        return int(token)
-    if isinstance(domain, BoolDomain):
-        if token == "true":
-            return True
-        if token == "false":
-            return False
-        raise ValueError(f"expected true or false, got {token!r}")
-    for member in domain.values():
-        if _label(member) == token:
-            return member
-    raise ValueError(f"{token!r} is not a member of the domain")
+def _parse_iteration(fields: dict[str, str], lineno: int) -> int:
+    if "iter" not in fields:
+        raise ValueError(f"line {lineno}: record has no iter")
+    try:
+        return int(fields["iter"])
+    except ValueError:
+        raise ValueError(f"line {lineno}: iter needs an integer, "
+                         f"got {fields['iter']!r}") from None
 
 
-def _parse_choice_value(token: str, domain: tuple):
-    for member in domain:
-        if _label(member) == token:
-            return member
-    raise ValueError(f"{token!r} is not in the choice domain")
+def _tokens(values) -> dict[str, object]:
+    """Label -> value for every value of a domain: parsing a token is one
+    lookup, and a token outside the domain is simply absent."""
+    return {_label(value): value for value in values}
 
 
 def format_trace(verdict: Verdict, model: Model, scenario: str) -> str:
@@ -91,11 +85,14 @@ def read_trace(path, model: Model) -> TraceFile:
     """Parse an exported trace back into typed states and choices.
 
     The model supplies variable domains, so values come back as the same
-    ints, bools, and enumeration members that produced the file.
+    ints, bools, and enumeration members that produced the file; a value
+    outside its variable's or choice point's domain is an error.
     """
     header: dict[str, str] | None = None
-    columns = {f"{v.group.value}.{v.name}": (pos, v.domain)
+    columns = {f"{v.group.value}.{v.name}": (pos, _tokens(v.domain.values()))
                for pos, v in enumerate(model.variables)}
+    choice_tokens = {point_id: _tokens(cp.domain)
+                     for point_id, cp in model.choices.items()}
     states: list[ModelState] = []
     choices: list[ChoiceEntry] = []
     with open(path, encoding="ascii") as fh:
@@ -115,18 +112,19 @@ def read_trace(path, model: Model) -> TraceFile:
             elif kind == "choice":
                 if set(fields) != {"iter", "point", "value"}:
                     raise ValueError(f"line {lineno}: bad choice record")
-                point_id = fields["point"]
-                cp = model.choices.get(point_id)
-                if cp is None:
+                point_id, token = fields["point"], fields["value"]
+                tokens = choice_tokens.get(point_id)
+                if tokens is None:
                     raise ValueError(
                         f"line {lineno}: unknown choice point '{point_id}'")
-                try:
-                    value = _parse_choice_value(fields["value"], cp.domain)
-                except ValueError as exc:
-                    raise ValueError(f"line {lineno}: {exc}") from None
-                choices.append(ChoiceEntry(int(fields["iter"]), point_id, value))
+                if token not in tokens:
+                    raise ValueError(f"line {lineno}: {token!r} is not in "
+                                     "the choice domain")
+                choices.append(ChoiceEntry(_parse_iteration(fields, lineno),
+                                           point_id, tokens[token]))
             elif kind == "state":
-                iteration = int(fields.pop("iter"))
+                iteration = _parse_iteration(fields, lineno)
+                del fields["iter"]
                 if iteration != len(states):
                     raise ValueError(f"line {lineno}: state out of order")
                 values: list = [None] * len(columns)
@@ -134,11 +132,11 @@ def read_trace(path, model: Model) -> TraceFile:
                     if key not in columns:
                         raise ValueError(
                             f"line {lineno}: unknown variable {key}")
-                    pos, domain = columns[key]
-                    try:
-                        values[pos] = _parse_with_domain(token, domain)
-                    except ValueError as exc:
-                        raise ValueError(f"line {lineno}: {key}: {exc}") from None
+                    pos, tokens = columns[key]
+                    if token not in tokens:
+                        raise ValueError(f"line {lineno}: {key}: {token!r} "
+                                         "is not in the domain")
+                    values[pos] = tokens[token]
                 missing = [key for key, (pos, _) in columns.items()
                            if values[pos] is None]
                 if missing:

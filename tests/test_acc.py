@@ -5,8 +5,8 @@ from hypothesis import given, strategies as st
 
 from hilcheck.acc import (AccCommand, ControlMode, VehicleState, acc_decide,
                           adaptive_separation, apply_command,
-                          compute_safe_stopping, stopping_distance_for)
-from hilcheck.behaviour import FatigueLevel, InputMode, ReactionProfile
+                          compute_safe_stopping)
+from hilcheck.behaviour import FatigueLevel
 
 
 def test_command_trichotomy_exhaustive():
@@ -23,8 +23,7 @@ def test_command_trichotomy_exhaustive():
 
 def _vehicle(speed, gap):
     return VehicleState(speed=speed, gap_to_lead=gap,
-                        acc_status=ControlMode.Engaged,
-                        desired_separation=6, safe_stopping_distance=0)
+                        acc_status=ControlMode.Engaged)
 
 
 def test_apply_command_speed_steps_by_one_and_clamps():
@@ -60,7 +59,6 @@ def test_apply_command_invariants(speed, gap, lead, command):
     assert abs(after.speed - speed) <= 1
     assert after.gap_to_lead == max(0, gap + lead - after.speed)
     assert after.acc_status is before.acc_status
-    assert after.desired_separation == before.desired_separation
 
 
 def test_vehicle_state_validation():
@@ -101,14 +99,6 @@ def test_compute_safe_stopping():
         compute_safe_stopping(-1, 2)
     with pytest.raises(ValueError):
         compute_safe_stopping(1, -2)
-
-
-def test_stopping_distance_composition():
-    profile = ReactionProfile()
-    assert stopping_distance_for(1, InputMode.Speech,
-                                 FatigueLevel.Exhausted, profile) == 9
-    assert stopping_distance_for(2, InputMode.MultiModal,
-                                 FatigueLevel.Normal, profile) == 2
 
 
 def _closed_loop(speed, gap, preset, lead=1, max_speed=10):

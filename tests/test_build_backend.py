@@ -9,6 +9,8 @@ import tarfile
 import zipfile
 from pathlib import Path
 
+import hilcheck
+
 CHECKOUT = Path(__file__).resolve().parents[1]
 
 
@@ -49,6 +51,8 @@ def test_wheel_holds_every_module_and_the_console_script(tmp_path):
     assert {n for n in files if ".dist-info/" not in n} == modules
     [entry_points] = [n for n in files if n.endswith("/entry_points.txt")]
     assert "hil-check = hilcheck.cli:main" in files[entry_points].decode()
+    [metadata] = [n for n in files if n.endswith(".dist-info/METADATA")]
+    assert f"\nVersion: {hilcheck.__version__}\n" in files[metadata].decode()
 
 
 def test_editable_wheel_is_one_pth_naming_src(tmp_path):

@@ -1,12 +1,12 @@
-"""Environment unit tests: routes, terrain difficulty, hazards."""
+"""Environment unit tests: routes and terrain difficulty."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from hilcheck.engine import ModelError
-from hilcheck.environment import (Hazard, Route, RoutePoint, RouteSpec,
-                                  Terrain, advance_route, gen_hazard,
-                                  nondet_route_choices, point_difficulty)
+from hilcheck.environment import (Route, RoutePoint, RouteSpec, Terrain,
+                                  advance_route, nondet_route_choices,
+                                  point_difficulty)
 
 
 def _route(*distances, cursor=0, covered=0):
@@ -106,15 +106,6 @@ def test_point_difficulty_thresholds_are_configurable():
 def test_point_difficulty_validates_ranges():
     with pytest.raises(ValueError):
         point_difficulty(Terrain.onRoad, 5, 0)
-
-
-def test_hazard_consistency():
-    assert gen_hazard(0) == Hazard(False, 0)
-    assert gen_hazard(2) == Hazard(True, 2)
-    with pytest.raises(ValueError):
-        Hazard(True, 0)
-    with pytest.raises(ValueError):
-        Hazard(False, 3)
 
 
 def test_route_spec_counts_combinations():

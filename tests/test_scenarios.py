@@ -19,23 +19,14 @@ from hilcheck.scenarios import (DEFAULT_ROUTE, ScenarioConfig, ScenarioParams,
 # --- the separation property in isolation ----------------------------------
 
 def test_is_okay_requires_stopping_distance_covered():
-    assert is_okay(FatigueLevel.Normal, 5, stopping_distance=6, gap=6)
-    assert not is_okay(FatigueLevel.Normal, 5, stopping_distance=7, gap=6)
+    assert is_okay(FatigueLevel.Normal, stopping_distance=6, gap=6)
+    assert not is_okay(FatigueLevel.Normal, stopping_distance=7, gap=6)
 
 
 def test_is_okay_floor_widens_with_fatigue():
-    assert is_okay(FatigueLevel.Tired, 5, stopping_distance=0, gap=5)
-    assert not is_okay(FatigueLevel.Exhausted, 5, stopping_distance=0, gap=5)
-    assert is_okay(FatigueLevel.Exhausted, 5, stopping_distance=0, gap=6)
-
-
-def test_is_okay_perception_clause_only_binds_under_hazard():
-    assert is_okay(FatigueLevel.Normal, 0, stopping_distance=0, gap=9,
-                   hazard_size=0)
-    assert not is_okay(FatigueLevel.Normal, 1, stopping_distance=0, gap=9,
-                       hazard_size=2)
-    assert is_okay(FatigueLevel.Normal, 2, stopping_distance=0, gap=9,
-                   hazard_size=2)
+    assert is_okay(FatigueLevel.Tired, stopping_distance=0, gap=5)
+    assert not is_okay(FatigueLevel.Exhausted, stopping_distance=0, gap=5)
+    assert is_okay(FatigueLevel.Exhausted, stopping_distance=0, gap=6)
 
 
 # --- golden first step of the ideal scenario -------------------------------
@@ -50,14 +41,12 @@ def test_ideal_first_step_golden_valuation():
 
     expected = {
         (Group.ENV_INPUT, "moved"): 1,
-        (Group.ENV_INPUT, "hazard_draw"): 0,
         (Group.ENV_STATE, "cursor"): 1,
         (Group.ENV_STATE, "covered"): 0,
         (Group.ENV_STATE, "lead_speed"): 1,
         (Group.ENV_OUTPUT, "terrain"): Terrain.onRoad,   # segment 1 ahead
         (Group.ENV_OUTPUT, "obstacle"): 0,
         (Group.ENV_OUTPUT, "curvature"): 0,
-        (Group.ENV_OUTPUT, "hazard_size"): 0,
         (Group.ENV_OUTPUT, "journey_done"): False,
         (Group.SYS_INPUT, "command"): AccCommand.Maintain,
         (Group.SYS_INPUT, "active_mode"): ControlMode.Engaged,

@@ -2,6 +2,7 @@
 read-back round trip, and the state value semantics traces depend on."""
 
 import hashlib
+import re
 
 import pytest
 
@@ -11,14 +12,14 @@ from hilcheck.trace_io import format_trace, read_trace
 
 # (length, sha256) of format_trace for each preset explored at its own bound
 GOLDEN_TRACES = {
-    "ideal": (133117, "7c9523aa0111ddb63732e64970fd1579"
-                      "f8ef45bdf2ca297894a8e74015bdbcd5"),
-    "lowered-speed": (7732, "662ac11356a7630cdb77e9a5b0445710"
-                            "b10592188dfde02b475676819b66d1bd"),
-    "manual-override": (5686, "efe47e87c6faeca369d9293741d6d2d4"
-                              "7760be3afac8c157d245aec67778ce3c"),
-    "reaction-probe": (133370, "2b9a4a4d0b879336c6085b212a78fe35"
-                               "a6c2abcb5c6af768a2aef4bfdde38e07"),
+    "ideal": (128774, "11a1ac599149041f7533fd7972f4acfe"
+                      "99d31134537c43d8356e66a585898112"),
+    "lowered-speed": (7517, "c99666c5d7605786f32678bf2bada9f3"
+                            "616113144fb2982d5e191281e145389e"),
+    "manual-override": (5514, "ce29561cba6120e061c82eb9955f5762"
+                              "7edf6123375fdd3c0d0cb59b550bbf4b"),
+    "reaction-probe": (129027, "70d65cfef9ae3fec989c3e525691b5ac"
+                               "f78507035c6dffa501a5e84a6ed56db1"),
 }
 
 
@@ -36,6 +37,32 @@ def test_preset_trace_bytes_and_round_trip(preset, tmp_path):
     parsed = read_trace(path, model)
     assert parsed.trace == verdict.trace
     assert parsed.choices == verdict.choice_log
+
+
+# one edit to the first line of a manual-override trace that matches the
+# pattern: (pattern, replacement)
+MALFORMED = {
+    "value outside its domain": (r"sys_state\.gap=\d+", "sys_state.gap=96"),
+    "state without iter": (r"^state iter=\d+ ", "state "),
+    "non-integer state iter": (r"^state iter=\d+", "state iter=x"),
+    "non-integer choice iter": (r"^choice iter=\d+", "choice iter=1.5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_read_trace_rejects_malformed_records_with_their_line(case, tmp_path):
+    config = SCENARIOS["manual-override"]()
+    model = build_model(config)
+    text = format_trace(explore(model, config.bound), model, config.name)
+    pattern, replacement = MALFORMED[case]
+    lines = text.splitlines(keepends=True)
+    lineno = next(n for n, line in enumerate(lines, start=1)
+                  if re.search(pattern, line))
+    lines[lineno - 1] = re.sub(pattern, replacement, lines[lineno - 1], count=1)
+    path = tmp_path / "trace.txt"
+    path.write_text("".join(lines), encoding="ascii")
+    with pytest.raises(ValueError, match=rf"^line {lineno}: "):
+        read_trace(path, model)
 
 
 def test_state_equality_hash_valuation_and_unknown_names():

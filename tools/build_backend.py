@@ -2,9 +2,10 @@
 
 `pyproject.toml` names this module through `backend-path`, so `pip install .`
 and `pip install -e .` work offline with no build dependencies. The project's
-name, version and scripts are read from `pyproject.toml`'s `[project]` table;
-the backend repeats none of them. It only reads the checkout; every archive
-goes to the directory the installer passes in.
+name and scripts are read from `pyproject.toml`'s `[project]` table, and its
+version from `__version__` in the package's `__init__.py`; the backend repeats
+none of them. It only reads the checkout; every archive goes to the directory
+the installer passes in.
 """
 
 import base64
@@ -27,8 +28,12 @@ ZIP_DATE = (1980, 1, 1, 0, 0, 0)
 
 
 def _project():
+    """`[project]` with its dynamic version filled in from the package."""
     with open(ROOT / "pyproject.toml", "rb") as f:
-        return tomllib.load(f)["project"]
+        project = tomllib.load(f)["project"]
+    init = (SRC / PACKAGE / "__init__.py").read_text(encoding="utf-8")
+    version = re.search(r'^__version__ = "([^"]+)"$', init, re.MULTILINE)
+    return {**project, "version": version.group(1)}
 
 
 def _base_name(project):
