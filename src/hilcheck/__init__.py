@@ -14,7 +14,7 @@ from .behaviour import (FatigueLevel, InputMode, IntegratorOp, ReactionProfile,
                         set_driver_fatigue, set_reaction_time, time_severity)
 from .engine import (Assertion, BoolDomain, ChoiceEntry, ChoicePoint, Group,
                      IntDomain, Model, ModelError, ModelState, StepResult,
-                     SymbolicDomain, UpdateFunctions, Var, VarId, Verdict,
+                     SymbolicDomain, UpdateFunctions, Var, Verdict,
                      VerdictKind, explore, first_value_resolver, log_resolver,
                      probe_variable, probed_model, register_model,
                      replay_counterexample, resolve_initial, step)

@@ -77,15 +77,6 @@ SYSTEM_GROUPS = frozenset({Group.SYS_INPUT, Group.SYS_OUTPUT, Group.SYS_STATE})
 
 
 @dataclass(frozen=True)
-class VarId:
-    name: str
-    group: Group
-
-    def __str__(self) -> str:
-        return f"{self.group.value}.{self.name}"
-
-
-@dataclass(frozen=True)
 class IntDomain:
     """Bounded integer domain, inclusive on both ends."""
 
@@ -145,9 +136,8 @@ class Var:
         if not self.name.isidentifier():
             raise ModelError(f"variable name {self.name!r} must be an identifier")
 
-    @property
-    def var_id(self) -> VarId:
-        return VarId(self.name, self.group)
+    def __str__(self) -> str:
+        return f"{self.group.value}.{self.name}"
 
 
 @dataclass(frozen=True)
@@ -219,13 +209,13 @@ class ModelState:
     index: VarIndex = field(compare=False, repr=False)
 
     def value(self, group: Group, name: str) -> Value:
-        return self.values[_normalize_key(self.index, (group, name))]
+        return self.values[_position(self.index, (group, name))]
 
     @property
-    def valuation(self) -> Mapping[VarId, Value]:
-        """Read-only VarId -> value mapping in declared order, built per call."""
-        return MappingProxyType({VarId(name, group): value for (group, name), value
-                                 in zip(self.index.positions, self.values)})
+    def valuation(self) -> Mapping[tuple[Group, str], Value]:
+        """Read-only (Group, name) -> value mapping in declared order, built
+        per call."""
+        return MappingProxyType(dict(zip(self.index.positions, self.values)))
 
 
 Trace = tuple[ModelState, ...]
@@ -443,18 +433,16 @@ class Verdict:
         return f"ModelError({self.message})"
 
 
-def _normalize_key(index: VarIndex, key, unknown: str = "unknown variable") -> int:
-    """Position of the variable named by a VarId or a (Group, name) pair;
-    `unknown` starts the error message for a name the model lacks."""
-    if isinstance(key, VarId):
-        key = (key.group, key.name)
-    elif not (isinstance(key, tuple) and len(key) == 2
-              and isinstance(key[0], Group)):
-        raise ModelError(f"cannot interpret {key!r} as a variable id")
+def _position(index: VarIndex, key, unknown: str = "unknown variable") -> int:
+    """Position of the variable named by a (Group, name) pair; `unknown`
+    starts the error message for any key the model does not declare."""
     try:
         return index.positions[key]
-    except KeyError:
-        raise ModelError(f"{unknown} {key[0].value}.{key[1]}") from None
+    except (KeyError, TypeError):
+        pass
+    if isinstance(key, tuple) and len(key) == 2 and isinstance(key[0], Group):
+        raise ModelError(f"{unknown} {key[0].value}.{key[1]}")
+    raise ModelError(f"{unknown} {key!r}: name a variable by (Group, name)")
 
 
 def register_model(variables: Sequence[Var],
@@ -481,7 +469,7 @@ def register_model(variables: Sequence[Var],
     groups: dict[Group, dict[str, int]] = {g: {} for g in Group}
     for pos, v in enumerate(vars_t):
         if (v.group, v.name) in positions:
-            raise ModelError(f"duplicate variable {v.var_id}")
+            raise ModelError(f"duplicate variable {v}")
         positions[(v.group, v.name)] = pos
         groups[v.group][v.name] = pos
     index = VarIndex(positions, groups)
@@ -500,20 +488,20 @@ def register_model(variables: Sequence[Var],
     unset = object()
     init_values: list = [unset] * len(vars_t)
     for key, value in (init or {}).items():
-        pos = _normalize_key(index, key, "initial value given for unknown variable")
+        pos = _position(index, key, "initial value given for unknown variable")
         if not vars_t[pos].domain.contains(value):
             raise ModelError(f"initial value {value!r} outside the domain of "
-                             f"{vars_t[pos].var_id}")
+                             f"{vars_t[pos]}")
         init_values[pos] = value
-    missing = [str(v.var_id) for v, value in zip(vars_t, init_values)
+    missing = [str(v) for v, value in zip(vars_t, init_values)
                if value is unset]
     if missing:
         raise ModelError("no initial value for: " + ", ".join(sorted(missing)))
 
     init_ch: list[tuple[int, ChoicePoint]] = []
     for key, cp in init_choices:
-        pos = _normalize_key(index, key,
-                             "initialisation choice targets unknown variable")
+        pos = _position(index, key,
+                        "initialisation choice targets unknown variable")
         if cp.site is not None:
             raise ModelError(
                 f"initialisation choice '{cp.point_id}' must use site None")
@@ -523,7 +511,7 @@ def register_model(variables: Sequence[Var],
             if not vars_t[pos].domain.contains(value):
                 raise ModelError(
                     f"initialisation choice '{cp.point_id}' offers {value!r}, "
-                    f"outside the domain of {vars_t[pos].var_id}")
+                    f"outside the domain of {vars_t[pos]}")
         choice_map[cp.point_id] = cp
         init_ch.append((pos, cp))
 
@@ -616,7 +604,7 @@ def step(model: Model, state: ModelState, resolver: Resolver) -> StepResult:
             var = model.variables[pos]
             if not var.domain.contains(value):
                 raise ModelError(
-                    f"update produced {value!r} for {var.var_id}, outside its "
+                    f"update produced {value!r} for {var}, outside its "
                     f"domain, at iteration {iteration}")
             current[pos] = value
 
@@ -722,26 +710,17 @@ def explore(model: Model, bound: int,
         prefix = list(outcome.indices[:i]) + [outcome.indices[i] + 1]
 
 
-def probed_model(model: Model, var) -> Model:
+def probed_model(model: Model, var: tuple[Group, str]) -> Model:
     """Return a copy of the model with one variable's initialisation promoted
     to a choice over its full domain.
 
-    Accepts a VarId, a (Group, name) pair, or a bare name when unambiguous.
-    The probe draw appears in choice logs at iteration 0 under the id
-    ``probe:<name>``.  The original model is not modified.  Counterexamples
-    found on the probed model replay against the probed model, not the
-    original, since only the former declares the probe choice point.
+    `var` is the variable's (Group, name) pair.  The probe draw appears in
+    choice logs at iteration 0 under the id ``probe:<name>``.  The original
+    model is not modified.  Counterexamples found on the probed model replay
+    against the probed model, not the original, since only the former
+    declares the probe choice point.
     """
-    if isinstance(var, str):
-        matches = [pos for pos, v in enumerate(model.variables) if v.name == var]
-        if not matches:
-            raise ModelError(f"unknown variable '{var}'")
-        if len(matches) > 1:
-            groups = ", ".join(model.variables[pos].group.value for pos in matches)
-            raise ModelError(f"variable name '{var}' is ambiguous ({groups})")
-        pos = matches[0]
-    else:
-        pos = _normalize_key(model.index, var)
+    pos = _position(model.index, var)
     target = model.variables[pos]
 
     cp = ChoicePoint(f"probe:{target.name}", target.domain.values(), site=None)
@@ -750,7 +729,7 @@ def probed_model(model: Model, var) -> Model:
                    choices={**model.choices, cp.point_id: cp})
 
 
-def probe_variable(model: Model, var, bound: int,
+def probe_variable(model: Model, var: tuple[Group, str], bound: int,
                    *, path_ceiling: int = DEFAULT_PATH_CEILING) -> Verdict:
     """Explore with one variable's initialisation swept over its full domain.
 
@@ -764,23 +743,22 @@ def replay_counterexample(model: Model, verdict: Verdict) -> Trace:
     """Re-execute an Unsafe verdict's choice log through `step` and check that
     it reproduces the trace exactly, including the final violation.
 
-    Returns the replayed trace; raises ModelError on any mismatch.  This is
-    the closure guarantee for counterexamples: trace plus log suffice to
-    reproduce the violation with no exploration machinery involved.
+    Returns the replayed trace; raises ModelError on any mismatch, including
+    log entries the replay never drew.  This is the closure guarantee for
+    counterexamples: trace plus log suffice to reproduce the violation with
+    no exploration machinery involved.
     """
     if verdict.kind is not VerdictKind.Unsafe:
         raise ModelError("only Unsafe verdicts carry a counterexample")
     if not verdict.trace or verdict.choice_log is None:
         raise ModelError("verdict has no trace to replay")
 
-    init_entries = [e for e in verdict.choice_log if e.iteration == 0]
-    resolver = log_resolver(init_entries)
-    state, _ = resolve_initial(model, resolver)
+    resolver = log_resolver(verdict.choice_log)
+    state, drawn = resolve_initial(model, resolver)
     if state != verdict.trace[0]:
         raise ModelError("replay mismatch at the initial state")
 
-    later = [e for e in verdict.choice_log if e.iteration > 0]
-    resolver = log_resolver(later)
+    draws = len(drawn)
     replayed = [state]
     violated: tuple[str, ...] = _eval_assertions(model, state)
     for expected in verdict.trace[1:]:
@@ -789,7 +767,11 @@ def replay_counterexample(model: Model, verdict: Verdict) -> Trace:
         if state != expected:
             raise ModelError(f"replay mismatch at iteration {state.iteration}")
         replayed.append(state)
+        draws += len(result.drawn)
         violated = result.violated
+    if draws != len(verdict.choice_log):
+        raise ModelError(f"replay left {len(verdict.choice_log) - draws} "
+                         "choice log entries undrawn")
     if verdict.failed_assertion not in violated:
         raise ModelError(
             f"replay did not reproduce the violation of "

@@ -15,6 +15,13 @@ from .engine import ChoicePoint, ModelError
 # route fields in declaration order, shared by parsers and model builders
 ROUTE_FIELDS = ("obstacle", "distance", "terrain", "curvature")
 
+# obstacle density and curvature run 0..MAX; from HARD up a segment is
+# demanding
+MAX_OBSTACLE = 3
+MAX_CURVATURE = 3
+HARD_OBSTACLE = 2
+HARD_CURVATURE = 2
+
 
 class Terrain(Enum):
     offRoad = "offRoad"
@@ -31,12 +38,12 @@ class RoutePoint:
     curvature: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.obstacle <= 3:
-            raise ValueError("obstacle density must be in 0..3")
+        if not 0 <= self.obstacle <= MAX_OBSTACLE:
+            raise ValueError(f"obstacle density must be in 0..{MAX_OBSTACLE}")
         if self.distance < 1:
             raise ValueError("segment distance must be at least 1")
-        if not 0 <= self.curvature <= 3:
-            raise ValueError("curvature must be in 0..3")
+        if not 0 <= self.curvature <= MAX_CURVATURE:
+            raise ValueError(f"curvature must be in 0..{MAX_CURVATURE}")
 
 
 @dataclass(frozen=True)
@@ -85,21 +92,21 @@ def advance_route(route: Route, distance: int) -> Route:
     return replace(route, cursor=cursor, covered=covered)
 
 
-def point_difficulty(terrain: Terrain, obstacle: int, curvature: int,
-                     hard_obstacle: int = 2, hard_curvature: int = 2) -> int:
+def point_difficulty(terrain: Terrain, obstacle: int, curvature: int) -> int:
     """Terrain severity contributed by one segment, capped at one level.
 
-    Rough ground, dense obstacles, or sharp curvature each flag the segment
-    as demanding; any of them costs the driver one severity step.  The cap
+    Off-road ground, an obstacle density of at least `HARD_OBSTACLE`, or a
+    curvature of at least `HARD_CURVATURE` each flag the segment as
+    demanding; any of them costs the driver one severity step.  The cap
     keeps a single nasty segment from outweighing hours of driving.
     """
-    if not 0 <= obstacle <= 3:
-        raise ValueError("obstacle density must be in 0..3")
-    if not 0 <= curvature <= 3:
-        raise ValueError("curvature must be in 0..3")
+    if not 0 <= obstacle <= MAX_OBSTACLE:
+        raise ValueError(f"obstacle density must be in 0..{MAX_OBSTACLE}")
+    if not 0 <= curvature <= MAX_CURVATURE:
+        raise ValueError(f"curvature must be in 0..{MAX_CURVATURE}")
     demanding = (terrain is Terrain.offRoad) \
-        or obstacle >= hard_obstacle \
-        or curvature >= hard_curvature
+        or obstacle >= HARD_OBSTACLE \
+        or curvature >= HARD_CURVATURE
     return 1 if demanding else 0
 
 

@@ -29,7 +29,8 @@ from .behaviour import (FatigueLevel, InputMode, IntegratorOp, ReactionProfile,
 from .engine import (Assertion, BoolDomain, ChoicePoint, Group, IntDomain,
                      Model, ModelState, SymbolicDomain, UpdateFunctions, Var,
                      register_model)
-from .environment import (Route, RoutePoint, RouteSpec, Terrain, advance_route,
+from .environment import (MAX_CURVATURE, MAX_OBSTACLE, ROUTE_FIELDS, Route,
+                          RoutePoint, RouteSpec, Terrain, advance_route,
                           nondet_route_choices, point_difficulty)
 
 ALL_OPERATORS = (IntegratorOp.Max, IntegratorOp.Min,
@@ -46,6 +47,9 @@ CALCULATED = "calculated"
 PROBED = "probed"
 
 DEFAULT_BOUND = 100
+
+# segment distances range up to this, or further if a route needs it
+MAX_ROUTE_DISTANCE = 3
 
 # the fixed five-segment test route: a demanding opener, then easy road
 # with one obstacle patch and one bend, one distance unit per segment
@@ -73,11 +77,6 @@ class ScenarioParams:
     exhausted_after: int = 8
     time_cap: int = 12
     max_hp: int = 5
-    max_obstacle: int = 3
-    max_curvature: int = 3
-    max_route_distance: int = 3
-    hard_obstacle: int = 2
-    hard_curvature: int = 2
 
     def __post_init__(self) -> None:
         if self.max_speed < 1 or self.max_gap < 1:
@@ -144,106 +143,32 @@ def is_okay(fatigue: FatigueLevel, stopping_distance: int, gap: int, *,
     return gap >= stopping_distance and gap >= floor
 
 
-def _segment_count(config: ScenarioConfig) -> int:
-    if config.route is not None:
-        return len(config.route)
-    return config.route_spec.length
-
-
-def _distance_ceiling(config: ScenarioConfig) -> int:
-    p = config.params
-    if config.route is not None:
-        return max(p.max_route_distance, max(pt.distance for pt in config.route))
-    return max(p.max_route_distance, max(config.route_spec.distance_domain))
-
-
-def _first_segment_view(config: ScenarioConfig) -> RoutePoint:
-    """What the environment reports before the first iteration: the first
-    segment of a fixed route, or the first candidate values of a chosen one."""
-    if config.route is not None:
-        return config.route[0]
-    spec = config.route_spec
-    return RoutePoint(obstacle=spec.obstacle_domain[0],
-                      distance=spec.distance_domain[0],
-                      terrain=spec.terrain_domain[0],
-                      curvature=spec.curvature_domain[0])
-
-
 def build_model(config: ScenarioConfig) -> Model:
     """Assemble and register the three-model loop for one scenario."""
     p = config.params
-    n_seg = _segment_count(config)
-    d_max = _distance_ceiling(config)
-    rt_max = p.profile.slow * p.profile.e_factor
-
-    initial_target = (adaptive_separation(FatigueLevel.Normal, p.base_separation)
-                      if config.adaptive_target else p.base_separation) + p.acc_margin
-    if initial_target > p.max_gap:
-        raise ValueError("separation target exceeds the gap ceiling")
-    worst_target = (adaptive_separation(FatigueLevel.Exhausted, p.base_separation)
-                    if config.adaptive_target else p.base_separation) + p.acc_margin
-    if worst_target > p.max_gap:
-        raise ValueError("separation target exceeds the gap ceiling")
-
-    mode_dom = SymbolicDomain(ALL_MODES)
-    command_dom = SymbolicDomain(ALL_COMMANDS)
-    fatigue_dom = SymbolicDomain(ALL_FATIGUE)
-    terrain_dom = SymbolicDomain((Terrain.offRoad, Terrain.onRoad))
-
-    variables: list[Var] = []
-    for i in range(n_seg):
-        variables += [
-            Var(f"seg{i}_obstacle", Group.ENV_STATE, IntDomain(0, p.max_obstacle)),
-            Var(f"seg{i}_distance", Group.ENV_STATE, IntDomain(1, d_max)),
-            Var(f"seg{i}_terrain", Group.ENV_STATE, terrain_dom),
-            Var(f"seg{i}_curvature", Group.ENV_STATE, IntDomain(0, p.max_curvature)),
-        ]
-    variables += [
-        Var("cursor", Group.ENV_STATE, IntDomain(0, n_seg)),
-        Var("covered", Group.ENV_STATE, IntDomain(0, max(0, d_max - 1))),
-        Var("lead_speed", Group.ENV_STATE, IntDomain(0, p.max_speed)),
-
-        Var("moved", Group.ENV_INPUT, IntDomain(0, p.max_speed)),
-
-        Var("terrain", Group.ENV_OUTPUT, terrain_dom),
-        Var("obstacle", Group.ENV_OUTPUT, IntDomain(0, p.max_obstacle)),
-        Var("curvature", Group.ENV_OUTPUT, IntDomain(0, p.max_curvature)),
-        Var("journey_done", Group.ENV_OUTPUT, BoolDomain()),
-        Var("lead_speed", Group.ENV_OUTPUT, IntDomain(0, p.max_speed)),
-
-        Var("command", Group.SYS_INPUT, command_dom),
-        Var("active_mode", Group.SYS_INPUT, mode_dom),
-        Var("lead_speed", Group.SYS_INPUT, IntDomain(0, p.max_speed)),
-        Var("fatigue_seen", Group.SYS_INPUT, fatigue_dom),
-        Var("done_seen", Group.SYS_INPUT, BoolDomain()),
-
-        Var("speed", Group.SYS_STATE, IntDomain(0, p.max_speed)),
-        Var("gap", Group.SYS_STATE, IntDomain(0, p.max_gap)),
-        Var("target_gap", Group.SYS_STATE, IntDomain(0, p.max_gap)),
-        Var("acc_status", Group.SYS_STATE, mode_dom),
-
-        Var("speed", Group.SYS_OUTPUT, IntDomain(0, p.max_speed)),
-        Var("gap", Group.SYS_OUTPUT, IntDomain(0, p.max_gap)),
-        Var("acc_status", Group.SYS_OUTPUT, mode_dom),
-
-        Var("terrain_difficulty", Group.BEH_INPUT, IntDomain(0, 1)),
-        Var("done_seen", Group.BEH_INPUT, BoolDomain()),
-
-        Var("time_driven", Group.BEH_STATE, IntDomain(0, p.time_cap)),
-        Var("fatigue", Group.BEH_STATE, fatigue_dom),
-        Var("reaction_time", Group.BEH_STATE, IntDomain(0, rt_max)),
-        Var("hazard_perception", Group.BEH_STATE, IntDomain(0, p.max_hp)),
-        Var("combine_op", Group.BEH_STATE, SymbolicDomain(config.operators)),
-
-        Var("fatigue", Group.BEH_OUTPUT, fatigue_dom),
-        Var("mode_request", Group.BEH_OUTPUT, mode_dom),
-        Var("manual_command", Group.BEH_OUTPUT, command_dom),
-    ]
 
     def target_for(fatigue: FatigueLevel) -> int:
         floor = (adaptive_separation(fatigue, p.base_separation)
                  if config.adaptive_target else p.base_separation)
         return floor + p.acc_margin
+
+    if max(target_for(level) for level in ALL_FATIGUE) > p.max_gap:
+        raise ValueError("separation target exceeds the gap ceiling")
+
+    # a chosen route starts out as its first candidate segment, repeated
+    if config.route is not None:
+        segments = config.route
+        distances = [pt.distance for pt in segments]
+    else:
+        spec = config.route_spec
+        first = RoutePoint(**{name: spec.field_domain(name)[0]
+                              for name in ROUTE_FIELDS})
+        segments = (first,) * spec.length
+        distances = spec.distance_domain
+    first_seg = segments[0]   # what the environment reports before iteration 1
+    n_seg = len(segments)
+    d_max = max(MAX_ROUTE_DISTANCE, *distances)
+    rt_max = p.profile.slow * p.profile.e_factor
 
     def route_from(env_state) -> Route:
         points = tuple(
@@ -296,17 +221,13 @@ def build_model(config: ScenarioConfig) -> Model:
         return {"speed": moved.speed, "gap": min(p.max_gap, moved.gap_to_lead),
                 "acc_status": sys_in.active_mode}
 
-    def sys_output(sys_in, sys_state):
-        return drive(sys_in, sys_state)
-
     def sys_state_update(sys_in, sys_state):
         return {**drive(sys_in, sys_state),
                 "target_gap": target_for(sys_in.fatigue_seen)}
 
     def beh_input(beh_state, env_out, sys_out, ctx):
         difficulty = point_difficulty(env_out.terrain, env_out.obstacle,
-                                      env_out.curvature,
-                                      p.hard_obstacle, p.hard_curvature)
+                                      env_out.curvature)
         return {"terrain_difficulty": difficulty,
                 "done_seen": env_out.journey_done}
 
@@ -349,7 +270,7 @@ def build_model(config: ScenarioConfig) -> Model:
 
     updates = UpdateFunctions(
         env_input=env_input, sys_input=sys_input, beh_input=beh_input,
-        env_output=env_output, sys_output=sys_output, beh_output=beh_output,
+        env_output=env_output, sys_output=drive, beh_output=beh_output,
         env_state=env_state_update, sys_state=sys_state_update,
         beh_state=beh_state_update)
 
@@ -372,61 +293,80 @@ def build_model(config: ScenarioConfig) -> Model:
                              ChoicePoint("integrator", config.operators,
                                          site=None)))
 
-    first_seg = _first_segment_view(config)
     init_mode = config.control_mode if config.control_mode is not None \
         else config.mode_domain[0]
-    init_fatigue = FatigueLevel.Normal
+    normal = FatigueLevel.Normal
     init_speed = min(1, p.max_speed)
-    init_gap = initial_target
-    init_difficulty = point_difficulty(first_seg.terrain, first_seg.obstacle,
-                                       first_seg.curvature,
-                                       p.hard_obstacle, p.hard_curvature)
+    init_gap = target_for(normal)
 
-    init: dict[tuple[Group, str], object] = {}
-    if config.route is not None:
-        segments = config.route
-    else:
-        segments = tuple(_first_segment_view(config) for _ in range(n_seg))
+    mode_dom = SymbolicDomain(ALL_MODES)
+    command_dom = SymbolicDomain(ALL_COMMANDS)
+    fatigue_dom = SymbolicDomain(ALL_FATIGUE)
+    terrain_dom = SymbolicDomain((Terrain.offRoad, Terrain.onRoad))
+    bool_dom = BoolDomain()
+    speed_dom = IntDomain(0, p.max_speed)
+    gap_dom = IntDomain(0, p.max_gap)
+    obstacle_dom = IntDomain(0, MAX_OBSTACLE)
+    distance_dom = IntDomain(1, d_max)
+    curvature_dom = IntDomain(0, MAX_CURVATURE)
+
+    # every variable once, in declared order: (group, name, domain, initial)
+    declared = []
     for i, pt in enumerate(segments):
-        init[(Group.ENV_STATE, f"seg{i}_obstacle")] = pt.obstacle
-        init[(Group.ENV_STATE, f"seg{i}_distance")] = pt.distance
-        init[(Group.ENV_STATE, f"seg{i}_terrain")] = pt.terrain
-        init[(Group.ENV_STATE, f"seg{i}_curvature")] = pt.curvature
-    init.update({
-        (Group.ENV_STATE, "cursor"): 0,
-        (Group.ENV_STATE, "covered"): 0,
-        (Group.ENV_STATE, "lead_speed"): p.lead_speed,
-        (Group.ENV_INPUT, "moved"): 0,
-        (Group.ENV_OUTPUT, "terrain"): first_seg.terrain,
-        (Group.ENV_OUTPUT, "obstacle"): first_seg.obstacle,
-        (Group.ENV_OUTPUT, "curvature"): first_seg.curvature,
-        (Group.ENV_OUTPUT, "journey_done"): False,
-        (Group.ENV_OUTPUT, "lead_speed"): p.lead_speed,
-        (Group.SYS_INPUT, "command"): AccCommand.Maintain,
-        (Group.SYS_INPUT, "active_mode"): init_mode,
-        (Group.SYS_INPUT, "lead_speed"): p.lead_speed,
-        (Group.SYS_INPUT, "fatigue_seen"): init_fatigue,
-        (Group.SYS_INPUT, "done_seen"): False,
-        (Group.SYS_STATE, "speed"): init_speed,
-        (Group.SYS_STATE, "gap"): init_gap,
-        (Group.SYS_STATE, "target_gap"): initial_target,
-        (Group.SYS_STATE, "acc_status"): init_mode,
-        (Group.SYS_OUTPUT, "speed"): init_speed,
-        (Group.SYS_OUTPUT, "gap"): init_gap,
-        (Group.SYS_OUTPUT, "acc_status"): init_mode,
-        (Group.BEH_INPUT, "terrain_difficulty"): init_difficulty,
-        (Group.BEH_INPUT, "done_seen"): False,
-        (Group.BEH_STATE, "time_driven"): 0,
-        (Group.BEH_STATE, "fatigue"): init_fatigue,
-        (Group.BEH_STATE, "reaction_time"):
-            set_reaction_time(p.input_mode, init_fatigue, p.profile),
-        (Group.BEH_STATE, "hazard_perception"):
-            perception_from_fatigue(init_fatigue, p.max_hp),
-        (Group.BEH_STATE, "combine_op"): config.operators[0],
-        (Group.BEH_OUTPUT, "fatigue"): init_fatigue,
-        (Group.BEH_OUTPUT, "mode_request"): init_mode,
-        (Group.BEH_OUTPUT, "manual_command"): AccCommand.Maintain,
-    })
+        declared += [
+            (Group.ENV_STATE, f"seg{i}_obstacle", obstacle_dom, pt.obstacle),
+            (Group.ENV_STATE, f"seg{i}_distance", distance_dom, pt.distance),
+            (Group.ENV_STATE, f"seg{i}_terrain", terrain_dom, pt.terrain),
+            (Group.ENV_STATE, f"seg{i}_curvature", curvature_dom, pt.curvature),
+        ]
+    declared += [
+        (Group.ENV_STATE, "cursor", IntDomain(0, n_seg), 0),
+        (Group.ENV_STATE, "covered", IntDomain(0, max(0, d_max - 1)), 0),
+        (Group.ENV_STATE, "lead_speed", speed_dom, p.lead_speed),
+
+        (Group.ENV_INPUT, "moved", speed_dom, 0),
+
+        (Group.ENV_OUTPUT, "terrain", terrain_dom, first_seg.terrain),
+        (Group.ENV_OUTPUT, "obstacle", obstacle_dom, first_seg.obstacle),
+        (Group.ENV_OUTPUT, "curvature", curvature_dom, first_seg.curvature),
+        (Group.ENV_OUTPUT, "journey_done", bool_dom, False),
+        (Group.ENV_OUTPUT, "lead_speed", speed_dom, p.lead_speed),
+
+        (Group.SYS_INPUT, "command", command_dom, AccCommand.Maintain),
+        (Group.SYS_INPUT, "active_mode", mode_dom, init_mode),
+        (Group.SYS_INPUT, "lead_speed", speed_dom, p.lead_speed),
+        (Group.SYS_INPUT, "fatigue_seen", fatigue_dom, normal),
+        (Group.SYS_INPUT, "done_seen", bool_dom, False),
+
+        (Group.SYS_STATE, "speed", speed_dom, init_speed),
+        (Group.SYS_STATE, "gap", gap_dom, init_gap),
+        (Group.SYS_STATE, "target_gap", gap_dom, init_gap),
+        (Group.SYS_STATE, "acc_status", mode_dom, init_mode),
+
+        (Group.SYS_OUTPUT, "speed", speed_dom, init_speed),
+        (Group.SYS_OUTPUT, "gap", gap_dom, init_gap),
+        (Group.SYS_OUTPUT, "acc_status", mode_dom, init_mode),
+
+        (Group.BEH_INPUT, "terrain_difficulty", IntDomain(0, 1),
+         point_difficulty(first_seg.terrain, first_seg.obstacle,
+                          first_seg.curvature)),
+        (Group.BEH_INPUT, "done_seen", bool_dom, False),
+
+        (Group.BEH_STATE, "time_driven", IntDomain(0, p.time_cap), 0),
+        (Group.BEH_STATE, "fatigue", fatigue_dom, normal),
+        (Group.BEH_STATE, "reaction_time", IntDomain(0, rt_max),
+         set_reaction_time(p.input_mode, normal, p.profile)),
+        (Group.BEH_STATE, "hazard_perception", IntDomain(0, p.max_hp),
+         perception_from_fatigue(normal, p.max_hp)),
+        (Group.BEH_STATE, "combine_op", SymbolicDomain(config.operators),
+         config.operators[0]),
+
+        (Group.BEH_OUTPUT, "fatigue", fatigue_dom, normal),
+        (Group.BEH_OUTPUT, "mode_request", mode_dom, init_mode),
+        (Group.BEH_OUTPUT, "manual_command", command_dom, AccCommand.Maintain),
+    ]
+    variables = [Var(name, group, domain) for group, name, domain, _ in declared]
+    init = {(group, name): value for group, name, _, value in declared}
 
     def separation_holds(state: ModelState) -> bool:
         fatigue = state.value(Group.BEH_STATE, "fatigue")

@@ -38,6 +38,20 @@ def _parse_iteration(fields: dict[str, str], lineno: int) -> int:
                          f"got {fields['iter']!r}") from None
 
 
+def _fields(rest: str, lineno: int) -> dict[str, str]:
+    """A record's key=value fields; a key may appear only once."""
+    pairs = [token.split("=", 1) for token in rest.split()]
+    try:
+        fields = dict(pairs)
+    except ValueError:
+        raise ValueError(f"line {lineno}: malformed record") from None
+    if len(fields) != len(pairs):
+        keys = [key for key, _ in pairs]
+        twice = next(key for key in keys if keys.count(key) > 1)
+        raise ValueError(f"line {lineno}: field {twice} given twice")
+    return fields
+
+
 def _tokens(values) -> dict[str, object]:
     """Label -> value for every value of a domain: parsing a token is one
     lookup, and a token outside the domain is simply absent."""
@@ -58,7 +72,7 @@ def format_trace(verdict: Verdict, model: Model, scenario: str) -> str:
     by_iter: dict[int, list[ChoiceEntry]] = {}
     for entry in verdict.choice_log:
         by_iter.setdefault(entry.iteration, []).append(entry)
-    keys = [f"{v.group.value}.{v.name}=" for v in model.variables]
+    keys = [f"{v}=" for v in model.variables]
     for state in verdict.trace:
         for entry in by_iter.get(state.iteration, ()):
             lines.append(f"choice iter={entry.iteration} "
@@ -86,10 +100,12 @@ def read_trace(path, model: Model) -> TraceFile:
 
     The model supplies variable domains, so values come back as the same
     ints, bools, and enumeration members that produced the file; a value
-    outside its variable's or choice point's domain is an error.
+    outside its variable's or choice point's domain is an error, as are a
+    field given twice and a choice that does not come right before the
+    state of its iteration.
     """
     header: dict[str, str] | None = None
-    columns = {f"{v.group.value}.{v.name}": (pos, _tokens(v.domain.values()))
+    columns = {str(v): (pos, _tokens(v.domain.values()))
                for pos, v in enumerate(model.variables)}
     choice_tokens = {point_id: _tokens(cp.domain)
                      for point_id, cp in model.choices.items()}
@@ -101,10 +117,7 @@ def read_trace(path, model: Model) -> TraceFile:
             if not line:
                 continue
             kind, _, rest = line.partition(" ")
-            try:
-                fields = dict(token.split("=", 1) for token in rest.split())
-            except ValueError:
-                raise ValueError(f"line {lineno}: malformed record") from None
+            fields = _fields(rest, lineno)
             if kind == "header":
                 if header is not None:
                     raise ValueError(f"line {lineno}: duplicate header")
@@ -120,8 +133,12 @@ def read_trace(path, model: Model) -> TraceFile:
                 if token not in tokens:
                     raise ValueError(f"line {lineno}: {token!r} is not in "
                                      "the choice domain")
-                choices.append(ChoiceEntry(_parse_iteration(fields, lineno),
-                                           point_id, tokens[token]))
+                iteration = _parse_iteration(fields, lineno)
+                if iteration != len(states):
+                    raise ValueError(f"line {lineno}: choice for iteration "
+                                     f"{iteration} precedes state {len(states)}")
+                choices.append(ChoiceEntry(iteration, point_id, tokens[token]))
+                last_choice_line = lineno
             elif kind == "state":
                 iteration = _parse_iteration(fields, lineno)
                 del fields["iter"]
@@ -149,4 +166,7 @@ def read_trace(path, model: Model) -> TraceFile:
         raise ValueError("trace file has no header")
     if not states:
         raise ValueError("trace file has no states")
+    if choices and choices[-1].iteration == len(states):
+        raise ValueError(f"line {last_choice_line}: choice for iteration "
+                         f"{len(states)} precedes no state")
     return TraceFile(header, tuple(states), tuple(choices))

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from hilcheck.engine import (Assertion, ChoicePoint, Group, IntDomain,
-                             UpdateFunctions, Var, VarId, register_model)
+                             UpdateFunctions, Var, register_model)
 
 # slots that may draw, in the order the engine executes them
 _DRAW_SLOTS = (Group.ENV_INPUT, Group.BEH_INPUT, Group.ENV_OUTPUT,
@@ -140,7 +140,7 @@ def generate(seed: int, max_runs: int = 400) -> GeneratedModel:
         dom = tuple(v % (caps[name] + 1) for v in dom)
         dom = tuple(dict.fromkeys(dom))  # dedupe, keep order
         group = next(g for g, n in _SLOT_VAR.items() if n == name)
-        init_choices.append((VarId(name, group),
+        init_choices.append(((group, name),
                              ChoicePoint(f"init{k}", dom, site=None)))
     init_domains = tuple(cp.domain for _, cp in init_choices)
 

@@ -4,9 +4,9 @@ import pytest
 
 from hilcheck.engine import (Assertion, BoolDomain, ChoiceEntry, ChoicePoint,
                              Group, IntDomain, ModelError, SymbolicDomain,
-                             UpdateFunctions, Var, VarId, VerdictKind, explore,
+                             UpdateFunctions, Var, VerdictKind, explore,
                              first_value_resolver, log_resolver, probe_variable,
-                             register_model, replay_counterexample,
+                             probed_model, register_model, replay_counterexample,
                              resolve_initial, step)
 
 
@@ -89,6 +89,27 @@ def test_register_rejects_init_for_unknown_variable():
     with pytest.raises(ModelError, match="unknown variable"):
         _counter_model(init={(Group.ENV_STATE, "n"): 0,
                              (Group.ENV_STATE, "ghost"): 0})
+
+
+@pytest.mark.parametrize("key", ["n", ("env_state", "n"), (Group.ENV_STATE,)],
+                         ids=["bare name", "string group", "one-tuple"])
+def test_a_variable_is_named_only_by_group_and_name(key):
+    with pytest.raises(ModelError, match="unknown variable"):
+        _counter_model(init={(Group.ENV_STATE, "n"): 0, key: 0})
+    with pytest.raises(ModelError, match="unknown variable"):
+        probed_model(_counter_model(), key)
+
+
+def test_unhashable_variable_key_is_a_model_error():
+    key = (Group.ENV_STATE, ["n"])
+    model = _counter_model()
+    with pytest.raises(ModelError, match="unknown variable"):
+        probed_model(model, key)
+    with pytest.raises(ModelError, match="unknown variable"):
+        _counter_model(init_choices=[(key, ChoicePoint("pick", (0,)))])
+    state, _ = resolve_initial(model)
+    with pytest.raises(ModelError, match="unknown variable"):
+        state.value(*key)
 
 
 def test_choice_point_rejects_system_site():

@@ -98,11 +98,6 @@ def test_point_difficulty_triggers():
     assert point_difficulty(Terrain.offRoad, 3, 3) == 1
 
 
-def test_point_difficulty_thresholds_are_configurable():
-    assert point_difficulty(Terrain.onRoad, 2, 0, hard_obstacle=3) == 0
-    assert point_difficulty(Terrain.onRoad, 0, 2, hard_curvature=3) == 0
-
-
 def test_point_difficulty_validates_ranges():
     with pytest.raises(ValueError):
         point_difficulty(Terrain.onRoad, 5, 0)

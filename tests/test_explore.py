@@ -4,7 +4,7 @@ import pytest
 
 from hilcheck.engine import (Assertion, ChoiceEntry, ChoicePoint, Group,
                              IntDomain, ModelError, SymbolicDomain,
-                             UpdateFunctions, Var, VarId, VerdictKind, explore,
+                             UpdateFunctions, Var, VerdictKind, explore,
                              probe_variable, register_model,
                              replay_counterexample, resolve_initial)
 
@@ -208,21 +208,10 @@ def test_probe_variable_sweeps_initial_values():
     assert verdict.paths_explored == 3   # 0 and 1 safe, 2 violates
 
 
-def test_probe_accepts_varid_and_unique_name():
+def test_probe_rejects_unknown_names():
     model = _probe_model()
-    by_id = probe_variable(model, VarId("x", Group.ENV_STATE), 1)
-    assert by_id.kind is VerdictKind.Unsafe
-    by_name = probe_variable(model, "y", 1)
-    assert by_name.kind is VerdictKind.Safe
-    assert by_name.paths_explored == 6   # full 0..5 domain swept
-
-
-def test_probe_rejects_ambiguous_or_unknown_names():
-    model = _probe_model()
-    with pytest.raises(ModelError, match="ambiguous"):
-        probe_variable(model, "x", 1)
-    with pytest.raises(ModelError, match="unknown variable"):
-        probe_variable(model, "ghost", 1)
+    with pytest.raises(ModelError, match="unknown variable beh_state.ghost"):
+        probe_variable(model, (Group.BEH_STATE, "ghost"), 1)
 
 
 def test_probe_leaves_original_model_unchanged():

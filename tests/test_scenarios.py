@@ -1,18 +1,21 @@
 """Case-study scenario tests: golden step, verdicts, witness shapes."""
 
+import hashlib
+
 import pytest
 from dataclasses import replace
 
 from hilcheck.acc import AccCommand, ControlMode
 from hilcheck.behaviour import FatigueLevel, InputMode, IntegratorOp
-from hilcheck.engine import (ChoiceEntry, Group, VerdictKind, explore,
-                             first_value_resolver, probe_variable,
+from hilcheck.engine import (ChoiceEntry, Group, ModelError, VerdictKind,
+                             explore, first_value_resolver, probe_variable,
                              probed_model, replay_counterexample,
                              resolve_initial, step)
 from hilcheck.environment import RouteSpec, Terrain
-from hilcheck.scenarios import (DEFAULT_ROUTE, ScenarioConfig, ScenarioParams,
-                                build_model, is_okay, reaction_probe,
-                                scenario_ideal, scenario_lowered_speed,
+from hilcheck.scenarios import (DEFAULT_ROUTE, SCENARIOS, ScenarioConfig,
+                                ScenarioParams, build_model, is_okay,
+                                reaction_probe, scenario_ideal,
+                                scenario_lowered_speed,
                                 scenario_manual_override)
 
 
@@ -139,6 +142,19 @@ def test_manual_override_breaks_separation():
     assert replay_counterexample(model, verdict) == verdict.trace
 
 
+def test_replay_rejects_a_log_with_entries_left_over_or_out_of_order():
+    model = build_model(scenario_manual_override())
+    verdict = explore(model, 100)
+    log = verdict.choice_log
+    assert log[0].point_id == "integrator"
+    extra = replace(verdict, choice_log=log + (log[-1],))
+    with pytest.raises(ModelError, match="undrawn"):
+        replay_counterexample(model, extra)
+    integrator_last = replace(verdict, choice_log=log[1:] + log[:1])
+    with pytest.raises(ModelError, match="replay mismatch"):
+        replay_counterexample(model, integrator_last)
+
+
 # --- scenario variants -------------------------------------------------------
 
 def test_manual_override_is_safe_when_only_engaged_is_offered():
@@ -214,11 +230,28 @@ def test_probing_initial_fatigue_finds_the_breaking_level():
     assert replay_counterexample(swept, verdict) == verdict.trace
 
 
-def test_probe_is_ambiguous_for_fatigue_by_bare_name():
-    from hilcheck.engine import ModelError
-    model = build_model(reaction_probe())
-    with pytest.raises(ModelError, match="ambiguous"):
-        probe_variable(model, "fatigue", 10)
+# sha256 of each preset's declarations, repr([(str(v), v.domain) for v in
+# model.variables]) followed by repr of the initial state's values
+GOLDEN_DECLARATIONS = {
+    "ideal": "0574cc84e581b567948cc0a12b2c2aba"
+             "aa5fe4d3666f987b4991a7cab75c4f54",
+    "lowered-speed": "c97d33f405ce6e49c5f5838670b971db"
+                     "3a27ebc926cbb8d41c93c971c816b9b4",
+    "manual-override": "2a4430a60fba6d79b1945e9c0bdfadae"
+                       "025494cfa522caeeab37d455af765355",
+    "reaction-probe": "c8ba81c9b66976d9d6b947331090ecfd"
+                      "6fdf52655f2b4b8b0172bb07eba1864b",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(GOLDEN_DECLARATIONS))
+def test_preset_declarations_are_pinned(preset):
+    model = build_model(SCENARIOS[preset]())
+    state, _ = resolve_initial(model)
+    text = repr([(str(v), v.domain) for v in model.variables]) \
+        + repr(state.values)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == GOLDEN_DECLARATIONS[preset]
 
 
 # --- configuration validation ----------------------------------------------

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from hilcheck.engine import Group, ModelError, VarId, explore, resolve_initial
+from hilcheck.engine import Group, ModelError, explore, resolve_initial
 from hilcheck.scenarios import SCENARIOS, build_model
 from hilcheck.trace_io import format_trace, read_trace
 
@@ -46,6 +46,11 @@ MALFORMED = {
     "state without iter": (r"^state iter=\d+ ", "state "),
     "non-integer state iter": (r"^state iter=\d+", "state iter=x"),
     "non-integer choice iter": (r"^choice iter=\d+", "choice iter=1.5"),
+    "field given twice": (r"sys_state\.gap=\d+", r"\g<0> sys_state.gap=14"),
+    "choice iter not its state's": (r"^choice iter=1 ", "choice iter=7 "),
+    "choice after the last state": (r"^state iter=3 .*",
+                                    "choice iter=3 point=controlMode "
+                                    "value=Manual"),
 }
 
 
@@ -74,8 +79,8 @@ def test_state_equality_hash_valuation_and_unknown_names():
     assert hash(first) == hash(second)
 
     valuation = first.valuation
-    assert list(valuation) == [VarId(v.name, v.group) for v in model.variables]
-    assert valuation[VarId("gap", Group.SYS_STATE)] == \
+    assert list(valuation) == [(v.group, v.name) for v in model.variables]
+    assert valuation[(Group.SYS_STATE, "gap")] == \
         first.value(Group.SYS_STATE, "gap")
 
     with pytest.raises(ModelError, match="unknown variable sys_state.ghost"):
