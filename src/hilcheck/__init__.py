@@ -7,8 +7,8 @@ and `environment` modules are the cruise-control case study's components,
 and `scenarios` wires them into runnable configurations.
 """
 
-from .acc import (AccCommand, ControlMode, VehicleState, acc_decide,
-                  adaptive_separation, apply_command, compute_safe_stopping)
+from .acc import (AccCommand, ControlMode, acc_decide, adaptive_separation,
+                  apply_command, compute_safe_stopping)
 from .behaviour import (FatigueLevel, InputMode, IntegratorOp, ReactionProfile,
                         hp_function, integrate, perception_from_fatigue,
                         set_driver_fatigue, set_reaction_time, time_severity)
@@ -18,7 +18,7 @@ from .engine import (Assertion, BoolDomain, ChoiceEntry, ChoicePoint, Group,
                      VerdictKind, explore, first_value_resolver, log_resolver,
                      probe_variable, probed_model, register_model,
                      replay_counterexample, resolve_initial, step)
-from .environment import (Route, RoutePoint, RouteSpec, Terrain, advance_route,
+from .environment import (RoutePoint, RouteSpec, Terrain, advance_route,
                           point_difficulty)
 from .scenarios import (DEFAULT_ROUTE, SCENARIOS, ScenarioConfig,
                         ScenarioParams, build_model, is_okay, reaction_probe,

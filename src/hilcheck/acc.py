@@ -3,12 +3,12 @@
 The controller compares a preset separation against the currently measured
 gap to the lead vehicle and issues one of three commands.  Speed moves by at
 most one unit per iteration; the gap then evolves by the speed difference to
-the lead vehicle.  All quantities are small non-negative integers.
+the lead vehicle.  All quantities are small non-negative integers: the
+vehicle itself is just its `(speed, gap)` pair.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .behaviour import FatigueLevel
@@ -25,19 +25,6 @@ class ControlMode(Enum):
     Engaged = "Engaged"
 
 
-@dataclass(frozen=True)
-class VehicleState:
-    speed: int
-    gap_to_lead: int
-    acc_status: ControlMode
-
-    def __post_init__(self) -> None:
-        if self.speed < 0:
-            raise ValueError("speed must be non-negative")
-        if self.gap_to_lead < 0:
-            raise ValueError("gap must be non-negative")
-
-
 def acc_decide(preset: int, current_gap: int) -> AccCommand:
     """Pick the command that drives the gap toward the preset.
 
@@ -52,23 +39,21 @@ def acc_decide(preset: int, current_gap: int) -> AccCommand:
     return AccCommand.Accelerate
 
 
-def apply_command(vehicle: VehicleState, command: AccCommand,
-                  lead_speed: int, max_speed: int = 10) -> VehicleState:
+def apply_command(speed: int, gap: int, command: AccCommand,
+                  lead_speed: int, max_speed: int = 10) -> tuple[int, int]:
     """One kinematic step: adjust speed by one unit, then move both cars.
 
-    Speed saturates at 0 and at max_speed.  The gap changes by how much
-    farther the lead travelled than we did; it cannot go below zero (contact
-    or sensor floor).
+    Returns the new (speed, gap).  Speed saturates at 0 and at max_speed.
+    The gap changes by how much farther the lead travelled than we did; it
+    cannot go below zero (contact or sensor floor).
     """
-    if lead_speed < 0:
-        raise ValueError("lead speed must be non-negative")
+    if speed < 0 or gap < 0 or lead_speed < 0:
+        raise ValueError("speed, gap and lead speed must be non-negative")
     delta = {AccCommand.Accelerate: 1,
              AccCommand.Maintain: 0,
              AccCommand.Decelerate: -1}[command]
-    new_speed = min(max_speed, max(0, vehicle.speed + delta))
-    new_gap = max(0, vehicle.gap_to_lead + lead_speed - new_speed)
-    return VehicleState(speed=new_speed, gap_to_lead=new_gap,
-                        acc_status=vehicle.acc_status)
+    new_speed = min(max_speed, max(0, speed + delta))
+    return new_speed, max(0, gap + lead_speed - new_speed)
 
 
 def adaptive_separation(fatigue: FatigueLevel, base: int = 4) -> int:

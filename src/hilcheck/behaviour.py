@@ -100,8 +100,8 @@ def time_severity(time_driven: int, tired_after: int = 4,
     return 0
 
 
-def integrate(op: IntegratorOp, a: int, b: int, hi: int = 2) -> int:
-    """Combine two severity values into one, clamped to [0, hi].
+def integrate(op: IntegratorOp, a: int, b: int) -> int:
+    """Combine two severity values into one, clamped to the scale 0..2.
 
     Max and Min never leave the input range so need no clamping; Sum can
     overshoot and is clamped; RoundedMean rounds halves up so a mixed pair
@@ -119,7 +119,7 @@ def integrate(op: IntegratorOp, a: int, b: int, hi: int = 2) -> int:
         result = (a + b + 1) // 2
     else:
         raise ValueError(f"unknown integrator {op!r}")
-    return min(hi, result)
+    return min(2, result)
 
 
 def set_driver_fatigue(time_driven: int, terrain_severity: int,

@@ -417,14 +417,6 @@ class Verdict:
     failed_assertion: str | None = None
     message: str | None = None
 
-    @property
-    def is_safe(self) -> bool:
-        return self.kind is VerdictKind.Safe
-
-    @property
-    def is_unsafe(self) -> bool:
-        return self.kind is VerdictKind.Unsafe
-
     def __str__(self) -> str:
         if self.kind is VerdictKind.Safe:
             return f"Safe({self.bound})"
@@ -457,9 +449,10 @@ def register_model(variables: Sequence[Var],
     Checks: at least one variable; names unique within each group; choice
     point ids unique and never sited at a system group; initial values cover
     every variable and lie inside its domain; initialisation choices target
-    declared variables with values inside the variable's domain.  Finally a
-    single trial step is executed (first domain value at every draw) so that
-    wiring mistakes surface at registration rather than mid-exploration.
+    declared variables, at most one each, with values inside the variable's
+    domain.  Finally a single trial step is executed (first domain value at
+    every draw) so that wiring mistakes surface at registration rather than
+    mid-exploration.
     Assertion violations during the trial step are ignored.
     """
     vars_t = tuple(variables)
@@ -507,6 +500,8 @@ def register_model(variables: Sequence[Var],
                 f"initialisation choice '{cp.point_id}' must use site None")
         if cp.point_id in choice_map:
             raise ModelError(f"duplicate choice point '{cp.point_id}'")
+        if any(pos == other for other, _ in init_ch):
+            raise ModelError(f"two initialisation choices target {vars_t[pos]}")
         for value in cp.domain:
             if not vars_t[pos].domain.contains(value):
                 raise ModelError(
@@ -715,13 +710,17 @@ def probed_model(model: Model, var: tuple[Group, str]) -> Model:
     to a choice over its full domain.
 
     `var` is the variable's (Group, name) pair.  The probe draw appears in
-    choice logs at iteration 0 under the id ``probe:<name>``.  The original
-    model is not modified.  Counterexamples found on the probed model replay
-    against the probed model, not the original, since only the former
-    declares the probe choice point.
+    choice logs at iteration 0 under the id ``probe:<name>``.  A variable
+    with an initialisation choice of its own cannot be probed, because that
+    choice would overwrite the probed value.  The original model is not
+    modified.  Counterexamples found on the probed model replay against the
+    probed model, not the original, since only the former declares the probe
+    choice point.
     """
     pos = _position(model.index, var)
     target = model.variables[pos]
+    if any(pos == other for other, _ in model.init_choices):
+        raise ModelError(f"{target} already has an initialisation choice")
 
     cp = ChoicePoint(f"probe:{target.name}", target.domain.values(), site=None)
     return replace(model,

@@ -2,12 +2,16 @@
 
 A route is a finite list of segments, each with a length in distance units
 and static attributes (terrain kind, obstacle density, curvature).  The
-vehicle consumes distance along the route as it moves.
+vehicle consumes distance along the route as it moves.  A position on the
+route is two integers, `(cursor, covered)`: the index of the current segment
+and the distance already covered within it; `cursor == len(route)` once the
+journey is complete.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass
 from enum import Enum
 
 from .engine import ChoicePoint, ModelError
@@ -21,6 +25,8 @@ MAX_OBSTACLE = 3
 MAX_CURVATURE = 3
 HARD_OBSTACLE = 2
 HARD_CURVATURE = 2
+# a nondeterministic route may offer at most this many combinations
+ROUTE_CEILING = 10**8
 
 
 class Terrain(Enum):
@@ -46,50 +52,27 @@ class RoutePoint:
             raise ValueError(f"curvature must be in 0..{MAX_CURVATURE}")
 
 
-@dataclass(frozen=True)
-class Route:
-    """A route plus a position on it: current segment index and distance
-    already covered within that segment."""
-
-    points: tuple[RoutePoint, ...]
-    cursor: int = 0
-    covered: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.points:
-            raise ValueError("a route needs at least one segment")
-        if not 0 <= self.cursor <= len(self.points):
-            raise ValueError("cursor out of range")
-        if self.covered < 0:
-            raise ValueError("covered distance must be non-negative")
-        if self.cursor < len(self.points) \
-                and self.covered >= self.points[self.cursor].distance:
-            raise ValueError("covered distance exceeds the current segment")
-
-    @property
-    def complete(self) -> bool:
-        return self.cursor >= len(self.points)
-
-    @property
-    def current(self) -> RoutePoint | None:
-        if self.complete:
-            return None
-        return self.points[self.cursor]
-
-
-def advance_route(route: Route, distance: int) -> Route:
-    """Move along the route by `distance` units, rolling residual distance
-    over segment boundaries.  Movement past the final segment is discarded:
-    the journey is simply complete."""
-    if distance < 0:
+def advance_route(distances: Sequence[int], cursor: int, covered: int,
+                  moved: int) -> tuple[int, int]:
+    """Move `moved` units from position (cursor, covered) along a route of
+    segment lengths `distances`, rolling residual distance over segment
+    boundaries.  Movement past the final segment is discarded: the journey
+    is simply complete, at position (len(distances), 0)."""
+    if moved < 0:
         raise ValueError("cannot advance by a negative distance")
-    cursor, covered = route.cursor, route.covered + distance
-    while cursor < len(route.points) and covered >= route.points[cursor].distance:
-        covered -= route.points[cursor].distance
+    if not 0 <= cursor <= len(distances):
+        raise ValueError("cursor out of range")
+    # within a segment, covered stays short of its length; at the end, 0
+    limit = distances[cursor] if cursor < len(distances) else 1
+    if not 0 <= covered < limit:
+        raise ValueError(f"covered distance must be in 0..{limit - 1}")
+    covered += moved
+    while cursor < len(distances) and covered >= distances[cursor]:
+        covered -= distances[cursor]
         cursor += 1
-    if cursor >= len(route.points):
+    if cursor == len(distances):
         covered = 0
-    return replace(route, cursor=cursor, covered=covered)
+    return cursor, covered
 
 
 def point_difficulty(terrain: Terrain, obstacle: int, curvature: int) -> int:
@@ -142,23 +125,18 @@ class RouteSpec:
         return per_segment ** self.length
 
 
-def nondet_route_choices(spec: RouteSpec,
-                         ceiling: int = 10**8) -> tuple[ChoicePoint, ...]:
+def nondet_route_choices(spec: RouteSpec) -> tuple[ChoicePoint, ...]:
     """Initialisation choice points for every field of every segment of a
     nondeterministic route, in segment-major, declared-field order.
 
     Single-value domains still get a point so the choice log names the full
     route; they do not multiply the search.  A combination count beyond the
-    ceiling is rejected before any exploration starts.
+    `ROUTE_CEILING` is rejected before any exploration starts.
     """
-    if spec.combination_count() > ceiling:
+    if spec.combination_count() > ROUTE_CEILING:
         raise ModelError(
             f"route space has {spec.combination_count()} combinations, "
-            f"over the ceiling of {ceiling}")
-    points = []
-    for i in range(spec.length):
-        for field_name in ROUTE_FIELDS:
-            points.append(ChoicePoint(f"route:seg{i}_{field_name}",
-                                      tuple(spec.field_domain(field_name)),
-                                      site=None))
-    return tuple(points)
+            f"over the ceiling of {ROUTE_CEILING}")
+    return tuple(ChoicePoint(f"route:seg{i}_{name}",
+                             tuple(spec.field_domain(name)), site=None)
+                 for i in range(spec.length) for name in ROUTE_FIELDS)

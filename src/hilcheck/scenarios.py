@@ -21,15 +21,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .acc import (AccCommand, ControlMode, VehicleState, acc_decide,
-                  adaptive_separation, apply_command, compute_safe_stopping)
+from .acc import (AccCommand, ControlMode, acc_decide, adaptive_separation,
+                  apply_command, compute_safe_stopping)
 from .behaviour import (FatigueLevel, InputMode, IntegratorOp, ReactionProfile,
                         perception_from_fatigue, set_driver_fatigue,
                         set_reaction_time)
 from .engine import (Assertion, BoolDomain, ChoicePoint, Group, IntDomain,
                      Model, ModelState, SymbolicDomain, UpdateFunctions, Var,
                      register_model)
-from .environment import (MAX_CURVATURE, MAX_OBSTACLE, ROUTE_FIELDS, Route,
+from .environment import (MAX_CURVATURE, MAX_OBSTACLE, ROUTE_FIELDS,
                           RoutePoint, RouteSpec, Terrain, advance_route,
                           nondet_route_choices, point_difficulty)
 
@@ -95,8 +95,8 @@ class ScenarioConfig:
 
     Exactly one of `route` (a fixed segment list) and `route_spec` (a
     nondeterministic route shape) must be given.  `control_mode` pins the
-    vehicle to one mode; None lets the driver request a mode each iteration
-    from `mode_domain`.  `adaptive_target` selects whether the cruise
+    vehicle to one mode; None lets the driver request either mode each
+    iteration.  `adaptive_target` selects whether the cruise
     preset follows fatigue or stays at the base separation; the safety
     property always uses the fatigue-adjusted floor either way.
     """
@@ -105,7 +105,6 @@ class ScenarioConfig:
     route: tuple[RoutePoint, ...] | None = None
     route_spec: RouteSpec | None = None
     control_mode: ControlMode | None = ControlMode.Engaged
-    mode_domain: tuple[ControlMode, ...] = ALL_MODES
     command_domain: tuple[AccCommand, ...] = ALL_COMMANDS
     fatigue_source: str = CALCULATED
     adaptive_target: bool = True
@@ -117,14 +116,14 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if (self.route is None) == (self.route_spec is None):
             raise ValueError("give exactly one of route and route_spec")
+        if self.route is not None and not self.route:
+            raise ValueError("a route needs at least one segment")
         if self.fatigue_source not in (CALCULATED, PROBED):
             raise ValueError(f"unknown fatigue source {self.fatigue_source!r}")
         if not self.operators:
             raise ValueError("at least one integrator operator is required")
         if len(set(self.operators)) != len(self.operators):
             raise ValueError("duplicate integrator operators")
-        if not self.mode_domain or len(set(self.mode_domain)) != len(self.mode_domain):
-            raise ValueError("mode domain must be non-empty and duplicate-free")
         if not self.command_domain \
                 or len(set(self.command_domain)) != len(self.command_domain):
             raise ValueError("command domain must be non-empty and duplicate-free")
@@ -170,37 +169,34 @@ def build_model(config: ScenarioConfig) -> Model:
     d_max = max(MAX_ROUTE_DISTANCE, *distances)
     rt_max = p.profile.slow * p.profile.e_factor
 
-    def route_from(env_state) -> Route:
-        points = tuple(
-            RoutePoint(obstacle=env_state[f"seg{i}_obstacle"],
-                       distance=env_state[f"seg{i}_distance"],
-                       terrain=env_state[f"seg{i}_terrain"],
-                       curvature=env_state[f"seg{i}_curvature"])
-            for i in range(n_seg))
-        return Route(points, cursor=env_state.cursor, covered=env_state.covered)
+    distance_keys = [f"seg{i}_distance" for i in range(n_seg)]
+    segment_keys = [(f"seg{i}_terrain", f"seg{i}_obstacle", f"seg{i}_curvature")
+                    for i in range(n_seg)]
+
+    def position_after(env_in, env_state) -> tuple[int, int]:
+        return advance_route([env_state[key] for key in distance_keys],
+                             env_state.cursor, env_state.covered, env_in.moved)
 
     def env_input(sys_out, env_state, ctx):
         return {"moved": sys_out.speed}
 
     def env_output(env_in, env_state, ctx):
-        route = advance_route(route_from(env_state), env_in.moved)
-        if route.complete:
-            seg = {"terrain": Terrain.onRoad, "obstacle": 0, "curvature": 0}
-            done = True
+        cursor, _ = position_after(env_in, env_state)
+        if cursor == n_seg:
+            terrain, obstacle, curvature = Terrain.onRoad, 0, 0
         else:
-            here = route.current
-            seg = {"terrain": here.terrain, "obstacle": here.obstacle,
-                   "curvature": here.curvature}
-            done = False
-        return {**seg, "journey_done": done, "lead_speed": env_state.lead_speed}
+            terrain, obstacle, curvature = (env_state[key]
+                                            for key in segment_keys[cursor])
+        return {"terrain": terrain, "obstacle": obstacle,
+                "curvature": curvature, "journey_done": cursor == n_seg,
+                "lead_speed": env_state.lead_speed}
 
     def env_state_update(env_in, env_state, ctx):
-        route = advance_route(route_from(env_state), env_in.moved)
-        return {"cursor": route.cursor, "covered": route.covered}
+        cursor, covered = position_after(env_in, env_state)
+        return {"cursor": cursor, "covered": covered}
 
     def sys_input(beh_out, env_out, sys_state):
-        mode = config.control_mode if config.control_mode is not None \
-            else beh_out.mode_request
+        mode = beh_out.mode_request
         done = env_out.journey_done
         if done:
             command = AccCommand.Decelerate
@@ -213,12 +209,11 @@ def build_model(config: ScenarioConfig) -> Model:
                 "fatigue_seen": beh_out.fatigue, "done_seen": done}
 
     def drive(sys_in, sys_state) -> dict:
-        vehicle = VehicleState(speed=sys_state.speed, gap_to_lead=sys_state.gap,
-                               acc_status=sys_in.active_mode)
-        moved = apply_command(vehicle, sys_in.command, sys_in.lead_speed,
-                              p.max_speed)
+        speed, gap = apply_command(sys_state.speed, sys_state.gap,
+                                   sys_in.command, sys_in.lead_speed,
+                                   p.max_speed)
         # the gap sensor saturates at max_gap once the lead pulls far ahead
-        return {"speed": moved.speed, "gap": min(p.max_gap, moved.gap_to_lead),
+        return {"speed": speed, "gap": min(p.max_gap, gap),
                 "acc_status": sys_in.active_mode}
 
     def sys_state_update(sys_in, sys_state):
@@ -245,8 +240,6 @@ def build_model(config: ScenarioConfig) -> Model:
         return time_driven, fatigue
 
     draws_mode = config.control_mode is None
-    draws_command = (draws_mode and ControlMode.Manual in config.mode_domain) \
-        or config.control_mode is ControlMode.Manual
 
     def beh_output(beh_in, beh_state, ctx):
         _, fatigue = fatigue_step(beh_in, beh_state)
@@ -254,7 +247,7 @@ def build_model(config: ScenarioConfig) -> Model:
             request = ctx.choose("controlMode")
         else:
             request = config.control_mode
-        if draws_command and request is ControlMode.Manual:
+        if request is ControlMode.Manual:
             manual = ctx.choose("driverCommand")
         else:
             manual = AccCommand.Maintain
@@ -276,9 +269,9 @@ def build_model(config: ScenarioConfig) -> Model:
 
     choices: list[ChoicePoint] = []
     if draws_mode:
-        choices.append(ChoicePoint("controlMode", config.mode_domain,
+        choices.append(ChoicePoint("controlMode", ALL_MODES,
                                    site=Group.BEH_OUTPUT))
-    if draws_command:
+    if config.control_mode is not ControlMode.Engaged:
         choices.append(ChoicePoint("driverCommand", config.command_domain,
                                    site=Group.BEH_OUTPUT))
 
@@ -294,7 +287,7 @@ def build_model(config: ScenarioConfig) -> Model:
                                          site=None)))
 
     init_mode = config.control_mode if config.control_mode is not None \
-        else config.mode_domain[0]
+        else ALL_MODES[0]
     normal = FatigueLevel.Normal
     init_speed = min(1, p.max_speed)
     init_gap = target_for(normal)

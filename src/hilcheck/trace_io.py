@@ -101,8 +101,9 @@ def read_trace(path, model: Model) -> TraceFile:
     The model supplies variable domains, so values come back as the same
     ints, bools, and enumeration members that produced the file; a value
     outside its variable's or choice point's domain is an error, as are a
-    field given twice and a choice that does not come right before the
-    state of its iteration.
+    header naming another scenario than the model's, a field given twice
+    and a choice that does not come right before the state of its
+    iteration.
     """
     header: dict[str, str] | None = None
     columns = {str(v): (pos, _tokens(v.domain.values()))
@@ -121,6 +122,9 @@ def read_trace(path, model: Model) -> TraceFile:
             if kind == "header":
                 if header is not None:
                     raise ValueError(f"line {lineno}: duplicate header")
+                if fields.get("scenario") != model.name:
+                    raise ValueError(f"line {lineno}: header names another "
+                                     f"scenario than {model.name!r}")
                 header = fields
             elif kind == "choice":
                 if set(fields) != {"iter", "point", "value"}:

@@ -3,9 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from hilcheck.acc import (AccCommand, ControlMode, VehicleState, acc_decide,
-                          adaptive_separation, apply_command,
-                          compute_safe_stopping)
+from hilcheck.acc import (AccCommand, acc_decide, adaptive_separation,
+                          apply_command, compute_safe_stopping)
 from hilcheck.behaviour import FatigueLevel
 
 
@@ -21,51 +20,43 @@ def test_command_trichotomy_exhaustive():
                 assert command is AccCommand.Accelerate
 
 
-def _vehicle(speed, gap):
-    return VehicleState(speed=speed, gap_to_lead=gap,
-                        acc_status=ControlMode.Engaged)
-
-
 def test_apply_command_speed_steps_by_one_and_clamps():
-    assert apply_command(_vehicle(0, 5), AccCommand.Decelerate, 1).speed == 0
-    assert apply_command(_vehicle(10, 5), AccCommand.Accelerate, 1).speed == 10
-    assert apply_command(_vehicle(4, 5), AccCommand.Accelerate, 1).speed == 5
-    assert apply_command(_vehicle(4, 5), AccCommand.Decelerate, 1).speed == 3
-    assert apply_command(_vehicle(4, 5), AccCommand.Maintain, 1).speed == 4
-    assert apply_command(_vehicle(3, 5), AccCommand.Accelerate, 1,
-                         max_speed=4).speed == 4
+    assert apply_command(0, 5, AccCommand.Decelerate, 1)[0] == 0
+    assert apply_command(10, 5, AccCommand.Accelerate, 1)[0] == 10
+    assert apply_command(4, 5, AccCommand.Accelerate, 1)[0] == 5
+    assert apply_command(4, 5, AccCommand.Decelerate, 1)[0] == 3
+    assert apply_command(4, 5, AccCommand.Maintain, 1)[0] == 4
+    assert apply_command(3, 5, AccCommand.Accelerate, 1, max_speed=4)[0] == 4
 
 
 def test_apply_command_gap_follows_speed_difference():
     # gap changes by lead movement minus own movement, floored at zero
-    assert apply_command(_vehicle(1, 6), AccCommand.Maintain, 1).gap_to_lead == 6
-    assert apply_command(_vehicle(1, 6), AccCommand.Decelerate, 1).gap_to_lead == 7
-    assert apply_command(_vehicle(1, 6), AccCommand.Accelerate, 3).gap_to_lead == 7
-    assert apply_command(_vehicle(9, 2), AccCommand.Accelerate, 0).gap_to_lead == 0
+    assert apply_command(1, 6, AccCommand.Maintain, 1)[1] == 6
+    assert apply_command(1, 6, AccCommand.Decelerate, 1)[1] == 7
+    assert apply_command(1, 6, AccCommand.Accelerate, 3)[1] == 7
+    assert apply_command(9, 2, AccCommand.Accelerate, 0)[1] == 0
 
 
 def test_apply_command_rejects_negative_lead_speed():
     with pytest.raises(ValueError):
-        apply_command(_vehicle(1, 6), AccCommand.Maintain, -1)
+        apply_command(1, 6, AccCommand.Maintain, -1)
 
 
 @given(speed=st.integers(0, 10), gap=st.integers(0, 30),
        lead=st.integers(0, 10),
        command=st.sampled_from(list(AccCommand)))
 def test_apply_command_invariants(speed, gap, lead, command):
-    before = _vehicle(speed, gap)
-    after = apply_command(before, command, lead)
-    assert 0 <= after.speed <= 10
-    assert abs(after.speed - speed) <= 1
-    assert after.gap_to_lead == max(0, gap + lead - after.speed)
-    assert after.acc_status is before.acc_status
+    new_speed, new_gap = apply_command(speed, gap, command, lead)
+    assert 0 <= new_speed <= 10
+    assert abs(new_speed - speed) <= 1
+    assert new_gap == max(0, gap + lead - new_speed)
 
 
-def test_vehicle_state_validation():
-    with pytest.raises(ValueError):
-        _vehicle(-1, 5)
-    with pytest.raises(ValueError):
-        _vehicle(1, -5)
+def test_apply_command_rejects_negative_speed_or_gap():
+    with pytest.raises(ValueError, match="non-negative"):
+        apply_command(-1, 5, AccCommand.Maintain, 1)
+    with pytest.raises(ValueError, match="non-negative"):
+        apply_command(1, -5, AccCommand.Maintain, 1)
 
 
 def test_adaptive_separation_ladder():
@@ -102,11 +93,11 @@ def test_compute_safe_stopping():
 
 
 def _closed_loop(speed, gap, preset, lead=1, max_speed=10):
-    vehicle = _vehicle(speed, gap)
+    """The (speed, gap) pairs of the vehicle under cruise control."""
     while True:
-        yield vehicle
-        vehicle = apply_command(vehicle, acc_decide(preset, vehicle.gap_to_lead),
-                                lead, max_speed)
+        yield speed, gap
+        speed, gap = apply_command(speed, gap, acc_decide(preset, gap),
+                                   lead, max_speed)
 
 
 def test_gap_enters_band_within_error_budget():
@@ -118,7 +109,7 @@ def test_gap_enters_band_within_error_budget():
         for gap0 in range(16):
             budget = abs(gap0 - preset) + speed0 + max_speed
             loop = _closed_loop(speed0, gap0, preset, max_speed=max_speed)
-            assert any(abs(next(loop).gap_to_lead - preset) <= 1
+            assert any(abs(next(loop)[1] - preset) <= 1
                        for _ in range(budget + 1)), (speed0, gap0)
 
 
@@ -134,8 +125,7 @@ def test_gap_settles_into_band_permanently():
             loop = _closed_loop(speed0, gap0, preset, max_speed=max_speed)
             history = []
             for t in range(400):
-                v = next(loop)
-                key = (v.speed, v.gap_to_lead)
+                key = next(loop)
                 if key in seen:
                     cycle = history[seen[key]:]
                     break
@@ -151,4 +141,4 @@ def test_exact_preset_tracking_is_a_fixpoint():
     # speed matching the lead and gap on the preset never moves again
     loop = _closed_loop(1, 6, 6)
     states = [next(loop) for _ in range(10)]
-    assert all(v.speed == 1 and v.gap_to_lead == 6 for v in states)
+    assert states == [(1, 6)] * 10

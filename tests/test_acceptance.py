@@ -116,7 +116,7 @@ def test_criterion_5_behaviour_and_control_properties_hold_exhaustively():
         for gap0 in range(16):
             budget = abs(gap0 - preset) + speed0 + max_speed
             loop = _closed_loop(speed0, gap0, preset, max_speed=max_speed)
-            assert any(abs(next(loop).gap_to_lead - preset) <= 1
+            assert any(abs(next(loop)[1] - preset) <= 1
                        for _ in range(budget)), (speed0, gap0)
 
 

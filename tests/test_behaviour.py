@@ -78,10 +78,10 @@ def test_time_severity_thresholds():
 def test_integrate_plain_cases():
     assert integrate(IntegratorOp.Max, 1, 2) == 2
     assert integrate(IntegratorOp.Min, 1, 2) == 1
-    assert integrate(IntegratorOp.Sum, 1, 2) == 2      # clamped to hi=2
+    assert integrate(IntegratorOp.Sum, 1, 2) == 2      # clamped to Exhausted
     assert integrate(IntegratorOp.Sum, 1, 0) == 1
     assert integrate(IntegratorOp.RoundedMean, 0, 1) == 1   # rounds up
-    assert integrate(IntegratorOp.RoundedMean, 3, 4, hi=10) == 4
+    assert integrate(IntegratorOp.RoundedMean, 0, 2) == 1
     assert integrate(IntegratorOp.RoundedMean, 2, 2) == 2
 
 
@@ -90,11 +90,11 @@ def test_integrate_rejects_negative_severity():
         integrate(IntegratorOp.Max, -1, 0)
 
 
-@given(a=st.integers(0, 5), b=st.integers(0, 5), hi=st.integers(1, 8))
-def test_integrate_bounds_and_ordering(a, b, hi):
-    results = {op: integrate(op, a, b, hi) for op in OPS}
+@given(a=st.integers(0, 5), b=st.integers(0, 5))
+def test_integrate_bounds_and_ordering(a, b):
+    results = {op: integrate(op, a, b) for op in OPS}
     for value in results.values():
-        assert 0 <= value <= hi
+        assert 0 <= value <= FatigueLevel.Exhausted
     assert results[IntegratorOp.Min] <= results[IntegratorOp.RoundedMean] \
         <= results[IntegratorOp.Max] <= results[IntegratorOp.Sum]
 

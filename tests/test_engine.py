@@ -148,6 +148,16 @@ def test_init_choice_must_use_site_none():
         _counter_model(init_choices=[((Group.ENV_STATE, "n"), cp)])
 
 
+def test_register_rejects_two_init_choices_for_one_variable():
+    # the second draw would silently overwrite the first
+    first = ChoicePoint("first", (0, 1), site=None)
+    second = ChoicePoint("second", (1, 2), site=None)
+    with pytest.raises(ModelError, match="two initialisation choices target "
+                                         "env_state.n"):
+        _counter_model(init_choices=[((Group.ENV_STATE, "n"), first),
+                                     ((Group.ENV_STATE, "n"), second)])
+
+
 def test_register_dry_run_catches_broken_updates():
     def bad(ei, e, ctx):
         return {"nope": 1}

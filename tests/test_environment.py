@@ -1,19 +1,12 @@
-"""Environment unit tests: routes and terrain difficulty."""
+"""Environment unit tests: route positions and terrain difficulty."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from hilcheck.engine import ModelError
-from hilcheck.environment import (Route, RoutePoint, RouteSpec, Terrain,
-                                  advance_route, nondet_route_choices,
+from hilcheck.environment import (ROUTE_CEILING, RoutePoint, RouteSpec,
+                                  Terrain, advance_route, nondet_route_choices,
                                   point_difficulty)
-
-
-def _route(*distances, cursor=0, covered=0):
-    points = tuple(RoutePoint(obstacle=0, distance=d,
-                              terrain=Terrain.onRoad, curvature=0)
-                   for d in distances)
-    return Route(points, cursor=cursor, covered=covered)
 
 
 def test_route_point_validation():
@@ -26,66 +19,60 @@ def test_route_point_validation():
 
 
 def test_route_validation():
-    with pytest.raises(ValueError, match="at least one segment"):
-        Route(())
-    with pytest.raises(ValueError, match="exceeds"):
-        _route(2, 3, covered=2)
     with pytest.raises(ValueError, match="cursor"):
-        _route(2, cursor=5)
+        advance_route((2,), 5, 0, 0)
+    with pytest.raises(ValueError, match="cursor"):
+        advance_route((2,), -1, 0, 0)
+    # covered stays short of the current segment's length, and 0 at the end
+    with pytest.raises(ValueError, match=r"covered distance must be in 0\.\.1"):
+        advance_route((2, 3), 0, 2, 0)
+    with pytest.raises(ValueError, match=r"covered distance must be in 0\.\.2"):
+        advance_route((2, 3), 1, -1, 0)
+    with pytest.raises(ValueError, match=r"covered distance must be in 0\.\.0"):
+        advance_route((2, 3), 2, 1, 0)
 
 
 def test_advance_carries_residual_distance_across_segments():
-    moved = advance_route(_route(3, 4), 5)
-    assert moved.cursor == 1
-    assert moved.covered == 2
-    assert not moved.complete
-    assert moved.current.distance == 4
+    assert advance_route((3, 4), 0, 0, 5) == (1, 2)
 
 
 def test_advance_by_zero_is_identity():
-    route = _route(3, 4)
-    assert advance_route(route, 0) == route
+    assert advance_route((3, 4), 0, 0, 0) == (0, 0)
+    assert advance_route((3, 4), 1, 3, 0) == (1, 3)
 
 
 def test_advance_to_exact_boundary_moves_to_next_segment():
-    moved = advance_route(_route(2, 2), 2)
-    assert moved.cursor == 1
-    assert moved.covered == 0
+    assert advance_route((2, 2), 0, 0, 2) == (1, 0)
 
 
 def test_advance_past_the_end_completes():
-    moved = advance_route(_route(2, 2), 9)
-    assert moved.complete
-    assert moved.cursor == 2
-    assert moved.covered == 0
-    assert moved.current is None
+    assert advance_route((2, 2), 0, 0, 9) == (2, 0)
     # advancing a finished route is a no-op
-    assert advance_route(moved, 3) == moved
+    assert advance_route((2, 2), 2, 0, 3) == (2, 0)
 
 
 def test_advance_rejects_negative_distance():
-    with pytest.raises(ValueError):
-        advance_route(_route(2), -1)
+    with pytest.raises(ValueError, match="negative"):
+        advance_route((2,), 0, 0, -1)
 
 
 @given(distances=st.lists(st.integers(1, 5), min_size=1, max_size=5),
        first=st.integers(0, 12), second=st.integers(0, 12))
 def test_advancing_twice_equals_advancing_once_by_the_sum(distances,
                                                           first, second):
-    route = _route(*distances)
-    split = advance_route(advance_route(route, first), second)
-    joined = advance_route(route, first + second)
+    split = advance_route(distances, *advance_route(distances, 0, 0, first),
+                          second)
+    joined = advance_route(distances, 0, 0, first + second)
     assert split == joined
 
 
 @given(distances=st.lists(st.integers(1, 5), min_size=1, max_size=5),
        moved=st.integers(0, 30))
 def test_advance_consumes_exactly_the_distance_moved(distances, moved):
-    route = _route(*distances)
-    after = advance_route(route, moved)
-    consumed = sum(d for d in distances[:after.cursor]) + after.covered
-    assert consumed == min(moved, sum(distances)) \
-        or (after.complete and consumed == sum(distances))
+    cursor, covered = advance_route(distances, 0, 0, moved)
+    consumed = sum(distances[:cursor]) + covered
+    assert consumed == min(moved, sum(distances))
+    assert (cursor == len(distances)) == (moved >= sum(distances))
 
 
 def test_point_difficulty_triggers():
@@ -133,6 +120,6 @@ def test_nondet_route_choice_points_cover_every_field_in_order():
 def test_nondet_route_rejects_explosive_specs():
     huge = RouteSpec(length=5, obstacle_domain=(0, 1, 2, 3),
                      curvature_domain=(0, 1, 2, 3))
+    assert huge.combination_count() > ROUTE_CEILING
     with pytest.raises(ModelError, match="ceiling"):
         nondet_route_choices(huge)
-    assert nondet_route_choices(huge, ceiling=10**10)

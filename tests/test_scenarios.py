@@ -159,13 +159,10 @@ def test_replay_rejects_a_log_with_entries_left_over_or_out_of_order():
 
 def test_manual_override_is_safe_when_only_engaged_is_offered():
     config = replace(scenario_manual_override(),
-                     mode_domain=(ControlMode.Engaged,))
+                     control_mode=ControlMode.Engaged)
     verdict = explore(build_model(config), 100)
     assert verdict.kind is VerdictKind.Safe
     assert verdict.paths_explored == 4
-    # the singleton mode draw still shows up in the witness log
-    modes = {e.value for e in verdict.choice_log if e.point_id == "controlMode"}
-    assert modes == {ControlMode.Engaged}
 
 
 def test_ideal_on_unknown_routes_inherits_the_fatigue_violation():
@@ -230,6 +227,18 @@ def test_probing_initial_fatigue_finds_the_breaking_level():
     assert replay_counterexample(swept, verdict) == verdict.trace
 
 
+@pytest.mark.parametrize("factory, var", [
+    (scenario_ideal, (Group.BEH_STATE, "combine_op")),
+    (scenario_lowered_speed, (Group.ENV_STATE, "seg0_terrain")),
+], ids=["ideal combine_op", "lowered-speed seg0_terrain"])
+def test_probe_rejects_a_variable_that_already_has_an_init_choice(factory,
+                                                                  var):
+    # the variable's own draw would overwrite every probed value
+    model = build_model(factory(bound=3))
+    with pytest.raises(ModelError, match="already has an initialisation"):
+        probe_variable(model, var, 3)
+
+
 # sha256 of each preset's declarations, repr([(str(v), v.domain) for v in
 # model.variables]) followed by repr of the initial state's values
 GOLDEN_DECLARATIONS = {
@@ -261,6 +270,8 @@ def test_config_requires_exactly_one_route_source():
         ScenarioConfig(name="x", route=DEFAULT_ROUTE, route_spec=RouteSpec())
     with pytest.raises(ValueError, match="exactly one"):
         ScenarioConfig(name="x")
+    with pytest.raises(ValueError, match="at least one segment"):
+        ScenarioConfig(name="x", route=())
 
 
 def test_config_rejects_bad_knobs():

@@ -51,6 +51,8 @@ MALFORMED = {
     "choice after the last state": (r"^state iter=3 .*",
                                     "choice iter=3 point=controlMode "
                                     "value=Manual"),
+    "header names another scenario": (r"^header scenario=\S+",
+                                      "header scenario=ideal"),
 }
 
 
