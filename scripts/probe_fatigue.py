@@ -14,21 +14,15 @@ import argparse
 
 from hilcheck.behaviour import FatigueLevel
 from hilcheck.engine import (ChoiceEntry, Group, VerdictKind, log_resolver,
-                             probe_variable, probed_model, resolve_initial,
-                             step)
+                             probe_variable, probed_model, run_path)
 from hilcheck.scenarios import build_model, reaction_probe
 
 
 def pinned_outcome(swept, level: FatigueLevel, bound: int):
     """Run one fatigue level to the bound; any unscripted draw is a bug."""
-    resolver = log_resolver([ChoiceEntry(0, "probe:fatigue", level)])
-    state, _ = resolve_initial(swept, resolver)
-    for _ in range(bound):
-        result = step(swept, state, log_resolver([]))
-        state = result.state
-        if result.violated:
-            return result.violated[0], state
-    return "safe", state
+    trace, _, violated = run_path(
+        swept, bound, log_resolver([ChoiceEntry(0, "probe:fatigue", level)]))
+    return (violated[0] if violated else "safe"), trace[-1]
 
 
 def main() -> int:

@@ -17,7 +17,7 @@ from .engine import (Assertion, BoolDomain, ChoiceEntry, ChoicePoint, Group,
                      SymbolicDomain, UpdateFunctions, Var, Verdict,
                      VerdictKind, explore, first_value_resolver, log_resolver,
                      probe_variable, probed_model, register_model,
-                     replay_counterexample, resolve_initial, step)
+                     replay_counterexample, resolve_initial, run_path, step)
 from .environment import (RoutePoint, RouteSpec, Terrain, advance_route,
                           point_difficulty)
 from .scenarios import (DEFAULT_ROUTE, SCENARIOS, ScenarioConfig,

@@ -238,10 +238,6 @@ class GroupView:
         self._names = names
         self._values = values
 
-    @property
-    def group(self) -> Group:
-        return self._group
-
     def __getattr__(self, name: str):
         if name.startswith("_"):
             raise AttributeError(name)
@@ -615,31 +611,24 @@ class _ScriptResolver:
     def __init__(self, prefix: Sequence[int]):
         self.indices: list[int] = list(prefix)
         self.sizes: list[int] = []
-        self._pos = 0
 
     def __call__(self, cp: ChoicePoint, iteration: int) -> Value:
-        if self._pos == len(self.indices):
+        pos = len(self.sizes)
+        if pos == len(self.indices):
             self.indices.append(0)
-        idx = self.indices[self._pos]
+        idx = self.indices[pos]
         if idx >= len(cp.domain):
             raise ModelError(
                 f"internal search error: index {idx} for '{cp.point_id}'")
         self.sizes.append(len(cp.domain))
-        self._pos += 1
         return cp.domain[idx]
 
 
-@dataclass(frozen=True)
-class _PathOutcome:
-    indices: tuple[int, ...]
-    sizes: tuple[int, ...]
-    trace: Trace
-    log: ChoiceLog
-    violated: tuple[str, ...]
-
-
-def _run_path(model: Model, bound: int, prefix: Sequence[int]) -> _PathOutcome:
-    resolver = _ScriptResolver(prefix)
+def run_path(model: Model, bound: int, resolver: Resolver
+             ) -> tuple[Trace, ChoiceLog, tuple[str, ...]]:
+    """Run one path from the initial state, drawing through the resolver,
+    until the first iteration whose assertions fail or the bound.  Returns
+    the states, the draws and the violated assertion ids (empty if none)."""
     state, entries = resolve_initial(model, resolver)
     snapshots = [state]
     log = list(entries)
@@ -650,8 +639,7 @@ def _run_path(model: Model, bound: int, prefix: Sequence[int]) -> _PathOutcome:
         snapshots.append(state)
         log.extend(result.drawn)
         violated = result.violated
-    return _PathOutcome(tuple(resolver.indices), tuple(resolver.sizes),
-                        tuple(snapshots), tuple(log), violated)
+    return tuple(snapshots), tuple(log), violated
 
 
 def explore(model: Model, bound: int,
@@ -682,27 +670,28 @@ def explore(model: Model, bound: int,
             return Verdict(VerdictKind.ModelError, bound, paths_explored=paths,
                            message="choice explosion: path ceiling "
                                    f"{path_ceiling} exceeded")
+        resolver = _ScriptResolver(prefix)
         try:
-            outcome = _run_path(model, bound, prefix)
+            trace, log, violated = run_path(model, bound, resolver)
         except ModelError as exc:
             return Verdict(VerdictKind.ModelError, bound, paths_explored=paths + 1,
                            message=str(exc))
         paths += 1
-        if outcome.violated:
+        if violated:
             return Verdict(VerdictKind.Unsafe, bound, paths_explored=paths,
-                           trace=outcome.trace, choice_log=outcome.log,
-                           failed_assertion=outcome.violated[0])
+                           trace=trace, choice_log=log,
+                           failed_assertion=violated[0])
         if first_path is None:
-            first_path = (outcome.trace, outcome.log)
+            first_path = (trace, log)
 
         # advance the deepest decision that still has untried values
-        i = len(outcome.indices) - 1
-        while i >= 0 and outcome.indices[i] + 1 >= outcome.sizes[i]:
+        i = len(resolver.indices) - 1
+        while i >= 0 and resolver.indices[i] + 1 >= resolver.sizes[i]:
             i -= 1
         if i < 0:
             return Verdict(VerdictKind.Safe, bound, paths_explored=paths,
                            trace=first_path[0], choice_log=first_path[1])
-        prefix = list(outcome.indices[:i]) + [outcome.indices[i] + 1]
+        prefix = resolver.indices[:i] + [resolver.indices[i] + 1]
 
 
 def probed_model(model: Model, var: tuple[Group, str]) -> Model:
@@ -743,36 +732,30 @@ def replay_counterexample(model: Model, verdict: Verdict) -> Trace:
     it reproduces the trace exactly, including the final violation.
 
     Returns the replayed trace; raises ModelError on any mismatch, including
-    log entries the replay never drew.  This is the closure guarantee for
-    counterexamples: trace plus log suffice to reproduce the violation with
-    no exploration machinery involved.
+    a trace that runs past the first violation and log entries the replay
+    never drew.  This is the closure guarantee for counterexamples: trace
+    plus log suffice to reproduce the violation with no exploration
+    machinery involved.
     """
     if verdict.kind is not VerdictKind.Unsafe:
         raise ModelError("only Unsafe verdicts carry a counterexample")
     if not verdict.trace or verdict.choice_log is None:
         raise ModelError("verdict has no trace to replay")
 
-    resolver = log_resolver(verdict.choice_log)
-    state, drawn = resolve_initial(model, resolver)
-    if state != verdict.trace[0]:
-        raise ModelError("replay mismatch at the initial state")
-
-    draws = len(drawn)
-    replayed = [state]
-    violated: tuple[str, ...] = _eval_assertions(model, state)
-    for expected in verdict.trace[1:]:
-        result = step(model, state, resolver)
-        state = result.state
-        if state != expected:
-            raise ModelError(f"replay mismatch at iteration {state.iteration}")
-        replayed.append(state)
-        draws += len(result.drawn)
-        violated = result.violated
-    if draws != len(verdict.choice_log):
-        raise ModelError(f"replay left {len(verdict.choice_log) - draws} "
+    trace, log, violated = run_path(model, len(verdict.trace) - 1,
+                                    log_resolver(verdict.choice_log))
+    for replayed, expected in zip(trace, verdict.trace):
+        if replayed != expected:
+            raise ModelError(
+                f"replay mismatch at iteration {replayed.iteration}")
+    if len(trace) < len(verdict.trace):
+        raise ModelError(f"replay violated '{violated[0]}' at iteration "
+                         f"{trace[-1].iteration}, before the trace ends")
+    if len(log) != len(verdict.choice_log):
+        raise ModelError(f"replay left {len(verdict.choice_log) - len(log)} "
                          "choice log entries undrawn")
     if verdict.failed_assertion not in violated:
         raise ModelError(
             f"replay did not reproduce the violation of "
             f"'{verdict.failed_assertion}'")
-    return tuple(replayed)
+    return trace

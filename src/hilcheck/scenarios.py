@@ -85,6 +85,9 @@ class ScenarioParams:
             raise ValueError("lead speed must be in 0..max_speed")
         if self.base_separation < 1 or self.acc_margin < 0:
             raise ValueError("separation base must be positive, margin non-negative")
+        if not 0 < self.tired_after < self.exhausted_after:
+            raise ValueError("fatigue thresholds must satisfy "
+                             "0 < tired_after < exhausted_after")
         if self.time_cap < self.exhausted_after:
             raise ValueError("time cap must reach the exhaustion threshold")
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .engine import (ChoiceEntry, ChoiceLog, Model, ModelState, Trace, Verdict,
-                     VerdictKind)
+from .engine import (ChoiceEntry, ChoiceLog, IntDomain, Model, ModelState,
+                     Trace, Verdict, VerdictKind)
 
 
 def _label(value) -> str:
@@ -56,6 +56,25 @@ def _tokens(values) -> dict[str, object]:
     """Label -> value for every value of a domain: parsing a token is one
     lookup, and a token outside the domain is simply absent."""
     return {_label(value): value for value in values}
+
+
+class _IntTokens(dict):
+    """`_tokens` of an integer domain, filled as a trace is read: only a
+    canonical decimal inside the domain is a key."""
+
+    def __init__(self, domain: IntDomain):
+        super().__init__()
+        self.domain = domain
+
+    def __missing__(self, token: str) -> int:
+        try:
+            value = int(token)
+        except ValueError:
+            raise KeyError(token) from None
+        if str(value) != token or not self.domain.contains(value):
+            raise KeyError(token)
+        self[token] = value
+        return value
 
 
 def format_trace(verdict: Verdict, model: Model, scenario: str) -> str:
@@ -106,7 +125,9 @@ def read_trace(path, model: Model) -> TraceFile:
     iteration.
     """
     header: dict[str, str] | None = None
-    columns = {str(v): (pos, _tokens(v.domain.values()))
+    columns = {str(v): (pos, _IntTokens(v.domain)
+                        if isinstance(v.domain, IntDomain)
+                        else _tokens(v.domain.values()))
                for pos, v in enumerate(model.variables)}
     choice_tokens = {point_id: _tokens(cp.domain)
                      for point_id, cp in model.choices.items()}
@@ -154,10 +175,11 @@ def read_trace(path, model: Model) -> TraceFile:
                         raise ValueError(
                             f"line {lineno}: unknown variable {key}")
                     pos, tokens = columns[key]
-                    if token not in tokens:
+                    try:
+                        values[pos] = tokens[token]
+                    except KeyError:
                         raise ValueError(f"line {lineno}: {key}: {token!r} "
-                                         "is not in the domain")
-                    values[pos] = tokens[token]
+                                         "is not in the domain") from None
                 missing = [key for key, (pos, _) in columns.items()
                            if values[pos] is None]
                 if missing:

@@ -120,22 +120,22 @@ def test_duplicate_config_key_is_rejected(tmp_path):
     assert "duplicate" in proc.stderr and "line 2" in proc.stderr
 
 
-def test_known_but_unhandled_config_key_is_a_config_error(tmp_path,
-                                                          monkeypatch):
-    # the check must raise ConfigError, not an assert that -O strips
-    monkeypatch.setattr(config_io, "_KNOWN_KEYS",
-                        config_io._KNOWN_KEYS | {"mystery"})
-    cfg = tmp_path / "extra.cfg"
-    cfg.write_text("bound = 5\nmystery = 1\n")
-    with pytest.raises(config_io.ConfigError, match="line 2.*'mystery'"):
-        config_io.load_config(cfg)
-
-
 def test_config_operators_share_the_cli_parser(tmp_path):
     cfg = tmp_path / "ops.cfg"
     cfg.write_text("bound = 5\noperators = Max,Max\n")
     with pytest.raises(config_io.ConfigError, match="line 2: .*twice"):
         config_io.load_config(cfg)
+
+
+@pytest.mark.parametrize("text", ["tiredAfter = 8\nexhaustedAfter = 8",
+                                  "tiredAfter = 0"])
+def test_inconsistent_fatigue_thresholds_are_config_errors(text, tmp_path):
+    # not a crash of the model's first trial step
+    cfg = tmp_path / "thresholds.cfg"
+    cfg.write_text(text + "\n")
+    with pytest.raises(config_io.ConfigError, match="tired_after") as raised:
+        load_config(cfg)
+    assert "update for" not in str(raised.value)
 
 
 def test_missing_config_file_is_an_error(tmp_path):

@@ -5,8 +5,9 @@ import pytest
 from hilcheck.engine import (Assertion, ChoiceEntry, ChoicePoint, Group,
                              IntDomain, ModelError, SymbolicDomain,
                              UpdateFunctions, Var, VerdictKind, explore,
-                             probe_variable, register_model,
-                             replay_counterexample, resolve_initial)
+                             first_value_resolver, probe_variable,
+                             register_model, replay_counterexample,
+                             resolve_initial, step)
 
 
 def _noop(*args):
@@ -237,6 +238,35 @@ def test_replay_rejects_safe_verdicts():
     verdict = explore(model, 2)
     with pytest.raises(ModelError, match="only Unsafe"):
         replay_counterexample(model, verdict)
+
+
+def test_replay_rejects_a_trace_the_log_does_not_reproduce():
+    from dataclasses import replace
+
+    def env_state(ei, e, ctx):
+        return {"n": e.n + 1}
+
+    model = register_model(
+        variables=[Var("n", Group.ENV_STATE, IntDomain(0, 9))],
+        updates=_updates(env_state=env_state),
+        assertions=[Assertion("Small",
+                              lambda s: s.value(Group.ENV_STATE, "n") < 2)],
+        init={(Group.ENV_STATE, "n"): 0})
+    verdict = explore(model, 5)
+    assert verdict.trace[-1].iteration == 2
+    # one more step still violates, but the first violation ends the path
+    later = step(model, verdict.trace[-1], first_value_resolver).state
+    overlong = replace(verdict, trace=verdict.trace + (later,))
+    with pytest.raises(ModelError, match="'Small' at iteration 2, before"):
+        replay_counterexample(model, overlong)
+
+    trace = verdict.trace
+    altered = replace(verdict, trace=(trace[0], replace(trace[1], values=(5,)),
+                                      trace[2]))
+    with pytest.raises(ModelError, match="replay mismatch at iteration 1"):
+        replay_counterexample(model, altered)
+    with pytest.raises(ModelError, match="did not reproduce"):
+        replay_counterexample(model, replace(verdict, trace=trace[:-1]))
 
 
 def test_replay_detects_tampered_logs():

@@ -285,6 +285,10 @@ def test_config_rejects_bad_knobs():
         ScenarioParams(lead_speed=99)
     with pytest.raises(ValueError):
         ScenarioParams(time_cap=3)
+    with pytest.raises(ValueError, match="0 < tired_after < exhausted_after"):
+        ScenarioParams(tired_after=8, exhausted_after=8)
+    with pytest.raises(ValueError, match="0 < tired_after < exhausted_after"):
+        ScenarioParams(tired_after=0)
 
 
 def test_target_must_fit_the_gap_sensor():

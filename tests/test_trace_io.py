@@ -6,7 +6,8 @@ import re
 
 import pytest
 
-from hilcheck.engine import Group, ModelError, explore, resolve_initial
+from hilcheck.engine import (Group, IntDomain, ModelError, UpdateFunctions,
+                             Var, explore, register_model, resolve_initial)
 from hilcheck.scenarios import SCENARIOS, build_model
 from hilcheck.trace_io import format_trace, read_trace
 
@@ -87,3 +88,41 @@ def test_state_equality_hash_valuation_and_unknown_names():
 
     with pytest.raises(ModelError, match="unknown variable sys_state.ghost"):
         first.value(Group.SYS_STATE, "ghost")
+
+
+def _big_counter(lo: int):
+    """One env-state counter over a domain far too large to enumerate."""
+    def env_state(ei, e, ctx):
+        return {"n": e.n + 1}
+
+    def noop(*views_and_ctx):
+        return {}
+
+    updates = {name: noop for name in UpdateFunctions.__dataclass_fields__}
+    updates["env_state"] = env_state
+    return register_model(
+        variables=[Var("n", Group.ENV_STATE, IntDomain(lo, 10**19))],
+        updates=UpdateFunctions(**updates),
+        init={(Group.ENV_STATE, "n"): lo}, name="big")
+
+
+@pytest.mark.parametrize("lo", [0, -3])
+def test_huge_integer_domains_round_trip(lo, tmp_path):
+    model = _big_counter(lo)
+    verdict = explore(model, 5)
+    path = tmp_path / "trace.txt"
+    path.write_text(format_trace(verdict, model, "big"), encoding="ascii")
+    assert read_trace(path, model).trace == verdict.trace
+
+
+@pytest.mark.parametrize("token", ["07", "+7", "-0", "7_0", "x",
+                                   "-4", str(10**19 + 1)])
+def test_integer_tokens_must_be_canonical_and_in_the_domain(token, tmp_path):
+    model = _big_counter(-3)
+    text = format_trace(explore(model, 12), model, "big")
+    path = tmp_path / "trace.txt"
+    path.write_text(text.replace("env_state.n=7", f"env_state.n={token}"),
+                    encoding="ascii")
+    with pytest.raises(ValueError, match=r"^line \d+: env_state.n: .* is not "
+                                         "in the domain"):
+        read_trace(path, model)
