@@ -18,8 +18,7 @@ from .engine import (Assertion, BoolDomain, ChoiceEntry, ChoicePoint, Group,
                      VerdictKind, explore, first_value_resolver, log_resolver,
                      probe_variable, probed_model, register_model,
                      replay_counterexample, resolve_initial, run_path, step)
-from .environment import (RoutePoint, RouteSpec, Terrain, advance_route,
-                          point_difficulty)
+from .environment import RoutePoint, Terrain, advance_route, point_difficulty
 from .scenarios import (DEFAULT_ROUTE, SCENARIOS, ScenarioConfig,
                         ScenarioParams, build_model, is_okay, reaction_probe,
                         scenario_ideal, scenario_lowered_speed,

@@ -13,8 +13,9 @@ from dataclasses import replace
 
 from .acc import ControlMode
 from .behaviour import InputMode, IntegratorOp
-from .environment import RoutePoint, RouteSpec, Terrain
-from .scenarios import CALCULATED, PROBED, SCENARIOS, ScenarioConfig
+from .environment import RoutePoint, Terrain
+from .scenarios import (CALCULATED, DEFAULT_ROUTE_LENGTH, PROBED, SCENARIOS,
+                        ScenarioConfig)
 
 
 class ConfigError(Exception):
@@ -22,10 +23,15 @@ class ConfigError(Exception):
 
 
 def _integer(raw: str) -> int:
+    # canonical decimals only, as in trace files: int() alone would also
+    # take 1_0, +5 and non-ASCII digits
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
-        raise ConfigError(f"needs an integer, got {raw!r}") from None
+        value = None
+    if value is None or str(value) != raw:
+        raise ConfigError(f"needs an integer, got {raw!r}")
+    return value
 
 
 def _at_least_one(raw: str) -> int:
@@ -151,20 +157,20 @@ def load_config(path) -> ScenarioConfig:
             updates[target][field_name] = _parse(entries, key, parse)
 
     route = entries.get("route", (None, 0))[0]
-    spec = config.route_spec if route is None else None
+    length = config.route_length if route is None else None
     if route == "nondet":
-        spec = config.route_spec or RouteSpec()
+        length = config.route_length or DEFAULT_ROUTE_LENGTH
     if "routeLength" in entries:
-        length = _parse(entries, "routeLength", _at_least_one)
-        if spec is None:
+        parsed = _parse(entries, "routeLength", _at_least_one)
+        if length is None:
             raise ConfigError(f"line {entries['routeLength'][1]}: "
                               "routeLength: only applies to route = nondet")
-        spec = replace(spec, length=length)
-    if spec is not None:
-        updates["config"].update(route=None, route_spec=spec)
+        length = parsed
+    if length is not None:
+        updates["config"].update(route=None, route_length=length)
     elif route is not None:
         updates["config"].update(route=_parse(entries, "route", _parse_route),
-                                 route_spec=None)
+                                 route_length=None)
 
     try:
         profile = replace(config.params.profile, **updates["profile"])

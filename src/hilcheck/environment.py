@@ -6,6 +6,9 @@ vehicle consumes distance along the route as it moves.  A position on the
 route is two integers, `(cursor, covered)`: the index of the current segment
 and the distance already covered within it; `cursor == len(route)` once the
 journey is complete.
+
+A drawn route picks every field of every segment from `ROUTE_CANDIDATES`
+at initialisation: 1 to 3 units on or off road, with no obstacles or bends.
 """
 
 from __future__ import annotations
@@ -14,24 +17,28 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
-from .engine import ChoicePoint, ModelError
-
-# route fields in declaration order, shared by parsers and model builders
-ROUTE_FIELDS = ("obstacle", "distance", "terrain", "curvature")
-
 # obstacle density and curvature run 0..MAX; from HARD up a segment is
 # demanding
 MAX_OBSTACLE = 3
 MAX_CURVATURE = 3
 HARD_OBSTACLE = 2
 HARD_CURVATURE = 2
-# a nondeterministic route may offer at most this many combinations
-ROUTE_CEILING = 10**8
 
 
 class Terrain(Enum):
     offRoad = "offRoad"
     onRoad = "onRoad"
+
+
+# a drawn route picks each field of each segment from these candidates, in
+# this order; the first candidates are its segments before the draw
+ROUTE_CANDIDATES = {"obstacle": (0,), "distance": (1, 2, 3),
+                    "terrain": (Terrain.offRoad, Terrain.onRoad),
+                    "curvature": (0,)}
+# a drawn route has at most this many segments: at 6 candidate segments
+# each that is 6**10 (about 6.0e7) routes, under a ceiling of 1e8, where 11
+# segments would give 6**11 (about 3.6e8)
+MAX_ROUTE_LENGTH = 10
 
 
 @dataclass(frozen=True)
@@ -91,52 +98,3 @@ def point_difficulty(terrain: Terrain, obstacle: int, curvature: int) -> int:
         or obstacle >= HARD_OBSTACLE \
         or curvature >= HARD_CURVATURE
     return 1 if demanding else 0
-
-
-@dataclass(frozen=True)
-class RouteSpec:
-    """Shape of a nondeterministically chosen route: a fixed number of
-    segments with per-field candidate values, identical for every segment."""
-
-    length: int = 5
-    distance_domain: tuple[int, ...] = (1, 2, 3)
-    terrain_domain: tuple[Terrain, ...] = (Terrain.offRoad, Terrain.onRoad)
-    obstacle_domain: tuple[int, ...] = (0,)
-    curvature_domain: tuple[int, ...] = (0,)
-
-    def __post_init__(self) -> None:
-        if self.length < 1:
-            raise ValueError("route length must be at least 1")
-        for dom, label in ((self.distance_domain, "distance"),
-                           (self.terrain_domain, "terrain"),
-                           (self.obstacle_domain, "obstacle"),
-                           (self.curvature_domain, "curvature")):
-            if not dom:
-                raise ValueError(f"{label} domain must not be empty")
-            if len(set(dom)) != len(dom):
-                raise ValueError(f"{label} domain has duplicates")
-
-    def field_domain(self, field_name: str) -> tuple:
-        return getattr(self, f"{field_name}_domain")
-
-    def combination_count(self) -> int:
-        per_segment = (len(self.distance_domain) * len(self.terrain_domain)
-                       * len(self.obstacle_domain) * len(self.curvature_domain))
-        return per_segment ** self.length
-
-
-def nondet_route_choices(spec: RouteSpec) -> tuple[ChoicePoint, ...]:
-    """Initialisation choice points for every field of every segment of a
-    nondeterministic route, in segment-major, declared-field order.
-
-    Single-value domains still get a point so the choice log names the full
-    route; they do not multiply the search.  A combination count beyond the
-    `ROUTE_CEILING` is rejected before any exploration starts.
-    """
-    if spec.combination_count() > ROUTE_CEILING:
-        raise ModelError(
-            f"route space has {spec.combination_count()} combinations, "
-            f"over the ceiling of {ROUTE_CEILING}")
-    return tuple(ChoicePoint(f"route:seg{i}_{name}",
-                             tuple(spec.field_domain(name)), site=None)
-                 for i in range(spec.length) for name in ROUTE_FIELDS)

@@ -15,6 +15,7 @@ every iteration:
 Three scenario presets reproduce the published verdicts: `ideal` (safe),
 `lowered-speed` (fatigue bound breaks on a demanding route), and
 `manual-override` (a driver-chosen command breaks separation).
+`ScenarioConfig` checks every knob, so `build_model` only builds.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from .behaviour import (FatigueLevel, InputMode, IntegratorOp, ReactionProfile,
 from .engine import (Assertion, BoolDomain, ChoicePoint, Group, IntDomain,
                      Model, ModelState, SymbolicDomain, UpdateFunctions, Var,
                      register_model)
-from .environment import (MAX_CURVATURE, MAX_OBSTACLE, ROUTE_FIELDS,
-                          RoutePoint, RouteSpec, Terrain, advance_route,
-                          nondet_route_choices, point_difficulty)
+from .environment import (MAX_CURVATURE, MAX_OBSTACLE, MAX_ROUTE_LENGTH,
+                          ROUTE_CANDIDATES, RoutePoint, Terrain, advance_route,
+                          point_difficulty)
 
 ALL_OPERATORS = (IntegratorOp.Max, IntegratorOp.Min,
                  IntegratorOp.Sum, IntegratorOp.RoundedMean)
@@ -47,6 +48,9 @@ CALCULATED = "calculated"
 PROBED = "probed"
 
 DEFAULT_BOUND = 100
+
+# a drawn route has this many segments unless a config file says otherwise
+DEFAULT_ROUTE_LENGTH = 5
 
 # segment distances range up to this, or further if a route needs it
 MAX_ROUTE_DISTANCE = 3
@@ -90,23 +94,26 @@ class ScenarioParams:
                              "0 < tired_after < exhausted_after")
         if self.time_cap < self.exhausted_after:
             raise ValueError("time cap must reach the exhaustion threshold")
+        if self.max_hp < 1:
+            raise ValueError("max_hp must be at least 1")
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     """A full scenario: route source, control regime, fatigue regime, bound.
 
-    Exactly one of `route` (a fixed segment list) and `route_spec` (a
-    nondeterministic route shape) must be given.  `control_mode` pins the
-    vehicle to one mode; None lets the driver request either mode each
-    iteration.  `adaptive_target` selects whether the cruise
-    preset follows fatigue or stays at the base separation; the safety
-    property always uses the fatigue-adjusted floor either way.
+    Exactly one of `route` (a fixed segment list) and `route_length` (the
+    segment count of a route drawn from `ROUTE_CANDIDATES`) must be given.
+    `control_mode` pins the vehicle to one mode; None lets the driver
+    request either mode each iteration.  `adaptive_target` selects whether
+    the cruise preset follows fatigue or stays at the base separation; the
+    safety property always uses the fatigue-adjusted floor either way.
+    Every config that constructs builds into a model.
     """
 
     name: str
     route: tuple[RoutePoint, ...] | None = None
-    route_spec: RouteSpec | None = None
+    route_length: int | None = None
     control_mode: ControlMode | None = ControlMode.Engaged
     command_domain: tuple[AccCommand, ...] = ALL_COMMANDS
     fatigue_source: str = CALCULATED
@@ -117,10 +124,12 @@ class ScenarioConfig:
     params: ScenarioParams = field(default_factory=ScenarioParams)
 
     def __post_init__(self) -> None:
-        if (self.route is None) == (self.route_spec is None):
-            raise ValueError("give exactly one of route and route_spec")
+        if (self.route is None) == (self.route_length is None):
+            raise ValueError("give exactly one of route and route_length")
         if self.route is not None and not self.route:
             raise ValueError("a route needs at least one segment")
+        if self.route is None and not 1 <= self.route_length <= MAX_ROUTE_LENGTH:
+            raise ValueError(f"a drawn route has 1..{MAX_ROUTE_LENGTH} segments")
         if self.fatigue_source not in (CALCULATED, PROBED):
             raise ValueError(f"unknown fatigue source {self.fatigue_source!r}")
         if not self.operators:
@@ -132,6 +141,15 @@ class ScenarioConfig:
             raise ValueError("command domain must be non-empty and duplicate-free")
         if self.bound < 1:
             raise ValueError("bound must be at least 1")
+        if max(map(self.target_for, ALL_FATIGUE)) > self.params.max_gap:
+            raise ValueError("separation target exceeds the gap ceiling")
+
+    def target_for(self, fatigue: FatigueLevel) -> int:
+        """The cruise controller's gap preset at this fatigue level."""
+        p = self.params
+        floor = (adaptive_separation(fatigue, p.base_separation)
+                 if self.adaptive_target else p.base_separation)
+        return floor + p.acc_margin
 
 
 def is_okay(fatigue: FatigueLevel, stopping_distance: int, gap: int, *,
@@ -148,25 +166,18 @@ def is_okay(fatigue: FatigueLevel, stopping_distance: int, gap: int, *,
 def build_model(config: ScenarioConfig) -> Model:
     """Assemble and register the three-model loop for one scenario."""
     p = config.params
+    target_for = config.target_for
+    drawn = config.route is None
 
-    def target_for(fatigue: FatigueLevel) -> int:
-        floor = (adaptive_separation(fatigue, p.base_separation)
-                 if config.adaptive_target else p.base_separation)
-        return floor + p.acc_margin
-
-    if max(target_for(level) for level in ALL_FATIGUE) > p.max_gap:
-        raise ValueError("separation target exceeds the gap ceiling")
-
-    # a chosen route starts out as its first candidate segment, repeated
-    if config.route is not None:
+    # a drawn route starts out as its first candidate segment, repeated
+    if drawn:
+        first = RoutePoint(**{name: candidates[0] for name, candidates
+                              in ROUTE_CANDIDATES.items()})
+        segments = (first,) * config.route_length
+        distances = ROUTE_CANDIDATES["distance"]
+    else:
         segments = config.route
         distances = [pt.distance for pt in segments]
-    else:
-        spec = config.route_spec
-        first = RoutePoint(**{name: spec.field_domain(name)[0]
-                              for name in ROUTE_FIELDS})
-        segments = (first,) * spec.length
-        distances = spec.distance_domain
     first_seg = segments[0]   # what the environment reports before iteration 1
     n_seg = len(segments)
     d_max = max(MAX_ROUTE_DISTANCE, *distances)
@@ -278,17 +289,6 @@ def build_model(config: ScenarioConfig) -> Model:
         choices.append(ChoicePoint("driverCommand", config.command_domain,
                                    site=Group.BEH_OUTPUT))
 
-    init_choices: list[tuple[tuple[Group, str], ChoicePoint]] = []
-    if config.route_spec is not None:
-        for cp in nondet_route_choices(config.route_spec):
-            # "route:seg3_terrain" -> variable seg3_terrain
-            var_name = cp.point_id.split(":", 1)[1]
-            init_choices.append(((Group.ENV_STATE, var_name), cp))
-    if len(config.operators) > 1:
-        init_choices.append(((Group.BEH_STATE, "combine_op"),
-                             ChoicePoint("integrator", config.operators,
-                                         site=None)))
-
     init_mode = config.control_mode if config.control_mode is not None \
         else ALL_MODES[0]
     normal = FatigueLevel.Normal
@@ -306,15 +306,26 @@ def build_model(config: ScenarioConfig) -> Model:
     distance_dom = IntDomain(1, d_max)
     curvature_dom = IntDomain(0, MAX_CURVATURE)
 
-    # every variable once, in declared order: (group, name, domain, initial)
+    field_doms = {"obstacle": obstacle_dom, "distance": distance_dom,
+                  "terrain": terrain_dom, "curvature": curvature_dom}
+
+    # every variable once, in declared order: (group, name, domain, initial);
+    # a drawn route's fields are drawn in that order, before the integrator
     declared = []
+    init_choices: list[tuple[tuple[Group, str], ChoicePoint]] = []
     for i, pt in enumerate(segments):
-        declared += [
-            (Group.ENV_STATE, f"seg{i}_obstacle", obstacle_dom, pt.obstacle),
-            (Group.ENV_STATE, f"seg{i}_distance", distance_dom, pt.distance),
-            (Group.ENV_STATE, f"seg{i}_terrain", terrain_dom, pt.terrain),
-            (Group.ENV_STATE, f"seg{i}_curvature", curvature_dom, pt.curvature),
-        ]
+        for field_name, candidates in ROUTE_CANDIDATES.items():
+            name = f"seg{i}_{field_name}"
+            declared.append((Group.ENV_STATE, name, field_doms[field_name],
+                             getattr(pt, field_name)))
+            if drawn:
+                init_choices.append(((Group.ENV_STATE, name),
+                                     ChoicePoint(f"route:{name}", candidates,
+                                                 site=None)))
+    if len(config.operators) > 1:
+        init_choices.append(((Group.BEH_STATE, "combine_op"),
+                             ChoicePoint("integrator", config.operators,
+                                         site=None)))
     declared += [
         (Group.ENV_STATE, "cursor", IntDomain(0, n_seg), 0),
         (Group.ENV_STATE, "covered", IntDomain(0, max(0, d_max - 1)), 0),
@@ -398,7 +409,8 @@ def scenario_lowered_speed(**overrides) -> ScenarioConfig:
     """Cruise control engaged on a route of unknown difficulty.  The
     fatigue-widened preset slows the vehicle on hard ground, so a demanding
     route keeps the driver out long enough to exhaust them."""
-    return ScenarioConfig(name="lowered-speed", route_spec=RouteSpec(),
+    return ScenarioConfig(name="lowered-speed",
+                          route_length=DEFAULT_ROUTE_LENGTH,
                           control_mode=ControlMode.Engaged,
                           adaptive_target=True, **overrides)
 

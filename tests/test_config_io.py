@@ -13,7 +13,7 @@ from hilcheck import config_io
 from hilcheck.acc import ControlMode
 from hilcheck.behaviour import InputMode, IntegratorOp
 from hilcheck.config_io import ConfigError, load_config
-from hilcheck.environment import RoutePoint, RouteSpec, Terrain
+from hilcheck.environment import RoutePoint, Terrain
 from hilcheck.scenarios import SCENARIOS
 
 REPO = Path(__file__).resolve().parent.parent
@@ -70,23 +70,23 @@ VALID = {
          lambda: with_params(lowered(), input_mode=InputMode.GamePad))],
     "route": [
         ("route = 1,2,onRoad,0; 0,1,offRoad,1",
-         lambda: replace(ideal(), route_spec=None, route=(
+         lambda: replace(ideal(), route_length=None, route=(
              RoutePoint(obstacle=1, distance=2, terrain=Terrain.onRoad,
                         curvature=0),
              RoutePoint(obstacle=0, distance=1, terrain=Terrain.offRoad,
                         curvature=1)))),
         ("route = nondet",
-         lambda: replace(ideal(), route=None, route_spec=RouteSpec())),
+         lambda: replace(ideal(), route=None, route_length=5)),
         ("scenario = lowered-speed\nroute = nondet", lowered)],
     "routeLength": [
         ("route = nondet\nrouteLength = 3",
-         lambda: replace(ideal(), route=None,
-                         route_spec=RouteSpec(length=3))),
+         lambda: replace(ideal(), route=None, route_length=3)),
         ("routeLength = 2\nroute = nondet",
-         lambda: replace(ideal(), route=None,
-                         route_spec=RouteSpec(length=2))),
+         lambda: replace(ideal(), route=None, route_length=2)),
         ("scenario = lowered-speed\nrouteLength = 4",
-         lambda: replace(lowered(), route_spec=RouteSpec(length=4)))],
+         lambda: replace(lowered(), route_length=4)),
+        ("route = nondet\nrouteLength = 10",
+         lambda: replace(ideal(), route=None, route_length=10))],
     "maxSpeed": [("maxSpeed = 12", lambda: with_params(ideal(), max_speed=12))],
     "maxGap": [("maxGap = 20", lambda: with_params(ideal(), max_gap=20))],
     "leadSpeed": [("leadSpeed = 0", lambda: with_params(ideal(), lead_speed=0))],
@@ -125,7 +125,7 @@ VALID_CASES = [pytest.param(text, expected, id=f"{key}-{i}")
 
 def write(tmp_path, text):
     path = tmp_path / "run.cfg"
-    path.write_text(text + "\n")
+    path.write_text(text + "\n", encoding="utf-8")
     return path
 
 
@@ -144,6 +144,10 @@ def test_comments_and_blank_lines_are_skipped(tmp_path):
 REJECTED = {
     "integer": ("maxSpeed = fast", 2),
     "integer in the profile": ("eFactor = 2.5", 2),
+    "integer with an underscore": ("bound = 1_0", 2),
+    "integer with a plus sign": ("maxSpeed = +5", 2),
+    "integer in non-ASCII digits": ("leadSpeed = \u0663", 2),
+    "integer with a leading zero": ("maxGap = 015", 2),
     "integer at least 1, not an integer": ("bound = ten", 2),
     "integer at least 1, zero": ("bound = 0", 2),
     "routeLength, zero": ("route = nondet\nrouteLength = 0", 3),
@@ -159,6 +163,7 @@ REJECTED = {
     "route, empty segment": ("route = 1,1,onRoad,0;;", 2),
     "route, three fields": ("route = 1,1,onRoad", 2),
     "route, not an integer": ("route = a,1,onRoad,0", 2),
+    "route, integer with an underscore": ("route = 1,1_0,onRoad,0", 2),
     "route, unknown terrain": ("route = 1,1,swamp,0", 2),
     "route, invalid segment": ("route = 0,0,onRoad,0", 2),
     "routeLength on a fixed route": ("route = 1,1,onRoad,0\nrouteLength = 3",
@@ -186,6 +191,9 @@ def test_bad_values_are_rejected_on_their_line(case, tmp_path):
     "fast = 2",                           # not below okay
     "tFactor = 4",                        # above eFactor
     "maxGap = 0",
+    "maxHP = 0",
+    "maxGap = 7",                         # below the widest preset, 8
+    "route = nondet\nrouteLength = 11",  # over MAX_ROUTE_LENGTH
 ])
 def test_cross_field_violations_are_config_errors(text, tmp_path):
     with pytest.raises(ConfigError):

@@ -1,12 +1,15 @@
-"""Environment unit tests: route positions and terrain difficulty."""
+"""Environment unit tests: route positions, terrain difficulty and the
+candidates a drawn route is picked from."""
+
+import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from hilcheck.engine import ModelError
-from hilcheck.environment import (ROUTE_CEILING, RoutePoint, RouteSpec,
-                                  Terrain, advance_route, nondet_route_choices,
-                                  point_difficulty)
+from hilcheck.engine import Group
+from hilcheck.environment import (MAX_ROUTE_LENGTH, RoutePoint, Terrain,
+                                  advance_route, point_difficulty)
+from hilcheck.scenarios import DEFAULT_ROUTE, ScenarioConfig, build_model
 
 
 def test_route_point_validation():
@@ -90,36 +93,46 @@ def test_point_difficulty_validates_ranges():
         point_difficulty(Terrain.onRoad, 5, 0)
 
 
-def test_route_spec_counts_combinations():
-    assert RouteSpec().combination_count() == 6 ** 5
-    tiny = RouteSpec(length=1, distance_domain=(1,))
-    assert tiny.combination_count() == 2
+def drawn(route_length):
+    return build_model(ScenarioConfig(name="drawn", route_length=route_length))
 
 
-def test_route_spec_validation():
-    with pytest.raises(ValueError):
-        RouteSpec(length=0)
-    with pytest.raises(ValueError):
-        RouteSpec(distance_domain=())
-    with pytest.raises(ValueError):
-        RouteSpec(terrain_domain=(Terrain.onRoad, Terrain.onRoad))
+def test_drawn_route_counts_combinations():
+    def combinations(model):
+        return math.prod(len(cp.domain) for _, cp in model.init_choices
+                         if cp.point_id.startswith("route:"))
+    assert combinations(drawn(5)) == 6 ** 5
+    assert combinations(drawn(1)) == 6
+    assert combinations(drawn(MAX_ROUTE_LENGTH)) == 6 ** 10 < 10 ** 8
+
+
+def test_route_length_validation():
+    with pytest.raises(ValueError, match=r"1\.\.10 segments"):
+        ScenarioConfig(name="x", route_length=0)
+    with pytest.raises(ValueError, match="exactly one"):
+        ScenarioConfig(name="x", route=DEFAULT_ROUTE, route_length=1)
 
 
 def test_nondet_route_choice_points_cover_every_field_in_order():
-    points = nondet_route_choices(RouteSpec(length=2))
+    points = [cp for _, cp in drawn(2).init_choices]
     assert [cp.point_id for cp in points] == [
         "route:seg0_obstacle", "route:seg0_distance",
         "route:seg0_terrain", "route:seg0_curvature",
         "route:seg1_obstacle", "route:seg1_distance",
-        "route:seg1_terrain", "route:seg1_curvature"]
+        "route:seg1_terrain", "route:seg1_curvature", "integrator"]
     assert all(cp.site is None for cp in points)
     assert points[1].domain == (1, 2, 3)
     assert points[2].domain == (Terrain.offRoad, Terrain.onRoad)
+    # each route choice sets the variable it is named after
+    model = drawn(1)
+    assert [(model.variables[pos].group, model.variables[pos].name)
+            for pos, _ in model.init_choices] == [
+        (Group.ENV_STATE, "seg0_obstacle"), (Group.ENV_STATE, "seg0_distance"),
+        (Group.ENV_STATE, "seg0_terrain"), (Group.ENV_STATE, "seg0_curvature"),
+        (Group.BEH_STATE, "combine_op")]
 
 
 def test_nondet_route_rejects_explosive_specs():
-    huge = RouteSpec(length=5, obstacle_domain=(0, 1, 2, 3),
-                     curvature_domain=(0, 1, 2, 3))
-    assert huge.combination_count() > ROUTE_CEILING
-    with pytest.raises(ModelError, match="ceiling"):
-        nondet_route_choices(huge)
+    assert drawn(MAX_ROUTE_LENGTH) is not None
+    with pytest.raises(ValueError, match=r"1\.\.10 segments"):
+        ScenarioConfig(name="x", route_length=MAX_ROUTE_LENGTH + 1)

@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings, strategies as st
 
 from hilcheck.acc import AccCommand, ControlMode
 from hilcheck.behaviour import FatigueLevel, InputMode, IntegratorOp
@@ -11,7 +12,7 @@ from hilcheck.engine import (ChoiceEntry, Group, ModelError, VerdictKind,
                              explore, first_value_resolver, probe_variable,
                              probed_model, replay_counterexample,
                              resolve_initial, step)
-from hilcheck.environment import RouteSpec, Terrain
+from hilcheck.environment import RoutePoint, Terrain
 from hilcheck.scenarios import (DEFAULT_ROUTE, SCENARIOS, ScenarioConfig,
                                 ScenarioParams, build_model, is_okay,
                                 reaction_probe, scenario_ideal,
@@ -166,20 +167,24 @@ def test_manual_override_is_safe_when_only_engaged_is_offered():
 
 
 def test_ideal_on_unknown_routes_inherits_the_fatigue_violation():
-    config = replace(scenario_ideal(), route=None, route_spec=RouteSpec())
+    config = replace(scenario_ideal(), route=None, route_length=5)
     verdict = explore(build_model(config), 100)
     assert verdict.kind is VerdictKind.Unsafe
     assert verdict.failed_assertion == "FatigueBounded"
 
 
 def test_single_short_segment_route_is_safe_for_every_operator():
-    config = ScenarioConfig(
-        name="one-segment",
-        route_spec=RouteSpec(length=1, distance_domain=(1,)),
-        control_mode=ControlMode.Engaged)
-    verdict = explore(build_model(config), 100)
-    assert verdict.kind is VerdictKind.Safe
-    assert verdict.paths_explored == 8      # 2 terrains x 4 operators
+    paths = 0
+    for terrain in Terrain:
+        segment = RoutePoint(obstacle=0, distance=1, terrain=terrain,
+                             curvature=0)
+        config = ScenarioConfig(name="one-segment", route=(segment,),
+                                control_mode=ControlMode.Engaged)
+        verdict = explore(build_model(config), 100)
+        assert verdict.kind is VerdictKind.Safe, terrain
+        assert verdict.paths_explored == 4, terrain     # one per operator
+        paths += verdict.paths_explored
+    assert paths == 8                       # 2 terrains x 4 operators
 
 
 def test_manual_override_is_safe_at_bound_one():
@@ -267,7 +272,7 @@ def test_preset_declarations_are_pinned(preset):
 
 def test_config_requires_exactly_one_route_source():
     with pytest.raises(ValueError, match="exactly one"):
-        ScenarioConfig(name="x", route=DEFAULT_ROUTE, route_spec=RouteSpec())
+        ScenarioConfig(name="x", route=DEFAULT_ROUTE, route_length=5)
     with pytest.raises(ValueError, match="exactly one"):
         ScenarioConfig(name="x")
     with pytest.raises(ValueError, match="at least one segment"):
@@ -289,12 +294,41 @@ def test_config_rejects_bad_knobs():
         ScenarioParams(tired_after=8, exhausted_after=8)
     with pytest.raises(ValueError, match="0 < tired_after < exhausted_after"):
         ScenarioParams(tired_after=0)
+    with pytest.raises(ValueError, match="max_hp"):
+        ScenarioParams(max_hp=0)
 
 
 def test_target_must_fit_the_gap_sensor():
-    config = scenario_ideal(params=ScenarioParams(max_gap=7))
     with pytest.raises(ValueError, match="gap ceiling"):
-        build_model(config)
+        scenario_ideal(params=ScenarioParams(max_gap=7))
+    # a fixed preset only needs room for the base separation plus margin
+    build_model(scenario_manual_override(params=ScenarioParams(max_gap=6)))
+
+
+# any of the numeric knobs, each from a small range around its default that
+# crosses the bounds ScenarioParams and ScenarioConfig check; knobs not
+# drawn keep their default, so both outcomes are common
+@settings(max_examples=400, deadline=None)
+@given(knobs=st.fixed_dictionaries({}, optional={
+           "max_speed": st.integers(0, 12), "lead_speed": st.integers(-1, 3),
+           "max_gap": st.integers(0, 16), "base_separation": st.integers(0, 6),
+           "acc_margin": st.integers(-1, 4), "tired_after": st.integers(0, 9),
+           "exhausted_after": st.integers(1, 13),
+           "time_cap": st.integers(6, 14), "max_hp": st.integers(0, 6)}),
+       adaptive_target=st.booleans(),
+       route_length=st.one_of(st.none(), st.integers(-1, 11)))
+def test_every_config_that_constructs_builds(knobs, adaptive_target,
+                                             route_length):
+    """ScenarioConfig is the one place a scenario is checked: whatever it
+    accepts, build_model registers."""
+    try:
+        config = ScenarioConfig(
+            name="x", route=DEFAULT_ROUTE if route_length is None else None,
+            route_length=route_length, adaptive_target=adaptive_target,
+            params=ScenarioParams(**knobs))
+    except ValueError:
+        return
+    build_model(config)
 
 
 def test_gap_sensor_saturates_after_the_journey():
