@@ -15,7 +15,7 @@ import argparse
 from hilcheck.behaviour import FatigueLevel
 from hilcheck.engine import (ChoiceEntry, Group, VerdictKind, log_resolver,
                              probe_variable, probed_model, run_path)
-from hilcheck.scenarios import build_model, reaction_probe
+from hilcheck.scenarios import SCENARIOS, build_model
 
 
 def pinned_outcome(swept, level: FatigueLevel, bound: int):
@@ -30,7 +30,7 @@ def main() -> int:
     parser.add_argument("--bound", type=int, default=100)
     args = parser.parse_args()
 
-    config = reaction_probe()
+    config = SCENARIOS["reaction-probe"]
     model = build_model(config)
     verdict = probe_variable(model, (Group.BEH_STATE, "fatigue"), args.bound)
 

@@ -19,8 +19,7 @@ def main() -> int:
 
     rows = []
     any_unsafe = False
-    for name, factory in SCENARIOS.items():
-        config = factory()
+    for name, config in SCENARIOS.items():
         bound = args.bound if args.bound is not None else config.bound
         model = build_model(config)
         started = time.perf_counter()

@@ -19,10 +19,8 @@ from .engine import (Assertion, BoolDomain, ChoiceEntry, ChoicePoint, Group,
                      probe_variable, probed_model, register_model,
                      replay_counterexample, resolve_initial, run_path, step)
 from .environment import RoutePoint, Terrain, advance_route, point_difficulty
-from .scenarios import (DEFAULT_ROUTE, SCENARIOS, ScenarioConfig,
-                        ScenarioParams, build_model, is_okay, reaction_probe,
-                        scenario_ideal, scenario_lowered_speed,
-                        scenario_manual_override)
+from .scenarios import (DEFAULT_ROUTE, SCENARIOS, ScenarioConfig, build_model,
+                        is_okay)
 from .trace_io import TraceFile, export_trace, format_trace, read_trace
 
 __version__ = "0.1.0"

@@ -17,11 +17,19 @@ from dataclasses import replace
 from .config_io import ConfigError, load_config, parse_operators
 from .engine import DEFAULT_PATH_CEILING, ModelError, VerdictKind, explore
 from .scenarios import SCENARIOS, build_model
-from .trace_io import export_trace
+from .trace_io import canonical_int, export_trace
 
 EXIT_SAFE = 0
 EXIT_UNSAFE = 1
 EXIT_ERROR = 2
+
+
+def _integer(raw: str) -> int:
+    # canonical decimals only, as in config and trace files
+    value = canonical_int(raw)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"needs an integer, got {raw!r}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -36,12 +44,12 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="a built-in scenario preset")
     run.add_argument("--config", metavar="PATH",
                      help="key=value file describing the run")
-    run.add_argument("--bound", type=int, metavar="N",
+    run.add_argument("--bound", type=_integer, metavar="N",
                      help="iterations to explore (default: scenario's bound)")
     run.add_argument("--operators", metavar="LIST",
                      help="comma-separated fatigue integrators to consider "
                           "(default: scenario's set)")
-    run.add_argument("--path-ceiling", type=int, metavar="N",
+    run.add_argument("--path-ceiling", type=_integer, metavar="N",
                      default=DEFAULT_PATH_CEILING,
                      help="abort after this many explored paths")
     run.add_argument("--trace-out", metavar="PATH",
@@ -60,7 +68,7 @@ def _run(args) -> int:
     if args.config is not None:
         config = load_config(args.config)
     else:
-        config = SCENARIOS[args.scenario]()
+        config = SCENARIOS[args.scenario]
     if args.operators is not None:
         config = replace(config, operators=parse_operators(args.operators))
     if args.bound is not None:

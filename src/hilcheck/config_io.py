@@ -16,6 +16,7 @@ from .behaviour import InputMode, IntegratorOp
 from .environment import RoutePoint, Terrain
 from .scenarios import (CALCULATED, DEFAULT_ROUTE_LENGTH, PROBED, SCENARIOS,
                         ScenarioConfig)
+from .trace_io import canonical_int
 
 
 class ConfigError(Exception):
@@ -23,13 +24,9 @@ class ConfigError(Exception):
 
 
 def _integer(raw: str) -> int:
-    # canonical decimals only, as in trace files: int() alone would also
-    # take 1_0, +5 and non-ASCII digits
-    try:
-        value = int(raw)
-    except ValueError:
-        value = None
-    if value is None or str(value) != raw:
+    # canonical decimals only, as in trace files and the CLI's flags
+    value = canonical_int(raw)
+    if value is None:
         raise ConfigError(f"needs an integer, got {raw!r}")
     return value
 
@@ -82,9 +79,9 @@ def _parse_route(raw: str) -> tuple[RoutePoint, ...]:
     return tuple(points)
 
 
-# key -> (what it sets: the scenario, its params or their reaction profile,
-# the field it sets, the parser of its value); values are parsed in this
-# order, so with two bad values the earlier entry's is reported.
+# key -> (what it sets: the scenario or its reaction profile, the field it
+# sets, the parser of its value); values are parsed in this order, so with
+# two bad values the earlier entry's is reported.
 # `scenario`, `route` and `routeLength` have their own branch.
 _KEYS = {
     "bound": ("config", "bound", _at_least_one),
@@ -96,17 +93,17 @@ _KEYS = {
     "separation": ("config", "adaptive_target",
                    _one_of({"adaptive": True, "fixed": False})),
     "operators": ("config", "operators", parse_operators),
-    "inputMode": ("params", "input_mode",
+    "inputMode": ("config", "input_mode",
                   _one_of({m.name: m for m in InputMode}, "input mode")),
-    "maxSpeed": ("params", "max_speed", _integer),
-    "maxGap": ("params", "max_gap", _integer),
-    "leadSpeed": ("params", "lead_speed", _integer),
-    "baseSeparation": ("params", "base_separation", _integer),
-    "accMargin": ("params", "acc_margin", _integer),
-    "tiredAfter": ("params", "tired_after", _integer),
-    "exhaustedAfter": ("params", "exhausted_after", _integer),
-    "timeCap": ("params", "time_cap", _integer),
-    "maxHP": ("params", "max_hp", _integer),
+    "maxSpeed": ("config", "max_speed", _integer),
+    "maxGap": ("config", "max_gap", _integer),
+    "leadSpeed": ("config", "lead_speed", _integer),
+    "baseSeparation": ("config", "base_separation", _integer),
+    "accMargin": ("config", "acc_margin", _integer),
+    "tiredAfter": ("config", "tired_after", _integer),
+    "exhaustedAfter": ("config", "exhausted_after", _integer),
+    "timeCap": ("config", "time_cap", _integer),
+    "maxHP": ("config", "max_hp", _integer),
     "fast": ("profile", "fast", _integer),
     "okay": ("profile", "okay", _integer),
     "slow": ("profile", "slow", _integer),
@@ -144,14 +141,13 @@ def load_config(path) -> ScenarioConfig:
                                   f"(first set on line {entries[key][1]})")
             entries[key] = (value, lineno)
 
-    scenario = SCENARIOS["ideal"]
+    config = SCENARIOS["ideal"]
     if "scenario" in entries:
-        scenario = _parse(entries, "scenario", _one_of(SCENARIOS, "scenario"))
-    config = scenario()
+        config = _parse(entries, "scenario", _one_of(SCENARIOS, "scenario"))
 
     # collect every override and apply them in one replace per object at
     # the end, otherwise cross-field validation would depend on key order
-    updates: dict[str, dict] = {"config": {}, "params": {}, "profile": {}}
+    updates: dict[str, dict] = {"config": {}, "profile": {}}
     for key, (target, field_name, parse) in _KEYS.items():
         if key in entries:
             updates[target][field_name] = _parse(entries, key, parse)
@@ -173,8 +169,7 @@ def load_config(path) -> ScenarioConfig:
                                  route_length=None)
 
     try:
-        profile = replace(config.params.profile, **updates["profile"])
-        params = replace(config.params, profile=profile, **updates["params"])
-        return replace(config, params=params, **updates["config"])
+        profile = replace(config.profile, **updates["profile"])
+        return replace(config, profile=profile, **updates["config"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

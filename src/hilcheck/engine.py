@@ -88,7 +88,8 @@ class IntDomain:
             raise ModelError(f"empty integer domain [{self.lo}, {self.hi}]")
 
     def contains(self, v: Value) -> bool:
-        return isinstance(v, int) and not isinstance(v, bool) and self.lo <= v <= self.hi
+        # exactly int: True and IntEnum members compare equal to ints
+        return type(v) is int and self.lo <= v <= self.hi
 
     def values(self) -> tuple[Value, ...]:
         return tuple(range(self.lo, self.hi + 1))
@@ -97,7 +98,7 @@ class IntDomain:
 @dataclass(frozen=True)
 class BoolDomain:
     def contains(self, v: Value) -> bool:
-        return isinstance(v, bool)
+        return type(v) is bool
 
     def values(self) -> tuple[Value, ...]:
         return (False, True)
@@ -106,18 +107,21 @@ class BoolDomain:
 @dataclass(frozen=True)
 class SymbolicDomain:
     """Finite enumeration of labels.  Members may be strings or Enum members;
-    they only compare meaningfully within the same enumeration."""
+    a value belongs only if it equals a member of the same type, so neither
+    1 nor True is an IntEnum member."""
 
     members: tuple[Value, ...]
+    _types: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.members:
             raise ModelError("symbolic domain must not be empty")
         if len(set(self.members)) != len(self.members):
             raise ModelError("symbolic domain has duplicate members")
+        object.__setattr__(self, "_types", frozenset(map(type, self.members)))
 
     def contains(self, v: Value) -> bool:
-        return v in self.members
+        return type(v) in self._types and v in self.members
 
     def values(self) -> tuple[Value, ...]:
         return self.members
@@ -153,6 +157,7 @@ class ChoicePoint:
     point_id: str
     domain: tuple[Value, ...]
     site: Group | None = None
+    _types: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.domain:
@@ -162,6 +167,11 @@ class ChoicePoint:
         if self.site in SYSTEM_GROUPS:
             raise ModelError("system update must be deterministic: "
                              f"choice point '{self.point_id}' sited at {self.site.value}")
+        object.__setattr__(self, "_types", frozenset(map(type, self.domain)))
+
+    def offers(self, value: Value) -> bool:
+        """Whether `value` is a candidate: equal to one of the same type."""
+        return type(value) in self._types and value in self.domain
 
 
 @dataclass(frozen=True)
@@ -357,7 +367,7 @@ class StepContext:
                 f"choice point '{point_id}' is declared for "
                 f"{cp.site.value} but was drawn while computing {self._site.value}")
         value = self._resolver(cp, self._iteration)
-        if value not in cp.domain:
+        if not cp.offers(value):
             raise ModelError(
                 f"resolver produced {value!r}, outside the domain of '{point_id}'")
         self._entries.append(ChoiceEntry(self._iteration, point_id, value))
@@ -526,7 +536,7 @@ def resolve_initial(model: Model,
     entries: list[ChoiceEntry] = []
     for pos, cp in model.init_choices:
         value = resolver(cp, 0)
-        if value not in cp.domain:
+        if not cp.offers(value):
             raise ModelError(
                 f"resolver produced {value!r}, outside the domain of '{cp.point_id}'")
         values[pos] = value

@@ -12,10 +12,11 @@ every iteration:
     FatigueBounded: the driver never reaches exhaustion while the journey
         is still in progress.
 
-Three scenario presets reproduce the published verdicts: `ideal` (safe),
-`lowered-speed` (fatigue bound breaks on a demanding route), and
-`manual-override` (a driver-chosen command breaks separation).
-`ScenarioConfig` checks every knob, so `build_model` only builds.
+`SCENARIOS` maps each preset to a `ScenarioConfig`; three reproduce the
+published verdicts: `ideal` (safe), `lowered-speed` (fatigue bound breaks
+on a demanding route), and `manual-override` (a driver-chosen command
+breaks separation).  `ScenarioConfig` checks every knob, so `build_model`
+only builds.
 """
 
 from __future__ import annotations
@@ -67,9 +68,28 @@ DEFAULT_ROUTE = (
 
 
 @dataclass(frozen=True)
-class ScenarioParams:
-    """Numeric knobs shared by every scenario."""
+class ScenarioConfig:
+    """A full scenario: route, control and fatigue regimes, bound, knobs.
 
+    Exactly one of `route` (a fixed segment list) and `route_length` (the
+    segment count of a route drawn from `ROUTE_CANDIDATES`) must be given.
+    `control_mode` pins the vehicle to one mode; None lets the driver
+    request either mode each iteration.  `adaptive_target` selects whether
+    the cruise preset follows fatigue or stays at the base separation; the
+    safety property always uses the fatigue-adjusted floor either way.
+    Every config that constructs builds into a model.
+    """
+
+    name: str
+    route: tuple[RoutePoint, ...] | None = None
+    route_length: int | None = None
+    control_mode: ControlMode | None = ControlMode.Engaged
+    command_domain: tuple[AccCommand, ...] = ALL_COMMANDS
+    fatigue_source: str = CALCULATED
+    adaptive_target: bool = True
+    operators: tuple[IntegratorOp, ...] = ALL_OPERATORS
+    separation_only: bool = False
+    bound: int = DEFAULT_BOUND
     max_speed: int = 10
     max_gap: int = 15
     lead_speed: int = 1
@@ -96,34 +116,6 @@ class ScenarioParams:
             raise ValueError("time cap must reach the exhaustion threshold")
         if self.max_hp < 1:
             raise ValueError("max_hp must be at least 1")
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """A full scenario: route source, control regime, fatigue regime, bound.
-
-    Exactly one of `route` (a fixed segment list) and `route_length` (the
-    segment count of a route drawn from `ROUTE_CANDIDATES`) must be given.
-    `control_mode` pins the vehicle to one mode; None lets the driver
-    request either mode each iteration.  `adaptive_target` selects whether
-    the cruise preset follows fatigue or stays at the base separation; the
-    safety property always uses the fatigue-adjusted floor either way.
-    Every config that constructs builds into a model.
-    """
-
-    name: str
-    route: tuple[RoutePoint, ...] | None = None
-    route_length: int | None = None
-    control_mode: ControlMode | None = ControlMode.Engaged
-    command_domain: tuple[AccCommand, ...] = ALL_COMMANDS
-    fatigue_source: str = CALCULATED
-    adaptive_target: bool = True
-    operators: tuple[IntegratorOp, ...] = ALL_OPERATORS
-    separation_only: bool = False
-    bound: int = DEFAULT_BOUND
-    params: ScenarioParams = field(default_factory=ScenarioParams)
-
-    def __post_init__(self) -> None:
         if (self.route is None) == (self.route_length is None):
             raise ValueError("give exactly one of route and route_length")
         if self.route is not None and not self.route:
@@ -141,15 +133,14 @@ class ScenarioConfig:
             raise ValueError("command domain must be non-empty and duplicate-free")
         if self.bound < 1:
             raise ValueError("bound must be at least 1")
-        if max(map(self.target_for, ALL_FATIGUE)) > self.params.max_gap:
+        if max(map(self.target_for, ALL_FATIGUE)) > self.max_gap:
             raise ValueError("separation target exceeds the gap ceiling")
 
     def target_for(self, fatigue: FatigueLevel) -> int:
         """The cruise controller's gap preset at this fatigue level."""
-        p = self.params
-        floor = (adaptive_separation(fatigue, p.base_separation)
-                 if self.adaptive_target else p.base_separation)
-        return floor + p.acc_margin
+        floor = (adaptive_separation(fatigue, self.base_separation)
+                 if self.adaptive_target else self.base_separation)
+        return floor + self.acc_margin
 
 
 def is_okay(fatigue: FatigueLevel, stopping_distance: int, gap: int, *,
@@ -165,7 +156,6 @@ def is_okay(fatigue: FatigueLevel, stopping_distance: int, gap: int, *,
 
 def build_model(config: ScenarioConfig) -> Model:
     """Assemble and register the three-model loop for one scenario."""
-    p = config.params
     target_for = config.target_for
     drawn = config.route is None
 
@@ -181,7 +171,7 @@ def build_model(config: ScenarioConfig) -> Model:
     first_seg = segments[0]   # what the environment reports before iteration 1
     n_seg = len(segments)
     d_max = max(MAX_ROUTE_DISTANCE, *distances)
-    rt_max = p.profile.slow * p.profile.e_factor
+    rt_max = config.profile.slow * config.profile.e_factor
 
     distance_keys = [f"seg{i}_distance" for i in range(n_seg)]
     segment_keys = [(f"seg{i}_terrain", f"seg{i}_obstacle", f"seg{i}_curvature")
@@ -225,9 +215,9 @@ def build_model(config: ScenarioConfig) -> Model:
     def drive(sys_in, sys_state) -> dict:
         speed, gap = apply_command(sys_state.speed, sys_state.gap,
                                    sys_in.command, sys_in.lead_speed,
-                                   p.max_speed)
+                                   config.max_speed)
         # the gap sensor saturates at max_gap once the lead pulls far ahead
-        return {"speed": speed, "gap": min(p.max_gap, gap),
+        return {"speed": speed, "gap": min(config.max_gap, gap),
                 "acc_status": sys_in.active_mode}
 
     def sys_state_update(sys_in, sys_state):
@@ -244,13 +234,14 @@ def build_model(config: ScenarioConfig) -> Model:
         if beh_in.done_seen:
             time_driven = beh_state.time_driven
         else:
-            time_driven = min(beh_state.time_driven + 1, p.time_cap)
+            time_driven = min(beh_state.time_driven + 1, config.time_cap)
         if config.fatigue_source == PROBED:
             fatigue = beh_state.fatigue
         else:
             fatigue = set_driver_fatigue(time_driven, beh_in.terrain_difficulty,
                                          beh_state.combine_op,
-                                         p.tired_after, p.exhausted_after)
+                                         config.tired_after,
+                                         config.exhausted_after)
         return time_driven, fatigue
 
     draws_mode = config.control_mode is None
@@ -271,9 +262,10 @@ def build_model(config: ScenarioConfig) -> Model:
     def beh_state_update(beh_in, beh_state, ctx):
         time_driven, fatigue = fatigue_step(beh_in, beh_state)
         return {"time_driven": time_driven, "fatigue": fatigue,
-                "reaction_time": set_reaction_time(p.input_mode, fatigue,
-                                                   p.profile),
-                "hazard_perception": perception_from_fatigue(fatigue, p.max_hp)}
+                "reaction_time": set_reaction_time(config.input_mode, fatigue,
+                                                   config.profile),
+                "hazard_perception": perception_from_fatigue(fatigue,
+                                                             config.max_hp)}
 
     updates = UpdateFunctions(
         env_input=env_input, sys_input=sys_input, beh_input=beh_input,
@@ -292,7 +284,7 @@ def build_model(config: ScenarioConfig) -> Model:
     init_mode = config.control_mode if config.control_mode is not None \
         else ALL_MODES[0]
     normal = FatigueLevel.Normal
-    init_speed = min(1, p.max_speed)
+    init_speed = min(1, config.max_speed)
     init_gap = target_for(normal)
 
     mode_dom = SymbolicDomain(ALL_MODES)
@@ -300,8 +292,8 @@ def build_model(config: ScenarioConfig) -> Model:
     fatigue_dom = SymbolicDomain(ALL_FATIGUE)
     terrain_dom = SymbolicDomain((Terrain.offRoad, Terrain.onRoad))
     bool_dom = BoolDomain()
-    speed_dom = IntDomain(0, p.max_speed)
-    gap_dom = IntDomain(0, p.max_gap)
+    speed_dom = IntDomain(0, config.max_speed)
+    gap_dom = IntDomain(0, config.max_gap)
     obstacle_dom = IntDomain(0, MAX_OBSTACLE)
     distance_dom = IntDomain(1, d_max)
     curvature_dom = IntDomain(0, MAX_CURVATURE)
@@ -329,7 +321,7 @@ def build_model(config: ScenarioConfig) -> Model:
     declared += [
         (Group.ENV_STATE, "cursor", IntDomain(0, n_seg), 0),
         (Group.ENV_STATE, "covered", IntDomain(0, max(0, d_max - 1)), 0),
-        (Group.ENV_STATE, "lead_speed", speed_dom, p.lead_speed),
+        (Group.ENV_STATE, "lead_speed", speed_dom, config.lead_speed),
 
         (Group.ENV_INPUT, "moved", speed_dom, 0),
 
@@ -337,11 +329,11 @@ def build_model(config: ScenarioConfig) -> Model:
         (Group.ENV_OUTPUT, "obstacle", obstacle_dom, first_seg.obstacle),
         (Group.ENV_OUTPUT, "curvature", curvature_dom, first_seg.curvature),
         (Group.ENV_OUTPUT, "journey_done", bool_dom, False),
-        (Group.ENV_OUTPUT, "lead_speed", speed_dom, p.lead_speed),
+        (Group.ENV_OUTPUT, "lead_speed", speed_dom, config.lead_speed),
 
         (Group.SYS_INPUT, "command", command_dom, AccCommand.Maintain),
         (Group.SYS_INPUT, "active_mode", mode_dom, init_mode),
-        (Group.SYS_INPUT, "lead_speed", speed_dom, p.lead_speed),
+        (Group.SYS_INPUT, "lead_speed", speed_dom, config.lead_speed),
         (Group.SYS_INPUT, "fatigue_seen", fatigue_dom, normal),
         (Group.SYS_INPUT, "done_seen", bool_dom, False),
 
@@ -359,12 +351,12 @@ def build_model(config: ScenarioConfig) -> Model:
                           first_seg.curvature)),
         (Group.BEH_INPUT, "done_seen", bool_dom, False),
 
-        (Group.BEH_STATE, "time_driven", IntDomain(0, p.time_cap), 0),
+        (Group.BEH_STATE, "time_driven", IntDomain(0, config.time_cap), 0),
         (Group.BEH_STATE, "fatigue", fatigue_dom, normal),
         (Group.BEH_STATE, "reaction_time", IntDomain(0, rt_max),
-         set_reaction_time(p.input_mode, normal, p.profile)),
-        (Group.BEH_STATE, "hazard_perception", IntDomain(0, p.max_hp),
-         perception_from_fatigue(normal, p.max_hp)),
+         set_reaction_time(config.input_mode, normal, config.profile)),
+        (Group.BEH_STATE, "hazard_perception", IntDomain(0, config.max_hp),
+         perception_from_fatigue(normal, config.max_hp)),
         (Group.BEH_STATE, "combine_op", SymbolicDomain(config.operators),
          config.operators[0]),
 
@@ -381,7 +373,7 @@ def build_model(config: ScenarioConfig) -> Model:
             state.value(Group.SYS_STATE, "speed"),
             state.value(Group.BEH_STATE, "reaction_time"))
         return is_okay(fatigue, stopping, state.value(Group.SYS_STATE, "gap"),
-                       base_separation=p.base_separation)
+                       base_separation=config.base_separation)
 
     def fatigue_bounded(state: ModelState) -> bool:
         exhausted = state.value(Group.BEH_STATE, "fatigue") is FatigueLevel.Exhausted
@@ -397,50 +389,19 @@ def build_model(config: ScenarioConfig) -> Model:
                           name=config.name)
 
 
-def scenario_ideal(**overrides) -> ScenarioConfig:
-    """Cruise control engaged, separation preset follows fatigue, fixed
-    route.  Expected safe at the full bound."""
-    return ScenarioConfig(name="ideal", route=DEFAULT_ROUTE,
-                          control_mode=ControlMode.Engaged,
-                          adaptive_target=True, **overrides)
-
-
-def scenario_lowered_speed(**overrides) -> ScenarioConfig:
-    """Cruise control engaged on a route of unknown difficulty.  The
-    fatigue-widened preset slows the vehicle on hard ground, so a demanding
-    route keeps the driver out long enough to exhaust them."""
-    return ScenarioConfig(name="lowered-speed",
-                          route_length=DEFAULT_ROUTE_LENGTH,
-                          control_mode=ControlMode.Engaged,
-                          adaptive_target=True, **overrides)
-
-
-def scenario_manual_override(**overrides) -> ScenarioConfig:
-    """The driver may seize manual control with an arbitrary command at any
-    iteration; the separation preset stays fixed.  Expected to break the
-    separation property."""
-    return ScenarioConfig(name="manual-override", route=DEFAULT_ROUTE,
-                          control_mode=None, adaptive_target=False,
-                          **overrides)
-
-
-def reaction_probe(**overrides) -> ScenarioConfig:
-    """Fixture for initial-value probing: fatigue pinned to its starting
-    level, speech-only interaction, cruise control engaged, and only the
-    separation property checked.  Probing the fatigue variable shows which
-    starting level makes the stopping distance outgrow the gap."""
-    params = overrides.pop("params", ScenarioParams(input_mode=InputMode.Speech))
-    operators = overrides.pop("operators", (IntegratorOp.Max,))
-    return ScenarioConfig(name="reaction-probe", route=DEFAULT_ROUTE,
-                          control_mode=ControlMode.Engaged,
-                          fatigue_source=PROBED, adaptive_target=False,
-                          separation_only=True, operators=operators,
-                          params=params, **overrides)
-
-
 SCENARIOS = {
-    "ideal": scenario_ideal,
-    "lowered-speed": scenario_lowered_speed,
-    "manual-override": scenario_manual_override,
-    "reaction-probe": reaction_probe,
+    # engaged, preset follows fatigue, fixed route: safe at the full bound
+    "ideal": ScenarioConfig(name="ideal", route=DEFAULT_ROUTE),
+    # a demanding drawn route slows the vehicle until the driver is exhausted
+    "lowered-speed": ScenarioConfig(name="lowered-speed",
+                                    route_length=DEFAULT_ROUTE_LENGTH),
+    # any manual command at any iteration against a fixed preset: unsafe
+    "manual-override": ScenarioConfig(
+        name="manual-override", route=DEFAULT_ROUTE, control_mode=None,
+        adaptive_target=False),
+    # probe fixture: fatigue pinned, speech only, separation checked alone
+    "reaction-probe": ScenarioConfig(
+        name="reaction-probe", route=DEFAULT_ROUTE, fatigue_source=PROBED,
+        adaptive_target=False, separation_only=True,
+        operators=(IntegratorOp.Max,), input_mode=InputMode.Speech),
 }

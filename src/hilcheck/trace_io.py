@@ -28,14 +28,24 @@ def _label(value) -> str:
     raise ValueError(f"cannot serialize {value!r}")
 
 
+def canonical_int(token: str) -> int | None:
+    """The integer `token` spells as a canonical decimal, else None: int()
+    alone would also take 1_0, +5, 01 and non-ASCII digits."""
+    try:
+        value = int(token)
+    except ValueError:
+        return None
+    return value if str(value) == token else None
+
+
 def _parse_iteration(fields: dict[str, str], lineno: int) -> int:
     if "iter" not in fields:
         raise ValueError(f"line {lineno}: record has no iter")
-    try:
-        return int(fields["iter"])
-    except ValueError:
+    iteration = canonical_int(fields["iter"])
+    if iteration is None:
         raise ValueError(f"line {lineno}: iter needs an integer, "
-                         f"got {fields['iter']!r}") from None
+                         f"got {fields['iter']!r}")
+    return iteration
 
 
 def _fields(rest: str, lineno: int) -> dict[str, str]:
@@ -67,11 +77,8 @@ class _IntTokens(dict):
         self.domain = domain
 
     def __missing__(self, token: str) -> int:
-        try:
-            value = int(token)
-        except ValueError:
-            raise KeyError(token) from None
-        if str(value) != token or not self.domain.contains(value):
+        value = canonical_int(token)
+        if value is None or not self.domain.contains(value):
             raise KeyError(token)
         self[token] = value
         return value

@@ -12,7 +12,7 @@ from hilcheck.behaviour import (FatigueLevel, InputMode, IntegratorOp,
                                 set_reaction_time)
 from hilcheck.engine import (Group, VerdictKind, explore, probe_variable,
                              probed_model, replay_counterexample)
-from hilcheck.scenarios import SCENARIOS, build_model, reaction_probe
+from hilcheck.scenarios import SCENARIOS, build_model
 from hilcheck.trace_io import format_trace
 
 from test_acc import _closed_loop
@@ -27,7 +27,7 @@ EXPECTED_VERDICTS = {
 
 def test_criterion_1_published_scenario_verdicts_reproduce_exactly():
     for name, (kind, failed, at, paths) in EXPECTED_VERDICTS.items():
-        config = SCENARIOS[name]()
+        config = SCENARIOS[name]
         verdict = explore(build_model(config), config.bound)
         assert verdict.kind.value == kind, name
         assert verdict.failed_assertion == failed, name
@@ -37,8 +37,7 @@ def test_criterion_1_published_scenario_verdicts_reproduce_exactly():
 
 
 def test_criterion_2_every_scenario_explores_in_under_sixty_seconds():
-    for name, factory in SCENARIOS.items():
-        config = factory()
+    for name, config in SCENARIOS.items():
         started = time.perf_counter()
         explore(build_model(config), config.bound)
         elapsed = time.perf_counter() - started
@@ -54,13 +53,13 @@ def test_criterion_3_search_agrees_with_flat_enumeration_on_random_models():
 
 def test_criterion_4_every_counterexample_replays_from_its_log():
     for name in ("lowered-speed", "manual-override"):
-        config = SCENARIOS[name]()
+        config = SCENARIOS[name]
         model = build_model(config)
         verdict = explore(model, config.bound)
         assert verdict.kind is VerdictKind.Unsafe, name
         assert replay_counterexample(model, verdict) == verdict.trace, name
 
-    base = build_model(reaction_probe())
+    base = build_model(SCENARIOS["reaction-probe"])
     verdict = probe_variable(base, (Group.BEH_STATE, "fatigue"), 100)
     assert verdict.kind is VerdictKind.Unsafe
     swept = probed_model(base, (Group.BEH_STATE, "fatigue"))
@@ -123,7 +122,7 @@ def test_criterion_5_behaviour_and_control_properties_hold_exhaustively():
 def test_criterion_6_ideal_stays_safe_under_each_integrator_alone():
     from dataclasses import replace
     for op in IntegratorOp:
-        config = replace(SCENARIOS["ideal"](), operators=(op,))
+        config = replace(SCENARIOS["ideal"], operators=(op,))
         verdict = explore(build_model(config), config.bound)
         assert verdict.kind is VerdictKind.Safe, op
         assert verdict.bound == 100, op
@@ -142,7 +141,7 @@ def test_criterion_7_trace_exports_are_byte_identical_across_runs(tmp_path):
     assert outs[0] == outs[1]
 
     # the in-process serializer is deterministic too
-    config = SCENARIOS["manual-override"]()
+    config = SCENARIOS["manual-override"]
     model = build_model(config)
     verdict = explore(model, config.bound)
     assert (format_trace(verdict, model, config.name)

@@ -12,7 +12,7 @@ import hilcheck
 from hilcheck import config_io
 from hilcheck.config_io import load_config
 from hilcheck.engine import Group
-from hilcheck.scenarios import build_model, is_okay, scenario_manual_override
+from hilcheck.scenarios import SCENARIOS, build_model, is_okay
 from hilcheck.trace_io import read_trace
 
 
@@ -66,6 +66,15 @@ def test_scenario_and_config_are_mutually_exclusive(tmp_path):
 def test_bad_bound_is_a_usage_error():
     proc = run_cli("run", "ideal", "--bound", "0", check=2)
     assert "bound" in proc.stderr
+
+
+@pytest.mark.parametrize("flag, value", [("--bound", "1_0"),
+                                         ("--bound", "\u0663"),
+                                         ("--path-ceiling", "+5")])
+def test_integer_flags_take_plain_decimals_as_config_files_do(flag, value):
+    proc = run_cli("run", "ideal", flag, value, check=2)
+    assert f"argument {flag}: needs an integer" in proc.stderr
+    assert "verdict" not in proc.stdout
 
 
 # --- config files ------------------------------------------------------------
@@ -196,7 +205,7 @@ def test_reader_can_reestablish_the_violation(tmp_path):
     proc = run_cli("run", "manual-override", "--trace-out", str(out), check=1)
     assert f"trace written to {out}" in proc.stdout
 
-    model = build_model(scenario_manual_override())
+    model = build_model(SCENARIOS["manual-override"])
     loaded = read_trace(out, model)
     assert loaded.header["failed"] == "SeparationMaintained"
     final = loaded.trace[-1]

@@ -11,7 +11,7 @@ import pytest
 
 from hilcheck import config_io
 from hilcheck.acc import ControlMode
-from hilcheck.behaviour import InputMode, IntegratorOp
+from hilcheck.behaviour import InputMode, IntegratorOp, ReactionProfile
 from hilcheck.config_io import ConfigError, load_config
 from hilcheck.environment import RoutePoint, Terrain
 from hilcheck.scenarios import SCENARIOS
@@ -19,103 +19,90 @@ from hilcheck.scenarios import SCENARIOS
 REPO = Path(__file__).resolve().parent.parent
 
 
-def ideal():
-    return SCENARIOS["ideal"]()
-
-
-def lowered():
-    return SCENARIOS["lowered-speed"]()
-
-
-def with_params(config, profile=None, **changes):
-    params = config.params
-    if profile is not None:
-        changes["profile"] = replace(params.profile, **profile)
-    return replace(config, params=replace(params, **changes))
+IDEAL = SCENARIOS["ideal"]
+LOWERED = SCENARIOS["lowered-speed"]
 
 
 # key -> [(config text, expected config)]; the text is one key per line and
 # may set other keys that a valid value of this one needs
 VALID = {
-    "scenario": [("scenario = lowered-speed", lowered),
+    "scenario": [("scenario = lowered-speed", LOWERED),
                  ("scenario = reaction-probe", SCENARIOS["reaction-probe"])],
-    "bound": [("bound = 7", lambda: replace(ideal(), bound=7)),
+    "bound": [("bound = 7", replace(IDEAL, bound=7)),
               ("scenario = lowered-speed\nbound = 1",
-               lambda: replace(lowered(), bound=1))],
+               replace(LOWERED, bound=1))],
     "controlMode": [
         ("controlMode = engaged",
-         lambda: replace(ideal(), control_mode=ControlMode.Engaged)),
+         replace(IDEAL, control_mode=ControlMode.Engaged)),
         ("controlMode = manual",
-         lambda: replace(ideal(), control_mode=ControlMode.Manual)),
-        ("controlMode = nondet", lambda: replace(ideal(), control_mode=None))],
+         replace(IDEAL, control_mode=ControlMode.Manual)),
+        ("controlMode = nondet", replace(IDEAL, control_mode=None))],
     "fatigueSource": [
         ("fatigueSource = probed",
-         lambda: replace(ideal(), fatigue_source="probed")),
+         replace(IDEAL, fatigue_source="probed")),
         ("fatigueSource = calculated",
-         lambda: replace(ideal(), fatigue_source="calculated"))],
+         replace(IDEAL, fatigue_source="calculated"))],
     "separation": [
-        ("separation = fixed", lambda: replace(ideal(), adaptive_target=False)),
+        ("separation = fixed", replace(IDEAL, adaptive_target=False)),
         ("separation = adaptive",
-         lambda: replace(ideal(), adaptive_target=True))],
+         replace(IDEAL, adaptive_target=True))],
     "operators": [
         ("operators = Sum, Max",
-         lambda: replace(ideal(), operators=(IntegratorOp.Sum,
-                                             IntegratorOp.Max))),
+         replace(IDEAL, operators=(IntegratorOp.Sum, IntegratorOp.Max))),
         ("operators = RoundedMean,",
-         lambda: replace(ideal(), operators=(IntegratorOp.RoundedMean,)))],
+         replace(IDEAL, operators=(IntegratorOp.RoundedMean,)))],
     "inputMode": [
         ("inputMode = Speech",
-         lambda: with_params(ideal(), input_mode=InputMode.Speech)),
+         replace(IDEAL, input_mode=InputMode.Speech)),
         ("scenario = lowered-speed\ninputMode = GamePad",
-         lambda: with_params(lowered(), input_mode=InputMode.GamePad))],
+         replace(LOWERED, input_mode=InputMode.GamePad))],
     "route": [
         ("route = 1,2,onRoad,0; 0,1,offRoad,1",
-         lambda: replace(ideal(), route_length=None, route=(
+         replace(IDEAL, route_length=None, route=(
              RoutePoint(obstacle=1, distance=2, terrain=Terrain.onRoad,
                         curvature=0),
              RoutePoint(obstacle=0, distance=1, terrain=Terrain.offRoad,
                         curvature=1)))),
         ("route = nondet",
-         lambda: replace(ideal(), route=None, route_length=5)),
-        ("scenario = lowered-speed\nroute = nondet", lowered)],
+         replace(IDEAL, route=None, route_length=5)),
+        ("scenario = lowered-speed\nroute = nondet", LOWERED)],
     "routeLength": [
         ("route = nondet\nrouteLength = 3",
-         lambda: replace(ideal(), route=None, route_length=3)),
+         replace(IDEAL, route=None, route_length=3)),
         ("routeLength = 2\nroute = nondet",
-         lambda: replace(ideal(), route=None, route_length=2)),
+         replace(IDEAL, route=None, route_length=2)),
         ("scenario = lowered-speed\nrouteLength = 4",
-         lambda: replace(lowered(), route_length=4)),
+         replace(LOWERED, route_length=4)),
         ("route = nondet\nrouteLength = 10",
-         lambda: replace(ideal(), route=None, route_length=10))],
-    "maxSpeed": [("maxSpeed = 12", lambda: with_params(ideal(), max_speed=12))],
-    "maxGap": [("maxGap = 20", lambda: with_params(ideal(), max_gap=20))],
-    "leadSpeed": [("leadSpeed = 0", lambda: with_params(ideal(), lead_speed=0))],
+         replace(IDEAL, route=None, route_length=10))],
+    "maxSpeed": [("maxSpeed = 12", replace(IDEAL, max_speed=12))],
+    "maxGap": [("maxGap = 20", replace(IDEAL, max_gap=20))],
+    "leadSpeed": [("leadSpeed = 0", replace(IDEAL, lead_speed=0))],
     "baseSeparation": [("baseSeparation = 5",
-                        lambda: with_params(ideal(), base_separation=5))],
-    "accMargin": [("accMargin = 0", lambda: with_params(ideal(), acc_margin=0))],
+                        replace(IDEAL, base_separation=5))],
+    "accMargin": [("accMargin = 0", replace(IDEAL, acc_margin=0))],
     "tiredAfter": [("tiredAfter = 3",
-                    lambda: with_params(ideal(), tired_after=3))],
+                    replace(IDEAL, tired_after=3))],
     "exhaustedAfter": [("exhaustedAfter = 10",
-                        lambda: with_params(ideal(), exhausted_after=10))],
-    "timeCap": [("timeCap = 20", lambda: with_params(ideal(), time_cap=20)),
+                        replace(IDEAL, exhausted_after=10))],
+    "timeCap": [("timeCap = 20", replace(IDEAL, time_cap=20)),
                 # order-independent: the cap is checked against the new
                 # threshold, whichever line comes first
                 ("timeCap = 14\nexhaustedAfter = 14",
-                 lambda: with_params(ideal(), time_cap=14,
-                                     exhausted_after=14))],
-    "maxHP": [("maxHP = 7", lambda: with_params(ideal(), max_hp=7))],
+                 replace(IDEAL, time_cap=14, exhausted_after=14))],
+    "maxHP": [("maxHP = 7", replace(IDEAL, max_hp=7))],
     "fast": [("slow = 6\nokay = 4\nfast = 2",
-              lambda: with_params(ideal(), profile=dict(fast=2, okay=4,
-                                                        slow=6)))],
+              replace(IDEAL, profile=ReactionProfile(fast=2, okay=4,
+                                                     slow=6)))],
     "okay": [("okay = 4\nslow = 5",
-              lambda: with_params(ideal(), profile=dict(okay=4, slow=5)))],
-    "slow": [("slow = 9", lambda: with_params(ideal(), profile=dict(slow=9)))],
+              replace(IDEAL, profile=ReactionProfile(okay=4, slow=5)))],
+    "slow": [("slow = 9", replace(IDEAL, profile=ReactionProfile(slow=9)))],
     "nFactor": [("nFactor = 2",
-                 lambda: with_params(ideal(), profile=dict(n_factor=2)))],
+                 replace(IDEAL, profile=ReactionProfile(n_factor=2)))],
     "tFactor": [("tFactor = 3",
-                 lambda: with_params(ideal(), profile=dict(t_factor=3)))],
+                 replace(IDEAL, profile=ReactionProfile(t_factor=3)))],
     "eFactor": [("eFactor = 5",
-                 lambda: with_params(ideal(), profile=dict(e_factor=5)))],
+                 replace(IDEAL, profile=ReactionProfile(e_factor=5)))],
 }
 
 VALID_CASES = [pytest.param(text, expected, id=f"{key}-{i}")
@@ -131,12 +118,12 @@ def write(tmp_path, text):
 
 @pytest.mark.parametrize("text,expected", VALID_CASES)
 def test_each_key_overrides_exactly_its_field(text, expected, tmp_path):
-    assert load_config(write(tmp_path, text)) == expected()
+    assert load_config(write(tmp_path, text)) == expected
 
 
 def test_comments_and_blank_lines_are_skipped(tmp_path):
     text = "# a comment\n\n   \nbound = 9\n  # another\n"
-    assert load_config(write(tmp_path, text)) == replace(ideal(), bound=9)
+    assert load_config(write(tmp_path, text)) == replace(IDEAL, bound=9)
 
 
 # (config text, line the error must name); each bad line sits behind a

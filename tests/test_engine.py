@@ -1,5 +1,7 @@
 """Engine unit tests: registration checks, step semantics, exploration."""
 
+from enum import IntEnum
+
 import pytest
 
 from hilcheck.engine import (Assertion, BoolDomain, ChoiceEntry, ChoicePoint,
@@ -8,6 +10,12 @@ from hilcheck.engine import (Assertion, BoolDomain, ChoiceEntry, ChoicePoint,
                              first_value_resolver, log_resolver, probe_variable,
                              probed_model, register_model, replay_counterexample,
                              resolve_initial, step)
+
+
+class Level(IntEnum):
+    Low = 0
+    Mid = 1
+    High = 2
 
 
 def _noop(*views_and_ctx):
@@ -83,6 +91,31 @@ def test_register_rejects_bool_for_int_domain():
     # bool is not an acceptable stand-in for an integer value
     with pytest.raises(ModelError, match="outside the domain"):
         _counter_model(init={(Group.ENV_STATE, "n"): True})
+
+
+@pytest.mark.parametrize("domain, value", [
+    (SymbolicDomain(tuple(Level)), 1),
+    (SymbolicDomain(tuple(Level)), True),
+    (SymbolicDomain(tuple(Level)), 2.0),
+    (IntDomain(0, 2), Level.Mid),
+], ids=["int in enum", "bool in enum", "float in enum", "enum in int"])
+def test_a_value_belongs_only_if_it_has_a_members_type(domain, value):
+    # each of these compares equal to a member
+    assert value in domain.values()
+    assert not domain.contains(value)
+    assert all(domain.contains(member) for member in domain.values())
+
+
+def test_an_update_writing_an_int_into_an_enum_variable_is_rejected():
+    def env_state(ei, e, ctx):
+        return {"level": 1}
+
+    with pytest.raises(ModelError, match="outside its"):
+        register_model(
+            variables=[Var("level", Group.ENV_STATE,
+                           SymbolicDomain(tuple(Level)))],
+            updates=_updates(env_state=env_state),
+            init={(Group.ENV_STATE, "level"): Level.Low})
 
 
 def test_register_rejects_init_for_unknown_variable():
@@ -379,6 +412,26 @@ def test_resolver_value_must_be_in_domain():
     state, _ = resolve_initial(model)
     with pytest.raises(ModelError, match="outside the domain"):
         step(model, state, lambda cp, it: 42)
+
+
+def test_drawn_value_must_have_the_type_of_its_choice_domain():
+    cp = ChoicePoint("p", tuple(Level), site=Group.ENV_INPUT)
+
+    def env_input(so, e, ctx):
+        return {"v": ctx.choose("p")}
+
+    model = register_model(
+        variables=[Var("v", Group.ENV_INPUT, SymbolicDomain(tuple(Level)))],
+        updates=_updates(env_input=env_input), choices=[cp],
+        init={(Group.ENV_INPUT, "v"): Level.Low})
+    state, _ = resolve_initial(model)
+    with pytest.raises(ModelError, match="outside the domain of 'p'"):
+        step(model, state, lambda cp, it: 1)
+
+    seeded = _counter_model(init_choices=[
+        ((Group.ENV_STATE, "n"), ChoicePoint("seed", (0, 1), site=None))])
+    with pytest.raises(ModelError, match="outside the domain of 'seed'"):
+        resolve_initial(seeded, lambda cp, it: True)
 
 
 def test_init_choices_resolve_in_declared_order_at_iteration_zero():

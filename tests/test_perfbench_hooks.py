@@ -5,12 +5,13 @@ benchmark run."""
 
 import importlib.util
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import hilcheck.cli
 import hilcheck.scenarios
 from hilcheck.engine import explore
-from hilcheck.scenarios import build_model, scenario_ideal
+from hilcheck.scenarios import SCENARIOS, build_model
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -39,7 +40,7 @@ def test_every_swapped_name_resolves():
 
 def test_instrumented_model_explores_like_the_plain_one():
     tracing = _tracing()
-    config = scenario_ideal(bound=5)
+    config = replace(SCENARIOS["ideal"], bound=5)
     plain = explore(build_model(config), 5)
 
     tracer = tracing.Tracer()

@@ -14,10 +14,7 @@ from hilcheck.engine import (ChoiceEntry, Group, ModelError, VerdictKind,
                              resolve_initial, step)
 from hilcheck.environment import RoutePoint, Terrain
 from hilcheck.scenarios import (DEFAULT_ROUTE, SCENARIOS, ScenarioConfig,
-                                ScenarioParams, build_model, is_okay,
-                                reaction_probe, scenario_ideal,
-                                scenario_lowered_speed,
-                                scenario_manual_override)
+                                build_model, is_okay)
 
 
 # --- the separation property in isolation ----------------------------------
@@ -38,7 +35,7 @@ def test_is_okay_floor_widens_with_fatigue():
 def test_ideal_first_step_golden_valuation():
     """Hand-computed expected state after one iteration from the fixed
     starting point, with every draw resolved to its first domain value."""
-    model = build_model(scenario_ideal())
+    model = build_model(SCENARIOS["ideal"])
     state, _ = resolve_initial(model, first_value_resolver)
     result = step(model, state, first_value_resolver)
     got = result.state
@@ -81,14 +78,14 @@ def test_ideal_first_step_golden_valuation():
 # --- the three published scenario verdicts ----------------------------------
 
 def test_ideal_is_safe_to_the_full_bound():
-    verdict = explore(build_model(scenario_ideal()), 100)
+    verdict = explore(build_model(SCENARIOS["ideal"]), 100)
     assert verdict.kind is VerdictKind.Safe
     assert str(verdict) == "Safe(100)"
     assert verdict.paths_explored == 4      # one per integrator operator
 
 
 def test_lowered_speed_breaks_the_fatigue_bound():
-    model = build_model(scenario_lowered_speed())
+    model = build_model(SCENARIOS["lowered-speed"])
     verdict = explore(model, 100)
     assert verdict.kind is VerdictKind.Unsafe
     assert verdict.failed_assertion == "FatigueBounded"
@@ -112,7 +109,7 @@ def test_lowered_speed_breaks_the_fatigue_bound():
 
 
 def test_lowered_speed_witness_actually_lowers_the_speed():
-    verdict = explore(build_model(scenario_lowered_speed()), 100)
+    verdict = explore(build_model(SCENARIOS["lowered-speed"]), 100)
     speeds = [s.value(Group.SYS_STATE, "speed") for s in verdict.trace]
     # up to the violating snapshot the controller only ever slowed down
     before = speeds[:-1]
@@ -121,7 +118,7 @@ def test_lowered_speed_witness_actually_lowers_the_speed():
 
 
 def test_manual_override_breaks_separation():
-    model = build_model(scenario_manual_override())
+    model = build_model(SCENARIOS["manual-override"])
     verdict = explore(model, 100)
     assert verdict.kind is VerdictKind.Unsafe
     assert verdict.failed_assertion == "SeparationMaintained"
@@ -144,7 +141,7 @@ def test_manual_override_breaks_separation():
 
 
 def test_replay_rejects_a_log_with_entries_left_over_or_out_of_order():
-    model = build_model(scenario_manual_override())
+    model = build_model(SCENARIOS["manual-override"])
     verdict = explore(model, 100)
     log = verdict.choice_log
     assert log[0].point_id == "integrator"
@@ -159,7 +156,7 @@ def test_replay_rejects_a_log_with_entries_left_over_or_out_of_order():
 # --- scenario variants -------------------------------------------------------
 
 def test_manual_override_is_safe_when_only_engaged_is_offered():
-    config = replace(scenario_manual_override(),
+    config = replace(SCENARIOS["manual-override"],
                      control_mode=ControlMode.Engaged)
     verdict = explore(build_model(config), 100)
     assert verdict.kind is VerdictKind.Safe
@@ -167,7 +164,7 @@ def test_manual_override_is_safe_when_only_engaged_is_offered():
 
 
 def test_ideal_on_unknown_routes_inherits_the_fatigue_violation():
-    config = replace(scenario_ideal(), route=None, route_length=5)
+    config = replace(SCENARIOS["ideal"], route=None, route_length=5)
     verdict = explore(build_model(config), 100)
     assert verdict.kind is VerdictKind.Unsafe
     assert verdict.failed_assertion == "FatigueBounded"
@@ -188,7 +185,7 @@ def test_single_short_segment_route_is_safe_for_every_operator():
 
 
 def test_manual_override_is_safe_at_bound_one():
-    verdict = explore(build_model(scenario_manual_override()), 1)
+    verdict = explore(build_model(SCENARIOS["manual-override"]), 1)
     assert verdict.kind is VerdictKind.Safe
     # per iteration: Manual fans out over three commands, Engaged draws none
     assert verdict.paths_explored == 16     # (3 + 1) leaves x 4 operators
@@ -196,7 +193,7 @@ def test_manual_override_is_safe_at_bound_one():
 
 def test_forced_single_operator_keeps_ideal_safe():
     for op in IntegratorOp:
-        config = replace(scenario_ideal(), operators=(op,))
+        config = replace(SCENARIOS["ideal"], operators=(op,))
         verdict = explore(build_model(config), 100)
         assert verdict.kind is VerdictKind.Safe, op
         assert verdict.paths_explored == 1
@@ -206,13 +203,13 @@ def test_forced_single_operator_keeps_ideal_safe():
 # --- probing ----------------------------------------------------------------
 
 def test_probe_fixture_is_safe_without_probing():
-    verdict = explore(build_model(reaction_probe()), 100)
+    verdict = explore(build_model(SCENARIOS["reaction-probe"]), 100)
     assert verdict.kind is VerdictKind.Safe
     assert verdict.paths_explored == 1
 
 
 def test_probing_initial_fatigue_finds_the_breaking_level():
-    model = build_model(reaction_probe())
+    model = build_model(SCENARIOS["reaction-probe"])
     verdict = probe_variable(model, (Group.BEH_STATE, "fatigue"), 100)
     assert verdict.kind is VerdictKind.Unsafe
     assert verdict.failed_assertion == "SeparationMaintained"
@@ -232,14 +229,14 @@ def test_probing_initial_fatigue_finds_the_breaking_level():
     assert replay_counterexample(swept, verdict) == verdict.trace
 
 
-@pytest.mark.parametrize("factory, var", [
-    (scenario_ideal, (Group.BEH_STATE, "combine_op")),
-    (scenario_lowered_speed, (Group.ENV_STATE, "seg0_terrain")),
+@pytest.mark.parametrize("preset, var", [
+    ("ideal", (Group.BEH_STATE, "combine_op")),
+    ("lowered-speed", (Group.ENV_STATE, "seg0_terrain")),
 ], ids=["ideal combine_op", "lowered-speed seg0_terrain"])
-def test_probe_rejects_a_variable_that_already_has_an_init_choice(factory,
+def test_probe_rejects_a_variable_that_already_has_an_init_choice(preset,
                                                                   var):
     # the variable's own draw would overwrite every probed value
-    model = build_model(factory(bound=3))
+    model = build_model(replace(SCENARIOS[preset], bound=3))
     with pytest.raises(ModelError, match="already has an initialisation"):
         probe_variable(model, var, 3)
 
@@ -260,7 +257,7 @@ GOLDEN_DECLARATIONS = {
 
 @pytest.mark.parametrize("preset", sorted(GOLDEN_DECLARATIONS))
 def test_preset_declarations_are_pinned(preset):
-    model = build_model(SCENARIOS[preset]())
+    model = build_model(SCENARIOS[preset])
     state, _ = resolve_initial(model)
     text = repr([(str(v), v.domain) for v in model.variables]) \
         + repr(state.values)
@@ -287,27 +284,28 @@ def test_config_rejects_bad_knobs():
     with pytest.raises(ValueError):
         ScenarioConfig(name="x", route=DEFAULT_ROUTE, bound=0)
     with pytest.raises(ValueError):
-        ScenarioParams(lead_speed=99)
+        ScenarioConfig(name="x", route=DEFAULT_ROUTE, lead_speed=99)
     with pytest.raises(ValueError):
-        ScenarioParams(time_cap=3)
+        ScenarioConfig(name="x", route=DEFAULT_ROUTE, time_cap=3)
     with pytest.raises(ValueError, match="0 < tired_after < exhausted_after"):
-        ScenarioParams(tired_after=8, exhausted_after=8)
+        ScenarioConfig(name="x", route=DEFAULT_ROUTE, tired_after=8,
+                       exhausted_after=8)
     with pytest.raises(ValueError, match="0 < tired_after < exhausted_after"):
-        ScenarioParams(tired_after=0)
+        ScenarioConfig(name="x", route=DEFAULT_ROUTE, tired_after=0)
     with pytest.raises(ValueError, match="max_hp"):
-        ScenarioParams(max_hp=0)
+        ScenarioConfig(name="x", route=DEFAULT_ROUTE, max_hp=0)
 
 
 def test_target_must_fit_the_gap_sensor():
     with pytest.raises(ValueError, match="gap ceiling"):
-        scenario_ideal(params=ScenarioParams(max_gap=7))
+        replace(SCENARIOS["ideal"], max_gap=7)
     # a fixed preset only needs room for the base separation plus margin
-    build_model(scenario_manual_override(params=ScenarioParams(max_gap=6)))
+    build_model(replace(SCENARIOS["manual-override"], max_gap=6))
 
 
 # any of the numeric knobs, each from a small range around its default that
-# crosses the bounds ScenarioParams and ScenarioConfig check; knobs not
-# drawn keep their default, so both outcomes are common
+# crosses the bounds ScenarioConfig checks; knobs not drawn keep their
+# default, so both outcomes are common
 @settings(max_examples=400, deadline=None)
 @given(knobs=st.fixed_dictionaries({}, optional={
            "max_speed": st.integers(0, 12), "lead_speed": st.integers(-1, 3),
@@ -325,14 +323,15 @@ def test_every_config_that_constructs_builds(knobs, adaptive_target,
         config = ScenarioConfig(
             name="x", route=DEFAULT_ROUTE if route_length is None else None,
             route_length=route_length, adaptive_target=adaptive_target,
-            params=ScenarioParams(**knobs))
+            **knobs)
     except ValueError:
         return
     build_model(config)
 
 
 def test_gap_sensor_saturates_after_the_journey():
-    model = build_model(scenario_ideal(operators=(IntegratorOp.Max,)))
+    model = build_model(replace(SCENARIOS["ideal"],
+                                operators=(IntegratorOp.Max,)))
     verdict = explore(model, 100)
     gaps = [s.value(Group.SYS_STATE, "gap") for s in verdict.trace]
     assert max(gaps) == 15                  # pinned at the sensor ceiling

@@ -26,7 +26,7 @@ GOLDEN_TRACES = {
 
 @pytest.mark.parametrize("preset", sorted(GOLDEN_TRACES))
 def test_preset_trace_bytes_and_round_trip(preset, tmp_path):
-    config = SCENARIOS[preset]()
+    config = SCENARIOS[preset]
     model = build_model(config)
     verdict = explore(model, config.bound)
     text = format_trace(verdict, model, config.name)
@@ -47,6 +47,8 @@ MALFORMED = {
     "state without iter": (r"^state iter=\d+ ", "state "),
     "non-integer state iter": (r"^state iter=\d+", "state iter=x"),
     "non-integer choice iter": (r"^choice iter=\d+", "choice iter=1.5"),
+    "state iter with a plus sign": (r"^state iter=1 ", "state iter=+1 "),
+    "choice iter with a leading zero": (r"^choice iter=1 ", "choice iter=01 "),
     "field given twice": (r"sys_state\.gap=\d+", r"\g<0> sys_state.gap=14"),
     "choice iter not its state's": (r"^choice iter=1 ", "choice iter=7 "),
     "choice after the last state": (r"^state iter=3 .*",
@@ -59,7 +61,7 @@ MALFORMED = {
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_read_trace_rejects_malformed_records_with_their_line(case, tmp_path):
-    config = SCENARIOS["manual-override"]()
+    config = SCENARIOS["manual-override"]
     model = build_model(config)
     text = format_trace(explore(model, config.bound), model, config.name)
     pattern, replacement = MALFORMED[case]
@@ -74,7 +76,7 @@ def test_read_trace_rejects_malformed_records_with_their_line(case, tmp_path):
 
 
 def test_state_equality_hash_valuation_and_unknown_names():
-    model = build_model(SCENARIOS["ideal"]())
+    model = build_model(SCENARIOS["ideal"])
     first, _ = resolve_initial(model)
     second, _ = resolve_initial(model)
     assert first is not second
