@@ -132,13 +132,19 @@ Domain = Union[IntDomain, BoolDomain, SymbolicDomain]
 
 @dataclass(frozen=True)
 class Var:
+    """A declared variable: its group, name, domain and initial value."""
+
     name: str
     group: Group
     domain: Domain
+    init: Value
 
     def __post_init__(self) -> None:
         if not self.name.isidentifier():
             raise ModelError(f"variable name {self.name!r} must be an identifier")
+        if not self.domain.contains(self.init):
+            raise ModelError(f"initial value {self.init!r} outside the domain "
+                             f"of {self}")
 
     def __str__(self) -> str:
         return f"{self.group.value}.{self.name}"
@@ -285,36 +291,30 @@ class UpdateFunctions:
     beh_state: Callable   # (beh_input', beh_state, ctx) -> mapping
 
 
-@dataclass(frozen=True)
-class _Slot:
-    target: Group
-    fn_name: str
-    reads: tuple[tuple[Group, bool], ...]  # (group, primed)
-    may_draw: bool
-
-
-# inputs, then outputs, then states; every primed read is of an input group
-# that an earlier slot has already written in the same step
+# each slot's target group and the groups its update reads, in step order:
+# inputs, then outputs, then states
 _SLOTS = (
-    _Slot(Group.ENV_INPUT, "env_input",
-          ((Group.SYS_OUTPUT, False), (Group.ENV_STATE, False)), True),
-    _Slot(Group.SYS_INPUT, "sys_input",
-          ((Group.BEH_OUTPUT, False), (Group.ENV_OUTPUT, False), (Group.SYS_STATE, False)), False),
-    _Slot(Group.BEH_INPUT, "beh_input",
-          ((Group.BEH_STATE, False), (Group.ENV_OUTPUT, False), (Group.SYS_OUTPUT, False)), True),
-    _Slot(Group.ENV_OUTPUT, "env_output",
-          ((Group.ENV_INPUT, True), (Group.ENV_STATE, False)), True),
-    _Slot(Group.SYS_OUTPUT, "sys_output",
-          ((Group.SYS_INPUT, True), (Group.SYS_STATE, False)), False),
-    _Slot(Group.BEH_OUTPUT, "beh_output",
-          ((Group.BEH_INPUT, True), (Group.BEH_STATE, False)), True),
-    _Slot(Group.ENV_STATE, "env_state",
-          ((Group.ENV_INPUT, True), (Group.ENV_STATE, False)), True),
-    _Slot(Group.SYS_STATE, "sys_state",
-          ((Group.SYS_INPUT, True), (Group.SYS_STATE, False)), False),
-    _Slot(Group.BEH_STATE, "beh_state",
-          ((Group.BEH_INPUT, True), (Group.BEH_STATE, False)), True),
+    (Group.ENV_INPUT, (Group.SYS_OUTPUT, Group.ENV_STATE)),
+    (Group.SYS_INPUT, (Group.BEH_OUTPUT, Group.ENV_OUTPUT, Group.SYS_STATE)),
+    (Group.BEH_INPUT, (Group.BEH_STATE, Group.ENV_OUTPUT, Group.SYS_OUTPUT)),
+    (Group.ENV_OUTPUT, (Group.ENV_INPUT, Group.ENV_STATE)),
+    (Group.SYS_OUTPUT, (Group.SYS_INPUT, Group.SYS_STATE)),
+    (Group.BEH_OUTPUT, (Group.BEH_INPUT, Group.BEH_STATE)),
+    (Group.ENV_STATE, (Group.ENV_INPUT, Group.ENV_STATE)),
+    (Group.SYS_STATE, (Group.SYS_INPUT, Group.SYS_STATE)),
+    (Group.BEH_STATE, (Group.BEH_INPUT, Group.BEH_STATE)),
 )
+
+_INPUT_GROUPS = frozenset({Group.ENV_INPUT, Group.SYS_INPUT, Group.BEH_INPUT})
+
+# derived once from _SLOTS: (target, UpdateFunctions field, reads as (group,
+# primed), may draw).  Inputs run first and read no input, so a read of an
+# input group is primed: it sees the value written earlier in the same step.
+_PLAN = tuple(
+    (target, target.name.lower(),
+     tuple((group, group in _INPUT_GROUPS) for group in reads),
+     target not in SYSTEM_GROUPS)
+    for target, reads in _SLOTS)
 
 
 Resolver = Callable[[ChoicePoint, int], Value]
@@ -383,7 +383,6 @@ class Model:
     updates: UpdateFunctions
     choices: dict[str, ChoicePoint]
     assertions: tuple[Assertion, ...]
-    init: tuple[Value, ...]                           # declared order
     init_choices: tuple[tuple[int, ChoicePoint], ...]  # (position, point)
     index: VarIndex
 
@@ -447,19 +446,22 @@ def register_model(variables: Sequence[Var],
                    updates: UpdateFunctions,
                    choices: Sequence[ChoicePoint] = (),
                    assertions: Sequence[Assertion] = (),
-                   init: Mapping | None = None,
                    init_choices: Sequence[tuple] = (),
                    name: str = "model") -> Model:
     """Validate and freeze a model definition.
 
+    Each `Var` carries its own initial value, checked against its domain
+    when the `Var` is made.  `init_choices` pairs a variable's (Group, name)
+    with a site-None choice point that overrides that initial value; they
+    are drawn in the order given.
+
     Checks: at least one variable; names unique within each group; choice
-    point ids unique and never sited at a system group; initial values cover
-    every variable and lie inside its domain; initialisation choices target
-    declared variables, at most one each, with values inside the variable's
-    domain.  Finally a single trial step is executed (first domain value at
-    every draw) so that wiring mistakes surface at registration rather than
-    mid-exploration.
-    Assertion violations during the trial step are ignored.
+    point ids unique and never sited at a system group; initialisation
+    choices target declared variables, at most one each, with values inside
+    the variable's domain.  Finally a single trial step is executed (first
+    domain value at every draw) so that wiring mistakes surface at
+    registration rather than mid-exploration.  Assertion violations during
+    the trial step are ignored.
     """
     vars_t = tuple(variables)
     if not vars_t:
@@ -484,19 +486,6 @@ def register_model(variables: Sequence[Var],
     if len(set(ids)) != len(ids):
         raise ModelError("duplicate assertion id")
 
-    unset = object()
-    init_values: list = [unset] * len(vars_t)
-    for key, value in (init or {}).items():
-        pos = _position(index, key, "initial value given for unknown variable")
-        if not vars_t[pos].domain.contains(value):
-            raise ModelError(f"initial value {value!r} outside the domain of "
-                             f"{vars_t[pos]}")
-        init_values[pos] = value
-    missing = [str(v) for v, value in zip(vars_t, init_values)
-               if value is unset]
-    if missing:
-        raise ModelError("no initial value for: " + ", ".join(sorted(missing)))
-
     init_ch: list[tuple[int, ChoicePoint]] = []
     for key, cp in init_choices:
         pos = _position(index, key,
@@ -518,8 +507,7 @@ def register_model(variables: Sequence[Var],
 
     model = Model(name=name, variables=vars_t, updates=updates,
                   choices=choice_map, assertions=assert_t,
-                  init=tuple(init_values), init_choices=tuple(init_ch),
-                  index=index)
+                  init_choices=tuple(init_ch), index=index)
 
     # trial step: surfaces read/update wiring errors now
     trial, _ = resolve_initial(model, first_value_resolver)
@@ -532,7 +520,7 @@ def resolve_initial(model: Model,
                     ) -> tuple[ModelState, ChoiceLog]:
     """Build the iteration-0 state, resolving initialisation choices in
     declared order through the resolver."""
-    values = list(model.init)
+    values = [v.init for v in model.variables]
     entries: list[ChoiceEntry] = []
     for pos, cp in model.init_choices:
         value = resolver(cp, 0)
@@ -577,30 +565,30 @@ def step(model: Model, state: ModelState, resolver: Resolver) -> StepResult:
     entries: list[ChoiceEntry] = []
     iteration = state.iteration + 1
 
-    for slot in _SLOTS:
-        fn = getattr(model.updates, slot.fn_name)
+    for target, fn_name, reads, may_draw in _PLAN:
+        fn = getattr(model.updates, fn_name)
         args = [GroupView(g, groups[g], current if primed else previous)
-                for g, primed in slot.reads]
+                for g, primed in reads]
         try:
-            if slot.may_draw:
-                ctx = StepContext(model, iteration, resolver, slot.target, entries)
+            if may_draw:
+                ctx = StepContext(model, iteration, resolver, target, entries)
                 returned = fn(*args, ctx)
             else:
                 returned = fn(*args)
         except ModelError:
             raise
         except Exception as exc:
-            raise ModelError(f"update for {slot.target.value} raised {exc!r} "
+            raise ModelError(f"update for {target.value} raised {exc!r} "
                              f"at iteration {iteration}") from exc
         if returned is None:
-            raise ModelError(f"update for {slot.target.value} returned None "
+            raise ModelError(f"update for {target.value} returned None "
                              "(return a mapping, possibly empty)")
-        names = groups[slot.target]
+        names = groups[target]
         for var_name, value in returned.items():
             pos = names.get(var_name)
             if pos is None:
                 raise ModelError(
-                    f"update for {slot.target.value} assigned unknown "
+                    f"update for {target.value} assigned unknown "
                     f"variable '{var_name}'")
             var = model.variables[pos]
             if not var.domain.contains(value):

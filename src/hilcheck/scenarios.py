@@ -301,15 +301,15 @@ def build_model(config: ScenarioConfig) -> Model:
     field_doms = {"obstacle": obstacle_dom, "distance": distance_dom,
                   "terrain": terrain_dom, "curvature": curvature_dom}
 
-    # every variable once, in declared order: (group, name, domain, initial);
-    # a drawn route's fields are drawn in that order, before the integrator
-    declared = []
+    # every variable once, in declared order, with its initial value; a
+    # drawn route's fields are drawn in that order, before the integrator
+    variables = []
     init_choices: list[tuple[tuple[Group, str], ChoicePoint]] = []
     for i, pt in enumerate(segments):
         for field_name, candidates in ROUTE_CANDIDATES.items():
             name = f"seg{i}_{field_name}"
-            declared.append((Group.ENV_STATE, name, field_doms[field_name],
-                             getattr(pt, field_name)))
+            variables.append(Var(name, Group.ENV_STATE, field_doms[field_name],
+                                 getattr(pt, field_name)))
             if drawn:
                 init_choices.append(((Group.ENV_STATE, name),
                                      ChoicePoint(f"route:{name}", candidates,
@@ -318,54 +318,53 @@ def build_model(config: ScenarioConfig) -> Model:
         init_choices.append(((Group.BEH_STATE, "combine_op"),
                              ChoicePoint("integrator", config.operators,
                                          site=None)))
-    declared += [
-        (Group.ENV_STATE, "cursor", IntDomain(0, n_seg), 0),
-        (Group.ENV_STATE, "covered", IntDomain(0, max(0, d_max - 1)), 0),
-        (Group.ENV_STATE, "lead_speed", speed_dom, config.lead_speed),
+    variables += [
+        Var("cursor", Group.ENV_STATE, IntDomain(0, n_seg), 0),
+        Var("covered", Group.ENV_STATE, IntDomain(0, max(0, d_max - 1)), 0),
+        Var("lead_speed", Group.ENV_STATE, speed_dom, config.lead_speed),
 
-        (Group.ENV_INPUT, "moved", speed_dom, 0),
+        Var("moved", Group.ENV_INPUT, speed_dom, 0),
 
-        (Group.ENV_OUTPUT, "terrain", terrain_dom, first_seg.terrain),
-        (Group.ENV_OUTPUT, "obstacle", obstacle_dom, first_seg.obstacle),
-        (Group.ENV_OUTPUT, "curvature", curvature_dom, first_seg.curvature),
-        (Group.ENV_OUTPUT, "journey_done", bool_dom, False),
-        (Group.ENV_OUTPUT, "lead_speed", speed_dom, config.lead_speed),
+        Var("terrain", Group.ENV_OUTPUT, terrain_dom, first_seg.terrain),
+        Var("obstacle", Group.ENV_OUTPUT, obstacle_dom, first_seg.obstacle),
+        Var("curvature", Group.ENV_OUTPUT, curvature_dom, first_seg.curvature),
+        Var("journey_done", Group.ENV_OUTPUT, bool_dom, False),
+        Var("lead_speed", Group.ENV_OUTPUT, speed_dom, config.lead_speed),
 
-        (Group.SYS_INPUT, "command", command_dom, AccCommand.Maintain),
-        (Group.SYS_INPUT, "active_mode", mode_dom, init_mode),
-        (Group.SYS_INPUT, "lead_speed", speed_dom, config.lead_speed),
-        (Group.SYS_INPUT, "fatigue_seen", fatigue_dom, normal),
-        (Group.SYS_INPUT, "done_seen", bool_dom, False),
+        Var("command", Group.SYS_INPUT, command_dom, AccCommand.Maintain),
+        Var("active_mode", Group.SYS_INPUT, mode_dom, init_mode),
+        Var("lead_speed", Group.SYS_INPUT, speed_dom, config.lead_speed),
+        Var("fatigue_seen", Group.SYS_INPUT, fatigue_dom, normal),
+        Var("done_seen", Group.SYS_INPUT, bool_dom, False),
 
-        (Group.SYS_STATE, "speed", speed_dom, init_speed),
-        (Group.SYS_STATE, "gap", gap_dom, init_gap),
-        (Group.SYS_STATE, "target_gap", gap_dom, init_gap),
-        (Group.SYS_STATE, "acc_status", mode_dom, init_mode),
+        Var("speed", Group.SYS_STATE, speed_dom, init_speed),
+        Var("gap", Group.SYS_STATE, gap_dom, init_gap),
+        Var("target_gap", Group.SYS_STATE, gap_dom, init_gap),
+        Var("acc_status", Group.SYS_STATE, mode_dom, init_mode),
 
-        (Group.SYS_OUTPUT, "speed", speed_dom, init_speed),
-        (Group.SYS_OUTPUT, "gap", gap_dom, init_gap),
-        (Group.SYS_OUTPUT, "acc_status", mode_dom, init_mode),
+        Var("speed", Group.SYS_OUTPUT, speed_dom, init_speed),
+        Var("gap", Group.SYS_OUTPUT, gap_dom, init_gap),
+        Var("acc_status", Group.SYS_OUTPUT, mode_dom, init_mode),
 
-        (Group.BEH_INPUT, "terrain_difficulty", IntDomain(0, 1),
-         point_difficulty(first_seg.terrain, first_seg.obstacle,
-                          first_seg.curvature)),
-        (Group.BEH_INPUT, "done_seen", bool_dom, False),
+        Var("terrain_difficulty", Group.BEH_INPUT, IntDomain(0, 1),
+            point_difficulty(first_seg.terrain, first_seg.obstacle,
+                             first_seg.curvature)),
+        Var("done_seen", Group.BEH_INPUT, bool_dom, False),
 
-        (Group.BEH_STATE, "time_driven", IntDomain(0, config.time_cap), 0),
-        (Group.BEH_STATE, "fatigue", fatigue_dom, normal),
-        (Group.BEH_STATE, "reaction_time", IntDomain(0, rt_max),
-         set_reaction_time(config.input_mode, normal, config.profile)),
-        (Group.BEH_STATE, "hazard_perception", IntDomain(0, config.max_hp),
-         perception_from_fatigue(normal, config.max_hp)),
-        (Group.BEH_STATE, "combine_op", SymbolicDomain(config.operators),
-         config.operators[0]),
+        Var("time_driven", Group.BEH_STATE, IntDomain(0, config.time_cap), 0),
+        Var("fatigue", Group.BEH_STATE, fatigue_dom, normal),
+        Var("reaction_time", Group.BEH_STATE, IntDomain(0, rt_max),
+            set_reaction_time(config.input_mode, normal, config.profile)),
+        Var("hazard_perception", Group.BEH_STATE, IntDomain(0, config.max_hp),
+            perception_from_fatigue(normal, config.max_hp)),
+        Var("combine_op", Group.BEH_STATE, SymbolicDomain(config.operators),
+            config.operators[0]),
 
-        (Group.BEH_OUTPUT, "fatigue", fatigue_dom, normal),
-        (Group.BEH_OUTPUT, "mode_request", mode_dom, init_mode),
-        (Group.BEH_OUTPUT, "manual_command", command_dom, AccCommand.Maintain),
+        Var("fatigue", Group.BEH_OUTPUT, fatigue_dom, normal),
+        Var("mode_request", Group.BEH_OUTPUT, mode_dom, init_mode),
+        Var("manual_command", Group.BEH_OUTPUT, command_dom,
+            AccCommand.Maintain),
     ]
-    variables = [Var(name, group, domain) for group, name, domain, _ in declared]
-    init = {(group, name): value for group, name, _, value in declared}
 
     def separation_holds(state: ModelState) -> bool:
         fatigue = state.value(Group.BEH_STATE, "fatigue")
@@ -385,8 +384,7 @@ def build_model(config: ScenarioConfig) -> Model:
 
     return register_model(variables=variables, updates=updates,
                           choices=choices, assertions=assertions,
-                          init=init, init_choices=init_choices,
-                          name=config.name)
+                          init_choices=init_choices, name=config.name)
 
 
 SCENARIOS = {

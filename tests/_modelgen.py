@@ -54,8 +54,6 @@ def generate(seed: int, max_runs: int = 400) -> GeneratedModel:
     rng = random.Random(seed)
 
     caps = {name: rng.randint(2, 6) for name in _SLOT_VAR.values()}
-    variables = [Var(name, group, IntDomain(0, caps[name]))
-                 for group, name in _SLOT_VAR.items()]
     coeff = {name: rng.randint(1, 2) for name in _SLOT_VAR.values()}
     offset = {name: rng.randint(0, 3) for name in _SLOT_VAR.values()}
 
@@ -131,8 +129,9 @@ def generate(seed: int, max_runs: int = 400) -> GeneratedModel:
         env_output=env_output, sys_output=sys_output, beh_output=beh_output,
         env_state=env_state, sys_state=sys_state, beh_state=beh_state)
 
-    init = {(group, name): rng.randint(0, caps[name])
-            for group, name in _SLOT_VAR.items()}
+    variables = [Var(name, group, IntDomain(0, caps[name]),
+                     rng.randint(0, caps[name]))
+                 for group, name in _SLOT_VAR.items()]
 
     init_targets = rng.sample(["e", "s", "b"], len(init_domains))
     init_choices = []
@@ -161,7 +160,7 @@ def generate(seed: int, max_runs: int = 400) -> GeneratedModel:
 
     model = register_model(variables=variables, updates=updates,
                            choices=choices, assertions=assertions,
-                           init=init, init_choices=init_choices,
+                           init_choices=init_choices,
                            name=f"gen{seed}")
     return GeneratedModel(model=model, bound=bound,
                           init_domains=init_domains,

@@ -36,9 +36,8 @@ def _counter_model(**kwargs):
         return {"n": e.n + 1}
 
     defaults = dict(
-        variables=[Var("n", Group.ENV_STATE, IntDomain(0, 100))],
+        variables=[Var("n", Group.ENV_STATE, IntDomain(0, 100), 0)],
         updates=_updates(env_state=env_state),
-        init={(Group.ENV_STATE, "n"): 0},
     )
     defaults.update(kwargs)
     return register_model(**defaults)
@@ -48,22 +47,20 @@ def _counter_model(**kwargs):
 
 def test_register_rejects_empty_variable_list():
     with pytest.raises(ModelError, match="at least one variable"):
-        register_model(variables=[], updates=_updates(), init={})
+        register_model(variables=[], updates=_updates())
 
 
 def test_register_rejects_duplicate_variable():
-    v = Var("x", Group.ENV_STATE, IntDomain(0, 1))
+    v = Var("x", Group.ENV_STATE, IntDomain(0, 1), 0)
     with pytest.raises(ModelError, match="duplicate variable"):
-        register_model(variables=[v, v], updates=_updates(),
-                       init={(Group.ENV_STATE, "x"): 0})
+        register_model(variables=[v, v], updates=_updates())
 
 
 def test_same_name_in_different_groups_is_fine():
     model = register_model(
-        variables=[Var("x", Group.ENV_STATE, IntDomain(0, 1)),
-                   Var("x", Group.BEH_STATE, IntDomain(0, 1))],
-        updates=_updates(),
-        init={(Group.ENV_STATE, "x"): 0, (Group.BEH_STATE, "x"): 1})
+        variables=[Var("x", Group.ENV_STATE, IntDomain(0, 1), 0),
+                   Var("x", Group.BEH_STATE, IntDomain(0, 1), 1)],
+        updates=_updates())
     state, _ = resolve_initial(model)
     assert state.value(Group.ENV_STATE, "x") == 0
     assert state.value(Group.BEH_STATE, "x") == 1
@@ -71,26 +68,19 @@ def test_same_name_in_different_groups_is_fine():
 
 def test_variable_names_must_be_identifiers():
     with pytest.raises(ModelError, match="identifier"):
-        Var("not a name", Group.ENV_STATE, IntDomain(0, 1))
-
-
-def test_register_requires_full_initialisation():
-    with pytest.raises(ModelError, match="no initial value for"):
-        register_model(
-            variables=[Var("x", Group.ENV_STATE, IntDomain(0, 1)),
-                       Var("y", Group.ENV_STATE, IntDomain(0, 1))],
-            updates=_updates(), init={(Group.ENV_STATE, "x"): 0})
+        Var("not a name", Group.ENV_STATE, IntDomain(0, 1), 0)
 
 
 def test_register_rejects_out_of_domain_init():
-    with pytest.raises(ModelError, match="outside the domain"):
-        _counter_model(init={(Group.ENV_STATE, "n"): 999})
+    with pytest.raises(ModelError, match="initial value 999 outside the "
+                                         "domain of env_state.n"):
+        Var("n", Group.ENV_STATE, IntDomain(0, 100), 999)
 
 
 def test_register_rejects_bool_for_int_domain():
     # bool is not an acceptable stand-in for an integer value
     with pytest.raises(ModelError, match="outside the domain"):
-        _counter_model(init={(Group.ENV_STATE, "n"): True})
+        Var("n", Group.ENV_STATE, IntDomain(0, 100), True)
 
 
 @pytest.mark.parametrize("domain, value", [
@@ -113,22 +103,15 @@ def test_an_update_writing_an_int_into_an_enum_variable_is_rejected():
     with pytest.raises(ModelError, match="outside its"):
         register_model(
             variables=[Var("level", Group.ENV_STATE,
-                           SymbolicDomain(tuple(Level)))],
-            updates=_updates(env_state=env_state),
-            init={(Group.ENV_STATE, "level"): Level.Low})
-
-
-def test_register_rejects_init_for_unknown_variable():
-    with pytest.raises(ModelError, match="unknown variable"):
-        _counter_model(init={(Group.ENV_STATE, "n"): 0,
-                             (Group.ENV_STATE, "ghost"): 0})
+                           SymbolicDomain(tuple(Level)), Level.Low)],
+            updates=_updates(env_state=env_state))
 
 
 @pytest.mark.parametrize("key", ["n", ("env_state", "n"), (Group.ENV_STATE,)],
                          ids=["bare name", "string group", "one-tuple"])
 def test_a_variable_is_named_only_by_group_and_name(key):
     with pytest.raises(ModelError, match="unknown variable"):
-        _counter_model(init={(Group.ENV_STATE, "n"): 0, key: 0})
+        _counter_model(init_choices=[(key, ChoicePoint("pick", (0,)))])
     with pytest.raises(ModelError, match="unknown variable"):
         probed_model(_counter_model(), key)
 
@@ -238,8 +221,8 @@ def test_slot_execution_order():
         env_state=spy("env_state"), sys_state=spy("sys_state"),
         beh_state=spy("beh_state"))
     model = register_model(
-        variables=[Var("x", Group.ENV_STATE, IntDomain(0, 1))],
-        updates=updates, init={(Group.ENV_STATE, "x"): 0})
+        variables=[Var("x", Group.ENV_STATE, IntDomain(0, 1), 0)],
+        updates=updates)
     order.clear()
     state, _ = resolve_initial(model)
     step(model, state, first_value_resolver)
@@ -270,17 +253,14 @@ def test_inputs_see_previous_iteration_outputs_see_current_inputs():
         return {"s": (sys_state_view.s + 1) % 10}
 
     model = register_model(
-        variables=[Var("x", Group.ENV_INPUT, IntDomain(0, 9)),
-                   Var("cnt", Group.ENV_STATE, IntDomain(0, 9)),
-                   Var("y", Group.SYS_OUTPUT, IntDomain(0, 9)),
-                   Var("s", Group.SYS_STATE, IntDomain(0, 9)),
-                   Var("z", Group.ENV_OUTPUT, IntDomain(0, 9))],
+        variables=[Var("x", Group.ENV_INPUT, IntDomain(0, 9), 3),
+                   Var("cnt", Group.ENV_STATE, IntDomain(0, 9), 3),
+                   Var("y", Group.SYS_OUTPUT, IntDomain(0, 9), 7),
+                   Var("s", Group.SYS_STATE, IntDomain(0, 9), 0),
+                   Var("z", Group.ENV_OUTPUT, IntDomain(0, 9), 0)],
         updates=_updates(env_input=env_input, env_output=env_output,
                          env_state=env_state_fn, sys_output=sys_output,
-                         sys_state=sys_state),
-        init={(Group.ENV_INPUT, "x"): 3, (Group.ENV_STATE, "cnt"): 3,
-              (Group.SYS_OUTPUT, "y"): 7, (Group.SYS_STATE, "s"): 0,
-              (Group.ENV_OUTPUT, "z"): 0})
+                         sys_state=sys_state))
     state, _ = resolve_initial(model)
     result = step(model, state, first_value_resolver)
     assert seen["sys_out_at_input"] == 7      # previous iteration's value
@@ -301,9 +281,8 @@ def test_group_views_expose_group_and_reject_unknown_names():
         return {}
 
     model = register_model(
-        variables=[Var("x", Group.ENV_STATE, IntDomain(0, 1))],
-        updates=_updates(env_state=env_state),
-        init={(Group.ENV_STATE, "x"): 0})
+        variables=[Var("x", Group.ENV_STATE, IntDomain(0, 1), 0)],
+        updates=_updates(env_state=env_state))
     state, _ = resolve_initial(model)
     step(model, state, first_value_resolver)
 
@@ -313,10 +292,9 @@ def test_omitted_variables_carry_over():
         return {"a": e.a + 1}
 
     model = register_model(
-        variables=[Var("a", Group.ENV_STATE, IntDomain(0, 9)),
-                   Var("b", Group.ENV_STATE, IntDomain(0, 9))],
-        updates=_updates(env_state=env_state),
-        init={(Group.ENV_STATE, "a"): 0, (Group.ENV_STATE, "b"): 4})
+        variables=[Var("a", Group.ENV_STATE, IntDomain(0, 9), 0),
+                   Var("b", Group.ENV_STATE, IntDomain(0, 9), 4)],
+        updates=_updates(env_state=env_state))
     state, _ = resolve_initial(model)
     result = step(model, state, first_value_resolver)
     assert result.state.value(Group.ENV_STATE, "a") == 1
@@ -336,9 +314,8 @@ def test_out_of_domain_update_is_a_model_error():
         return {"n": e.n + 1}
 
     model = register_model(
-        variables=[Var("n", Group.ENV_STATE, IntDomain(0, 1))],
-        updates=_updates(env_state=env_state),
-        init={(Group.ENV_STATE, "n"): 0})
+        variables=[Var("n", Group.ENV_STATE, IntDomain(0, 1), 0)],
+        updates=_updates(env_state=env_state))
     state, _ = resolve_initial(model)
     result = step(model, state, first_value_resolver)
     with pytest.raises(ModelError, match="outside its"):
@@ -393,9 +370,8 @@ def test_init_choice_cannot_be_drawn_mid_step():
 
     with pytest.raises(ModelError, match="initialisation choice"):
         register_model(
-            variables=[Var("x", Group.ENV_STATE, IntDomain(0, 1))],
+            variables=[Var("x", Group.ENV_STATE, IntDomain(0, 1), 0)],
             updates=_updates(env_input=env_input),
-            init={(Group.ENV_STATE, "x"): 0},
             init_choices=[((Group.ENV_STATE, "x"), cp)])
 
 
@@ -406,9 +382,8 @@ def test_resolver_value_must_be_in_domain():
         return {"v": ctx.choose("p")}
 
     model = register_model(
-        variables=[Var("v", Group.ENV_INPUT, IntDomain(0, 5))],
-        updates=_updates(env_input=env_input), choices=[cp],
-        init={(Group.ENV_INPUT, "v"): 0})
+        variables=[Var("v", Group.ENV_INPUT, IntDomain(0, 5), 0)],
+        updates=_updates(env_input=env_input), choices=[cp])
     state, _ = resolve_initial(model)
     with pytest.raises(ModelError, match="outside the domain"):
         step(model, state, lambda cp, it: 42)
@@ -421,9 +396,9 @@ def test_drawn_value_must_have_the_type_of_its_choice_domain():
         return {"v": ctx.choose("p")}
 
     model = register_model(
-        variables=[Var("v", Group.ENV_INPUT, SymbolicDomain(tuple(Level)))],
-        updates=_updates(env_input=env_input), choices=[cp],
-        init={(Group.ENV_INPUT, "v"): Level.Low})
+        variables=[Var("v", Group.ENV_INPUT, SymbolicDomain(tuple(Level)),
+                       Level.Low)],
+        updates=_updates(env_input=env_input), choices=[cp])
     state, _ = resolve_initial(model)
     with pytest.raises(ModelError, match="outside the domain of 'p'"):
         step(model, state, lambda cp, it: 1)
@@ -438,11 +413,9 @@ def test_init_choices_resolve_in_declared_order_at_iteration_zero():
     cps = [((Group.ENV_STATE, "x"), ChoicePoint("first", (5, 6), site=None)),
            ((Group.ENV_STATE, "y"), ChoicePoint("second", (7,), site=None))]
     model = register_model(
-        variables=[Var("x", Group.ENV_STATE, IntDomain(0, 9)),
-                   Var("y", Group.ENV_STATE, IntDomain(0, 9))],
-        updates=_updates(), init={(Group.ENV_STATE, "x"): 0,
-                                  (Group.ENV_STATE, "y"): 0},
-        init_choices=cps)
+        variables=[Var("x", Group.ENV_STATE, IntDomain(0, 9), 0),
+                   Var("y", Group.ENV_STATE, IntDomain(0, 9), 0)],
+        updates=_updates(), init_choices=cps)
     state, log = resolve_initial(model)
     assert log == (ChoiceEntry(0, "first", 5), ChoiceEntry(0, "second", 7))
     assert state.value(Group.ENV_STATE, "x") == 5
@@ -456,9 +429,8 @@ def test_log_resolver_replays_and_rejects_mismatches():
         return {"v": ctx.choose("p")}
 
     model = register_model(
-        variables=[Var("v", Group.ENV_INPUT, IntDomain(0, 5))],
-        updates=_updates(env_input=env_input), choices=[cp],
-        init={(Group.ENV_INPUT, "v"): 0})
+        variables=[Var("v", Group.ENV_INPUT, IntDomain(0, 5), 0)],
+        updates=_updates(env_input=env_input), choices=[cp])
     state, _ = resolve_initial(model)
     good = log_resolver([ChoiceEntry(1, "p", 2)])
     assert step(model, state, good).state.value(Group.ENV_INPUT, "v") == 2

@@ -34,9 +34,9 @@ def _accumulator(limit: int, domain=(0, 1, 2), assertions=None):
         assertions = [Assertion("TotalCapped",
                                 lambda s: s.value(Group.ENV_STATE, "total") <= limit)]
     return register_model(
-        variables=[Var("total", Group.ENV_STATE, IntDomain(0, 99))],
+        variables=[Var("total", Group.ENV_STATE, IntDomain(0, 99), 0)],
         updates=_updates(env_state=env_state), choices=[cp],
-        assertions=assertions, init={(Group.ENV_STATE, "total"): 0})
+        assertions=assertions)
 
 
 def test_safe_when_no_path_violates():
@@ -74,11 +74,10 @@ def test_violating_path_stops_at_first_bad_iteration():
 
 def test_initial_state_violation_gives_length_one_trace():
     model = register_model(
-        variables=[Var("x", Group.ENV_STATE, IntDomain(0, 9))],
+        variables=[Var("x", Group.ENV_STATE, IntDomain(0, 9), 5)],
         updates=_updates(),
         assertions=[Assertion("NeverFive",
-                              lambda s: s.value(Group.ENV_STATE, "x") != 5)],
-        init={(Group.ENV_STATE, "x"): 5})
+                              lambda s: s.value(Group.ENV_STATE, "x") != 5)])
     verdict = explore(model, 10)
     assert verdict.kind is VerdictKind.Unsafe
     assert len(verdict.trace) == 1
@@ -130,9 +129,8 @@ def test_structural_error_mid_search_becomes_verdict():
         return {"total": e.total + 2 * ctx.choose("amount")}
 
     model = register_model(
-        variables=[Var("total", Group.ENV_STATE, IntDomain(0, 3))],
-        updates=_updates(env_state=env_state), choices=[cp],
-        init={(Group.ENV_STATE, "total"): 0})
+        variables=[Var("total", Group.ENV_STATE, IntDomain(0, 3), 0)],
+        updates=_updates(env_state=env_state), choices=[cp])
     verdict = explore(model, 4)
     assert verdict.kind is VerdictKind.ModelError
     assert "outside its" in verdict.message
@@ -149,9 +147,8 @@ def test_explore_counts_conditional_draws_correctly():
         return {"out": value}
 
     model = register_model(
-        variables=[Var("out", Group.BEH_OUTPUT, IntDomain(0, 3))],
-        updates=_updates(beh_output=beh_output), choices=[gate, extra],
-        init={(Group.BEH_OUTPUT, "out"): 0})
+        variables=[Var("out", Group.BEH_OUTPUT, IntDomain(0, 3), 0)],
+        updates=_updates(beh_output=beh_output), choices=[gate, extra])
     verdict = explore(model, 1)
     # gate=0 is one leaf; gate=1 fans out over three extras
     assert verdict.kind is VerdictKind.Safe
@@ -173,7 +170,6 @@ def test_init_choices_explored_before_step_choices():
         variables=model.variables, updates=model.updates,
         choices=[model.choices["amount"]],
         assertions=model.assertions,
-        init={(Group.ENV_STATE, "total"): 0},
         init_choices=[((Group.ENV_STATE, "total"), seed)])
     verdict = explore(seeded, 2)
     assert verdict.kind is VerdictKind.Unsafe
@@ -189,14 +185,12 @@ def test_init_choices_explored_before_step_choices():
 
 def _probe_model():
     return register_model(
-        variables=[Var("x", Group.ENV_STATE, IntDomain(0, 2)),
-                   Var("x", Group.BEH_STATE, IntDomain(0, 5)),
-                   Var("y", Group.BEH_STATE, IntDomain(0, 5))],
+        variables=[Var("x", Group.ENV_STATE, IntDomain(0, 2), 0),
+                   Var("x", Group.BEH_STATE, IntDomain(0, 5), 0),
+                   Var("y", Group.BEH_STATE, IntDomain(0, 5), 0)],
         updates=_updates(),
         assertions=[Assertion("SmallX",
-                              lambda s: s.value(Group.ENV_STATE, "x") <= 1)],
-        init={(Group.ENV_STATE, "x"): 0, (Group.BEH_STATE, "x"): 0,
-              (Group.BEH_STATE, "y"): 0})
+                              lambda s: s.value(Group.ENV_STATE, "x") <= 1)])
 
 
 def test_probe_variable_sweeps_initial_values():
@@ -247,11 +241,10 @@ def test_replay_rejects_a_trace_the_log_does_not_reproduce():
         return {"n": e.n + 1}
 
     model = register_model(
-        variables=[Var("n", Group.ENV_STATE, IntDomain(0, 9))],
+        variables=[Var("n", Group.ENV_STATE, IntDomain(0, 9), 0)],
         updates=_updates(env_state=env_state),
         assertions=[Assertion("Small",
-                              lambda s: s.value(Group.ENV_STATE, "n") < 2)],
-        init={(Group.ENV_STATE, "n"): 0})
+                              lambda s: s.value(Group.ENV_STATE, "n") < 2)])
     verdict = explore(model, 5)
     assert verdict.trace[-1].iteration == 2
     # one more step still violates, but the first violation ends the path

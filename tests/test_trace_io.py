@@ -103,9 +103,8 @@ def _big_counter(lo: int):
     updates = {name: noop for name in UpdateFunctions.__dataclass_fields__}
     updates["env_state"] = env_state
     return register_model(
-        variables=[Var("n", Group.ENV_STATE, IntDomain(lo, 10**19))],
-        updates=UpdateFunctions(**updates),
-        init={(Group.ENV_STATE, "n"): lo}, name="big")
+        variables=[Var("n", Group.ENV_STATE, IntDomain(lo, 10**19), lo)],
+        updates=UpdateFunctions(**updates), name="big")
 
 
 @pytest.mark.parametrize("lo", [0, -3])
