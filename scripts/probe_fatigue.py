@@ -13,6 +13,7 @@ Usage: python3 scripts/probe_fatigue.py [--bound N]
 import argparse
 
 from hilcheck.behaviour import FatigueLevel
+from hilcheck.cli import positive_int
 from hilcheck.engine import (ChoiceEntry, Group, VerdictKind, log_resolver,
                              probe_variable, probed_model, run_path)
 from hilcheck.scenarios import SCENARIOS, build_model
@@ -27,7 +28,7 @@ def pinned_outcome(swept, level: FatigueLevel, bound: int):
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--bound", type=int, default=100)
+    parser.add_argument("--bound", type=positive_int, default=100)
     args = parser.parse_args()
 
     config = SCENARIOS["reaction-probe"]

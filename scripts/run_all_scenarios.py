@@ -7,13 +7,14 @@ Usage: python3 scripts/run_all_scenarios.py [--bound N]
 import argparse
 import time
 
+from hilcheck.cli import positive_int
 from hilcheck.engine import VerdictKind, explore
 from hilcheck.scenarios import SCENARIOS, build_model
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--bound", type=int, default=None,
+    parser.add_argument("--bound", type=positive_int, default=None,
                         help="override every scenario's iteration bound")
     args = parser.parse_args()
 

@@ -24,11 +24,14 @@ EXIT_UNSAFE = 1
 EXIT_ERROR = 2
 
 
-def _integer(raw: str) -> int:
-    # canonical decimals only, as in config and trace files
+def positive_int(raw: str) -> int:
+    """argparse type of every count flag, the scripts' `--bound` too: a
+    canonical decimal, as in config and trace files, of at least 1."""
     value = canonical_int(raw)
     if value is None:
         raise argparse.ArgumentTypeError(f"needs an integer, got {raw!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"needs at least 1, got {raw}")
     return value
 
 
@@ -44,12 +47,12 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="a built-in scenario preset")
     run.add_argument("--config", metavar="PATH",
                      help="key=value file describing the run")
-    run.add_argument("--bound", type=_integer, metavar="N",
+    run.add_argument("--bound", type=positive_int, metavar="N",
                      help="iterations to explore (default: scenario's bound)")
     run.add_argument("--operators", metavar="LIST",
                      help="comma-separated fatigue integrators to consider "
                           "(default: scenario's set)")
-    run.add_argument("--path-ceiling", type=_integer, metavar="N",
+    run.add_argument("--path-ceiling", type=positive_int, metavar="N",
                      default=DEFAULT_PATH_CEILING,
                      help="abort after this many explored paths")
     run.add_argument("--trace-out", metavar="PATH",
