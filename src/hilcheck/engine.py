@@ -9,23 +9,13 @@ fixed order:
     3. states:   env_state,  sys_state,  beh_state
     4. safety assertions on the resulting valuation
 
-Each group is produced by one update function with a fixed read-set:
-
-    env_input  <- sys_output, env_state
-    sys_input  <- beh_output, env_output, sys_state
-    beh_input  <- beh_state,  env_output, sys_output
-    env_output <- env_input', env_state      (primed: this iteration's value)
-    sys_output <- sys_input', sys_state
-    beh_output <- beh_input', beh_state
-    env_state  <- env_input', env_state
-    sys_state  <- sys_input', sys_state
-    beh_state  <- beh_input', beh_state
-
-Unprimed operands are the previous iteration's values.  The read-sets are
-enforced structurally: an update function only ever receives views of the
-groups it is allowed to read.  Environment and behaviour functions may draw
-values from declared choice points; the three system functions must be
-deterministic and are never handed a drawing context.
+Each group is produced by one update function, which receives views of
+the groups its row in `_SLOTS` lists, in that order, and nothing else, so
+read-sets are enforced structurally.  A read of an input group sees the
+value written earlier in the same step; every other read sees the previous
+iteration's.  Environment and behaviour functions may draw values from
+declared choice points; the three system functions must be deterministic
+and are never handed a drawing context.
 
 `explore` enumerates every resolution of every choice point up to a bound,
 depth first in declared domain order, and reports the first violating path

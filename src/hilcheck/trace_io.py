@@ -9,11 +9,14 @@ is deterministic: identical verdicts serialize to identical bytes.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 
 from .engine import (ChoiceEntry, ChoiceLog, IntDomain, Model, ModelState,
-                     Trace, Verdict, VerdictKind)
+                     SymbolicDomain, Trace, Verdict, VerdictKind)
+
+_has_space = re.compile(r"\s").search
 
 
 def _label(value) -> str:
@@ -26,6 +29,14 @@ def _label(value) -> str:
     if isinstance(value, str):
         return value
     raise ValueError(f"cannot serialize {value!r}")
+
+
+def _one_token(text: str) -> str:
+    """`text`, which a record holds as one field: records split on
+    whitespace, so text with any would not read back."""
+    if _has_space(text):
+        raise ValueError(f"cannot write {text!r} to a trace: it has whitespace")
+    return text
 
 
 def canonical_int(token: str) -> int | None:
@@ -85,24 +96,33 @@ class _IntTokens(dict):
 
 
 def format_trace(verdict: Verdict, model: Model, scenario: str) -> str:
-    """Render a Safe or Unsafe verdict's witness path as text."""
+    """Render a Safe or Unsafe verdict's witness path as text.  A scenario
+    name, choice point id or symbolic value holding whitespace is a
+    ValueError, since the text would not read back."""
     if verdict.kind is VerdictKind.ModelError:
         raise ValueError("a ModelError verdict has no trace to export")
     if verdict.trace is None or verdict.choice_log is None:
         raise ValueError("verdict carries no trace")
 
     failed = verdict.failed_assertion or "-"
-    lines = [f"header scenario={scenario} bound={verdict.bound} "
+    lines = [f"header scenario={_one_token(scenario)} bound={verdict.bound} "
              f"verdict={verdict.kind.value} failed={failed} "
              f"paths={verdict.paths_explored}"]
     by_iter: dict[int, list[ChoiceEntry]] = {}
     for entry in verdict.choice_log:
         by_iter.setdefault(entry.iteration, []).append(entry)
     keys = [f"{v}=" for v in model.variables]
+    # only a symbolic domain can hold a label with whitespace
+    spaced = [pos for pos, v in enumerate(model.variables)
+              if isinstance(v.domain, SymbolicDomain)
+              and any(_has_space(_label(m)) for m in v.domain.members)]
     for state in verdict.trace:
         for entry in by_iter.get(state.iteration, ()):
             lines.append(f"choice iter={entry.iteration} "
-                         f"point={entry.point_id} value={_label(entry.value)}")
+                         f"point={_one_token(entry.point_id)} "
+                         f"value={_one_token(_label(entry.value))}")
+        for pos in spaced:
+            _one_token(_label(state.values[pos]))
         fields = " ".join(key + _label(value)
                           for key, value in zip(keys, state.values))
         lines.append(f"state iter={state.iteration} {fields}")

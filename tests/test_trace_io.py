@@ -6,8 +6,9 @@ import re
 
 import pytest
 
-from hilcheck.engine import (Group, IntDomain, ModelError, UpdateFunctions,
-                             Var, explore, register_model, resolve_initial)
+from hilcheck.engine import (ChoicePoint, Group, IntDomain, ModelError,
+                             SymbolicDomain, UpdateFunctions, Var, explore,
+                             register_model, resolve_initial)
 from hilcheck.scenarios import SCENARIOS, build_model
 from hilcheck.trace_io import format_trace, read_trace
 
@@ -127,3 +128,44 @@ def test_integer_tokens_must_be_canonical_and_in_the_domain(token, tmp_path):
     with pytest.raises(ValueError, match=r"^line \d+: env_state.n: .* is not "
                                          "in the domain"):
         read_trace(path, model)
+
+
+def _labelled(label: str, point_id: str, name: str):
+    """A symbolic env-state variable starting at `label` and an env-input
+    variable drawn from choice point `point_id` every iteration."""
+    def env_input(so, e, ctx):
+        return {"pick": ctx.choose(point_id)}
+
+    def noop(*views_and_ctx):
+        return {}
+
+    updates = {field: noop for field in UpdateFunctions.__dataclass_fields__}
+    updates["env_input"] = env_input
+    return register_model(
+        variables=[Var("label", Group.ENV_STATE,
+                       SymbolicDomain(("ok", "a b")), label),
+                   Var("pick", Group.ENV_INPUT, IntDomain(0, 1), 0)],
+        updates=UpdateFunctions(**updates),
+        choices=[ChoicePoint(point_id, (0, 1), site=Group.ENV_INPUT)],
+        name=name)
+
+
+@pytest.mark.parametrize("label, point_id, name, token", [
+    ("a b", "pick", "m", "a b"),
+    ("ok", "a b", "m", "a b"),
+    ("ok", "pick", "my model", "my model"),
+], ids=["symbolic value", "choice point id", "scenario name"])
+def test_format_trace_rejects_whitespace_it_could_not_read_back(
+        label, point_id, name, token):
+    model = _labelled(label, point_id, name)
+    verdict = explore(model, 2)
+    with pytest.raises(ValueError, match=f"cannot write '{token}' to a trace"):
+        format_trace(verdict, model, name)
+
+
+def test_a_spaced_domain_member_the_trace_never_holds_is_fine(tmp_path):
+    model = _labelled("ok", "pick", "m")
+    verdict = explore(model, 2)
+    path = tmp_path / "trace.txt"
+    path.write_text(format_trace(verdict, model, "m"), encoding="ascii")
+    assert read_trace(path, model).trace == verdict.trace
