@@ -130,8 +130,12 @@ def format_trace(verdict: Verdict, model: Model, scenario: str) -> str:
 
 
 def export_trace(path, verdict: Verdict, model: Model, scenario: str) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_trace(verdict, model, scenario))
+    """Write `format_trace` to `path` as ASCII.  The text is formatted and
+    encoded before the file is opened, so a trace that cannot be written
+    leaves whatever was at `path` untouched."""
+    data = format_trace(verdict, model, scenario).encode("ascii")
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from hilcheck.engine import (ChoicePoint, Group, IntDomain, ModelError,
                              SymbolicDomain, UpdateFunctions, Var, explore,
                              register_model, resolve_initial)
 from hilcheck.scenarios import SCENARIOS, build_model
-from hilcheck.trace_io import format_trace, read_trace
+from hilcheck.trace_io import export_trace, format_trace, read_trace
 
 # (length, sha256) of format_trace for each preset explored at its own bound
 GOLDEN_TRACES = {
@@ -130,9 +130,11 @@ def test_integer_tokens_must_be_canonical_and_in_the_domain(token, tmp_path):
         read_trace(path, model)
 
 
-def _labelled(label: str, point_id: str, name: str):
-    """A symbolic env-state variable starting at `label` and an env-input
-    variable drawn from choice point `point_id` every iteration."""
+def _labelled(label: str, point_id: str, name: str,
+              members: tuple[str, ...] = ("ok", "a b")):
+    """A symbolic env-state variable over `members` starting at `label`, and
+    an env-input variable drawn from choice point `point_id` every
+    iteration."""
     def env_input(so, e, ctx):
         return {"pick": ctx.choose(point_id)}
 
@@ -142,8 +144,8 @@ def _labelled(label: str, point_id: str, name: str):
     updates = {field: noop for field in UpdateFunctions.__dataclass_fields__}
     updates["env_input"] = env_input
     return register_model(
-        variables=[Var("label", Group.ENV_STATE,
-                       SymbolicDomain(("ok", "a b")), label),
+        variables=[Var("label", Group.ENV_STATE, SymbolicDomain(members),
+                       label),
                    Var("pick", Group.ENV_INPUT, IntDomain(0, 1), 0)],
         updates=UpdateFunctions(**updates),
         choices=[ChoicePoint(point_id, (0, 1), site=Group.ENV_INPUT)],
@@ -169,3 +171,21 @@ def test_a_spaced_domain_member_the_trace_never_holds_is_fine(tmp_path):
     path = tmp_path / "trace.txt"
     path.write_text(format_trace(verdict, model, "m"), encoding="ascii")
     assert read_trace(path, model).trace == verdict.trace
+
+
+@pytest.mark.parametrize("label, error", [
+    ("\u00e9", UnicodeEncodeError),
+    ("a b", ValueError),
+], ids=["non-ascii value", "spaced value"])
+def test_a_failing_export_leaves_an_existing_trace_as_it_was(
+        label, error, tmp_path):
+    good = _labelled("ok", "pick", "m")
+    path = tmp_path / "trace.txt"
+    export_trace(path, explore(good, 2), good, "m")
+    before = path.read_bytes()
+    assert before == format_trace(explore(good, 2), good, "m").encode("ascii")
+
+    bad = _labelled(label, "pick", "m", members=("ok", "a b", "\u00e9"))
+    with pytest.raises(error):
+        export_trace(path, explore(bad, 2), bad, "m")
+    assert path.read_bytes() == before
