@@ -9,13 +9,13 @@ fixed order:
     3. states:   env_state,  sys_state,  beh_state
     4. safety assertions on the resulting valuation
 
-Each group is produced by one update function, which receives views of
-the groups its row in `_SLOTS` lists, in that order, and nothing else, so
-read-sets are enforced structurally.  A read of an input group sees the
-value written earlier in the same step; every other read sees the previous
-iteration's.  Environment and behaviour functions may draw values from
-declared choice points; the three system functions must be deterministic
-and are never handed a drawing context.
+Each group is produced by one update function, which receives read-only
+views of the groups its row in `_SLOTS` lists, in that order, and nothing
+else, so read-sets are enforced structurally.  A read of an input group sees
+the value written earlier in the same step; every other read sees the
+previous iteration's.  Environment and behaviour functions may draw values
+from declared choice points; the three system functions must be
+deterministic and are never handed a drawing context.
 
 `explore` enumerates every resolution of every choice point up to a bound,
 depth first in declared domain order, and reports the first violating path
@@ -27,15 +27,23 @@ acceptable at the scale this engine targets.
 A state is one flat tuple of values, one per declared variable in declared
 order.  `register_model` fixes each variable's position once (a `VarIndex`);
 views, steps, initial states and trace files all address values through it.
+A view is a named tuple of one group's values, of a class built once per
+(group, names) shape.
 
-The module holds no global mutable state; concurrent use of separate models
-is safe, single-threaded use is assumed per model.
+The only module-level mutable state is the bounded cache of those view
+classes, which are immutable and shared by every model of the same shape;
+concurrent use of separate models is safe, single-threaded use is assumed
+per model.
 """
 
 from __future__ import annotations
 
+import functools
+import keyword
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -61,6 +69,9 @@ class Group(Enum):
     BEH_INPUT = "beh_in"
     BEH_OUTPUT = "beh_out"
     BEH_STATE = "beh_state"
+
+    # members are singletons, so identity hashing is exact and runs in C
+    __hash__ = object.__hash__
 
 
 SYSTEM_GROUPS = frozenset({Group.SYS_INPUT, Group.SYS_OUTPUT, Group.SYS_STATE})
@@ -130,8 +141,11 @@ class Var:
     init: Value
 
     def __post_init__(self) -> None:
-        if not self.name.isidentifier():
-            raise ModelError(f"variable name {self.name!r} must be an identifier")
+        if (not self.name.isidentifier() or keyword.iskeyword(self.name)
+                or self.name.startswith("_")):
+            raise ModelError(f"variable name {self.name!r} must be an "
+                             "identifier that is not a keyword and does not "
+                             "start with '_'")
         if not self.domain.contains(self.init):
             raise ModelError(f"initial value {self.init!r} outside the domain "
                              f"of {self}")
@@ -195,10 +209,13 @@ class Assertion:
 class VarIndex:
     """Where each variable sits in a model's flat valuation, fixed by
     `register_model`: `positions` maps (group, name) to a position in
-    declared order, `groups` maps each group to its name -> position map."""
+    declared order.  `views` gives each group its view class and a reader
+    that picks the group's values out of a valuation; `writes` maps each
+    group's names to their position and their domain's `contains`."""
 
     positions: dict[tuple[Group, str], int]
-    groups: dict[Group, dict[str, int]]
+    views: dict[Group, tuple[type, Callable]]
+    writes: dict[Group, dict[str, tuple[int, Callable[[Value], bool]]]]
 
 
 @dataclass(frozen=True)
@@ -227,34 +244,51 @@ class ModelState:
 Trace = tuple[ModelState, ...]
 
 
-class GroupView:
-    """Read-only view of one group's variables, by attribute or item access.
+@functools.lru_cache
+def _view_class(group: Group, names: tuple[str, ...]) -> type:
+    """The read-only view of a group declaring `names`, in declared order.
 
-    Reads go through the group's name -> position map into a flat valuation:
-    the previous state's tuple, or the step's working values for a primed
-    read.  Update functions receive only the views their read-set allows,
-    which is how read-set violations are made structurally impossible.
+    A named tuple of the group's values, so attribute reads are C-level
+    field lookups; `view["name"]` reads by item.  Any other name, including
+    tuple's own `count` and `index`, is a ModelError, and `_`-names are an
+    AttributeError.  Cached, so models of the same shape share one class.
     """
+    fields = {name: i for i, name in enumerate(names)}
 
-    __slots__ = ("_group", "_names", "_values")
+    def unknown(name):
+        return ModelError(f"no variable '{name}' in group {group.value}")
 
-    def __init__(self, group: Group, names: Mapping[str, int],
-                 values: Sequence[Value]):
-        self._group = group
-        self._names = names
-        self._values = values
+    def __getitem__(self, name):
+        try:
+            return tuple.__getitem__(self, fields[name])
+        except (KeyError, TypeError):
+            raise unknown(name) from None
 
-    def __getattr__(self, name: str):
+    def __getattr__(self, name):
         if name.startswith("_"):
             raise AttributeError(name)
-        return self[name]
+        raise unknown(name)
 
-    def __getitem__(self, name: str) -> Value:
-        try:
-            return self._values[self._names[name]]
-        except KeyError:
-            raise ModelError(
-                f"no variable '{name}' in group {self._group.value}") from None
+    def undeclared(name):
+        def read(self):
+            raise unknown(name)
+        return property(read)
+
+    namespace = {"__slots__": (), "__getitem__": __getitem__,
+                 "__getattr__": __getattr__}
+    namespace.update((name, undeclared(name)) for name in ("count", "index")
+                     if name not in fields)
+    typename = group.name.lower()
+    return type(typename, (namedtuple(typename, names),), namespace)
+
+
+def _reader(positions: Sequence[int]) -> Callable:
+    """Picks the values at `positions` out of a valuation, as a sequence
+    (`itemgetter` of one position would return the bare value)."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    first = positions[0] if positions else 0
+    return itemgetter(slice(first, first + len(positions)))
 
 
 @dataclass(frozen=True)
@@ -457,13 +491,17 @@ def register_model(variables: Sequence[Var],
     if not vars_t:
         raise ModelError("a model needs at least one variable")
     positions: dict[tuple[Group, str], int] = {}
-    groups: dict[Group, dict[str, int]] = {g: {} for g in Group}
+    writes: dict[Group, dict[str, tuple[int, Callable]]] = {
+        g: {} for g in Group}
     for pos, v in enumerate(vars_t):
         if (v.group, v.name) in positions:
             raise ModelError(f"duplicate variable {v}")
         positions[(v.group, v.name)] = pos
-        groups[v.group][v.name] = pos
-    index = VarIndex(positions, groups)
+        writes[v.group][v.name] = (pos, v.domain.contains)
+    views = {g: (_view_class(g, tuple(names)),
+                 _reader([pos for pos, _ in names.values()]))
+             for g, names in writes.items()}
+    index = VarIndex(positions, views, writes)
 
     choice_map: dict[str, ChoicePoint] = {}
     for cp in choices:
@@ -549,7 +587,9 @@ def step(model: Model, state: ModelState, resolver: Resolver) -> StepResult:
     The new valuation starts as a copy of the previous one, so variables an
     update omits carry over; each update writes its group in place.
     """
-    groups = model.index.groups
+    views = model.index.views
+    writes = model.index.writes
+    view = tuple.__new__
     previous = state.values
     current = list(previous)
     entries: list[ChoiceEntry] = []
@@ -557,8 +597,10 @@ def step(model: Model, state: ModelState, resolver: Resolver) -> StepResult:
 
     for target, fn_name, reads, may_draw in _PLAN:
         fn = getattr(model.updates, fn_name)
-        args = [GroupView(g, groups[g], current if primed else previous)
-                for g, primed in reads]
+        args = []
+        for g, primed in reads:
+            cls, read = views[g]
+            args.append(view(cls, read(current if primed else previous)))
         try:
             if may_draw:
                 ctx = StepContext(model, iteration, resolver, target, entries)
@@ -573,18 +615,18 @@ def step(model: Model, state: ModelState, resolver: Resolver) -> StepResult:
         if returned is None:
             raise ModelError(f"update for {target.value} returned None "
                              "(return a mapping, possibly empty)")
-        names = groups[target]
+        names = writes[target]
         for var_name, value in returned.items():
-            pos = names.get(var_name)
-            if pos is None:
+            slot = names.get(var_name)
+            if slot is None:
                 raise ModelError(
                     f"update for {target.value} assigned unknown "
                     f"variable '{var_name}'")
-            var = model.variables[pos]
-            if not var.domain.contains(value):
+            pos, contains = slot
+            if not contains(value):
                 raise ModelError(
-                    f"update produced {value!r} for {var}, outside its "
-                    f"domain, at iteration {iteration}")
+                    f"update produced {value!r} for {model.variables[pos]}, "
+                    f"outside its domain, at iteration {iteration}")
             current[pos] = value
 
     new_state = ModelState(tuple(current), iteration, model.index)

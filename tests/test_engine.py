@@ -1,5 +1,6 @@
 """Engine unit tests: registration checks, step semantics, exploration."""
 
+from dataclasses import replace
 from enum import IntEnum
 
 import pytest
@@ -69,6 +70,31 @@ def test_same_name_in_different_groups_is_fine():
 def test_variable_names_must_be_identifiers():
     with pytest.raises(ModelError, match="identifier"):
         Var("not a name", Group.ENV_STATE, IntDomain(0, 1), 0)
+
+
+@pytest.mark.parametrize("name", ["class", "None", "_x", "__dict__"])
+def test_keywords_and_underscore_names_are_rejected_when_the_var_is_made(name):
+    with pytest.raises(ModelError, match="not a keyword and does not start "
+                                         "with '_'"):
+        Var(name, Group.ENV_STATE, IntDomain(0, 1), 0)
+
+
+def test_names_tuple_and_namedtuple_use_are_plain_variables():
+    names = ("count", "index", "match", "self")
+    seen = []
+
+    def env_state(ei, e, ctx):
+        seen.append(tuple(e[name] for name in names))
+        return {"count": e.count + 1, "index": e.index}
+
+    model = register_model(
+        variables=[Var(name, Group.ENV_STATE, IntDomain(0, 9), i)
+                   for i, name in enumerate(names)],
+        updates=_updates(env_state=env_state))
+    state, _ = resolve_initial(model)
+    result = step(model, state, first_value_resolver)
+    assert seen[-1] == (0, 1, 2, 3)
+    assert result.state.value(Group.ENV_STATE, "count") == 1
 
 
 def test_register_rejects_out_of_domain_init():
@@ -274,17 +300,63 @@ def test_inputs_see_previous_iteration_outputs_see_current_inputs():
 
 
 def test_group_views_expose_group_and_reject_unknown_names():
+    checked = []
+
     def env_state(ei, e, ctx):
-        assert e["x"] == e.x
-        with pytest.raises(ModelError, match="no variable 'ghost'"):
-            e.ghost
+        assert e["x"] == e.x == 1
+        assert ei.moved == ei["moved"] == 0
+        for read in (lambda: e.ghost, lambda: e["ghost"], lambda: ei.x,
+                     lambda: e.count, lambda: e.index):
+            with pytest.raises(ModelError, match=r"no variable '\w+' in "
+                                                 r"group env_(state|in)$"):
+                read()
+        for key in (0, None, ("x",), ["x"]):
+            with pytest.raises(ModelError, match="no variable"):
+                e[key]
+        for name in ("_x", "_secret", "__weakref__"):
+            with pytest.raises(AttributeError):
+                getattr(e, name)
+        with pytest.raises(AttributeError):
+            e.x = 0
+        with pytest.raises(AttributeError):
+            e.ghost = 0
+        with pytest.raises(TypeError):
+            e["x"] = 0
+        checked.append(True)
+        return {}
+
+    def beh_state(bi, b, ctx):
+        # groups of no variables get views too, and still reject names
+        with pytest.raises(ModelError, match="variable 'x' in group beh_in"):
+            bi.x
         return {}
 
     model = register_model(
-        variables=[Var("x", Group.ENV_STATE, IntDomain(0, 1), 0)],
-        updates=_updates(env_state=env_state))
+        variables=[Var("x", Group.ENV_STATE, IntDomain(0, 1), 1),
+                   Var("moved", Group.ENV_INPUT, IntDomain(0, 1), 0)],
+        updates=_updates(env_state=env_state, beh_state=beh_state))
     state, _ = resolve_initial(model)
     step(model, state, first_value_resolver)
+    assert checked
+
+
+def test_step_calls_the_update_functions_a_replaced_model_carries():
+    model = _counter_model()
+    calls = []
+
+    def env_state(ei, e, ctx):
+        calls.append(e.n)
+        return {"n": e.n + 5}
+
+    swapped = replace(model, updates=replace(model.updates,
+                                             env_state=env_state))
+    state, _ = resolve_initial(swapped)
+    assert step(swapped, state, first_value_resolver).state.value(
+        Group.ENV_STATE, "n") == 5
+    assert calls == [0]
+    assert step(model, state, first_value_resolver).state.value(
+        Group.ENV_STATE, "n") == 1
+    assert calls == [0]
 
 
 def test_omitted_variables_carry_over():
