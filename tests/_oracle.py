@@ -31,6 +31,10 @@ def queue_resolver(values):
 class OracleResult:
     kind: str                      # "Safe" or "Unsafe"
     runs: int                      # product size (all complete vectors)
+    # paths a depth-first search runs: every vector for a safe model; for an
+    # unsafe one, each vector before the first violating one (each a
+    # full-length safe path) plus the violating path itself
+    paths: int
     failed: str | None = None
     violation_iteration: int | None = None
     choice_log: tuple = ()
@@ -60,15 +64,15 @@ def flat_check(model: Model, bound: int, init_domains, step_domains) -> OracleRe
     for dom in all_domains:
         runs *= len(dom)
     first_trace = None
-    for vector in itertools.product(*all_domains):
+    for paths, vector in enumerate(itertools.product(*all_domains), 1):
         trace, log, violated = run_vector(model, bound, vector)
         if violated:
-            return OracleResult(kind="Unsafe", runs=runs,
+            return OracleResult(kind="Unsafe", runs=runs, paths=paths,
                                 failed=violated[0],
                                 violation_iteration=trace[-1].iteration,
                                 choice_log=log, first_trace=trace)
         if first_trace is None:
             first_trace = trace
             first_log = log
-    return OracleResult(kind="Safe", runs=runs, choice_log=first_log,
-                        first_trace=first_trace)
+    return OracleResult(kind="Safe", runs=runs, paths=runs,
+                        choice_log=first_log, first_trace=first_trace)
