@@ -269,15 +269,11 @@ def _view_class(group: Group, names: tuple[str, ...]) -> type:
             raise AttributeError(name)
         raise unknown(name)
 
-    def undeclared(name):
-        def read(self):
-            raise unknown(name)
-        return property(read)
-
     namespace = {"__slots__": (), "__getitem__": __getitem__,
                  "__getattr__": __getattr__}
-    namespace.update((name, undeclared(name)) for name in ("count", "index")
-                     if name not in fields)
+    # tuple's own methods would otherwise answer for these names
+    for name in {"count", "index"} - fields.keys():
+        namespace[name] = property(functools.partial(__getattr__, name=name))
     typename = group.name.lower()
     return type(typename, (namedtuple(typename, names),), namespace)
 

@@ -79,7 +79,7 @@ def test_keywords_and_underscore_names_are_rejected_when_the_var_is_made(name):
         Var(name, Group.ENV_STATE, IntDomain(0, 1), 0)
 
 
-def test_names_tuple_and_namedtuple_use_are_plain_variables():
+def test_names_that_tuple_defines_are_plain_variables():
     names = ("count", "index", "match", "self")
     seen = []
 
@@ -338,6 +338,23 @@ def test_group_views_expose_group_and_reject_unknown_names():
     state, _ = resolve_initial(model)
     step(model, state, first_value_resolver)
     assert checked
+
+
+def test_models_of_one_shape_share_their_view_classes():
+    seen = []
+
+    def env_state(ei, e, ctx):
+        seen.append(type(e))
+        return {}
+
+    # each registration's trial step hands env_state one view
+    for name, init in (("x", 0), ("x", 1), ("y", 0)):
+        register_model(
+            variables=[Var(name, Group.ENV_STATE, IntDomain(0, 1), init)],
+            updates=_updates(env_state=env_state))
+    x_first, x_second, y = seen
+    assert x_first is x_second
+    assert y is not x_first and y._fields == ("y",)
 
 
 def test_step_calls_the_update_functions_a_replaced_model_carries():
