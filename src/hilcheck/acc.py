@@ -25,6 +25,17 @@ class ControlMode(Enum):
     Engaged = "Engaged"
 
 
+# how far one command moves the speed
+_SPEED_DELTA = {AccCommand.Accelerate: 1,
+                AccCommand.Maintain: 0,
+                AccCommand.Decelerate: -1}
+
+# the separation a driver gets on top of the base, in quarters of the base
+_EXTRA_QUARTERS = {FatigueLevel.Normal: 0,
+                   FatigueLevel.Tired: 1,
+                   FatigueLevel.Exhausted: 2}
+
+
 def acc_decide(preset: int, current_gap: int) -> AccCommand:
     """Pick the command that drives the gap toward the preset.
 
@@ -49,29 +60,20 @@ def apply_command(speed: int, gap: int, command: AccCommand,
     """
     if speed < 0 or gap < 0 or lead_speed < 0:
         raise ValueError("speed, gap and lead speed must be non-negative")
-    delta = {AccCommand.Accelerate: 1,
-             AccCommand.Maintain: 0,
-             AccCommand.Decelerate: -1}[command]
-    new_speed = min(max_speed, max(0, speed + delta))
+    new_speed = min(max_speed, max(0, speed + _SPEED_DELTA[command]))
     return new_speed, max(0, gap + lead_speed - new_speed)
 
 
 def adaptive_separation(fatigue: FatigueLevel, base: int = 4) -> int:
     """Minimum separation the vehicle must keep, widened as the driver tires.
 
-    A tired driver gets roughly three quarters of a base more, an exhausted
-    one half a base more on top of the already-widened margin, all rounded
-    up so the distance never shrinks for a worse driver.  base=4 gives the
-    ladder 4 / 5 / 6.
+    A tired driver gets a quarter of the base more, an exhausted one half
+    the base more, each rounded up, so the distance never shrinks for a
+    worse driver.  base=4 gives the ladder 4 / 5 / 6.
     """
     if base < 1:
         raise ValueError("base separation must be positive")
-    extra = {
-        FatigueLevel.Normal: 0,
-        FatigueLevel.Tired: (base + 3) // 4,
-        FatigueLevel.Exhausted: (base + 1) // 2,
-    }[fatigue]
-    return base + extra
+    return base + (base * _EXTRA_QUARTERS[fatigue] + 3) // 4
 
 
 def compute_safe_stopping(speed: int, reaction_time: int) -> int:

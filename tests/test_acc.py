@@ -63,6 +63,12 @@ def test_adaptive_separation_ladder():
     assert adaptive_separation(FatigueLevel.Normal, 4) == 4
     assert adaptive_separation(FatigueLevel.Tired, 4) == 5
     assert adaptive_separation(FatigueLevel.Exhausted, 4) == 6
+    # each widening is a fraction of the base, rounded up
+    for base in range(1, 41):
+        assert adaptive_separation(FatigueLevel.Tired, base) \
+            == base + (base + 3) // 4
+        assert adaptive_separation(FatigueLevel.Exhausted, base) \
+            == base + (base + 1) // 2
 
 
 def test_adaptive_separation_monotone_in_fatigue():
@@ -80,6 +86,15 @@ def test_adaptive_separation_monotone_in_fatigue():
 def test_adaptive_separation_rejects_bad_base():
     with pytest.raises(ValueError):
         adaptive_separation(FatigueLevel.Normal, 0)
+
+
+def test_values_outside_the_enums_raise_key_error():
+    with pytest.raises(KeyError):
+        apply_command(1, 6, "Accelerate", 1)
+    with pytest.raises(KeyError):
+        adaptive_separation("Tired", 4)
+    with pytest.raises(KeyError):
+        adaptive_separation(3, 4)
 
 
 def test_compute_safe_stopping():
