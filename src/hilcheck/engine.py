@@ -5,17 +5,18 @@ system, behaviour).  Every iteration recomputes nine variable groups in a
 fixed order:
 
     1. inputs:   env_input, sys_input, beh_input
-    2. outputs:  env_output, sys_output, beh_output
-    3. states:   env_state,  sys_state,  beh_state
+    2. states:   env_state,  sys_state,  beh_state
+    3. outputs:  env_output, sys_output, beh_output
     4. safety assertions on the resulting valuation
 
 Each group is produced by one update function, which receives read-only
 views of the groups its row in `_SLOTS` lists, in that order, and nothing
-else, so read-sets are enforced structurally.  A read of an input group sees
-the value written earlier in the same step; every other read sees the
-previous iteration's.  Environment and behaviour functions may draw values
-from declared choice points; the three system functions must be
-deterministic and are never handed a drawing context.
+else, so read-sets are enforced structurally.  A read of a group written
+earlier in the same step is primed and sees this step's value; every other
+read sees the previous iteration's, so an output reports its model's new
+state.  Environment and behaviour functions may draw values from declared
+choice points; the three system functions must be deterministic and are
+never handed a drawing context.
 
 `explore` enumerates every resolution of every choice point up to a bound,
 depth first in declared domain order, and reports the first violating path
@@ -303,38 +304,35 @@ class UpdateFunctions:
     env_input: Callable   # (sys_output, env_state, ctx) -> mapping
     sys_input: Callable   # (beh_output, env_output, sys_state) -> mapping
     beh_input: Callable   # (beh_state, env_output, sys_output, ctx) -> mapping
-    env_output: Callable  # (env_input', env_state, ctx) -> mapping
-    sys_output: Callable  # (sys_input', sys_state) -> mapping
-    beh_output: Callable  # (beh_input', beh_state, ctx) -> mapping
+    env_output: Callable  # (env_input', env_state', ctx) -> mapping
+    sys_output: Callable  # (sys_input', sys_state') -> mapping
+    beh_output: Callable  # (beh_input', beh_state', ctx) -> mapping
     env_state: Callable   # (env_input', env_state, ctx) -> mapping
     sys_state: Callable   # (sys_input', sys_state) -> mapping
     beh_state: Callable   # (beh_input', beh_state, ctx) -> mapping
 
 
 # each slot's target group and the groups its update reads, in step order:
-# inputs, then outputs, then states
+# inputs, then states, then outputs
 _SLOTS = (
     (Group.ENV_INPUT, (Group.SYS_OUTPUT, Group.ENV_STATE)),
     (Group.SYS_INPUT, (Group.BEH_OUTPUT, Group.ENV_OUTPUT, Group.SYS_STATE)),
     (Group.BEH_INPUT, (Group.BEH_STATE, Group.ENV_OUTPUT, Group.SYS_OUTPUT)),
-    (Group.ENV_OUTPUT, (Group.ENV_INPUT, Group.ENV_STATE)),
-    (Group.SYS_OUTPUT, (Group.SYS_INPUT, Group.SYS_STATE)),
-    (Group.BEH_OUTPUT, (Group.BEH_INPUT, Group.BEH_STATE)),
     (Group.ENV_STATE, (Group.ENV_INPUT, Group.ENV_STATE)),
     (Group.SYS_STATE, (Group.SYS_INPUT, Group.SYS_STATE)),
     (Group.BEH_STATE, (Group.BEH_INPUT, Group.BEH_STATE)),
+    (Group.ENV_OUTPUT, (Group.ENV_INPUT, Group.ENV_STATE)),
+    (Group.SYS_OUTPUT, (Group.SYS_INPUT, Group.SYS_STATE)),
+    (Group.BEH_OUTPUT, (Group.BEH_INPUT, Group.BEH_STATE)),
 )
 
-_INPUT_GROUPS = frozenset({Group.ENV_INPUT, Group.SYS_INPUT, Group.BEH_INPUT})
-
 # derived once from _SLOTS: (target, UpdateFunctions field, reads as (group,
-# primed), may draw).  Inputs run first and read no input, so a read of an
-# input group is primed: it sees the value written earlier in the same step.
+# primed: a row before this one writes it), may draw)
 _PLAN = tuple(
     (target, target.name.lower(),
-     tuple((group, group in _INPUT_GROUPS) for group in reads),
+     tuple((group, any(t is group for t, _ in _SLOTS[:i])) for group in reads),
      target not in SYSTEM_GROUPS)
-    for target, reads in _SLOTS)
+    for i, (target, reads) in enumerate(_SLOTS))
 
 
 Resolver = Callable[[ChoicePoint, int], Value]

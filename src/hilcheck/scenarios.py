@@ -177,15 +177,17 @@ def build_model(config: ScenarioConfig) -> Model:
     segment_keys = [(f"seg{i}_terrain", f"seg{i}_obstacle", f"seg{i}_curvature")
                     for i in range(n_seg)]
 
-    def position_after(env_in, env_state) -> tuple[int, int]:
-        return advance_route([env_state[key] for key in distance_keys],
-                             env_state.cursor, env_state.covered, env_in.moved)
-
     def env_input(sys_out, env_state, ctx):
         return {"moved": sys_out.speed}
 
+    def env_state_update(env_in, env_state, ctx):
+        cursor, covered = advance_route(
+            [env_state[key] for key in distance_keys],
+            env_state.cursor, env_state.covered, env_in.moved)
+        return {"cursor": cursor, "covered": covered}
+
     def env_output(env_in, env_state, ctx):
-        cursor, _ = position_after(env_in, env_state)
+        cursor = env_state.cursor
         if cursor == n_seg:
             terrain, obstacle, curvature = Terrain.onRoad, 0, 0
         else:
@@ -194,10 +196,6 @@ def build_model(config: ScenarioConfig) -> Model:
         return {"terrain": terrain, "obstacle": obstacle,
                 "curvature": curvature, "journey_done": cursor == n_seg,
                 "lead_speed": env_state.lead_speed}
-
-    def env_state_update(env_in, env_state, ctx):
-        cursor, covered = position_after(env_in, env_state)
-        return {"cursor": cursor, "covered": covered}
 
     def sys_input(beh_out, env_out, sys_state):
         mode = beh_out.mode_request
@@ -212,17 +210,18 @@ def build_model(config: ScenarioConfig) -> Model:
                 "lead_speed": env_out.lead_speed,
                 "fatigue_seen": beh_out.fatigue, "done_seen": done}
 
-    def drive(sys_in, sys_state) -> dict:
+    def sys_state_update(sys_in, sys_state):
         speed, gap = apply_command(sys_state.speed, sys_state.gap,
                                    sys_in.command, sys_in.lead_speed,
                                    config.max_speed)
         # the gap sensor saturates at max_gap once the lead pulls far ahead
         return {"speed": speed, "gap": min(config.max_gap, gap),
-                "acc_status": sys_in.active_mode}
-
-    def sys_state_update(sys_in, sys_state):
-        return {**drive(sys_in, sys_state),
+                "acc_status": sys_in.active_mode,
                 "target_gap": target_for(sys_in.fatigue_seen)}
+
+    def sys_output(sys_in, sys_state):
+        return {"speed": sys_state.speed, "gap": sys_state.gap,
+                "acc_status": sys_state.acc_status}
 
     def beh_input(beh_state, env_out, sys_out, ctx):
         difficulty = point_difficulty(env_out.terrain, env_out.obstacle,
@@ -230,7 +229,7 @@ def build_model(config: ScenarioConfig) -> Model:
         return {"terrain_difficulty": difficulty,
                 "done_seen": env_out.journey_done}
 
-    def fatigue_step(beh_in, beh_state) -> tuple[int, FatigueLevel]:
+    def beh_state_update(beh_in, beh_state, ctx):
         if beh_in.done_seen:
             time_driven = beh_state.time_driven
         else:
@@ -242,12 +241,15 @@ def build_model(config: ScenarioConfig) -> Model:
                                          beh_state.combine_op,
                                          config.tired_after,
                                          config.exhausted_after)
-        return time_driven, fatigue
+        return {"time_driven": time_driven, "fatigue": fatigue,
+                "reaction_time": set_reaction_time(config.input_mode, fatigue,
+                                                   config.profile),
+                "hazard_perception": perception_from_fatigue(fatigue,
+                                                             config.max_hp)}
 
     draws_mode = config.control_mode is None
 
     def beh_output(beh_in, beh_state, ctx):
-        _, fatigue = fatigue_step(beh_in, beh_state)
         if draws_mode:
             request = ctx.choose("controlMode")
         else:
@@ -256,20 +258,12 @@ def build_model(config: ScenarioConfig) -> Model:
             manual = ctx.choose("driverCommand")
         else:
             manual = AccCommand.Maintain
-        return {"fatigue": fatigue, "mode_request": request,
+        return {"fatigue": beh_state.fatigue, "mode_request": request,
                 "manual_command": manual}
-
-    def beh_state_update(beh_in, beh_state, ctx):
-        time_driven, fatigue = fatigue_step(beh_in, beh_state)
-        return {"time_driven": time_driven, "fatigue": fatigue,
-                "reaction_time": set_reaction_time(config.input_mode, fatigue,
-                                                   config.profile),
-                "hazard_perception": perception_from_fatigue(fatigue,
-                                                             config.max_hp)}
 
     updates = UpdateFunctions(
         env_input=env_input, sys_input=sys_input, beh_input=beh_input,
-        env_output=env_output, sys_output=drive, beh_output=beh_output,
+        env_output=env_output, sys_output=sys_output, beh_output=beh_output,
         env_state=env_state_update, sys_state=sys_state_update,
         beh_state=beh_state_update)
 

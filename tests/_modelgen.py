@@ -4,7 +4,10 @@ Every generated model draws from each of its choice points exactly once per
 iteration, on a fixed schedule, so the set of complete runs is exactly the
 cartesian product of all choice domains over the bound.  That property is
 what lets the flat-enumeration oracle in _oracle.py enumerate runs without
-any knowledge of the search algorithm.
+any knowledge of the search algorithm.  The draws follow the engine's step
+order (inputs, then states, then outputs), which is also the order the
+oracle feeds values in; each update combines every view its row reads, so
+the outputs' reads of this step's new state are exercised too.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from hilcheck.engine import (Assertion, ChoicePoint, Group, IntDomain,
                              UpdateFunctions, Var, register_model)
 
 # slots that may draw, in the order the engine executes them
-_DRAW_SLOTS = (Group.ENV_INPUT, Group.BEH_INPUT, Group.ENV_OUTPUT,
-               Group.BEH_OUTPUT, Group.ENV_STATE, Group.BEH_STATE)
+_DRAW_SLOTS = (Group.ENV_INPUT, Group.BEH_INPUT, Group.ENV_STATE,
+               Group.BEH_STATE, Group.ENV_OUTPUT, Group.BEH_OUTPUT)
 
 _SLOT_VAR = {
     Group.ENV_INPUT: "ei", Group.SYS_INPUT: "si", Group.BEH_INPUT: "bi",

@@ -253,12 +253,13 @@ def test_slot_execution_order():
     state, _ = resolve_initial(model)
     step(model, state, first_value_resolver)
     assert order == ["env_in", "sys_in", "beh_in",
-                     "env_out", "sys_out", "beh_out",
-                     "env_state", "sys_state", "beh_state"]
+                     "env_state", "sys_state", "beh_state",
+                     "env_out", "sys_out", "beh_out"]
 
 
-def test_inputs_see_previous_iteration_outputs_see_current_inputs():
-    """env_input reads the OLD sys_output; env_output reads the NEW env_input."""
+def test_inputs_see_previous_iteration_outputs_see_current_input_and_state():
+    """env_input reads the OLD sys_output; an output reads this step's input
+    and its model's NEW state; a state update reads its OLD state."""
     seen = {}
 
     def env_input(sys_out, env_state, ctx):
@@ -267,9 +268,11 @@ def test_inputs_see_previous_iteration_outputs_see_current_inputs():
 
     def env_output(env_in, env_state, ctx):
         seen["env_in_at_output"] = env_in.x
+        seen["cnt_at_output"] = env_state.cnt
         return {}
 
     def env_state_fn(env_in, env_state, ctx):
+        seen["cnt_at_state"] = env_state.cnt
         return {"cnt": (env_state.cnt + 1) % 10}
 
     def sys_output(sys_in, sys_state):
@@ -291,12 +294,38 @@ def test_inputs_see_previous_iteration_outputs_see_current_inputs():
     result = step(model, state, first_value_resolver)
     assert seen["sys_out_at_input"] == 7      # previous iteration's value
     assert seen["env_in_at_output"] == 4      # this iteration's fresh value
-    assert result.state.value(Group.SYS_OUTPUT, "y") == 5  # from OLD s=0
+    assert seen["cnt_at_state"] == 3          # the state update's old state
+    assert seen["cnt_at_output"] == 4         # the output's new state
     assert result.state.value(Group.SYS_STATE, "s") == 1
+    assert result.state.value(Group.SYS_OUTPUT, "y") == 6  # from NEW s=1
 
     result2 = step(model, result.state, first_value_resolver)
-    assert seen["sys_out_at_input"] == 5
-    assert result2.state.value(Group.SYS_OUTPUT, "y") == 6  # from s=1
+    assert seen["sys_out_at_input"] == 6
+    assert result2.state.value(Group.SYS_OUTPUT, "y") == 7  # from s=2
+
+
+def test_draws_are_logged_in_slot_order():
+    """One draw in each of the six drawing slots lands in the log in step
+    order: inputs, then states, then outputs."""
+    drawing = ("env_input", "beh_input", "env_state", "beh_state",
+               "env_output", "beh_output")
+
+    def draw(point_id):
+        def fn(*views_and_ctx):
+            views_and_ctx[-1].choose(point_id)
+            return {}
+        return fn
+
+    # declared in a different order from the step, which must not matter
+    choices = [ChoicePoint(name, (0, 1), site=Group[name.upper()])
+               for name in reversed(drawing)]
+    model = register_model(
+        variables=[Var("x", Group.ENV_STATE, IntDomain(0, 1), 0)],
+        updates=_updates(**{name: draw(name) for name in drawing}),
+        choices=choices)
+    state, _ = resolve_initial(model)
+    result = step(model, state, first_value_resolver)
+    assert result.drawn == tuple(ChoiceEntry(1, name, 0) for name in drawing)
 
 
 def test_group_views_expose_group_and_reject_unknown_names():

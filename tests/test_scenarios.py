@@ -6,12 +6,13 @@ import pytest
 from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 
+import hilcheck.scenarios
 from hilcheck.acc import AccCommand, ControlMode
 from hilcheck.behaviour import FatigueLevel, InputMode, IntegratorOp
 from hilcheck.engine import (ChoiceEntry, Group, ModelError, VerdictKind,
                              explore, first_value_resolver, probe_variable,
                              probed_model, replay_counterexample,
-                             resolve_initial, step)
+                             resolve_initial, run_path, step)
 from hilcheck.environment import RoutePoint, Terrain
 from hilcheck.scenarios import (DEFAULT_ROUTE, SCENARIOS, ScenarioConfig,
                                 build_model, is_okay)
@@ -336,3 +337,26 @@ def test_gap_sensor_saturates_after_the_journey():
     gaps = [s.value(Group.SYS_STATE, "gap") for s in verdict.trace]
     assert max(gaps) == 15                  # pinned at the sensor ceiling
     assert gaps[-1] == 15
+
+
+def test_each_transition_runs_once_per_step(monkeypatch):
+    """The route, the vehicle and the driver each advance once per step, in
+    their model's state update; the outputs only report the new state."""
+    model = build_model(SCENARIOS["ideal"])   # its trial step is not counted
+    calls = dict.fromkeys(("advance_route", "apply_command",
+                           "set_driver_fatigue"), 0)
+
+    def counting(name):
+        fn = getattr(hilcheck.scenarios, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(hilcheck.scenarios, name, counting(name))
+    trace, _, violated = run_path(model, 10, first_value_resolver)
+    assert len(trace) == 11 and not violated
+    assert calls == {"advance_route": 10, "apply_command": 10,
+                     "set_driver_fatigue": 10}
