@@ -12,10 +12,11 @@ Usage: python3 scripts/probe_fatigue.py [--bound N]
 
 import argparse
 
+from hilcheck.acc import compute_safe_stopping
 from hilcheck.behaviour import FatigueLevel
 from hilcheck.cli import positive_int
-from hilcheck.engine import (ChoiceEntry, Group, VerdictKind, log_resolver,
-                             probe_variable, probed_model, run_path)
+from hilcheck.engine import (ChoiceEntry, Group, VerdictKind, explore,
+                             log_resolver, probed_model, run_path)
 from hilcheck.scenarios import SCENARIOS, build_model
 
 
@@ -32,8 +33,8 @@ def main() -> int:
     args = parser.parse_args()
 
     config = SCENARIOS["reaction-probe"]
-    model = build_model(config)
-    verdict = probe_variable(model, (Group.BEH_STATE, "fatigue"), args.bound)
+    swept = probed_model(build_model(config), (Group.BEH_STATE, "fatigue"))
+    verdict = explore(swept, args.bound)
 
     print(f"fixture: {config.name}  bound: {args.bound}")
     print(f"sweep verdict: {verdict}  paths: {verdict.paths_explored}")
@@ -47,14 +48,14 @@ def main() -> int:
     print(f"violated: {verdict.failed_assertion} at iteration "
           f"{verdict.trace[-1].iteration}")
 
-    swept = probed_model(model, (Group.BEH_STATE, "fatigue"))
     print()
     print("level      outcome               gap  stopping-distance")
     for level in FatigueLevel:
         outcome, final = pinned_outcome(swept, level, args.bound)
         gap = final.value(Group.SYS_STATE, "gap")
-        stopping = (final.value(Group.SYS_STATE, "speed")
-                    * final.value(Group.BEH_STATE, "reaction_time"))
+        stopping = compute_safe_stopping(
+            final.value(Group.SYS_STATE, "speed"),
+            final.value(Group.BEH_STATE, "reaction_time"))
         print(f"{level.name:<9}  {outcome:<20}  {gap:>3}  {stopping:>17}")
     return 1
 

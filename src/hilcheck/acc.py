@@ -51,7 +51,7 @@ def acc_decide(preset: int, current_gap: int) -> AccCommand:
 
 
 def apply_command(speed: int, gap: int, command: AccCommand,
-                  lead_speed: int, max_speed: int = 10) -> tuple[int, int]:
+                  lead_speed: int, max_speed: int) -> tuple[int, int]:
     """One kinematic step: adjust speed by one unit, then move both cars.
 
     Returns the new (speed, gap).  Speed saturates at 0 and at max_speed.
@@ -64,7 +64,7 @@ def apply_command(speed: int, gap: int, command: AccCommand,
     return new_speed, max(0, gap + lead_speed - new_speed)
 
 
-def adaptive_separation(fatigue: FatigueLevel, base: int = 4) -> int:
+def adaptive_separation(fatigue: FatigueLevel, base: int) -> int:
     """Minimum separation the vehicle must keep, widened as the driver tires.
 
     A tired driver gets a quarter of the base more, an exhausted one half

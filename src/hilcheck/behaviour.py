@@ -10,15 +10,18 @@ fatigue on a small bounded health-point scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import Enum
 
 
-class FatigueLevel(IntEnum):
-    """Ordered driver fatigue scale; higher is worse."""
+class FatigueLevel(Enum):
+    """Ordered driver fatigue scale; a higher value is worse."""
 
     Normal = 0
     Tired = 1
     Exhausted = 2
+
+    # members are singletons, so identity hashing is exact and runs in C
+    __hash__ = object.__hash__
 
 
 class InputMode(Enum):
@@ -74,7 +77,7 @@ _FATIGUE_FACTOR = {
 
 
 def set_reaction_time(mode: InputMode, fatigue: FatigueLevel,
-                      profile: ReactionProfile = ReactionProfile()) -> int:
+                      profile: ReactionProfile) -> int:
     """Reaction latency in iterations: mode base times fatigue multiplier.
 
     Multi-modal interaction is the fastest base, speech the slowest.  The
@@ -86,8 +89,8 @@ def set_reaction_time(mode: InputMode, fatigue: FatigueLevel,
     return base * factor
 
 
-def time_severity(time_driven: int, tired_after: int = 4,
-                  exhausted_after: int = 8) -> int:
+def time_severity(time_driven: int, tired_after: int,
+                  exhausted_after: int) -> int:
     """Severity 0/1/2 of accumulated driving time against two thresholds."""
     if time_driven < 0:
         raise ValueError("time driven must be non-negative")
@@ -123,26 +126,25 @@ def integrate(op: IntegratorOp, a: int, b: int) -> int:
 
 
 def set_driver_fatigue(time_driven: int, terrain_severity: int,
-                       op: IntegratorOp = IntegratorOp.Max,
-                       tired_after: int = 4,
-                       exhausted_after: int = 8) -> FatigueLevel:
+                       op: IntegratorOp, tired_after: int,
+                       exhausted_after: int) -> FatigueLevel:
     """Fatigue from driving time and terrain, merged by the chosen integrator."""
     level = integrate(op, time_severity(time_driven, tired_after, exhausted_after),
                       terrain_severity)
     return FatigueLevel(level)
 
 
-def hp_function(raw: int, max_hp: int = 5) -> int:
+def hp_function(raw: int, max_hp: int) -> int:
     """Clamp a raw health-point value into [0, max_hp]."""
     if max_hp < 1:
         raise ValueError("max_hp must be positive")
     return min(max_hp, max(0, raw))
 
 
-def perception_from_fatigue(fatigue: FatigueLevel, max_hp: int = 5) -> int:
+def perception_from_fatigue(fatigue: FatigueLevel, max_hp: int) -> int:
     """Hazard-perception points remaining at a fatigue level.
 
-    Each fatigue step costs two points off the ceiling: 5 / 3 / 1 on the
-    default scale.  Never negative.
+    Each fatigue step costs two points off the ceiling: 5 / 3 / 1 when
+    max_hp is 5.  Never negative.
     """
-    return hp_function(max_hp - 2 * int(fatigue), max_hp)
+    return hp_function(max_hp - 2 * fatigue.value, max_hp)

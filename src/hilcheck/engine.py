@@ -16,7 +16,9 @@ earlier in the same step is primed and sees this step's value; every other
 read sees the previous iteration's, so an output reports its model's new
 state.  Environment and behaviour functions may draw values from declared
 choice points; the three system functions must be deterministic and are
-never handed a drawing context.
+never handed a drawing context.  A choice point's site is the group that
+draws it; one without a site is an initialisation choice, drawn before the
+first iteration.  Every draw, of either kind, goes through `_draw`.
 
 `explore` enumerates every resolution of every choice point up to a bound,
 depth first in declared domain order, and reports the first violating path
@@ -162,7 +164,8 @@ class ChoicePoint:
     `domain` is the ordered list of candidate values; exploration branches in
     exactly this order.  `site` is the group whose update function performs
     the draw, or None for draws resolved once before the first iteration
-    (initialisation choices, including probes).
+    (initialisation choices, including probes): `register_model` takes those
+    in `init_choices` only, and every point with a site in `choices`.
     """
 
     point_id: str
@@ -361,6 +364,18 @@ def log_resolver(log: Iterable[ChoiceEntry]) -> Resolver:
     return resolve
 
 
+def _draw(cp: ChoicePoint, iteration: int, resolver: Resolver,
+          entries: list[ChoiceEntry]) -> Value:
+    """The one place a choice is drawn: ask the resolver, check that the
+    value is one of the point's candidates, and log it in `entries`."""
+    value = resolver(cp, iteration)
+    if not cp.offers(value):
+        raise ModelError(
+            f"resolver produced {value!r}, outside the domain of '{cp.point_id}'")
+    entries.append(ChoiceEntry(iteration, cp.point_id, value))
+    return value
+
+
 class StepContext:
     """Drawing context handed to environment and behaviour update functions."""
 
@@ -384,12 +399,7 @@ class StepContext:
             raise ModelError(
                 f"choice point '{point_id}' is declared for "
                 f"{cp.site.value} but was drawn while computing {self._site.value}")
-        value = self._resolver(cp, self._iteration)
-        if not cp.offers(value):
-            raise ModelError(
-                f"resolver produced {value!r}, outside the domain of '{point_id}'")
-        self._entries.append(ChoiceEntry(self._iteration, point_id, value))
-        return value
+        return _draw(cp, self._iteration, self._resolver, self._entries)
 
 
 @dataclass(frozen=True)
@@ -474,7 +484,7 @@ def register_model(variables: Sequence[Var],
     are drawn in the order given.
 
     Checks: at least one variable; names unique within each group; choice
-    point ids unique and never sited at a system group; initialisation
+    point ids unique; every point in `choices` has a site; initialisation
     choices target declared variables, at most one each, with values inside
     the variable's domain.  Finally a single trial step is executed (first
     domain value at every draw) so that wiring mistakes surface at
@@ -499,6 +509,9 @@ def register_model(variables: Sequence[Var],
 
     choice_map: dict[str, ChoicePoint] = {}
     for cp in choices:
+        if cp.site is None:
+            raise ModelError(f"choice point '{cp.point_id}' has no site: an "
+                             "initialisation choice goes in init_choices")
         if cp.point_id in choice_map:
             raise ModelError(f"duplicate choice point '{cp.point_id}'")
         choice_map[cp.point_id] = cp
@@ -545,12 +558,7 @@ def resolve_initial(model: Model,
     values = [v.init for v in model.variables]
     entries: list[ChoiceEntry] = []
     for pos, cp in model.init_choices:
-        value = resolver(cp, 0)
-        if not cp.offers(value):
-            raise ModelError(
-                f"resolver produced {value!r}, outside the domain of '{cp.point_id}'")
-        values[pos] = value
-        entries.append(ChoiceEntry(0, cp.point_id, value))
+        values[pos] = _draw(cp, 0, resolver, entries)
     return ModelState(tuple(values), 0, model.index), tuple(entries)
 
 
@@ -739,16 +747,6 @@ def probed_model(model: Model, var: tuple[Group, str]) -> Model:
     return replace(model,
                    init_choices=((pos, cp),) + model.init_choices,
                    choices={**model.choices, cp.point_id: cp})
-
-
-def probe_variable(model: Model, var: tuple[Group, str], bound: int,
-                   *, path_ceiling: int = DEFAULT_PATH_CEILING) -> Verdict:
-    """Explore with one variable's initialisation swept over its full domain.
-
-    Shorthand for ``explore(probed_model(model, var), bound)``; an unsafe
-    verdict's log reports which initial value broke the property.
-    """
-    return explore(probed_model(model, var), bound, path_ceiling=path_ceiling)
 
 
 def replay_counterexample(model: Model, verdict: Verdict) -> Trace:

@@ -35,15 +35,10 @@ from .environment import (MAX_CURVATURE, MAX_OBSTACLE, MAX_ROUTE_LENGTH,
                           ROUTE_CANDIDATES, RoutePoint, Terrain, advance_route,
                           point_difficulty)
 
-ALL_OPERATORS = (IntegratorOp.Max, IntegratorOp.Min,
-                 IntegratorOp.Sum, IntegratorOp.RoundedMean)
-
-ALL_MODES = (ControlMode.Manual, ControlMode.Engaged)
-
-ALL_COMMANDS = (AccCommand.Accelerate, AccCommand.Maintain,
-                AccCommand.Decelerate)
-
-ALL_FATIGUE = (FatigueLevel.Normal, FatigueLevel.Tired, FatigueLevel.Exhausted)
+ALL_OPERATORS = tuple(IntegratorOp)
+ALL_MODES = tuple(ControlMode)
+ALL_COMMANDS = tuple(AccCommand)
+ALL_FATIGUE = tuple(FatigueLevel)
 
 CALCULATED = "calculated"
 PROBED = "probed"
@@ -144,7 +139,7 @@ class ScenarioConfig:
 
 
 def is_okay(fatigue: FatigueLevel, stopping_distance: int, gap: int, *,
-            base_separation: int = 4) -> bool:
+            base_separation: int) -> bool:
     """The per-iteration separation property.
 
     The gap must cover both the driver's stopping distance and the
@@ -278,13 +273,13 @@ def build_model(config: ScenarioConfig) -> Model:
     init_mode = config.control_mode if config.control_mode is not None \
         else ALL_MODES[0]
     normal = FatigueLevel.Normal
-    init_speed = min(1, config.max_speed)
+    init_speed = 1
     init_gap = target_for(normal)
 
     mode_dom = SymbolicDomain(ALL_MODES)
     command_dom = SymbolicDomain(ALL_COMMANDS)
     fatigue_dom = SymbolicDomain(ALL_FATIGUE)
-    terrain_dom = SymbolicDomain((Terrain.offRoad, Terrain.onRoad))
+    terrain_dom = SymbolicDomain(tuple(Terrain))
     bool_dom = BoolDomain()
     speed_dom = IntDomain(0, config.max_speed)
     gap_dom = IntDomain(0, config.max_gap)
@@ -314,7 +309,7 @@ def build_model(config: ScenarioConfig) -> Model:
                                          site=None)))
     variables += [
         Var("cursor", Group.ENV_STATE, IntDomain(0, n_seg), 0),
-        Var("covered", Group.ENV_STATE, IntDomain(0, max(0, d_max - 1)), 0),
+        Var("covered", Group.ENV_STATE, IntDomain(0, d_max - 1), 0),
         Var("lead_speed", Group.ENV_STATE, speed_dom, config.lead_speed),
 
         Var("moved", Group.ENV_INPUT, speed_dom, 0),

@@ -97,8 +97,10 @@ class _IntTokens(dict):
 
 def format_trace(verdict: Verdict, model: Model, scenario: str) -> str:
     """Render a Safe or Unsafe verdict's witness path as text.  A scenario
-    name, choice point id or symbolic value holding whitespace is a
-    ValueError, since the text would not read back."""
+    other than the model's name, or whitespace in it, a choice point id or a
+    symbolic value, is a ValueError, since the text would not read back."""
+    if scenario != model.name:
+        raise ValueError(f"scenario {scenario!r} is not the model's name")
     if verdict.kind is VerdictKind.ModelError:
         raise ValueError("a ModelError verdict has no trace to export")
     if verdict.trace is None or verdict.choice_log is None:

@@ -5,7 +5,12 @@ from hypothesis import given, strategies as st
 
 from hilcheck.acc import (AccCommand, acc_decide, adaptive_separation,
                           apply_command, compute_safe_stopping)
-from hilcheck.behaviour import FatigueLevel
+from hilcheck.behaviour import FatigueLevel, InputMode, set_reaction_time
+from hilcheck.scenarios import SCENARIOS
+
+# the case study's values, as the ideal preset sets them
+IDEAL = SCENARIOS["ideal"]
+MAX_SPEED = IDEAL.max_speed
 
 
 def test_command_trichotomy_exhaustive():
@@ -21,42 +26,42 @@ def test_command_trichotomy_exhaustive():
 
 
 def test_apply_command_speed_steps_by_one_and_clamps():
-    assert apply_command(0, 5, AccCommand.Decelerate, 1)[0] == 0
-    assert apply_command(10, 5, AccCommand.Accelerate, 1)[0] == 10
-    assert apply_command(4, 5, AccCommand.Accelerate, 1)[0] == 5
-    assert apply_command(4, 5, AccCommand.Decelerate, 1)[0] == 3
-    assert apply_command(4, 5, AccCommand.Maintain, 1)[0] == 4
+    assert apply_command(0, 5, AccCommand.Decelerate, 1, MAX_SPEED)[0] == 0
+    assert apply_command(10, 5, AccCommand.Accelerate, 1, MAX_SPEED)[0] == 10
+    assert apply_command(4, 5, AccCommand.Accelerate, 1, MAX_SPEED)[0] == 5
+    assert apply_command(4, 5, AccCommand.Decelerate, 1, MAX_SPEED)[0] == 3
+    assert apply_command(4, 5, AccCommand.Maintain, 1, MAX_SPEED)[0] == 4
     assert apply_command(3, 5, AccCommand.Accelerate, 1, max_speed=4)[0] == 4
 
 
 def test_apply_command_gap_follows_speed_difference():
     # gap changes by lead movement minus own movement, floored at zero
-    assert apply_command(1, 6, AccCommand.Maintain, 1)[1] == 6
-    assert apply_command(1, 6, AccCommand.Decelerate, 1)[1] == 7
-    assert apply_command(1, 6, AccCommand.Accelerate, 3)[1] == 7
-    assert apply_command(9, 2, AccCommand.Accelerate, 0)[1] == 0
+    assert apply_command(1, 6, AccCommand.Maintain, 1, MAX_SPEED)[1] == 6
+    assert apply_command(1, 6, AccCommand.Decelerate, 1, MAX_SPEED)[1] == 7
+    assert apply_command(1, 6, AccCommand.Accelerate, 3, MAX_SPEED)[1] == 7
+    assert apply_command(9, 2, AccCommand.Accelerate, 0, MAX_SPEED)[1] == 0
 
 
 def test_apply_command_rejects_negative_lead_speed():
     with pytest.raises(ValueError):
-        apply_command(1, 6, AccCommand.Maintain, -1)
+        apply_command(1, 6, AccCommand.Maintain, -1, MAX_SPEED)
 
 
 @given(speed=st.integers(0, 10), gap=st.integers(0, 30),
        lead=st.integers(0, 10),
        command=st.sampled_from(list(AccCommand)))
 def test_apply_command_invariants(speed, gap, lead, command):
-    new_speed, new_gap = apply_command(speed, gap, command, lead)
-    assert 0 <= new_speed <= 10
+    new_speed, new_gap = apply_command(speed, gap, command, lead, MAX_SPEED)
+    assert 0 <= new_speed <= MAX_SPEED
     assert abs(new_speed - speed) <= 1
     assert new_gap == max(0, gap + lead - new_speed)
 
 
 def test_apply_command_rejects_negative_speed_or_gap():
     with pytest.raises(ValueError, match="non-negative"):
-        apply_command(-1, 5, AccCommand.Maintain, 1)
+        apply_command(-1, 5, AccCommand.Maintain, 1, MAX_SPEED)
     with pytest.raises(ValueError, match="non-negative"):
-        apply_command(1, -5, AccCommand.Maintain, 1)
+        apply_command(1, -5, AccCommand.Maintain, 1, MAX_SPEED)
 
 
 def test_adaptive_separation_ladder():
@@ -90,11 +95,16 @@ def test_adaptive_separation_rejects_bad_base():
 
 def test_values_outside_the_enums_raise_key_error():
     with pytest.raises(KeyError):
-        apply_command(1, 6, "Accelerate", 1)
+        apply_command(1, 6, "Accelerate", 1, MAX_SPEED)
     with pytest.raises(KeyError):
         adaptive_separation("Tired", 4)
+    # a fatigue level is no int: neither 1 nor 3 is a level
+    with pytest.raises(KeyError):
+        adaptive_separation(1, 4)
     with pytest.raises(KeyError):
         adaptive_separation(3, 4)
+    with pytest.raises(KeyError):
+        set_reaction_time(InputMode.Speech, 1, IDEAL.profile)
 
 
 def test_compute_safe_stopping():

@@ -8,10 +8,10 @@ import time
 
 from hilcheck.acc import acc_decide, adaptive_separation
 from hilcheck.behaviour import (FatigueLevel, InputMode, IntegratorOp,
-                                ReactionProfile, integrate, set_driver_fatigue,
+                                integrate, set_driver_fatigue,
                                 set_reaction_time)
-from hilcheck.engine import (Group, VerdictKind, explore, probe_variable,
-                             probed_model, replay_counterexample)
+from hilcheck.engine import (Group, VerdictKind, explore, probed_model,
+                             replay_counterexample)
 from hilcheck.scenarios import SCENARIOS, build_model
 from hilcheck.trace_io import format_trace
 
@@ -60,14 +60,15 @@ def test_criterion_4_every_counterexample_replays_from_its_log():
         assert replay_counterexample(model, verdict) == verdict.trace, name
 
     base = build_model(SCENARIOS["reaction-probe"])
-    verdict = probe_variable(base, (Group.BEH_STATE, "fatigue"), 100)
-    assert verdict.kind is VerdictKind.Unsafe
     swept = probed_model(base, (Group.BEH_STATE, "fatigue"))
+    verdict = explore(swept, 100)
+    assert verdict.kind is VerdictKind.Unsafe
     assert replay_counterexample(swept, verdict) == verdict.trace
 
 
 def test_criterion_5_behaviour_and_control_properties_hold_exhaustively():
-    profile = ReactionProfile()
+    ideal = SCENARIOS["ideal"]
+    profile = ideal.profile
 
     # reaction time strictly grows with fatigue for every interaction mode
     for mode in InputMode:
@@ -86,8 +87,11 @@ def test_criterion_5_behaviour_and_control_properties_hold_exhaustively():
     for op in IntegratorOp:
         for (t1, s1), (t2, s2) in itertools.product(pairs, pairs):
             if t1 <= t2 and s1 <= s2:
-                assert (set_driver_fatigue(t1, s1, op)
-                        <= set_driver_fatigue(t2, s2, op)), (op, t1, s1, t2, s2)
+                low = set_driver_fatigue(t1, s1, op, ideal.tired_after,
+                                         ideal.exhausted_after)
+                high = set_driver_fatigue(t2, s2, op, ideal.tired_after,
+                                          ideal.exhausted_after)
+                assert low.value <= high.value, (op, t1, s1, t2, s2)
 
     # severity integration respects the operator ordering everywhere
     for a, b in itertools.product(range(3), range(3)):

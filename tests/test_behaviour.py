@@ -7,6 +7,13 @@ from hilcheck.behaviour import (FatigueLevel, InputMode, IntegratorOp,
                                 ReactionProfile, hp_function, integrate,
                                 perception_from_fatigue, set_driver_fatigue,
                                 set_reaction_time, time_severity)
+from hilcheck.scenarios import SCENARIOS
+
+# the case study's values, as the ideal preset sets them
+IDEAL = SCENARIOS["ideal"]
+PROFILE = IDEAL.profile
+THRESHOLDS = (IDEAL.tired_after, IDEAL.exhausted_after)
+MAX_HP = IDEAL.max_hp
 
 LEVELS = (FatigueLevel.Normal, FatigueLevel.Tired, FatigueLevel.Exhausted)
 MODES = (InputMode.MultiModal, InputMode.GamePad, InputMode.Speech)
@@ -21,7 +28,8 @@ def test_reaction_time_default_table():
         InputMode.Speech: (3, 6, 9),
     }
     for mode, row in expected.items():
-        assert tuple(set_reaction_time(mode, level) for level in LEVELS) == row
+        assert tuple(set_reaction_time(mode, level, PROFILE)
+                     for level in LEVELS) == row
 
 
 def test_reaction_time_strictly_increases_with_fatigue():
@@ -29,15 +37,16 @@ def test_reaction_time_strictly_increases_with_fatigue():
     for mode in MODES:
         for a in LEVELS:
             for b in LEVELS:
-                if a < b:
-                    assert set_reaction_time(mode, a) < set_reaction_time(mode, b)
+                if a.value < b.value:
+                    assert set_reaction_time(mode, a, PROFILE) \
+                        < set_reaction_time(mode, b, PROFILE)
 
 
 def test_reaction_time_respects_mode_ordering():
     for level in LEVELS:
-        multi = set_reaction_time(InputMode.MultiModal, level)
-        pad = set_reaction_time(InputMode.GamePad, level)
-        speech = set_reaction_time(InputMode.Speech, level)
+        multi = set_reaction_time(InputMode.MultiModal, level, PROFILE)
+        pad = set_reaction_time(InputMode.GamePad, level, PROFILE)
+        speech = set_reaction_time(InputMode.Speech, level, PROFILE)
         assert multi < pad < speech
 
 
@@ -66,11 +75,11 @@ def test_reaction_profile_validation():
 
 
 def test_time_severity_thresholds():
-    assert [time_severity(t) for t in range(10)] == [0, 0, 0, 0,
-                                                     1, 1, 1, 1, 2, 2]
-    assert time_severity(100) == 2
+    assert [time_severity(t, *THRESHOLDS) for t in range(10)] \
+        == [0, 0, 0, 0, 1, 1, 1, 1, 2, 2]
+    assert time_severity(100, *THRESHOLDS) == 2
     with pytest.raises(ValueError):
-        time_severity(-1)
+        time_severity(-1, *THRESHOLDS)
     with pytest.raises(ValueError):
         time_severity(1, tired_after=5, exhausted_after=5)
 
@@ -94,7 +103,7 @@ def test_integrate_rejects_negative_severity():
 def test_integrate_bounds_and_ordering(a, b):
     results = {op: integrate(op, a, b) for op in OPS}
     for value in results.values():
-        assert 0 <= value <= FatigueLevel.Exhausted
+        assert 0 <= value <= FatigueLevel.Exhausted.value
     assert results[IntegratorOp.Min] <= results[IntegratorOp.RoundedMean] \
         <= results[IntegratorOp.Max] <= results[IntegratorOp.Sum]
 
@@ -112,28 +121,32 @@ def test_fatigue_monotone_under_every_integrator():
             for t2 in range(t1, 13):
                 for s1 in range(3):
                     for s2 in range(s1, 3):
-                        low = set_driver_fatigue(t1, s1, op)
-                        high = set_driver_fatigue(t2, s2, op)
-                        assert low <= high, (op, t1, t2, s1, s2)
+                        low = set_driver_fatigue(t1, s1, op, *THRESHOLDS)
+                        high = set_driver_fatigue(t2, s2, op, *THRESHOLDS)
+                        assert low.value <= high.value, (op, t1, t2, s1, s2)
 
 
 def test_fatigue_levels_reachable():
-    assert set_driver_fatigue(0, 0) is FatigueLevel.Normal
-    assert set_driver_fatigue(4, 0) is FatigueLevel.Tired
-    assert set_driver_fatigue(8, 0) is FatigueLevel.Exhausted
-    assert set_driver_fatigue(4, 1, IntegratorOp.Sum) is FatigueLevel.Exhausted
-    assert set_driver_fatigue(8, 0, IntegratorOp.Min) is FatigueLevel.Normal
+    def fatigue(time_driven, terrain, op):
+        return set_driver_fatigue(time_driven, terrain, op, *THRESHOLDS)
+
+    assert fatigue(0, 0, IntegratorOp.Max) is FatigueLevel.Normal
+    assert fatigue(4, 0, IntegratorOp.Max) is FatigueLevel.Tired
+    assert fatigue(8, 0, IntegratorOp.Max) is FatigueLevel.Exhausted
+    assert fatigue(4, 1, IntegratorOp.Sum) is FatigueLevel.Exhausted
+    assert fatigue(8, 0, IntegratorOp.Min) is FatigueLevel.Normal
 
 
 def test_hp_function_clamps():
-    assert hp_function(7) == 5
-    assert hp_function(-2) == 0
-    assert hp_function(3) == 3
+    assert hp_function(7, MAX_HP) == 5
+    assert hp_function(-2, MAX_HP) == 0
+    assert hp_function(3, MAX_HP) == 3
     assert hp_function(9, max_hp=2) == 2
     with pytest.raises(ValueError):
         hp_function(1, max_hp=0)
 
 
 def test_perception_ladder():
-    assert [perception_from_fatigue(level) for level in LEVELS] == [5, 3, 1]
+    assert [perception_from_fatigue(level, MAX_HP)
+            for level in LEVELS] == [5, 3, 1]
     assert perception_from_fatigue(FatigueLevel.Exhausted, max_hp=3) == 0

@@ -205,7 +205,8 @@ def test_reader_can_reestablish_the_violation(tmp_path):
     proc = run_cli("run", "manual-override", "--trace-out", str(out), check=1)
     assert f"trace written to {out}" in proc.stdout
 
-    model = build_model(SCENARIOS["manual-override"])
+    config = SCENARIOS["manual-override"]
+    model = build_model(config)
     loaded = read_trace(out, model)
     assert loaded.header["failed"] == "SeparationMaintained"
     final = loaded.trace[-1]
@@ -214,7 +215,8 @@ def test_reader_can_reestablish_the_violation(tmp_path):
         fatigue,
         stopping_distance=(final.value(Group.SYS_STATE, "speed")
                            * final.value(Group.BEH_STATE, "reaction_time")),
-        gap=final.value(Group.SYS_STATE, "gap"))
+        gap=final.value(Group.SYS_STATE, "gap"),
+        base_separation=config.base_separation)
     assert not okay
     # and every earlier snapshot satisfied it
     for state in loaded.trace[:-1]:
@@ -222,7 +224,8 @@ def test_reader_can_reestablish_the_violation(tmp_path):
             state.value(Group.BEH_STATE, "fatigue"),
             stopping_distance=(state.value(Group.SYS_STATE, "speed")
                                * state.value(Group.BEH_STATE, "reaction_time")),
-            gap=state.value(Group.SYS_STATE, "gap"))
+            gap=state.value(Group.SYS_STATE, "gap"),
+            base_separation=config.base_separation)
 
 
 # --- console script -----------------------------------------------------------

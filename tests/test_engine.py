@@ -8,8 +8,8 @@ import pytest
 from hilcheck.engine import (Assertion, BoolDomain, ChoiceEntry, ChoicePoint,
                              Group, IntDomain, ModelError, SymbolicDomain,
                              UpdateFunctions, Var, VerdictKind, explore,
-                             first_value_resolver, log_resolver, probe_variable,
-                             probed_model, register_model, replay_counterexample,
+                             first_value_resolver, log_resolver, probed_model,
+                             register_model, replay_counterexample,
                              resolve_initial, step)
 
 
@@ -491,6 +491,12 @@ def test_init_choice_cannot_be_drawn_mid_step():
             variables=[Var("x", Group.ENV_STATE, IntDomain(0, 1), 0)],
             updates=_updates(env_input=env_input),
             init_choices=[((Group.ENV_STATE, "x"), cp)])
+
+
+def test_a_step_choice_point_must_name_its_site():
+    # no update draws it: without a site it could be drawn nowhere
+    with pytest.raises(ModelError, match="choice point 'x' has no site"):
+        _counter_model(choices=[ChoicePoint("x", (1, 2))])
 
 
 def test_resolver_value_must_be_in_domain():

@@ -5,7 +5,7 @@ import pytest
 from hilcheck.engine import (Assertion, ChoiceEntry, ChoicePoint, Group,
                              IntDomain, ModelError, SymbolicDomain,
                              UpdateFunctions, Var, VerdictKind, explore,
-                             first_value_resolver, probe_variable,
+                             first_value_resolver, probed_model,
                              register_model, replay_counterexample,
                              resolve_initial, step)
 
@@ -195,7 +195,7 @@ def _probe_model():
 
 def test_probe_variable_sweeps_initial_values():
     model = _probe_model()
-    verdict = probe_variable(model, (Group.ENV_STATE, "x"), 2)
+    verdict = explore(probed_model(model, (Group.ENV_STATE, "x")), 2)
     assert verdict.kind is VerdictKind.Unsafe
     assert verdict.choice_log == (ChoiceEntry(0, "probe:x", 2),)
     assert verdict.trace[0].value(Group.ENV_STATE, "x") == 2
@@ -206,13 +206,13 @@ def test_probe_variable_sweeps_initial_values():
 def test_probe_rejects_unknown_names():
     model = _probe_model()
     with pytest.raises(ModelError, match="unknown variable beh_state.ghost"):
-        probe_variable(model, (Group.BEH_STATE, "ghost"), 1)
+        probed_model(model, (Group.BEH_STATE, "ghost"))
 
 
 def test_probe_leaves_original_model_unchanged():
     model = _probe_model()
     before = explore(model, 2)
-    probe_variable(model, (Group.ENV_STATE, "x"), 2)
+    explore(probed_model(model, (Group.ENV_STATE, "x")), 2)
     assert explore(model, 2) == before
     assert "probe:x" not in model.choices
 

@@ -10,9 +10,9 @@ import hilcheck.scenarios
 from hilcheck.acc import AccCommand, ControlMode
 from hilcheck.behaviour import FatigueLevel, InputMode, IntegratorOp
 from hilcheck.engine import (ChoiceEntry, Group, ModelError, VerdictKind,
-                             explore, first_value_resolver, probe_variable,
-                             probed_model, replay_counterexample,
-                             resolve_initial, run_path, step)
+                             explore, first_value_resolver, probed_model,
+                             replay_counterexample, resolve_initial, run_path,
+                             step)
 from hilcheck.environment import RoutePoint, Terrain
 from hilcheck.scenarios import (DEFAULT_ROUTE, SCENARIOS, ScenarioConfig,
                                 build_model, is_okay)
@@ -20,15 +20,23 @@ from hilcheck.scenarios import (DEFAULT_ROUTE, SCENARIOS, ScenarioConfig,
 
 # --- the separation property in isolation ----------------------------------
 
+BASE = SCENARIOS["ideal"].base_separation
+
+
 def test_is_okay_requires_stopping_distance_covered():
-    assert is_okay(FatigueLevel.Normal, stopping_distance=6, gap=6)
-    assert not is_okay(FatigueLevel.Normal, stopping_distance=7, gap=6)
+    assert is_okay(FatigueLevel.Normal, stopping_distance=6, gap=6,
+                   base_separation=BASE)
+    assert not is_okay(FatigueLevel.Normal, stopping_distance=7, gap=6,
+                       base_separation=BASE)
 
 
 def test_is_okay_floor_widens_with_fatigue():
-    assert is_okay(FatigueLevel.Tired, stopping_distance=0, gap=5)
-    assert not is_okay(FatigueLevel.Exhausted, stopping_distance=0, gap=5)
-    assert is_okay(FatigueLevel.Exhausted, stopping_distance=0, gap=6)
+    assert is_okay(FatigueLevel.Tired, stopping_distance=0, gap=5,
+                   base_separation=BASE)
+    assert not is_okay(FatigueLevel.Exhausted, stopping_distance=0, gap=5,
+                       base_separation=BASE)
+    assert is_okay(FatigueLevel.Exhausted, stopping_distance=0, gap=6,
+                   base_separation=BASE)
 
 
 # --- golden first step of the ideal scenario -------------------------------
@@ -211,7 +219,7 @@ def test_probe_fixture_is_safe_without_probing():
 
 def test_probing_initial_fatigue_finds_the_breaking_level():
     model = build_model(SCENARIOS["reaction-probe"])
-    verdict = probe_variable(model, (Group.BEH_STATE, "fatigue"), 100)
+    verdict = explore(probed_model(model, (Group.BEH_STATE, "fatigue")), 100)
     assert verdict.kind is VerdictKind.Unsafe
     assert verdict.failed_assertion == "SeparationMaintained"
     assert verdict.paths_explored == 3      # Normal and Tired run safe
@@ -239,7 +247,7 @@ def test_probe_rejects_a_variable_that_already_has_an_init_choice(preset,
     # the variable's own draw would overwrite every probed value
     model = build_model(replace(SCENARIOS[preset], bound=3))
     with pytest.raises(ModelError, match="already has an initialisation"):
-        probe_variable(model, var, 3)
+        probed_model(model, var)
 
 
 # sha256 of each preset's declarations, repr([(str(v), v.domain) for v in

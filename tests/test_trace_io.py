@@ -173,12 +173,13 @@ def test_a_spaced_domain_member_the_trace_never_holds_is_fine(tmp_path):
     assert read_trace(path, model).trace == verdict.trace
 
 
-@pytest.mark.parametrize("label, error", [
-    ("\u00e9", UnicodeEncodeError),
-    ("a b", ValueError),
-], ids=["non-ascii value", "spaced value"])
+@pytest.mark.parametrize("label, scenario, error", [
+    ("\u00e9", "m", UnicodeEncodeError),
+    ("a b", "m", ValueError),
+    ("ok", "other", ValueError),
+], ids=["non-ascii value", "spaced value", "another scenario name"])
 def test_a_failing_export_leaves_an_existing_trace_as_it_was(
-        label, error, tmp_path):
+        label, scenario, error, tmp_path):
     good = _labelled("ok", "pick", "m")
     path = tmp_path / "trace.txt"
     export_trace(path, explore(good, 2), good, "m")
@@ -187,5 +188,5 @@ def test_a_failing_export_leaves_an_existing_trace_as_it_was(
 
     bad = _labelled(label, "pick", "m", members=("ok", "a b", "\u00e9"))
     with pytest.raises(error):
-        export_trace(path, explore(bad, 2), bad, "m")
+        export_trace(path, explore(bad, 2), bad, scenario)
     assert path.read_bytes() == before
