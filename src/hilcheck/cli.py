@@ -14,10 +14,10 @@ import sys
 import time
 from dataclasses import replace
 
-from .config_io import ConfigError, load_config, parse_operators
+from .config_io import ConfigError, at_least_one, load_config, parse_operators
 from .engine import DEFAULT_PATH_CEILING, ModelError, VerdictKind, explore
 from .scenarios import SCENARIOS, build_model
-from .trace_io import canonical_int, export_trace
+from .trace_io import export_trace
 
 EXIT_SAFE = 0
 EXIT_UNSAFE = 1
@@ -25,14 +25,12 @@ EXIT_ERROR = 2
 
 
 def positive_int(raw: str) -> int:
-    """argparse type of every count flag, the scripts' `--bound` too: a
-    canonical decimal, as in config and trace files, of at least 1."""
-    value = canonical_int(raw)
-    if value is None:
-        raise argparse.ArgumentTypeError(f"needs an integer, got {raw!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"needs at least 1, got {raw}")
-    return value
+    """argparse type of every count flag, the scripts' `--bound` too:
+    `config_io.at_least_one`, as config files read a count."""
+    try:
+        return at_least_one(raw)
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -107,9 +105,7 @@ def _run(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _run(args)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        return _run(args)
     except (ConfigError, ModelError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

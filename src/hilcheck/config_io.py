@@ -31,10 +31,11 @@ def _integer(raw: str) -> int:
     return value
 
 
-def _at_least_one(raw: str) -> int:
+def at_least_one(raw: str) -> int:
+    """A count, in config files and count flags: a canonical decimal >= 1."""
     value = _integer(raw)
     if value < 1:
-        raise ConfigError("must be at least 1")
+        raise ConfigError(f"needs at least 1, got {raw}")
     return value
 
 
@@ -84,7 +85,7 @@ def _parse_route(raw: str) -> tuple[RoutePoint, ...]:
 # two bad values the earlier entry's is reported.
 # `scenario`, `route` and `routeLength` have their own branch.
 _KEYS = {
-    "bound": ("config", "bound", _at_least_one),
+    "bound": ("config", "bound", at_least_one),
     "controlMode": ("config", "control_mode",
                     _one_of({"engaged": ControlMode.Engaged,
                              "manual": ControlMode.Manual, "nondet": None})),
@@ -157,7 +158,7 @@ def load_config(path) -> ScenarioConfig:
     if route == "nondet":
         length = config.route_length or DEFAULT_ROUTE_LENGTH
     if "routeLength" in entries:
-        parsed = _parse(entries, "routeLength", _at_least_one)
+        parsed = _parse(entries, "routeLength", at_least_one)
         if length is None:
             raise ConfigError(f"line {entries['routeLength'][1]}: "
                               "routeLength: only applies to route = nondet")

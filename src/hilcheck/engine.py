@@ -17,8 +17,8 @@ read sees the previous iteration's, so an output reports its model's new
 state.  Environment and behaviour functions may draw values from declared
 choice points; the three system functions must be deterministic and are
 never handed a drawing context.  A choice point's site is the group that
-draws it; one without a site is an initialisation choice, drawn before the
-first iteration.  Every draw, of either kind, goes through `_draw`.
+draws it in each step, or the (Group, name) of the variable it initialises
+before the first iteration.  Every draw, of either kind, goes through `_draw`.
 
 `explore` enumerates every resolution of every choice point up to a bound,
 depth first in declared domain order, and reports the first violating path
@@ -162,15 +162,15 @@ class ChoicePoint:
     """A named non-deterministic draw site.
 
     `domain` is the ordered list of candidate values; exploration branches in
-    exactly this order.  `site` is the group whose update function performs
-    the draw, or None for draws resolved once before the first iteration
-    (initialisation choices, including probes): `register_model` takes those
-    in `init_choices` only, and every point with a site in `choices`.
+    exactly this order.  `site` says where the drawn value goes: a `Group`,
+    whose update draws the point in each step, or a variable's (Group, name),
+    an initialisation choice (a probe among them), drawn once before the
+    first iteration in place of that variable's initial value.
     """
 
     point_id: str
     domain: tuple[Value, ...]
-    site: Group | None = None
+    site: Group | tuple[Group, str]
     _types: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -178,7 +178,7 @@ class ChoicePoint:
             raise ModelError(f"choice point '{self.point_id}' has an empty domain")
         if len(set(self.domain)) != len(self.domain):
             raise ModelError(f"choice point '{self.point_id}' has duplicate values")
-        if self.site in SYSTEM_GROUPS:
+        if isinstance(self.site, Group) and self.site in SYSTEM_GROUPS:
             raise ModelError("system update must be deterministic: "
                              f"choice point '{self.point_id}' sited at {self.site.value}")
         object.__setattr__(self, "_types", frozenset(map(type, self.domain)))
@@ -391,11 +391,11 @@ class StepContext:
         cp = self._model.choices.get(point_id)
         if cp is None:
             raise ModelError(f"unknown choice point '{point_id}'")
-        if cp.site is None:
-            raise ModelError(
-                f"choice point '{point_id}' is an initialisation choice and "
-                "cannot be drawn during a step")
-        if cp.site != self._site:
+        if cp.site is not self._site:
+            if not isinstance(cp.site, Group):
+                raise ModelError(
+                    f"choice point '{point_id}' is an initialisation choice "
+                    "and cannot be drawn during a step")
             raise ModelError(
                 f"choice point '{point_id}' is declared for "
                 f"{cp.site.value} but was drawn while computing {self._site.value}")
@@ -474,22 +474,21 @@ def register_model(variables: Sequence[Var],
                    updates: UpdateFunctions,
                    choices: Sequence[ChoicePoint] = (),
                    assertions: Sequence[Assertion] = (),
-                   init_choices: Sequence[tuple] = (),
                    name: str = "model") -> Model:
     """Validate and freeze a model definition.
 
     Each `Var` carries its own initial value, checked against its domain
-    when the `Var` is made.  `init_choices` pairs a variable's (Group, name)
-    with a site-None choice point that overrides that initial value; they
-    are drawn in the order given.
+    when the `Var` is made.  A choice point sited at a variable's
+    (Group, name) overrides that initial value; such initialisation choices
+    are drawn in the order they appear in `choices`.
 
     Checks: at least one variable; names unique within each group; choice
-    point ids unique; every point in `choices` has a site; initialisation
-    choices target declared variables, at most one each, with values inside
-    the variable's domain.  Finally a single trial step is executed (first
-    domain value at every draw) so that wiring mistakes surface at
-    registration rather than mid-exploration.  Assertion violations during
-    the trial step are ignored.
+    point ids unique; every site that is not a group names a declared
+    variable, at most one point targets each variable, and every candidate
+    lies inside that variable's domain.  Finally a single trial step is
+    executed (first domain value at every draw) so that wiring mistakes
+    surface at registration rather than mid-exploration.  Assertion
+    violations during the trial step are ignored.
     """
     vars_t = tuple(variables)
     if not vars_t:
@@ -508,28 +507,15 @@ def register_model(variables: Sequence[Var],
     index = VarIndex(positions, views, writes)
 
     choice_map: dict[str, ChoicePoint] = {}
+    init_ch: list[tuple[int, ChoicePoint]] = []
     for cp in choices:
-        if cp.site is None:
-            raise ModelError(f"choice point '{cp.point_id}' has no site: an "
-                             "initialisation choice goes in init_choices")
         if cp.point_id in choice_map:
             raise ModelError(f"duplicate choice point '{cp.point_id}'")
         choice_map[cp.point_id] = cp
-
-    assert_t = tuple(assertions)
-    ids = [a.assert_id for a in assert_t]
-    if len(set(ids)) != len(ids):
-        raise ModelError("duplicate assertion id")
-
-    init_ch: list[tuple[int, ChoicePoint]] = []
-    for key, cp in init_choices:
-        pos = _position(index, key,
-                        "initialisation choice targets unknown variable")
-        if cp.site is not None:
-            raise ModelError(
-                f"initialisation choice '{cp.point_id}' must use site None")
-        if cp.point_id in choice_map:
-            raise ModelError(f"duplicate choice point '{cp.point_id}'")
+        if isinstance(cp.site, Group):
+            continue
+        pos = _position(index, cp.site, f"choice point '{cp.point_id}' "
+                                        "targets unknown variable")
         if any(pos == other for other, _ in init_ch):
             raise ModelError(f"two initialisation choices target {vars_t[pos]}")
         for value in cp.domain:
@@ -537,8 +523,12 @@ def register_model(variables: Sequence[Var],
                 raise ModelError(
                     f"initialisation choice '{cp.point_id}' offers {value!r}, "
                     f"outside the domain of {vars_t[pos]}")
-        choice_map[cp.point_id] = cp
         init_ch.append((pos, cp))
+
+    assert_t = tuple(assertions)
+    ids = [a.assert_id for a in assert_t]
+    if len(set(ids)) != len(ids):
+        raise ModelError("duplicate assertion id")
 
     model = Model(name=name, variables=vars_t, updates=updates,
                   choices=choice_map, assertions=assert_t,
@@ -554,7 +544,7 @@ def resolve_initial(model: Model,
                     resolver: Resolver = first_value_resolver
                     ) -> tuple[ModelState, ChoiceLog]:
     """Build the iteration-0 state, resolving initialisation choices in
-    declared order through the resolver."""
+    the order `choices` lists them through the resolver."""
     values = [v.init for v in model.variables]
     entries: list[ChoiceEntry] = []
     for pos, cp in model.init_choices:
@@ -730,8 +720,9 @@ def probed_model(model: Model, var: tuple[Group, str]) -> Model:
     """Return a copy of the model with one variable's initialisation promoted
     to a choice over its full domain.
 
-    `var` is the variable's (Group, name) pair.  The probe draw appears in
-    choice logs at iteration 0 under the id ``probe:<name>``.  A variable
+    `var` is the variable's (Group, name) pair and the probe's site.  The
+    probe is drawn first and appears in choice logs at iteration 0 under the
+    id ``probe:<name>``.  A variable
     with an initialisation choice of its own cannot be probed, because that
     choice would overwrite the probed value.  The original model is not
     modified.  Counterexamples found on the probed model replay against the
@@ -743,7 +734,7 @@ def probed_model(model: Model, var: tuple[Group, str]) -> Model:
     if any(pos == other for other, _ in model.init_choices):
         raise ModelError(f"{target} already has an initialisation choice")
 
-    cp = ChoicePoint(f"probe:{target.name}", target.domain.values(), site=None)
+    cp = ChoicePoint(f"probe:{target.name}", target.domain.values(), site=var)
     return replace(model,
                    init_choices=((pos, cp),) + model.init_choices,
                    choices={**model.choices, cp.point_id: cp})

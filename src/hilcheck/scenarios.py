@@ -293,20 +293,17 @@ def build_model(config: ScenarioConfig) -> Model:
     # every variable once, in declared order, with its initial value; a
     # drawn route's fields are drawn in that order, before the integrator
     variables = []
-    init_choices: list[tuple[tuple[Group, str], ChoicePoint]] = []
     for i, pt in enumerate(segments):
         for field_name, candidates in ROUTE_CANDIDATES.items():
             name = f"seg{i}_{field_name}"
             variables.append(Var(name, Group.ENV_STATE, field_doms[field_name],
                                  getattr(pt, field_name)))
             if drawn:
-                init_choices.append(((Group.ENV_STATE, name),
-                                     ChoicePoint(f"route:{name}", candidates,
-                                                 site=None)))
+                choices.append(ChoicePoint(f"route:{name}", candidates,
+                                           site=(Group.ENV_STATE, name)))
     if len(config.operators) > 1:
-        init_choices.append(((Group.BEH_STATE, "combine_op"),
-                             ChoicePoint("integrator", config.operators,
-                                         site=None)))
+        choices.append(ChoicePoint("integrator", config.operators,
+                                   site=(Group.BEH_STATE, "combine_op")))
     variables += [
         Var("cursor", Group.ENV_STATE, IntDomain(0, n_seg), 0),
         Var("covered", Group.ENV_STATE, IntDomain(0, d_max - 1), 0),
@@ -373,7 +370,7 @@ def build_model(config: ScenarioConfig) -> Model:
 
     return register_model(variables=variables, updates=updates,
                           choices=choices, assertions=assertions,
-                          init_choices=init_choices, name=config.name)
+                          name=config.name)
 
 
 SCENARIOS = {

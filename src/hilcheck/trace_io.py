@@ -18,6 +18,9 @@ from .engine import (ChoiceEntry, ChoiceLog, IntDomain, Model, ModelState,
 
 _has_space = re.compile(r"\s").search
 
+# a header's fields, in the order `format_trace` writes them
+_HEADER_FIELDS = ("scenario", "bound", "verdict", "failed", "paths")
+
 
 def _label(value) -> str:
     if isinstance(value, Enum):
@@ -97,19 +100,25 @@ class _IntTokens(dict):
 
 def format_trace(verdict: Verdict, model: Model, scenario: str) -> str:
     """Render a Safe or Unsafe verdict's witness path as text.  A scenario
-    other than the model's name, or whitespace in it, a choice point id or a
-    symbolic value, is a ValueError, since the text would not read back."""
+    other than the model's name, states of another model's variables, or
+    whitespace in the scenario, a choice point id or a symbolic value, is a
+    ValueError, since the text would not read back."""
     if scenario != model.name:
         raise ValueError(f"scenario {scenario!r} is not the model's name")
     if verdict.kind is VerdictKind.ModelError:
         raise ValueError("a ModelError verdict has no trace to export")
     if verdict.trace is None or verdict.choice_log is None:
         raise ValueError("verdict carries no trace")
+    # layouts, not identity: the same model may have been built twice
+    layout = list(model.index.positions)
+    if any(list(index.positions) != layout
+           for index in {state.index for state in verdict.trace}):
+        raise ValueError(f"a verdict of another model than {model.name!r}")
 
-    failed = verdict.failed_assertion or "-"
-    lines = [f"header scenario={_one_token(scenario)} bound={verdict.bound} "
-             f"verdict={verdict.kind.value} failed={failed} "
-             f"paths={verdict.paths_explored}"]
+    header = (_one_token(scenario), verdict.bound, verdict.kind.value,
+              verdict.failed_assertion or "-", verdict.paths_explored)
+    lines = ["header " + " ".join(f"{key}={value}" for key, value
+                                  in zip(_HEADER_FIELDS, header))]
     by_iter: dict[int, list[ChoiceEntry]] = {}
     for entry in verdict.choice_log:
         by_iter.setdefault(entry.iteration, []).append(entry)
@@ -153,9 +162,10 @@ def read_trace(path, model: Model) -> TraceFile:
     The model supplies variable domains, so values come back as the same
     ints, bools, and enumeration members that produced the file; a value
     outside its variable's or choice point's domain is an error, as are a
-    header naming another scenario than the model's, a field given twice
-    and a choice that does not come right before the state of its
-    iteration.
+    first record that is not a header with exactly the fields
+    `format_trace` writes, a header naming another scenario than the
+    model's, a field given twice and a choice that does not come right
+    before the state of its iteration.
     """
     header: dict[str, str] | None = None
     columns = {str(v): (pos, _IntTokens(v.domain)
@@ -173,13 +183,19 @@ def read_trace(path, model: Model) -> TraceFile:
                 continue
             kind, _, rest = line.partition(" ")
             fields = _fields(rest, lineno)
-            if kind == "header":
-                if header is not None:
-                    raise ValueError(f"line {lineno}: duplicate header")
-                if fields.get("scenario") != model.name:
+            if header is None:
+                if kind != "header":
+                    raise ValueError(f"line {lineno}: the first record must "
+                                     "be the header")
+                if fields.keys() != set(_HEADER_FIELDS):
+                    raise ValueError(f"line {lineno}: a header has exactly "
+                                     "the fields " + " ".join(_HEADER_FIELDS))
+                if fields["scenario"] != model.name:
                     raise ValueError(f"line {lineno}: header names another "
                                      f"scenario than {model.name!r}")
                 header = fields
+            elif kind == "header":
+                raise ValueError(f"line {lineno}: duplicate header")
             elif kind == "choice":
                 if set(fields) != {"iter", "point", "value"}:
                     raise ValueError(f"line {lineno}: bad choice record")
@@ -221,8 +237,6 @@ def read_trace(path, model: Model) -> TraceFile:
                 states.append(ModelState(tuple(values), iteration, model.index))
             else:
                 raise ValueError(f"line {lineno}: unknown record kind {kind!r}")
-    if header is None:
-        raise ValueError("trace file has no header")
     if not states:
         raise ValueError("trace file has no states")
     if choices and choices[-1].iteration == len(states):

@@ -8,6 +8,11 @@ any knowledge of the search algorithm.  The draws follow the engine's step
 order (inputs, then states, then outputs), which is also the order the
 oracle feeds values in; each update combines every view its row reads, so
 the outputs' reads of this step's new state are exercised too.
+
+Initialisation and step points share one `choices` list in a seeded random
+order.  Initialisation points are drawn in their list order, and step
+points on the schedule whatever their list order, so the oracle expects the
+points in those two orders.
 """
 
 from __future__ import annotations
@@ -33,17 +38,17 @@ _SLOT_VAR = {
 class GeneratedModel:
     model: object
     bound: int
-    init_domains: tuple[tuple[int, ...], ...]
-    step_domains: tuple[tuple[int, ...], ...]  # draws per iteration, in order
+    init_points: tuple[ChoicePoint, ...]  # in draw order
+    step_points: tuple[ChoicePoint, ...]  # draws per iteration, in order
 
     @property
     def runs(self) -> int:
         total = 1
-        for dom in self.init_domains:
-            total *= len(dom)
+        for cp in self.init_points:
+            total *= len(cp.domain)
         per_iter = 1
-        for dom in self.step_domains:
-            per_iter *= len(dom)
+        for cp in self.step_points:
+            per_iter *= len(cp.domain)
         return total * per_iter ** self.bound
 
 
@@ -80,11 +85,11 @@ def generate(seed: int, max_runs: int = 400) -> GeneratedModel:
             break
         bound = max(2, bound - 1)
 
-    choices = []
+    step_points = []
     draw_ids: dict[Group, list[str]] = {slot: [] for slot in _DRAW_SLOTS}
     for k, (slot, dom) in enumerate(zip(site_of, step_domains)):
         cp = ChoicePoint(f"d{k}", dom, site=slot)
-        choices.append(cp)
+        step_points.append(cp)
         draw_ids[slot].append(cp.point_id)
 
     def clamp(name: str, value: int) -> int:
@@ -137,14 +142,12 @@ def generate(seed: int, max_runs: int = 400) -> GeneratedModel:
                  for group, name in _SLOT_VAR.items()]
 
     init_targets = rng.sample(["e", "s", "b"], len(init_domains))
-    init_choices = []
+    choices = list(step_points)
     for k, (name, dom) in enumerate(zip(init_targets, init_domains)):
         dom = tuple(v % (caps[name] + 1) for v in dom)
         dom = tuple(dict.fromkeys(dom))  # dedupe, keep order
         group = next(g for g, n in _SLOT_VAR.items() if n == name)
-        init_choices.append(((group, name),
-                             ChoicePoint(f"init{k}", dom, site=None)))
-    init_domains = tuple(cp.domain for _, cp in init_choices)
+        choices.append(ChoicePoint(f"init{k}", dom, site=(group, name)))
 
     assertions = []
     for k in range(rng.randint(1, 2)):
@@ -161,10 +164,13 @@ def generate(seed: int, max_runs: int = 400) -> GeneratedModel:
 
         assertions.append(Assertion(f"a{k}", pred))
 
+    # shuffled last, so every earlier draw of rng is as it was
+    rng.shuffle(choices)
     model = register_model(variables=variables, updates=updates,
                            choices=choices, assertions=assertions,
-                           init_choices=init_choices,
                            name=f"gen{seed}")
-    return GeneratedModel(model=model, bound=bound,
-                          init_domains=init_domains,
-                          step_domains=step_domains)
+    return GeneratedModel(
+        model=model, bound=bound,
+        init_points=tuple(cp for cp in choices
+                          if not isinstance(cp.site, Group)),
+        step_points=tuple(step_points))

@@ -2,9 +2,10 @@
 
 Enumerates the full cartesian product of every choice domain over the bound
 (valid because generated models draw on a fixed schedule), runs each vector
-straight through resolve_initial/step with a queue resolver, and reports
-what an exhaustive search must find.  No shared code with explore() beyond
-the single-step semantics themselves.
+straight through resolve_initial/step with a queue resolver that also checks
+each draw comes from the expected point, and reports what an exhaustive
+search must find.  No shared code with explore() beyond the single-step
+semantics themselves.
 """
 
 from __future__ import annotations
@@ -15,14 +16,19 @@ from dataclasses import dataclass
 from hilcheck.engine import Model, resolve_initial, step
 
 
-def queue_resolver(values):
-    """Resolver that hands out a pre-decided list of values in order."""
-    queue = list(values)
+def queue_resolver(draws):
+    """Resolver that hands out pre-decided (point, value) draws in order,
+    failing on a draw from any other point than the next one's."""
+    queue = list(draws)
 
     def resolve(cp, iteration):
         if not queue:
             raise AssertionError(f"oracle queue exhausted at {cp.point_id}")
-        return queue.pop(0)
+        expected, value = queue.pop(0)
+        if cp.point_id != expected.point_id:
+            raise AssertionError(f"engine drew {cp.point_id}, oracle "
+                                 f"expected {expected.point_id}")
+        return value
 
     return resolve
 
@@ -41,9 +47,9 @@ class OracleResult:
     first_trace: tuple = ()
 
 
-def run_vector(model: Model, bound: int, vector):
+def run_vector(model: Model, bound: int, draws):
     """Run one fully decided path; stop at the first violating iteration."""
-    resolver = queue_resolver(vector)
+    resolver = queue_resolver(draws)
     state, log = resolve_initial(model, resolver)
     trace = [state]
     log = list(log)
@@ -58,14 +64,15 @@ def run_vector(model: Model, bound: int, vector):
     return tuple(trace), tuple(log), violated
 
 
-def flat_check(model: Model, bound: int, init_domains, step_domains) -> OracleResult:
-    all_domains = list(init_domains) + list(step_domains) * bound
+def flat_check(model: Model, bound: int, init_points, step_points) -> OracleResult:
+    points = list(init_points) + list(step_points) * bound
     runs = 1
-    for dom in all_domains:
-        runs *= len(dom)
+    for cp in points:
+        runs *= len(cp.domain)
     first_trace = None
-    for paths, vector in enumerate(itertools.product(*all_domains), 1):
-        trace, log, violated = run_vector(model, bound, vector)
+    for paths, vector in enumerate(
+            itertools.product(*(cp.domain for cp in points)), 1):
+        trace, log, violated = run_vector(model, bound, zip(points, vector))
         if violated:
             return OracleResult(kind="Unsafe", runs=runs, paths=paths,
                                 failed=violated[0],

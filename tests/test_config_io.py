@@ -4,6 +4,7 @@ its own line, and README's "Config files" section lists the accepted keys."""
 
 import ast
 import re
+from argparse import ArgumentTypeError
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 from hilcheck import config_io
 from hilcheck.acc import ControlMode
 from hilcheck.behaviour import InputMode, IntegratorOp, ReactionProfile
+from hilcheck.cli import positive_int
 from hilcheck.config_io import ConfigError, load_config
 from hilcheck.environment import RoutePoint, Terrain
 from hilcheck.scenarios import SCENARIOS
@@ -169,6 +171,15 @@ def test_bad_values_are_rejected_on_their_line(case, tmp_path):
     text, lineno = REJECTED[case]
     with pytest.raises(ConfigError, match=rf"^line {lineno}: "):
         load_config(write(tmp_path, "# header\n" + text))
+
+
+def test_a_count_reads_as_the_cli_reads_it(tmp_path):
+    # one parser and one message for count keys and count flags
+    with pytest.raises(ConfigError, match="^line 1: bound: needs at least 1, "
+                                          "got 0$"):
+        load_config(write(tmp_path, "bound = 0"))
+    with pytest.raises(ArgumentTypeError, match="^needs at least 1, got 0$"):
+        positive_int("0")
 
 
 @pytest.mark.parametrize("text", [

@@ -133,11 +133,16 @@ def test_an_update_writing_an_int_into_an_enum_variable_is_rejected():
             updates=_updates(env_state=env_state))
 
 
-@pytest.mark.parametrize("key", ["n", ("env_state", "n"), (Group.ENV_STATE,)],
-                         ids=["bare name", "string group", "one-tuple"])
+@pytest.mark.parametrize("key", ["n", ("env_state", "n"), (Group.ENV_STATE,),
+                                 [Group.ENV_STATE, "n"],
+                                 (Group.ENV_STATE, "ghost")],
+                         ids=["bare name", "string group", "one-tuple", "list",
+                              "undeclared"])
 def test_a_variable_is_named_only_by_group_and_name(key):
-    with pytest.raises(ModelError, match="unknown variable"):
-        _counter_model(init_choices=[(key, ChoicePoint("pick", (0,)))])
+    # a choice point sited at anything but a group or a declared variable
+    with pytest.raises(ModelError, match="choice point 'pick' targets "
+                                         "unknown variable"):
+        _counter_model(choices=[ChoicePoint("pick", (0,), site=key)])
     with pytest.raises(ModelError, match="unknown variable"):
         probed_model(_counter_model(), key)
 
@@ -148,7 +153,7 @@ def test_unhashable_variable_key_is_a_model_error():
     with pytest.raises(ModelError, match="unknown variable"):
         probed_model(model, key)
     with pytest.raises(ModelError, match="unknown variable"):
-        _counter_model(init_choices=[(key, ChoicePoint("pick", (0,)))])
+        _counter_model(choices=[ChoicePoint("pick", (0,), site=key)])
     state, _ = resolve_initial(model)
     with pytest.raises(ModelError, match="unknown variable"):
         state.value(*key)
@@ -161,15 +166,19 @@ def test_choice_point_rejects_system_site():
 
 def test_choice_point_rejects_empty_and_duplicate_domains():
     with pytest.raises(ModelError, match="empty domain"):
-        ChoicePoint("p", ())
+        ChoicePoint("p", (), site=Group.ENV_INPUT)
     with pytest.raises(ModelError, match="duplicate"):
-        ChoicePoint("p", (1, 1))
+        ChoicePoint("p", (1, 1), site=Group.ENV_INPUT)
 
 
 def test_register_rejects_duplicate_choice_ids():
     cp = ChoicePoint("p", (0, 1), site=Group.ENV_INPUT)
     with pytest.raises(ModelError, match="duplicate choice point"):
         _counter_model(choices=[cp, cp])
+    # an initialisation choice shares the ids of step choices
+    seed = ChoicePoint("p", (0, 1), site=(Group.ENV_STATE, "n"))
+    with pytest.raises(ModelError, match="duplicate choice point 'p'"):
+        _counter_model(choices=[cp, seed])
 
 
 def test_register_rejects_duplicate_assertion_ids():
@@ -179,25 +188,19 @@ def test_register_rejects_duplicate_assertion_ids():
 
 
 def test_init_choice_must_fit_variable_domain():
-    cp = ChoicePoint("pick", (0, 999), site=None)
-    with pytest.raises(ModelError, match="outside the domain"):
-        _counter_model(init_choices=[((Group.ENV_STATE, "n"), cp)])
-
-
-def test_init_choice_must_use_site_none():
-    cp = ChoicePoint("pick", (0, 1), site=Group.ENV_INPUT)
-    with pytest.raises(ModelError, match="site None"):
-        _counter_model(init_choices=[((Group.ENV_STATE, "n"), cp)])
+    cp = ChoicePoint("pick", (0, 999), site=(Group.ENV_STATE, "n"))
+    with pytest.raises(ModelError, match="'pick' offers 999, outside the "
+                                         "domain of env_state.n"):
+        _counter_model(choices=[cp])
 
 
 def test_register_rejects_two_init_choices_for_one_variable():
     # the second draw would silently overwrite the first
-    first = ChoicePoint("first", (0, 1), site=None)
-    second = ChoicePoint("second", (1, 2), site=None)
+    first = ChoicePoint("first", (0, 1), site=(Group.ENV_STATE, "n"))
+    second = ChoicePoint("second", (1, 2), site=(Group.ENV_STATE, "n"))
     with pytest.raises(ModelError, match="two initialisation choices target "
                                          "env_state.n"):
-        _counter_model(init_choices=[((Group.ENV_STATE, "n"), first),
-                                     ((Group.ENV_STATE, "n"), second)])
+        _counter_model(choices=[first, second])
 
 
 def test_register_dry_run_catches_broken_updates():
@@ -480,23 +483,24 @@ def test_choose_validates_site_and_id():
 
 
 def test_init_choice_cannot_be_drawn_mid_step():
-    cp = ChoicePoint("seed", (0, 1), site=None)
+    cp = ChoicePoint("seed", (0, 1), site=(Group.ENV_STATE, "x"))
 
     def env_input(so, e, ctx):
         ctx.choose("seed")
         return {}
 
-    with pytest.raises(ModelError, match="initialisation choice"):
+    with pytest.raises(ModelError, match="choice point 'seed' is an "
+                                         "initialisation choice and cannot "
+                                         "be drawn during a step"):
         register_model(
             variables=[Var("x", Group.ENV_STATE, IntDomain(0, 1), 0)],
-            updates=_updates(env_input=env_input),
-            init_choices=[((Group.ENV_STATE, "x"), cp)])
+            updates=_updates(env_input=env_input), choices=[cp])
 
 
 def test_a_step_choice_point_must_name_its_site():
-    # no update draws it: without a site it could be drawn nowhere
-    with pytest.raises(ModelError, match="choice point 'x' has no site"):
-        _counter_model(choices=[ChoicePoint("x", (1, 2))])
+    # without a site it could be drawn nowhere
+    with pytest.raises(TypeError, match="site"):
+        ChoicePoint("x", (1, 2))
 
 
 def test_resolver_value_must_be_in_domain():
@@ -527,23 +531,25 @@ def test_drawn_value_must_have_the_type_of_its_choice_domain():
     with pytest.raises(ModelError, match="outside the domain of 'p'"):
         step(model, state, lambda cp, it: 1)
 
-    seeded = _counter_model(init_choices=[
-        ((Group.ENV_STATE, "n"), ChoicePoint("seed", (0, 1), site=None))])
+    seeded = _counter_model(choices=[
+        ChoicePoint("seed", (0, 1), site=(Group.ENV_STATE, "n"))])
     with pytest.raises(ModelError, match="outside the domain of 'seed'"):
         resolve_initial(seeded, lambda cp, it: True)
 
 
 def test_init_choices_resolve_in_declared_order_at_iteration_zero():
-    cps = [((Group.ENV_STATE, "x"), ChoicePoint("first", (5, 6), site=None)),
-           ((Group.ENV_STATE, "y"), ChoicePoint("second", (7,), site=None))]
+    # list order, not variable order, and step points do not take part
+    cps = [ChoicePoint("first", (5, 6), site=(Group.ENV_STATE, "y")),
+           ChoicePoint("stepped", (0, 1), site=Group.ENV_INPUT),
+           ChoicePoint("second", (7,), site=(Group.ENV_STATE, "x"))]
     model = register_model(
         variables=[Var("x", Group.ENV_STATE, IntDomain(0, 9), 0),
                    Var("y", Group.ENV_STATE, IntDomain(0, 9), 0)],
-        updates=_updates(), init_choices=cps)
+        updates=_updates(), choices=cps)
     state, log = resolve_initial(model)
     assert log == (ChoiceEntry(0, "first", 5), ChoiceEntry(0, "second", 7))
-    assert state.value(Group.ENV_STATE, "x") == 5
-    assert state.value(Group.ENV_STATE, "y") == 7
+    assert state.value(Group.ENV_STATE, "x") == 7
+    assert state.value(Group.ENV_STATE, "y") == 5
 
 
 def test_log_resolver_replays_and_rejects_mismatches():

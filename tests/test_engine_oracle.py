@@ -5,7 +5,9 @@ two ways: explore()'s depth-first search with pruning, and brute enumeration
 of the full choice-vector product.  Both must agree on the verdict, on the
 violated assertion and iteration, on the witness path, and on the number of
 paths run: every complete run for a safe model, the runs up to and
-including the first violating one for an unsafe model.
+including the first violating one for an unsafe model.  The enumeration
+also checks that initialisation points are drawn in their list order, and
+step points on the schedule whatever their list order.
 """
 
 import pytest
@@ -21,7 +23,7 @@ SEEDS = range(220)
 def compare_one(seed: int):
     gen = generate(seed)
     expected = flat_check(gen.model, gen.bound,
-                          gen.init_domains, gen.step_domains)
+                          gen.init_points, gen.step_points)
     verdict = explore(gen.model, gen.bound)
 
     assert verdict.kind.value == expected.kind, f"seed {seed}"

@@ -120,16 +120,17 @@ def test_nondet_route_choice_points_cover_every_field_in_order():
         "route:seg0_terrain", "route:seg0_curvature",
         "route:seg1_obstacle", "route:seg1_distance",
         "route:seg1_terrain", "route:seg1_curvature", "integrator"]
-    assert all(cp.site is None for cp in points)
     assert points[1].domain == (1, 2, 3)
     assert points[2].domain == (Terrain.offRoad, Terrain.onRoad)
     # each route choice sets the variable it is named after
     model = drawn(1)
-    assert [(model.variables[pos].group, model.variables[pos].name)
-            for pos, _ in model.init_choices] == [
+    expected = [
         (Group.ENV_STATE, "seg0_obstacle"), (Group.ENV_STATE, "seg0_distance"),
         (Group.ENV_STATE, "seg0_terrain"), (Group.ENV_STATE, "seg0_curvature"),
         (Group.BEH_STATE, "combine_op")]
+    assert [cp.site for _, cp in model.init_choices] == expected
+    assert [(model.variables[pos].group, model.variables[pos].name)
+            for pos, _ in model.init_choices] == expected
 
 
 def test_nondet_route_rejects_explosive_specs():

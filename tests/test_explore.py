@@ -164,13 +164,13 @@ def test_explore_is_deterministic():
 
 
 def test_init_choices_explored_before_step_choices():
-    seed = ChoicePoint("seed", (0, 3), site=None)
+    seed = ChoicePoint("seed", (0, 3), site=(Group.ENV_STATE, "total"))
     model = _accumulator(limit=3)
+    # listed after the step choice, drawn before it
     seeded = register_model(
         variables=model.variables, updates=model.updates,
-        choices=[model.choices["amount"]],
-        assertions=model.assertions,
-        init_choices=[((Group.ENV_STATE, "total"), seed)])
+        choices=[model.choices["amount"], seed],
+        assertions=model.assertions)
     verdict = explore(seeded, 2)
     assert verdict.kind is VerdictKind.Unsafe
     # lex-first violation: seed 0 then draws 0,0 is safe at bound 2 only if

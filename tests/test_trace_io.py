@@ -3,6 +3,7 @@ read-back round trip, and the state value semantics traces depend on."""
 
 import hashlib
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -57,6 +58,8 @@ MALFORMED = {
                                     "value=Manual"),
     "header names another scenario": (r"^header scenario=\S+",
                                       "header scenario=ideal"),
+    "header without a field": (r" paths=\d+$", ""),
+    "header with another field": (r"^header ", "header mode=fast "),
 }
 
 
@@ -74,6 +77,34 @@ def test_read_trace_rejects_malformed_records_with_their_line(case, tmp_path):
     path.write_text("".join(lines), encoding="ascii")
     with pytest.raises(ValueError, match=rf"^line {lineno}: "):
         read_trace(path, model)
+
+
+def test_the_header_must_be_the_first_record(tmp_path):
+    config = SCENARIOS["manual-override"]
+    model = build_model(config)
+    text = format_trace(explore(model, config.bound), model, config.name)
+    header, rest = text.split("\n", 1)
+    path = tmp_path / "trace.txt"
+    path.write_text(rest + header + "\n", encoding="ascii")
+    with pytest.raises(ValueError, match="^line 1: the first record must be "
+                                         "the header"):
+        read_trace(path, model)
+
+
+def test_format_trace_rejects_states_of_another_models_variables():
+    config = SCENARIOS["manual-override"]
+    verdict = explore(build_model(config), config.bound)
+    # another model under the same name: 37 variables, not 53
+    other = build_model(replace(SCENARIOS["lowered-speed"], route_length=1,
+                                name=config.name))
+    with pytest.raises(ValueError, match="a verdict of another model than "
+                                         "'manual-override'"):
+        format_trace(verdict, other, config.name)
+    # the same model built again holds the same variables
+    data = format_trace(verdict, build_model(config),
+                        config.name).encode("ascii")
+    assert (len(data), hashlib.sha256(data).hexdigest()) == \
+        GOLDEN_TRACES[config.name]
 
 
 def test_state_equality_hash_valuation_and_unknown_names():
