@@ -24,8 +24,11 @@ before the first iteration.  Every draw, of either kind, goes through `_draw`.
 depth first in declared domain order, and reports the first violating path
 as a replayable counterexample.  All data is immutable, so paths are
 re-executed from the initial state rather than snapshotted; this keeps the
-search trivially correct at the cost of redundant recomputation, which is
-acceptable at the scale this engine targets.
+search trivially correct.  An update's result depends only on its views and
+its draws, so a step that drew nothing and returned its input's values
+would do the same at every later iteration: the path has settled, and
+`run_path` repeats that valuation up to the bound without stepping, still
+evaluating the assertions at every iteration.
 
 A state is one flat tuple of values, one per declared variable in declared
 order.  `register_model` fixes each variable's position once (a `VarIndex`);
@@ -44,7 +47,7 @@ from __future__ import annotations
 import functools
 import keyword
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
 from types import MappingProxyType
@@ -301,7 +304,8 @@ class UpdateFunctions:
 
     Each function returns a mapping from variable name to new value for its
     target group.  Variables omitted from the mapping keep their previous
-    value (carry-over).
+    value (carry-over).  The result must depend only on the views and the
+    draws, which is what lets `run_path` stop stepping a settled path.
     """
 
     env_input: Callable   # (sys_output, env_state, ctx) -> mapping
@@ -650,17 +654,30 @@ def run_path(model: Model, bound: int, resolver: Resolver
              ) -> tuple[Trace, ChoiceLog, tuple[str, ...]]:
     """Run one path from the initial state, drawing through the resolver,
     until the first iteration whose assertions fail or the bound.  Returns
-    the states, the draws and the violated assertion ids (empty if none)."""
+    the states, the draws and the violated assertion ids (empty if none).
+
+    A step that drew nothing and returned its input's values has settled
+    the path: every later step would see the same views, draw nothing and
+    return the same values again.  From then on each iteration repeats
+    that valuation, sharing its tuple, without calling `step`; the
+    assertions still run on every state, since they see the iteration.
+    """
     state, entries = resolve_initial(model, resolver)
     snapshots = [state]
     log = list(entries)
     violated = _eval_assertions(model, state)
+    settled = False
     while not violated and state.iteration < bound:
-        result = step(model, state, resolver)
-        state = result.state
+        if settled:
+            state = ModelState(state.values, state.iteration + 1, model.index)
+            violated = _eval_assertions(model, state)
+        else:
+            result = step(model, state, resolver)
+            settled = not result.drawn and result.state.values == state.values
+            state = result.state
+            log.extend(result.drawn)
+            violated = result.violated
         snapshots.append(state)
-        log.extend(result.drawn)
-        violated = result.violated
     return tuple(snapshots), tuple(log), violated
 
 
@@ -722,27 +739,25 @@ def probed_model(model: Model, var: tuple[Group, str]) -> Model:
 
     `var` is the variable's (Group, name) pair and the probe's site.  The
     probe is drawn first and appears in choice logs at iteration 0 under the
-    id ``probe:<name>``.  A variable
-    with an initialisation choice of its own cannot be probed, because that
-    choice would overwrite the probed value.  The original model is not
-    modified.  Counterexamples found on the probed model replay against the
-    probed model, not the original, since only the former declares the probe
-    choice point.
+    id ``probe:<name>``.  The probed model is registered afresh with the
+    probe first in `choices`, so `register_model` rejects a variable with an
+    initialisation choice of its own, which would overwrite the probed
+    value, and a model that already declares a point of the probe's id.
+    The original model is not modified.  Counterexamples found on the probed
+    model replay against the probed model, not the original, since only the
+    former declares the probe choice point.
     """
-    pos = _position(model.index, var)
-    target = model.variables[pos]
-    if any(pos == other for other, _ in model.init_choices):
-        raise ModelError(f"{target} already has an initialisation choice")
-
+    target = model.variables[_position(model.index, var)]
     cp = ChoicePoint(f"probe:{target.name}", target.domain.values(), site=var)
-    return replace(model,
-                   init_choices=((pos, cp),) + model.init_choices,
-                   choices={**model.choices, cp.point_id: cp})
+    return register_model(model.variables, model.updates,
+                          (cp, *model.choices.values()), model.assertions,
+                          model.name)
 
 
 def replay_counterexample(model: Model, verdict: Verdict) -> Trace:
-    """Re-execute an Unsafe verdict's choice log through `step` and check that
-    it reproduces the trace exactly, including the final violation.
+    """Re-execute an Unsafe verdict's choice log through `run_path`, the path
+    runner `explore` uses, and check that it reproduces the trace exactly,
+    including the final violation.
 
     Returns the replayed trace; raises ModelError on any mismatch, including
     a trace that runs past the first violation and log entries the replay

@@ -127,15 +127,19 @@ def format_trace(verdict: Verdict, model: Model, scenario: str) -> str:
     spaced = [pos for pos, v in enumerate(model.variables)
               if isinstance(v.domain, SymbolicDomain)
               and any(_has_space(_label(m)) for m in v.domain.members)]
+    rendered = None
     for state in verdict.trace:
         for entry in by_iter.get(state.iteration, ()):
             lines.append(f"choice iter={entry.iteration} "
                          f"point={_one_token(entry.point_id)} "
                          f"value={_one_token(_label(entry.value))}")
-        for pos in spaced:
-            _one_token(_label(state.values[pos]))
-        fields = " ".join(key + _label(value)
-                          for key, value in zip(keys, state.values))
+        # a settled path repeats its valuation: render it once
+        if state.values != rendered:
+            rendered = state.values
+            for pos in spaced:
+                _one_token(_label(rendered[pos]))
+            fields = " ".join(key + _label(value)
+                              for key, value in zip(keys, rendered))
         lines.append(f"state iter={state.iteration} {fields}")
     return "\n".join(lines) + "\n"
 

@@ -13,6 +13,15 @@ Initialisation and step points share one `choices` list in a seeded random
 order.  Initialisation points are drawn in their list order, and step
 points on the schedule whatever their list order, so the oracle expects the
 points in those two orders.
+
+A settling model saturates its updates at each variable's cap instead of
+wrapping, and its states climb by at most one a step, so most paths reach a
+fixed point within its longer bound, some variables still changing after
+the rest have stopped.  Its variables are declared in a shuffled order, so
+such a variable can sit at any position.  It has no step point or one,
+whose draws the saturated state absorbs, and may have an assertion that
+fails only from some iteration on, at a capped variable, so a violation can
+come after the path has settled.
 """
 
 from __future__ import annotations
@@ -57,23 +66,29 @@ def _rand_domain(rng: random.Random) -> tuple[int, ...]:
     return tuple(sorted(rng.sample(range(0, 5), size)))
 
 
-def generate(seed: int, max_runs: int = 400) -> GeneratedModel:
-    """Build one random model whose complete-run count is at most max_runs."""
+def generate(seed: int, max_runs: int = 400,
+             settling: bool = False) -> GeneratedModel:
+    """Build one random model whose complete-run count is at most max_runs;
+    a settling one if `settling`."""
     rng = random.Random(seed)
 
-    caps = {name: rng.randint(2, 6) for name in _SLOT_VAR.values()}
+    caps = {name: rng.randint(2, 9 if settling else 6)
+            for name in _SLOT_VAR.values()}
     coeff = {name: rng.randint(1, 2) for name in _SLOT_VAR.values()}
     offset = {name: rng.randint(0, 3) for name in _SLOT_VAR.values()}
 
-    bound = rng.randint(2, 4)
+    bound = rng.randint(6, 10) if settling else rng.randint(2, 4)
     # keep sampling draw layouts until the run count fits the budget
     for _ in range(50):
         n_init = rng.randint(0, 2)
         init_domains = tuple(_rand_domain(rng) for _ in range(n_init))
         site_of: list[Group] = []
-        for slot in _DRAW_SLOTS:
-            for _ in range(rng.randint(0, 1)):
-                site_of.append(slot)
+        if settling:
+            site_of.extend(rng.sample(_DRAW_SLOTS, rng.randint(0, 1)))
+        else:
+            for slot in _DRAW_SLOTS:
+                for _ in range(rng.randint(0, 1)):
+                    site_of.append(slot)
         step_domains = tuple(_rand_domain(rng) for _ in site_of)
         total = 1
         for dom in init_domains:
@@ -93,7 +108,16 @@ def generate(seed: int, max_runs: int = 400) -> GeneratedModel:
         draw_ids[slot].append(cp.point_id)
 
     def clamp(name: str, value: int) -> int:
+        if settling:
+            return min(caps[name], value)
         return value % (caps[name] + 1)
+
+    def accumulate(name: str, own: int, rest: int) -> int:
+        """A state's next value.  A settling state climbs from its own value
+        by at most one, so the states saturate one by one."""
+        if settling:
+            return min(caps[name], own + min(1, rest))
+        return clamp(name, coeff[name] * own + rest)
 
     def drawn_sum(ctx, slot: Group) -> int:
         return sum(ctx.choose(point_id) for point_id in draw_ids[slot])
@@ -122,15 +146,15 @@ def generate(seed: int, max_runs: int = 400) -> GeneratedModel:
                             + drawn_sum(ctx, Group.BEH_OUTPUT))}
 
     def env_state(ei, e, ctx):
-        return {"e": clamp("e", ei.ei + coeff["e"] * e.e + offset["e"]
-                           + drawn_sum(ctx, Group.ENV_STATE))}
+        return {"e": accumulate("e", e.e, ei.ei + offset["e"]
+                                + drawn_sum(ctx, Group.ENV_STATE))}
 
     def sys_state(si, s):
-        return {"s": clamp("s", si.si + coeff["s"] * s.s + offset["s"])}
+        return {"s": accumulate("s", s.s, si.si + offset["s"])}
 
     def beh_state(bi, b, ctx):
-        return {"b": clamp("b", bi.bi + coeff["b"] * b.b + offset["b"]
-                           + drawn_sum(ctx, Group.BEH_STATE))}
+        return {"b": accumulate("b", b.b, bi.bi + offset["b"]
+                                + drawn_sum(ctx, Group.BEH_STATE))}
 
     updates = UpdateFunctions(
         env_input=env_input, sys_input=sys_input, beh_input=beh_input,
@@ -150,7 +174,8 @@ def generate(seed: int, max_runs: int = 400) -> GeneratedModel:
         choices.append(ChoicePoint(f"init{k}", dom, site=(group, name)))
 
     assertions = []
-    for k in range(rng.randint(1, 2)):
+    n_asserts = rng.randint(0, 1) if settling else rng.randint(1, 2)
+    for k in range(n_asserts):
         watched = rng.sample(list(_SLOT_VAR.items()), 3)
         weights = [rng.randint(0, 2) for _ in watched]
         modulus = rng.randint(3, 7)
@@ -163,9 +188,20 @@ def generate(seed: int, max_runs: int = 400) -> GeneratedModel:
             return total % modulus != forbidden
 
         assertions.append(Assertion(f"a{k}", pred))
+    if settling and rng.random() < 0.5:
+        group, name = rng.choice(list(_SLOT_VAR.items()))
+        late = rng.randint(2, bound)
+
+        def capped_late(state, group=group, name=name, late=late):
+            return (state.iteration < late
+                    or state.value(group, name) < caps[name])
+
+        assertions.append(Assertion("late", capped_late))
 
     # shuffled last, so every earlier draw of rng is as it was
     rng.shuffle(choices)
+    if settling:
+        rng.shuffle(variables)
     model = register_model(variables=variables, updates=updates,
                            choices=choices, assertions=assertions,
                            name=f"gen{seed}")

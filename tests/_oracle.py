@@ -5,7 +5,8 @@ Enumerates the full cartesian product of every choice domain over the bound
 straight through resolve_initial/step with a queue resolver that also checks
 each draw comes from the expected point, and reports what an exhaustive
 search must find.  No shared code with explore() beyond the single-step
-semantics themselves.
+semantics themselves: `run_vector` steps every iteration, also where the
+engine's `run_path` has found the path settled and repeats its state.
 """
 
 from __future__ import annotations

@@ -45,7 +45,7 @@ def test_criterion_2_every_scenario_explores_in_under_sixty_seconds():
 
 
 def test_criterion_3_search_agrees_with_flat_enumeration_on_random_models():
-    kinds = [compare_one(seed) for seed in SEEDS]
+    kinds = [compare_one(seed).kind for seed in SEEDS]
     assert len(kinds) >= 200
     assert kinds.count("Safe") >= 20
     assert kinds.count("Unsafe") >= 20

@@ -5,11 +5,10 @@ from enum import IntEnum
 
 import pytest
 
-from hilcheck.engine import (Assertion, BoolDomain, ChoiceEntry, ChoicePoint,
-                             Group, IntDomain, ModelError, SymbolicDomain,
-                             UpdateFunctions, Var, VerdictKind, explore,
-                             first_value_resolver, log_resolver, probed_model,
-                             register_model, replay_counterexample,
+from hilcheck.engine import (Assertion, ChoiceEntry, ChoicePoint, Group,
+                             IntDomain, ModelError, SymbolicDomain,
+                             UpdateFunctions, Var, first_value_resolver,
+                             log_resolver, probed_model, register_model,
                              resolve_initial, step)
 
 

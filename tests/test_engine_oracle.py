@@ -8,20 +8,23 @@ paths run: every complete run for a safe model, the runs up to and
 including the first violating one for an unsafe model.  The enumeration
 also checks that initialisation points are drawn in their list order, and
 step points on the schedule whatever their list order.
+
+100 more models saturate instead of wrapping and run to a bound of 6 to 10,
+so most of their paths settle into a fixed point well before it: the
+engine stops stepping there, and the oracle steps every iteration.
 """
 
-import pytest
-
-from hilcheck.engine import VerdictKind, explore, replay_counterexample
+from hilcheck.engine import explore, replay_counterexample
 
 from _modelgen import generate
 from _oracle import flat_check
 
 SEEDS = range(220)
+SETTLING_SEEDS = range(100)
 
 
-def compare_one(seed: int):
-    gen = generate(seed)
+def compare_one(seed: int, **options):
+    gen = generate(seed, **options)
     expected = flat_check(gen.model, gen.bound,
                           gen.init_points, gen.step_points)
     verdict = explore(gen.model, gen.bound)
@@ -39,19 +42,37 @@ def compare_one(seed: int):
     else:
         assert verdict.choice_log == expected.choice_log, f"seed {seed}"
         assert verdict.trace == expected.first_trace, f"seed {seed}"
-    return expected.kind
+    return expected
+
+
+def settles(expected) -> bool:
+    """Whether the oracle's witness path has a step that drew nothing and
+    returned its input's values."""
+    drew = {entry.iteration for entry in expected.choice_log}
+    trace = expected.first_trace
+    return any(after.values == before.values and after.iteration not in drew
+               for before, after in zip(trace, trace[1:]))
 
 
 def test_explore_matches_flat_enumeration_on_all_seeds():
     kinds = {"Safe": 0, "Unsafe": 0}
     for seed in SEEDS:
-        kinds[compare_one(seed)] += 1
+        kinds[compare_one(seed).kind] += 1
     # the corpus must actually exercise both outcomes to mean anything
     assert kinds["Safe"] >= 20, kinds
     assert kinds["Unsafe"] >= 20, kinds
 
 
+def test_explore_matches_flat_enumeration_on_settling_models():
+    results = [compare_one(seed, max_runs=128, settling=True)
+               for seed in SETTLING_SEEDS]
+    assert sum(map(settles, results)) == 28
+    assert sum(r.failed == "late" for r in results) == 37
+    assert sum(r.kind == "Safe" for r in results) == 32
+
+
 def test_generated_models_have_bounded_run_counts():
     for seed in list(SEEDS)[:50]:
-        gen = generate(seed)
-        assert 1 <= gen.runs <= 400
+        for settling in (False, True):
+            gen = generate(seed, settling=settling)
+            assert 1 <= gen.runs <= 400

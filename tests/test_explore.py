@@ -3,11 +3,10 @@
 import pytest
 
 from hilcheck.engine import (Assertion, ChoiceEntry, ChoicePoint, Group,
-                             IntDomain, ModelError, SymbolicDomain,
-                             UpdateFunctions, Var, VerdictKind, explore,
-                             first_value_resolver, probed_model,
-                             register_model, replay_counterexample,
-                             resolve_initial, step)
+                             IntDomain, ModelError, UpdateFunctions, Var,
+                             VerdictKind, explore, first_value_resolver,
+                             probed_model, register_model,
+                             replay_counterexample, resolve_initial, step)
 
 
 def _noop(*args):
@@ -209,12 +208,73 @@ def test_probe_rejects_unknown_names():
         probed_model(model, (Group.BEH_STATE, "ghost"))
 
 
+def test_probe_rejects_a_model_that_already_declares_the_probe_id():
+    clash = ChoicePoint("probe:n", (0, 1), site=Group.ENV_INPUT)
+
+    def env_input(so, e, ctx):
+        return {"tick": ctx.choose("probe:n")}
+
+    model = register_model(
+        variables=[Var("tick", Group.ENV_INPUT, IntDomain(0, 1), 0),
+                   Var("n", Group.ENV_STATE, IntDomain(0, 3), 0)],
+        updates=_updates(env_input=env_input), choices=[clash])
+    with pytest.raises(ModelError, match="duplicate choice point 'probe:n'"):
+        probed_model(model, (Group.ENV_STATE, "n"))
+
+
 def test_probe_leaves_original_model_unchanged():
     model = _probe_model()
     before = explore(model, 2)
     explore(probed_model(model, (Group.ENV_STATE, "x")), 2)
     assert explore(model, 2) == before
     assert "probe:x" not in model.choices
+
+
+# --- settled paths ---------------------------------------------------------
+
+def test_settled_path_repeats_its_state_without_stepping():
+    # the counter saturates at 3 after three steps; the fourth step returns
+    # its input and draws nothing, so no later iteration calls an update
+    calls = []
+
+    def env_state(ei, e, ctx):
+        calls.append(e.n)
+        return {"n": min(3, e.n + 1)}
+
+    model = register_model(
+        variables=[Var("n", Group.ENV_STATE, IntDomain(0, 9), 0)],
+        updates=_updates(env_state=env_state),
+        assertions=[Assertion("Early", lambda s: s.iteration < 7)])
+    calls.clear()
+    verdict = explore(model, 10)
+    assert calls == [0, 1, 2, 3]
+    assert verdict.kind is VerdictKind.Unsafe
+    assert verdict.failed_assertion == "Early"
+    assert verdict.paths_explored == 1
+    assert [s.iteration for s in verdict.trace] == list(range(8))
+
+    stepped = [resolve_initial(model)[0]]
+    for _ in range(7):
+        stepped.append(step(model, stepped[-1], first_value_resolver).state)
+    assert verdict.trace == tuple(stepped)
+    assert replay_counterexample(model, verdict) == verdict.trace
+
+
+def test_a_state_that_draws_keeps_stepping_after_it_repeats():
+    tick = ChoicePoint("tick", (1,), site=Group.ENV_STATE)
+
+    def env_state(ei, e, ctx):
+        return {"n": min(2, e.n + ctx.choose("tick"))}
+
+    model = register_model(
+        variables=[Var("n", Group.ENV_STATE, IntDomain(0, 9), 0)],
+        updates=_updates(env_state=env_state), choices=[tick])
+    verdict = explore(model, 6)
+    assert verdict.kind is VerdictKind.Safe
+    assert [s.value(Group.ENV_STATE, "n") for s in verdict.trace] == \
+        [0, 1, 2, 2, 2, 2, 2]
+    assert verdict.choice_log == tuple(ChoiceEntry(i, "tick", 1)
+                                       for i in range(1, 7))
 
 
 # --- replay ----------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import hilcheck.scenarios
 from hilcheck.acc import AccCommand, ControlMode
-from hilcheck.behaviour import FatigueLevel, InputMode, IntegratorOp
+from hilcheck.behaviour import FatigueLevel, IntegratorOp
 from hilcheck.engine import (ChoiceEntry, Group, ModelError, VerdictKind,
                              explore, first_value_resolver, probed_model,
                              replay_counterexample, resolve_initial, run_path,
@@ -246,7 +246,9 @@ def test_probe_rejects_a_variable_that_already_has_an_init_choice(preset,
                                                                   var):
     # the variable's own draw would overwrite every probed value
     model = build_model(replace(SCENARIOS[preset], bound=3))
-    with pytest.raises(ModelError, match="already has an initialisation"):
+    group, name = var
+    with pytest.raises(ModelError, match="two initialisation choices target "
+                                         f"{group.value}.{name}$"):
         probed_model(model, var)
 
 
