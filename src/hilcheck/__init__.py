@@ -13,11 +13,11 @@ from .behaviour import (FatigueLevel, InputMode, IntegratorOp, ReactionProfile,
                         hp_function, integrate, perception_from_fatigue,
                         set_driver_fatigue, set_reaction_time, time_severity)
 from .engine import (Assertion, BoolDomain, ChoiceEntry, ChoicePoint, Group,
-                     IntDomain, Model, ModelError, ModelState, StepResult,
-                     SymbolicDomain, UpdateFunctions, Var, Verdict,
-                     VerdictKind, explore, first_value_resolver, log_resolver,
-                     probed_model, register_model, replay_counterexample,
-                     resolve_initial, run_path, step)
+                     IntDomain, Model, ModelError, ModelState, SymbolicDomain,
+                     UpdateFunctions, Var, Verdict, VerdictKind, explore,
+                     first_value_resolver, log_resolver, probed_model,
+                     register_model, replay_counterexample, resolve_initial,
+                     run_path, step)
 from .environment import RoutePoint, Terrain, advance_route, point_difficulty
 from .scenarios import (DEFAULT_ROUTE, SCENARIOS, ScenarioConfig, build_model,
                         is_okay)

@@ -1,9 +1,9 @@
 """Flat key=value configuration files for scenario runs.
 
 A config names a base scenario and overrides individual knobs.  Lines are
-`key = value`; blank lines and `#` comments are skipped.  Unknown keys and
-unparsable values are reported with their line number, a bad value as
-`line N: key: reason`.  An empty file is a valid config and means the
+`key = value`; blank lines and lines starting with `#` are skipped.  Unknown
+keys and unparsable values are reported with their line number, a bad value
+as `line N: key: reason`.  An empty file is a valid config and means the
 default scenario untouched.
 """
 

@@ -20,15 +20,18 @@ never handed a drawing context.  A choice point's site is the group that
 draws it in each step, or the (Group, name) of the variable it initialises
 before the first iteration.  Every draw, of either kind, goes through `_draw`.
 
-`explore` enumerates every resolution of every choice point up to a bound,
-depth first in declared domain order, and reports the first violating path
-as a replayable counterexample.  All data is immutable, so paths are
-re-executed from the initial state rather than snapshotted; this keeps the
-search trivially correct.  An update's result depends only on its views and
-its draws, so a step that drew nothing and returned its input's values
-would do the same at every later iteration: the path has settled, and
-`run_path` repeats that valuation up to the bound without stepping, still
-evaluating the assertions at every iteration.
+`step` is the transition alone; `run_path` runs one path of steps and
+evaluates the assertions once on each state.  `explore` enumerates every
+resolution of every choice point up to a bound, depth first in declared
+domain order, and reports the first violating path as a replayable
+counterexample.  A path is named by its choice log alone, the values it
+drew in order, and the search backtracks on that log.  All data is immutable,
+so paths are re-executed from the initial state rather than snapshotted;
+this keeps the search trivially correct.  An update's result depends only
+on its views and its draws, so a step that drew nothing and returned its
+input's values would do the same at every later iteration: the path has
+settled, and `run_path` repeats that valuation up to the bound without
+stepping, still evaluating the assertions at every iteration.
 
 A state is one flat tuple of values, one per declared variable in declared
 order.  `register_model` fixes each variable's position once (a `VarIndex`);
@@ -147,11 +150,14 @@ class Var:
     init: Value
 
     def __post_init__(self) -> None:
-        if (not self.name.isidentifier() or keyword.iskeyword(self.name)
-                or self.name.startswith("_")):
+        if (not isinstance(self.name, str) or not self.name.isidentifier()
+                or keyword.iskeyword(self.name) or self.name.startswith("_")):
             raise ModelError(f"variable name {self.name!r} must be an "
                              "identifier that is not a keyword and does not "
                              "start with '_'")
+        if not isinstance(self.group, Group):
+            raise ModelError(f"variable {self.name!r} needs a Group, "
+                             f"got {self.group!r}")
         if not self.domain.contains(self.init):
             raise ModelError(f"initial value {self.init!r} outside the domain "
                              f"of {self}")
@@ -419,13 +425,6 @@ class Model:
     index: VarIndex
 
 
-@dataclass(frozen=True)
-class StepResult:
-    state: ModelState
-    drawn: ChoiceLog
-    violated: tuple[str, ...]
-
-
 class VerdictKind(Enum):
     Safe = "Safe"
     Unsafe = "Unsafe"
@@ -489,10 +488,11 @@ def register_model(variables: Sequence[Var],
     Checks: at least one variable; names unique within each group; choice
     point ids unique; every site that is not a group names a declared
     variable, at most one point targets each variable, and every candidate
-    lies inside that variable's domain.  Finally a single trial step is
-    executed (first domain value at every draw) so that wiring mistakes
-    surface at registration rather than mid-exploration.  Assertion
-    violations during the trial step are ignored.
+    lies inside that variable's domain.  Finally one trial step is taken
+    with the first domain value at every draw, whatever the initial state's
+    assertions say, and the assertions are evaluated on the stepped state,
+    so that wiring mistakes and assertions that raise surface at
+    registration rather than mid-exploration.  Violations there are ignored.
     """
     vars_t = tuple(variables)
     if not vars_t:
@@ -540,7 +540,8 @@ def register_model(variables: Sequence[Var],
 
     # trial step: surfaces read/update wiring errors now
     trial, _ = resolve_initial(model, first_value_resolver)
-    step(model, trial, first_value_resolver)
+    trial, _ = step(model, trial, first_value_resolver)
+    _eval_assertions(model, trial)
     return model
 
 
@@ -572,13 +573,14 @@ def _eval_assertions(model: Model, state: ModelState) -> tuple[str, ...]:
     return tuple(violated)
 
 
-def step(model: Model, state: ModelState, resolver: Resolver) -> StepResult:
-    """Advance the loop by one iteration.
+def step(model: Model, state: ModelState, resolver: Resolver
+         ) -> tuple[ModelState, ChoiceLog]:
+    """Advance the loop by one iteration: a transition only, which evaluates
+    no assertions.
 
     Pure: given the same state and resolver decisions the result is
     identical.  The resolver supplies one domain value per choice point draw.
-    Returns the new state, the draws made, and the ids of every assertion
-    violated by the new state (declared order).
+    Returns the new state and the draws made, as `resolve_initial` does.
 
     The new valuation starts as a copy of the previous one, so variables an
     update omits carry over; each update writes its group in place.
@@ -608,11 +610,14 @@ def step(model: Model, state: ModelState, resolver: Resolver) -> StepResult:
         except Exception as exc:
             raise ModelError(f"update for {target.value} raised {exc!r} "
                              f"at iteration {iteration}") from exc
-        if returned is None:
-            raise ModelError(f"update for {target.value} returned None "
-                             "(return a mapping, possibly empty)")
+        try:
+            items = returned.items()
+        except AttributeError:
+            raise ModelError(f"update for {target.value} returned "
+                             f"{returned!r} (return a mapping, possibly "
+                             "empty)") from None
         names = writes[target]
-        for var_name, value in returned.items():
+        for var_name, value in items:
             slot = names.get(var_name)
             if slot is None:
                 raise ModelError(
@@ -625,29 +630,13 @@ def step(model: Model, state: ModelState, resolver: Resolver) -> StepResult:
                     f"outside its domain, at iteration {iteration}")
             current[pos] = value
 
-    new_state = ModelState(tuple(current), iteration, model.index)
-    violated = _eval_assertions(model, new_state)
-    return StepResult(new_state, tuple(entries), violated)
+    return ModelState(tuple(current), iteration, model.index), tuple(entries)
 
 
-class _ScriptResolver:
-    """Resolver that replays a prefix of branch indices and extends it with
-    first-value decisions, recording every decision's domain size."""
-
-    def __init__(self, prefix: Sequence[int]):
-        self.indices: list[int] = list(prefix)
-        self.sizes: list[int] = []
-
-    def __call__(self, cp: ChoicePoint, iteration: int) -> Value:
-        pos = len(self.sizes)
-        if pos == len(self.indices):
-            self.indices.append(0)
-        idx = self.indices[pos]
-        if idx >= len(cp.domain):
-            raise ModelError(
-                f"internal search error: index {idx} for '{cp.point_id}'")
-        self.sizes.append(len(cp.domain))
-        return cp.domain[idx]
+def _prefix_resolver(prefix: Sequence[Value]) -> Resolver:
+    """Resolver that replays `prefix`'s values in order, then first values."""
+    values = iter(prefix)
+    return lambda cp, iteration: next(values, cp.domain[0])
 
 
 def run_path(model: Model, bound: int, resolver: Resolver
@@ -659,8 +648,9 @@ def run_path(model: Model, bound: int, resolver: Resolver
     A step that drew nothing and returned its input's values has settled
     the path: every later step would see the same views, draw nothing and
     return the same values again.  From then on each iteration repeats
-    that valuation, sharing its tuple, without calling `step`; the
-    assertions still run on every state, since they see the iteration.
+    that valuation, sharing its tuple, without calling `step`.  Either
+    way the assertions run once on every state, since they see the
+    iteration.
     """
     state, entries = resolve_initial(model, resolver)
     snapshots = [state]
@@ -670,14 +660,13 @@ def run_path(model: Model, bound: int, resolver: Resolver
     while not violated and state.iteration < bound:
         if settled:
             state = ModelState(state.values, state.iteration + 1, model.index)
-            violated = _eval_assertions(model, state)
         else:
-            result = step(model, state, resolver)
-            settled = not result.drawn and result.state.values == state.values
-            state = result.state
-            log.extend(result.drawn)
-            violated = result.violated
+            stepped, drawn = step(model, state, resolver)
+            settled = not drawn and stepped.values == state.values
+            state = stepped
+            log.extend(drawn)
         snapshots.append(state)
+        violated = _eval_assertions(model, state)
     return tuple(snapshots), tuple(log), violated
 
 
@@ -695,6 +684,11 @@ def explore(model: Model, bound: int,
     larger bound, since the violating path still exists there.  The reported
     witness may differ, because a deeper tree can reach a violation under a
     lexicographically earlier prefix.
+
+    Each path replays a prefix of values, then draws first values.  The
+    next prefix is the last path's log up to its deepest draw whose point
+    has a later value, advanced to that value; `ChoicePoint` rejects members
+    that compare equal, so a value's place in its domain is unambiguous.
     """
     if bound < 1:
         raise ModelError(f"bound must be at least 1, got {bound}")
@@ -702,16 +696,16 @@ def explore(model: Model, bound: int,
         raise ModelError("path ceiling must be at least 1")
 
     first_path: tuple[Trace, ChoiceLog] | None = None
-    prefix: list[int] = []
+    prefix: list[Value] = []
     paths = 0
     while True:
         if paths >= path_ceiling:
             return Verdict(VerdictKind.ModelError, bound, paths_explored=paths,
                            message="choice explosion: path ceiling "
                                    f"{path_ceiling} exceeded")
-        resolver = _ScriptResolver(prefix)
         try:
-            trace, log, violated = run_path(model, bound, resolver)
+            trace, log, violated = run_path(model, bound,
+                                            _prefix_resolver(prefix))
         except ModelError as exc:
             return Verdict(VerdictKind.ModelError, bound, paths_explored=paths + 1,
                            message=str(exc))
@@ -723,14 +717,16 @@ def explore(model: Model, bound: int,
         if first_path is None:
             first_path = (trace, log)
 
-        # advance the deepest decision that still has untried values
-        i = len(resolver.indices) - 1
-        while i >= 0 and resolver.indices[i] + 1 >= resolver.sizes[i]:
-            i -= 1
-        if i < 0:
+        # advance the deepest draw whose point has a later value
+        for i in range(len(log) - 1, -1, -1):
+            domain = model.choices[log[i].point_id].domain
+            later = domain.index(log[i].value) + 1
+            if later < len(domain):
+                break
+        else:
             return Verdict(VerdictKind.Safe, bound, paths_explored=paths,
                            trace=first_path[0], choice_log=first_path[1])
-        prefix = resolver.indices[:i] + [resolver.indices[i] + 1]
+        prefix = [entry.value for entry in log[:i]] + [domain[later]]
 
 
 def probed_model(model: Model, var: tuple[Group, str]) -> Model:

@@ -36,8 +36,10 @@ ROUTE_CANDIDATES = {"obstacle": (0,), "distance": (1, 2, 3),
                     "terrain": (Terrain.offRoad, Terrain.onRoad),
                     "curvature": (0,)}
 # a drawn route has at most this many segments: at 6 candidate segments
-# each that is 6**10 (about 6.0e7) routes, under a ceiling of 1e8, where 11
-# segments would give 6**11 (about 3.6e8)
+# each that is 6**10 (about 6.0e7) routes, under the 1e8 path ceiling, where
+# 11 segments would give 6**11 (about 3.6e8).  Other draws multiply the
+# routes: under lowered-speed's four integrators, 10 segments make
+# 4 * 6**10 (about 2.4e8) paths, past the ceiling
 MAX_ROUTE_LENGTH = 10
 
 

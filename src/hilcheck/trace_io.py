@@ -10,6 +10,7 @@ is deterministic: identical verdicts serialize to identical bytes.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -40,6 +41,25 @@ def _one_token(text: str) -> str:
     if _has_space(text):
         raise ValueError(f"cannot write {text!r} to a trace: it has whitespace")
     return text
+
+
+def _unreadable(values) -> frozenset[str]:
+    """The labels of `values` that would not read back as the value that
+    wrote them: those with whitespace, and those two of the values share."""
+    counts = Counter(map(_label, values))
+    return frozenset(label for label, n in counts.items()
+                     if n > 1 or _has_space(label))
+
+
+def _written(value, unreadable) -> str:
+    """`value`'s label, which must not be one of its domain's `unreadable`
+    labels: a ValueError names the whitespace or the shared label."""
+    label = _label(value)
+    if label in unreadable:
+        _one_token(label)
+        raise ValueError(f"cannot write {value!r} to a trace: another value "
+                         f"of its domain is also written {label!r}")
+    return label
 
 
 def canonical_int(token: str) -> int | None:
@@ -100,9 +120,10 @@ class _IntTokens(dict):
 
 def format_trace(verdict: Verdict, model: Model, scenario: str) -> str:
     """Render a Safe or Unsafe verdict's witness path as text.  A scenario
-    other than the model's name, states of another model's variables, or
-    whitespace in the scenario, a choice point id or a symbolic value, is a
-    ValueError, since the text would not read back."""
+    other than the model's name, states of another model's variables,
+    whitespace in the scenario, a choice point id or a symbolic value, or a
+    value whose label another value of its domain shares, is a ValueError,
+    since the text would not read back."""
     if scenario != model.name:
         raise ValueError(f"scenario {scenario!r} is not the model's name")
     if verdict.kind is VerdictKind.ModelError:
@@ -123,21 +144,25 @@ def format_trace(verdict: Verdict, model: Model, scenario: str) -> str:
     for entry in verdict.choice_log:
         by_iter.setdefault(entry.iteration, []).append(entry)
     keys = [f"{v}=" for v in model.variables]
-    # only a symbolic domain can hold a label with whitespace
-    spaced = [pos for pos, v in enumerate(model.variables)
-              if isinstance(v.domain, SymbolicDomain)
-              and any(_has_space(_label(m)) for m in v.domain.members)]
+    # of the variables, only a symbolic domain can hold an unreadable label
+    checked = {pos: labels for pos, v in enumerate(model.variables)
+               if isinstance(v.domain, SymbolicDomain)
+               and (labels := _unreadable(v.domain.members))}
+    choice_labels = {point_id: labels
+                     for point_id, cp in model.choices.items()
+                     if (labels := _unreadable(cp.domain))}
     rendered = None
     for state in verdict.trace:
         for entry in by_iter.get(state.iteration, ()):
+            label = _written(entry.value, choice_labels.get(entry.point_id, ()))
             lines.append(f"choice iter={entry.iteration} "
                          f"point={_one_token(entry.point_id)} "
-                         f"value={_one_token(_label(entry.value))}")
+                         f"value={_one_token(label)}")
         # a settled path repeats its valuation: render it once
         if state.values != rendered:
             rendered = state.values
-            for pos in spaced:
-                _one_token(_label(rendered[pos]))
+            for pos, labels in checked.items():
+                _written(rendered[pos], labels)
             fields = " ".join(key + _label(value)
                               for key, value in zip(keys, rendered))
         lines.append(f"state iter={state.iteration} {fields}")

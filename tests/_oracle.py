@@ -4,9 +4,10 @@ Enumerates the full cartesian product of every choice domain over the bound
 (valid because generated models draw on a fixed schedule), runs each vector
 straight through resolve_initial/step with a queue resolver that also checks
 each draw comes from the expected point, and reports what an exhaustive
-search must find.  No shared code with explore() beyond the single-step
-semantics themselves: `run_vector` steps every iteration, also where the
-engine's `run_path` has found the path settled and repeats its state.
+search must find.  It shares only `resolve_initial` and `step` with the
+engine: `run_vector` evaluates the assertions with its own code, and steps
+every iteration, also where the engine's `run_path` has found the path
+settled and repeats its state.
 """
 
 from __future__ import annotations
@@ -48,20 +49,23 @@ class OracleResult:
     first_trace: tuple = ()
 
 
+def violations(model: Model, state) -> tuple[str, ...]:
+    return tuple(a.assert_id for a in model.assertions
+                 if not a.predicate(state))
+
+
 def run_vector(model: Model, bound: int, draws):
     """Run one fully decided path; stop at the first violating iteration."""
     resolver = queue_resolver(draws)
     state, log = resolve_initial(model, resolver)
     trace = [state]
     log = list(log)
-    violated = tuple(a.assert_id for a in model.assertions
-                     if not a.predicate(state))
+    violated = violations(model, state)
     while not violated and state.iteration < bound:
-        result = step(model, state, resolver)
-        state = result.state
+        state, drawn = step(model, state, resolver)
         trace.append(state)
-        log.extend(result.drawn)
-        violated = result.violated
+        log.extend(drawn)
+        violated = violations(model, state)
     return tuple(trace), tuple(log), violated
 
 

@@ -16,7 +16,7 @@ from hilcheck.behaviour import InputMode, IntegratorOp, ReactionProfile
 from hilcheck.cli import positive_int
 from hilcheck.config_io import ConfigError, load_config
 from hilcheck.environment import RoutePoint, Terrain
-from hilcheck.scenarios import SCENARIOS
+from hilcheck.scenarios import SCENARIOS, build_model
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -204,12 +204,17 @@ def test_valid_cases_cover_every_documented_key():
 
 # --- README agrees with the parser ------------------------------------------
 
+def readme_config() -> tuple[str, str]:
+    """README's "Config files" section and the example file in it."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Config files", 1)[1].split("\n## ", 1)[0]
+    return section, section.split("```", 2)[1]
+
+
 def readme_keys() -> set[str]:
     """Keys named in README's "Config files" section: the `key =` lines of
     its example, comments included, and the backticked remaining keys."""
-    text = (REPO / "README.md").read_text(encoding="utf-8")
-    section = text.split("## Config files", 1)[1].split("\n## ", 1)[0]
-    example = section.split("```", 2)[1]
+    section, example = readme_config()
     keys = set(re.findall(r"(?:^|[#/:]\s*)(\w+)\s*=", example, re.M))
     remaining = section.split("Remaining keys:", 1)[1]
     return keys | set(re.findall(r"`(\w+)`", remaining))
@@ -235,3 +240,10 @@ def test_readme_lists_exactly_the_accepted_keys(tmp_path):
     parsed = {key for key in candidates if accepted(key, tmp_path)}
     assert readme_keys() == parsed
     assert len(parsed) == 24
+
+
+def test_readme_example_loads_and_builds(tmp_path):
+    _, example = readme_config()
+    config = load_config(write(tmp_path, example))
+    assert (config.name, config.bound) == ("lowered-speed", 50)
+    assert build_model(config).name == "lowered-speed"

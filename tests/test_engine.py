@@ -9,7 +9,7 @@ from hilcheck.engine import (Assertion, ChoiceEntry, ChoicePoint, Group,
                              IntDomain, ModelError, SymbolicDomain,
                              UpdateFunctions, Var, first_value_resolver,
                              log_resolver, probed_model, register_model,
-                             resolve_initial, step)
+                             resolve_initial, run_path, step)
 
 
 class Level(IntEnum):
@@ -71,6 +71,15 @@ def test_variable_names_must_be_identifiers():
         Var("not a name", Group.ENV_STATE, IntDomain(0, 1), 0)
 
 
+@pytest.mark.parametrize("name, group, message", [
+    (1, Group.ENV_STATE, "variable name 1 must be an identifier"),
+    ("x", "env_state", "variable 'x' needs a Group, got 'env_state'"),
+], ids=["int name", "string group"])
+def test_a_var_needs_a_string_name_and_a_group(name, group, message):
+    with pytest.raises(ModelError, match=message):
+        Var(name, group, IntDomain(0, 1), 0)
+
+
 @pytest.mark.parametrize("name", ["class", "None", "_x", "__dict__"])
 def test_keywords_and_underscore_names_are_rejected_when_the_var_is_made(name):
     with pytest.raises(ModelError, match="not a keyword and does not start "
@@ -91,9 +100,9 @@ def test_names_that_tuple_defines_are_plain_variables():
                    for i, name in enumerate(names)],
         updates=_updates(env_state=env_state))
     state, _ = resolve_initial(model)
-    result = step(model, state, first_value_resolver)
+    stepped, _ = step(model, state, first_value_resolver)
     assert seen[-1] == (0, 1, 2, 3)
-    assert result.state.value(Group.ENV_STATE, "count") == 1
+    assert stepped.value(Group.ENV_STATE, "count") == 1
 
 
 def test_register_rejects_out_of_domain_init():
@@ -225,10 +234,26 @@ def test_assertion_exception_becomes_model_error():
     fragile = Assertion(
         "fragile", lambda s: 1 // (2 - s.value(Group.ENV_STATE, "n")) >= 0)
     model = _counter_model(assertions=[fragile])
-    state, _ = resolve_initial(model)
-    state = step(model, state, first_value_resolver).state
+    run_path(model, 1, first_value_resolver)
     with pytest.raises(ModelError, match="fragile"):
-        step(model, state, first_value_resolver)   # n becomes 2
+        run_path(model, 2, first_value_resolver)   # n becomes 2
+
+
+def test_the_trial_step_runs_even_when_the_initial_state_violates():
+    # the initial state violates both assertions, yet registration still
+    # takes the trial step and evaluates the assertions on its state
+    never = Assertion("Never", lambda s: False)
+
+    def broken(ei, e, ctx):
+        raise KeyError("oops")
+
+    with pytest.raises(ModelError, match="update for env_state raised"):
+        _counter_model(updates=_updates(env_state=broken), assertions=[never])
+
+    later = Assertion("Later", lambda s: s.iteration > 0 and 1 // 0 == 0)
+    with pytest.raises(ModelError, match="assertion 'Later' raised "
+                                         ".* at iteration 1"):
+        _counter_model(assertions=[never, later])
 
 
 # --- step semantics -------------------------------------------------------
@@ -293,17 +318,17 @@ def test_inputs_see_previous_iteration_outputs_see_current_input_and_state():
                          env_state=env_state_fn, sys_output=sys_output,
                          sys_state=sys_state))
     state, _ = resolve_initial(model)
-    result = step(model, state, first_value_resolver)
+    state, _ = step(model, state, first_value_resolver)
     assert seen["sys_out_at_input"] == 7      # previous iteration's value
     assert seen["env_in_at_output"] == 4      # this iteration's fresh value
     assert seen["cnt_at_state"] == 3          # the state update's old state
     assert seen["cnt_at_output"] == 4         # the output's new state
-    assert result.state.value(Group.SYS_STATE, "s") == 1
-    assert result.state.value(Group.SYS_OUTPUT, "y") == 6  # from NEW s=1
+    assert state.value(Group.SYS_STATE, "s") == 1
+    assert state.value(Group.SYS_OUTPUT, "y") == 6  # from NEW s=1
 
-    result2 = step(model, result.state, first_value_resolver)
+    state, _ = step(model, state, first_value_resolver)
     assert seen["sys_out_at_input"] == 6
-    assert result2.state.value(Group.SYS_OUTPUT, "y") == 7  # from s=2
+    assert state.value(Group.SYS_OUTPUT, "y") == 7  # from s=2
 
 
 def test_draws_are_logged_in_slot_order():
@@ -326,8 +351,8 @@ def test_draws_are_logged_in_slot_order():
         updates=_updates(**{name: draw(name) for name in drawing}),
         choices=choices)
     state, _ = resolve_initial(model)
-    result = step(model, state, first_value_resolver)
-    assert result.drawn == tuple(ChoiceEntry(1, name, 0) for name in drawing)
+    _, drawn = step(model, state, first_value_resolver)
+    assert drawn == tuple(ChoiceEntry(1, name, 0) for name in drawing)
 
 
 def test_group_views_expose_group_and_reject_unknown_names():
@@ -399,10 +424,10 @@ def test_step_calls_the_update_functions_a_replaced_model_carries():
     swapped = replace(model, updates=replace(model.updates,
                                              env_state=env_state))
     state, _ = resolve_initial(swapped)
-    assert step(swapped, state, first_value_resolver).state.value(
+    assert step(swapped, state, first_value_resolver)[0].value(
         Group.ENV_STATE, "n") == 5
     assert calls == [0]
-    assert step(model, state, first_value_resolver).state.value(
+    assert step(model, state, first_value_resolver)[0].value(
         Group.ENV_STATE, "n") == 1
     assert calls == [0]
 
@@ -416,9 +441,9 @@ def test_omitted_variables_carry_over():
                    Var("b", Group.ENV_STATE, IntDomain(0, 9), 4)],
         updates=_updates(env_state=env_state))
     state, _ = resolve_initial(model)
-    result = step(model, state, first_value_resolver)
-    assert result.state.value(Group.ENV_STATE, "a") == 1
-    assert result.state.value(Group.ENV_STATE, "b") == 4
+    stepped, _ = step(model, state, first_value_resolver)
+    assert stepped.value(Group.ENV_STATE, "a") == 1
+    assert stepped.value(Group.ENV_STATE, "b") == 4
 
 
 def test_none_return_is_a_model_error():
@@ -429,6 +454,19 @@ def test_none_return_is_a_model_error():
         _counter_model(updates=_updates(env_state=bad))
 
 
+@pytest.mark.parametrize("returned", [5, [("n", 1)], "n"],
+                         ids=["int", "list", "str"])
+def test_any_non_mapping_return_is_a_model_error(returned):
+    def bad(ei, e, ctx):
+        return returned
+
+    with pytest.raises(ModelError) as raised:
+        _counter_model(updates=_updates(env_state=bad))
+    assert str(raised.value) == (f"update for env_state returned "
+                                 f"{returned!r} (return a mapping, possibly "
+                                 "empty)")
+
+
 def test_out_of_domain_update_is_a_model_error():
     def env_state(ei, e, ctx):
         return {"n": e.n + 1}
@@ -437,9 +475,9 @@ def test_out_of_domain_update_is_a_model_error():
         variables=[Var("n", Group.ENV_STATE, IntDomain(0, 1), 0)],
         updates=_updates(env_state=env_state))
     state, _ = resolve_initial(model)
-    result = step(model, state, first_value_resolver)
+    stepped, _ = step(model, state, first_value_resolver)
     with pytest.raises(ModelError, match="outside its"):
-        step(model, result.state, first_value_resolver)
+        step(model, stepped, first_value_resolver)
 
 
 def test_iteration_counter_advances():
@@ -447,7 +485,7 @@ def test_iteration_counter_advances():
     state, _ = resolve_initial(model)
     assert state.iteration == 0
     for expected in (1, 2, 3):
-        state = step(model, state, first_value_resolver).state
+        state, _ = step(model, state, first_value_resolver)
         assert state.iteration == expected
         assert state.value(Group.ENV_STATE, "n") == expected
 
@@ -457,7 +495,7 @@ def test_step_is_pure():
     state, _ = resolve_initial(model)
     first = step(model, state, first_value_resolver)
     second = step(model, state, first_value_resolver)
-    assert first.state == second.state
+    assert first == second
     assert state.value(Group.ENV_STATE, "n") == 0  # untouched
 
 
@@ -562,7 +600,7 @@ def test_log_resolver_replays_and_rejects_mismatches():
         updates=_updates(env_input=env_input), choices=[cp])
     state, _ = resolve_initial(model)
     good = log_resolver([ChoiceEntry(1, "p", 2)])
-    assert step(model, state, good).state.value(Group.ENV_INPUT, "v") == 2
+    assert step(model, state, good)[0].value(Group.ENV_INPUT, "v") == 2
 
     stale = log_resolver([ChoiceEntry(9, "p", 2)])
     with pytest.raises(ModelError, match="replay mismatch"):

@@ -135,6 +135,20 @@ def test_structural_error_mid_search_becomes_verdict():
     assert "outside its" in verdict.message
 
 
+def test_a_late_non_mapping_return_becomes_a_model_error_verdict():
+    def env_state(ei, e, ctx):
+        return 5 if e.n >= 2 else {"n": e.n + 1}
+
+    model = register_model(
+        variables=[Var("n", Group.ENV_STATE, IntDomain(0, 9), 0)],
+        updates=_updates(env_state=env_state))
+    verdict = explore(model, 5)
+    assert verdict.kind is VerdictKind.ModelError
+    assert verdict.paths_explored == 1
+    assert verdict.message == ("update for env_state returned 5 "
+                               "(return a mapping, possibly empty)")
+
+
 def test_explore_counts_conditional_draws_correctly():
     gate = ChoicePoint("gate", (0, 1), site=Group.BEH_OUTPUT)
     extra = ChoicePoint("extra", (0, 1, 2), site=Group.BEH_OUTPUT)
@@ -255,7 +269,7 @@ def test_settled_path_repeats_its_state_without_stepping():
 
     stepped = [resolve_initial(model)[0]]
     for _ in range(7):
-        stepped.append(step(model, stepped[-1], first_value_resolver).state)
+        stepped.append(step(model, stepped[-1], first_value_resolver)[0])
     assert verdict.trace == tuple(stepped)
     assert replay_counterexample(model, verdict) == verdict.trace
 
@@ -308,7 +322,7 @@ def test_replay_rejects_a_trace_the_log_does_not_reproduce():
     verdict = explore(model, 5)
     assert verdict.trace[-1].iteration == 2
     # one more step still violates, but the first violation ends the path
-    later = step(model, verdict.trace[-1], first_value_resolver).state
+    later, _ = step(model, verdict.trace[-1], first_value_resolver)
     overlong = replace(verdict, trace=verdict.trace + (later,))
     with pytest.raises(ModelError, match="'Small' at iteration 2, before"):
         replay_counterexample(model, overlong)

@@ -11,8 +11,7 @@ from hilcheck.acc import AccCommand, ControlMode
 from hilcheck.behaviour import FatigueLevel, IntegratorOp
 from hilcheck.engine import (ChoiceEntry, Group, ModelError, VerdictKind,
                              explore, first_value_resolver, probed_model,
-                             replay_counterexample, resolve_initial, run_path,
-                             step)
+                             replay_counterexample, resolve_initial, run_path)
 from hilcheck.environment import RoutePoint, Terrain
 from hilcheck.scenarios import (DEFAULT_ROUTE, SCENARIOS, ScenarioConfig,
                                 build_model, is_okay)
@@ -45,9 +44,8 @@ def test_ideal_first_step_golden_valuation():
     """Hand-computed expected state after one iteration from the fixed
     starting point, with every draw resolved to its first domain value."""
     model = build_model(SCENARIOS["ideal"])
-    state, _ = resolve_initial(model, first_value_resolver)
-    result = step(model, state, first_value_resolver)
-    got = result.state
+    trace, log, violated = run_path(model, 1, first_value_resolver)
+    got = trace[1]
 
     expected = {
         (Group.ENV_INPUT, "moved"): 1,
@@ -80,8 +78,8 @@ def test_ideal_first_step_golden_valuation():
     }
     for (group, name), value in expected.items():
         assert got.value(group, name) == value, f"{group.value}.{name}"
-    assert result.violated == ()
-    assert [e.point_id for e in result.drawn] == []
+    assert violated == ()
+    assert [e.point_id for e in log if e.iteration == 1] == []
 
 
 # --- the three published scenario verdicts ----------------------------------

@@ -4,6 +4,7 @@ read-back round trip, and the state value semantics traces depend on."""
 import hashlib
 import re
 from dataclasses import replace
+from enum import Enum
 
 import pytest
 
@@ -161,13 +162,14 @@ def test_integer_tokens_must_be_canonical_and_in_the_domain(token, tmp_path):
         read_trace(path, model)
 
 
-def _labelled(label: str, point_id: str, name: str,
-              members: tuple[str, ...] = ("ok", "a b")):
+def _labelled(label, point_id: str, name: str,
+              members: tuple = ("ok", "a b"), drawn: tuple = (0, 1)):
     """A symbolic env-state variable over `members` starting at `label`, and
-    an env-input variable drawn from choice point `point_id` every
+    a choice point `point_id` over `drawn` that env_input draws every
     iteration."""
     def env_input(so, e, ctx):
-        return {"pick": ctx.choose(point_id)}
+        ctx.choose(point_id)
+        return {}
 
     def noop(*views_and_ctx):
         return {}
@@ -176,10 +178,9 @@ def _labelled(label: str, point_id: str, name: str,
     updates["env_input"] = env_input
     return register_model(
         variables=[Var("label", Group.ENV_STATE, SymbolicDomain(members),
-                       label),
-                   Var("pick", Group.ENV_INPUT, IntDomain(0, 1), 0)],
+                       label)],
         updates=UpdateFunctions(**updates),
-        choices=[ChoicePoint(point_id, (0, 1), site=Group.ENV_INPUT)],
+        choices=[ChoicePoint(point_id, drawn, site=Group.ENV_INPUT)],
         name=name)
 
 
@@ -202,6 +203,35 @@ def test_a_spaced_domain_member_the_trace_never_holds_is_fine(tmp_path):
     path = tmp_path / "trace.txt"
     path.write_text(format_trace(verdict, model, "m"), encoding="ascii")
     assert read_trace(path, model).trace == verdict.trace
+
+
+class Letter(Enum):
+    a = 1
+
+
+# pairs of domain members that one label writes
+SHARED_LABELS = {"bool": ("true", True), "enum": ("a", Letter.a),
+                 "int": ("1", 1)}
+
+
+@pytest.mark.parametrize("pair", SHARED_LABELS.values(), ids=SHARED_LABELS)
+def test_format_trace_rejects_a_label_another_value_shares(pair, tmp_path):
+    members = ("ok", *pair)
+    # the shared label as a state's value, then as a drawn value
+    for model in (_labelled(pair[1], "pick", "m", members),
+                  _labelled("ok", "pick", "m", members, drawn=pair[::-1])):
+        verdict = explore(model, 2)
+        with pytest.raises(ValueError, match=f"cannot write {pair[1]!r} "
+                                             "to a trace: another value"):
+            format_trace(verdict, model, "m")
+
+    # domains with a shared label are fine while the trace holds neither
+    model = _labelled("ok", "pick", "m", members, drawn=members)
+    verdict = explore(model, 2)
+    path = tmp_path / "trace.txt"
+    path.write_text(format_trace(verdict, model, "m"), encoding="ascii")
+    read = read_trace(path, model)
+    assert (read.trace, read.choices) == (verdict.trace, verdict.choice_log)
 
 
 @pytest.mark.parametrize("label, scenario, error", [
