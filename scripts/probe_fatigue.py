@@ -16,14 +16,15 @@ from hilcheck.acc import compute_safe_stopping
 from hilcheck.behaviour import FatigueLevel
 from hilcheck.cli import positive_int
 from hilcheck.engine import (ChoiceEntry, Group, VerdictKind, explore,
-                             log_resolver, probed_model, run_path)
+                             probed_model, run_path)
 from hilcheck.scenarios import SCENARIOS, build_model
 
 
 def pinned_outcome(swept, level: FatigueLevel, bound: int):
     """Run one fatigue level to the bound; any unscripted draw is a bug."""
-    trace, _, violated = run_path(
-        swept, bound, log_resolver([ChoiceEntry(0, "probe:fatigue", level)]))
+    trace, log, violated = run_path(swept, bound, [level])
+    if log != (ChoiceEntry(0, "probe:fatigue", level),):
+        raise AssertionError(f"the pinned run drew {log}")
     return (violated[0] if violated else "safe"), trace[-1]
 
 

@@ -15,9 +15,8 @@ from .behaviour import (FatigueLevel, InputMode, IntegratorOp, ReactionProfile,
 from .engine import (Assertion, BoolDomain, ChoiceEntry, ChoicePoint, Group,
                      IntDomain, Model, ModelError, ModelState, SymbolicDomain,
                      UpdateFunctions, Var, Verdict, VerdictKind, explore,
-                     first_value_resolver, log_resolver, probed_model,
-                     register_model, replay_counterexample, resolve_initial,
-                     run_path, step)
+                     probed_model, register_model, replay_counterexample,
+                     resolve_initial, run_path, step)
 from .environment import RoutePoint, Terrain, advance_route, point_difficulty
 from .scenarios import (DEFAULT_ROUTE, SCENARIOS, ScenarioConfig, build_model,
                         is_okay)

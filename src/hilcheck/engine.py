@@ -18,9 +18,12 @@ state.  Environment and behaviour functions may draw values from declared
 choice points; the three system functions must be deterministic and are
 never handed a drawing context.  A choice point's site is the group that
 draws it in each step, or the (Group, name) of the variable it initialises
-before the first iteration.  Every draw, of either kind, goes through `_draw`.
+before the first iteration.  Every draw, of either kind, goes through
+`_draw`, which takes the next of the values it is given, or the point's
+first value once they run out.
 
-`step` is the transition alone; `run_path` runs one path of steps and
+`step` is the transition alone and consumes the values it draws;
+`run_path` runs one path of steps from one sequence of values and
 evaluates the assertions once on each state.  `explore` enumerates every
 resolution of every choice point up to a bound, depth first in declared
 domain order, and reports the first violating path as a replayable
@@ -54,7 +57,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 Value = Union[int, bool, str, Enum]
 
@@ -94,6 +97,9 @@ class IntDomain:
     hi: int
 
     def __post_init__(self) -> None:
+        if type(self.lo) is not int or type(self.hi) is not int:
+            raise ModelError("integer domain bounds must be ints, got "
+                             f"[{self.lo!r}, {self.hi!r}]")
         if self.lo > self.hi:
             raise ModelError(f"empty integer domain [{self.lo}, {self.hi}]")
 
@@ -116,18 +122,23 @@ class BoolDomain:
 
 @dataclass(frozen=True)
 class SymbolicDomain:
-    """Finite enumeration of labels.  Members may be strings or Enum members;
-    a value belongs only if it equals a member of the same type, so neither
-    1 nor True is an IntEnum member."""
+    """Finite enumeration of labels.  Members may be ints, bools, strings or
+    Enum members, the values a trace can hold; a value belongs only if it
+    equals a member of the same type, so neither 1 nor True is an IntEnum
+    member."""
 
     members: tuple[Value, ...]
     _types: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.members:
-            raise ModelError("symbolic domain must not be empty")
+            raise ModelError("empty domain")
+        for member in self.members:
+            if not isinstance(member, (int, str, Enum)):
+                raise ModelError(f"member {member!r} is not an int, bool, "
+                                 "str or Enum")
         if len(set(self.members)) != len(self.members):
-            raise ModelError("symbolic domain has duplicate members")
+            raise ModelError("duplicate members")
         object.__setattr__(self, "_types", frozenset(map(type, self.members)))
 
     def contains(self, v: Value) -> bool:
@@ -170,8 +181,8 @@ class Var:
 class ChoicePoint:
     """A named non-deterministic draw site.
 
-    `domain` is the ordered list of candidate values; exploration branches in
-    exactly this order.  `site` says where the drawn value goes: a `Group`,
+    `domain` is the ordered list of candidate values, checked as a
+    `SymbolicDomain`; exploration branches in exactly this order.  `site` says where the drawn value goes: a `Group`,
     whose update draws the point in each step, or a variable's (Group, name),
     an initialisation choice (a probe among them), drawn once before the
     first iteration in place of that variable's initial value.
@@ -180,21 +191,21 @@ class ChoicePoint:
     point_id: str
     domain: tuple[Value, ...]
     site: Group | tuple[Group, str]
-    _types: frozenset = field(init=False, repr=False, compare=False)
+    # whether a value is a candidate: `SymbolicDomain.contains` of `domain`
+    offers: Callable[[Value], bool] = field(init=False, repr=False,
+                                            compare=False)
 
     def __post_init__(self) -> None:
-        if not self.domain:
-            raise ModelError(f"choice point '{self.point_id}' has an empty domain")
-        if len(set(self.domain)) != len(self.domain):
-            raise ModelError(f"choice point '{self.point_id}' has duplicate values")
+        if not isinstance(self.point_id, str):
+            raise ModelError(f"choice point id {self.point_id!r} must be a str")
+        try:
+            candidates = SymbolicDomain(self.domain)
+        except ModelError as exc:
+            raise ModelError(f"choice point '{self.point_id}': {exc}") from None
         if isinstance(self.site, Group) and self.site in SYSTEM_GROUPS:
             raise ModelError("system update must be deterministic: "
                              f"choice point '{self.point_id}' sited at {self.site.value}")
-        object.__setattr__(self, "_types", frozenset(map(type, self.domain)))
-
-    def offers(self, value: Value) -> bool:
-        """Whether `value` is a candidate: equal to one of the same type."""
-        return type(value) in self._types and value in self.domain
+        object.__setattr__(self, "offers", candidates.contains)
 
 
 @dataclass(frozen=True)
@@ -216,6 +227,10 @@ class Assertion:
 
     assert_id: str
     predicate: Callable[["ModelState"], bool]
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.assert_id, str):
+            raise ModelError(f"assertion id {self.assert_id!r} must be a str")
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,40 +363,15 @@ _PLAN = tuple(
     for i, (target, reads) in enumerate(_SLOTS))
 
 
-Resolver = Callable[[ChoicePoint, int], Value]
-
-
-def first_value_resolver(cp: ChoicePoint, iteration: int) -> Value:
-    """Resolver that always picks the first value of a choice domain."""
-    return cp.domain[0]
-
-
-def log_resolver(log: Iterable[ChoiceEntry]) -> Resolver:
-    """Resolver that replays a recorded choice log, strictly in order."""
-    entries = iter(tuple(log))
-
-    def resolve(cp: ChoicePoint, iteration: int) -> Value:
-        entry = next(entries, None)
-        if entry is None:
-            raise ModelError(f"replay log exhausted at '{cp.point_id}' "
-                             f"(iteration {iteration})")
-        if entry.point_id != cp.point_id or entry.iteration != iteration:
-            raise ModelError(
-                f"replay mismatch: log has ({entry.iteration}, {entry.point_id}), "
-                f"run drew ({iteration}, {cp.point_id})")
-        return entry.value
-
-    return resolve
-
-
-def _draw(cp: ChoicePoint, iteration: int, resolver: Resolver,
+def _draw(cp: ChoicePoint, iteration: int, values: Iterator[Value],
           entries: list[ChoiceEntry]) -> Value:
-    """The one place a choice is drawn: ask the resolver, check that the
-    value is one of the point's candidates, and log it in `entries`."""
-    value = resolver(cp, iteration)
+    """The one place a choice is drawn: take the next of `values`, or the
+    point's first value once they run out, check that it is one of the
+    point's candidates, and log it in `entries`."""
+    value = next(values, cp.domain[0])
     if not cp.offers(value):
         raise ModelError(
-            f"resolver produced {value!r}, outside the domain of '{cp.point_id}'")
+            f"drew {value!r}, outside the domain of '{cp.point_id}'")
     entries.append(ChoiceEntry(iteration, cp.point_id, value))
     return value
 
@@ -389,11 +379,11 @@ def _draw(cp: ChoicePoint, iteration: int, resolver: Resolver,
 class StepContext:
     """Drawing context handed to environment and behaviour update functions."""
 
-    def __init__(self, model: "Model", iteration: int, resolver: Resolver,
+    def __init__(self, model: "Model", iteration: int, values: Iterator[Value],
                  site: Group, entries: list[ChoiceEntry]):
         self._model = model
         self._iteration = iteration
-        self._resolver = resolver
+        self._values = values
         self._site = site
         self._entries = entries
 
@@ -409,7 +399,7 @@ class StepContext:
             raise ModelError(
                 f"choice point '{point_id}' is declared for "
                 f"{cp.site.value} but was drawn while computing {self._site.value}")
-        return _draw(cp, self._iteration, self._resolver, self._entries)
+        return _draw(cp, self._iteration, self._values, self._entries)
 
 
 @dataclass(frozen=True)
@@ -539,22 +529,22 @@ def register_model(variables: Sequence[Var],
                   init_choices=tuple(init_ch), index=index)
 
     # trial step: surfaces read/update wiring errors now
-    trial, _ = resolve_initial(model, first_value_resolver)
-    trial, _ = step(model, trial, first_value_resolver)
+    trial, _ = resolve_initial(model)
+    trial, _ = step(model, trial)
     _eval_assertions(model, trial)
     return model
 
 
-def resolve_initial(model: Model,
-                    resolver: Resolver = first_value_resolver
+def resolve_initial(model: Model, values: Iterable[Value] = ()
                     ) -> tuple[ModelState, ChoiceLog]:
-    """Build the iteration-0 state, resolving initialisation choices in
-    the order `choices` lists them through the resolver."""
-    values = [v.init for v in model.variables]
+    """Build the iteration-0 state, drawing the initialisation choices in
+    the order `choices` lists them, from `values` as `step` draws."""
+    values = iter(values)
+    initial = [v.init for v in model.variables]
     entries: list[ChoiceEntry] = []
     for pos, cp in model.init_choices:
-        values[pos] = _draw(cp, 0, resolver, entries)
-    return ModelState(tuple(values), 0, model.index), tuple(entries)
+        initial[pos] = _draw(cp, 0, values, entries)
+    return ModelState(tuple(initial), 0, model.index), tuple(entries)
 
 
 def _eval_assertions(model: Model, state: ModelState) -> tuple[str, ...]:
@@ -573,14 +563,15 @@ def _eval_assertions(model: Model, state: ModelState) -> tuple[str, ...]:
     return tuple(violated)
 
 
-def step(model: Model, state: ModelState, resolver: Resolver
+def step(model: Model, state: ModelState, values: Iterable[Value] = ()
          ) -> tuple[ModelState, ChoiceLog]:
     """Advance the loop by one iteration: a transition only, which evaluates
     no assertions.
 
-    Pure: given the same state and resolver decisions the result is
-    identical.  The resolver supplies one domain value per choice point draw.
-    Returns the new state and the draws made, as `resolve_initial` does.
+    Pure: given the same state and values the result is identical.  Each
+    draw takes the next of `values`, and the point's first value once they
+    run out; an iterator is consumed by exactly the draws made.  Returns
+    the new state and the draws made, as `resolve_initial` does.
 
     The new valuation starts as a copy of the previous one, so variables an
     update omits carry over; each update writes its group in place.
@@ -590,6 +581,7 @@ def step(model: Model, state: ModelState, resolver: Resolver
     view = tuple.__new__
     previous = state.values
     current = list(previous)
+    values = iter(values)
     entries: list[ChoiceEntry] = []
     iteration = state.iteration + 1
 
@@ -601,7 +593,7 @@ def step(model: Model, state: ModelState, resolver: Resolver
             args.append(view(cls, read(current if primed else previous)))
         try:
             if may_draw:
-                ctx = StepContext(model, iteration, resolver, target, entries)
+                ctx = StepContext(model, iteration, values, target, entries)
                 returned = fn(*args, ctx)
             else:
                 returned = fn(*args)
@@ -633,17 +625,12 @@ def step(model: Model, state: ModelState, resolver: Resolver
     return ModelState(tuple(current), iteration, model.index), tuple(entries)
 
 
-def _prefix_resolver(prefix: Sequence[Value]) -> Resolver:
-    """Resolver that replays `prefix`'s values in order, then first values."""
-    values = iter(prefix)
-    return lambda cp, iteration: next(values, cp.domain[0])
-
-
-def run_path(model: Model, bound: int, resolver: Resolver
+def run_path(model: Model, bound: int, values: Iterable[Value] = ()
              ) -> tuple[Trace, ChoiceLog, tuple[str, ...]]:
-    """Run one path from the initial state, drawing through the resolver,
-    until the first iteration whose assertions fail or the bound.  Returns
-    the states, the draws and the violated assertion ids (empty if none).
+    """Run one path from the initial state until the first iteration whose
+    assertions fail or the bound.  Its draws take `values` in order, across
+    initialisation and the steps, then first values.  Returns the states,
+    the draws and the violated assertion ids (empty if none).
 
     A step that drew nothing and returned its input's values has settled
     the path: every later step would see the same views, draw nothing and
@@ -652,7 +639,8 @@ def run_path(model: Model, bound: int, resolver: Resolver
     way the assertions run once on every state, since they see the
     iteration.
     """
-    state, entries = resolve_initial(model, resolver)
+    values = iter(values)
+    state, entries = resolve_initial(model, values)
     snapshots = [state]
     log = list(entries)
     violated = _eval_assertions(model, state)
@@ -661,7 +649,7 @@ def run_path(model: Model, bound: int, resolver: Resolver
         if settled:
             state = ModelState(state.values, state.iteration + 1, model.index)
         else:
-            stepped, drawn = step(model, state, resolver)
+            stepped, drawn = step(model, state, values)
             settled = not drawn and stepped.values == state.values
             state = stepped
             log.extend(drawn)
@@ -704,8 +692,7 @@ def explore(model: Model, bound: int,
                            message="choice explosion: path ceiling "
                                    f"{path_ceiling} exceeded")
         try:
-            trace, log, violated = run_path(model, bound,
-                                            _prefix_resolver(prefix))
+            trace, log, violated = run_path(model, bound, prefix)
         except ModelError as exc:
             return Verdict(VerdictKind.ModelError, bound, paths_explored=paths + 1,
                            message=str(exc))
@@ -751,32 +738,47 @@ def probed_model(model: Model, var: tuple[Group, str]) -> Model:
 
 
 def replay_counterexample(model: Model, verdict: Verdict) -> Trace:
-    """Re-execute an Unsafe verdict's choice log through `run_path`, the path
-    runner `explore` uses, and check that it reproduces the trace exactly,
+    """Re-run an Unsafe verdict's choice log through `run_path`, the path
+    runner `explore` uses, drawing the log's values in order, and check that
+    the run drew the log's entries and reproduces the trace exactly,
     including the final violation.
 
     Returns the replayed trace; raises ModelError on any mismatch, including
-    a trace that runs past the first violation and log entries the replay
-    never drew.  This is the closure guarantee for counterexamples: trace
-    plus log suffice to reproduce the violation with no exploration
-    machinery involved.
+    a ModelError inside the run (a value outside the domain of the point
+    that drew it), a run that draws more or fewer entries than the log
+    holds, and a trace that runs past the first violation.  This is the
+    closure guarantee for counterexamples: trace plus log suffice to
+    reproduce the violation with no exploration machinery involved.
     """
     if verdict.kind is not VerdictKind.Unsafe:
         raise ModelError("only Unsafe verdicts carry a counterexample")
     if not verdict.trace or verdict.choice_log is None:
         raise ModelError("verdict has no trace to replay")
 
-    trace, log, violated = run_path(model, len(verdict.trace) - 1,
-                                    log_resolver(verdict.choice_log))
-    for replayed, expected in zip(trace, verdict.trace):
-        if replayed != expected:
+    expected = verdict.choice_log
+    try:
+        trace, log, violated = run_path(model, len(verdict.trace) - 1,
+                                        [entry.value for entry in expected])
+    except ModelError as exc:
+        raise ModelError(f"replay mismatch: {exc}") from exc
+    for entry, drawn in zip(expected, log):
+        if drawn != entry:   # the values agree, so the place differs
+            raise ModelError(
+                f"replay mismatch: log has ({entry.iteration}, {entry.point_id}), "
+                f"run drew ({drawn.iteration}, {drawn.point_id})")
+    if len(log) > len(expected):
+        extra = log[len(expected)]
+        raise ModelError(f"replay log exhausted at '{extra.point_id}' "
+                         f"(iteration {extra.iteration})")
+    for replayed, state in zip(trace, verdict.trace):
+        if replayed != state:
             raise ModelError(
                 f"replay mismatch at iteration {replayed.iteration}")
     if len(trace) < len(verdict.trace):
         raise ModelError(f"replay violated '{violated[0]}' at iteration "
                          f"{trace[-1].iteration}, before the trace ends")
-    if len(log) != len(verdict.choice_log):
-        raise ModelError(f"replay left {len(verdict.choice_log) - len(log)} "
+    if len(log) != len(expected):
+        raise ModelError(f"replay left {len(expected) - len(log)} "
                          "choice log entries undrawn")
     if verdict.failed_assertion not in violated:
         raise ModelError(

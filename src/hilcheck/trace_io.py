@@ -121,9 +121,9 @@ class _IntTokens(dict):
 def format_trace(verdict: Verdict, model: Model, scenario: str) -> str:
     """Render a Safe or Unsafe verdict's witness path as text.  A scenario
     other than the model's name, states of another model's variables,
-    whitespace in the scenario, a choice point id or a symbolic value, or a
-    value whose label another value of its domain shares, is a ValueError,
-    since the text would not read back."""
+    whitespace in the scenario, the failed assertion's id, a choice point id
+    or a symbolic value, or a value whose label another value of its domain
+    shares, is a ValueError, since the text would not read back."""
     if scenario != model.name:
         raise ValueError(f"scenario {scenario!r} is not the model's name")
     if verdict.kind is VerdictKind.ModelError:
@@ -137,7 +137,8 @@ def format_trace(verdict: Verdict, model: Model, scenario: str) -> str:
         raise ValueError(f"a verdict of another model than {model.name!r}")
 
     header = (_one_token(scenario), verdict.bound, verdict.kind.value,
-              verdict.failed_assertion or "-", verdict.paths_explored)
+              _one_token(verdict.failed_assertion or "-"),
+              verdict.paths_explored)
     lines = ["header " + " ".join(f"{key}={value}" for key, value
                                   in zip(_HEADER_FIELDS, header))]
     by_iter: dict[int, list[ChoiceEntry]] = {}

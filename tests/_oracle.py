@@ -2,12 +2,12 @@
 
 Enumerates the full cartesian product of every choice domain over the bound
 (valid because generated models draw on a fixed schedule), runs each vector
-straight through resolve_initial/step with a queue resolver that also checks
-each draw comes from the expected point, and reports what an exhaustive
-search must find.  It shares only `resolve_initial` and `step` with the
-engine: `run_vector` evaluates the assertions with its own code, and steps
-every iteration, also where the engine's `run_path` has found the path
-settled and repeats its state.
+straight through resolve_initial/step on the vector's values, checks that
+the draws came from the vector's points in order, and reports what an
+exhaustive search must find.  It shares only `resolve_initial` and `step`
+with the engine: `run_vector` evaluates the assertions with its own code,
+and steps every iteration, also where the engine's `run_path` has found the
+path settled and repeats its state.
 """
 
 from __future__ import annotations
@@ -16,23 +16,6 @@ import itertools
 from dataclasses import dataclass
 
 from hilcheck.engine import Model, resolve_initial, step
-
-
-def queue_resolver(draws):
-    """Resolver that hands out pre-decided (point, value) draws in order,
-    failing on a draw from any other point than the next one's."""
-    queue = list(draws)
-
-    def resolve(cp, iteration):
-        if not queue:
-            raise AssertionError(f"oracle queue exhausted at {cp.point_id}")
-        expected, value = queue.pop(0)
-        if cp.point_id != expected.point_id:
-            raise AssertionError(f"engine drew {cp.point_id}, oracle "
-                                 f"expected {expected.point_id}")
-        return value
-
-    return resolve
 
 
 @dataclass(frozen=True)
@@ -54,18 +37,24 @@ def violations(model: Model, state) -> tuple[str, ...]:
                  if not a.predicate(state))
 
 
-def run_vector(model: Model, bound: int, draws):
-    """Run one fully decided path; stop at the first violating iteration."""
-    resolver = queue_resolver(draws)
-    state, log = resolve_initial(model, resolver)
+def run_vector(model: Model, bound: int, points, vector):
+    """Run one fully decided path; stop at the first violating iteration.
+    The run must draw from `points` in order, and no more draws than they
+    hold."""
+    values = iter(vector)
+    state, log = resolve_initial(model, values)
     trace = [state]
     log = list(log)
     violated = violations(model, state)
     while not violated and state.iteration < bound:
-        state, drawn = step(model, state, resolver)
+        state, drawn = step(model, state, values)
         trace.append(state)
         log.extend(drawn)
         violated = violations(model, state)
+    drew = [entry.point_id for entry in log]
+    expected = [cp.point_id for cp in points[:len(drew)]]
+    if drew != expected:
+        raise AssertionError(f"engine drew {drew}, oracle expected {expected}")
     return tuple(trace), tuple(log), violated
 
 
@@ -77,7 +66,7 @@ def flat_check(model: Model, bound: int, init_points, step_points) -> OracleResu
     first_trace = None
     for paths, vector in enumerate(
             itertools.product(*(cp.domain for cp in points)), 1):
-        trace, log, violated = run_vector(model, bound, zip(points, vector))
+        trace, log, violated = run_vector(model, bound, points, vector)
         if violated:
             return OracleResult(kind="Unsafe", runs=runs, paths=paths,
                                 failed=violated[0],

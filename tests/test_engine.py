@@ -7,9 +7,8 @@ import pytest
 
 from hilcheck.engine import (Assertion, ChoiceEntry, ChoicePoint, Group,
                              IntDomain, ModelError, SymbolicDomain,
-                             UpdateFunctions, Var, first_value_resolver,
-                             log_resolver, probed_model, register_model,
-                             resolve_initial, run_path, step)
+                             UpdateFunctions, Var, probed_model,
+                             register_model, resolve_initial, run_path, step)
 
 
 class Level(IntEnum):
@@ -100,7 +99,7 @@ def test_names_that_tuple_defines_are_plain_variables():
                    for i, name in enumerate(names)],
         updates=_updates(env_state=env_state))
     state, _ = resolve_initial(model)
-    stepped, _ = step(model, state, first_value_resolver)
+    stepped, _ = step(model, state)
     assert seen[-1] == (0, 1, 2, 3)
     assert stepped.value(Group.ENV_STATE, "count") == 1
 
@@ -179,6 +178,25 @@ def test_choice_point_rejects_empty_and_duplicate_domains():
         ChoicePoint("p", (1, 1), site=Group.ENV_INPUT)
 
 
+@pytest.mark.parametrize("declare, message", [
+    (lambda: ChoicePoint("p", (0.5, (1, 2)), site=Group.ENV_INPUT),
+     "choice point 'p': member 0.5 is not an int, bool, str or Enum"),
+    (lambda: ChoicePoint("p", ([1],), site=Group.ENV_INPUT),
+     r"choice point 'p': member \[1\] is not"),
+    (lambda: SymbolicDomain((0.5, 1.5)), "member 0.5 is not"),
+    (lambda: IntDomain(0, 2.5), r"bounds must be ints, got \[0, 2.5\]"),
+    (lambda: IntDomain(False, True), "bounds must be ints"),
+    (lambda: ChoicePoint(5, (0, 1), site=Group.ENV_INPUT),
+     "choice point id 5 must be a str"),
+    (lambda: Assertion(7, lambda s: True), "assertion id 7 must be a str"),
+], ids=["float and tuple candidates", "unhashable candidate",
+        "float members", "float bound", "bool bounds", "int point id",
+        "int assertion id"])
+def test_declarations_reject_what_a_trace_cannot_hold(declare, message):
+    with pytest.raises(ModelError, match=message):
+        declare()
+
+
 def test_register_rejects_duplicate_choice_ids():
     cp = ChoicePoint("p", (0, 1), site=Group.ENV_INPUT)
     with pytest.raises(ModelError, match="duplicate choice point"):
@@ -234,9 +252,9 @@ def test_assertion_exception_becomes_model_error():
     fragile = Assertion(
         "fragile", lambda s: 1 // (2 - s.value(Group.ENV_STATE, "n")) >= 0)
     model = _counter_model(assertions=[fragile])
-    run_path(model, 1, first_value_resolver)
+    run_path(model, 1)
     with pytest.raises(ModelError, match="fragile"):
-        run_path(model, 2, first_value_resolver)   # n becomes 2
+        run_path(model, 2)   # n becomes 2
 
 
 def test_the_trial_step_runs_even_when_the_initial_state_violates():
@@ -278,7 +296,7 @@ def test_slot_execution_order():
         updates=updates)
     order.clear()
     state, _ = resolve_initial(model)
-    step(model, state, first_value_resolver)
+    step(model, state)
     assert order == ["env_in", "sys_in", "beh_in",
                      "env_state", "sys_state", "beh_state",
                      "env_out", "sys_out", "beh_out"]
@@ -318,7 +336,7 @@ def test_inputs_see_previous_iteration_outputs_see_current_input_and_state():
                          env_state=env_state_fn, sys_output=sys_output,
                          sys_state=sys_state))
     state, _ = resolve_initial(model)
-    state, _ = step(model, state, first_value_resolver)
+    state, _ = step(model, state)
     assert seen["sys_out_at_input"] == 7      # previous iteration's value
     assert seen["env_in_at_output"] == 4      # this iteration's fresh value
     assert seen["cnt_at_state"] == 3          # the state update's old state
@@ -326,7 +344,7 @@ def test_inputs_see_previous_iteration_outputs_see_current_input_and_state():
     assert state.value(Group.SYS_STATE, "s") == 1
     assert state.value(Group.SYS_OUTPUT, "y") == 6  # from NEW s=1
 
-    state, _ = step(model, state, first_value_resolver)
+    state, _ = step(model, state)
     assert seen["sys_out_at_input"] == 6
     assert state.value(Group.SYS_OUTPUT, "y") == 7  # from s=2
 
@@ -351,7 +369,7 @@ def test_draws_are_logged_in_slot_order():
         updates=_updates(**{name: draw(name) for name in drawing}),
         choices=choices)
     state, _ = resolve_initial(model)
-    _, drawn = step(model, state, first_value_resolver)
+    _, drawn = step(model, state)
     assert drawn == tuple(ChoiceEntry(1, name, 0) for name in drawing)
 
 
@@ -392,7 +410,7 @@ def test_group_views_expose_group_and_reject_unknown_names():
                    Var("moved", Group.ENV_INPUT, IntDomain(0, 1), 0)],
         updates=_updates(env_state=env_state, beh_state=beh_state))
     state, _ = resolve_initial(model)
-    step(model, state, first_value_resolver)
+    step(model, state)
     assert checked
 
 
@@ -424,11 +442,9 @@ def test_step_calls_the_update_functions_a_replaced_model_carries():
     swapped = replace(model, updates=replace(model.updates,
                                              env_state=env_state))
     state, _ = resolve_initial(swapped)
-    assert step(swapped, state, first_value_resolver)[0].value(
-        Group.ENV_STATE, "n") == 5
+    assert step(swapped, state)[0].value(Group.ENV_STATE, "n") == 5
     assert calls == [0]
-    assert step(model, state, first_value_resolver)[0].value(
-        Group.ENV_STATE, "n") == 1
+    assert step(model, state)[0].value(Group.ENV_STATE, "n") == 1
     assert calls == [0]
 
 
@@ -441,7 +457,7 @@ def test_omitted_variables_carry_over():
                    Var("b", Group.ENV_STATE, IntDomain(0, 9), 4)],
         updates=_updates(env_state=env_state))
     state, _ = resolve_initial(model)
-    stepped, _ = step(model, state, first_value_resolver)
+    stepped, _ = step(model, state)
     assert stepped.value(Group.ENV_STATE, "a") == 1
     assert stepped.value(Group.ENV_STATE, "b") == 4
 
@@ -475,9 +491,9 @@ def test_out_of_domain_update_is_a_model_error():
         variables=[Var("n", Group.ENV_STATE, IntDomain(0, 1), 0)],
         updates=_updates(env_state=env_state))
     state, _ = resolve_initial(model)
-    stepped, _ = step(model, state, first_value_resolver)
+    stepped, _ = step(model, state)
     with pytest.raises(ModelError, match="outside its"):
-        step(model, stepped, first_value_resolver)
+        step(model, stepped)
 
 
 def test_iteration_counter_advances():
@@ -485,7 +501,7 @@ def test_iteration_counter_advances():
     state, _ = resolve_initial(model)
     assert state.iteration == 0
     for expected in (1, 2, 3):
-        state, _ = step(model, state, first_value_resolver)
+        state, _ = step(model, state)
         assert state.iteration == expected
         assert state.value(Group.ENV_STATE, "n") == expected
 
@@ -493,8 +509,8 @@ def test_iteration_counter_advances():
 def test_step_is_pure():
     model = _counter_model()
     state, _ = resolve_initial(model)
-    first = step(model, state, first_value_resolver)
-    second = step(model, state, first_value_resolver)
+    first = step(model, state)
+    second = step(model, state)
     assert first == second
     assert state.value(Group.ENV_STATE, "n") == 0  # untouched
 
@@ -540,7 +556,7 @@ def test_a_step_choice_point_must_name_its_site():
         ChoicePoint("x", (1, 2))
 
 
-def test_resolver_value_must_be_in_domain():
+def test_a_drawn_value_must_be_in_domain():
     cp = ChoicePoint("p", (0, 1), site=Group.ENV_INPUT)
 
     def env_input(so, e, ctx):
@@ -551,7 +567,7 @@ def test_resolver_value_must_be_in_domain():
         updates=_updates(env_input=env_input), choices=[cp])
     state, _ = resolve_initial(model)
     with pytest.raises(ModelError, match="outside the domain"):
-        step(model, state, lambda cp, it: 42)
+        step(model, state, [42])
 
 
 def test_drawn_value_must_have_the_type_of_its_choice_domain():
@@ -566,12 +582,12 @@ def test_drawn_value_must_have_the_type_of_its_choice_domain():
         updates=_updates(env_input=env_input), choices=[cp])
     state, _ = resolve_initial(model)
     with pytest.raises(ModelError, match="outside the domain of 'p'"):
-        step(model, state, lambda cp, it: 1)
+        step(model, state, [1])
 
     seeded = _counter_model(choices=[
         ChoicePoint("seed", (0, 1), site=(Group.ENV_STATE, "n"))])
     with pytest.raises(ModelError, match="outside the domain of 'seed'"):
-        resolve_initial(seeded, lambda cp, it: True)
+        resolve_initial(seeded, [True])
 
 
 def test_init_choices_resolve_in_declared_order_at_iteration_zero():
@@ -589,7 +605,7 @@ def test_init_choices_resolve_in_declared_order_at_iteration_zero():
     assert state.value(Group.ENV_STATE, "y") == 5
 
 
-def test_log_resolver_replays_and_rejects_mismatches():
+def test_step_draws_the_values_it_is_given_then_first_values():
     cp = ChoicePoint("p", (0, 1, 2), site=Group.ENV_INPUT)
 
     def env_input(so, e, ctx):
@@ -599,12 +615,9 @@ def test_log_resolver_replays_and_rejects_mismatches():
         variables=[Var("v", Group.ENV_INPUT, IntDomain(0, 5), 0)],
         updates=_updates(env_input=env_input), choices=[cp])
     state, _ = resolve_initial(model)
-    good = log_resolver([ChoiceEntry(1, "p", 2)])
-    assert step(model, state, good)[0].value(Group.ENV_INPUT, "v") == 2
-
-    stale = log_resolver([ChoiceEntry(9, "p", 2)])
-    with pytest.raises(ModelError, match="replay mismatch"):
-        step(model, state, stale)
-    empty = log_resolver([])
-    with pytest.raises(ModelError, match="exhausted"):
-        step(model, state, empty)
+    assert step(model, state, [2])[0].value(Group.ENV_INPUT, "v") == 2
+    # an iterator gives up only the values drawn
+    values = iter([1, 2])
+    assert step(model, state, values)[1] == (ChoiceEntry(1, "p", 1),)
+    assert list(values) == [2]
+    assert step(model, state)[1] == (ChoiceEntry(1, "p", 0),)

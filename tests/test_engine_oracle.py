@@ -12,9 +12,12 @@ step points on the schedule whatever their list order.
 100 more models saturate instead of wrapping and run to a bound of 6 to 10,
 so most of their paths settle into a fixed point well before it: the
 engine stops stepping there, and the oracle steps every iteration.
+
+A path ceiling at each model's path count changes nothing, and one below it
+ends the search after exactly that many paths.
 """
 
-from hilcheck.engine import explore, replay_counterexample
+from hilcheck.engine import VerdictKind, explore, replay_counterexample
 
 from _modelgen import generate
 from _oracle import flat_check
@@ -69,6 +72,26 @@ def test_explore_matches_flat_enumeration_on_settling_models():
     assert sum(map(settles, results)) == 28
     assert sum(r.failed == "late" for r in results) == 37
     assert sum(r.kind == "Safe" for r in results) == 32
+
+
+def test_path_ceiling_at_and_one_below_each_path_count():
+    # at the oracle's path count n the search is as unbounded; at n - 1 it
+    # ends in a ModelError after exactly n - 1 paths
+    branching = 0
+    for seed in SEEDS:
+        gen = generate(seed)
+        n = flat_check(gen.model, gen.bound,
+                       gen.init_points, gen.step_points).paths
+        unbounded = explore(gen.model, gen.bound)
+        assert explore(gen.model, gen.bound, path_ceiling=n) == unbounded, \
+            f"seed {seed}"
+        if n >= 2:
+            below = explore(gen.model, gen.bound, path_ceiling=n - 1)
+            assert below.kind is VerdictKind.ModelError, f"seed {seed}"
+            assert "choice explosion" in below.message, f"seed {seed}"
+            assert below.paths_explored == n - 1, f"seed {seed}"
+            branching += 1
+    assert branching == 76, branching
 
 
 def test_generated_models_have_bounded_run_counts():

@@ -4,9 +4,9 @@ import pytest
 
 from hilcheck.engine import (Assertion, ChoiceEntry, ChoicePoint, Group,
                              IntDomain, ModelError, UpdateFunctions, Var,
-                             VerdictKind, explore, first_value_resolver,
-                             probed_model, register_model,
-                             replay_counterexample, resolve_initial, step)
+                             VerdictKind, explore, probed_model,
+                             register_model, replay_counterexample,
+                             resolve_initial, step)
 
 
 def _noop(*args):
@@ -269,7 +269,7 @@ def test_settled_path_repeats_its_state_without_stepping():
 
     stepped = [resolve_initial(model)[0]]
     for _ in range(7):
-        stepped.append(step(model, stepped[-1], first_value_resolver)[0])
+        stepped.append(step(model, stepped[-1])[0])
     assert verdict.trace == tuple(stepped)
     assert replay_counterexample(model, verdict) == verdict.trace
 
@@ -322,7 +322,7 @@ def test_replay_rejects_a_trace_the_log_does_not_reproduce():
     verdict = explore(model, 5)
     assert verdict.trace[-1].iteration == 2
     # one more step still violates, but the first violation ends the path
-    later, _ = step(model, verdict.trace[-1], first_value_resolver)
+    later, _ = step(model, verdict.trace[-1])
     overlong = replace(verdict, trace=verdict.trace + (later,))
     with pytest.raises(ModelError, match="'Small' at iteration 2, before"):
         replay_counterexample(model, overlong)
@@ -334,6 +334,26 @@ def test_replay_rejects_a_trace_the_log_does_not_reproduce():
         replay_counterexample(model, altered)
     with pytest.raises(ModelError, match="did not reproduce"):
         replay_counterexample(model, replace(verdict, trace=trace[:-1]))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda log: (ChoiceEntry(9, "amount", 0),) + log[1:],
+     r"replay mismatch: log has \(9, amount\), run drew \(1, amount\)"),
+    (lambda log: log[:-1],
+     r"replay log exhausted at 'amount' \(iteration 3\)"),
+    (lambda log: (ChoiceEntry(1, "amount", 7),) + log[1:],
+     "replay mismatch: drew 7, outside the domain of 'amount'"),
+], ids=["entry at another iteration", "log runs out",
+        "value outside its point"])
+def test_replay_rejects_a_log_the_run_does_not_draw(edit, message):
+    from dataclasses import replace
+    model = _accumulator(limit=1)
+    verdict = explore(model, 3)
+    assert [(e.iteration, e.value) for e in verdict.choice_log] == [
+        (1, 0), (2, 0), (3, 2)]
+    edited = replace(verdict, choice_log=edit(verdict.choice_log))
+    with pytest.raises(ModelError, match=message):
+        replay_counterexample(model, edited)
 
 
 def test_replay_detects_tampered_logs():

@@ -1,7 +1,8 @@
 """No module imports a name it never uses.
 
 A stdlib `ast` scan of every Python file under src/, tests/, tools/ and
-scripts/, since no linter is a dependency.  A package's `__init__.py`
+scripts/, and of the benchmark's own modules in perfbench/, since no linter
+is a dependency.  A package's `__init__.py`
 imports names to re-export them, and `from __future__ import annotations`
 changes how its module compiles, so both are exempt.
 """
@@ -14,7 +15,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(path for top in ("src", "tests", "tools", "scripts")
                  for path in (ROOT / top).rglob("*.py")
-                 if path.name != "__init__.py")
+                 if path.name != "__init__.py") \
+    + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:

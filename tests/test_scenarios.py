@@ -10,8 +10,8 @@ import hilcheck.scenarios
 from hilcheck.acc import AccCommand, ControlMode
 from hilcheck.behaviour import FatigueLevel, IntegratorOp
 from hilcheck.engine import (ChoiceEntry, Group, ModelError, VerdictKind,
-                             explore, first_value_resolver, probed_model,
-                             replay_counterexample, resolve_initial, run_path)
+                             explore, probed_model, replay_counterexample,
+                             resolve_initial, run_path)
 from hilcheck.environment import RoutePoint, Terrain
 from hilcheck.scenarios import (DEFAULT_ROUTE, SCENARIOS, ScenarioConfig,
                                 build_model, is_okay)
@@ -44,7 +44,7 @@ def test_ideal_first_step_golden_valuation():
     """Hand-computed expected state after one iteration from the fixed
     starting point, with every draw resolved to its first domain value."""
     model = build_model(SCENARIOS["ideal"])
-    trace, log, violated = run_path(model, 1, first_value_resolver)
+    trace, log, violated = run_path(model, 1)
     got = trace[1]
 
     expected = {
@@ -364,7 +364,7 @@ def test_each_transition_runs_once_per_step(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(hilcheck.scenarios, name, counting(name))
-    trace, _, violated = run_path(model, 10, first_value_resolver)
+    trace, _, violated = run_path(model, 10)
     assert len(trace) == 11 and not violated
     assert calls == {"advance_route": 10, "apply_command": 10,
                      "set_driver_fatigue": 10}

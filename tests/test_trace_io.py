@@ -8,9 +8,9 @@ from enum import Enum
 
 import pytest
 
-from hilcheck.engine import (ChoicePoint, Group, IntDomain, ModelError,
-                             SymbolicDomain, UpdateFunctions, Var, explore,
-                             register_model, resolve_initial)
+from hilcheck.engine import (Assertion, ChoicePoint, Group, IntDomain,
+                             ModelError, SymbolicDomain, UpdateFunctions, Var,
+                             explore, register_model, resolve_initial)
 from hilcheck.scenarios import SCENARIOS, build_model
 from hilcheck.trace_io import export_trace, format_trace, read_trace
 
@@ -163,7 +163,8 @@ def test_integer_tokens_must_be_canonical_and_in_the_domain(token, tmp_path):
 
 
 def _labelled(label, point_id: str, name: str,
-              members: tuple = ("ok", "a b"), drawn: tuple = (0, 1)):
+              members: tuple = ("ok", "a b"), drawn: tuple = (0, 1),
+              assertions: tuple = ()):
     """A symbolic env-state variable over `members` starting at `label`, and
     a choice point `point_id` over `drawn` that env_input draws every
     iteration."""
@@ -181,18 +182,23 @@ def _labelled(label, point_id: str, name: str,
                        label)],
         updates=UpdateFunctions(**updates),
         choices=[ChoicePoint(point_id, drawn, site=Group.ENV_INPUT)],
-        name=name)
+        assertions=assertions, name=name)
 
 
-@pytest.mark.parametrize("label, point_id, name, token", [
-    ("a b", "pick", "m", "a b"),
-    ("ok", "a b", "m", "a b"),
-    ("ok", "pick", "my model", "my model"),
-], ids=["symbolic value", "choice point id", "scenario name"])
+@pytest.mark.parametrize("label, point_id, name, assert_id, token", [
+    ("a b", "pick", "m", None, "a b"),
+    ("ok", "a b", "m", None, "a b"),
+    ("ok", "pick", "my model", None, "my model"),
+    ("ok", "pick", "m", "below three", "below three"),
+], ids=["symbolic value", "choice point id", "scenario name",
+        "failed assertion id"])
 def test_format_trace_rejects_whitespace_it_could_not_read_back(
-        label, point_id, name, token):
-    model = _labelled(label, point_id, name)
+        label, point_id, name, assert_id, token):
+    assertions = () if assert_id is None else (
+        Assertion(assert_id, lambda s: s.iteration < 1),)
+    model = _labelled(label, point_id, name, assertions=assertions)
     verdict = explore(model, 2)
+    assert verdict.failed_assertion == assert_id
     with pytest.raises(ValueError, match=f"cannot write '{token}' to a trace"):
         format_trace(verdict, model, name)
 
