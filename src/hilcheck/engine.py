@@ -42,6 +42,11 @@ views, steps, initial states and trace files all address values through it.
 A view is a named tuple of one group's values, of a class built once per
 (group, names) shape.
 
+What a trace can hold is decided here, when a model is declared.  A trace
+record is split on spaces, so every name a trace writes and every member
+label (`label_of`) must be a token (`check_token`), and no two members of
+a domain share a label, so each reads back as the value that wrote it.
+
 The only module-level mutable state is the bounded cache of those view
 classes, which are immutable and shared by every model of the same shape;
 concurrent use of separate models is safe, single-threaded use is assumed
@@ -67,6 +72,27 @@ DEFAULT_PATH_CEILING = 10**8
 class ModelError(Exception):
     """Raised for structural model problems: bad registration, out-of-domain
     values, read-set or determinism violations, resource exhaustion."""
+
+
+def check_token(text, what: str) -> None:
+    """Raise ModelError unless `text` can be one field of a trace: a
+    non-empty str of printable ASCII with no space."""
+    if not (isinstance(text, str) and text and text.isascii()
+            and text.isprintable() and " " not in text):
+        raise ModelError(f"{what} {text!r} must be a non-empty printable "
+                         "ASCII str with no space")
+
+
+def label_of(value: Value) -> str:
+    """How a trace writes `value`: an Enum member by name, a bool as true or
+    false, an int in decimal and a str as itself."""
+    if isinstance(value, Enum):
+        return value.name
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    return value
 
 
 class Group(Enum):
@@ -125,7 +151,8 @@ class SymbolicDomain:
     """Finite enumeration of labels.  Members may be ints, bools, strings or
     Enum members, the values a trace can hold; a value belongs only if it
     equals a member of the same type, so neither 1 nor True is an IntEnum
-    member."""
+    member.  Each member's `label_of` is a token, and no two members share
+    one, so a trace reads each back as the member that wrote it."""
 
     members: tuple[Value, ...]
     _types: frozenset = field(init=False, repr=False, compare=False)
@@ -134,12 +161,25 @@ class SymbolicDomain:
         if not self.members:
             raise ModelError("empty domain")
         for member in self.members:
-            if not isinstance(member, (int, str, Enum)):
+            if isinstance(member, Enum):
+                check_token(member.name, "member label")
+            elif isinstance(member, str):
+                check_token(member, "member label")
+            elif not isinstance(member, int):
                 raise ModelError(f"member {member!r} is not an int, bool, "
                                  "str or Enum")
         if len(set(self.members)) != len(self.members):
             raise ModelError("duplicate members")
-        object.__setattr__(self, "_types", frozenset(map(type, self.members)))
+        types = frozenset(map(type, self.members))
+        # members of one type differ in their labels too
+        if len(types) > 1:
+            seen: dict[str, Value] = {}
+            for member in self.members:
+                other = seen.setdefault(label_of(member), member)
+                if other is not member:
+                    raise ModelError(f"members {other!r} and {member!r} are "
+                                     f"both written {label_of(member)!r}")
+        object.__setattr__(self, "_types", types)
 
     def contains(self, v: Value) -> bool:
         return type(v) in self._types and v in self.members
@@ -148,12 +188,13 @@ class SymbolicDomain:
         return self.members
 
 
-Domain = Union[IntDomain, BoolDomain, SymbolicDomain]
+Domain = IntDomain | BoolDomain | SymbolicDomain
 
 
 @dataclass(frozen=True)
 class Var:
-    """A declared variable: its group, name, domain and initial value."""
+    """A declared variable: its group, name, domain and initial value.  The
+    name is an ASCII identifier, so `group.name` is a trace token."""
 
     name: str
     group: Group
@@ -162,13 +203,17 @@ class Var:
 
     def __post_init__(self) -> None:
         if (not isinstance(self.name, str) or not self.name.isidentifier()
-                or keyword.iskeyword(self.name) or self.name.startswith("_")):
+                or not self.name.isascii() or keyword.iskeyword(self.name)
+                or self.name.startswith("_")):
             raise ModelError(f"variable name {self.name!r} must be an "
-                             "identifier that is not a keyword and does not "
-                             "start with '_'")
+                             "identifier of ASCII characters that is not a "
+                             "keyword and does not start with '_'")
         if not isinstance(self.group, Group):
             raise ModelError(f"variable {self.name!r} needs a Group, "
                              f"got {self.group!r}")
+        if not isinstance(self.domain, Domain):
+            raise ModelError(f"variable {self.name!r} needs an IntDomain, "
+                             f"BoolDomain or SymbolicDomain, got {self.domain!r}")
         if not self.domain.contains(self.init):
             raise ModelError(f"initial value {self.init!r} outside the domain "
                              f"of {self}")
@@ -181,11 +226,12 @@ class Var:
 class ChoicePoint:
     """A named non-deterministic draw site.
 
-    `domain` is the ordered list of candidate values, checked as a
-    `SymbolicDomain`; exploration branches in exactly this order.  `site` says where the drawn value goes: a `Group`,
-    whose update draws the point in each step, or a variable's (Group, name),
-    an initialisation choice (a probe among them), drawn once before the
-    first iteration in place of that variable's initial value.
+    `point_id` is a trace token (`check_token`).  `domain` is the ordered
+    list of candidate values, checked as a `SymbolicDomain`; exploration
+    branches in exactly this order.  `site` says where the drawn value goes:
+    a `Group`, whose update draws the point in each step, or a variable's
+    (Group, name), an initialisation choice (a probe among them), drawn once
+    before the first iteration in place of that variable's initial value.
     """
 
     point_id: str
@@ -196,8 +242,7 @@ class ChoicePoint:
                                             compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.point_id, str):
-            raise ModelError(f"choice point id {self.point_id!r} must be a str")
+        check_token(self.point_id, "choice point id")
         try:
             candidates = SymbolicDomain(self.domain)
         except ModelError as exc:
@@ -223,14 +268,18 @@ ChoiceLog = tuple[ChoiceEntry, ...]
 
 @dataclass(frozen=True)
 class Assertion:
-    """A pure safety predicate over a full valuation; False means violated."""
+    """A pure safety predicate over a full valuation; False means violated.
+    `assert_id` is a trace token other than `-`, which a trace header writes
+    for no failed assertion."""
 
     assert_id: str
     predicate: Callable[["ModelState"], bool]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.assert_id, str):
-            raise ModelError(f"assertion id {self.assert_id!r} must be a str")
+        check_token(self.assert_id, "assertion id")
+        if self.assert_id == "-":
+            raise ModelError("assertion id '-' is what a trace writes for no "
+                             "failed assertion")
 
 
 @dataclass(frozen=True, eq=False)
@@ -475,7 +524,8 @@ def register_model(variables: Sequence[Var],
     (Group, name) overrides that initial value; such initialisation choices
     are drawn in the order they appear in `choices`.
 
-    Checks: at least one variable; names unique within each group; choice
+    Checks: `name` is a trace token (`check_token`), as a trace header
+    holds it; at least one variable; names unique within each group; choice
     point ids unique; every site that is not a group names a declared
     variable, at most one point targets each variable, and every candidate
     lies inside that variable's domain.  Finally one trial step is taken
@@ -484,6 +534,7 @@ def register_model(variables: Sequence[Var],
     so that wiring mistakes and assertions that raise surface at
     registration rather than mid-exploration.  Violations there are ignored.
     """
+    check_token(name, "model name")
     vars_t = tuple(variables)
     if not vars_t:
         raise ModelError("a model needs at least one variable")
@@ -678,10 +729,12 @@ def explore(model: Model, bound: int,
     has a later value, advanced to that value; `ChoicePoint` rejects members
     that compare equal, so a value's place in its domain is unambiguous.
     """
-    if bound < 1:
-        raise ModelError(f"bound must be at least 1, got {bound}")
-    if path_ceiling < 1:
-        raise ModelError("path ceiling must be at least 1")
+    # exactly int, as a trace header writes the bound
+    if type(bound) is not int or bound < 1:
+        raise ModelError(f"bound must be an int of at least 1, got {bound!r}")
+    if type(path_ceiling) is not int or path_ceiling < 1:
+        raise ModelError("path ceiling must be an int of at least 1, got "
+                         f"{path_ceiling!r}")
 
     first_path: tuple[Trace, ChoiceLog] | None = None
     prefix: list[Value] = []

@@ -29,8 +29,8 @@ from .behaviour import (FatigueLevel, InputMode, IntegratorOp, ReactionProfile,
                         perception_from_fatigue, set_driver_fatigue,
                         set_reaction_time)
 from .engine import (Assertion, BoolDomain, ChoicePoint, Group, IntDomain,
-                     Model, ModelState, SymbolicDomain, UpdateFunctions, Var,
-                     register_model)
+                     Model, ModelError, ModelState, SymbolicDomain,
+                     UpdateFunctions, Var, check_token, register_model)
 from .environment import (MAX_CURVATURE, MAX_OBSTACLE, MAX_ROUTE_LENGTH,
                           ROUTE_CANDIDATES, RoutePoint, Terrain, advance_route,
                           point_difficulty)
@@ -98,6 +98,10 @@ class ScenarioConfig:
     max_hp: int = 5
 
     def __post_init__(self) -> None:
+        try:
+            check_token(self.name, "scenario name")
+        except ModelError as exc:
+            raise ValueError(str(exc)) from None
         if self.max_speed < 1 or self.max_gap < 1:
             raise ValueError("speed and gap ceilings must be positive")
         if self.lead_speed < 0 or self.lead_speed > self.max_speed:

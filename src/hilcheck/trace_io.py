@@ -1,65 +1,31 @@
 """Plain-text export and re-import of verdict traces.
 
-One record per line, space-separated key=value fields, in chronological
-order: a header, then for each iteration the choices drawn while producing
-that iteration's state followed by the state itself.  Values are decimal
-integers, `true`/`false` booleans, or enumeration member names.  The format
-is deterministic: identical verdicts serialize to identical bytes.
+One record per line, in chronological order: a header, then for each
+iteration the choices drawn while producing that iteration's state followed
+by the state itself.  A record is its kind and then key=value fields, one
+space apart, in the fixed order `format_trace` writes them.  Values are
+decimal integers, `true`/`false` booleans, enumeration member names or
+strings, each written by `engine.label_of`.  The format is deterministic:
+identical verdicts serialize to identical bytes.
+
+The engine decides at declaration what a trace can hold: every name and
+label is an ASCII token, and the labels of one domain are distinct.  So
+every verdict of a registered model writes a trace that reads back, and
+`read_trace` reads each record by its kind's field list.
 """
 
 from __future__ import annotations
 
-import re
-from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
+from operator import getitem
 
 from .engine import (ChoiceEntry, ChoiceLog, IntDomain, Model, ModelState,
-                     SymbolicDomain, Trace, Verdict, VerdictKind)
+                     Trace, Verdict, VerdictKind, label_of)
 
-_has_space = re.compile(r"\s").search
-
-# a header's fields, in the order `format_trace` writes them
+# each record kind's fields, in the order `format_trace` writes them; a
+# state has `iter` and then the model's variables in declared order
 _HEADER_FIELDS = ("scenario", "bound", "verdict", "failed", "paths")
-
-
-def _label(value) -> str:
-    if isinstance(value, Enum):
-        return value.name
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
-        return value
-    raise ValueError(f"cannot serialize {value!r}")
-
-
-def _one_token(text: str) -> str:
-    """`text`, which a record holds as one field: records split on
-    whitespace, so text with any would not read back."""
-    if _has_space(text):
-        raise ValueError(f"cannot write {text!r} to a trace: it has whitespace")
-    return text
-
-
-def _unreadable(values) -> frozenset[str]:
-    """The labels of `values` that would not read back as the value that
-    wrote them: those with whitespace, and those two of the values share."""
-    counts = Counter(map(_label, values))
-    return frozenset(label for label, n in counts.items()
-                     if n > 1 or _has_space(label))
-
-
-def _written(value, unreadable) -> str:
-    """`value`'s label, which must not be one of its domain's `unreadable`
-    labels: a ValueError names the whitespace or the shared label."""
-    label = _label(value)
-    if label in unreadable:
-        _one_token(label)
-        raise ValueError(f"cannot write {value!r} to a trace: another value "
-                         f"of its domain is also written {label!r}")
-    return label
+_CHOICE_FIELDS = ("iter", "point", "value")
 
 
 def canonical_int(token: str) -> int | None:
@@ -72,58 +38,59 @@ def canonical_int(token: str) -> int | None:
     return value if str(value) == token else None
 
 
-def _parse_iteration(fields: dict[str, str], lineno: int) -> int:
-    if "iter" not in fields:
-        raise ValueError(f"line {lineno}: record has no iter")
-    iteration = canonical_int(fields["iter"])
+def _iteration(token: str) -> int:
+    iteration = canonical_int(token)
     if iteration is None:
-        raise ValueError(f"line {lineno}: iter needs an integer, "
-                         f"got {fields['iter']!r}")
+        raise ValueError(f"iter needs an integer, got {token!r}")
     return iteration
 
 
-def _fields(rest: str, lineno: int) -> dict[str, str]:
-    """A record's key=value fields; a key may appear only once."""
-    pairs = [token.split("=", 1) for token in rest.split()]
-    try:
-        fields = dict(pairs)
-    except ValueError:
-        raise ValueError(f"line {lineno}: malformed record") from None
-    if len(fields) != len(pairs):
-        keys = [key for key, _ in pairs]
-        twice = next(key for key in keys if keys.count(key) > 1)
-        raise ValueError(f"line {lineno}: field {twice} given twice")
-    return fields
+def _keys(fields) -> tuple[str, ...]:
+    return tuple(f"{field}=" for field in fields)
 
 
-def _tokens(values) -> dict[str, object]:
-    """Label -> value for every value of a domain: parsing a token is one
-    lookup, and a token outside the domain is simply absent."""
-    return {_label(value): value for value in values}
+def _values(kind: str, tokens: list[str], keys: tuple[str, ...]) -> list[str]:
+    """The values of a `kind` record's `tokens`, which are exactly `keys`
+    (each `field=`) followed by a value, in that order."""
+    if len(tokens) != len(keys) or not all(map(str.startswith, tokens, keys)):
+        raise ValueError(f"a {kind} record has the fields "
+                         + " ".join(key[:-1] for key in keys))
+    return list(map(str.removeprefix, tokens, keys))
 
 
-class _IntTokens(dict):
-    """`_tokens` of an integer domain, filled as a trace is read: only a
+class _Labels(dict):
+    """Label -> value for every value of a domain: reading a field is one
+    lookup, and a label outside the domain is a ValueError naming `field`."""
+
+    def __init__(self, field: str, values=()):
+        super().__init__((label_of(value), value) for value in values)
+        self.field = field
+
+    def __missing__(self, token: str):
+        raise ValueError(f"{self.field}: {token!r} is not in the domain")
+
+
+class _IntLabels(_Labels):
+    """`_Labels` of an integer domain, filled as a trace is read: only a
     canonical decimal inside the domain is a key."""
 
-    def __init__(self, domain: IntDomain):
-        super().__init__()
+    def __init__(self, field: str, domain: IntDomain):
+        super().__init__(field)
         self.domain = domain
 
     def __missing__(self, token: str) -> int:
         value = canonical_int(token)
         if value is None or not self.domain.contains(value):
-            raise KeyError(token)
+            return super().__missing__(token)
         self[token] = value
         return value
 
 
 def format_trace(verdict: Verdict, model: Model, scenario: str) -> str:
     """Render a Safe or Unsafe verdict's witness path as text.  A scenario
-    other than the model's name, states of another model's variables,
-    whitespace in the scenario, the failed assertion's id, a choice point id
-    or a symbolic value, or a value whose label another value of its domain
-    shares, is a ValueError, since the text would not read back."""
+    other than the model's name, a ModelError verdict or one without a
+    trace, and states of another model's variables are a ValueError; the
+    engine's declarations make everything else a model holds writable."""
     if scenario != model.name:
         raise ValueError(f"scenario {scenario!r} is not the model's name")
     if verdict.kind is VerdictKind.ModelError:
@@ -136,44 +103,32 @@ def format_trace(verdict: Verdict, model: Model, scenario: str) -> str:
            for index in {state.index for state in verdict.trace}):
         raise ValueError(f"a verdict of another model than {model.name!r}")
 
-    header = (_one_token(scenario), verdict.bound, verdict.kind.value,
-              _one_token(verdict.failed_assertion or "-"),
-              verdict.paths_explored)
+    header = (scenario, verdict.bound, verdict.kind.value,
+              verdict.failed_assertion or "-", verdict.paths_explored)
     lines = ["header " + " ".join(f"{key}={value}" for key, value
                                   in zip(_HEADER_FIELDS, header))]
     by_iter: dict[int, list[ChoiceEntry]] = {}
     for entry in verdict.choice_log:
         by_iter.setdefault(entry.iteration, []).append(entry)
-    keys = [f"{v}=" for v in model.variables]
-    # of the variables, only a symbolic domain can hold an unreadable label
-    checked = {pos: labels for pos, v in enumerate(model.variables)
-               if isinstance(v.domain, SymbolicDomain)
-               and (labels := _unreadable(v.domain.members))}
-    choice_labels = {point_id: labels
-                     for point_id, cp in model.choices.items()
-                     if (labels := _unreadable(cp.domain))}
+    keys = _keys(model.variables)
     rendered = None
     for state in verdict.trace:
         for entry in by_iter.get(state.iteration, ()):
-            label = _written(entry.value, choice_labels.get(entry.point_id, ()))
             lines.append(f"choice iter={entry.iteration} "
-                         f"point={_one_token(entry.point_id)} "
-                         f"value={_one_token(label)}")
+                         f"point={entry.point_id} value={label_of(entry.value)}")
         # a settled path repeats its valuation: render it once
         if state.values != rendered:
             rendered = state.values
-            for pos, labels in checked.items():
-                _written(rendered[pos], labels)
-            fields = " ".join(key + _label(value)
+            fields = " ".join(key + label_of(value)
                               for key, value in zip(keys, rendered))
         lines.append(f"state iter={state.iteration} {fields}")
     return "\n".join(lines) + "\n"
 
 
 def export_trace(path, verdict: Verdict, model: Model, scenario: str) -> None:
-    """Write `format_trace` to `path` as ASCII.  The text is formatted and
-    encoded before the file is opened, so a trace that cannot be written
-    leaves whatever was at `path` untouched."""
+    """Write `format_trace` to `path` as ASCII.  The text is formatted before
+    the file is opened, so a trace that cannot be written leaves whatever
+    was at `path` untouched."""
     data = format_trace(verdict, model, scenario).encode("ascii")
     with open(path, "wb") as fh:
         fh.write(data)
@@ -190,83 +145,65 @@ def read_trace(path, model: Model) -> TraceFile:
     """Parse an exported trace back into typed states and choices.
 
     The model supplies variable domains, so values come back as the same
-    ints, bools, and enumeration members that produced the file; a value
-    outside its variable's or choice point's domain is an error, as are a
-    first record that is not a header with exactly the fields
-    `format_trace` writes, a header naming another scenario than the
-    model's, a field given twice and a choice that does not come right
-    before the state of its iteration.
+    ints, bools, and enumeration members that produced the file.  The first
+    record must be the header, and each record must hold exactly its kind's
+    fields in the order `format_trace` writes them: `line N: a <kind> record
+    has the fields ...` otherwise.  A value outside its variable's or choice
+    point's domain is an error, as are a header naming another scenario
+    than the model's, a second header, an unknown record kind or choice
+    point, and a choice that does not come right before the state of its
+    iteration.
     """
-    header: dict[str, str] | None = None
-    columns = {str(v): (pos, _IntTokens(v.domain)
-                        if isinstance(v.domain, IntDomain)
-                        else _tokens(v.domain.values()))
-               for pos, v in enumerate(model.variables)}
-    choice_tokens = {point_id: _tokens(cp.domain)
+    header_keys, choice_keys = _keys(_HEADER_FIELDS), _keys(_CHOICE_FIELDS)
+    state_keys = _keys(("iter", *model.variables))
+    columns = [_IntLabels(str(v), v.domain) if isinstance(v.domain, IntDomain)
+               else _Labels(str(v), v.domain.values())
+               for v in model.variables]
+    choice_labels = {point_id: _Labels(point_id, cp.domain)
                      for point_id, cp in model.choices.items()}
+    header: dict[str, str] | None = None
     states: list[ModelState] = []
     choices: list[ChoiceEntry] = []
     with open(path, encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
+        for lineno, line in enumerate(fh, start=1):
+            fields = line.split()
+            if not fields:
                 continue
-            kind, _, rest = line.partition(" ")
-            fields = _fields(rest, lineno)
-            if header is None:
-                if kind != "header":
-                    raise ValueError(f"line {lineno}: the first record must "
-                                     "be the header")
-                if fields.keys() != set(_HEADER_FIELDS):
-                    raise ValueError(f"line {lineno}: a header has exactly "
-                                     "the fields " + " ".join(_HEADER_FIELDS))
-                if fields["scenario"] != model.name:
-                    raise ValueError(f"line {lineno}: header names another "
-                                     f"scenario than {model.name!r}")
-                header = fields
-            elif kind == "header":
-                raise ValueError(f"line {lineno}: duplicate header")
-            elif kind == "choice":
-                if set(fields) != {"iter", "point", "value"}:
-                    raise ValueError(f"line {lineno}: bad choice record")
-                point_id, token = fields["point"], fields["value"]
-                tokens = choice_tokens.get(point_id)
-                if tokens is None:
-                    raise ValueError(
-                        f"line {lineno}: unknown choice point '{point_id}'")
-                if token not in tokens:
-                    raise ValueError(f"line {lineno}: {token!r} is not in "
-                                     "the choice domain")
-                iteration = _parse_iteration(fields, lineno)
-                if iteration != len(states):
-                    raise ValueError(f"line {lineno}: choice for iteration "
-                                     f"{iteration} precedes state {len(states)}")
-                choices.append(ChoiceEntry(iteration, point_id, tokens[token]))
-                last_choice_line = lineno
-            elif kind == "state":
-                iteration = _parse_iteration(fields, lineno)
-                del fields["iter"]
-                if iteration != len(states):
-                    raise ValueError(f"line {lineno}: state out of order")
-                values: list = [None] * len(columns)
-                for key, token in fields.items():
-                    if key not in columns:
-                        raise ValueError(
-                            f"line {lineno}: unknown variable {key}")
-                    pos, tokens = columns[key]
-                    try:
-                        values[pos] = tokens[token]
-                    except KeyError:
-                        raise ValueError(f"line {lineno}: {key}: {token!r} "
-                                         "is not in the domain") from None
-                missing = [key for key, (pos, _) in columns.items()
-                           if values[pos] is None]
-                if missing:
-                    raise ValueError(
-                        f"line {lineno}: state misses " + ", ".join(missing))
-                states.append(ModelState(tuple(values), iteration, model.index))
-            else:
-                raise ValueError(f"line {lineno}: unknown record kind {kind!r}")
+            kind, *tokens = fields
+            try:
+                if header is None:
+                    if kind != "header":
+                        raise ValueError("the first record must be the header")
+                    header = dict(zip(_HEADER_FIELDS,
+                                      _values(kind, tokens, header_keys)))
+                    if header["scenario"] != model.name:
+                        raise ValueError("header names another scenario than "
+                                         f"{model.name!r}")
+                elif kind == "state":
+                    iter_token, *labels = _values(kind, tokens, state_keys)
+                    if _iteration(iter_token) != len(states):
+                        raise ValueError("state out of order")
+                    states.append(ModelState(
+                        tuple(map(getitem, columns, labels)), len(states),
+                        model.index))
+                elif kind == "choice":
+                    iter_token, point_id, label = _values(kind, tokens,
+                                                          choice_keys)
+                    point = choice_labels.get(point_id)
+                    if point is None:
+                        raise ValueError(f"unknown choice point '{point_id}'")
+                    value = point[label]
+                    if _iteration(iter_token) != len(states):
+                        raise ValueError(f"choice for iteration {iter_token} "
+                                         f"precedes state {len(states)}")
+                    choices.append(ChoiceEntry(len(states), point_id, value))
+                    last_choice_line = lineno
+                elif kind == "header":
+                    raise ValueError("a second header")
+                else:
+                    raise ValueError(f"unknown record kind {kind!r}")
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
     if not states:
         raise ValueError("trace file has no states")
     if choices and choices[-1].iteration == len(states):

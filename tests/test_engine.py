@@ -1,7 +1,7 @@
 """Engine unit tests: registration checks, step semantics, exploration."""
 
 from dataclasses import replace
-from enum import IntEnum
+from enum import Enum, IntEnum
 
 import pytest
 
@@ -187,11 +187,32 @@ def test_choice_point_rejects_empty_and_duplicate_domains():
     (lambda: IntDomain(0, 2.5), r"bounds must be ints, got \[0, 2.5\]"),
     (lambda: IntDomain(False, True), "bounds must be ints"),
     (lambda: ChoicePoint(5, (0, 1), site=Group.ENV_INPUT),
-     "choice point id 5 must be a str"),
-    (lambda: Assertion(7, lambda s: True), "assertion id 7 must be a str"),
+     "choice point id 5 must be a non-empty printable ASCII str with no "
+     "space"),
+    (lambda: Assertion(7, lambda s: True), "assertion id 7 must be a "
+                                           "non-empty printable ASCII str"),
+    (lambda: ChoicePoint("", (0, 1), site=Group.ENV_INPUT),
+     "choice point id '' must be a non-empty"),
+    (lambda: Assertion("", lambda s: True), "assertion id '' must be"),
+    (lambda: Assertion("-", lambda s: True),
+     "assertion id '-' is what a trace writes for no failed assertion"),
+    (lambda: _counter_model(name=""), "model name '' must be"),
+    (lambda: Var("caf\u00e9", Group.ENV_STATE, IntDomain(0, 1), 0),
+     "must be an identifier of ASCII characters"),
+    (lambda: SymbolicDomain(("ok", "\u00e9")),
+     "member label '\u00e9' must be"),
+    (lambda: SymbolicDomain(tuple(Enum("Mood", ["na\u00efve"]))),
+     "member label 'na\u00efve' must be"),
+    (lambda: SymbolicDomain(("ok", "tab\tbed")), r"member label 'tab\\tbed'"),
+    (lambda: Var("x", Group.ENV_STATE, (0, 1), 0),
+     r"variable 'x' needs an IntDomain, BoolDomain or SymbolicDomain, got "
+     r"\(0, 1\)"),
 ], ids=["float and tuple candidates", "unhashable candidate",
         "float members", "float bound", "bool bounds", "int point id",
-        "int assertion id"])
+        "int assertion id", "empty point id", "empty assertion id",
+        "dash assertion id", "empty model name", "non-ascii variable name",
+        "non-ascii member", "non-ascii enum member name", "tab in a member",
+        "tuple domain"])
 def test_declarations_reject_what_a_trace_cannot_hold(declare, message):
     with pytest.raises(ModelError, match=message):
         declare()

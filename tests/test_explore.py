@@ -99,6 +99,18 @@ def test_bound_below_one_is_rejected():
         explore(model, 0)
 
 
+@pytest.mark.parametrize("bound, ceiling, message", [
+    (2.5, 10, "bound must be an int of at least 1, got 2.5"),
+    (True, 10, "bound must be an int of at least 1, got True"),
+    (2, 2.5, "path ceiling must be an int of at least 1, got 2.5"),
+    (2, True, "path ceiling must be an int of at least 1, got True"),
+], ids=["float bound", "bool bound", "float ceiling", "bool ceiling"])
+def test_bound_and_ceiling_must_be_ints(bound, ceiling, message):
+    # a trace header writes the bound, as the int it must be
+    with pytest.raises(ModelError, match=message):
+        explore(_accumulator(limit=99), bound, path_ceiling=ceiling)
+
+
 def test_unsafe_is_monotone_in_the_bound():
     model = _accumulator(limit=3)
     small = explore(model, 2)           # max total after 2 draws is 4 > 3

@@ -312,6 +312,14 @@ def test_target_must_fit_the_gap_sensor():
     build_model(replace(SCENARIOS["manual-override"], max_gap=6))
 
 
+@pytest.mark.parametrize("name", ["my model", "", "caf\u00e9"])
+def test_a_scenario_name_is_a_trace_token(name):
+    # a trace header holds the name, as one field
+    with pytest.raises(ValueError, match=f"scenario name {name!r} must be a "
+                                         "non-empty printable ASCII str"):
+        ScenarioConfig(name=name, route=DEFAULT_ROUTE)
+
+
 # any of the numeric knobs, each from a small range around its default that
 # crosses the bounds ScenarioConfig checks; knobs not drawn keep their
 # default, so both outcomes are common
@@ -323,14 +331,15 @@ def test_target_must_fit_the_gap_sensor():
            "exhausted_after": st.integers(1, 13),
            "time_cap": st.integers(6, 14), "max_hp": st.integers(0, 6)}),
        adaptive_target=st.booleans(),
-       route_length=st.one_of(st.none(), st.integers(-1, 11)))
+       route_length=st.one_of(st.none(), st.integers(-1, 11)),
+       name=st.text(alphabet=["x", "-", " ", "\u00e9", "\t"], max_size=3))
 def test_every_config_that_constructs_builds(knobs, adaptive_target,
-                                             route_length):
+                                             route_length, name):
     """ScenarioConfig is the one place a scenario is checked: whatever it
     accepts, build_model registers."""
     try:
         config = ScenarioConfig(
-            name="x", route=DEFAULT_ROUTE if route_length is None else None,
+            name=name, route=DEFAULT_ROUTE if route_length is None else None,
             route_length=route_length, adaptive_target=adaptive_target,
             **knobs)
     except ValueError:

@@ -7,10 +7,12 @@ from dataclasses import replace
 from enum import Enum
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hilcheck.engine import (Assertion, ChoicePoint, Group, IntDomain,
                              ModelError, SymbolicDomain, UpdateFunctions, Var,
-                             explore, register_model, resolve_initial)
+                             Verdict, VerdictKind, explore, register_model,
+                             resolve_initial, run_path)
 from hilcheck.scenarios import SCENARIOS, build_model
 from hilcheck.trace_io import export_trace, format_trace, read_trace
 
@@ -61,11 +63,22 @@ MALFORMED = {
                                       "header scenario=ideal"),
     "header without a field": (r" paths=\d+$", ""),
     "header with another field": (r"^header ", "header mode=fast "),
+    "unknown record kind": (r"^state iter=1 ", "status iter=1 "),
+    "a second header": (r"^choice iter=1 .*",
+                        "header scenario=manual-override"),
+    "unknown choice point": (r"point=controlMode", "point=ghost"),
+    "choice value outside its point": (r"point=controlMode value=\w+",
+                                       "point=controlMode value=Cruise"),
+    "state missing a variable": (r" sys_state\.gap=\d+", ""),
+    "state fields in another order": (
+        r"(sys_state\.speed=\d+) (sys_state\.gap=\d+)", r"\2 \1"),
+    "token without =": (r"sys_state\.gap=", "sys_state.gap"),
 }
 
 
-@pytest.mark.parametrize("case", sorted(MALFORMED))
-def test_read_trace_rejects_malformed_records_with_their_line(case, tmp_path):
+def _malformed(case, tmp_path):
+    """The model, and the path and edited line number of its
+    manual-override trace with the `MALFORMED[case]` edit."""
     config = SCENARIOS["manual-override"]
     model = build_model(config)
     text = format_trace(explore(model, config.bound), model, config.name)
@@ -76,7 +89,34 @@ def test_read_trace_rejects_malformed_records_with_their_line(case, tmp_path):
     lines[lineno - 1] = re.sub(pattern, replacement, lines[lineno - 1], count=1)
     path = tmp_path / "trace.txt"
     path.write_text("".join(lines), encoding="ascii")
+    return model, path, lineno
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_read_trace_rejects_malformed_records_with_their_line(case, tmp_path):
+    model, path, lineno = _malformed(case, tmp_path)
     with pytest.raises(ValueError, match=rf"^line {lineno}: "):
+        read_trace(path, model)
+
+
+@pytest.mark.parametrize("case", ["field given twice", "state missing a variable",
+                                  "state fields in another order",
+                                  "token without ="])
+def test_a_state_out_of_its_layout_names_the_layout(case, tmp_path):
+    model, path, lineno = _malformed(case, tmp_path)
+    layout = " ".join(["iter", *map(str, model.variables)])
+    with pytest.raises(ValueError, match=re.escape(
+            f"line {lineno}: a state record has the fields {layout}")):
+        read_trace(path, model)
+
+
+def test_a_header_alone_is_no_trace(tmp_path):
+    config = SCENARIOS["manual-override"]
+    model = build_model(config)
+    text = format_trace(explore(model, config.bound), model, config.name)
+    path = tmp_path / "trace.txt"
+    path.write_text(text.split("\n", 1)[0] + "\n", encoding="ascii")
+    with pytest.raises(ValueError, match="^trace file has no states$"):
         read_trace(path, model)
 
 
@@ -162,12 +202,9 @@ def test_integer_tokens_must_be_canonical_and_in_the_domain(token, tmp_path):
         read_trace(path, model)
 
 
-def _labelled(label, point_id: str, name: str,
-              members: tuple = ("ok", "a b"), drawn: tuple = (0, 1),
-              assertions: tuple = ()):
-    """A symbolic env-state variable over `members` starting at `label`, and
-    a choice point `point_id` over `drawn` that env_input draws every
-    iteration."""
+def _labelled(label, point_id: str, name: str, assertions: tuple = ()):
+    """A symbolic env-state variable that holds only `label`, and a choice
+    point `point_id` over (0, 1) that env_input draws every iteration."""
     def env_input(so, e, ctx):
         ctx.choose(point_id)
         return {}
@@ -178,10 +215,10 @@ def _labelled(label, point_id: str, name: str,
     updates = {field: noop for field in UpdateFunctions.__dataclass_fields__}
     updates["env_input"] = env_input
     return register_model(
-        variables=[Var("label", Group.ENV_STATE, SymbolicDomain(members),
+        variables=[Var("label", Group.ENV_STATE, SymbolicDomain((label,)),
                        label)],
         updates=UpdateFunctions(**updates),
-        choices=[ChoicePoint(point_id, drawn, site=Group.ENV_INPUT)],
+        choices=[ChoicePoint(point_id, (0, 1), site=Group.ENV_INPUT)],
         assertions=assertions, name=name)
 
 
@@ -194,21 +231,13 @@ def _labelled(label, point_id: str, name: str,
         "failed assertion id"])
 def test_format_trace_rejects_whitespace_it_could_not_read_back(
         label, point_id, name, assert_id, token):
-    assertions = () if assert_id is None else (
-        Assertion(assert_id, lambda s: s.iteration < 1),)
-    model = _labelled(label, point_id, name, assertions=assertions)
-    verdict = explore(model, 2)
-    assert verdict.failed_assertion == assert_id
-    with pytest.raises(ValueError, match=f"cannot write '{token}' to a trace"):
-        format_trace(verdict, model, name)
-
-
-def test_a_spaced_domain_member_the_trace_never_holds_is_fine(tmp_path):
-    model = _labelled("ok", "pick", "m")
-    verdict = explore(model, 2)
-    path = tmp_path / "trace.txt"
-    path.write_text(format_trace(verdict, model, "m"), encoding="ascii")
-    assert read_trace(path, model).trace == verdict.trace
+    """Records split on whitespace, so a model holding any in a name or
+    label is rejected when declared, before a trace could be written."""
+    with pytest.raises(ModelError, match=f"'{token}' must be a non-empty "
+                                         "printable ASCII str with no space"):
+        assertions = () if assert_id is None else (
+            Assertion(assert_id, lambda s: s.iteration < 1),)
+        _labelled(label, point_id, name, assertions)
 
 
 class Letter(Enum):
@@ -221,39 +250,80 @@ SHARED_LABELS = {"bool": ("true", True), "enum": ("a", Letter.a),
 
 
 @pytest.mark.parametrize("pair", SHARED_LABELS.values(), ids=SHARED_LABELS)
-def test_format_trace_rejects_a_label_another_value_shares(pair, tmp_path):
-    members = ("ok", *pair)
-    # the shared label as a state's value, then as a drawn value
-    for model in (_labelled(pair[1], "pick", "m", members),
-                  _labelled("ok", "pick", "m", members, drawn=pair[::-1])):
-        verdict = explore(model, 2)
-        with pytest.raises(ValueError, match=f"cannot write {pair[1]!r} "
-                                             "to a trace: another value"):
-            format_trace(verdict, model, "m")
-
-    # domains with a shared label are fine while the trace holds neither
-    model = _labelled("ok", "pick", "m", members, drawn=members)
-    verdict = explore(model, 2)
-    path = tmp_path / "trace.txt"
-    path.write_text(format_trace(verdict, model, "m"), encoding="ascii")
-    read = read_trace(path, model)
-    assert (read.trace, read.choices) == (verdict.trace, verdict.choice_log)
+def test_format_trace_rejects_a_label_another_value_shares(pair):
+    """A trace could not tell such values apart, so neither a variable's
+    domain nor a choice point may hold both."""
+    shared = re.escape(f"members {pair[0]!r} and {pair[1]!r} are both "
+                       f"written {pair[0]!r}")
+    with pytest.raises(ModelError, match=shared):
+        SymbolicDomain(("ok", *pair))
+    with pytest.raises(ModelError, match="choice point 'pick': " + shared):
+        ChoicePoint("pick", pair, site=Group.ENV_INPUT)
 
 
-@pytest.mark.parametrize("label, scenario, error", [
-    ("\u00e9", "m", UnicodeEncodeError),
-    ("a b", "m", ValueError),
-    ("ok", "other", ValueError),
-], ids=["non-ascii value", "spaced value", "another scenario name"])
+@pytest.mark.parametrize("scenario, ceiling", [("other", 10), ("m", 1)],
+                         ids=["another scenario name", "ModelError verdict"])
 def test_a_failing_export_leaves_an_existing_trace_as_it_was(
-        label, scenario, error, tmp_path):
-    good = _labelled("ok", "pick", "m")
+        scenario, ceiling, tmp_path):
+    model = _labelled("ok", "pick", "m")
     path = tmp_path / "trace.txt"
-    export_trace(path, explore(good, 2), good, "m")
+    export_trace(path, explore(model, 2), model, "m")
     before = path.read_bytes()
-    assert before == format_trace(explore(good, 2), good, "m").encode("ascii")
+    assert before == format_trace(explore(model, 2), model, "m").encode("ascii")
 
-    bad = _labelled(label, "pick", "m", members=("ok", "a b", "\u00e9"))
-    with pytest.raises(error):
-        export_trace(path, explore(bad, 2), bad, scenario)
+    # the model has four paths, so a ceiling of one gives a ModelError verdict
+    with pytest.raises(ValueError):
+        export_trace(path, explore(model, 2, path_ceiling=ceiling), model,
+                     scenario)
     assert path.read_bytes() == before
+
+
+class Small(Enum):
+    x = 1
+    y = 2
+
+
+# what a symbolic domain may be asked to hold: values a trace writes alike,
+# and strings over an alphabet with a space, a non-ASCII letter and the
+# characters a record uses
+MEMBERS = st.lists(st.one_of(
+    st.integers(-3, 3), st.booleans(), st.sampled_from(Small),
+    st.sampled_from(["true", "1", "x", "-"]),
+    st.text(alphabet=["a", " ", "\u00e9", "-", "="], max_size=3)),
+    min_size=1, max_size=4, unique=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(members=MEMBERS)
+def test_a_domain_that_declares_holds_values_that_read_back(
+        members, tmp_path_factory):
+    """Either the domain is rejected when declared, or a model whose state
+    starts at each member and draws each member in turn exports a trace
+    that reads back as the same states and draws."""
+    try:
+        SymbolicDomain(tuple(members))
+    except ModelError:
+        return
+    members = tuple(members)
+
+    def env_state(ei, e, ctx):
+        return {"v": ctx.choose("pick")}
+
+    def noop(*views_and_ctx):
+        return {}
+
+    updates = {field: noop for field in UpdateFunctions.__dataclass_fields__}
+    updates["env_state"] = env_state
+    path = tmp_path_factory.getbasetemp() / "members.txt"
+    for start in members:
+        model = register_model(
+            variables=[Var("v", Group.ENV_STATE, SymbolicDomain(members),
+                           start)],
+            updates=UpdateFunctions(**updates),
+            choices=[ChoicePoint("pick", members, site=Group.ENV_STATE)],
+            name="members")
+        trace, log, _ = run_path(model, len(members), members)
+        verdict = Verdict(VerdictKind.Safe, len(members), 1, trace, log)
+        export_trace(path, verdict, model, "members")
+        read = read_trace(path, model)
+        assert (read.trace, read.choices) == (trace, log)

@@ -7,7 +7,7 @@ witness's last state, and the sha256 of the witness's choice log and of its
 `format_trace` text.  `tests/test_golden_corpus.py` recomputes every row and
 compares it with the committed file, so a change to the engine or the case
 study that moves a verdict, a path count, a witness or a trace byte shows
-up as a changed row.
+up as a changed row; it also reads each row's trace back.
 
 Usage: PYTHONPATH=src python3 tools/golden_corpus.py [PATH]
 (PATH defaults to tests/golden_corpus.txt; with the package installed,
@@ -64,9 +64,16 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
-def corpus_row(config, bound: int) -> str:
+def explored(config, bound: int):
+    """The model `config` builds, and the verdict `explore` returns for it
+    at `bound`."""
     model = build_model(config)
-    verdict = explore(model, bound)
+    return model, explore(model, bound)
+
+
+def corpus_row(config, bound: int, model, verdict) -> str:
+    """The corpus row of `config` at `bound`, from the `model` and `verdict`
+    that `explored` returns for them."""
     log = "".join(f"{e.iteration} {e.point_id} {e.value!r}\n"
                   for e in verdict.choice_log)
     return (f"{config.name} bound={bound} verdict={verdict} "
@@ -77,7 +84,7 @@ def corpus_row(config, bound: int) -> str:
 
 
 def corpus_text() -> str:
-    return "".join(corpus_row(config, bound) + "\n"
+    return "".join(corpus_row(config, bound, *explored(config, bound)) + "\n"
                    for config, bound in corpus_configs())
 
 
