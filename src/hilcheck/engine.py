@@ -11,9 +11,10 @@ fixed order:
 
 Each group is produced by one update function, which receives read-only
 views of the groups its row in `_SLOTS` lists, in that order, and nothing
-else, so read-sets are enforced structurally.  A read of a group written
-earlier in the same step is primed and sees this step's value; every other
-read sees the previous iteration's, so an output reports its model's new
+else, so read-sets are enforced structurally.  Each view comes from the
+valuation the step is writing, into which a row writes only its own group,
+after its update: a group an earlier row wrote shows this step's value, any
+other the previous iteration's, so an output reports its model's new
 state.  Environment and behaviour functions may draw values from declared
 choice points; the three system functions must be deterministic and are
 never handed a drawing context.  A choice point's site is the group that
@@ -37,10 +38,10 @@ settled, and `run_path` repeats that valuation up to the bound without
 stepping, still evaluating the assertions at every iteration.
 
 A state is one flat tuple of values, one per declared variable in declared
-order.  `register_model` fixes each variable's position once (a `VarIndex`);
-views, steps, initial states and trace files all address values through it.
-A view is a named tuple of one group's values, of a class built once per
-(group, names) shape.
+order.  `register_model` fixes each variable's position once, in the
+model's `layout`; views, steps, initial states and trace files all address
+values through it.  A view is a named tuple of one group's values, of a
+class built once per (group, names) shape.
 
 What a trace can hold is decided here, when a model is declared.  A trace
 record is split on spaces, so every name a trace writes and every member
@@ -282,40 +283,27 @@ class Assertion:
                              "failed assertion")
 
 
-@dataclass(frozen=True, eq=False)
-class VarIndex:
-    """Where each variable sits in a model's flat valuation, fixed by
-    `register_model`: `positions` maps (group, name) to a position in
-    declared order.  `views` gives each group its view class and a reader
-    that picks the group's values out of a valuation; `writes` maps each
-    group's names to their position and their domain's `contains`."""
-
-    positions: dict[tuple[Group, str], int]
-    views: dict[Group, tuple[type, Callable]]
-    writes: dict[Group, dict[str, tuple[int, Callable[[Value], bool]]]]
-
-
 @dataclass(frozen=True)
 class ModelState:
     """A complete valuation of every declared variable at one iteration.
 
     `values` holds one value per variable in the model's declared order, and
-    `index` says which position belongs to which variable.  Equality and
-    hashing use the values and the iteration only.
+    `layout`, the model's, says which position belongs to which variable.
+    Equality and hashing use the values and the iteration only.
     """
 
     values: tuple[Value, ...]
     iteration: int
-    index: VarIndex = field(compare=False, repr=False)
+    layout: dict[tuple[Group, str], int] = field(compare=False, repr=False)
 
     def value(self, group: Group, name: str) -> Value:
-        return self.values[_position(self.index, (group, name))]
+        return self.values[_position(self.layout, (group, name))]
 
     @property
     def valuation(self) -> Mapping[tuple[Group, str], Value]:
         """Read-only (Group, name) -> value mapping in declared order, built
         per call."""
-        return MappingProxyType(dict(zip(self.index.positions, self.values)))
+        return MappingProxyType(dict(zip(self.layout, self.values)))
 
 
 Trace = tuple[ModelState, ...]
@@ -403,13 +391,9 @@ _SLOTS = (
     (Group.BEH_OUTPUT, (Group.BEH_INPUT, Group.BEH_STATE)),
 )
 
-# derived once from _SLOTS: (target, UpdateFunctions field, reads as (group,
-# primed: a row before this one writes it), may draw)
-_PLAN = tuple(
-    (target, target.name.lower(),
-     tuple((group, any(t is group for t, _ in _SLOTS[:i])) for group in reads),
-     target not in SYSTEM_GROUPS)
-    for i, (target, reads) in enumerate(_SLOTS))
+# derived once from _SLOTS: (target, UpdateFunctions field, reads, may draw)
+_PLAN = tuple((target, target.name.lower(), reads, target not in SYSTEM_GROUPS)
+              for target, reads in _SLOTS)
 
 
 def _draw(cp: ChoicePoint, iteration: int, values: Iterator[Value],
@@ -453,7 +437,10 @@ class StepContext:
 
 @dataclass(frozen=True)
 class Model:
-    """A registered model: immutable, validated, ready to step or explore."""
+    """A registered model: immutable, validated, ready to step or explore.
+    `layout` maps each (Group, name) to its position in declared order;
+    `views` gives each group its view class and a reader of its values out
+    of a valuation, and `writes` its names' positions and domain checks."""
 
     name: str
     variables: tuple[Var, ...]
@@ -461,7 +448,9 @@ class Model:
     choices: dict[str, ChoicePoint]
     assertions: tuple[Assertion, ...]
     init_choices: tuple[tuple[int, ChoicePoint], ...]  # (position, point)
-    index: VarIndex
+    layout: dict[tuple[Group, str], int]
+    views: dict[Group, tuple[type, Callable]]
+    writes: dict[Group, dict[str, tuple[int, Callable[[Value], bool]]]]
 
 
 class VerdictKind(Enum):
@@ -500,11 +489,11 @@ class Verdict:
         return f"ModelError({self.message})"
 
 
-def _position(index: VarIndex, key, unknown: str = "unknown variable") -> int:
-    """Position of the variable named by a (Group, name) pair; `unknown`
-    starts the error message for any key the model does not declare."""
+def _position(layout: dict, key, unknown: str = "unknown variable") -> int:
+    """Position of the variable named by a (Group, name) pair in `layout`;
+    `unknown` starts the error message for any key it does not hold."""
     try:
-        return index.positions[key]
+        return layout[key]
     except (KeyError, TypeError):
         pass
     if isinstance(key, tuple) and len(key) == 2 and isinstance(key[0], Group):
@@ -538,18 +527,17 @@ def register_model(variables: Sequence[Var],
     vars_t = tuple(variables)
     if not vars_t:
         raise ModelError("a model needs at least one variable")
-    positions: dict[tuple[Group, str], int] = {}
+    layout: dict[tuple[Group, str], int] = {}
     writes: dict[Group, dict[str, tuple[int, Callable]]] = {
         g: {} for g in Group}
     for pos, v in enumerate(vars_t):
-        if (v.group, v.name) in positions:
+        if (v.group, v.name) in layout:
             raise ModelError(f"duplicate variable {v}")
-        positions[(v.group, v.name)] = pos
+        layout[(v.group, v.name)] = pos
         writes[v.group][v.name] = (pos, v.domain.contains)
     views = {g: (_view_class(g, tuple(names)),
                  _reader([pos for pos, _ in names.values()]))
              for g, names in writes.items()}
-    index = VarIndex(positions, views, writes)
 
     choice_map: dict[str, ChoicePoint] = {}
     init_ch: list[tuple[int, ChoicePoint]] = []
@@ -559,8 +547,8 @@ def register_model(variables: Sequence[Var],
         choice_map[cp.point_id] = cp
         if isinstance(cp.site, Group):
             continue
-        pos = _position(index, cp.site, f"choice point '{cp.point_id}' "
-                                        "targets unknown variable")
+        pos = _position(layout, cp.site, f"choice point '{cp.point_id}' "
+                                         "targets unknown variable")
         if any(pos == other for other, _ in init_ch):
             raise ModelError(f"two initialisation choices target {vars_t[pos]}")
         for value in cp.domain:
@@ -576,8 +564,8 @@ def register_model(variables: Sequence[Var],
         raise ModelError("duplicate assertion id")
 
     model = Model(name=name, variables=vars_t, updates=updates,
-                  choices=choice_map, assertions=assert_t,
-                  init_choices=tuple(init_ch), index=index)
+                  choices=choice_map, assertions=assert_t, layout=layout,
+                  init_choices=tuple(init_ch), views=views, writes=writes)
 
     # trial step: surfaces read/update wiring errors now
     trial, _ = resolve_initial(model)
@@ -595,7 +583,7 @@ def resolve_initial(model: Model, values: Iterable[Value] = ()
     entries: list[ChoiceEntry] = []
     for pos, cp in model.init_choices:
         initial[pos] = _draw(cp, 0, values, entries)
-    return ModelState(tuple(initial), 0, model.index), tuple(entries)
+    return ModelState(tuple(initial), 0, model.layout), tuple(entries)
 
 
 def _eval_assertions(model: Model, state: ModelState) -> tuple[str, ...]:
@@ -625,13 +613,13 @@ def step(model: Model, state: ModelState, values: Iterable[Value] = ()
     the new state and the draws made, as `resolve_initial` does.
 
     The new valuation starts as a copy of the previous one, so variables an
-    update omits carry over; each update writes its group in place.
+    update omits carry over; each update writes its group in place, and
+    every view reads that valuation, as the module docstring says.
     """
-    views = model.index.views
-    writes = model.index.writes
+    views = model.views
+    writes = model.writes
     view = tuple.__new__
-    previous = state.values
-    current = list(previous)
+    current = list(state.values)
     values = iter(values)
     entries: list[ChoiceEntry] = []
     iteration = state.iteration + 1
@@ -639,9 +627,9 @@ def step(model: Model, state: ModelState, values: Iterable[Value] = ()
     for target, fn_name, reads, may_draw in _PLAN:
         fn = getattr(model.updates, fn_name)
         args = []
-        for g, primed in reads:
+        for g in reads:
             cls, read = views[g]
-            args.append(view(cls, read(current if primed else previous)))
+            args.append(view(cls, read(current)))
         try:
             if may_draw:
                 ctx = StepContext(model, iteration, values, target, entries)
@@ -673,7 +661,7 @@ def step(model: Model, state: ModelState, values: Iterable[Value] = ()
                     f"outside its domain, at iteration {iteration}")
             current[pos] = value
 
-    return ModelState(tuple(current), iteration, model.index), tuple(entries)
+    return ModelState(tuple(current), iteration, model.layout), tuple(entries)
 
 
 def run_path(model: Model, bound: int, values: Iterable[Value] = ()
@@ -698,7 +686,7 @@ def run_path(model: Model, bound: int, values: Iterable[Value] = ()
     settled = False
     while not violated and state.iteration < bound:
         if settled:
-            state = ModelState(state.values, state.iteration + 1, model.index)
+            state = ModelState(state.values, state.iteration + 1, model.layout)
         else:
             stepped, drawn = step(model, state, values)
             settled = not drawn and stepped.values == state.values
@@ -783,7 +771,7 @@ def probed_model(model: Model, var: tuple[Group, str]) -> Model:
     model replay against the probed model, not the original, since only the
     former declares the probe choice point.
     """
-    target = model.variables[_position(model.index, var)]
+    target = model.variables[_position(model.layout, var)]
     cp = ChoicePoint(f"probe:{target.name}", target.domain.values(), site=var)
     return register_model(model.variables, model.updates,
                           (cp, *model.choices.values()), model.assertions,

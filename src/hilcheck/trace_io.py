@@ -97,10 +97,9 @@ def format_trace(verdict: Verdict, model: Model, scenario: str) -> str:
         raise ValueError("a ModelError verdict has no trace to export")
     if verdict.trace is None or verdict.choice_log is None:
         raise ValueError("verdict carries no trace")
-    # layouts, not identity: the same model may have been built twice
-    layout = list(model.index.positions)
-    if any(list(index.positions) != layout
-           for index in {state.index for state in verdict.trace}):
+    # identity first, then layouts: the same model may have been built twice
+    if any(state.layout is not model.layout and state.layout != model.layout
+           for state in verdict.trace):
         raise ValueError(f"a verdict of another model than {model.name!r}")
 
     header = (scenario, verdict.bound, verdict.kind.value,
@@ -185,7 +184,7 @@ def read_trace(path, model: Model) -> TraceFile:
                         raise ValueError("state out of order")
                     states.append(ModelState(
                         tuple(map(getitem, columns, labels)), len(states),
-                        model.index))
+                        model.layout))
                 elif kind == "choice":
                     iter_token, point_id, label = _values(kind, tokens,
                                                           choice_keys)
