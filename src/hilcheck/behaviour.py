@@ -57,6 +57,10 @@ class ReactionProfile:
     e_factor: int = 3
 
     def __post_init__(self) -> None:
+        if any(type(v) is not int for v in (self.fast, self.okay, self.slow,
+                                            self.n_factor, self.t_factor,
+                                            self.e_factor)):
+            raise ValueError(f"a reaction profile takes ints, got {self}")
         if not (0 < self.fast < self.okay < self.slow):
             raise ValueError("base latencies must satisfy 0 < fast < okay < slow")
         if not (1 <= self.n_factor <= self.t_factor <= self.e_factor):

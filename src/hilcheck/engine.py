@@ -118,7 +118,8 @@ SYSTEM_GROUPS = frozenset({Group.SYS_INPUT, Group.SYS_OUTPUT, Group.SYS_STATE})
 
 @dataclass(frozen=True)
 class IntDomain:
-    """Bounded integer domain, inclusive on both ends."""
+    """Bounded integer domain, inclusive on both ends.  Both bounds, and so
+    every value between them, can be written in decimal."""
 
     lo: int
     hi: int
@@ -127,8 +128,13 @@ class IntDomain:
         if type(self.lo) is not int or type(self.hi) is not int:
             raise ModelError("integer domain bounds must be ints, got "
                              f"[{self.lo!r}, {self.hi!r}]")
+        try:
+            bounds = f"[{self.lo}, {self.hi}]"
+        except ValueError:   # past the interpreter's int-to-str digit limit
+            raise ModelError("integer domain bounds must be writable in "
+                             "decimal, as a trace writes them") from None
         if self.lo > self.hi:
-            raise ModelError(f"empty integer domain [{self.lo}, {self.hi}]")
+            raise ModelError(f"empty integer domain {bounds}")
 
     def contains(self, v: Value) -> bool:
         # exactly int: True and IntEnum members compare equal to ints
@@ -614,7 +620,7 @@ def step(model: Model, state: ModelState, values: Iterable[Value] = ()
 
     The new valuation starts as a copy of the previous one, so variables an
     update omits carry over; each update writes its group in place, and
-    every view reads that valuation, as the module docstring says.
+    every view reads it, so a group written earlier shows its new values.
     """
     views = model.views
     writes = model.writes

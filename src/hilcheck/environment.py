@@ -53,6 +53,11 @@ class RoutePoint:
     curvature: int
 
     def __post_init__(self) -> None:
+        if (any(type(n) is not int
+                for n in (self.obstacle, self.distance, self.curvature))
+                or type(self.terrain) is not Terrain):
+            raise ValueError("a route segment takes ints and a Terrain, "
+                             f"got {self}")
         if not 0 <= self.obstacle <= MAX_OBSTACLE:
             raise ValueError(f"obstacle density must be in 0..{MAX_OBSTACLE}")
         if self.distance < 1:

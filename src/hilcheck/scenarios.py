@@ -61,6 +61,21 @@ DEFAULT_ROUTE = (
     RoutePoint(obstacle=0, distance=1, terrain=Terrain.onRoad, curvature=0),
 )
 
+# the type of each knob's value, or of each item of a tuple knob's value,
+# exactly: neither True nor 10.5 is an int, though both compare like one,
+# and only an Enum's members have its type
+_KNOB_TYPES = {
+    **dict.fromkeys(("route_length", "bound", "max_speed", "max_gap",
+                     "lead_speed", "base_separation", "acc_margin",
+                     "tired_after", "exhausted_after", "time_cap", "max_hp"),
+                    int),
+    "adaptive_target": bool, "separation_only": bool,
+    "control_mode": ControlMode, "input_mode": InputMode,
+    "profile": ReactionProfile, "route": RoutePoint,
+    "command_domain": AccCommand, "operators": IntegratorOp}
+_TUPLE_KNOBS = frozenset({"route", "command_domain", "operators"})
+_OPTIONAL_KNOBS = frozenset({"route", "route_length", "control_mode"})
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -72,7 +87,8 @@ class ScenarioConfig:
     request either mode each iteration.  `adaptive_target` selects whether
     the cruise preset follows fatigue or stays at the base separation; the
     safety property always uses the fatigue-adjusted floor either way.
-    Every config that constructs builds into a model.
+    Every config that constructs builds into a model; a knob of the wrong
+    type is a ValueError, like a value out of range.
     """
 
     name: str
@@ -102,6 +118,15 @@ class ScenarioConfig:
             check_token(self.name, "scenario name")
         except ModelError as exc:
             raise ValueError(str(exc)) from None
+        for knob, kind in _KNOB_TYPES.items():
+            value = getattr(self, knob)
+            if type(value) is kind or (value is None
+                                       and knob in _OPTIONAL_KNOBS):
+                continue
+            if not (knob in _TUPLE_KNOBS and type(value) is tuple
+                    and all(type(v) is kind for v in value)):
+                raise ValueError(f"{knob} takes {kind.__name__} values, got "
+                                 f"{value!r}")
         if self.max_speed < 1 or self.max_gap < 1:
             raise ValueError("speed and gap ceilings must be positive")
         if self.lead_speed < 0 or self.lead_speed > self.max_speed:

@@ -97,6 +97,8 @@ def test_integrate_plain_cases():
 def test_integrate_rejects_negative_severity():
     with pytest.raises(ValueError):
         integrate(IntegratorOp.Max, -1, 0)
+    with pytest.raises(ValueError, match="unknown integrator 'Max'"):
+        integrate("Max", 1, 1)
 
 
 @given(a=st.integers(0, 5), b=st.integers(0, 5))

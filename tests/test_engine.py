@@ -176,6 +176,8 @@ def test_choice_point_rejects_empty_and_duplicate_domains():
         ChoicePoint("p", (), site=Group.ENV_INPUT)
     with pytest.raises(ModelError, match="duplicate"):
         ChoicePoint("p", (1, 1), site=Group.ENV_INPUT)
+    with pytest.raises(ModelError, match=r"empty integer domain \[2, 1\]"):
+        IntDomain(2, 1)
 
 
 @pytest.mark.parametrize("declare, message", [
@@ -207,12 +209,17 @@ def test_choice_point_rejects_empty_and_duplicate_domains():
     (lambda: Var("x", Group.ENV_STATE, (0, 1), 0),
      r"variable 'x' needs an IntDomain, BoolDomain or SymbolicDomain, got "
      r"\(0, 1\)"),
+    (lambda: IntDomain(10**5000, 10**5000 + 1),
+     "integer domain bounds must be writable in decimal"),
+    (lambda: IntDomain(-10**5000, 0),
+     "integer domain bounds must be writable in decimal"),
 ], ids=["float and tuple candidates", "unhashable candidate",
         "float members", "float bound", "bool bounds", "int point id",
         "int assertion id", "empty point id", "empty assertion id",
         "dash assertion id", "empty model name", "non-ascii variable name",
         "non-ascii member", "non-ascii enum member name", "tab in a member",
-        "tuple domain"])
+        "tuple domain", "bounds past the int-to-str limit",
+        "negative bound past the int-to-str limit"])
 def test_declarations_reject_what_a_trace_cannot_hold(declare, message):
     with pytest.raises(ModelError, match=message):
         declare()
@@ -276,6 +283,11 @@ def test_assertion_exception_becomes_model_error():
     run_path(model, 1)
     with pytest.raises(ModelError, match="fragile"):
         run_path(model, 2)   # n becomes 2
+
+    # a ModelError is the model's own error, and surfaces as it is
+    ghost = Assertion("A", lambda s: s.value(Group.ENV_STATE, "ghost") == 0)
+    with pytest.raises(ModelError, match="^unknown variable env_state.ghost$"):
+        _counter_model(assertions=[ghost])
 
 
 def test_the_trial_step_runs_even_when_the_initial_state_violates():

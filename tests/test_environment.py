@@ -91,6 +91,8 @@ def test_point_difficulty_triggers():
 def test_point_difficulty_validates_ranges():
     with pytest.raises(ValueError):
         point_difficulty(Terrain.onRoad, 5, 0)
+    with pytest.raises(ValueError, match=r"curvature must be in 0\.\.3"):
+        point_difficulty(Terrain.onRoad, 0, 4)
 
 
 def drawn(route_length):

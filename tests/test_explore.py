@@ -319,6 +319,16 @@ def test_replay_rejects_safe_verdicts():
     with pytest.raises(ModelError, match="only Unsafe"):
         replay_counterexample(model, verdict)
 
+    # an Unsafe verdict without a trace has nothing to replay either
+    from dataclasses import replace
+    model = _accumulator(limit=3)
+    verdict = explore(model, 4)
+    for bare in (replace(verdict, trace=None),
+                 replace(verdict, trace=(), choice_log=())):
+        with pytest.raises(ModelError,
+                           match="^verdict has no trace to replay$"):
+            replay_counterexample(model, bare)
+
 
 def test_replay_rejects_a_trace_the_log_does_not_reproduce():
     from dataclasses import replace

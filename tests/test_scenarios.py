@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import hilcheck.scenarios
 from hilcheck.acc import AccCommand, ControlMode
-from hilcheck.behaviour import FatigueLevel, IntegratorOp
+from hilcheck.behaviour import FatigueLevel, IntegratorOp, ReactionProfile
 from hilcheck.engine import (ChoiceEntry, Group, ModelError, VerdictKind,
                              explore, probed_model, replay_counterexample,
                              resolve_initial, run_path)
@@ -153,7 +153,8 @@ def test_replay_rejects_a_log_with_entries_left_over_or_out_of_order():
     log = verdict.choice_log
     assert log[0].point_id == "integrator"
     extra = replace(verdict, choice_log=log + (log[-1],))
-    with pytest.raises(ModelError, match="undrawn"):
+    with pytest.raises(ModelError,
+                       match="replay left 1 choice log entries undrawn"):
         replay_counterexample(model, extra)
     integrator_last = replace(verdict, choice_log=log[1:] + log[:1])
     with pytest.raises(ModelError, match="replay mismatch"):
@@ -288,6 +289,14 @@ def test_config_requires_exactly_one_route_source():
 def test_config_rejects_bad_knobs():
     with pytest.raises(ValueError):
         ScenarioConfig(name="x", route=DEFAULT_ROUTE, operators=())
+    with pytest.raises(ValueError, match="duplicate integrator operators"):
+        ScenarioConfig(name="x", route=DEFAULT_ROUTE,
+                       operators=(IntegratorOp.Max, IntegratorOp.Max))
+    for commands in ((), (AccCommand.Maintain, AccCommand.Maintain)):
+        with pytest.raises(ValueError, match="command domain must be "
+                                             "non-empty and duplicate-free"):
+            ScenarioConfig(name="x", route=DEFAULT_ROUTE,
+                           command_domain=commands)
     with pytest.raises(ValueError):
         ScenarioConfig(name="x", route=DEFAULT_ROUTE, fatigue_source="psychic")
     with pytest.raises(ValueError):
@@ -320,9 +329,44 @@ def test_a_scenario_name_is_a_trace_token(name):
         ScenarioConfig(name=name, route=DEFAULT_ROUTE)
 
 
+# knobs of the wrong type, each close to a value of the right one: a float
+# or bool for an int, a name for an Enum member, a plain tuple for a route
+# segment; each would fail to build, or build as another value
+WRONG_TYPED = {
+    "float max_speed": lambda: {"max_speed": 10.5},
+    "bool max_speed": lambda: {"max_speed": True},
+    "bool lead_speed": lambda: {"lead_speed": True},
+    "float time_cap": lambda: {"time_cap": 12.0},
+    "float bound": lambda: {"bound": 2.5},
+    "float route_length": lambda: {"route": None, "route_length": 2.5},
+    "bool route_length": lambda: {"route": None, "route_length": True},
+    "float in the profile": lambda: {"profile": ReactionProfile(fast=1.5)},
+    "operator by name": lambda: {"operators": ("Max",)},
+    "int commands": lambda: {"control_mode": None, "command_domain": (1, 2)},
+    "control mode by name": lambda: {"control_mode": "Manual"},
+    "input mode by name": lambda: {"input_mode": "Speech"},
+    "bool obstacle": lambda: {
+        "route": (RoutePoint(True, 1, Terrain.onRoad, 0),)},
+    "float distance": lambda: {
+        "route": (RoutePoint(0, 1.5, Terrain.onRoad, 0),)},
+    "terrain by name": lambda: {"route": (RoutePoint(0, 1, "onRoad", 0),)},
+    "segment as a plain tuple": lambda: {"route": ((0, 1, Terrain.onRoad, 0),)},
+    "no profile": lambda: {"profile": None},
+    "separation by name": lambda: {"adaptive_target": "fixed"},
+}
+
+
+@pytest.mark.parametrize("case", WRONG_TYPED)
+def test_a_knob_of_the_wrong_type_is_rejected_at_construction(case):
+    with pytest.raises(ValueError):
+        ScenarioConfig(**{"name": "x", "route": DEFAULT_ROUTE,
+                          **WRONG_TYPED[case]()})
+
+
 # any of the numeric knobs, each from a small range around its default that
-# crosses the bounds ScenarioConfig checks; knobs not drawn keep their
-# default, so both outcomes are common
+# crosses the bounds ScenarioConfig checks, and now and then a knob of the
+# wrong type; knobs not drawn keep their default, so both outcomes are
+# common
 @settings(max_examples=400, deadline=None)
 @given(knobs=st.fixed_dictionaries({}, optional={
            "max_speed": st.integers(0, 12), "lead_speed": st.integers(-1, 3),
@@ -332,16 +376,18 @@ def test_a_scenario_name_is_a_trace_token(name):
            "time_cap": st.integers(6, 14), "max_hp": st.integers(0, 6)}),
        adaptive_target=st.booleans(),
        route_length=st.one_of(st.none(), st.integers(-1, 11)),
-       name=st.text(alphabet=["x", "-", " ", "\u00e9", "\t"], max_size=3))
+       name=st.text(alphabet=["x", "-", " ", "\u00e9", "\t"], max_size=3),
+       wrong=st.one_of(st.none(), st.sampled_from(sorted(WRONG_TYPED))))
 def test_every_config_that_constructs_builds(knobs, adaptive_target,
-                                             route_length, name):
+                                             route_length, name, wrong):
     """ScenarioConfig is the one place a scenario is checked: whatever it
     accepts, build_model registers."""
     try:
-        config = ScenarioConfig(
-            name=name, route=DEFAULT_ROUTE if route_length is None else None,
-            route_length=route_length, adaptive_target=adaptive_target,
-            **knobs)
+        config = ScenarioConfig(**{
+            "name": name,
+            "route": DEFAULT_ROUTE if route_length is None else None,
+            "route_length": route_length, "adaptive_target": adaptive_target,
+            **knobs, **(WRONG_TYPED[wrong]() if wrong else {})})
     except ValueError:
         return
     build_model(config)

@@ -53,6 +53,7 @@ MALFORMED = {
     "non-integer state iter": (r"^state iter=\d+", "state iter=x"),
     "non-integer choice iter": (r"^choice iter=\d+", "choice iter=1.5"),
     "state iter with a plus sign": (r"^state iter=1 ", "state iter=+1 "),
+    "state out of order": (r"^state iter=1 ", "state iter=5 "),
     "choice iter with a leading zero": (r"^choice iter=1 ", "choice iter=01 "),
     "field given twice": (r"sys_state\.gap=\d+", r"\g<0> sys_state.gap=14"),
     "choice iter not its state's": (r"^choice iter=1 ", "choice iter=7 "),
@@ -275,6 +276,9 @@ def test_a_failing_export_leaves_an_existing_trace_as_it_was(
     with pytest.raises(ValueError):
         export_trace(path, explore(model, 2, path_ceiling=ceiling), model,
                      scenario)
+    assert path.read_bytes() == before
+    with pytest.raises(ValueError, match="^verdict carries no trace$"):
+        export_trace(path, Verdict(VerdictKind.Safe, 1), model, "m")
     assert path.read_bytes() == before
 
 

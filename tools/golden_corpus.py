@@ -29,7 +29,7 @@ from hilcheck.trace_io import format_trace
 
 CORPUS = Path(__file__).resolve().parents[1] / "tests" / "golden_corpus.txt"
 
-PRESET_BOUNDS = (1, 3, 5, 8, 12, 30)
+PRESET_BOUNDS = (1, 3, 5, 8, 12, 30, 100)
 # lowered-speed is safe at these bounds, so all 31,104 paths are walked;
 # together they take about 19 s
 SLOW_ROWS = {("lowered-speed", 1), ("lowered-speed", 3)}
