@@ -9,9 +9,9 @@ and `scenarios` wires them into runnable configurations.
 
 from .acc import (AccCommand, ControlMode, acc_decide, adaptive_separation,
                   apply_command, compute_safe_stopping)
-from .behaviour import (FatigueLevel, InputMode, IntegratorOp, ReactionProfile,
-                        hp_function, integrate, perception_from_fatigue,
-                        set_driver_fatigue, set_reaction_time, time_severity)
+from .behaviour import (FatigueLevel, InputMode, IntegratorOp, hp_function,
+                        integrate, perception_from_fatigue, set_driver_fatigue,
+                        set_reaction_time, time_severity)
 from .engine import (Assertion, BoolDomain, ChoiceEntry, ChoicePoint, Group,
                      IntDomain, Model, ModelError, ModelState, SymbolicDomain,
                      UpdateFunctions, Var, Verdict, VerdictKind, explore,

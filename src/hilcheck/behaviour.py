@@ -3,14 +3,18 @@
 Fatigue is an ordered three-level scale fed by two severity signals (time
 behind the wheel and terrain difficulty) combined through a configurable
 two-argument integrator.  Reaction time scales a per-interaction-mode base
-latency by a fatigue factor.  Hazard perception degrades linearly with
-fatigue on a small bounded health-point scale.
+latency by a fatigue factor; the three latencies and three factors are
+`ScenarioConfig` fields, which also check their order.  Hazard perception
+degrades linearly with fatigue on a small bounded health-point scale.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .scenarios import ScenarioConfig
 
 
 class FatigueLevel(Enum):
@@ -41,32 +45,6 @@ class IntegratorOp(Enum):
     RoundedMean = "RoundedMean"
 
 
-@dataclass(frozen=True)
-class ReactionProfile:
-    """Base latencies per interaction mode and multipliers per fatigue level.
-
-    fast < okay < slow keeps the mode ordering meaningful; the fatigue
-    factors must not decrease as fatigue worsens.
-    """
-
-    fast: int = 1
-    okay: int = 2
-    slow: int = 3
-    n_factor: int = 1
-    t_factor: int = 2
-    e_factor: int = 3
-
-    def __post_init__(self) -> None:
-        if any(type(v) is not int for v in (self.fast, self.okay, self.slow,
-                                            self.n_factor, self.t_factor,
-                                            self.e_factor)):
-            raise ValueError(f"a reaction profile takes ints, got {self}")
-        if not (0 < self.fast < self.okay < self.slow):
-            raise ValueError("base latencies must satisfy 0 < fast < okay < slow")
-        if not (1 <= self.n_factor <= self.t_factor <= self.e_factor):
-            raise ValueError("fatigue factors must be >= 1 and non-decreasing")
-
-
 _MODE_BASE = {
     InputMode.GamePad: "okay",
     InputMode.Speech: "slow",
@@ -81,15 +59,17 @@ _FATIGUE_FACTOR = {
 
 
 def set_reaction_time(mode: InputMode, fatigue: FatigueLevel,
-                      profile: ReactionProfile) -> int:
+                      config: ScenarioConfig) -> int:
     """Reaction latency in iterations: mode base times fatigue multiplier.
 
-    Multi-modal interaction is the fastest base, speech the slowest.  The
-    result is monotone in fatigue for a fixed mode and respects the mode
-    ordering for a fixed fatigue level.
+    The base is the config's `fast` (multi-modal), `okay` (game pad) or
+    `slow` (speech) latency, the multiplier its `n_factor`, `t_factor` or
+    `e_factor`.  Since `ScenarioConfig` keeps both orders, the result is
+    monotone in fatigue for a fixed mode and respects the mode ordering for
+    a fixed fatigue level.
     """
-    base = getattr(profile, _MODE_BASE[mode])
-    factor = getattr(profile, _FATIGUE_FACTOR[fatigue])
+    base = getattr(config, _MODE_BASE[mode])
+    factor = getattr(config, _FATIGUE_FACTOR[fatigue])
     return base * factor
 
 

@@ -80,37 +80,37 @@ def _parse_route(raw: str) -> tuple[RoutePoint, ...]:
     return tuple(points)
 
 
-# key -> (what it sets: the scenario or its reaction profile, the field it
-# sets, the parser of its value); values are parsed in this order, so with
-# two bad values the earlier entry's is reported.
+# key -> (the `ScenarioConfig` field it sets, the parser of its value);
+# values are parsed in this order, so with two bad values the earlier
+# entry's is reported.
 # `scenario`, `route` and `routeLength` have their own branch.
 _KEYS = {
-    "bound": ("config", "bound", at_least_one),
-    "controlMode": ("config", "control_mode",
+    "bound": ("bound", at_least_one),
+    "controlMode": ("control_mode",
                     _one_of({"engaged": ControlMode.Engaged,
                              "manual": ControlMode.Manual, "nondet": None})),
-    "fatigueSource": ("config", "fatigue_source",
+    "fatigueSource": ("fatigue_source",
                       _one_of({CALCULATED: CALCULATED, PROBED: PROBED})),
-    "separation": ("config", "adaptive_target",
+    "separation": ("adaptive_target",
                    _one_of({"adaptive": True, "fixed": False})),
-    "operators": ("config", "operators", parse_operators),
-    "inputMode": ("config", "input_mode",
+    "operators": ("operators", parse_operators),
+    "inputMode": ("input_mode",
                   _one_of({m.name: m for m in InputMode}, "input mode")),
-    "maxSpeed": ("config", "max_speed", _integer),
-    "maxGap": ("config", "max_gap", _integer),
-    "leadSpeed": ("config", "lead_speed", _integer),
-    "baseSeparation": ("config", "base_separation", _integer),
-    "accMargin": ("config", "acc_margin", _integer),
-    "tiredAfter": ("config", "tired_after", _integer),
-    "exhaustedAfter": ("config", "exhausted_after", _integer),
-    "timeCap": ("config", "time_cap", _integer),
-    "maxHP": ("config", "max_hp", _integer),
-    "fast": ("profile", "fast", _integer),
-    "okay": ("profile", "okay", _integer),
-    "slow": ("profile", "slow", _integer),
-    "nFactor": ("profile", "n_factor", _integer),
-    "tFactor": ("profile", "t_factor", _integer),
-    "eFactor": ("profile", "e_factor", _integer),
+    "maxSpeed": ("max_speed", _integer),
+    "maxGap": ("max_gap", _integer),
+    "leadSpeed": ("lead_speed", _integer),
+    "baseSeparation": ("base_separation", _integer),
+    "accMargin": ("acc_margin", _integer),
+    "tiredAfter": ("tired_after", _integer),
+    "exhaustedAfter": ("exhausted_after", _integer),
+    "timeCap": ("time_cap", _integer),
+    "maxHP": ("max_hp", _integer),
+    "fast": ("fast", _integer),
+    "okay": ("okay", _integer),
+    "slow": ("slow", _integer),
+    "nFactor": ("n_factor", _integer),
+    "tFactor": ("t_factor", _integer),
+    "eFactor": ("e_factor", _integer),
 }
 
 _OWN_BRANCH = {"scenario", "route", "routeLength"}
@@ -146,12 +146,10 @@ def load_config(path) -> ScenarioConfig:
     if "scenario" in entries:
         config = _parse(entries, "scenario", _one_of(SCENARIOS, "scenario"))
 
-    # collect every override and apply them in one replace per object at
-    # the end, otherwise cross-field validation would depend on key order
-    updates: dict[str, dict] = {"config": {}, "profile": {}}
-    for key, (target, field_name, parse) in _KEYS.items():
-        if key in entries:
-            updates[target][field_name] = _parse(entries, key, parse)
+    # collect every override and apply them in one replace at the end,
+    # otherwise cross-field validation would depend on key order
+    updates = {field_name: _parse(entries, key, parse)
+               for key, (field_name, parse) in _KEYS.items() if key in entries}
 
     route = entries.get("route", (None, 0))[0]
     length = config.route_length if route is None else None
@@ -164,13 +162,12 @@ def load_config(path) -> ScenarioConfig:
                               "routeLength: only applies to route = nondet")
         length = parsed
     if length is not None:
-        updates["config"].update(route=None, route_length=length)
+        updates.update(route=None, route_length=length)
     elif route is not None:
-        updates["config"].update(route=_parse(entries, "route", _parse_route),
-                                 route_length=None)
+        updates.update(route=_parse(entries, "route", _parse_route),
+                       route_length=None)
 
     try:
-        profile = replace(config.profile, **updates["profile"])
-        return replace(config, profile=profile, **updates["config"])
+        return replace(config, **updates)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

@@ -21,11 +21,12 @@ only builds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import get_args, get_origin, get_type_hints
 
 from .acc import (AccCommand, ControlMode, acc_decide, adaptive_separation,
                   apply_command, compute_safe_stopping)
-from .behaviour import (FatigueLevel, InputMode, IntegratorOp, ReactionProfile,
+from .behaviour import (FatigueLevel, InputMode, IntegratorOp,
                         perception_from_fatigue, set_driver_fatigue,
                         set_reaction_time)
 from .engine import (Assertion, BoolDomain, ChoicePoint, Group, IntDomain,
@@ -61,21 +62,6 @@ DEFAULT_ROUTE = (
     RoutePoint(obstacle=0, distance=1, terrain=Terrain.onRoad, curvature=0),
 )
 
-# the type of each knob's value, or of each item of a tuple knob's value,
-# exactly: neither True nor 10.5 is an int, though both compare like one,
-# and only an Enum's members have its type
-_KNOB_TYPES = {
-    **dict.fromkeys(("route_length", "bound", "max_speed", "max_gap",
-                     "lead_speed", "base_separation", "acc_margin",
-                     "tired_after", "exhausted_after", "time_cap", "max_hp"),
-                    int),
-    "adaptive_target": bool, "separation_only": bool,
-    "control_mode": ControlMode, "input_mode": InputMode,
-    "profile": ReactionProfile, "route": RoutePoint,
-    "command_domain": AccCommand, "operators": IntegratorOp}
-_TUPLE_KNOBS = frozenset({"route", "command_domain", "operators"})
-_OPTIONAL_KNOBS = frozenset({"route", "route_length", "control_mode"})
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -87,8 +73,12 @@ class ScenarioConfig:
     request either mode each iteration.  `adaptive_target` selects whether
     the cruise preset follows fatigue or stays at the base separation; the
     safety property always uses the fatigue-adjusted floor either way.
-    Every config that constructs builds into a model; a knob of the wrong
-    type is a ValueError, like a value out of range.
+    `fast < okay < slow` are the driver's base reaction latencies with
+    multi-modal, game-pad and speech input, and `n_factor <= t_factor <=
+    e_factor` their multipliers at each fatigue level.  Every config that
+    constructs builds into a model; a knob whose value does not have
+    exactly the type its annotation names is a ValueError, like a value
+    out of range.
     """
 
     name: str
@@ -107,7 +97,12 @@ class ScenarioConfig:
     base_separation: int = 4
     acc_margin: int = 2
     input_mode: InputMode = InputMode.MultiModal
-    profile: ReactionProfile = field(default_factory=ReactionProfile)
+    fast: int = 1
+    okay: int = 2
+    slow: int = 3
+    n_factor: int = 1
+    t_factor: int = 2
+    e_factor: int = 3
     tired_after: int = 4
     exhausted_after: int = 8
     time_cap: int = 12
@@ -118,13 +113,12 @@ class ScenarioConfig:
             check_token(self.name, "scenario name")
         except ModelError as exc:
             raise ValueError(str(exc)) from None
-        for knob, kind in _KNOB_TYPES.items():
+        for knob, (kind, is_tuple, optional) in _KNOBS.items():
             value = getattr(self, knob)
-            if type(value) is kind or (value is None
-                                       and knob in _OPTIONAL_KNOBS):
+            if value is None and optional:
                 continue
-            if not (knob in _TUPLE_KNOBS and type(value) is tuple
-                    and all(type(v) is kind for v in value)):
+            if not (type(value) is tuple and all(type(v) is kind for v in value)
+                    if is_tuple else type(value) is kind):
                 raise ValueError(f"{knob} takes {kind.__name__} values, got "
                                  f"{value!r}")
         if self.max_speed < 1 or self.max_gap < 1:
@@ -140,6 +134,10 @@ class ScenarioConfig:
             raise ValueError("time cap must reach the exhaustion threshold")
         if self.max_hp < 1:
             raise ValueError("max_hp must be at least 1")
+        if not (0 < self.fast < self.okay < self.slow):
+            raise ValueError("base latencies must satisfy 0 < fast < okay < slow")
+        if not (1 <= self.n_factor <= self.t_factor <= self.e_factor):
+            raise ValueError("fatigue factors must be >= 1 and non-decreasing")
         if (self.route is None) == (self.route_length is None):
             raise ValueError("give exactly one of route and route_length")
         if self.route is not None and not self.route:
@@ -165,6 +163,23 @@ class ScenarioConfig:
         floor = (adaptive_separation(fatigue, self.base_separation)
                  if self.adaptive_target else self.base_separation)
         return floor + self.acc_margin
+
+
+def _knob_type(hint) -> tuple[type, bool, bool]:
+    """(type, is_tuple, optional) of a knob annotated `X`, `X | None` or
+    `tuple[X, ...]`: the type of its value, or of each item of a tuple."""
+    optional = type(None) in get_args(hint)
+    if optional:
+        hint, = (arg for arg in get_args(hint) if arg is not type(None))
+    is_tuple = get_origin(hint) is tuple
+    return (get_args(hint)[0] if is_tuple else hint), is_tuple, optional
+
+
+# each knob's type, read from its annotation and checked exactly: neither
+# True nor 10.5 is an int, though both compare like one, and only an Enum's
+# members have its type
+_KNOBS = {knob: _knob_type(hint)
+          for knob, hint in get_type_hints(ScenarioConfig).items()}
 
 
 def is_okay(fatigue: FatigueLevel, stopping_distance: int, gap: int, *,
@@ -195,7 +210,7 @@ def build_model(config: ScenarioConfig) -> Model:
     first_seg = segments[0]   # what the environment reports before iteration 1
     n_seg = len(segments)
     d_max = max(MAX_ROUTE_DISTANCE, *distances)
-    rt_max = config.profile.slow * config.profile.e_factor
+    rt_max = config.slow * config.e_factor
 
     distance_keys = [f"seg{i}_distance" for i in range(n_seg)]
     segment_keys = [(f"seg{i}_terrain", f"seg{i}_obstacle", f"seg{i}_curvature")
@@ -266,8 +281,8 @@ def build_model(config: ScenarioConfig) -> Model:
                                          config.tired_after,
                                          config.exhausted_after)
         return {"time_driven": time_driven, "fatigue": fatigue,
-                "reaction_time": set_reaction_time(config.input_mode, fatigue,
-                                                   config.profile),
+                "reaction_time": set_reaction_time(config.input_mode,
+                                                   fatigue, config),
                 "hazard_perception": perception_from_fatigue(fatigue,
                                                              config.max_hp)}
 
@@ -369,7 +384,7 @@ def build_model(config: ScenarioConfig) -> Model:
         Var("time_driven", Group.BEH_STATE, IntDomain(0, config.time_cap), 0),
         Var("fatigue", Group.BEH_STATE, fatigue_dom, normal),
         Var("reaction_time", Group.BEH_STATE, IntDomain(0, rt_max),
-            set_reaction_time(config.input_mode, normal, config.profile)),
+            set_reaction_time(config.input_mode, normal, config)),
         Var("hazard_perception", Group.BEH_STATE, IntDomain(0, config.max_hp),
             perception_from_fatigue(normal, config.max_hp)),
         Var("combine_op", Group.BEH_STATE, SymbolicDomain(config.operators),

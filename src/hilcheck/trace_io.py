@@ -45,6 +45,29 @@ def _iteration(token: str) -> int:
     return iteration
 
 
+def _check_header(header: dict[str, str], model: Model) -> None:
+    """A header holds what `format_trace` writes for a verdict of `model`:
+    its name, a Safe verdict with no failed assertion or an Unsafe one with
+    one of its assertions, and a bound and path count of at least 1."""
+    if header["scenario"] != model.name:
+        raise ValueError(f"header names another scenario than {model.name!r}")
+    for field in ("bound", "paths"):
+        value = canonical_int(header[field])
+        if value is None or value < 1:
+            raise ValueError(f"header {field} needs an integer of at least 1, "
+                             f"got {header[field]!r}")
+    verdict, failed = header["verdict"], header["failed"]
+    if verdict == VerdictKind.Safe.value:
+        if failed != "-":
+            raise ValueError(f"header failed needs - on a Safe verdict, got "
+                             f"{failed!r}")
+    elif verdict != VerdictKind.Unsafe.value:
+        raise ValueError(f"header verdict needs Safe or Unsafe, got {verdict!r}")
+    elif all(assertion.assert_id != failed for assertion in model.assertions):
+        raise ValueError(f"header failed needs an assertion of "
+                         f"{model.name!r}, got {failed!r}")
+
+
 def _keys(fields) -> tuple[str, ...]:
     return tuple(f"{field}=" for field in fields)
 
@@ -148,10 +171,11 @@ def read_trace(path, model: Model) -> TraceFile:
     record must be the header, and each record must hold exactly its kind's
     fields in the order `format_trace` writes them: `line N: a <kind> record
     has the fields ...` otherwise.  A value outside its variable's or choice
-    point's domain is an error, as are a header naming another scenario
-    than the model's, a second header, an unknown record kind or choice
-    point, and a choice that does not come right before the state of its
-    iteration.
+    point's domain is an error, as are a header whose values `format_trace`
+    would not write for the model (see `_check_header`), a second header,
+    an unknown record kind or choice point, and a choice that does not come
+    right before the state of its iteration.  The header's values come back
+    as the strings the file holds.
     """
     header_keys, choice_keys = _keys(_HEADER_FIELDS), _keys(_CHOICE_FIELDS)
     state_keys = _keys(("iter", *model.variables))
@@ -175,9 +199,7 @@ def read_trace(path, model: Model) -> TraceFile:
                         raise ValueError("the first record must be the header")
                     header = dict(zip(_HEADER_FIELDS,
                                       _values(kind, tokens, header_keys)))
-                    if header["scenario"] != model.name:
-                        raise ValueError("header names another scenario than "
-                                         f"{model.name!r}")
+                    _check_header(header, model)
                 elif kind == "state":
                     iter_token, *labels = _values(kind, tokens, state_keys)
                     if _iteration(iter_token) != len(states):

@@ -104,7 +104,7 @@ def test_values_outside_the_enums_raise_key_error():
     with pytest.raises(KeyError):
         adaptive_separation(3, 4)
     with pytest.raises(KeyError):
-        set_reaction_time(InputMode.Speech, 1, IDEAL.profile)
+        set_reaction_time(InputMode.Speech, 1, IDEAL)
 
 
 def test_compute_safe_stopping():

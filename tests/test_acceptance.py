@@ -68,19 +68,18 @@ def test_criterion_4_every_counterexample_replays_from_its_log():
 
 def test_criterion_5_behaviour_and_control_properties_hold_exhaustively():
     ideal = SCENARIOS["ideal"]
-    profile = ideal.profile
 
     # reaction time strictly grows with fatigue for every interaction mode
     for mode in InputMode:
-        times = [set_reaction_time(mode, level, profile)
+        times = [set_reaction_time(mode, level, ideal)
                  for level in FatigueLevel]
         assert times[0] < times[1] < times[2], mode
 
     # and richer interaction modes always react at least as fast
     for level in FatigueLevel:
-        assert (set_reaction_time(InputMode.MultiModal, level, profile)
-                <= set_reaction_time(InputMode.GamePad, level, profile)
-                <= set_reaction_time(InputMode.Speech, level, profile))
+        assert (set_reaction_time(InputMode.MultiModal, level, ideal)
+                <= set_reaction_time(InputMode.GamePad, level, ideal)
+                <= set_reaction_time(InputMode.Speech, level, ideal))
 
     # fatigue is monotone in both severity inputs under every integrator
     pairs = list(itertools.product(range(13), range(3)))

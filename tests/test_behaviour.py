@@ -1,17 +1,18 @@
 """Driver-behaviour unit tests: reaction time, fatigue, perception."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
 from hilcheck.behaviour import (FatigueLevel, InputMode, IntegratorOp,
-                                ReactionProfile, hp_function, integrate,
+                                hp_function, integrate,
                                 perception_from_fatigue, set_driver_fatigue,
                                 set_reaction_time, time_severity)
 from hilcheck.scenarios import SCENARIOS
 
 # the case study's values, as the ideal preset sets them
 IDEAL = SCENARIOS["ideal"]
-PROFILE = IDEAL.profile
 THRESHOLDS = (IDEAL.tired_after, IDEAL.exhausted_after)
 MAX_HP = IDEAL.max_hp
 
@@ -28,7 +29,7 @@ def test_reaction_time_default_table():
         InputMode.Speech: (3, 6, 9),
     }
     for mode, row in expected.items():
-        assert tuple(set_reaction_time(mode, level, PROFILE)
+        assert tuple(set_reaction_time(mode, level, IDEAL)
                      for level in LEVELS) == row
 
 
@@ -38,15 +39,15 @@ def test_reaction_time_strictly_increases_with_fatigue():
         for a in LEVELS:
             for b in LEVELS:
                 if a.value < b.value:
-                    assert set_reaction_time(mode, a, PROFILE) \
-                        < set_reaction_time(mode, b, PROFILE)
+                    assert set_reaction_time(mode, a, IDEAL) \
+                        < set_reaction_time(mode, b, IDEAL)
 
 
 def test_reaction_time_respects_mode_ordering():
     for level in LEVELS:
-        multi = set_reaction_time(InputMode.MultiModal, level, PROFILE)
-        pad = set_reaction_time(InputMode.GamePad, level, PROFILE)
-        speech = set_reaction_time(InputMode.Speech, level, PROFILE)
+        multi = set_reaction_time(InputMode.MultiModal, level, IDEAL)
+        pad = set_reaction_time(InputMode.GamePad, level, IDEAL)
+        speech = set_reaction_time(InputMode.Speech, level, IDEAL)
         assert multi < pad < speech
 
 
@@ -55,23 +56,23 @@ def test_reaction_time_respects_mode_ordering():
        dt=st.integers(0, 3), de=st.integers(0, 3))
 def test_reaction_time_monotone_for_any_valid_profile(fast, spread1, spread2,
                                                       n, dt, de):
-    profile = ReactionProfile(fast=fast, okay=fast + spread1,
-                              slow=fast + spread1 + spread2,
-                              n_factor=n, t_factor=n + dt, e_factor=n + dt + de)
+    config = replace(IDEAL, fast=fast, okay=fast + spread1,
+                     slow=fast + spread1 + spread2,
+                     n_factor=n, t_factor=n + dt, e_factor=n + dt + de)
     for mode in MODES:
-        times = [set_reaction_time(mode, level, profile) for level in LEVELS]
+        times = [set_reaction_time(mode, level, config) for level in LEVELS]
         assert times[0] <= times[1] <= times[2]
 
 
 def test_reaction_profile_validation():
-    with pytest.raises(ValueError):
-        ReactionProfile(fast=2, okay=2, slow=3)
-    with pytest.raises(ValueError):
-        ReactionProfile(fast=0)
-    with pytest.raises(ValueError):
-        ReactionProfile(n_factor=2, t_factor=1)
-    with pytest.raises(ValueError):
-        ReactionProfile(n_factor=0)
+    with pytest.raises(ValueError, match="0 < fast < okay < slow"):
+        replace(IDEAL, fast=2, okay=2, slow=3)
+    with pytest.raises(ValueError, match="0 < fast < okay < slow"):
+        replace(IDEAL, fast=0)
+    with pytest.raises(ValueError, match="non-decreasing"):
+        replace(IDEAL, n_factor=2, t_factor=1)
+    with pytest.raises(ValueError, match="non-decreasing"):
+        replace(IDEAL, n_factor=0)
 
 
 def test_time_severity_thresholds():

@@ -12,7 +12,7 @@ import pytest
 
 from hilcheck import config_io
 from hilcheck.acc import ControlMode
-from hilcheck.behaviour import InputMode, IntegratorOp, ReactionProfile
+from hilcheck.behaviour import InputMode, IntegratorOp
 from hilcheck.cli import positive_int
 from hilcheck.config_io import ConfigError, load_config
 from hilcheck.environment import RoutePoint, Terrain
@@ -94,17 +94,12 @@ VALID = {
                  replace(IDEAL, time_cap=14, exhausted_after=14))],
     "maxHP": [("maxHP = 7", replace(IDEAL, max_hp=7))],
     "fast": [("slow = 6\nokay = 4\nfast = 2",
-              replace(IDEAL, profile=ReactionProfile(fast=2, okay=4,
-                                                     slow=6)))],
-    "okay": [("okay = 4\nslow = 5",
-              replace(IDEAL, profile=ReactionProfile(okay=4, slow=5)))],
-    "slow": [("slow = 9", replace(IDEAL, profile=ReactionProfile(slow=9)))],
-    "nFactor": [("nFactor = 2",
-                 replace(IDEAL, profile=ReactionProfile(n_factor=2)))],
-    "tFactor": [("tFactor = 3",
-                 replace(IDEAL, profile=ReactionProfile(t_factor=3)))],
-    "eFactor": [("eFactor = 5",
-                 replace(IDEAL, profile=ReactionProfile(e_factor=5)))],
+              replace(IDEAL, fast=2, okay=4, slow=6))],
+    "okay": [("okay = 4\nslow = 5", replace(IDEAL, okay=4, slow=5))],
+    "slow": [("slow = 9", replace(IDEAL, slow=9))],
+    "nFactor": [("nFactor = 2", replace(IDEAL, n_factor=2))],
+    "tFactor": [("tFactor = 3", replace(IDEAL, t_factor=3))],
+    "eFactor": [("eFactor = 5", replace(IDEAL, e_factor=5))],
 }
 
 VALID_CASES = [pytest.param(text, expected, id=f"{key}-{i}")
@@ -240,6 +235,11 @@ def test_readme_lists_exactly_the_accepted_keys(tmp_path):
     parsed = {key for key in candidates if accepted(key, tmp_path)}
     assert readme_keys() == parsed
     assert len(parsed) == 24
+
+
+def test_readme_names_every_declared_key():
+    # the parser's own tables, so a key added to either is documented
+    assert set(config_io._KEYS) | config_io._OWN_BRANCH <= readme_keys()
 
 
 def test_readme_example_loads_and_builds(tmp_path):

@@ -1,14 +1,15 @@
 """Case-study scenario tests: golden step, verdicts, witness shapes."""
 
 import hashlib
+from enum import Enum
 
 import pytest
-from dataclasses import replace
+from dataclasses import fields, replace
 from hypothesis import given, settings, strategies as st
 
 import hilcheck.scenarios
 from hilcheck.acc import AccCommand, ControlMode
-from hilcheck.behaviour import FatigueLevel, IntegratorOp, ReactionProfile
+from hilcheck.behaviour import FatigueLevel, IntegratorOp
 from hilcheck.engine import (ChoiceEntry, Group, ModelError, VerdictKind,
                              explore, probed_model, replay_counterexample,
                              resolve_initial, run_path)
@@ -331,7 +332,8 @@ def test_a_scenario_name_is_a_trace_token(name):
 
 # knobs of the wrong type, each close to a value of the right one: a float
 # or bool for an int, a name for an Enum member, a plain tuple for a route
-# segment; each would fail to build, or build as another value
+# segment, one item for a tuple of them; each would fail to build, or build
+# as another value
 WRONG_TYPED = {
     "float max_speed": lambda: {"max_speed": 10.5},
     "bool max_speed": lambda: {"max_speed": True},
@@ -340,7 +342,9 @@ WRONG_TYPED = {
     "float bound": lambda: {"bound": 2.5},
     "float route_length": lambda: {"route": None, "route_length": 2.5},
     "bool route_length": lambda: {"route": None, "route_length": True},
-    "float in the profile": lambda: {"profile": ReactionProfile(fast=1.5)},
+    "float fast": lambda: {"fast": 1.5},
+    "bool e_factor": lambda: {"e_factor": True},
+    "no slow": lambda: {"slow": None},
     "operator by name": lambda: {"operators": ("Max",)},
     "int commands": lambda: {"control_mode": None, "command_domain": (1, 2)},
     "control mode by name": lambda: {"control_mode": "Manual"},
@@ -351,7 +355,8 @@ WRONG_TYPED = {
         "route": (RoutePoint(0, 1.5, Terrain.onRoad, 0),)},
     "terrain by name": lambda: {"route": (RoutePoint(0, 1, "onRoad", 0),)},
     "segment as a plain tuple": lambda: {"route": ((0, 1, Terrain.onRoad, 0),)},
-    "no profile": lambda: {"profile": None},
+    "a bare segment as the route": lambda: {"route": DEFAULT_ROUTE[0]},
+    "a bare operator": lambda: {"operators": IntegratorOp.Max},
     "separation by name": lambda: {"adaptive_target": "fixed"},
 }
 
@@ -361,6 +366,31 @@ def test_a_knob_of_the_wrong_type_is_rejected_at_construction(case):
     with pytest.raises(ValueError):
         ScenarioConfig(**{"name": "x", "route": DEFAULT_ROUTE,
                           **WRONG_TYPED[case]()})
+
+
+def _wrong_typed(value):
+    """A value of another type than `value`'s: a float for an int, a name for
+    an Enum member or a bool, a list for a tuple, an int for a str."""
+    if type(value) is int:
+        return float(value)
+    if type(value) is bool:
+        return str(value)
+    if isinstance(value, Enum):
+        return value.name
+    if type(value) is tuple:
+        return list(value)
+    if type(value) is str:
+        return len(value)
+    raise AssertionError(f"no wrong-typed value for {value!r}")
+
+
+@pytest.mark.parametrize("knob", [f.name for f in fields(ScenarioConfig)])
+def test_every_knob_rejects_a_value_of_another_type(knob):
+    # a preset where the knob is set, so its value shows the knob's type
+    config = next(config for config in SCENARIOS.values()
+                  if getattr(config, knob) is not None)
+    with pytest.raises(ValueError):
+        replace(config, **{knob: _wrong_typed(getattr(config, knob))})
 
 
 # any of the numeric knobs, each from a small range around its default that

@@ -64,6 +64,16 @@ MALFORMED = {
                                       "header scenario=ideal"),
     "header without a field": (r" paths=\d+$", ""),
     "header with another field": (r"^header ", "header mode=fast "),
+    "header verdict neither Safe nor Unsafe": (r" verdict=\w+",
+                                               " verdict=Maybe"),
+    "a ModelError header": (r" verdict=\w+", " verdict=ModelError"),
+    "header bound with a leading zero": (r" bound=", " bound=0"),
+    "header bound of zero": (r" bound=\d+", " bound=0"),
+    "header paths below 1": (r" paths=\d+", " paths=-3"),
+    "header failed not an assertion": (r" failed=\w+", " failed=Nope"),
+    "Unsafe header with no failed assertion": (r" failed=\w+", " failed=-"),
+    "Safe header naming a failed assertion": (r" verdict=\w+",
+                                              " verdict=Safe"),
     "unknown record kind": (r"^state iter=1 ", "status iter=1 "),
     "a second header": (r"^choice iter=1 .*",
                         "header scenario=manual-override"),
@@ -108,6 +118,37 @@ def test_a_state_out_of_its_layout_names_the_layout(case, tmp_path):
     layout = " ".join(["iter", *map(str, model.variables)])
     with pytest.raises(ValueError, match=re.escape(
             f"line {lineno}: a state record has the fields {layout}")):
+        read_trace(path, model)
+
+
+# what each header case's error says, after its `line 1: `
+HEADER_ERRORS = {
+    "header verdict neither Safe nor Unsafe":
+        "header verdict needs Safe or Unsafe, got 'Maybe'",
+    "a ModelError header":
+        "header verdict needs Safe or Unsafe, got 'ModelError'",
+    "header bound with a leading zero":
+        "header bound needs an integer of at least 1, got '0100'",
+    "header bound of zero": "header bound needs an integer of at least 1, "
+                            "got '0'",
+    "header paths below 1": "header paths needs an integer of at least 1, "
+                            "got '-3'",
+    "header failed not an assertion":
+        "header failed needs an assertion of 'manual-override', got 'Nope'",
+    "Unsafe header with no failed assertion":
+        "header failed needs an assertion of 'manual-override', got '-'",
+    "Safe header naming a failed assertion":
+        "header failed needs - on a Safe verdict, got 'SeparationMaintained'",
+}
+
+
+@pytest.mark.parametrize("case", sorted(HEADER_ERRORS))
+def test_a_header_value_format_trace_would_not_write_is_named(case,
+                                                              tmp_path):
+    model, path, lineno = _malformed(case, tmp_path)
+    assert lineno == 1
+    with pytest.raises(ValueError, match=re.escape(
+            f"line 1: {HEADER_ERRORS[case]}")):
         read_trace(path, model)
 
 
