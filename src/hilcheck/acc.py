@@ -19,10 +19,16 @@ class AccCommand(Enum):
     Maintain = "Maintain"
     Decelerate = "Decelerate"
 
+    # members are singletons, so identity hashing is exact and runs in C
+    __hash__ = object.__hash__
+
 
 class ControlMode(Enum):
     Manual = "Manual"
     Engaged = "Engaged"
+
+    # members are singletons, so identity hashing is exact and runs in C
+    __hash__ = object.__hash__
 
 
 # how far one command moves the speed

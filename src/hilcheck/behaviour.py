@@ -28,12 +28,19 @@ class FatigueLevel(Enum):
     __hash__ = object.__hash__
 
 
+# the levels in order: a severity 0..2 is its level's index
+_LEVELS = tuple(FatigueLevel)
+
+
 class InputMode(Enum):
     """How the driver interacts with the vehicle controls."""
 
     GamePad = "GamePad"
     Speech = "Speech"
     MultiModal = "MultiModal"
+
+    # members are singletons, so identity hashing is exact and runs in C
+    __hash__ = object.__hash__
 
 
 class IntegratorOp(Enum):
@@ -43,6 +50,9 @@ class IntegratorOp(Enum):
     Min = "Min"
     Sum = "Sum"
     RoundedMean = "RoundedMean"
+
+    # members are singletons, so identity hashing is exact and runs in C
+    __hash__ = object.__hash__
 
 
 _MODE_BASE = {
@@ -115,7 +125,7 @@ def set_driver_fatigue(time_driven: int, terrain_severity: int,
     """Fatigue from driving time and terrain, merged by the chosen integrator."""
     level = integrate(op, time_severity(time_driven, tired_after, exhausted_after),
                       terrain_severity)
-    return FatigueLevel(level)
+    return _LEVELS[level]
 
 
 def hp_function(raw: int, max_hp: int) -> int:

@@ -15,9 +15,14 @@ else, so read-sets are enforced structurally.  Each view comes from the
 valuation the step is writing, into which a row writes only its own group,
 after its update: a group an earlier row wrote shows this step's value, any
 other the previous iteration's, so an output reports its model's new
-state.  Environment and behaviour functions may draw values from declared
-choice points; the three system functions must be deterministic and are
-never handed a drawing context.  A choice point's site is the group that
+state.  A step pays for what changes: it builds the nine views once, and a
+group's view again only after its update changed a value.  A write of the
+very object a variable holds changes nothing, so it is neither checked
+against the domain again nor stored.  Environment and behaviour functions
+may draw values from declared choice points, each call through a context
+of its own that draws only the points sited at its group and only during
+that call; the three system functions must be deterministic and are never
+handed a drawing context.  A choice point's site is the group that
 draws it in each step, or the (Group, name) of the variable it initialises
 before the first iteration.  Every draw, of either kind, goes through
 `_draw`, which takes the next of the values it is given, or the point's
@@ -41,7 +46,9 @@ A state is one flat tuple of values, one per declared variable in declared
 order.  `register_model` fixes each variable's position once, in the
 model's `layout`; views, steps, initial states and trace files all address
 values through it.  A view is a named tuple of one group's values, of a
-class built once per (group, names) shape.
+class built once per (group, names) shape.  `register_model` also resolves
+`_PLAN` once per model, so a step looks nothing up by group, only the
+names an update returns.
 
 What a trace can hold is decided here, when a model is declared.  A trace
 record is split on spaces, so every name a trace writes and every member
@@ -350,8 +357,9 @@ def _view_class(group: Group, names: tuple[str, ...]) -> type:
 
 
 def _reader(positions: Sequence[int]) -> Callable:
-    """Picks the values at `positions` out of a valuation, as a sequence
-    (`itemgetter` of one position would return the bare value)."""
+    """Picks the items at `positions` out of a valuation, or out of a step's
+    views, as a sequence (`itemgetter` of one position would return the
+    bare item)."""
     if len(positions) > 1:
         return itemgetter(*positions)
     first = positions[0] if positions else 0
@@ -397,8 +405,14 @@ _SLOTS = (
     (Group.BEH_OUTPUT, (Group.BEH_INPUT, Group.BEH_STATE)),
 )
 
-# derived once from _SLOTS: (target, UpdateFunctions field, reads, may draw)
-_PLAN = tuple((target, target.name.lower(), reads, target not in SYSTEM_GROUPS)
+# a group's index is its place in declared order, which `Model.views` follows
+_GROUP_INDEX = {group: i for i, group in enumerate(Group)}
+
+# derived once from _SLOTS: (target, its index, UpdateFunctions field, a
+# reader of the views of the groups it reads, by their indices, may draw)
+_PLAN = tuple((target, _GROUP_INDEX[target], target.name.lower(),
+               _reader([_GROUP_INDEX[g] for g in reads]),
+               target not in SYSTEM_GROUPS)
               for target, reads in _SLOTS)
 
 
@@ -416,7 +430,11 @@ def _draw(cp: ChoicePoint, iteration: int, values: Iterator[Value],
 
 
 class StepContext:
-    """Drawing context handed to environment and behaviour update functions."""
+    """Drawing context handed to environment and behaviour update functions.
+    Each call of such a function gets its own, which draws only the points
+    sited at that function's group, and only until the call returns."""
+
+    __slots__ = ("_model", "_iteration", "_values", "_site", "_entries")
 
     def __init__(self, model: "Model", iteration: int, values: Iterator[Value],
                  site: Group, entries: list[ChoiceEntry]):
@@ -431,6 +449,10 @@ class StepContext:
         if cp is None:
             raise ModelError(f"unknown choice point '{point_id}'")
         if cp.site is not self._site:
+            if self._site is None:
+                raise ModelError(
+                    f"choice point '{point_id}' was drawn through the context "
+                    "of an update that had returned")
             if not isinstance(cp.site, Group):
                 raise ModelError(
                     f"choice point '{point_id}' is an initialisation choice "
@@ -444,9 +466,10 @@ class StepContext:
 @dataclass(frozen=True)
 class Model:
     """A registered model: immutable, validated, ready to step or explore.
-    `layout` maps each (Group, name) to its position in declared order;
-    `views` gives each group its view class and a reader of its values out
-    of a valuation, and `writes` its names' positions and domain checks."""
+    `layout` maps each (Group, name) to its position in declared order.
+    `views` gives each group, in `Group` order, its view class and a reader
+    of its values out of a valuation.  `plan` is `_PLAN` with each row's
+    writes resolved: its name -> (position, domain check) map."""
 
     name: str
     variables: tuple[Var, ...]
@@ -455,8 +478,10 @@ class Model:
     assertions: tuple[Assertion, ...]
     init_choices: tuple[tuple[int, ChoicePoint], ...]  # (position, point)
     layout: dict[tuple[Group, str], int]
-    views: dict[Group, tuple[type, Callable]]
-    writes: dict[Group, dict[str, tuple[int, Callable[[Value], bool]]]]
+    views: tuple[tuple[type, Callable], ...]
+    # (target, its index, field, reader of the read views, may draw, writes)
+    plan: tuple[tuple[Group, int, str, Callable, bool,
+                      dict[str, tuple[int, Callable[[Value], bool]]]], ...]
 
 
 class VerdictKind(Enum):
@@ -534,16 +559,17 @@ def register_model(variables: Sequence[Var],
     if not vars_t:
         raise ModelError("a model needs at least one variable")
     layout: dict[tuple[Group, str], int] = {}
-    writes: dict[Group, dict[str, tuple[int, Callable]]] = {
-        g: {} for g in Group}
+    # each group's name -> (position, domain check), in `Group` order
+    writes: list[dict[str, tuple[int, Callable]]] = [{} for _ in Group]
     for pos, v in enumerate(vars_t):
         if (v.group, v.name) in layout:
             raise ModelError(f"duplicate variable {v}")
         layout[(v.group, v.name)] = pos
-        writes[v.group][v.name] = (pos, v.domain.contains)
-    views = {g: (_view_class(g, tuple(names)),
-                 _reader([pos for pos, _ in names.values()]))
-             for g, names in writes.items()}
+        writes[_GROUP_INDEX[v.group]][v.name] = (pos, v.domain.contains)
+    views = tuple((_view_class(g, tuple(names)),
+                   _reader([pos for pos, _ in names.values()]))
+                  for g, names in zip(Group, writes))
+    plan = tuple((*row, writes[row[1]]) for row in _PLAN)
 
     choice_map: dict[str, ChoicePoint] = {}
     init_ch: list[tuple[int, ChoicePoint]] = []
@@ -571,7 +597,7 @@ def register_model(variables: Sequence[Var],
 
     model = Model(name=name, variables=vars_t, updates=updates,
                   choices=choice_map, assertions=assert_t, layout=layout,
-                  init_choices=tuple(init_ch), views=views, writes=writes)
+                  init_choices=tuple(init_ch), views=views, plan=plan)
 
     # trial step: surfaces read/update wiring errors now
     trial, _ = resolve_initial(model)
@@ -619,29 +645,32 @@ def step(model: Model, state: ModelState, values: Iterable[Value] = ()
     the new state and the draws made, as `resolve_initial` does.
 
     The new valuation starts as a copy of the previous one, so variables an
-    update omits carry over; each update writes its group in place, and
-    every view reads it, so a group written earlier shows its new values.
+    update omits carry over; each update writes its group in place.  The
+    nine group views are built once from it, and a group's view is built
+    again after its update changed one of its values, so a group written
+    earlier shows its new values.  A write of the very object its position
+    already holds changes nothing and is not checked again: every value in
+    the valuation has passed its domain check or, carried over, is as the
+    state held it.  It must be the same object, not an equal one, since
+    neither 1 nor True is the other's domain's member.
     """
-    views = model.views
-    writes = model.writes
-    view = tuple.__new__
+    group_views = model.views
+    new = tuple.__new__
     current = list(state.values)
+    views = [new(cls, read(current)) for cls, read in group_views]
     values = iter(values)
     entries: list[ChoiceEntry] = []
     iteration = state.iteration + 1
 
-    for target, fn_name, reads, may_draw in _PLAN:
+    for target, index, fn_name, reads, may_draw, names in model.plan:
         fn = getattr(model.updates, fn_name)
-        args = []
-        for g in reads:
-            cls, read = views[g]
-            args.append(view(cls, read(current)))
         try:
             if may_draw:
                 ctx = StepContext(model, iteration, values, target, entries)
-                returned = fn(*args, ctx)
+                returned = fn(*reads(views), ctx)
+                ctx._site = None   # closed: it draws only during the call
             else:
-                returned = fn(*args)
+                returned = fn(*reads(views))
         except ModelError:
             raise
         except Exception as exc:
@@ -653,7 +682,7 @@ def step(model: Model, state: ModelState, values: Iterable[Value] = ()
             raise ModelError(f"update for {target.value} returned "
                              f"{returned!r} (return a mapping, possibly "
                              "empty)") from None
-        names = writes[target]
+        changed = False
         for var_name, value in items:
             slot = names.get(var_name)
             if slot is None:
@@ -661,11 +690,17 @@ def step(model: Model, state: ModelState, values: Iterable[Value] = ()
                     f"update for {target.value} assigned unknown "
                     f"variable '{var_name}'")
             pos, contains = slot
+            if value is current[pos]:
+                continue
             if not contains(value):
                 raise ModelError(
                     f"update produced {value!r} for {model.variables[pos]}, "
                     f"outside its domain, at iteration {iteration}")
             current[pos] = value
+            changed = True
+        if changed:
+            cls, read = group_views[index]
+            views[index] = new(cls, read(current))
 
     return ModelState(tuple(current), iteration, model.layout), tuple(entries)
 

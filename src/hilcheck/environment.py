@@ -29,6 +29,9 @@ class Terrain(Enum):
     offRoad = "offRoad"
     onRoad = "onRoad"
 
+    # members are singletons, so identity hashing is exact and runs in C
+    __hash__ = object.__hash__
+
 
 # a drawn route picks each field of each segment from these candidates, in
 # this order; the first candidates are its segments before the draw

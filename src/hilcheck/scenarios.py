@@ -22,6 +22,7 @@ only builds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import get_args, get_origin, get_type_hints
 
 from .acc import (AccCommand, ControlMode, acc_decide, adaptive_separation,
@@ -212,16 +213,20 @@ def build_model(config: ScenarioConfig) -> Model:
     d_max = max(MAX_ROUTE_DISTANCE, *distances)
     rt_max = config.slow * config.e_factor
 
-    distance_keys = [f"seg{i}_distance" for i in range(n_seg)]
-    segment_keys = [(f"seg{i}_terrain", f"seg{i}_obstacle", f"seg{i}_curvature")
-                    for i in range(n_seg)]
+    # one getter per read: every segment's distance, and each segment's
+    # terrain, obstacle and curvature
+    distances_of = attrgetter(*(f"seg{i}_distance" for i in range(n_seg)))
+    segment_of = [attrgetter(f"seg{i}_terrain", f"seg{i}_obstacle",
+                             f"seg{i}_curvature") for i in range(n_seg)]
 
     def env_input(sys_out, env_state, ctx):
         return {"moved": sys_out.speed}
 
     def env_state_update(env_in, env_state, ctx):
+        distances = distances_of(env_state)
         cursor, covered = advance_route(
-            [env_state[key] for key in distance_keys],
+            # attrgetter of one name gives the bare value
+            distances if n_seg > 1 else (distances,),
             env_state.cursor, env_state.covered, env_in.moved)
         return {"cursor": cursor, "covered": covered}
 
@@ -230,8 +235,7 @@ def build_model(config: ScenarioConfig) -> Model:
         if cursor == n_seg:
             terrain, obstacle, curvature = Terrain.onRoad, 0, 0
         else:
-            terrain, obstacle, curvature = (env_state[key]
-                                            for key in segment_keys[cursor])
+            terrain, obstacle, curvature = segment_of[cursor](env_state)
         return {"terrain": terrain, "obstacle": obstacle,
                 "curvature": curvature, "journey_done": cursor == n_seg,
                 "lead_speed": env_state.lead_speed}

@@ -68,6 +68,20 @@ def _check_header(header: dict[str, str], model: Model) -> None:
                          f"{model.name!r}, got {failed!r}")
 
 
+def _check_bound(header: dict[str, str], last: int) -> None:
+    """The states of a checked header reach as far as its verdict says: a
+    Safe path runs to the bound, and an Unsafe one stops at its violation,
+    at the bound or before."""
+    bound = int(header["bound"])
+    if header["verdict"] == VerdictKind.Safe.value:
+        if last != bound:
+            raise ValueError(f"a Safe trace at bound {bound} holds iterations "
+                             f"0..{bound}, this one 0..{last}")
+    elif last > bound:
+        raise ValueError(f"an Unsafe trace at bound {bound} ends by iteration "
+                         f"{bound}, this one at {last}")
+
+
 def _keys(fields) -> tuple[str, ...]:
     return tuple(f"{field}=" for field in fields)
 
@@ -173,9 +187,10 @@ def read_trace(path, model: Model) -> TraceFile:
     has the fields ...` otherwise.  A value outside its variable's or choice
     point's domain is an error, as are a header whose values `format_trace`
     would not write for the model (see `_check_header`), a second header,
-    an unknown record kind or choice point, and a choice that does not come
-    right before the state of its iteration.  The header's values come back
-    as the strings the file holds.
+    an unknown record kind or choice point, a choice that does not come
+    right before the state of its iteration, and states that do not reach
+    as far as the header's verdict and bound say (see `_check_bound`).  The
+    header's values come back as the strings the file holds.
     """
     header_keys, choice_keys = _keys(_HEADER_FIELDS), _keys(_CHOICE_FIELDS)
     state_keys = _keys(("iter", *model.variables))
@@ -230,4 +245,5 @@ def read_trace(path, model: Model) -> TraceFile:
     if choices and choices[-1].iteration == len(states):
         raise ValueError(f"line {last_choice_line}: choice for iteration "
                          f"{len(states)} precedes no state")
+    _check_bound(header, states[-1].iteration)
     return TraceFile(header, tuple(states), tuple(choices))

@@ -6,8 +6,9 @@ straight through resolve_initial/step on the vector's values, checks that
 the draws came from the vector's points in order, and reports what an
 exhaustive search must find.  It shares only `resolve_initial` and `step`
 with the engine: `run_vector` evaluates the assertions with its own code,
-and steps every iteration, also where the engine's `run_path` has found the
-path settled and repeats its state.
+steps every iteration, also where the engine's `run_path` has found the
+path settled and repeats its state, and checks every step against the
+reference step of `_reference.py`, which shares none of `step`'s code.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import itertools
 from dataclasses import dataclass
 
 from hilcheck.engine import Model, resolve_initial, step
+
+from _reference import reference_step
 
 
 @dataclass(frozen=True)
@@ -40,14 +43,21 @@ def violations(model: Model, state) -> tuple[str, ...]:
 def run_vector(model: Model, bound: int, points, vector):
     """Run one fully decided path; stop at the first violating iteration.
     The run must draw from `points` in order, and no more draws than they
-    hold."""
-    values = iter(vector)
-    state, log = resolve_initial(model, values)
+    hold, and each step must agree with the reference step."""
+    state, log = resolve_initial(model, vector)
     trace = [state]
     log = list(log)
     violated = violations(model, state)
     while not violated and state.iteration < bound:
-        state, drawn = step(model, state, values)
+        # each draw takes one value of the vector
+        rest = vector[len(log):]
+        expected = reference_step(model, state, rest)
+        state, drawn = step(model, state, rest)
+        if ([(type(v), v) for v in state.values], drawn) \
+                != ([(type(v), v) for v in expected[0]], expected[1]):
+            raise AssertionError(f"step to iteration {state.iteration} gave "
+                                 f"{state.values} {drawn}, the reference "
+                                 f"{expected[0]} {expected[1]}")
         trace.append(state)
         log.extend(drawn)
         violated = violations(model, state)

@@ -5,10 +5,12 @@ from enum import Enum, IntEnum
 
 import pytest
 
-from hilcheck.engine import (Assertion, ChoiceEntry, ChoicePoint, Group,
-                             IntDomain, ModelError, SymbolicDomain,
+from hilcheck.engine import (Assertion, BoolDomain, ChoiceEntry, ChoicePoint,
+                             Group, IntDomain, ModelError, SymbolicDomain,
                              UpdateFunctions, Var, probed_model,
                              register_model, resolve_initial, run_path, step)
+
+from _reference import reference_step
 
 
 class Level(IntEnum):
@@ -527,6 +529,94 @@ def test_out_of_domain_update_is_a_model_error():
     stepped, _ = step(model, state)
     with pytest.raises(ModelError, match="outside its"):
         step(model, stepped)
+
+
+@pytest.mark.parametrize("domain, held, written", [
+    (BoolDomain(), True, 1),
+    (IntDomain(0, 3), 1, True),
+], ids=["1 for True", "True for 1"])
+def test_a_write_equal_to_the_held_value_but_of_another_type_is_rejected(
+        domain, held, written):
+    # 1 == True, so only the very object held may skip the domain check
+    returns = {}
+
+    def env_state(ei, e, ctx):
+        return dict(returns)
+
+    model = register_model(
+        variables=[Var("v", Group.ENV_STATE, domain, held)],
+        updates=_updates(env_state=env_state))
+    state, _ = resolve_initial(model)
+    returns["v"] = held
+    assert step(model, state)[0].values == (held,)
+    returns["v"] = written
+    for stepper in (step, reference_step):
+        with pytest.raises(ModelError, match=rf"^update produced {written!r} "
+                                             r"for env_state\.v, outside its "
+                                             "domain"):
+            stepper(model, state)
+
+
+def test_a_later_update_sees_the_one_field_an_earlier_one_changed():
+    """Of three fields each of env_input and env_state writes, one changes
+    and two are written as the very objects they hold.  The later updates
+    that read the group must see the change."""
+    def env_input(so, e, ctx):
+        return {"a": 0, "b": (e.tick + 1) % 10, "c": 0}
+
+    def env_state(ei, e, ctx):
+        return {"p": 0, "tick": ei.b, "q": 0}
+
+    def env_output(ei, e, ctx):
+        return {"seen_b": ei.b, "seen_tick": e.tick}
+
+    digit = IntDomain(0, 9)
+    model = register_model(
+        variables=[Var(name, group, digit, 0) for group, names in (
+            (Group.ENV_INPUT, "abc"), (Group.ENV_STATE, ("p", "tick", "q")),
+            (Group.ENV_OUTPUT, ("seen_b", "seen_tick"))) for name in names],
+        updates=_updates(env_input=env_input, env_state=env_state,
+                         env_output=env_output))
+    state, _ = resolve_initial(model)
+    for iteration in (1, 2, 3):
+        expected = reference_step(model, state)
+        state, _ = step(model, state)
+        assert (state.values, ()) == expected
+        # a b c, p tick q, seen_b seen_tick
+        assert state.values == (0, iteration, 0, 0, iteration, 0,
+                                iteration, iteration)
+
+
+@pytest.mark.parametrize("site", [Group.ENV_INPUT, Group.ENV_STATE],
+                         ids=["its own site", "the later row's site"])
+def test_a_context_kept_past_its_update_raises_and_draws_nothing(site):
+    kept = []
+    draw_late = []
+
+    def env_input(so, e, ctx):
+        kept.append(ctx)
+        return {}
+
+    def env_state(ei, e, ctx):
+        if draw_late:
+            kept[-1].choose("p")
+        return {}
+
+    model = register_model(
+        variables=[Var("n", Group.ENV_STATE, IntDomain(0, 1), 0)],
+        updates=_updates(env_input=env_input, env_state=env_state),
+        choices=[ChoicePoint("p", (0, 1), site=site)])
+    state, _ = resolve_initial(model)
+    draw_late.append(True)
+    for stepper in (step, reference_step):
+        values = iter([1])
+        with pytest.raises(ModelError):
+            stepper(model, state, values)
+        assert list(values) == [1]
+    # after the step, too
+    with pytest.raises(ModelError, match="context of an update that had "
+                                         "returned"):
+        kept[0].choose("p")
 
 
 def test_iteration_counter_advances():

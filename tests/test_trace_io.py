@@ -45,6 +45,31 @@ def test_preset_trace_bytes_and_round_trip(preset, tmp_path):
     assert parsed.choices == verdict.choice_log
 
 
+@pytest.mark.parametrize("preset, bound, message", [
+    ("ideal", 5, "a Safe trace at bound 5 holds iterations 0..5, this one "
+                 "0..100"),
+    ("ideal", 101, "a Safe trace at bound 101 holds iterations 0..101, this "
+                   "one 0..100"),
+    ("manual-override", 2, "an Unsafe trace at bound 2 ends by iteration 2, "
+                           "this one at 3"),
+    ("manual-override", 3, None),
+], ids=["Safe past its bound", "Safe short of its bound",
+        "Unsafe past its bound", "Unsafe at its bound"])
+def test_read_trace_checks_the_states_against_the_header_bound(
+        preset, bound, message, tmp_path):
+    config = SCENARIOS[preset]
+    model = build_model(config)
+    text = format_trace(explore(model, config.bound), model, config.name)
+    path = tmp_path / "trace.txt"
+    path.write_text(text.replace(" bound=100 ", f" bound={bound} ", 1),
+                    encoding="ascii")
+    if message is None:
+        assert read_trace(path, model).header["bound"] == str(bound)
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_trace(path, model)
+
+
 # one edit to the first line of a manual-override trace that matches the
 # pattern: (pattern, replacement)
 MALFORMED = {
