@@ -15,18 +15,20 @@ else, so read-sets are enforced structurally.  Each view comes from the
 valuation the step is writing, into which a row writes only its own group,
 after its update: a group an earlier row wrote shows this step's value, any
 other the previous iteration's, so an output reports its model's new
-state.  A step pays for what changes: it builds the nine views once, and a
-group's view again only after its update changed a value.  A write of the
-very object a variable holds changes nothing, so it is neither checked
-against the domain again nor stored.  Environment and behaviour functions
-may draw values from declared choice points, each call through a context
-of its own that draws only the points sited at its group and only during
-that call; the three system functions must be deterministic and are never
-handed a drawing context.  A choice point's site is the group that
-draws it in each step, or the (Group, name) of the variable it initialises
-before the first iteration.  Every draw, of either kind, goes through
-`_draw`, which takes the next of the values it is given, or the point's
-first value once they run out.
+state.  A step pays for what changes: a path builds the nine views once,
+from its initial state, each step hands those of its new state to the
+next, and a group's view is built again only after its update changed a
+value.  A write of the very object a variable holds changes nothing, so
+it is neither checked against the domain again nor stored.  Environment
+and behaviour functions may draw values from declared choice points, each
+call through a context of its own that draws only the points sited at its
+group and only while that call runs: once it returns or raises, the
+context draws nothing.  The three system functions must be deterministic
+and are never handed a drawing context.  A choice point's site is the
+group that draws it in each step, or the (Group, name) of the variable it
+initialises before the first iteration.  Every draw, of either kind, goes
+through `_draw`, which takes the next of the values it is given, or the
+point's first value once they run out.
 
 `step` is the transition alone and consumes the values it draws;
 `run_path` runs one path of steps from one sequence of values and
@@ -48,7 +50,8 @@ model's `layout`; views, steps, initial states and trace files all address
 values through it.  A view is a named tuple of one group's values, of a
 class built once per (group, names) shape.  `register_model` also resolves
 `_PLAN` once per model, so a step looks nothing up by group, only the
-names an update returns.
+names an update returns, and a step fetches the nine update functions
+from the model's `updates` in one call.
 
 What a trace can hold is decided here, when a model is declared.  A trace
 record is split on spaces, so every name a trace writes and every member
@@ -68,7 +71,7 @@ import keyword
 from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
@@ -310,7 +313,11 @@ class ModelState:
     layout: dict[tuple[Group, str], int] = field(compare=False, repr=False)
 
     def value(self, group: Group, name: str) -> Value:
-        return self.values[_position(self.layout, (group, name))]
+        try:
+            position = self.layout[group, name]
+        except (KeyError, TypeError):
+            position = _position(self.layout, (group, name))   # raises
+        return self.values[position]
 
     @property
     def valuation(self) -> Mapping[tuple[Group, str], Value]:
@@ -408,12 +415,15 @@ _SLOTS = (
 # a group's index is its place in declared order, which `Model.views` follows
 _GROUP_INDEX = {group: i for i, group in enumerate(Group)}
 
-# derived once from _SLOTS: (target, its index, UpdateFunctions field, a
-# reader of the views of the groups it reads, by their indices, may draw)
-_PLAN = tuple((target, _GROUP_INDEX[target], target.name.lower(),
+# derived once from _SLOTS: (target, its index, a reader of the views of
+# the groups it reads, by their indices, may draw)
+_PLAN = tuple((target, _GROUP_INDEX[target],
                _reader([_GROUP_INDEX[g] for g in reads]),
                target not in SYSTEM_GROUPS)
               for target, reads in _SLOTS)
+
+# the slots' update functions, in step order, out of an UpdateFunctions
+_FUNCTIONS = attrgetter(*(target.name.lower() for target, _ in _SLOTS))
 
 
 def _draw(cp: ChoicePoint, iteration: int, values: Iterator[Value],
@@ -429,30 +439,41 @@ def _draw(cp: ChoicePoint, iteration: int, values: Iterator[Value],
     return value
 
 
+class _StepDraws:
+    """What the drawing contexts of one step share: the model, the
+    iteration, the values to draw, the draws made, and `live`, the one
+    context whose call is running, or None between calls."""
+
+    __slots__ = ("model", "iteration", "values", "entries", "live")
+
+    def __init__(self, model: "Model", iteration: int, values: Iterator[Value],
+                 entries: list[ChoiceEntry]):
+        self.model = model
+        self.iteration = iteration
+        self.values = values
+        self.entries = entries
+        self.live = None
+
+
 class StepContext:
     """Drawing context handed to environment and behaviour update functions.
     Each call of such a function gets its own, which draws only the points
-    sited at that function's group, and only until the call returns."""
+    sited at that function's group, and only while the call runs: once it
+    returns or raises, the context draws nothing.  A step makes each one
+    without `__init__`, from its step's shared draws and its site."""
 
-    __slots__ = ("_model", "_iteration", "_values", "_site", "_entries")
-
-    def __init__(self, model: "Model", iteration: int, values: Iterator[Value],
-                 site: Group, entries: list[ChoiceEntry]):
-        self._model = model
-        self._iteration = iteration
-        self._values = values
-        self._site = site
-        self._entries = entries
+    __slots__ = ("_draws", "_site")
 
     def choose(self, point_id: str) -> Value:
-        cp = self._model.choices.get(point_id)
+        draws = self._draws
+        cp = draws.model.choices.get(point_id)
         if cp is None:
             raise ModelError(f"unknown choice point '{point_id}'")
+        if draws.live is not self:
+            raise ModelError(
+                f"choice point '{point_id}' was drawn through the context "
+                "of an update that had returned")
         if cp.site is not self._site:
-            if self._site is None:
-                raise ModelError(
-                    f"choice point '{point_id}' was drawn through the context "
-                    "of an update that had returned")
             if not isinstance(cp.site, Group):
                 raise ModelError(
                     f"choice point '{point_id}' is an initialisation choice "
@@ -460,7 +481,7 @@ class StepContext:
             raise ModelError(
                 f"choice point '{point_id}' is declared for "
                 f"{cp.site.value} but was drawn while computing {self._site.value}")
-        return _draw(cp, self._iteration, self._values, self._entries)
+        return _draw(cp, draws.iteration, draws.values, draws.entries)
 
 
 @dataclass(frozen=True)
@@ -479,8 +500,8 @@ class Model:
     init_choices: tuple[tuple[int, ChoicePoint], ...]  # (position, point)
     layout: dict[tuple[Group, str], int]
     views: tuple[tuple[type, Callable], ...]
-    # (target, its index, field, reader of the read views, may draw, writes)
-    plan: tuple[tuple[Group, int, str, Callable, bool,
+    # (target, its index, reader of the read views, may draw, writes)
+    plan: tuple[tuple[Group, int, Callable, bool,
                       dict[str, tuple[int, Callable[[Value], bool]]]], ...]
 
 
@@ -634,6 +655,12 @@ def _eval_assertions(model: Model, state: ModelState) -> tuple[str, ...]:
     return tuple(violated)
 
 
+def _views(model: Model, values: Sequence[Value]) -> list[tuple]:
+    """The nine group views of a valuation, in `Group` order."""
+    new = tuple.__new__
+    return [new(cls, read(values)) for cls, read in model.views]
+
+
 def step(model: Model, state: ModelState, values: Iterable[Value] = ()
          ) -> tuple[ModelState, ChoiceLog]:
     """Advance the loop by one iteration: a transition only, which evaluates
@@ -644,31 +671,50 @@ def step(model: Model, state: ModelState, values: Iterable[Value] = ()
     run out; an iterator is consumed by exactly the draws made.  Returns
     the new state and the draws made, as `resolve_initial` does.
 
+    It builds the nine group views of `state` and takes the step from them
+    (`_step`), rebuilding a view only after an update changed its group.
+    Each drawing update gets a context that draws only while its call
+    runs: once the call returns or raises, the context draws nothing.
+    """
+    return _step(model, state, _views(model, state.values), iter(values))
+
+
+def _step(model: Model, state: ModelState, views: list[tuple],
+          values: Iterator[Value]) -> tuple[ModelState, ChoiceLog]:
+    """The step after `state`, whose group views `views` holds; leaves in
+    `views` those of the new state, so a path's next step can take them.
+
     The new valuation starts as a copy of the previous one, so variables an
-    update omits carry over; each update writes its group in place.  The
-    nine group views are built once from it, and a group's view is built
-    again after its update changed one of its values, so a group written
-    earlier shows its new values.  A write of the very object its position
-    already holds changes nothing and is not checked again: every value in
-    the valuation has passed its domain check or, carried over, is as the
-    state held it.  It must be the same object, not an equal one, since
-    neither 1 nor True is the other's domain's member.
+    update omits carry over; each update writes its group in place.  A
+    group's view is built again only after its update changed one of its
+    values, so a group written earlier shows its new values and every view
+    ends exact.  A write of the very object its position already holds
+    changes nothing and is not checked again: every value in the valuation
+    has passed its domain check or, carried over, is as the state held it.
+    It must be the same object, not an equal one, since neither 1 nor True
+    is the other's domain's member.
+
+    The step's draws are shared by its contexts, one per call of a drawing
+    update, made without `__init__`, and live only while that call runs:
+    once it returns or raises, the context draws nothing.
     """
     group_views = model.views
     new = tuple.__new__
+    make = object.__new__
     current = list(state.values)
-    views = [new(cls, read(current)) for cls, read in group_views]
-    values = iter(values)
     entries: list[ChoiceEntry] = []
     iteration = state.iteration + 1
+    draws = _StepDraws(model, iteration, values, entries)
 
-    for target, index, fn_name, reads, may_draw, names in model.plan:
-        fn = getattr(model.updates, fn_name)
+    for (target, index, reads, may_draw, names), fn in zip(
+            model.plan, _FUNCTIONS(model.updates)):
         try:
             if may_draw:
-                ctx = StepContext(model, iteration, values, target, entries)
+                ctx = make(StepContext)
+                ctx._draws = draws
+                ctx._site = target
+                draws.live = ctx
                 returned = fn(*reads(views), ctx)
-                ctx._site = None   # closed: it draws only during the call
             else:
                 returned = fn(*reads(views))
         except ModelError:
@@ -676,6 +722,8 @@ def step(model: Model, state: ModelState, values: Iterable[Value] = ()
         except Exception as exc:
             raise ModelError(f"update for {target.value} raised {exc!r} "
                              f"at iteration {iteration}") from exc
+        finally:
+            draws.live = None   # however the call ended
         try:
             items = returned.items()
         except AttributeError:
@@ -712,6 +760,10 @@ def run_path(model: Model, bound: int, values: Iterable[Value] = ()
     initialisation and the steps, then first values.  Returns the states,
     the draws and the violated assertion ids (empty if none).
 
+    The nine group views are built once, from the initial state, and each
+    step hands those of its new state to the next (`_step`), so a view is
+    built again only after an update changed its group.
+
     A step that drew nothing and returned its input's values has settled
     the path: every later step would see the same views, draw nothing and
     return the same values again.  From then on each iteration repeats
@@ -721,6 +773,7 @@ def run_path(model: Model, bound: int, values: Iterable[Value] = ()
     """
     values = iter(values)
     state, entries = resolve_initial(model, values)
+    views = _views(model, state.values)
     snapshots = [state]
     log = list(entries)
     violated = _eval_assertions(model, state)
@@ -729,7 +782,7 @@ def run_path(model: Model, bound: int, values: Iterable[Value] = ()
         if settled:
             state = ModelState(state.values, state.iteration + 1, model.layout)
         else:
-            stepped, drawn = step(model, state, values)
+            stepped, drawn = _step(model, state, views, values)
             settled = not drawn and stepped.values == state.values
             state = stepped
             log.extend(drawn)

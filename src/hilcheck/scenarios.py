@@ -22,7 +22,7 @@ only builds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import get_args, get_origin, get_type_hints
 
 from .acc import (AccCommand, ControlMode, acc_decide, adaptive_separation,
@@ -194,9 +194,34 @@ def is_okay(fatigue: FatigueLevel, stopping_distance: int, gap: int, *,
     return gap >= stopping_distance and gap >= floor
 
 
+# the domains no knob changes, built once
+_MODE_DOM = SymbolicDomain(ALL_MODES)
+_COMMAND_DOM = SymbolicDomain(ALL_COMMANDS)
+_FATIGUE_DOM = SymbolicDomain(ALL_FATIGUE)
+_TERRAIN_DOM = SymbolicDomain(tuple(Terrain))
+_BOOL_DOM = BoolDomain()
+_OBSTACLE_DOM = IntDomain(0, MAX_OBSTACLE)
+_CURVATURE_DOM = IntDomain(0, MAX_CURVATURE)
+
+
+def fatigue_tables(config: ScenarioConfig) -> tuple[dict, dict, dict, dict]:
+    """What each fatigue level fixes in a scenario, worked out once: its
+    cruise gap preset, reaction time, hazard perception and separation
+    floor, each a FatigueLevel -> int map."""
+    return ({level: config.target_for(level) for level in ALL_FATIGUE},
+            {level: set_reaction_time(config.input_mode, level, config)
+             for level in ALL_FATIGUE},
+            {level: perception_from_fatigue(level, config.max_hp)
+             for level in ALL_FATIGUE},
+            {level: adaptive_separation(level, config.base_separation)
+             for level in ALL_FATIGUE})
+
+
 def build_model(config: ScenarioConfig) -> Model:
-    """Assemble and register the three-model loop for one scenario."""
-    target_for = config.target_for
+    """Assemble and register the three-model loop for one scenario.  The
+    updates and assertions look each fatigue level's figures up in
+    `fatigue_tables`, and the assertions read their values by position."""
+    target_gap, reaction_time, perception, floor = fatigue_tables(config)
     drawn = config.route is None
 
     # a drawn route starts out as its first candidate segment, repeated
@@ -248,7 +273,7 @@ def build_model(config: ScenarioConfig) -> Model:
         elif mode is ControlMode.Manual:
             command = beh_out.manual_command
         else:
-            command = acc_decide(target_for(beh_out.fatigue), sys_state.gap)
+            command = acc_decide(target_gap[beh_out.fatigue], sys_state.gap)
         return {"command": command, "active_mode": mode,
                 "lead_speed": env_out.lead_speed,
                 "fatigue_seen": beh_out.fatigue, "done_seen": done}
@@ -260,7 +285,7 @@ def build_model(config: ScenarioConfig) -> Model:
         # the gap sensor saturates at max_gap once the lead pulls far ahead
         return {"speed": speed, "gap": min(config.max_gap, gap),
                 "acc_status": sys_in.active_mode,
-                "target_gap": target_for(sys_in.fatigue_seen)}
+                "target_gap": target_gap[sys_in.fatigue_seen]}
 
     def sys_output(sys_in, sys_state):
         return {"speed": sys_state.speed, "gap": sys_state.gap,
@@ -285,10 +310,8 @@ def build_model(config: ScenarioConfig) -> Model:
                                          config.tired_after,
                                          config.exhausted_after)
         return {"time_driven": time_driven, "fatigue": fatigue,
-                "reaction_time": set_reaction_time(config.input_mode,
-                                                   fatigue, config),
-                "hazard_perception": perception_from_fatigue(fatigue,
-                                                             config.max_hp)}
+                "reaction_time": reaction_time[fatigue],
+                "hazard_perception": perception[fatigue]}
 
     draws_mode = config.control_mode is None
 
@@ -322,21 +345,12 @@ def build_model(config: ScenarioConfig) -> Model:
         else ALL_MODES[0]
     normal = FatigueLevel.Normal
     init_speed = 1
-    init_gap = target_for(normal)
+    init_gap = target_gap[normal]
 
-    mode_dom = SymbolicDomain(ALL_MODES)
-    command_dom = SymbolicDomain(ALL_COMMANDS)
-    fatigue_dom = SymbolicDomain(ALL_FATIGUE)
-    terrain_dom = SymbolicDomain(tuple(Terrain))
-    bool_dom = BoolDomain()
     speed_dom = IntDomain(0, config.max_speed)
     gap_dom = IntDomain(0, config.max_gap)
-    obstacle_dom = IntDomain(0, MAX_OBSTACLE)
-    distance_dom = IntDomain(1, d_max)
-    curvature_dom = IntDomain(0, MAX_CURVATURE)
-
-    field_doms = {"obstacle": obstacle_dom, "distance": distance_dom,
-                  "terrain": terrain_dom, "curvature": curvature_dom}
+    field_doms = {"obstacle": _OBSTACLE_DOM, "distance": IntDomain(1, d_max),
+                  "terrain": _TERRAIN_DOM, "curvature": _CURVATURE_DOM}
 
     # every variable once, in declared order, with its initial value; a
     # drawn route's fields are drawn in that order, before the integrator
@@ -359,58 +373,67 @@ def build_model(config: ScenarioConfig) -> Model:
 
         Var("moved", Group.ENV_INPUT, speed_dom, 0),
 
-        Var("terrain", Group.ENV_OUTPUT, terrain_dom, first_seg.terrain),
-        Var("obstacle", Group.ENV_OUTPUT, obstacle_dom, first_seg.obstacle),
-        Var("curvature", Group.ENV_OUTPUT, curvature_dom, first_seg.curvature),
-        Var("journey_done", Group.ENV_OUTPUT, bool_dom, False),
+        Var("terrain", Group.ENV_OUTPUT, _TERRAIN_DOM, first_seg.terrain),
+        Var("obstacle", Group.ENV_OUTPUT, _OBSTACLE_DOM, first_seg.obstacle),
+        Var("curvature", Group.ENV_OUTPUT, _CURVATURE_DOM,
+            first_seg.curvature),
+        Var("journey_done", Group.ENV_OUTPUT, _BOOL_DOM, False),
         Var("lead_speed", Group.ENV_OUTPUT, speed_dom, config.lead_speed),
 
-        Var("command", Group.SYS_INPUT, command_dom, AccCommand.Maintain),
-        Var("active_mode", Group.SYS_INPUT, mode_dom, init_mode),
+        Var("command", Group.SYS_INPUT, _COMMAND_DOM, AccCommand.Maintain),
+        Var("active_mode", Group.SYS_INPUT, _MODE_DOM, init_mode),
         Var("lead_speed", Group.SYS_INPUT, speed_dom, config.lead_speed),
-        Var("fatigue_seen", Group.SYS_INPUT, fatigue_dom, normal),
-        Var("done_seen", Group.SYS_INPUT, bool_dom, False),
+        Var("fatigue_seen", Group.SYS_INPUT, _FATIGUE_DOM, normal),
+        Var("done_seen", Group.SYS_INPUT, _BOOL_DOM, False),
 
         Var("speed", Group.SYS_STATE, speed_dom, init_speed),
         Var("gap", Group.SYS_STATE, gap_dom, init_gap),
         Var("target_gap", Group.SYS_STATE, gap_dom, init_gap),
-        Var("acc_status", Group.SYS_STATE, mode_dom, init_mode),
+        Var("acc_status", Group.SYS_STATE, _MODE_DOM, init_mode),
 
         Var("speed", Group.SYS_OUTPUT, speed_dom, init_speed),
         Var("gap", Group.SYS_OUTPUT, gap_dom, init_gap),
-        Var("acc_status", Group.SYS_OUTPUT, mode_dom, init_mode),
+        Var("acc_status", Group.SYS_OUTPUT, _MODE_DOM, init_mode),
 
         Var("terrain_difficulty", Group.BEH_INPUT, IntDomain(0, 1),
             point_difficulty(first_seg.terrain, first_seg.obstacle,
                              first_seg.curvature)),
-        Var("done_seen", Group.BEH_INPUT, bool_dom, False),
+        Var("done_seen", Group.BEH_INPUT, _BOOL_DOM, False),
 
         Var("time_driven", Group.BEH_STATE, IntDomain(0, config.time_cap), 0),
-        Var("fatigue", Group.BEH_STATE, fatigue_dom, normal),
+        Var("fatigue", Group.BEH_STATE, _FATIGUE_DOM, normal),
         Var("reaction_time", Group.BEH_STATE, IntDomain(0, rt_max),
-            set_reaction_time(config.input_mode, normal, config)),
+            reaction_time[normal]),
         Var("hazard_perception", Group.BEH_STATE, IntDomain(0, config.max_hp),
-            perception_from_fatigue(normal, config.max_hp)),
+            perception[normal]),
         Var("combine_op", Group.BEH_STATE, SymbolicDomain(config.operators),
             config.operators[0]),
 
-        Var("fatigue", Group.BEH_OUTPUT, fatigue_dom, normal),
-        Var("mode_request", Group.BEH_OUTPUT, mode_dom, init_mode),
-        Var("manual_command", Group.BEH_OUTPUT, command_dom,
+        Var("fatigue", Group.BEH_OUTPUT, _FATIGUE_DOM, normal),
+        Var("mode_request", Group.BEH_OUTPUT, _MODE_DOM, init_mode),
+        Var("manual_command", Group.BEH_OUTPUT, _COMMAND_DOM,
             AccCommand.Maintain),
     ]
 
+    # each assertion picks its values out of a state's, by position
+    position = {(v.group, v.name): i for i, v in enumerate(variables)}
+    separation_reads = itemgetter(
+        position[Group.BEH_STATE, "fatigue"],
+        position[Group.SYS_STATE, "speed"],
+        position[Group.BEH_STATE, "reaction_time"],
+        position[Group.SYS_STATE, "gap"])
+    fatigue_reads = itemgetter(position[Group.BEH_STATE, "fatigue"],
+                               position[Group.ENV_OUTPUT, "journey_done"])
+
     def separation_holds(state: ModelState) -> bool:
-        fatigue = state.value(Group.BEH_STATE, "fatigue")
-        stopping = compute_safe_stopping(
-            state.value(Group.SYS_STATE, "speed"),
-            state.value(Group.BEH_STATE, "reaction_time"))
-        return is_okay(fatigue, stopping, state.value(Group.SYS_STATE, "gap"),
-                       base_separation=config.base_separation)
+        # is_okay, with the floor looked up
+        fatigue, speed, reaction, gap = separation_reads(state.values)
+        return (gap >= compute_safe_stopping(speed, reaction)
+                and gap >= floor[fatigue])
 
     def fatigue_bounded(state: ModelState) -> bool:
-        exhausted = state.value(Group.BEH_STATE, "fatigue") is FatigueLevel.Exhausted
-        return not (exhausted and not state.value(Group.ENV_OUTPUT, "journey_done"))
+        fatigue, journey_done = fatigue_reads(state.values)
+        return journey_done or fatigue is not FatigueLevel.Exhausted
 
     assertions = [Assertion("SeparationMaintained", separation_holds)]
     if not config.separation_only:

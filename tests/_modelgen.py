@@ -29,8 +29,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from hilcheck.engine import (Assertion, ChoicePoint, Group, IntDomain,
+from hilcheck.engine import (Assertion, BoolDomain, ChoicePoint, Group,
+                             IntDomain, ModelError, SymbolicDomain,
                              UpdateFunctions, Var, register_model)
+
+from _reference import ORDER
 
 # slots that may draw, in the order the engine executes them
 _DRAW_SLOTS = (Group.ENV_INPUT, Group.BEH_INPUT, Group.ENV_STATE,
@@ -66,19 +69,11 @@ def _rand_domain(rng: random.Random) -> tuple[int, ...]:
     return tuple(sorted(rng.sample(range(0, 5), size)))
 
 
-def generate(seed: int, max_runs: int = 400,
-             settling: bool = False) -> GeneratedModel:
-    """Build one random model whose complete-run count is at most max_runs;
-    a settling one if `settling`."""
-    rng = random.Random(seed)
-
-    caps = {name: rng.randint(2, 9 if settling else 6)
-            for name in _SLOT_VAR.values()}
-    coeff = {name: rng.randint(1, 2) for name in _SLOT_VAR.values()}
-    offset = {name: rng.randint(0, 3) for name in _SLOT_VAR.values()}
-
-    bound = rng.randint(6, 10) if settling else rng.randint(2, 4)
-    # keep sampling draw layouts until the run count fits the budget
+def _draw_layout(rng: random.Random, bound: int, max_runs: int,
+                 settling: bool = False):
+    """(bound, init domains, step point sites, step domains): draw layouts
+    sampled until the run count fits the budget, the bound lowered on each
+    miss."""
     for _ in range(50):
         n_init = rng.randint(0, 2)
         init_domains = tuple(_rand_domain(rng) for _ in range(n_init))
@@ -99,6 +94,23 @@ def generate(seed: int, max_runs: int = 400,
         if total * per_iter ** bound <= max_runs:
             break
         bound = max(2, bound - 1)
+    return bound, init_domains, site_of, step_domains
+
+
+def generate(seed: int, max_runs: int = 400,
+             settling: bool = False) -> GeneratedModel:
+    """Build one random model whose complete-run count is at most max_runs;
+    a settling one if `settling`."""
+    rng = random.Random(seed)
+
+    caps = {name: rng.randint(2, 9 if settling else 6)
+            for name in _SLOT_VAR.values()}
+    coeff = {name: rng.randint(1, 2) for name in _SLOT_VAR.values()}
+    offset = {name: rng.randint(0, 3) for name in _SLOT_VAR.values()}
+
+    bound = rng.randint(6, 10) if settling else rng.randint(2, 4)
+    bound, init_domains, site_of, step_domains = _draw_layout(
+        rng, bound, max_runs, settling)
 
     step_points = []
     draw_ids: dict[Group, list[str]] = {slot: [] for slot in _DRAW_SLOTS}
@@ -210,3 +222,157 @@ def generate(seed: int, max_runs: int = 400,
         init_points=tuple(cp for cp in choices
                           if not isinstance(cp.site, Group)),
         step_points=tuple(step_points))
+
+
+# a write-path model's symbolic members, and the first int that is not one
+# of the interpreter's shared small ints: a sum from it up is a new object
+_SYMBOLS = ("lo", "mid", "hi")
+_BIG = 257
+
+# the drawing slot just before each system slot, in step order
+_DRAWN_BEFORE = {Group.SYS_INPUT: Group.ENV_INPUT,
+                 Group.SYS_STATE: Group.ENV_STATE,
+                 Group.SYS_OUTPUT: Group.ENV_OUTPUT}
+
+
+def _numeric(value) -> int:
+    if isinstance(value, str):
+        return _SYMBOLS.index(value)
+    if value >= _BIG:
+        return value - _BIG
+    return int(value)
+
+
+def generate_write_path(seed: int, max_runs: int = 120) -> GeneratedModel:
+    """Build one random model that works the engine's write path.
+
+    Every group holds an int `n`, a bool `f` and a symbolic `s`, and some a
+    `big` int from 257 up, written as a new but often equal object.  Each
+    update reads every variable of every view it gets, by name, and writes
+    a partial, shuffled subset of its group: each name always, never, or
+    depending on the values it read.  One drawing update may keep a
+    variable `one` at 1 and, on branches where its point drew its last
+    candidate, write True there, which the domain check must reject.  The
+    drawing updates keep their contexts: a system update draws through the
+    one of the drawing update just before it, and a drawing update may
+    draw its own point through an earlier one; the engine must refuse both
+    and draw nothing, and the update goes on.  Draws follow the fixed
+    schedule, as in `generate`.
+    """
+    rng = random.Random(seed)
+    bound, init_domains, site_of, step_domains = _draw_layout(
+        rng, rng.randint(2, 4), max_runs)
+    point_of: dict[Group, ChoicePoint] = {}
+    for k, (slot, dom) in enumerate(zip(site_of, step_domains)):
+        point_of[slot] = ChoicePoint(f"d{k}", dom, site=slot)
+
+    cap = {group: rng.randint(2, 6) for group in Group}
+    offset = {group: rng.randint(0, 5) for group in Group}
+    names = {group: ["n", "f", "s"] + (["big"] if rng.random() < 0.5 else [])
+             for group in Group}
+    triggers = [slot for slot, cp in point_of.items() if len(cp.domain) > 1]
+    trigger = rng.choice(triggers) if triggers and rng.random() < 0.7 else None
+    if trigger is not None:
+        names[trigger].append("one")
+    # how each update writes each name: always, never, or as its values say
+    how = {group: {name: rng.choice(("always", "never", "sometimes"))
+                   for name in names[group]} for group in Group}
+    for group in Group:
+        rng.shuffle(names[group])
+    # drawing slots whose update draws its point through an earlier one's
+    # context too
+    borrowers = {slot: rng.choice(_DRAW_SLOTS[:_DRAW_SLOTS.index(slot)])
+                 for slot in point_of
+                 if slot is not _DRAW_SLOTS[0] and rng.random() < 0.5}
+    reads = {target: [group for group, _ in row] for _, target, row in ORDER}
+    kept: dict[Group, object] = {}
+
+    def refused(ctx, point: ChoicePoint) -> None:
+        try:
+            ctx.choose(point.point_id)
+        except ModelError:
+            return
+        raise AssertionError(f"{point.point_id} was drawn through a context "
+                             "that had returned or is not its own")
+
+    def make_update(target: Group):
+        def update(*args):
+            if target in _DRAW_SLOTS:
+                *views, ctx = args
+                kept[target] = ctx
+            else:
+                views, ctx = args, None
+            t = offset[target] + sum(
+                _numeric(getattr(view, name))
+                for view, group in zip(views, reads[target])
+                for name in names[group])
+            drew = None
+            if target in point_of:
+                drew = ctx.choose(point_of[target].point_id)
+                t += drew
+                if target in borrowers:
+                    refused(kept[borrowers[target]], point_of[target])
+            elif target in _DRAWN_BEFORE and _DRAWN_BEFORE[target] in point_of:
+                before = _DRAWN_BEFORE[target]
+                refused(kept[before], point_of[before])
+            written = {"n": t % (cap[target] + 1), "f": t % 2 == 1,
+                       "s": _SYMBOLS[t % 3], "big": _BIG + t % 4, "one": 1}
+            returned = {name: written[name] for name in names[target]
+                        if how[target][name] == "always"
+                        or how[target][name] == "sometimes" and t % 3 != 0}
+            if target is trigger and drew == point_of[target].domain[-1] \
+                    and t % 2 == 0:
+                returned["one"] = True   # equal to the 1 it holds
+            return returned
+        return update
+
+    updates = UpdateFunctions(**{group.name.lower(): make_update(group)
+                                 for group in Group})
+
+    def declared(group: Group, name: str) -> Var:
+        if name == "n":
+            return Var(name, group, IntDomain(0, cap[group]),
+                       rng.randint(0, cap[group]))
+        if name == "f":
+            return Var(name, group, BoolDomain(), rng.random() < 0.5)
+        if name == "s":
+            return Var(name, group, SymbolicDomain(_SYMBOLS),
+                       rng.choice(_SYMBOLS))
+        if name == "big":
+            return Var(name, group, IntDomain(_BIG, _BIG + 3), _BIG)
+        return Var(name, group, IntDomain(0, 3), 1)
+
+    variables = [declared(group, name)
+                 for group in Group for name in names[group]]
+    rng.shuffle(variables)
+
+    choices = list(point_of.values())
+    states = [Group.ENV_STATE, Group.SYS_STATE, Group.BEH_STATE]
+    for k, (group, dom) in enumerate(zip(rng.sample(states, len(init_domains)),
+                                         init_domains)):
+        dom = tuple(dict.fromkeys(v % (cap[group] + 1) for v in dom))
+        choices.append(ChoicePoint(f"init{k}", dom, site=(group, "n")))
+    rng.shuffle(choices)
+
+    watched = [(group, name) for group in Group for name in names[group]]
+    assertions = []
+    for k in range(rng.randint(0, 2)):
+        picked = rng.sample(watched, 3)
+        modulus = rng.randint(4, 9)
+        forbidden = rng.randrange(modulus)
+
+        def pred(state, picked=picked, modulus=modulus, forbidden=forbidden):
+            return sum(_numeric(state.value(group, name))
+                       for group, name in picked) % modulus != forbidden
+
+        assertions.append(Assertion(f"a{k}", pred))
+
+    model = register_model(variables=variables, updates=updates,
+                           choices=choices, assertions=assertions,
+                           name=f"wp{seed}")
+    return GeneratedModel(
+        model=model, bound=bound,
+        init_points=tuple(cp for cp in choices
+                          if not isinstance(cp.site, Group)),
+        step_points=tuple(point_of[slot] for slot in _DRAW_SLOTS
+                          if slot in point_of))

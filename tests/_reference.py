@@ -10,7 +10,7 @@ and old state, and an output its new input and new state.  Every value an
 update returns is checked against its variable's domain, and a variable it
 omits keeps its value.  Environment and behaviour updates get a context of
 their own, which draws only the points sited at their group, and only
-during their call.
+during their call, however it ends.
 """
 
 from __future__ import annotations
@@ -96,8 +96,10 @@ def reference_step(model, state, values=()):
             returned = getattr(model.updates, update)(*views)
         else:
             ctx = Context(model, target, iteration, values, log)
-            returned = getattr(model.updates, update)(*views, ctx)
-            ctx._open = False
+            try:
+                returned = getattr(model.updates, update)(*views, ctx)
+            finally:
+                ctx._open = False
         for name, value in returned.items():
             var = next(v for v in model.variables
                        if v.group is target and v.name == name)

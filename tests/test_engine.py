@@ -619,6 +619,41 @@ def test_a_context_kept_past_its_update_raises_and_draws_nothing(site):
         kept[0].choose("p")
 
 
+def test_a_context_kept_by_an_update_that_raised_draws_nothing():
+    kept = []
+    fails = [True]
+
+    def env_input(so, e, ctx):
+        kept.append(ctx)
+        if fails:
+            raise RuntimeError("boom")
+        return {}
+
+    declared = dict(
+        variables=[Var("n", Group.ENV_STATE, IntDomain(0, 1), 0)],
+        updates=_updates(env_input=env_input),
+        choices=[ChoicePoint("p", (0, 1), site=Group.ENV_INPUT)])
+    with pytest.raises(ModelError, match="^update for env_in raised "
+                                         "RuntimeError"):
+        register_model(**declared)
+    with pytest.raises(ModelError, match="context of an update that had "
+                                         "returned"):
+        kept[-1].choose("p")
+
+    fails.clear()
+    model = register_model(**declared)
+    state, _ = resolve_initial(model)
+    fails.append(True)
+    values = iter([1])
+    with pytest.raises(ModelError, match=r"raised RuntimeError\('boom'\) at "
+                                         "iteration 1"):
+        step(model, state, values)
+    with pytest.raises(ModelError, match="context of an update that had "
+                                         "returned"):
+        kept[-1].choose("p")
+    assert list(values) == [1]
+
+
 def test_iteration_counter_advances():
     model = _counter_model()
     state, _ = resolve_initial(model)

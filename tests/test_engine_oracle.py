@@ -13,28 +13,38 @@ step points on the schedule whatever their list order.
 so most of their paths settle into a fixed point well before it: the
 engine stops stepping there, and the oracle steps every iteration.
 
+40 write-path models hold several int, bool and symbolic variables per
+group, written in part, with equal ints that are new objects, keep their
+drawing contexts and try to draw through them later, and on some branches
+write True into an int variable that holds 1.  Their search must end in a
+ModelError on the first path that does, after as many paths as the oracle
+counts to it, and each path's `run_path` must give what its steps give.
+
 A path ceiling at each model's path count changes nothing, and one below it
 ends the search after exactly that many paths.
 """
 
 from hilcheck.engine import VerdictKind, explore, replay_counterexample
 
-from _modelgen import generate
+from _modelgen import generate, generate_write_path
 from _oracle import flat_check
 
 SEEDS = range(220)
 SETTLING_SEEDS = range(100)
+WRITE_PATH_SEEDS = range(40)
 
 
-def compare_one(seed: int, **options):
-    gen = generate(seed, **options)
-    expected = flat_check(gen.model, gen.bound,
-                          gen.init_points, gen.step_points)
+def compare_one(seed: int, make=generate, check_run_path=False, **options):
+    gen = make(seed, **options)
+    expected = flat_check(gen.model, gen.bound, gen.init_points,
+                          gen.step_points, check_run_path)
     verdict = explore(gen.model, gen.bound)
 
     assert verdict.kind.value == expected.kind, f"seed {seed}"
     assert verdict.paths_explored == expected.paths, f"seed {seed}"
-    if expected.kind == "Unsafe":
+    if expected.kind == "ModelError":
+        assert "outside its domain" in verdict.message, f"seed {seed}"
+    elif expected.kind == "Unsafe":
         assert verdict.failed_assertion == expected.failed, f"seed {seed}"
         assert verdict.trace[-1].iteration == expected.violation_iteration, \
             f"seed {seed}"
@@ -72,6 +82,14 @@ def test_explore_matches_flat_enumeration_on_settling_models():
     assert sum(map(settles, results)) == 28
     assert sum(r.failed == "late" for r in results) == 37
     assert sum(r.kind == "Safe" for r in results) == 32
+
+
+def test_explore_matches_flat_enumeration_on_write_path_models():
+    results = [compare_one(seed, generate_write_path, check_run_path=True)
+               for seed in WRITE_PATH_SEEDS]
+    kinds = [r.kind for r in results]
+    assert (kinds.count("Safe"), kinds.count("Unsafe"),
+            kinds.count("ModelError")) == (13, 10, 17)
 
 
 def test_path_ceiling_at_and_one_below_each_path_count():

@@ -8,14 +8,16 @@ from dataclasses import fields, replace
 from hypothesis import given, settings, strategies as st
 
 import hilcheck.scenarios
-from hilcheck.acc import AccCommand, ControlMode
-from hilcheck.behaviour import FatigueLevel, IntegratorOp
+from hilcheck.acc import (AccCommand, ControlMode, adaptive_separation,
+                          compute_safe_stopping)
+from hilcheck.behaviour import (FatigueLevel, InputMode, IntegratorOp,
+                                perception_from_fatigue, set_reaction_time)
 from hilcheck.engine import (ChoiceEntry, Group, ModelError, VerdictKind,
                              explore, probed_model, replay_counterexample,
                              resolve_initial, run_path)
 from hilcheck.environment import RoutePoint, Terrain
 from hilcheck.scenarios import (DEFAULT_ROUTE, SCENARIOS, ScenarioConfig,
-                                build_model, is_okay)
+                                build_model, fatigue_tables, is_okay)
 
 
 # --- the separation property in isolation ----------------------------------
@@ -37,6 +39,75 @@ def test_is_okay_floor_widens_with_fatigue():
                        base_separation=BASE)
     assert is_okay(FatigueLevel.Exhausted, stopping_distance=0, gap=6,
                    base_separation=BASE)
+
+
+# --- what build_model works out once, against the helpers ------------------
+
+def _tables_match_the_helpers(config):
+    target, reaction, perception, floor = fatigue_tables(config)
+    for level in FatigueLevel:
+        assert target[level] == config.target_for(level)
+        assert reaction[level] == set_reaction_time(config.input_mode, level,
+                                                    config)
+        assert perception[level] == perception_from_fatigue(level,
+                                                            config.max_hp)
+        assert floor[level] == adaptive_separation(level,
+                                                   config.base_separation)
+
+
+@pytest.mark.parametrize("preset", sorted(SCENARIOS))
+def test_each_presets_fatigue_tables_match_the_helpers(preset):
+    _tables_match_the_helpers(SCENARIOS[preset])
+
+
+@settings(max_examples=100, deadline=None)
+@given(fast=st.integers(1, 3), okay_step=st.integers(1, 2),
+       slow_step=st.integers(1, 2), n_factor=st.integers(1, 2),
+       t_step=st.integers(0, 2), e_step=st.integers(0, 2),
+       base_separation=st.integers(1, 6), acc_margin=st.integers(0, 3),
+       max_hp=st.integers(1, 7), adaptive_target=st.booleans(),
+       input_mode=st.sampled_from(tuple(InputMode)))
+def test_drawn_configs_fatigue_tables_match_the_helpers(
+        fast, okay_step, slow_step, n_factor, t_step, e_step,
+        base_separation, acc_margin, max_hp, adaptive_target, input_mode):
+    _tables_match_the_helpers(ScenarioConfig(
+        name="drawn", route=DEFAULT_ROUTE, fast=fast, okay=fast + okay_step,
+        slow=fast + okay_step + slow_step, n_factor=n_factor,
+        t_factor=n_factor + t_step, e_factor=n_factor + t_step + e_step,
+        base_separation=base_separation, acc_margin=acc_margin, max_gap=20,
+        max_hp=max_hp, adaptive_target=adaptive_target,
+        input_mode=input_mode))
+
+
+@pytest.mark.parametrize("preset", sorted(SCENARIOS))
+def test_the_assertions_agree_with_their_statements_on_a_presets_trace(
+        preset):
+    """The assertions read by position and look the floor up; on every
+    state of the preset's trace they say what is_okay and the plain
+    `state.value` statement say."""
+    config = SCENARIOS[preset]
+    model = build_model(config)
+    verdict = explore(model, config.bound)
+    seen = set()
+    for state in verdict.trace:
+        fatigue = state.value(Group.BEH_STATE, "fatigue")
+        stopping = compute_safe_stopping(
+            state.value(Group.SYS_STATE, "speed"),
+            state.value(Group.BEH_STATE, "reaction_time"))
+        statements = {
+            "SeparationMaintained": is_okay(
+                fatigue, stopping, state.value(Group.SYS_STATE, "gap"),
+                base_separation=config.base_separation),
+            "FatigueBounded": not (
+                fatigue is FatigueLevel.Exhausted
+                and not state.value(Group.ENV_OUTPUT, "journey_done"))}
+        for assertion in model.assertions:
+            said = statements[assertion.assert_id]
+            assert assertion.predicate(state) is said
+            seen.add((assertion.assert_id, said))
+    assert {(a.assert_id, True) for a in model.assertions} <= seen
+    if verdict.failed_assertion:
+        assert (verdict.failed_assertion, False) in seen
 
 
 # --- golden first step of the ideal scenario -------------------------------
