@@ -313,11 +313,7 @@ class ModelState:
     layout: dict[tuple[Group, str], int] = field(compare=False, repr=False)
 
     def value(self, group: Group, name: str) -> Value:
-        try:
-            position = self.layout[group, name]
-        except (KeyError, TypeError):
-            position = _position(self.layout, (group, name))   # raises
-        return self.values[position]
+        return self.values[_position(self.layout, (group, name))]
 
     @property
     def valuation(self) -> Mapping[tuple[Group, str], Value]:
@@ -439,41 +435,31 @@ def _draw(cp: ChoicePoint, iteration: int, values: Iterator[Value],
     return value
 
 
-class _StepDraws:
-    """What the drawing contexts of one step share: the model, the
-    iteration, the values to draw, the draws made, and `live`, the one
-    context whose call is running, or None between calls."""
-
-    __slots__ = ("model", "iteration", "values", "entries", "live")
-
-    def __init__(self, model: "Model", iteration: int, values: Iterator[Value],
-                 entries: list[ChoiceEntry]):
-        self.model = model
-        self.iteration = iteration
-        self.values = values
-        self.entries = entries
-        self.live = None
-
-
 class StepContext:
     """Drawing context handed to environment and behaviour update functions.
     Each call of such a function gets its own, which draws only the points
     sited at that function's group, and only while the call runs: once it
-    returns or raises, the context draws nothing.  A step makes each one
-    without `__init__`, from its step's shared draws and its site."""
+    returns or raises, the context draws nothing."""
 
-    __slots__ = ("_draws", "_site")
+    __slots__ = ("_model", "_iteration", "_values", "_site", "_entries")
+
+    def __init__(self, model: "Model", iteration: int, values: Iterator[Value],
+                 site: Group, entries: list[ChoiceEntry]):
+        self._model = model
+        self._iteration = iteration
+        self._values = values
+        self._site = site
+        self._entries = entries
 
     def choose(self, point_id: str) -> Value:
-        draws = self._draws
-        cp = draws.model.choices.get(point_id)
+        cp = self._model.choices.get(point_id)
         if cp is None:
             raise ModelError(f"unknown choice point '{point_id}'")
-        if draws.live is not self:
-            raise ModelError(
-                f"choice point '{point_id}' was drawn through the context "
-                "of an update that had returned")
         if cp.site is not self._site:
+            if self._site is None:
+                raise ModelError(
+                    f"choice point '{point_id}' was drawn through the context "
+                    "of an update that had returned")
             if not isinstance(cp.site, Group):
                 raise ModelError(
                     f"choice point '{point_id}' is an initialisation choice "
@@ -481,7 +467,7 @@ class StepContext:
             raise ModelError(
                 f"choice point '{point_id}' is declared for "
                 f"{cp.site.value} but was drawn while computing {self._site.value}")
-        return _draw(cp, draws.iteration, draws.values, draws.entries)
+        return _draw(cp, self._iteration, self._values, self._entries)
 
 
 @dataclass(frozen=True)
@@ -694,27 +680,24 @@ def _step(model: Model, state: ModelState, views: list[tuple],
     It must be the same object, not an equal one, since neither 1 nor True
     is the other's domain's member.
 
-    The step's draws are shared by its contexts, one per call of a drawing
-    update, made without `__init__`, and live only while that call runs:
-    once it returns or raises, the context draws nothing.
+    Each call of a drawing update gets a context of its own, closed in a
+    `finally`: once the call returns or raises, the context draws nothing.
     """
     group_views = model.views
     new = tuple.__new__
-    make = object.__new__
     current = list(state.values)
     entries: list[ChoiceEntry] = []
     iteration = state.iteration + 1
-    draws = _StepDraws(model, iteration, values, entries)
 
     for (target, index, reads, may_draw, names), fn in zip(
             model.plan, _FUNCTIONS(model.updates)):
         try:
             if may_draw:
-                ctx = make(StepContext)
-                ctx._draws = draws
-                ctx._site = target
-                draws.live = ctx
-                returned = fn(*reads(views), ctx)
+                ctx = StepContext(model, iteration, values, target, entries)
+                try:
+                    returned = fn(*reads(views), ctx)
+                finally:
+                    ctx._site = None   # closed however the call ended
             else:
                 returned = fn(*reads(views))
         except ModelError:
@@ -722,8 +705,6 @@ def _step(model: Model, state: ModelState, views: list[tuple],
         except Exception as exc:
             raise ModelError(f"update for {target.value} raised {exc!r} "
                              f"at iteration {iteration}") from exc
-        finally:
-            draws.live = None   # however the call ended
         try:
             items = returned.items()
         except AttributeError:

@@ -204,24 +204,22 @@ _OBSTACLE_DOM = IntDomain(0, MAX_OBSTACLE)
 _CURVATURE_DOM = IntDomain(0, MAX_CURVATURE)
 
 
-def fatigue_tables(config: ScenarioConfig) -> tuple[dict, dict, dict, dict]:
+def fatigue_tables(config: ScenarioConfig) -> tuple[dict, dict, dict]:
     """What each fatigue level fixes in a scenario, worked out once: its
-    cruise gap preset, reaction time, hazard perception and separation
-    floor, each a FatigueLevel -> int map."""
+    cruise gap preset, reaction time and hazard perception, each a
+    FatigueLevel -> int map."""
     return ({level: config.target_for(level) for level in ALL_FATIGUE},
             {level: set_reaction_time(config.input_mode, level, config)
              for level in ALL_FATIGUE},
             {level: perception_from_fatigue(level, config.max_hp)
-             for level in ALL_FATIGUE},
-            {level: adaptive_separation(level, config.base_separation)
              for level in ALL_FATIGUE})
 
 
 def build_model(config: ScenarioConfig) -> Model:
     """Assemble and register the three-model loop for one scenario.  The
-    updates and assertions look each fatigue level's figures up in
-    `fatigue_tables`, and the assertions read their values by position."""
-    target_gap, reaction_time, perception, floor = fatigue_tables(config)
+    updates look each fatigue level's figures up in `fatigue_tables`, and
+    the assertions read their values by position."""
+    target_gap, reaction_time, perception = fatigue_tables(config)
     drawn = config.route is None
 
     # a drawn route starts out as its first candidate segment, repeated
@@ -426,10 +424,9 @@ def build_model(config: ScenarioConfig) -> Model:
                                position[Group.ENV_OUTPUT, "journey_done"])
 
     def separation_holds(state: ModelState) -> bool:
-        # is_okay, with the floor looked up
         fatigue, speed, reaction, gap = separation_reads(state.values)
-        return (gap >= compute_safe_stopping(speed, reaction)
-                and gap >= floor[fatigue])
+        return is_okay(fatigue, compute_safe_stopping(speed, reaction), gap,
+                       base_separation=config.base_separation)
 
     def fatigue_bounded(state: ModelState) -> bool:
         fatigue, journey_done = fatigue_reads(state.values)

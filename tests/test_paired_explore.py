@@ -12,9 +12,13 @@ _spec.loader.exec_module(paired_explore)
 
 
 def test_the_checkout_against_itself_agrees_on_ideal(capsys):
-    src = str(ROOT / "src")
-    assert paired_explore.main([src, src, "--only", "ideal", "--bound", "5",
-                                "--pairs", "2"]) == 0
+    src = ROOT / "src"
+    run, = (run for name, run in paired_explore.workload_runs(src)
+            if name == "ideal")
+    sides = {side: paired_explore.Side(src, f"hilcheck_{side}")
+             for side in paired_explore.SIDES}
+    models = {side: (sides[side].prepare(run)[0], 5) for side in sides}
+    assert paired_explore.compare("ideal", sides, models, 2)
     line, = capsys.readouterr().out.splitlines()
     assert line.startswith("ideal: parent median ")
     assert line.endswith(" over 2 pairs")

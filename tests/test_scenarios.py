@@ -8,8 +8,7 @@ from dataclasses import fields, replace
 from hypothesis import given, settings, strategies as st
 
 import hilcheck.scenarios
-from hilcheck.acc import (AccCommand, ControlMode, adaptive_separation,
-                          compute_safe_stopping)
+from hilcheck.acc import AccCommand, ControlMode, compute_safe_stopping
 from hilcheck.behaviour import (FatigueLevel, InputMode, IntegratorOp,
                                 perception_from_fatigue, set_reaction_time)
 from hilcheck.engine import (ChoiceEntry, Group, ModelError, VerdictKind,
@@ -44,15 +43,13 @@ def test_is_okay_floor_widens_with_fatigue():
 # --- what build_model works out once, against the helpers ------------------
 
 def _tables_match_the_helpers(config):
-    target, reaction, perception, floor = fatigue_tables(config)
+    target, reaction, perception = fatigue_tables(config)
     for level in FatigueLevel:
         assert target[level] == config.target_for(level)
         assert reaction[level] == set_reaction_time(config.input_mode, level,
                                                     config)
         assert perception[level] == perception_from_fatigue(level,
                                                             config.max_hp)
-        assert floor[level] == adaptive_separation(level,
-                                                   config.base_separation)
 
 
 @pytest.mark.parametrize("preset", sorted(SCENARIOS))
@@ -82,9 +79,9 @@ def test_drawn_configs_fatigue_tables_match_the_helpers(
 @pytest.mark.parametrize("preset", sorted(SCENARIOS))
 def test_the_assertions_agree_with_their_statements_on_a_presets_trace(
         preset):
-    """The assertions read by position and look the floor up; on every
-    state of the preset's trace they say what is_okay and the plain
-    `state.value` statement say."""
+    """The assertions read their values by position; on every state of the
+    preset's trace they say what is_okay and the plain `state.value`
+    statement say."""
     config = SCENARIOS[preset]
     model = build_model(config)
     verdict = explore(model, config.bound)

@@ -1,18 +1,16 @@
 #!/usr/bin/env python3
 """Time `explore` on two hilcheck source trees in one process, in pairs.
 
-Usage: python3 tools/paired_explore.py PARENT_SRC CHANGE_SRC
-           [--pairs N] [--only NAME ...] [--bound N]
+Usage: python3 tools/paired_explore.py PARENT_SRC CHANGE_SRC [--pairs N]
 
 PARENT_SRC and CHANGE_SRC are directories that each hold a `hilcheck`
 package, such as the `src/` of two checkouts.  Both are loaded in this
 process under their own package names, so a slow spell of the host hits
-both sides alike.  The configs are the first run of each of the
-benchmark's workloads (`perfbench/workloads.py`): a config file read from
-`perfbench/configs`, with the workload's overrides applied, an Enum member
-mapped to the one of the same name in each tree.  `--only` keeps the named
-configs (`ideal`, `branching`, `route-sweep`), and `--bound` explores at
-that bound instead of the config's.
+both sides alike.  The configs, `ideal`, `branching` and `route-sweep`,
+are the first run of each of the benchmark's workloads
+(`perfbench/workloads.py`): a config file read from `perfbench/configs`,
+with the workload's overrides applied, an Enum member mapped to the one of
+the same name in each tree.
 
 Each pair explores a config once on each side, the side that goes first
 alternating from pair to pair; building the model is not timed.  Both
@@ -92,12 +90,10 @@ class Side:
         self.config_io = importlib.import_module(package + ".config_io")
         self.scenarios = importlib.import_module(package + ".scenarios")
 
-    def prepare(self, run, bound: int | None):
+    def prepare(self, run):
         config = self.config_io.load_config(PERFBENCH / "configs" / run.config)
         config = replace(config, **{knob: in_tree(value, self.package)
                                     for knob, value in run.overrides})
-        if bound is not None:
-            config = replace(config, bound=bound)
         return self.scenarios.build_model(config), config.bound
 
     def explore(self, model, bound: int):
@@ -145,23 +141,16 @@ def main(argv=None) -> int:
     parser.add_argument("parent_src", type=Path)
     parser.add_argument("change_src", type=Path)
     parser.add_argument("--pairs", type=int, default=11)
-    parser.add_argument("--only", nargs="+", metavar="NAME")
-    parser.add_argument("--bound", type=int)
     args = parser.parse_args(argv)
-    if args.pairs < 1 or (args.bound is not None and args.bound < 1):
-        parser.error("--pairs and --bound take a count of at least 1")
+    if args.pairs < 1:
+        parser.error("--pairs takes a count of at least 1")
 
     runs = workload_runs(args.change_src.resolve())
-    if args.only:
-        unknown = set(args.only) - {name for name, _ in runs}
-        if unknown:
-            parser.error(f"no config named {', '.join(sorted(unknown))}")
-        runs = [(name, run) for name, run in runs if name in args.only]
     sides = {side: Side(src.resolve(), f"hilcheck_{side}")
              for side, src in zip(SIDES, (args.parent_src, args.change_src))}
     agreed = True
     for name, run in runs:
-        models = {side: sides[side].prepare(run, args.bound) for side in SIDES}
+        models = {side: sides[side].prepare(run) for side in SIDES}
         agreed &= compare(name, sides, models, args.pairs)
     return 0 if agreed else 1
 
