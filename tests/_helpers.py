@@ -1,0 +1,33 @@
+"""Helpers that more than one test module uses."""
+
+import importlib.util
+import sys
+from dataclasses import fields
+from pathlib import Path
+
+from hilcheck.engine import UpdateFunctions
+
+
+def noop(*views_and_ctx):
+    return {}
+
+
+def updates(**overrides) -> UpdateFunctions:
+    """The nine update functions: `overrides`, and `noop` for the rest."""
+    return UpdateFunctions(**{**{field.name: noop
+                                 for field in fields(UpdateFunctions)},
+                              **overrides})
+
+
+def load(name: str, path: Path):
+    """The module in the file at `path`, imported once under `name`: tools/
+    and perfbench/ are directories of scripts, not packages.  It goes in
+    sys.modules before it runs, where dataclasses look their defining
+    module up."""
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return module

@@ -22,6 +22,14 @@ such a variable can sit at any position.  It has no step point or one,
 whose draws the saturated state absorbs, and may have an assertion that
 fails only from some iteration on, at a capped variable, so a violation can
 come after the path has settled.
+
+A raising model's drawing updates keep their contexts, and each call first
+tries to draw through the one its update kept last, which must be refused.
+On some branches where a point drew its last candidate, never on the path
+of first values that `register_model`'s trial step takes, the update then
+raises, so a search ends in a ModelError there, and a later call, in this
+search or a later one on the same model, tries a context kept by an update
+that raised.
 """
 
 from __future__ import annotations
@@ -64,6 +72,17 @@ class GeneratedModel:
         return total * per_iter ** self.bound
 
 
+def refused(ctx, point: ChoicePoint) -> None:
+    """Draw `point` through a context that had returned or is not its
+    update's own: the draw must fail, draw nothing, and the update go on."""
+    try:
+        ctx.choose(point.point_id)
+    except ModelError:
+        return
+    raise AssertionError(f"{point.point_id} was drawn through a context "
+                         "that had returned or is not its own")
+
+
 def _rand_domain(rng: random.Random) -> tuple[int, ...]:
     size = rng.randint(1, 3)
     return tuple(sorted(rng.sample(range(0, 5), size)))
@@ -97,10 +116,10 @@ def _draw_layout(rng: random.Random, bound: int, max_runs: int,
     return bound, init_domains, site_of, step_domains
 
 
-def generate(seed: int, max_runs: int = 400,
-             settling: bool = False) -> GeneratedModel:
+def generate(seed: int, max_runs: int = 400, settling: bool = False,
+             raising: bool = False) -> GeneratedModel:
     """Build one random model whose complete-run count is at most max_runs;
-    a settling one if `settling`."""
+    a settling one if `settling`, a raising one if `raising`."""
     rng = random.Random(seed)
 
     caps = {name: rng.randint(2, 9 if settling else 6)
@@ -113,11 +132,11 @@ def generate(seed: int, max_runs: int = 400,
         rng, bound, max_runs, settling)
 
     step_points = []
-    draw_ids: dict[Group, list[str]] = {slot: [] for slot in _DRAW_SLOTS}
+    draws: dict[Group, list[ChoicePoint]] = {slot: [] for slot in _DRAW_SLOTS}
     for k, (slot, dom) in enumerate(zip(site_of, step_domains)):
         cp = ChoicePoint(f"d{k}", dom, site=slot)
         step_points.append(cp)
-        draw_ids[slot].append(cp.point_id)
+        draws[slot].append(cp)
 
     def clamp(name: str, value: int) -> int:
         if settling:
@@ -131,42 +150,62 @@ def generate(seed: int, max_runs: int = 400,
             return min(caps[name], own + min(1, rest))
         return clamp(name, coeff[name] * own + rest)
 
-    def drawn_sum(ctx, slot: Group) -> int:
-        return sum(ctx.choose(point_id) for point_id in draw_ids[slot])
+    kept: dict[tuple[Group, type], object] = {}
+
+    def drawn(ctx, slot: Group, rest: int) -> int:
+        """`rest` plus the values `slot` draws.  A raising model's update
+        raises where a point drew its last candidate and `rest` is a
+        multiple of `modulus`."""
+        if raising and draws[slot]:
+            # kept per context class: a run of the reference and one of
+            # the engine each find their own, or the two could agree on a
+            # context one of them left open
+            key = slot, type(ctx)
+            if key in kept:
+                refused(kept[key], draws[slot][0])
+            kept[key] = ctx
+        total = rest
+        for cp in draws[slot]:
+            value = ctx.choose(cp.point_id)
+            if raising and value == cp.domain[-1] != cp.domain[0] \
+                    and rest % modulus == 0:
+                raise RuntimeError(f"{cp.point_id} drew {value}")
+            total += value
+        return total
 
     def env_input(so, e, ctx):
-        return {"ei": clamp("ei", so.so + coeff["ei"] * e.e + offset["ei"]
-                            + drawn_sum(ctx, Group.ENV_INPUT))}
+        return {"ei": clamp("ei", drawn(ctx, Group.ENV_INPUT, so.so
+                                        + coeff["ei"] * e.e + offset["ei"]))}
 
     def sys_input(bo, eo, s):
         return {"si": clamp("si", bo.bo + eo.eo + coeff["si"] * s.s
                             + offset["si"])}
 
     def beh_input(b, eo, so, ctx):
-        return {"bi": clamp("bi", coeff["bi"] * b.b + eo.eo + so.so
-                            + offset["bi"] + drawn_sum(ctx, Group.BEH_INPUT))}
+        return {"bi": clamp("bi", drawn(ctx, Group.BEH_INPUT, coeff["bi"] * b.b
+                                        + eo.eo + so.so + offset["bi"]))}
 
     def env_output(ei, e, ctx):
-        return {"eo": clamp("eo", ei.ei + coeff["eo"] * e.e + offset["eo"]
-                            + drawn_sum(ctx, Group.ENV_OUTPUT))}
+        return {"eo": clamp("eo", drawn(ctx, Group.ENV_OUTPUT, ei.ei
+                                        + coeff["eo"] * e.e + offset["eo"]))}
 
     def sys_output(si, s):
         return {"so": clamp("so", si.si + coeff["so"] * s.s + offset["so"])}
 
     def beh_output(bi, b, ctx):
-        return {"bo": clamp("bo", bi.bi + coeff["bo"] * b.b + offset["bo"]
-                            + drawn_sum(ctx, Group.BEH_OUTPUT))}
+        return {"bo": clamp("bo", drawn(ctx, Group.BEH_OUTPUT, bi.bi
+                                        + coeff["bo"] * b.b + offset["bo"]))}
 
     def env_state(ei, e, ctx):
-        return {"e": accumulate("e", e.e, ei.ei + offset["e"]
-                                + drawn_sum(ctx, Group.ENV_STATE))}
+        return {"e": accumulate("e", e.e, drawn(ctx, Group.ENV_STATE,
+                                                ei.ei + offset["e"]))}
 
     def sys_state(si, s):
         return {"s": accumulate("s", s.s, si.si + offset["s"])}
 
     def beh_state(bi, b, ctx):
-        return {"b": accumulate("b", b.b, bi.bi + offset["b"]
-                                + drawn_sum(ctx, Group.BEH_STATE))}
+        return {"b": accumulate("b", b.b, drawn(ctx, Group.BEH_STATE,
+                                                bi.bi + offset["b"]))}
 
     updates = UpdateFunctions(
         env_input=env_input, sys_input=sys_input, beh_input=beh_input,
@@ -214,6 +253,7 @@ def generate(seed: int, max_runs: int = 400,
     rng.shuffle(choices)
     if settling:
         rng.shuffle(variables)
+    modulus = rng.randint(1, 2) if raising else None
     model = register_model(variables=variables, updates=updates,
                            choices=choices, assertions=assertions,
                            name=f"gen{seed}")
@@ -286,14 +326,6 @@ def generate_write_path(seed: int, max_runs: int = 120) -> GeneratedModel:
                  if slot is not _DRAW_SLOTS[0] and rng.random() < 0.5}
     reads = {target: [group for group, _ in row] for _, target, row in ORDER}
     kept: dict[Group, object] = {}
-
-    def refused(ctx, point: ChoicePoint) -> None:
-        try:
-            ctx.choose(point.point_id)
-        except ModelError:
-            return
-        raise AssertionError(f"{point.point_id} was drawn through a context "
-                             "that had returned or is not its own")
 
     def make_update(target: Group):
         def update(*args):

@@ -1,34 +1,39 @@
-"""Flat-enumeration oracle for the explorer.
+"""Flat-enumeration oracle for the explorer, and the model families it
+checks.
 
 Enumerates the full cartesian product of every choice domain over the bound
 (valid because generated models draw on a fixed schedule), runs each vector
-straight through resolve_initial/step on the vector's values, checks that
-the draws came from the vector's points in order, and reports what an
-exhaustive search must find.  It shares only `resolve_initial` and `step`
-with the engine: `run_vector` evaluates the assertions with its own code,
-steps every iteration, also where the engine's `run_path` has found the
-path settled and repeats its state, and checks every step against the
-reference step of `_reference.py`, which shares none of `step`'s code.
-On request it then checks the vector's `run_path`, whose steps take the
-views the step before left, against those steps.  A vector whose step
-raises a ModelError, with the reference's message, ends the search there,
-as a failing path ends `explore`.
+through the reference of `_reference.py` alone, `reference_initial` and
+then `reference_step` at every iteration, also where the engine's
+`run_path` has found the path settled and repeats its state, evaluates the
+assertions with its own code, checks that the draws came from the vector's
+points in order, and reports what an exhaustive search must find.  It
+shares only `run_path` with the engine, the path runner `explore` runs:
+on every vector, `run_path` must give the reference's states, with their
+values' types, its draws and its violations, or raise where the reference
+raises, with its message.  A vector whose reference run raises a
+ModelError ends the search there, as a failing path ends `explore`.
+
+`FAMILIES` names each family of generated models the oracle checks: its
+generator, its seeds and the pinned count of each outcome.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+from typing import Callable
 
-from hilcheck.engine import Model, ModelError, resolve_initial, run_path, step
+from hilcheck.engine import Model, ModelError, run_path
 
-from _reference import reference_step
+from _modelgen import GeneratedModel, generate, generate_write_path
+from _reference import State, reference_initial, reference_step
 
 
 @dataclass(frozen=True)
 class OracleResult:
     kind: str                      # "Safe", "Unsafe" or "ModelError"
-    runs: int                      # product size (all complete vectors)
     # paths a depth-first search runs: every vector for a safe model; for an
     # unsafe one, or one whose step raises, each vector before the first
     # violating or raising one (each a full-length safe path) plus that one
@@ -37,6 +42,29 @@ class OracleResult:
     violation_iteration: int | None = None
     choice_log: tuple = ()
     first_trace: tuple = ()
+    message: str | None = None     # the reference's, for a ModelError
+
+
+@dataclass(frozen=True)
+class Family:
+    make: Callable[[int], GeneratedModel]
+    seeds: range
+    outcomes: dict[str, int]       # how many models end in each kind
+
+
+FAMILIES = {
+    "random": Family(generate, range(220),
+                     {"Safe": 33, "Unsafe": 187, "ModelError": 0}),
+    # saturating models run to a bound of 6 to 10, so most of their paths
+    # settle into a fixed point well before it
+    "settling": Family(functools.partial(generate, max_runs=128,
+                                         settling=True), range(100),
+                       {"Safe": 32, "Unsafe": 68, "ModelError": 0}),
+    "write-path": Family(generate_write_path, range(40),
+                         {"Safe": 13, "Unsafe": 10, "ModelError": 17}),
+    "raising": Family(functools.partial(generate, raising=True), range(100),
+                      {"Safe": 1, "Unsafe": 75, "ModelError": 24}),
+}
 
 
 def violations(model: Model, state) -> tuple[str, ...]:
@@ -44,92 +72,71 @@ def violations(model: Model, state) -> tuple[str, ...]:
                  if not a.predicate(state))
 
 
-def typed(values) -> list:
-    """Values compared with their types, as neither 1 nor True is the
-    other's domain's member."""
-    return [(type(v), v) for v in values]
+def typed(states) -> list:
+    """Each state's iteration and values, the values compared with their
+    types, as neither 1 nor True is the other's domain's member."""
+    return [(s.iteration, [(type(v), v) for v in s.values]) for s in states]
 
 
-def run_vector(model: Model, bound: int, points, vector,
-               check_run_path: bool = False):
-    """Run one fully decided path; stop at the first violating iteration,
-    or at a step that raises ModelError, reported as `raised`.  The run
-    must draw from `points` in order, and no more draws than they hold,
-    and each step must agree with the reference step, raising where it
-    raises, with its message.  If `check_run_path`, `run_path`, which carries its views from
-    step to step, must give the same states, draws and violations."""
-    state, log = resolve_initial(model, vector)
-    trace = [state]
+def run_vector(model: Model, bound: int, points, vector):
+    """Run one fully decided path through the reference; stop at the first
+    violating iteration, or at a step that raises ModelError, whose message
+    is returned as `raised`.  The run must draw from `points` in order, and
+    no more draws than they hold, and `run_path` must agree with it."""
+    values = iter(vector)
+    initial, log = reference_initial(model, values)
+    trace = [State(model, initial, 0)]
     log = list(log)
-    violated = violations(model, state)
-    raised = False
-    while not violated and state.iteration < bound:
-        # each draw takes one value of the vector
-        rest = vector[len(log):]
+    violated = violations(model, trace[0])
+    raised = None
+    while not violated and trace[-1].iteration < bound:
         try:
-            expected = reference_step(model, state, rest)
+            stepped, drawn = reference_step(model, trace[-1], values)
         except ModelError as exc:
-            expected = exc
-        try:
-            state, drawn = step(model, state, rest)
-        except ModelError as exc:
-            # the engine's message goes on to say at which iteration
-            if not (isinstance(expected, ModelError)
-                    and str(exc).startswith(str(expected))):
-                raise AssertionError(f"step after iteration {state.iteration} "
-                                     f"raised {exc}, the reference "
-                                     f"{expected!r}")
-            raised = True
+            raised = str(exc)
             break
-        if isinstance(expected, ModelError):
-            raise AssertionError(f"the reference raised {expected} at "
-                                 f"iteration {state.iteration}, step did not")
-        if (typed(state.values), drawn) \
-                != (typed(expected[0]), expected[1]):
-            raise AssertionError(f"step to iteration {state.iteration} gave "
-                                 f"{state.values} {drawn}, the reference "
-                                 f"{expected[0]} {expected[1]}")
-        trace.append(state)
+        trace.append(State(model, stepped, trace[-1].iteration + 1))
         log.extend(drawn)
-        violated = violations(model, state)
+        violated = violations(model, trace[-1])
     drew = [entry.point_id for entry in log]
     expected = [cp.point_id for cp in points[:len(drew)]]
     if drew != expected:
-        raise AssertionError(f"engine drew {drew}, oracle expected {expected}")
-    if not check_run_path:
-        return tuple(trace), tuple(log), violated, raised
+        raise AssertionError(f"the reference drew {drew}, "
+                             f"the oracle expected {expected}")
     try:
         ran = run_path(model, bound, vector)
-    except ModelError:
-        ran = None
-    if raised != (ran is None) or not raised and (
-            [(s.iteration, typed(s.values)) for s in ran[0]], ran[1:]) \
-            != ([(s.iteration, typed(s.values)) for s in trace],
-                (tuple(log), violated)):
-        raise AssertionError(f"run_path of {vector} disagrees with its steps")
+    except ModelError as exc:
+        # the engine's message goes on to say at which iteration
+        if raised is None or not str(exc).startswith(raised):
+            raise AssertionError(f"run_path of {vector} raised {exc}, the "
+                                 f"reference {raised}") from None
+    else:
+        if raised is not None:
+            raise AssertionError(f"the reference raised {raised} on {vector}, "
+                                 "run_path did not")
+        if (typed(ran[0]), ran[1:]) != (typed(trace), (tuple(log), violated)):
+            raise AssertionError(f"run_path of {vector} disagrees with the "
+                                 "reference")
     return tuple(trace), tuple(log), violated, raised
 
 
-def flat_check(model: Model, bound: int, init_points, step_points,
-               check_run_path: bool = False) -> OracleResult:
+def flat_check(model: Model, bound: int, init_points,
+               step_points) -> OracleResult:
     points = list(init_points) + list(step_points) * bound
-    runs = 1
-    for cp in points:
-        runs *= len(cp.domain)
-    first_trace = None
+    first = None
     for paths, vector in enumerate(
             itertools.product(*(cp.domain for cp in points)), 1):
         trace, log, violated, raised = run_vector(model, bound, points,
-                                                  vector, check_run_path)
-        if raised:
-            return OracleResult(kind="ModelError", runs=runs, paths=paths)
+                                                  vector)
+        if raised is not None:
+            return OracleResult(kind="ModelError", paths=paths,
+                                message=raised)
         if violated:
-            return OracleResult(kind="Unsafe", runs=runs, paths=paths,
+            return OracleResult(kind="Unsafe", paths=paths,
                                 failed=violated[0],
                                 violation_iteration=trace[-1].iteration,
                                 choice_log=log, first_trace=trace)
-        if first_trace is None:
-            first_trace = trace
-            first_log = log
-    return OracleResult(kind="Safe", runs=runs, paths=runs,
-                        choice_log=first_log, first_trace=first_trace)
+        if first is None:
+            first = trace, log
+    return OracleResult(kind="Safe", paths=paths,
+                        choice_log=first[1], first_trace=first[0])

@@ -1,19 +1,26 @@
 """A reference transition, written from README's semantics alone.
 
 It knows nothing of how the engine steps: no position table, no view
-classes, no step plan, and no shortcut for a write that changes nothing.
-A valuation is a dict from (Group, name) to value.  The nine update
-functions run in README's order, inputs, then states, then outputs, each
-model's in environment, system, behaviour order.  Inputs see the previous
-valuation's outputs and states; a state update sees its model's new input
-and old state, and an output its new input and new state.  Every value an
-update returns is checked against its variable's domain, and a variable it
-omits keeps its value.  Environment and behaviour updates get a context of
+classes, no step plan, no views carried from step to step, and no
+shortcut for a write that changes nothing.  A valuation is a dict from
+(Group, name) to value.  `reference_initial` starts from each variable's
+initial value and draws the initialisation choices in the order `choices`
+lists them.  The nine update functions run in README's order, inputs, then
+states, then outputs, each model's in environment, system, behaviour
+order.  Inputs see the previous valuation's outputs and states; a state
+update sees its model's new input and old state, and an output its new
+input and new state.  Every value an update returns is checked against its
+variable's domain, and a variable it omits keeps its value.  An update that
+raises anything but a ModelError fails the step with `update for <group>
+raised <exception>`.  Environment and behaviour updates get a context of
 their own, which draws only the points sited at their group, and only
-during their call, however it ends.
+during their call, however it ends.  Every draw takes the next of the
+values given, or the point's first value once they run out.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from hilcheck.engine import ChoiceEntry, Group, ModelError
 
@@ -55,6 +62,18 @@ class View:
         return self._values[name]
 
 
+def _take(point, values, iteration, log):
+    """Draw `point`: the next of `values`, or its first value once they
+    run out, which must equal a candidate of the same type; logged."""
+    value = next(values, point.domain[0])
+    if not any(type(member) is type(value) and member == value
+               for member in point.domain):
+        raise ModelError(f"drew {value!r}, outside the domain of "
+                         f"'{point.point_id}'")
+    log.append(ChoiceEntry(iteration, point.point_id, value))
+    return value
+
+
 class Context:
     """Draws the points sited at one group while its update runs."""
 
@@ -70,18 +89,39 @@ class Context:
         point = self._model.choices.get(point_id)
         if not self._open or point is None or point.site is not self._group:
             raise ModelError(f"{point_id} cannot be drawn here")
-        value = next(self._values, point.domain[0])
-        if not any(type(member) is type(value) and member == value
-                   for member in point.domain):
-            raise ModelError(f"drew {value!r}, outside the domain of "
-                             f"'{point_id}'")
-        self._log.append(ChoiceEntry(self._iteration, point_id, value))
-        return value
+        return _take(point, self._values, self._iteration, self._log)
+
+
+class State(NamedTuple):
+    """A valuation at one iteration, as an assertion reads it."""
+
+    model: object
+    values: tuple        # one value per variable, in declared order
+    iteration: int
+
+    def value(self, group, name):
+        return next(value for var, value in zip(self.model.variables,
+                                                self.values)
+                    if var.group is group and var.name == name)
+
+
+def reference_initial(model, values=()):
+    """The iteration-0 values and draws, as `resolve_initial` would return
+    them: (the values in declared order, the draws)."""
+    new = {(var.group, var.name): var.init for var in model.variables}
+    values = iter(values)
+    log: list[ChoiceEntry] = []
+    for point in model.choices.values():
+        if not isinstance(point.site, Group):
+            new[point.site] = _take(point, values, 0, log)
+    return tuple(new[var.group, var.name] for var in model.variables), \
+        tuple(log)
 
 
 def reference_step(model, state, values=()):
     """The values and draws of the step after `state`, as `step` would
-    return them: (the new values in declared order, the draws)."""
+    return them: (the new values in declared order, the draws).  `state`
+    needs only its `values` and `iteration`."""
     old = {(var.group, var.name): value
            for var, value in zip(model.variables, state.values)}
     new = dict(old)
@@ -92,14 +132,20 @@ def reference_step(model, state, values=()):
         views = [View(group, {name: (new if when == "new" else old)[g, name]
                               for g, name in old if g is group})
                  for group, when in reads]
-        if target in SYSTEM:
-            returned = getattr(model.updates, update)(*views)
-        else:
-            ctx = Context(model, target, iteration, values, log)
-            try:
-                returned = getattr(model.updates, update)(*views, ctx)
-            finally:
-                ctx._open = False
+        try:
+            if target in SYSTEM:
+                returned = getattr(model.updates, update)(*views)
+            else:
+                ctx = Context(model, target, iteration, values, log)
+                try:
+                    returned = getattr(model.updates, update)(*views, ctx)
+                finally:
+                    ctx._open = False
+        except ModelError:
+            raise
+        except Exception as exc:
+            raise ModelError(f"update for {target.value} raised {exc!r}") \
+                from exc
         for name, value in returned.items():
             var = next(v for v in model.variables
                        if v.group is target and v.name == name)

@@ -16,7 +16,7 @@ from hilcheck.scenarios import SCENARIOS, build_model
 from hilcheck.trace_io import format_trace
 
 from test_acc import _closed_loop
-from test_engine_oracle import SEEDS, compare_one
+from _sweep import swept
 
 EXPECTED_VERDICTS = {
     "ideal": ("Safe", None, None, 4),
@@ -45,7 +45,7 @@ def test_criterion_2_every_scenario_explores_in_under_sixty_seconds():
 
 
 def test_criterion_3_search_agrees_with_flat_enumeration_on_random_models():
-    kinds = [compare_one(seed).kind for seed in SEEDS]
+    kinds = [model.expected.kind for model in swept("random")]
     assert len(kinds) >= 200
     assert kinds.count("Safe") >= 20
     assert kinds.count("Unsafe") >= 20

@@ -10,6 +10,7 @@ from hilcheck.engine import (Assertion, BoolDomain, ChoiceEntry, ChoicePoint,
                              UpdateFunctions, Var, probed_model,
                              register_model, resolve_initial, run_path, step)
 
+from _helpers import updates as _updates
 from _reference import reference_step
 
 
@@ -17,18 +18,6 @@ class Level(IntEnum):
     Low = 0
     Mid = 1
     High = 2
-
-
-def _noop(*views_and_ctx):
-    return {}
-
-
-def _updates(**overrides) -> UpdateFunctions:
-    fields = dict(env_input=_noop, sys_input=_noop, beh_input=_noop,
-                  env_output=_noop, sys_output=_noop, beh_output=_noop,
-                  env_state=_noop, sys_state=_noop, beh_state=_noop)
-    fields.update(overrides)
-    return UpdateFunctions(**fields)
 
 
 def _counter_model(**kwargs):

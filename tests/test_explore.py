@@ -3,22 +3,11 @@
 import pytest
 
 from hilcheck.engine import (Assertion, ChoiceEntry, ChoicePoint, Group,
-                             IntDomain, ModelError, UpdateFunctions, Var,
-                             VerdictKind, explore, probed_model,
-                             register_model, replay_counterexample,
-                             resolve_initial, step)
+                             IntDomain, ModelError, Var, VerdictKind, explore,
+                             probed_model, register_model,
+                             replay_counterexample, resolve_initial, step)
 
-
-def _noop(*args):
-    return {}
-
-
-def _updates(**overrides) -> UpdateFunctions:
-    fields = dict(env_input=_noop, sys_input=_noop, beh_input=_noop,
-                  env_output=_noop, sys_output=_noop, beh_output=_noop,
-                  env_state=_noop, sys_state=_noop, beh_state=_noop)
-    fields.update(overrides)
-    return UpdateFunctions(**fields)
+from _helpers import updates as _updates
 
 
 def _accumulator(limit: int, domain=(0, 1, 2), assertions=None):

@@ -3,18 +3,16 @@ still comes out of `explore` byte for byte, and its witness's trace reads
 back as the verdict's trace and choice log.  `tools/golden_corpus.py`
 defines the configs and rewrites the file."""
 
-import importlib.util
 from pathlib import Path
 
 import pytest
 
 from hilcheck.trace_io import export_trace, read_trace
 
+from _helpers import load
+
 ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location(
-    "golden_corpus", ROOT / "tools" / "golden_corpus.py")
-golden_corpus = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(golden_corpus)
+golden_corpus = load("golden_corpus", ROOT / "tools" / "golden_corpus.py")
 
 PAIRS = golden_corpus.corpus_configs()
 ROWS = golden_corpus.CORPUS.read_text(encoding="ascii").splitlines()

@@ -1,14 +1,12 @@
 """Smoke tests for `tools/paired_explore.py`, which times `explore` on two
 source trees loaded side by side in one process."""
 
-import importlib.util
 from pathlib import Path
 
+from _helpers import load
+
 ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location(
-    "paired_explore", ROOT / "tools" / "paired_explore.py")
-paired_explore = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(paired_explore)
+paired_explore = load("paired_explore", ROOT / "tools" / "paired_explore.py")
 
 
 def test_the_checkout_against_itself_agrees_on_ideal(capsys):

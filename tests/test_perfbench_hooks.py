@@ -3,9 +3,8 @@ functions on `hilcheck.scenarios` and `hilcheck.cli` and wraps a model's
 update functions.  These tests fail when a rename would break a traced
 benchmark run."""
 
-import importlib.util
-import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import hilcheck.cli
@@ -13,21 +12,11 @@ import hilcheck.scenarios
 from hilcheck.engine import explore
 from hilcheck.scenarios import SCENARIOS, build_model
 
+from _helpers import load
+
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
-
-def _tracing():
-    """perfbench/tracing.py, imported from its file: perfbench is a
-    directory of scripts, not a package."""
-    module = sys.modules.get("perfbench_tracing")
-    if module is None:
-        spec = importlib.util.spec_from_file_location("perfbench_tracing",
-                                                      TRACING)
-        module = importlib.util.module_from_spec(spec)
-        # dataclasses look their defining module up in sys.modules
-        sys.modules[spec.name] = module
-        spec.loader.exec_module(module)
-    return module
+_tracing = partial(load, "perfbench_tracing", TRACING)
 
 
 def test_every_swapped_name_resolves():

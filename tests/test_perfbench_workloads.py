@@ -7,9 +7,7 @@ same way, so a config or scenario change that would fail the benchmark
 fails here first.  They read `perfbench/` and change nothing in it.
 """
 
-import importlib.util
 import json
-import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,25 +17,12 @@ from hilcheck.config_io import load_config
 from hilcheck.engine import explore
 from hilcheck.scenarios import build_model
 
+from _helpers import load
+
 REPO = Path(__file__).resolve().parent.parent
 PERFBENCH = REPO / "perfbench"
 
-
-def _workloads():
-    """perfbench/workloads.py, imported from its file: perfbench is a
-    directory of scripts, not a package."""
-    module = sys.modules.get("perfbench_workloads")
-    if module is None:
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_workloads", PERFBENCH / "workloads.py")
-        module = importlib.util.module_from_spec(spec)
-        # dataclasses look their defining module up in sys.modules
-        sys.modules[spec.name] = module
-        spec.loader.exec_module(module)
-    return module
-
-
-WORKLOADS = _workloads()
+WORKLOADS = load("perfbench_workloads", PERFBENCH / "workloads.py")
 RUNS = [pytest.param(run, id=f"{name}-{run.config}")
         for name, workload in WORKLOADS.WORKLOADS.items()
         for run in workload.runs]
