@@ -32,17 +32,19 @@ point's first value once they run out.
 
 `step` is the transition alone and consumes the values it draws;
 `run_path` runs one path of steps from one sequence of values and
-evaluates the assertions once on each state.  `explore` enumerates every
-resolution of every choice point up to a bound, depth first in declared
-domain order, and reports the first violating path as a replayable
-counterexample.  A path is named by its choice log alone, the values it
-drew in order, and the search backtracks on that log.  All data is immutable,
-so paths are re-executed from the initial state rather than snapshotted;
-this keeps the search trivially correct.  An update's result depends only
-on its views and its draws, so a step that drew nothing and returned its
-input's values would do the same at every later iteration: the path has
-settled, and `run_path` repeats that valuation up to the bound without
-stepping, still evaluating the assertions at every iteration.
+evaluates the assertions once on each state it steps to.  `explore`
+enumerates every resolution of every choice point up to a bound, depth
+first in declared domain order, and reports the first violating path as a
+replayable counterexample.  A path is named by its choice log alone, the
+values it drew in order, and the search backtracks on that log.  All data
+is immutable, so paths are re-executed from the initial state rather than
+snapshotted; this keeps the search trivially correct.  One purity rule
+holds for the whole model: an update's result depends only on its views
+and its draws, and an assertion's only on a state's values, never on its
+iteration.  So a step that drew nothing and returned its input's values
+would do the same at every later iteration, on values the assertions
+already passed: the path has settled, and `run_path` ends it there,
+repeating that valuation up to the bound with no further step or assertion.
 
 A state is one flat tuple of values, one per declared variable in declared
 order.  `register_model` fixes each variable's position once, in the
@@ -285,9 +287,10 @@ ChoiceLog = tuple[ChoiceEntry, ...]
 
 @dataclass(frozen=True)
 class Assertion:
-    """A pure safety predicate over a full valuation; False means violated.
-    `assert_id` is a trace token other than `-`, which a trace header writes
-    for no failed assertion."""
+    """A pure safety predicate; False means violated.  Handed a `ModelState`,
+    it must depend only on the state's `values`, never its iteration, as
+    `run_path` ends a settled path.  `assert_id` is a trace token other
+    than `-`, which a trace header writes for no failed assertion."""
 
     assert_id: str
     predicate: Callable[["ModelState"], bool]
@@ -380,7 +383,7 @@ class UpdateFunctions:
     Each function returns a mapping from variable name to new value for its
     target group.  Variables omitted from the mapping keep their previous
     value (carry-over).  The result must depend only on the views and the
-    draws, which is what lets `run_path` stop stepping a settled path.
+    draws, which is what lets `run_path` end a settled path.
     """
 
     env_input: Callable   # (sys_output, env_state, ctx) -> mapping
@@ -746,11 +749,9 @@ def run_path(model: Model, bound: int, values: Iterable[Value] = ()
     built again only after an update changed its group.
 
     A step that drew nothing and returned its input's values has settled
-    the path: every later step would see the same views, draw nothing and
-    return the same values again.  From then on each iteration repeats
-    that valuation, sharing its tuple, without calling `step`.  Either
-    way the assertions run once on every state, since they see the
-    iteration.
+    the path: every later step would return the same values again, on
+    which the assertions, reading only values, already held.  So the path
+    ends there, its valuation repeated to the bound, sharing its tuple.
     """
     values = iter(values)
     state, entries = resolve_initial(model, values)
@@ -758,16 +759,15 @@ def run_path(model: Model, bound: int, values: Iterable[Value] = ()
     snapshots = [state]
     log = list(entries)
     violated = _eval_assertions(model, state)
-    settled = False
     while not violated and state.iteration < bound:
-        if settled:
-            state = ModelState(state.values, state.iteration + 1, model.layout)
-        else:
-            stepped, drawn = _step(model, state, views, values)
-            settled = not drawn and stepped.values == state.values
-            state = stepped
-            log.extend(drawn)
+        stepped, drawn = _step(model, state, views, values)
+        if not drawn and stepped.values == state.values:
+            snapshots.extend(ModelState(state.values, i, model.layout)
+                             for i in range(state.iteration + 1, bound + 1))
+            break
+        state = stepped
         snapshots.append(state)
+        log.extend(drawn)
         violated = _eval_assertions(model, state)
     return tuple(snapshots), tuple(log), violated
 

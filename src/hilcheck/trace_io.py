@@ -183,14 +183,16 @@ def read_trace(path, model: Model) -> TraceFile:
     The model supplies variable domains, so values come back as the same
     ints, bools, and enumeration members that produced the file.  The first
     record must be the header, and each record must hold exactly its kind's
-    fields in the order `format_trace` writes them: `line N: a <kind> record
-    has the fields ...` otherwise.  A value outside its variable's or choice
-    point's domain is an error, as are a header whose values `format_trace`
-    would not write for the model (see `_check_header`), a second header,
-    an unknown record kind or choice point, a choice that does not come
-    right before the state of its iteration, and states that do not reach
-    as far as the header's verdict and bound say (see `_check_bound`).  The
-    header's values come back as the strings the file holds.
+    fields, one space apart, in the order `format_trace` writes them: `line
+    N: a <kind> record has the fields ...` otherwise, or another error of
+    that line for any other whitespace, a blank line among them.  A value
+    outside its variable's or choice point's domain is an error, as are a
+    header whose values `format_trace` would not write for the model (see
+    `_check_header`), a second header, an unknown record kind or choice
+    point, a choice that does not come right before the state of its
+    iteration, and states that do not reach as far as the header's verdict
+    and bound say (see `_check_bound`).  The header's values come back as
+    the strings the file holds.
     """
     header_keys, choice_keys = _keys(_HEADER_FIELDS), _keys(_CHOICE_FIELDS)
     state_keys = _keys(("iter", *model.variables))
@@ -204,10 +206,7 @@ def read_trace(path, model: Model) -> TraceFile:
     choices: list[ChoiceEntry] = []
     with open(path, encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):
-            fields = line.split()
-            if not fields:
-                continue
-            kind, *tokens = fields
+            kind, *tokens = line.removesuffix("\n").split(" ")
             try:
                 if header is None:
                     if kind != "header":

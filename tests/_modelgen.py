@@ -19,9 +19,12 @@ wrapping, and its states climb by at most one a step, so most paths reach a
 fixed point within its longer bound, some variables still changing after
 the rest have stopped.  Its variables are declared in a shuffled order, so
 such a variable can sit at any position.  It has no step point or one,
-whose draws the saturated state absorbs, and may have an assertion that
-fails only from some iteration on, at a capped variable, so a violation can
-come after the path has settled.
+whose draws the saturated state absorbs.  It may have a clock: a variable
+`t` of a state group, at any position, that counts the steps up to a cap
+`late`, and an assertion that fails once the clock is at its cap while a
+variable is at its own, so a violation can come late, after the rest of
+the state has stopped.  Assertions read only a state's values, so the
+clock is what a late one reads.
 
 A raising model's drawing updates keep their contexts, and each call first
 tries to draw through the one its update kept last, which must be refused.
@@ -151,6 +154,13 @@ def generate(seed: int, max_runs: int = 400, settling: bool = False,
         return clamp(name, coeff[name] * own + rest)
 
     kept: dict[tuple[Group, type], object] = {}
+    # the state group holding a settling model's clock `t`, and its cap
+    clock: dict[Group, int] = {}
+
+    def tick(group: Group, view) -> dict:
+        """The clock's next value if `group` holds it: one more a step, up
+        to its cap."""
+        return {"t": min(clock[group], view.t + 1)} if group in clock else {}
 
     def drawn(ctx, slot: Group, rest: int) -> int:
         """`rest` plus the values `slot` draws.  A raising model's update
@@ -198,14 +208,17 @@ def generate(seed: int, max_runs: int = 400, settling: bool = False,
 
     def env_state(ei, e, ctx):
         return {"e": accumulate("e", e.e, drawn(ctx, Group.ENV_STATE,
-                                                ei.ei + offset["e"]))}
+                                                ei.ei + offset["e"])),
+                **tick(Group.ENV_STATE, e)}
 
     def sys_state(si, s):
-        return {"s": accumulate("s", s.s, si.si + offset["s"])}
+        return {"s": accumulate("s", s.s, si.si + offset["s"]),
+                **tick(Group.SYS_STATE, s)}
 
     def beh_state(bi, b, ctx):
         return {"b": accumulate("b", b.b, drawn(ctx, Group.BEH_STATE,
-                                                bi.bi + offset["b"]))}
+                                                bi.bi + offset["b"])),
+                **tick(Group.BEH_STATE, b)}
 
     updates = UpdateFunctions(
         env_input=env_input, sys_input=sys_input, beh_input=beh_input,
@@ -239,21 +252,29 @@ def generate(seed: int, max_runs: int = 400, settling: bool = False,
             return total % modulus != forbidden
 
         assertions.append(Assertion(f"a{k}", pred))
+    late = None
     if settling and rng.random() < 0.5:
         group, name = rng.choice(list(_SLOT_VAR.items()))
         late = rng.randint(2, bound)
-
-        def capped_late(state, group=group, name=name, late=late):
-            return (state.iteration < late
-                    or state.value(group, name) < caps[name])
-
-        assertions.append(Assertion("late", capped_late))
 
     # shuffled last, so every earlier draw of rng is as it was
     rng.shuffle(choices)
     if settling:
         rng.shuffle(variables)
     modulus = rng.randint(1, 2) if raising else None
+    if late is not None:
+        # the clock after every other draw, so the family's models without
+        # one are as they were
+        at = rng.choice((Group.ENV_STATE, Group.SYS_STATE, Group.BEH_STATE))
+        variables.insert(rng.randint(0, len(variables)),
+                         Var("t", at, IntDomain(0, late), 0))
+        clock[at] = late
+
+        def capped_late(state, group=group, name=name, late=late, at=at):
+            return (state.value(at, "t") < late
+                    or state.value(group, name) < caps[name])
+
+        assertions.append(Assertion("late", capped_late))
     model = register_model(variables=variables, updates=updates,
                            choices=choices, assertions=assertions,
                            name=f"gen{seed}")

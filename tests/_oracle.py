@@ -5,14 +5,16 @@ Enumerates the full cartesian product of every choice domain over the bound
 (valid because generated models draw on a fixed schedule), runs each vector
 through the reference of `_reference.py` alone, `reference_initial` and
 then `reference_step` at every iteration, also where the engine's
-`run_path` has found the path settled and repeats its state, evaluates the
-assertions with its own code, checks that the draws came from the vector's
-points in order, and reports what an exhaustive search must find.  It
-shares only `run_path` with the engine, the path runner `explore` runs:
-on every vector, `run_path` must give the reference's states, with their
-values' types, its draws and its violations, or raise where the reference
-raises, with its message.  A vector whose reference run raises a
-ModelError ends the search there, as a failing path ends `explore`.
+`run_path` has found the path settled and ended it, repeating its state,
+evaluates the assertions with its own code on every state, checks that the
+draws came from the vector's points in order, and reports what an
+exhaustive search must find.  It shares only `run_path` with the engine,
+the path runner `explore` runs, and calls it through the engine's module,
+so a stand-in put there for a test is what it checks: on every vector,
+`run_path` must give the reference's states, with their values' types, its
+draws and its violations, or raise where the reference raises, with its
+message.  A vector whose reference run raises a ModelError ends the search
+there, as a failing path ends `explore`.
 
 `FAMILIES` names each family of generated models the oracle checks: its
 generator, its seeds and the pinned count of each outcome.
@@ -25,7 +27,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-from hilcheck.engine import Model, ModelError, run_path
+from hilcheck import engine
+from hilcheck.engine import Model, ModelError
 
 from _modelgen import GeneratedModel, generate, generate_write_path
 from _reference import State, reference_initial, reference_step
@@ -104,7 +107,7 @@ def run_vector(model: Model, bound: int, points, vector):
         raise AssertionError(f"the reference drew {drew}, "
                              f"the oracle expected {expected}")
     try:
-        ran = run_path(model, bound, vector)
+        ran = engine.run_path(model, bound, vector)
     except ModelError as exc:
         # the engine's message goes on to say at which iteration
         if raised is None or not str(exc).startswith(raised):

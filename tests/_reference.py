@@ -93,7 +93,7 @@ class Context:
 
 
 class State(NamedTuple):
-    """A valuation at one iteration, as an assertion reads it."""
+    """A valuation at one iteration; an assertion reads only its values."""
 
     model: object
     values: tuple        # one value per variable, in declared order

@@ -292,7 +292,9 @@ def test_the_trial_step_runs_even_when_the_initial_state_violates():
     with pytest.raises(ModelError, match="update for env_state raised"):
         _counter_model(updates=_updates(env_state=broken), assertions=[never])
 
-    later = Assertion("Later", lambda s: s.iteration > 0 and 1 // 0 == 0)
+    # n is 0 in the initial state and first changes at step 1
+    later = Assertion("Later", lambda s: s.value(Group.ENV_STATE, "n") > 0
+                      and 1 // 0 == 0)
     with pytest.raises(ModelError, match="assertion 'Later' raised "
                                          ".* at iteration 1"):
         _counter_model(assertions=[never, later])

@@ -249,30 +249,36 @@ def test_probe_leaves_original_model_unchanged():
 
 def test_settled_path_repeats_its_state_without_stepping():
     # the counter saturates at 3 after three steps; the fourth step returns
-    # its input and draws nothing, so no later iteration calls an update
-    calls = []
+    # its input and draws nothing, so the path ends there: no later
+    # iteration calls an update or an assertion, and the trace repeats the
+    # settled state to the bound
+    calls, checked = [], []
 
     def env_state(ei, e, ctx):
         calls.append(e.n)
         return {"n": min(3, e.n + 1)}
 
+    def capped(s):
+        checked.append(s.value(Group.ENV_STATE, "n"))
+        return s.value(Group.ENV_STATE, "n") <= 3
+
     model = register_model(
         variables=[Var("n", Group.ENV_STATE, IntDomain(0, 9), 0)],
         updates=_updates(env_state=env_state),
-        assertions=[Assertion("Early", lambda s: s.iteration < 7)])
+        assertions=[Assertion("Capped", capped)])
     calls.clear()
+    checked.clear()
     verdict = explore(model, 10)
     assert calls == [0, 1, 2, 3]
-    assert verdict.kind is VerdictKind.Unsafe
-    assert verdict.failed_assertion == "Early"
+    assert checked == [0, 1, 2, 3]   # once per state evaluated
+    assert verdict.kind is VerdictKind.Safe
     assert verdict.paths_explored == 1
-    assert [s.iteration for s in verdict.trace] == list(range(8))
+    assert [s.iteration for s in verdict.trace] == list(range(11))
 
     stepped = [resolve_initial(model)[0]]
-    for _ in range(7):
+    for _ in range(10):
         stepped.append(step(model, stepped[-1])[0])
     assert verdict.trace == tuple(stepped)
-    assert replay_counterexample(model, verdict) == verdict.trace
 
 
 def test_a_state_that_draws_keeps_stepping_after_it_repeats():

@@ -11,9 +11,9 @@ import hilcheck.scenarios
 from hilcheck.acc import AccCommand, ControlMode, compute_safe_stopping
 from hilcheck.behaviour import (FatigueLevel, InputMode, IntegratorOp,
                                 perception_from_fatigue, set_reaction_time)
-from hilcheck.engine import (ChoiceEntry, Group, ModelError, VerdictKind,
-                             explore, probed_model, replay_counterexample,
-                             resolve_initial, run_path)
+from hilcheck.engine import (ChoiceEntry, Group, ModelError, ModelState,
+                             VerdictKind, explore, probed_model,
+                             replay_counterexample, resolve_initial, run_path)
 from hilcheck.environment import RoutePoint, Terrain
 from hilcheck.scenarios import (DEFAULT_ROUTE, SCENARIOS, ScenarioConfig,
                                 build_model, fatigue_tables, is_okay)
@@ -81,7 +81,8 @@ def test_the_assertions_agree_with_their_statements_on_a_presets_trace(
         preset):
     """The assertions read their values by position; on every state of the
     preset's trace they say what is_okay and the plain `state.value`
-    statement say."""
+    statement say, and the same at any other iteration, as they read only
+    the state's values."""
     config = SCENARIOS[preset]
     model = build_model(config)
     verdict = explore(model, config.bound)
@@ -101,6 +102,9 @@ def test_the_assertions_agree_with_their_statements_on_a_presets_trace(
         for assertion in model.assertions:
             said = statements[assertion.assert_id]
             assert assertion.predicate(state) is said
+            for other in (0, 1, state.iteration + 1, config.bound, 10**6):
+                assert assertion.predicate(ModelState(
+                    state.values, other, model.layout)) is said
             seen.add((assertion.assert_id, said))
     assert {(a.assert_id, True) for a in model.assertions} <= seen
     if verdict.failed_assertion:
@@ -275,6 +279,19 @@ def test_forced_single_operator_keeps_ideal_safe():
         assert verdict.kind is VerdictKind.Safe, op
         assert verdict.paths_explored == 1
         assert verdict.choice_log == ()     # nothing left to draw
+
+
+def test_two_operators_are_an_integrator_choice():
+    # two is already a choice: the path count doubles against either alone
+    pair = (IntegratorOp.Max, IntegratorOp.Min)
+    model = build_model(replace(SCENARIOS["ideal"], operators=pair))
+    assert model.choices["integrator"].domain == pair
+    assert model.choices["integrator"].site == (Group.BEH_STATE, "combine_op")
+    alone = [explore(build_model(replace(SCENARIOS["ideal"], operators=(op,))),
+                     100).paths_explored for op in pair]
+    verdict = explore(model, 100)
+    assert verdict.kind is VerdictKind.Safe
+    assert verdict.paths_explored == 2 * alone[0] == 2 * alone[1] == 2
 
 
 # --- probing ----------------------------------------------------------------

@@ -1,17 +1,21 @@
-"""Mutants of the engine's step that the oracle must kill.
+"""Mutants of the engine's step and path runner that the oracle must kill.
 
-Each mutant edits one snippet of `engine._step`'s source, compiles the
-result in a copy of the engine's namespace, and puts it in place of
-`_step` for one test, which `step` and `run_path` then call.  An uncached
-sweep of the named oracle family must fail under it, at its first failing
-model, with an AssertionError of the oracle's, or with the ModelError of a
-generated model's own check where its registration's trial step already
-draws through a context it must not.  Each snippet must occur exactly once
-in `_step`, so a rewrite of `_step` that drops or repeats one fails here,
-loudly, until its mutant is written again.  The unedited copy, compiled the
-same way, is the engine's `_step`, instruction for instruction.
+Each mutant edits one snippet of the source of a named engine function,
+`_step` or `run_path`, compiles the result in a copy of the engine's
+namespace, and puts it in place of that function for one test: `step` and
+`run_path` call `_step` through the engine's namespace, and `explore`,
+`replay_counterexample` and the oracle call `run_path` through it.  An
+uncached sweep of the named oracle family must fail under it, at its first
+failing model, with an AssertionError of the oracle's, or with the
+ModelError of a generated model's own check where its registration's trial
+step already draws through a context it must not.  Each snippet must
+occur exactly once in its function, so a rewrite that drops or repeats one
+fails here, loudly, until its mutant is written again.  Each unedited
+copy, compiled the same way, is the engine's own function, instruction for
+instruction.
 """
 
+import __future__
 import inspect
 
 import pytest
@@ -21,42 +25,41 @@ from hilcheck.engine import ModelError
 
 from _sweep import sweep
 
-SOURCE = inspect.getsource(engine._step)
-
-# (name, snippet, its replacement, the family whose sweep must fail, how)
+# (name, function, snippet, its replacement, the family whose sweep must
+# fail, how)
 MUTANTS = [
-    ("== for is",
+    ("== for is", "_step",
      "if value is current[pos]:",
      "if value == current[pos]:",
      "write-path", AssertionError),
-    ("no rebuild after a changed write",
+    ("no rebuild after a changed write", "_step",
      "        if changed:\n",
      "        if False:\n",
      "random", AssertionError),
-    ("rebuild at the wrong group",
+    ("rebuild at the wrong group", "_step",
      "group_views[index]\n            views[index] =",
      "group_views[index - 1]\n            views[index - 1] =",
      "random", AssertionError),
-    ("changed flag taken from the last write only",
+    ("changed flag taken from the last write only", "_step",
      "        for var_name, value in items:\n",
      "        for var_name, value in items:\n            changed = False\n",
      "write-path", AssertionError),
-    ("one context shared per step",
+    ("one context shared per step", "_step",
      "ctx = StepContext(model, iteration, values, target, entries)\n",
      "ctx = (locals().get('ctx')\n"
      "                       or StepContext(model, iteration, values, target,"
      " entries))\n"
      "                ctx._site = target\n",
      "write-path", ModelError),
-    ("carried view left stale",
+    ("carried view left stale", "_step",
      "    current = list(state.values)\n",
      "    current = list(state.values)\n    views = list(views)\n",
      "random", AssertionError),
-    ("context never closed",
+    ("context never closed", "_step",
      "ctx._site = None   # closed however the call ended",
      "pass",
      "raising", AssertionError),
-    ("context closed only on return",
+    ("context closed only on return", "_step",
      "                try:\n"
      "                    returned = fn(*reads(views), ctx)\n"
      "                finally:\n"
@@ -64,30 +67,58 @@ MUTANTS = [
      "                returned = fn(*reads(views), ctx)\n"
      "                ctx._site = None\n",
      "raising", AssertionError),
+    ("path settled though the step drew", "run_path",
+     "if not drawn and stepped.values == state.values:",
+     "if stepped.values == state.values:",
+     "settling", AssertionError),
+    ("settled tail one state short", "run_path",
+     "range(state.iteration + 1, bound + 1)",
+     "range(state.iteration + 1, bound)",
+     "settling", AssertionError),
+    ("settle test against the stepped state itself", "run_path",
+     "stepped.values == state.values",
+     "stepped.values == stepped.values",
+     "random", AssertionError),
 ]
 
+# the functions the mutants edit
+FUNCTIONS = tuple(dict.fromkeys(mutant[1] for mutant in MUTANTS))
 
-def compiled(source: str):
-    """`_step` compiled from `source` in a copy of the engine's namespace."""
+
+def source(name: str) -> str:
+    """The function's source, after as many blank lines as the engine's
+    lines above it, so a copy's code starts at the engine's own line."""
+    lines, first = inspect.getsourcelines(getattr(engine, name))
+    return "\n" * (first - 1) + "".join(lines)
+
+
+def compiled(name: str, text: str):
+    """Function `name` compiled from `text` as the engine is, postponed
+    annotations and all, in a copy of the engine's namespace."""
     namespace = dict(vars(engine))
-    exec(compile(source, engine.__file__, "exec"), namespace)
-    return namespace["_step"]
+    exec(compile(text, engine.__file__, "exec",
+                 flags=__future__.annotations.compiler_flag,
+                 dont_inherit=True), namespace)
+    return namespace[name]
 
 
-@pytest.mark.parametrize("snippet, replacement, family, failure",
+@pytest.mark.parametrize("function, snippet, replacement, family, failure",
                          [mutant[1:] for mutant in MUTANTS],
                          ids=[mutant[0] for mutant in MUTANTS])
-def test_the_oracle_kills_the_mutant(snippet, replacement, family, failure,
-                                     monkeypatch):
-    assert SOURCE.count(snippet) == 1
-    monkeypatch.setattr(engine, "_step",
-                        compiled(SOURCE.replace(snippet, replacement)))
+def test_the_oracle_kills_the_mutant(function, snippet, replacement, family,
+                                     failure, monkeypatch):
+    text = source(function)
+    assert text.count(snippet) == 1
+    monkeypatch.setattr(engine, function,
+                        compiled(function, text.replace(snippet, replacement)))
     with pytest.raises(failure):
         sweep(family)
 
 
-def test_the_unedited_copy_compiles_to_the_engine_s_step():
-    copy = compiled(SOURCE).__code__
-    assert (copy.co_code, copy.co_consts, copy.co_names) \
-        == (engine._step.__code__.co_code, engine._step.__code__.co_consts,
-            engine._step.__code__.co_names)
+@pytest.mark.parametrize("function", FUNCTIONS)
+def test_each_unedited_copy_compiles_to_the_engine_s_own(function):
+    copy = compiled(function, source(function)).__code__
+    own = getattr(engine, function).__code__
+    # code objects compare by instructions, constants (nested code among
+    # them), names, flags and line table
+    assert copy == own
