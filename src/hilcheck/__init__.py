@@ -12,8 +12,8 @@ from .acc import (AccCommand, ControlMode, acc_decide, adaptive_separation,
 from .behaviour import (FatigueLevel, InputMode, IntegratorOp, hp_function,
                         integrate, perception_from_fatigue, set_driver_fatigue,
                         set_reaction_time, time_severity)
-from .engine import (Assertion, BoolDomain, ChoiceEntry, ChoicePoint, Group,
-                     IntDomain, Model, ModelError, ModelState, SymbolicDomain,
+from .engine import (Assertion, ChoiceEntry, ChoicePoint, Group, IntDomain,
+                     Member, Model, ModelError, ModelState, SymbolicDomain,
                      UpdateFunctions, Var, Verdict, VerdictKind, explore,
                      probed_model, register_model, replay_counterexample,
                      resolve_initial, run_path, step)

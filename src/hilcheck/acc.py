@@ -9,26 +9,19 @@ vehicle itself is just its `(speed, gap)` pair.
 
 from __future__ import annotations
 
-from enum import Enum
-
 from .behaviour import FatigueLevel
+from .engine import Member
 
 
-class AccCommand(Enum):
+class AccCommand(Member):
     Accelerate = "Accelerate"
     Maintain = "Maintain"
     Decelerate = "Decelerate"
 
-    # members are singletons, so identity hashing is exact and runs in C
-    __hash__ = object.__hash__
 
-
-class ControlMode(Enum):
+class ControlMode(Member):
     Manual = "Manual"
     Engaged = "Engaged"
-
-    # members are singletons, so identity hashing is exact and runs in C
-    __hash__ = object.__hash__
 
 
 # how far one command moves the speed

@@ -10,49 +10,41 @@ degrades linearly with fatigue on a small bounded health-point scale.
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import TYPE_CHECKING
+
+from .engine import Member
 
 if TYPE_CHECKING:
     from .scenarios import ScenarioConfig
 
 
-class FatigueLevel(Enum):
+class FatigueLevel(Member):
     """Ordered driver fatigue scale; a higher value is worse."""
 
     Normal = 0
     Tired = 1
     Exhausted = 2
 
-    # members are singletons, so identity hashing is exact and runs in C
-    __hash__ = object.__hash__
-
 
 # the levels in order: a severity 0..2 is its level's index
 _LEVELS = tuple(FatigueLevel)
 
 
-class InputMode(Enum):
+class InputMode(Member):
     """How the driver interacts with the vehicle controls."""
 
     GamePad = "GamePad"
     Speech = "Speech"
     MultiModal = "MultiModal"
 
-    # members are singletons, so identity hashing is exact and runs in C
-    __hash__ = object.__hash__
 
-
-class IntegratorOp(Enum):
+class IntegratorOp(Member):
     """Two-argument combiners for merging severity signals."""
 
     Max = "Max"
     Min = "Min"
     Sum = "Sum"
     RoundedMean = "RoundedMean"
-
-    # members are singletons, so identity hashing is exact and runs in C
-    __hash__ = object.__hash__
 
 
 _MODE_BASE = {

@@ -14,8 +14,7 @@ from dataclasses import replace
 from .acc import ControlMode
 from .behaviour import InputMode, IntegratorOp
 from .environment import RoutePoint, Terrain
-from .scenarios import (CALCULATED, DEFAULT_ROUTE_LENGTH, PROBED, SCENARIOS,
-                        ScenarioConfig)
+from .scenarios import DEFAULT_ROUTE_LENGTH, SCENARIOS, ScenarioConfig
 from .trace_io import canonical_int
 
 
@@ -89,8 +88,8 @@ _KEYS = {
     "controlMode": ("control_mode",
                     _one_of({"engaged": ControlMode.Engaged,
                              "manual": ControlMode.Manual, "nondet": None})),
-    "fatigueSource": ("fatigue_source",
-                      _one_of({CALCULATED: CALCULATED, PROBED: PROBED})),
+    "fatigueSource": ("fatigue_pinned",
+                      _one_of({"calculated": False, "probed": True})),
     "separation": ("adaptive_target",
                    _one_of({"adaptive": True, "fixed": False})),
     "operators": ("operators", parse_operators),

@@ -108,7 +108,14 @@ def label_of(value: Value) -> str:
     return value
 
 
-class Group(Enum):
+class Member(Enum):
+    """The base of every closed vocabulary a model declares: members are
+    singletons, so identity hashing is exact and runs in C."""
+
+    __hash__ = object.__hash__
+
+
+class Group(Member):
     """The nine variable groups of the control loop."""
 
     ENV_INPUT = "env_in"
@@ -120,9 +127,6 @@ class Group(Enum):
     BEH_INPUT = "beh_in"
     BEH_OUTPUT = "beh_out"
     BEH_STATE = "beh_state"
-
-    # members are singletons, so identity hashing is exact and runs in C
-    __hash__ = object.__hash__
 
 
 SYSTEM_GROUPS = frozenset({Group.SYS_INPUT, Group.SYS_OUTPUT, Group.SYS_STATE})
@@ -154,15 +158,6 @@ class IntDomain:
 
     def values(self) -> tuple[Value, ...]:
         return tuple(range(self.lo, self.hi + 1))
-
-
-@dataclass(frozen=True)
-class BoolDomain:
-    def contains(self, v: Value) -> bool:
-        return type(v) is bool
-
-    def values(self) -> tuple[Value, ...]:
-        return (False, True)
 
 
 @dataclass(frozen=True)
@@ -207,7 +202,7 @@ class SymbolicDomain:
         return self.members
 
 
-Domain = IntDomain | BoolDomain | SymbolicDomain
+Domain = IntDomain | SymbolicDomain
 
 
 @dataclass(frozen=True)
@@ -231,8 +226,8 @@ class Var:
             raise ModelError(f"variable {self.name!r} needs a Group, "
                              f"got {self.group!r}")
         if not isinstance(self.domain, Domain):
-            raise ModelError(f"variable {self.name!r} needs an IntDomain, "
-                             f"BoolDomain or SymbolicDomain, got {self.domain!r}")
+            raise ModelError(f"variable {self.name!r} needs an IntDomain or "
+                             f"a SymbolicDomain, got {self.domain!r}")
         if not self.domain.contains(self.init):
             raise ModelError(f"initial value {self.init!r} outside the domain "
                              f"of {self}")

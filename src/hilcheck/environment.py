@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from enum import Enum
+
+from .engine import Member
 
 # obstacle density and curvature run 0..MAX; from HARD up a segment is
 # demanding
@@ -25,12 +26,9 @@ HARD_OBSTACLE = 2
 HARD_CURVATURE = 2
 
 
-class Terrain(Enum):
+class Terrain(Member):
     offRoad = "offRoad"
     onRoad = "onRoad"
-
-    # members are singletons, so identity hashing is exact and runs in C
-    __hash__ = object.__hash__
 
 
 # a drawn route picks each field of each segment from these candidates, in

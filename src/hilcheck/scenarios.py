@@ -30,9 +30,9 @@ from .acc import (AccCommand, ControlMode, acc_decide, adaptive_separation,
 from .behaviour import (FatigueLevel, InputMode, IntegratorOp,
                         perception_from_fatigue, set_driver_fatigue,
                         set_reaction_time)
-from .engine import (Assertion, BoolDomain, ChoicePoint, Group, IntDomain,
-                     Model, ModelError, ModelState, SymbolicDomain,
-                     UpdateFunctions, Var, check_token, register_model)
+from .engine import (Assertion, ChoicePoint, Group, IntDomain, Model,
+                     ModelError, ModelState, SymbolicDomain, UpdateFunctions,
+                     Var, check_token, register_model)
 from .environment import (MAX_CURVATURE, MAX_OBSTACLE, MAX_ROUTE_LENGTH,
                           ROUTE_CANDIDATES, RoutePoint, Terrain, advance_route,
                           point_difficulty)
@@ -41,9 +41,6 @@ ALL_OPERATORS = tuple(IntegratorOp)
 ALL_MODES = tuple(ControlMode)
 ALL_COMMANDS = tuple(AccCommand)
 ALL_FATIGUE = tuple(FatigueLevel)
-
-CALCULATED = "calculated"
-PROBED = "probed"
 
 DEFAULT_BOUND = 100
 
@@ -74,6 +71,8 @@ class ScenarioConfig:
     request either mode each iteration.  `adaptive_target` selects whether
     the cruise preset follows fatigue or stays at the base separation; the
     safety property always uses the fatigue-adjusted floor either way.
+    `fatigue_pinned` holds the driver's fatigue at its initial level, for a
+    probe to set, instead of working it out from time and terrain.
     `fast < okay < slow` are the driver's base reaction latencies with
     multi-modal, game-pad and speech input, and `n_factor <= t_factor <=
     e_factor` their multipliers at each fatigue level.  Every config that
@@ -87,7 +86,7 @@ class ScenarioConfig:
     route_length: int | None = None
     control_mode: ControlMode | None = ControlMode.Engaged
     command_domain: tuple[AccCommand, ...] = ALL_COMMANDS
-    fatigue_source: str = CALCULATED
+    fatigue_pinned: bool = False
     adaptive_target: bool = True
     operators: tuple[IntegratorOp, ...] = ALL_OPERATORS
     separation_only: bool = False
@@ -145,8 +144,6 @@ class ScenarioConfig:
             raise ValueError("a route needs at least one segment")
         if self.route is None and not 1 <= self.route_length <= MAX_ROUTE_LENGTH:
             raise ValueError(f"a drawn route has 1..{MAX_ROUTE_LENGTH} segments")
-        if self.fatigue_source not in (CALCULATED, PROBED):
-            raise ValueError(f"unknown fatigue source {self.fatigue_source!r}")
         if not self.operators:
             raise ValueError("at least one integrator operator is required")
         if len(set(self.operators)) != len(self.operators):
@@ -199,7 +196,7 @@ _MODE_DOM = SymbolicDomain(ALL_MODES)
 _COMMAND_DOM = SymbolicDomain(ALL_COMMANDS)
 _FATIGUE_DOM = SymbolicDomain(ALL_FATIGUE)
 _TERRAIN_DOM = SymbolicDomain(tuple(Terrain))
-_BOOL_DOM = BoolDomain()
+_BOOL_DOM = SymbolicDomain((False, True))
 _OBSTACLE_DOM = IntDomain(0, MAX_OBSTACLE)
 _CURVATURE_DOM = IntDomain(0, MAX_CURVATURE)
 
@@ -300,7 +297,7 @@ def build_model(config: ScenarioConfig) -> Model:
             time_driven = beh_state.time_driven
         else:
             time_driven = min(beh_state.time_driven + 1, config.time_cap)
-        if config.fatigue_source == PROBED:
+        if config.fatigue_pinned:
             fatigue = beh_state.fatigue
         else:
             fatigue = set_driver_fatigue(time_driven, beh_in.terrain_difficulty,
@@ -453,7 +450,7 @@ SCENARIOS = {
         adaptive_target=False),
     # probe fixture: fatigue pinned, speech only, separation checked alone
     "reaction-probe": ScenarioConfig(
-        name="reaction-probe", route=DEFAULT_ROUTE, fatigue_source=PROBED,
+        name="reaction-probe", route=DEFAULT_ROUTE, fatigue_pinned=True,
         adaptive_target=False, separation_only=True,
         operators=(IntegratorOp.Max,), input_mode=InputMode.Speech),
 }

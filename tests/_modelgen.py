@@ -26,6 +26,11 @@ variable is at its own, so a violation can come late, after the rest of
 the state has stopped.  Assertions read only a state's values, so the
 clock is what a late one reads.
 
+A late-failing model is a random one whose only assertion is such a clock
+one: it fails once the clock, capped at 1 to the bound, is at its cap
+while two residues of pairwise sums meet, a conjunction that the first
+path seldom reaches.
+
 A raising model's drawing updates keep their contexts, and each call first
 tries to draw through the one its update kept last, which must be refused.
 On some branches where a point drew its last candidate, never on the path
@@ -37,13 +42,15 @@ that raised.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
-from hilcheck.engine import (Assertion, BoolDomain, ChoicePoint, Group,
-                             IntDomain, ModelError, SymbolicDomain,
-                             UpdateFunctions, Var, register_model)
+from hilcheck.engine import (Assertion, ChoicePoint, Group, IntDomain,
+                             ModelError, SymbolicDomain, UpdateFunctions, Var,
+                             register_model)
 
+from _helpers import noop
 from _reference import ORDER
 
 # slots that may draw, in the order the engine executes them
@@ -120,9 +127,11 @@ def _draw_layout(rng: random.Random, bound: int, max_runs: int,
 
 
 def generate(seed: int, max_runs: int = 400, settling: bool = False,
-             raising: bool = False) -> GeneratedModel:
+             raising: bool = False, late_failing: bool = False
+             ) -> GeneratedModel:
     """Build one random model whose complete-run count is at most max_runs;
-    a settling one if `settling`, a raising one if `raising`."""
+    a settling one if `settling`, a raising one if `raising`, a late-failing
+    one if `late_failing`."""
     rng = random.Random(seed)
 
     caps = {name: rng.randint(2, 9 if settling else 6)
@@ -238,7 +247,10 @@ def generate(seed: int, max_runs: int = 400, settling: bool = False,
         choices.append(ChoicePoint(f"init{k}", dom, site=(group, name)))
 
     assertions = []
-    n_asserts = rng.randint(0, 1) if settling else rng.randint(1, 2)
+    if late_failing:
+        n_asserts = 0
+    else:
+        n_asserts = rng.randint(0, 1) if settling else rng.randint(1, 2)
     for k in range(n_asserts):
         watched = rng.sample(list(_SLOT_VAR.items()), 3)
         weights = [rng.randint(0, 2) for _ in watched]
@@ -257,6 +269,18 @@ def generate(seed: int, max_runs: int = 400, settling: bool = False,
         group, name = rng.choice(list(_SLOT_VAR.items()))
         late = rng.randint(2, bound)
 
+        def met(state, group=group, name=name):
+            return state.value(group, name) >= caps[name]
+    elif late_failing:
+        late = rng.randint(1, bound)
+        moduli = [rng.randint(2, 4) for _ in range(2)]
+        residues = [(rng.sample(list(_SLOT_VAR.items()), 2), m,
+                     rng.randrange(m)) for m in moduli]
+
+        def met(state, residues=residues):
+            return all(sum(state.value(group, name) for group, name in pair)
+                       % m == residue for pair, m, residue in residues)
+
     # shuffled last, so every earlier draw of rng is as it was
     rng.shuffle(choices)
     if settling:
@@ -270,9 +294,8 @@ def generate(seed: int, max_runs: int = 400, settling: bool = False,
                          Var("t", at, IntDomain(0, late), 0))
         clock[at] = late
 
-        def capped_late(state, group=group, name=name, late=late, at=at):
-            return (state.value(at, "t") < late
-                    or state.value(group, name) < caps[name])
+        def capped_late(state, late=late, at=at):
+            return state.value(at, "t") < late or not met(state)
 
         assertions.append(Assertion("late", capped_late))
     model = register_model(variables=variables, updates=updates,
@@ -283,6 +306,59 @@ def generate(seed: int, max_runs: int = 400, settling: bool = False,
         init_points=tuple(cp for cp in choices
                           if not isinstance(cp.site, Group)),
         step_points=tuple(step_points))
+
+
+_STATES = (Group.ENV_STATE, Group.SYS_STATE, Group.BEH_STATE)
+
+
+def generate_cycling(seed: int) -> GeneratedModel:
+    """Build one random model whose paths return to their initial
+    valuation before the bound.
+
+    Only the three state groups hold a variable, a counter that steps by
+    one modulo its cap plus one, and no update draws, so from any start a
+    path's valuation comes back after the least common multiple of the
+    moduli, a period of 2 to 12 steps, and the bound runs one to three
+    steps past it.  Up to two initialisation points draw counters'
+    starting values, and up to one assertion forbids a residue of a
+    weighted sum of the counters.
+    """
+    rng = random.Random(seed)
+    caps = {group: rng.randint(1, 3) for group in _STATES}
+    bound = math.lcm(*(cap + 1 for cap in caps.values())) + rng.randint(1, 3)
+
+    def counter(group: Group):
+        def update(*args):
+            own = args[1]   # a state update reads its input, then its state
+            return {"c": (own.c + 1) % (caps[group] + 1)}
+        return update
+
+    updates = UpdateFunctions(**{group.name.lower(): counter(group)
+                                 if group in _STATES else noop
+                                 for group in Group})
+    variables = [Var("c", group, IntDomain(0, caps[group]),
+                     rng.randint(0, caps[group])) for group in _STATES]
+    choices = [ChoicePoint(f"init{k}", tuple(sorted(rng.sample(
+                   range(caps[group] + 1), rng.randint(1, caps[group] + 1)))),
+                           site=(group, "c"))
+               for k, group in enumerate(rng.sample(_STATES,
+                                                    rng.randint(0, 2)))]
+    assertions = []
+    if rng.random() < 0.5:
+        weights = {group: rng.randint(1, 2) for group in _STATES}
+        modulus = rng.randint(3, 7)
+        forbidden = rng.randrange(modulus)
+
+        def pred(state):
+            return sum(weights[group] * state.value(group, "c")
+                       for group in _STATES) % modulus != forbidden
+
+        assertions.append(Assertion("a0", pred))
+    model = register_model(variables=variables, updates=updates,
+                           choices=choices, assertions=assertions,
+                           name=f"cyc{seed}")
+    return GeneratedModel(model=model, bound=bound,
+                          init_points=tuple(choices), step_points=())
 
 
 # a write-path model's symbolic members, and the first int that is not one
@@ -387,7 +463,8 @@ def generate_write_path(seed: int, max_runs: int = 120) -> GeneratedModel:
             return Var(name, group, IntDomain(0, cap[group]),
                        rng.randint(0, cap[group]))
         if name == "f":
-            return Var(name, group, BoolDomain(), rng.random() < 0.5)
+            return Var(name, group, SymbolicDomain((False, True)),
+                       rng.random() < 0.5)
         if name == "s":
             return Var(name, group, SymbolicDomain(_SYMBOLS),
                        rng.choice(_SYMBOLS))

@@ -30,7 +30,8 @@ from typing import Callable
 from hilcheck import engine
 from hilcheck.engine import Model, ModelError
 
-from _modelgen import GeneratedModel, generate, generate_write_path
+from _modelgen import (GeneratedModel, generate, generate_cycling,
+                       generate_write_path)
 from _reference import State, reference_initial, reference_step
 
 
@@ -67,6 +68,14 @@ FAMILIES = {
                          {"Safe": 13, "Unsafe": 10, "ModelError": 17}),
     "raising": Family(functools.partial(generate, raising=True), range(100),
                       {"Safe": 1, "Unsafe": 75, "ModelError": 24}),
+    # draw-free paths that come back to their initial valuation
+    "cycling": Family(generate_cycling, range(60),
+                      {"Safe": 36, "Unsafe": 24, "ModelError": 0}),
+    # one assertion, failing only past a depth where two residues meet, so
+    # most failing paths come after a backtrack
+    "late-failing": Family(functools.partial(generate, late_failing=True),
+                           range(100),
+                           {"Safe": 37, "Unsafe": 63, "ModelError": 0}),
 }
 
 

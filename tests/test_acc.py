@@ -111,6 +111,7 @@ def test_compute_safe_stopping():
     assert compute_safe_stopping(0, 9) == 0
     assert compute_safe_stopping(3, 2) == 6
     assert compute_safe_stopping(1, 9) == 9
+    assert compute_safe_stopping(3, 0) == 0
     with pytest.raises(ValueError):
         compute_safe_stopping(-1, 2)
     with pytest.raises(ValueError):
@@ -123,19 +124,6 @@ def _closed_loop(speed, gap, preset, lead=1, max_speed=10):
         yield speed, gap
         speed, gap = apply_command(speed, gap, acc_decide(preset, gap),
                                    lead, max_speed)
-
-
-def test_gap_enters_band_within_error_budget():
-    """From any start the gap reaches preset +/- 1 within
-    |gap - preset| + speed + max_speed iterations: the gap error must be
-    walked off at one unit per step, after shedding any excess speed first."""
-    preset, max_speed = 6, 10
-    for speed0 in range(max_speed + 1):
-        for gap0 in range(16):
-            budget = abs(gap0 - preset) + speed0 + max_speed
-            loop = _closed_loop(speed0, gap0, preset, max_speed=max_speed)
-            assert any(abs(next(loop)[1] - preset) <= 1
-                       for _ in range(budget + 1)), (speed0, gap0)
 
 
 def test_gap_settles_into_band_permanently():

@@ -83,6 +83,8 @@ def test_time_severity_thresholds():
         time_severity(-1, *THRESHOLDS)
     with pytest.raises(ValueError):
         time_severity(1, tired_after=5, exhausted_after=5)
+    with pytest.raises(ValueError):
+        time_severity(1, tired_after=0, exhausted_after=8)
 
 
 def test_integrate_plain_cases():

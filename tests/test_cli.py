@@ -190,14 +190,6 @@ def test_safe_trace_shape(tmp_path):
                         "failed=- paths=1")
 
 
-def test_identical_runs_write_identical_trace_bytes(tmp_path):
-    out_a = tmp_path / "a.trace"
-    out_b = tmp_path / "b.trace"
-    run_cli("run", "lowered-speed", "--trace-out", str(out_a), check=1)
-    run_cli("run", "lowered-speed", "--trace-out", str(out_b), check=1)
-    assert out_a.read_bytes() == out_b.read_bytes()
-
-
 def test_reader_can_reestablish_the_violation(tmp_path):
     """The exported witness carries enough state to re-check the broken
     property without rerunning the search."""

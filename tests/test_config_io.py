@@ -40,10 +40,9 @@ VALID = {
          replace(IDEAL, control_mode=ControlMode.Manual)),
         ("controlMode = nondet", replace(IDEAL, control_mode=None))],
     "fatigueSource": [
-        ("fatigueSource = probed",
-         replace(IDEAL, fatigue_source="probed")),
+        ("fatigueSource = probed", replace(IDEAL, fatigue_pinned=True)),
         ("fatigueSource = calculated",
-         replace(IDEAL, fatigue_source="calculated"))],
+         replace(IDEAL, fatigue_pinned=False))],
     "separation": [
         ("separation = fixed", replace(IDEAL, adaptive_target=False)),
         ("separation = adaptive",

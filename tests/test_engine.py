@@ -5,8 +5,8 @@ from enum import Enum, IntEnum
 
 import pytest
 
-from hilcheck.engine import (Assertion, BoolDomain, ChoiceEntry, ChoicePoint,
-                             Group, IntDomain, ModelError, SymbolicDomain,
+from hilcheck.engine import (Assertion, ChoiceEntry, ChoicePoint, Group,
+                             IntDomain, ModelError, SymbolicDomain,
                              UpdateFunctions, Var, probed_model,
                              register_model, resolve_initial, run_path, step)
 
@@ -198,8 +198,7 @@ def test_choice_point_rejects_empty_and_duplicate_domains():
      "member label 'na\u00efve' must be"),
     (lambda: SymbolicDomain(("ok", "tab\tbed")), r"member label 'tab\\tbed'"),
     (lambda: Var("x", Group.ENV_STATE, (0, 1), 0),
-     r"variable 'x' needs an IntDomain, BoolDomain or SymbolicDomain, got "
-     r"\(0, 1\)"),
+     r"variable 'x' needs an IntDomain or a SymbolicDomain, got \(0, 1\)"),
     (lambda: IntDomain(10**5000, 10**5000 + 1),
      "integer domain bounds must be writable in decimal"),
     (lambda: IntDomain(-10**5000, 0),
@@ -523,7 +522,7 @@ def test_out_of_domain_update_is_a_model_error():
 
 
 @pytest.mark.parametrize("domain, held, written", [
-    (BoolDomain(), True, 1),
+    (SymbolicDomain((False, True)), True, 1),
     (IntDomain(0, 3), 1, True),
 ], ids=["1 for True", "True for 1"])
 def test_a_write_equal_to_the_held_value_but_of_another_type_is_rejected(

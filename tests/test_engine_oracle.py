@@ -30,9 +30,19 @@ ModelError on the first path that does.
 and each later call tries to draw through the context its update kept
 last, one kept by an update that raised among them.
 
+60 cycling models hold one counter per state group and never draw after
+initialisation, so each path comes back to its initial valuation, one to
+three steps before the bound, and must step on from it.
+
+100 late-failing models are random ones whose one assertion fails only
+once a clock has reached a depth and two residues meet, so most of them
+fail on a path after the first.
+
 A path ceiling at each model's path count changes nothing, and one below it
 ends the search after exactly that many paths.
 """
+
+import statistics
 
 from hilcheck.engine import VerdictKind, explore
 
@@ -81,6 +91,34 @@ def test_explore_matches_flat_enumeration_on_raising_models():
             assert " raised RuntimeError(" in model.verdict.message
 
 
+def test_explore_matches_flat_enumeration_on_cycling_models():
+    assert outcomes("cycling") == FAMILIES["cycling"].outcomes
+    # a safe witness comes back to its initial valuation and steps on
+    for model in swept("cycling"):
+        if model.expected.kind == "Safe":
+            trace = model.expected.first_trace
+            assert trace[0].values in [s.values for s in trace[2:-1]], \
+                model.seed
+            assert not settles(model.expected), model.seed
+
+
+def unsafe_path_indices(name: str) -> list[int]:
+    """Each Unsafe model's violating path: how many paths the search ran
+    up to and including it."""
+    return [model.expected.paths for model in swept(name)
+            if model.expected.kind == "Unsafe"]
+
+
+def test_explore_matches_flat_enumeration_on_late_failing_models():
+    assert outcomes("late-failing") == FAMILIES["late-failing"].outcomes
+    late = unsafe_path_indices("late-failing")
+    # most fail only after backtracking, where most random models fail on
+    # their first path
+    assert sum(n == 1 for n in late) == 10
+    assert statistics.median(late) == 5
+    assert sum(n == 1 for n in unsafe_path_indices("random")) == 139
+
+
 def test_path_ceiling_at_and_one_below_each_path_count():
     # at the oracle's path count n the search is as unbounded; at n - 1 it
     # ends in a ModelError after exactly n - 1 paths
@@ -99,7 +137,8 @@ def test_path_ceiling_at_and_one_below_each_path_count():
                 assert below.paths_explored == n - 1, f"{name} seed {seed}"
                 branching[name] += 1
     assert branching == {"random": 76, "settling": 19, "write-path": 31,
-                         "raising": 29}, branching
+                         "raising": 29, "cycling": 23,
+                         "late-failing": 79}, branching
 
 
 def test_generated_models_have_bounded_run_counts():

@@ -40,3 +40,16 @@ def test_corpus_row_is_unchanged(config, bound, tmp_path):
     export_trace(path, verdict, model, config.name)
     read = read_trace(path, model)
     assert (read.trace, read.choices) == (verdict.trace, verdict.choice_log)
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["--bogus"], 2),
+                                        (["a", "b"], 2)],
+                         ids=["help", "unknown option", "two paths"])
+def test_the_tool_writes_nothing_for_help_or_a_usage_error(argv, code,
+                                                           tmp_path,
+                                                           monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        golden_corpus.main(argv)
+    assert exc.value.code == code
+    assert list(tmp_path.iterdir()) == []

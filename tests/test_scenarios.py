@@ -340,14 +340,14 @@ def test_probe_rejects_a_variable_that_already_has_an_init_choice(preset,
 # sha256 of each preset's declarations, repr([(str(v), v.domain) for v in
 # model.variables]) followed by repr of the initial state's values
 GOLDEN_DECLARATIONS = {
-    "ideal": "0574cc84e581b567948cc0a12b2c2aba"
-             "aa5fe4d3666f987b4991a7cab75c4f54",
-    "lowered-speed": "c97d33f405ce6e49c5f5838670b971db"
-                     "3a27ebc926cbb8d41c93c971c816b9b4",
-    "manual-override": "2a4430a60fba6d79b1945e9c0bdfadae"
-                       "025494cfa522caeeab37d455af765355",
-    "reaction-probe": "c8ba81c9b66976d9d6b947331090ecfd"
-                      "6fdf52655f2b4b8b0172bb07eba1864b",
+    "ideal": "1f898f9c9c057111dd039212e75a58ba"
+             "9a2382ec14fec6a73de1d963e7f133c0",
+    "lowered-speed": "b1484883cf90817629d733b4f089f176"
+                     "01ad43e341f42480643b62e9ad3d8a23",
+    "manual-override": "87952b50fb4b4b8545d617a830f45716"
+                       "7ad7a91896994ac6f1b90d9757f107c1",
+    "reaction-probe": "36868578d2919fd9f0c2667b65bc2fde"
+                      "a16fa6abe8c5c828d9eb65ddcebaf9a2",
 }
 
 
@@ -383,8 +383,6 @@ def test_config_rejects_bad_knobs():
                                              "non-empty and duplicate-free"):
             ScenarioConfig(name="x", route=DEFAULT_ROUTE,
                            command_domain=commands)
-    with pytest.raises(ValueError):
-        ScenarioConfig(name="x", route=DEFAULT_ROUTE, fatigue_source="psychic")
     with pytest.raises(ValueError):
         ScenarioConfig(name="x", route=DEFAULT_ROUTE, bound=0)
     with pytest.raises(ValueError):

@@ -79,6 +79,10 @@ MUTANTS = [
      "stepped.values == state.values",
      "stepped.values == stepped.values",
      "random", AssertionError),
+    ("settle test against the initial state", "run_path",
+     "stepped.values == state.values",
+     "stepped.values == snapshots[0].values",
+     "cycling", AssertionError),
 ]
 
 # the functions the mutants edit

@@ -1,7 +1,7 @@
-"""Trace export contract: the exact bytes of every preset's witness, the
-read-back round trip, and the state value semantics traces depend on."""
+"""Trace export contract: the read-back round trip, the records a reader
+rejects, and the state value semantics traces depend on.  The exact bytes
+of every preset's witness are the golden corpus's rows at bound 100."""
 
-import hashlib
 import re
 from dataclasses import replace
 from enum import Enum
@@ -15,34 +15,6 @@ from hilcheck.engine import (Assertion, ChoicePoint, Group, IntDomain,
                              resolve_initial, run_path)
 from hilcheck.scenarios import SCENARIOS, build_model
 from hilcheck.trace_io import export_trace, format_trace, read_trace
-
-# (length, sha256) of format_trace for each preset explored at its own bound
-GOLDEN_TRACES = {
-    "ideal": (128774, "11a1ac599149041f7533fd7972f4acfe"
-                      "99d31134537c43d8356e66a585898112"),
-    "lowered-speed": (7517, "c99666c5d7605786f32678bf2bada9f3"
-                            "616113144fb2982d5e191281e145389e"),
-    "manual-override": (5514, "ce29561cba6120e061c82eb9955f5762"
-                              "7edf6123375fdd3c0d0cb59b550bbf4b"),
-    "reaction-probe": (129027, "70d65cfef9ae3fec989c3e525691b5ac"
-                               "f78507035c6dffa501a5e84a6ed56db1"),
-}
-
-
-@pytest.mark.parametrize("preset", sorted(GOLDEN_TRACES))
-def test_preset_trace_bytes_and_round_trip(preset, tmp_path):
-    config = SCENARIOS[preset]
-    model = build_model(config)
-    verdict = explore(model, config.bound)
-    text = format_trace(verdict, model, config.name)
-    data = text.encode("ascii")
-    assert (len(data), hashlib.sha256(data).hexdigest()) == GOLDEN_TRACES[preset]
-
-    path = tmp_path / "trace.txt"
-    path.write_bytes(data)
-    parsed = read_trace(path, model)
-    assert parsed.trace == verdict.trace
-    assert parsed.choices == verdict.choice_log
 
 
 @pytest.mark.parametrize("preset, bound, message", [
@@ -205,7 +177,8 @@ def test_the_header_must_be_the_first_record(tmp_path):
 
 def test_format_trace_rejects_states_of_another_models_variables():
     config = SCENARIOS["manual-override"]
-    verdict = explore(build_model(config), config.bound)
+    model = build_model(config)
+    verdict = explore(model, config.bound)
     # another model under the same name: 37 variables, not 53
     other = build_model(replace(SCENARIOS["lowered-speed"], route_length=1,
                                 name=config.name))
@@ -213,10 +186,8 @@ def test_format_trace_rejects_states_of_another_models_variables():
                                          "'manual-override'"):
         format_trace(verdict, other, config.name)
     # the same model built again holds the same variables
-    data = format_trace(verdict, build_model(config),
-                        config.name).encode("ascii")
-    assert (len(data), hashlib.sha256(data).hexdigest()) == \
-        GOLDEN_TRACES[config.name]
+    assert format_trace(verdict, build_model(config), config.name) == \
+        format_trace(verdict, model, config.name)
 
 
 def test_state_equality_hash_valuation_and_unknown_names():

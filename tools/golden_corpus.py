@@ -17,8 +17,8 @@ explains it.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
-import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -89,8 +89,13 @@ def corpus_text() -> str:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    path = Path(argv[0]) if argv else CORPUS
+    parser = argparse.ArgumentParser(
+        description="Write the golden corpus of explore's verdicts.")
+    parser.add_argument("path", nargs="?", type=Path, default=CORPUS,
+                        metavar="PATH",
+                        help="where to write it (default: "
+                        "tests/golden_corpus.txt)")
+    path = parser.parse_args(argv).path
     path.write_text(corpus_text(), encoding="ascii")
     print(f"wrote {path}")
     return 0
