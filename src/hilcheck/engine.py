@@ -23,12 +23,15 @@ it is neither checked against the domain again nor stored.  Environment
 and behaviour functions may draw values from declared choice points, each
 call through a context of its own that draws only the points sited at its
 group and only while that call runs: once it returns or raises, the
-context draws nothing.  The three system functions must be deterministic
-and are never handed a drawing context.  A choice point's site is the
-group that draws it in each step, or the (Group, name) of the variable it
-initialises before the first iteration.  Every draw, of either kind, goes
-through `_draw`, which takes the next of the values it is given, or the
-point's first value once they run out.
+context draws nothing.  Only a call whose group a step choice point is
+sited at gets a live context, one that can draw; every other environment
+or behaviour call gets a bare one, made without `__init__`, that refuses
+every draw with the same message a live one would.  The three system
+functions must be deterministic and are never handed a drawing context.
+A choice point's site is the group that draws it in each step, or the
+(Group, name) of the variable it initialises before the first iteration.
+Every draw, of either kind, goes through `_draw`, which takes the next of
+the values it is given, or the point's first value once they run out.
 
 `step` is the transition alone and consumes the values it draws;
 `run_path` runs one path of steps from one sequence of values and
@@ -52,8 +55,9 @@ model's `layout`; views, steps, initial states and trace files all address
 values through it.  A view is a named tuple of one group's values, of a
 class built once per (group, names) shape.  `register_model` also resolves
 `_PLAN` once per model, so a step looks nothing up by group, only the
-names an update returns, and a step fetches the nine update functions
-from the model's `updates` in one call.
+names an update returns, and it decides once which rows get a live
+context.  A step fetches the nine update functions from the model's
+`updates` in one call.
 
 What a trace can hold is decided here, when a model is declared.  A trace
 record is split on spaces, so every name a trace writes and every member
@@ -437,7 +441,14 @@ class StepContext:
     """Drawing context handed to environment and behaviour update functions.
     Each call of such a function gets its own, which draws only the points
     sited at that function's group, and only while the call runs: once it
-    returns or raises, the context draws nothing."""
+    returns or raises, the context draws nothing.
+
+    A call whose group has a step choice point sited at it gets a live
+    context, built by `__init__`.  Any other call gets a bare one, made
+    with `object.__new__` and given only `_model` and `_site`: no point is
+    sited at its group, so `choose` refuses every draw through it, by the
+    same checks and with the same messages, before it would need the
+    slots a draw reads."""
 
     __slots__ = ("_model", "_iteration", "_values", "_site", "_entries")
 
@@ -474,7 +485,10 @@ class Model:
     `layout` maps each (Group, name) to its position in declared order.
     `views` gives each group, in `Group` order, its view class and a reader
     of its values out of a valuation.  `plan` is `_PLAN` with each row's
-    writes resolved: its name -> (position, domain check) map."""
+    context and writes resolved: None for a system row, which gets no
+    context, else whether a step choice point is sited at its group, so
+    that its calls get a live context; and its name -> (position, domain
+    check) map."""
 
     name: str
     variables: tuple[Var, ...]
@@ -484,8 +498,9 @@ class Model:
     init_choices: tuple[tuple[int, ChoicePoint], ...]  # (position, point)
     layout: dict[tuple[Group, str], int]
     views: tuple[tuple[type, Callable], ...]
-    # (target, its index, reader of the read views, may draw, writes)
-    plan: tuple[tuple[Group, int, Callable, bool,
+    # (target, its index, reader of the read views, live: True for a live
+    # context, False for a bare one, None for none, writes)
+    plan: tuple[tuple[Group, int, Callable, bool | None,
                       dict[str, tuple[int, Callable[[Value], bool]]]], ...]
 
 
@@ -574,7 +589,6 @@ def register_model(variables: Sequence[Var],
     views = tuple((_view_class(g, tuple(names)),
                    _reader([pos for pos, _ in names.values()]))
                   for g, names in zip(Group, writes))
-    plan = tuple((*row, writes[row[1]]) for row in _PLAN)
 
     choice_map: dict[str, ChoicePoint] = {}
     init_ch: list[tuple[int, ChoicePoint]] = []
@@ -599,6 +613,14 @@ def register_model(variables: Sequence[Var],
     ids = [a.assert_id for a in assert_t]
     if len(set(ids)) != len(ids):
         raise ModelError("duplicate assertion id")
+
+    # the groups a step point is sited at: only their calls get a live
+    # context
+    sited = {cp.site for cp in choice_map.values()
+             if isinstance(cp.site, Group)}
+    plan = tuple((target, index, reads,
+                  (target in sited) if may_draw else None, writes[index])
+                 for target, index, reads, may_draw in _PLAN)
 
     model = Model(name=name, variables=vars_t, updates=updates,
                   choices=choice_map, assertions=assert_t, layout=layout,
@@ -680,24 +702,32 @@ def _step(model: Model, state: ModelState, views: list[tuple],
 
     Each call of a drawing update gets a context of its own, closed in a
     `finally`: once the call returns or raises, the context draws nothing.
+    It is live only on a row the model sites a step point at; on any other
+    it is bare, its `_model` and `_site` alone set.
     """
     group_views = model.views
     new = tuple.__new__
+    bare = object.__new__
     current = list(state.values)
     entries: list[ChoiceEntry] = []
     iteration = state.iteration + 1
 
-    for (target, index, reads, may_draw, names), fn in zip(
+    for (target, index, reads, live, names), fn in zip(
             model.plan, _FUNCTIONS(model.updates)):
         try:
-            if may_draw:
-                ctx = StepContext(model, iteration, values, target, entries)
+            if live is None:
+                returned = fn(*reads(views))
+            else:
+                if live:
+                    ctx = StepContext(model, iteration, values, target, entries)
+                else:
+                    ctx = bare(StepContext)
+                    ctx._model = model
+                    ctx._site = target
                 try:
                     returned = fn(*reads(views), ctx)
                 finally:
                     ctx._site = None   # closed however the call ended
-            else:
-                returned = fn(*reads(views))
         except ModelError:
             raise
         except Exception as exc:

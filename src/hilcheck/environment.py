@@ -31,6 +31,11 @@ class Terrain(Member):
     onRoad = "onRoad"
 
 
+# bound once, as `point_difficulty` reads it each step: reading a member
+# off its class costs ten times reading a name
+_OFF_ROAD = Terrain.offRoad
+
+
 # a drawn route picks each field of each segment from these candidates, in
 # this order; the first candidates are its segments before the draw
 ROUTE_CANDIDATES = {"obstacle": (0,), "distance": (1, 2, 3),
@@ -102,7 +107,7 @@ def point_difficulty(terrain: Terrain, obstacle: int, curvature: int) -> int:
         raise ValueError(f"obstacle density must be in 0..{MAX_OBSTACLE}")
     if not 0 <= curvature <= MAX_CURVATURE:
         raise ValueError(f"curvature must be in 0..{MAX_CURVATURE}")
-    demanding = (terrain is Terrain.offRoad) \
+    demanding = (terrain is _OFF_ROAD) \
         or obstacle >= HARD_OBSTACLE \
         or curvature >= HARD_CURVATURE
     return 1 if demanding else 0

@@ -239,6 +239,13 @@ def build_model(config: ScenarioConfig) -> Model:
     segment_of = [attrgetter(f"seg{i}_terrain", f"seg{i}_obstacle",
                              f"seg{i}_curvature") for i in range(n_seg)]
 
+    # the members the updates and assertions use each step, bound once:
+    # reading a member off its class costs ten times reading a name
+    on_road = Terrain.onRoad
+    manual, maintain = ControlMode.Manual, AccCommand.Maintain
+    decelerate = AccCommand.Decelerate
+    normal, exhausted = FatigueLevel.Normal, FatigueLevel.Exhausted
+
     def env_input(sys_out, env_state, ctx):
         return {"moved": sys_out.speed}
 
@@ -253,7 +260,7 @@ def build_model(config: ScenarioConfig) -> Model:
     def env_output(env_in, env_state, ctx):
         cursor = env_state.cursor
         if cursor == n_seg:
-            terrain, obstacle, curvature = Terrain.onRoad, 0, 0
+            terrain, obstacle, curvature = on_road, 0, 0
         else:
             terrain, obstacle, curvature = segment_of[cursor](env_state)
         return {"terrain": terrain, "obstacle": obstacle,
@@ -264,8 +271,8 @@ def build_model(config: ScenarioConfig) -> Model:
         mode = beh_out.mode_request
         done = env_out.journey_done
         if done:
-            command = AccCommand.Decelerate
-        elif mode is ControlMode.Manual:
+            command = decelerate
+        elif mode is manual:
             command = beh_out.manual_command
         else:
             command = acc_decide(target_gap[beh_out.fatigue], sys_state.gap)
@@ -315,12 +322,12 @@ def build_model(config: ScenarioConfig) -> Model:
             request = ctx.choose("controlMode")
         else:
             request = config.control_mode
-        if request is ControlMode.Manual:
-            manual = ctx.choose("driverCommand")
+        if request is manual:
+            command = ctx.choose("driverCommand")
         else:
-            manual = AccCommand.Maintain
+            command = maintain
         return {"fatigue": beh_state.fatigue, "mode_request": request,
-                "manual_command": manual}
+                "manual_command": command}
 
     updates = UpdateFunctions(
         env_input=env_input, sys_input=sys_input, beh_input=beh_input,
@@ -338,7 +345,6 @@ def build_model(config: ScenarioConfig) -> Model:
 
     init_mode = config.control_mode if config.control_mode is not None \
         else ALL_MODES[0]
-    normal = FatigueLevel.Normal
     init_speed = 1
     init_gap = target_gap[normal]
 
@@ -427,7 +433,7 @@ def build_model(config: ScenarioConfig) -> Model:
 
     def fatigue_bounded(state: ModelState) -> bool:
         fatigue, journey_done = fatigue_reads(state.values)
-        return journey_done or fatigue is not FatigueLevel.Exhausted
+        return journey_done or fatigue is not exhausted
 
     assertions = [Assertion("SeparationMaintained", separation_holds)]
     if not config.separation_only:

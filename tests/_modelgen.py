@@ -390,11 +390,19 @@ def generate_write_path(seed: int, max_runs: int = 120) -> GeneratedModel:
     depending on the values it read.  One drawing update may keep a
     variable `one` at 1 and, on branches where its point drew its last
     candidate, write True there, which the domain check must reject.  The
-    drawing updates keep their contexts: a system update draws through the
-    one of the drawing update just before it, and a drawing update may
-    draw its own point through an earlier one; the engine must refuse both
-    and draw nothing, and the update goes on.  Draws follow the fixed
-    schedule, as in `generate`.
+    drawing updates keep their contexts.  A system update draws through
+    the one of the drawing update just before it, which the engine must
+    refuse, drawing nothing, and the update goes on.  In about half the
+    models, on branches where its point drew its last candidate and its
+    sum is odd, a drawing update may draw its point again through the
+    context an earlier row kept in the same step, and a drawing update no
+    point is sited at may, where an earlier row's point drew its last
+    candidate in the step, draw some point through its own context.  The
+    engine must refuse both draws, and the refusal ends the run in a
+    ModelError whose message the oracle compares with the reference's.
+    None of these branches is on the path of first values that
+    `register_model`'s trial step takes.  Draws follow the fixed schedule,
+    as in `generate`.
     """
     rng = random.Random(seed)
     bound, init_domains, site_of, step_domains = _draw_layout(
@@ -416,13 +424,19 @@ def generate_write_path(seed: int, max_runs: int = 120) -> GeneratedModel:
                    for name in names[group]} for group in Group}
     for group in Group:
         rng.shuffle(names[group])
-    # drawing slots whose update draws its point through an earlier one's
-    # context too
+    # drawing slots whose update may draw its point through an earlier
+    # one's context too
     borrowers = {slot: rng.choice(_DRAW_SLOTS[:_DRAW_SLOTS.index(slot)])
                  for slot in point_of
                  if slot is not _DRAW_SLOTS[0] and rng.random() < 0.5}
     reads = {target: [group for group, _ in row] for _, target, row in ORDER}
     kept: dict[Group, object] = {}
+    # whether each point's slot drew its last candidate in this step, set
+    # by the slot's own call, which runs before any that reads it
+    last: dict[Group, bool] = {}
+    # a drawing slot no point is sited at -> (the earlier slot whose last
+    # candidate cues it, the point it then draws)
+    misdrawn: dict[Group, tuple[Group, ChoicePoint]] = {}
 
     def make_update(target: Group):
         def update(*args):
@@ -437,10 +451,15 @@ def generate_write_path(seed: int, max_runs: int = 120) -> GeneratedModel:
                 for name in names[group])
             drew = None
             if target in point_of:
-                drew = ctx.choose(point_of[target].point_id)
+                point = point_of[target]
+                drew = ctx.choose(point.point_id)
                 t += drew
-                if target in borrowers:
-                    refused(kept[borrowers[target]], point_of[target])
+                last[target] = drew == point.domain[-1] != point.domain[0]
+                if target in borrowers and last[target] and t % 2 == 1:
+                    # refused: ends the run
+                    kept[borrowers[target]].choose(point.point_id)
+            elif target in misdrawn and last[misdrawn[target][0]]:
+                ctx.choose(misdrawn[target][1].point_id)   # refused too
             elif target in _DRAWN_BEFORE and _DRAWN_BEFORE[target] in point_of:
                 before = _DRAWN_BEFORE[target]
                 refused(kept[before], point_of[before])
@@ -496,6 +515,18 @@ def generate_write_path(seed: int, max_runs: int = 120) -> GeneratedModel:
                        for group, name in picked) % modulus != forbidden
 
         assertions.append(Assertion(f"a{k}", pred))
+
+    # after every other draw of rng, so the rest of each model is as it
+    # was; in about half the models no refusal ends a run
+    if rng.random() < 0.5:
+        borrowers.clear()
+    else:
+        cues = [slot for slot in _DRAW_SLOTS
+                if slot in point_of and len(point_of[slot].domain) > 1]
+        for k, slot in enumerate(_DRAW_SLOTS):
+            earlier = [cue for cue in cues if _DRAW_SLOTS.index(cue) < k]
+            if slot not in point_of and earlier and rng.random() < 0.5:
+                misdrawn[slot] = rng.choice(earlier), rng.choice(choices)
 
     model = register_model(variables=variables, updates=updates,
                            choices=choices, assertions=assertions,

@@ -64,8 +64,10 @@ FAMILIES = {
     "settling": Family(functools.partial(generate, max_runs=128,
                                          settling=True), range(100),
                        {"Safe": 32, "Unsafe": 68, "ModelError": 0}),
-    "write-path": Family(generate_write_path, range(40),
-                         {"Safe": 13, "Unsafe": 10, "ModelError": 17}),
+    # half of them end a run where an update draws through a context that
+    # must refuse it
+    "write-path": Family(generate_write_path, range(60),
+                         {"Safe": 12, "Unsafe": 19, "ModelError": 29}),
     "raising": Family(functools.partial(generate, raising=True), range(100),
                       {"Safe": 1, "Unsafe": 75, "ModelError": 24}),
     # draw-free paths that come back to their initial valuation

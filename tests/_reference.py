@@ -14,8 +14,10 @@ variable's domain, and a variable it omits keeps its value.  An update that
 raises anything but a ModelError fails the step with `update for <group>
 raised <exception>`.  Environment and behaviour updates get a context of
 their own, which draws only the points sited at their group, and only
-during their call, however it ends.  Every draw takes the next of the
-values given, or the point's first value once they run out.
+during their call, however it ends; a draw it refuses raises a ModelError
+that says why in the engine's words, so a run a refusal ends can be
+compared message for message.  Every draw takes the next of the values
+given, or the point's first value once they run out.
 """
 
 from __future__ import annotations
@@ -87,8 +89,19 @@ class Context:
 
     def choose(self, point_id):
         point = self._model.choices.get(point_id)
-        if not self._open or point is None or point.site is not self._group:
-            raise ModelError(f"{point_id} cannot be drawn here")
+        if point is None:
+            raise ModelError(f"unknown choice point '{point_id}'")
+        if not self._open:
+            raise ModelError(f"choice point '{point_id}' was drawn through "
+                             "the context of an update that had returned")
+        if not isinstance(point.site, Group):
+            raise ModelError(f"choice point '{point_id}' is an "
+                             "initialisation choice and cannot be drawn "
+                             "during a step")
+        if point.site is not self._group:
+            raise ModelError(f"choice point '{point_id}' is declared for "
+                             f"{point.site.value} but was drawn while "
+                             f"computing {self._group.value}")
         return _take(point, self._values, self._iteration, self._log)
 
 

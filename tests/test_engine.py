@@ -5,6 +5,7 @@ from enum import Enum, IntEnum
 
 import pytest
 
+from hilcheck import engine
 from hilcheck.engine import (Assertion, ChoiceEntry, ChoicePoint, Group,
                              IntDomain, ModelError, SymbolicDomain,
                              UpdateFunctions, Var, probed_model,
@@ -396,6 +397,36 @@ def test_draws_are_logged_in_slot_order():
     state, _ = resolve_initial(model)
     _, drawn = step(model, state)
     assert drawn == tuple(ChoiceEntry(1, name, 0) for name in drawing)
+
+
+@pytest.mark.parametrize("sites, live", [
+    ((), []),
+    (((Group.ENV_STATE, "x"),), []),
+    ((Group.BEH_OUTPUT,), [Group.BEH_OUTPUT]),
+    ((Group.BEH_OUTPUT, Group.BEH_OUTPUT), [Group.BEH_OUTPUT]),
+    ((Group.BEH_STATE, Group.ENV_INPUT), [Group.ENV_INPUT, Group.BEH_STATE]),
+], ids=["no point", "an initialisation point", "one point at beh_out",
+        "two points at beh_out", "points at env_in and beh_state"])
+def test_a_step_builds_a_live_context_only_where_a_step_point_is_sited(
+        sites, live, monkeypatch):
+    built = []
+
+    class Counted(engine.StepContext):
+        __slots__ = ()
+
+        def __init__(self, model, iteration, values, site, entries):
+            built.append(site)
+            super().__init__(model, iteration, values, site, entries)
+
+    model = register_model(
+        variables=[Var("x", Group.ENV_STATE, IntDomain(0, 1), 0)],
+        updates=_updates(),
+        choices=[ChoicePoint(f"p{k}", (0, 1), site=site)
+                 for k, site in enumerate(sites)])
+    monkeypatch.setattr(engine, "StepContext", Counted)
+    state, _ = resolve_initial(model)
+    step(model, state)
+    assert built == live
 
 
 def test_group_views_expose_group_and_reject_unknown_names():

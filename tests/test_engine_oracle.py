@@ -20,11 +20,14 @@ and the reference steps and checks every iteration.  55 of them hold a
 clock capped at an iteration from which an assertion may fail, so their
 paths settle only once the clock stops.
 
-40 write-path models hold several int, bool and symbolic variables per
+60 write-path models hold several int, bool and symbolic variables per
 group, written in part, with equal ints that are new objects, keep their
 drawing contexts and try to draw through them later, and on some branches
 write True into an int variable that holds 1, so their search ends in a
-ModelError on the first path that does.
+ModelError on the first path that does.  In half of them, on some
+branches, an update draws through a context an earlier row of its step
+kept, or one no point is sited at draws through its own, and the refusal
+ends the search in a ModelError with the reference's message.
 
 100 raising models keep their drawing contexts and raise on some branches,
 and each later call tries to draw through the context its update kept
@@ -82,6 +85,17 @@ def test_explore_matches_flat_enumeration_on_settling_models():
 
 def test_explore_matches_flat_enumeration_on_write_path_models():
     assert outcomes("write-path") == FAMILIES["write-path"].outcomes
+    # what ended each search in a ModelError: a wrong-typed write, a draw
+    # through a context an earlier row kept, one through a context no
+    # point is sited at
+    ends = dict.fromkeys(("outside its domain", "had returned",
+                          "is declared for"), 0)
+    for model in swept("write-path"):
+        if model.expected.kind == "ModelError":
+            end, = (end for end in ends if end in model.verdict.message)
+            ends[end] += 1
+    assert ends == {"outside its domain": 20, "had returned": 7,
+                    "is declared for": 2}
 
 
 def test_explore_matches_flat_enumeration_on_raising_models():
@@ -136,7 +150,7 @@ def test_path_ceiling_at_and_one_below_each_path_count():
                     f"{name} seed {seed}"
                 assert below.paths_explored == n - 1, f"{name} seed {seed}"
                 branching[name] += 1
-    assert branching == {"random": 76, "settling": 19, "write-path": 31,
+    assert branching == {"random": 76, "settling": 19, "write-path": 41,
                          "raising": 29, "cycling": 23,
                          "late-failing": 79}, branching
 

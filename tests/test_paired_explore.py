@@ -1,5 +1,5 @@
-"""Smoke tests for `tools/paired_explore.py`, which times `explore` on two
-source trees loaded side by side in one process."""
+"""Smoke tests for `tools/paired_explore.py`, which times set-up and
+`explore` on two source trees loaded side by side in one process."""
 
 from pathlib import Path
 
@@ -15,11 +15,31 @@ def test_the_checkout_against_itself_agrees_on_ideal(capsys):
             if name == "ideal")
     sides = {side: paired_explore.Side(src, f"hilcheck_{side}")
              for side in paired_explore.SIDES}
-    models = {side: (sides[side].prepare(run)[0], 5) for side in sides}
-    assert paired_explore.compare("ideal", sides, models, 2)
-    line, = capsys.readouterr().out.splitlines()
-    assert line.startswith("ideal: parent median ")
-    assert line.endswith(" over 2 pairs")
+    assert paired_explore.compare("ideal", sides, run, 2)
+    explored, setup = capsys.readouterr().out.splitlines()
+    assert explored.startswith("ideal: parent median ")
+    assert setup.startswith("ideal set-up: parent median ")
+    for line in (explored, setup):
+        assert line.endswith(" over 2 pairs")
+
+
+def test_set_up_is_timed_and_builds_the_run_s_model():
+    src = ROOT / "src"
+    run, = (run for name, run in paired_explore.workload_runs(src)
+            if name == "branching")
+    side = paired_explore.Side(src, "hilcheck_change")
+    setup, model, bound = side.prepare(run)
+    assert setup > 0
+    assert bound == 5
+    assert "driverCommand" in model.choices
+
+
+def test_each_side_s_median_and_the_median_ratio_are_reported(capsys):
+    paired_explore.report("ideal", {"parent": [1.0, 2.0, 4.0],
+                                    "change": [0.5, 3.0, 2.0]})
+    assert capsys.readouterr().out == (
+        "ideal: parent median 2.0000 s, change median 2.0000 s, "
+        "median change/parent 0.500 over 3 pairs\n")
 
 
 class _Side:
@@ -27,6 +47,9 @@ class _Side:
 
     def __init__(self, paths):
         self.paths = paths
+
+    def prepare(self, run):
+        return 0.001, None, 5
 
     def explore(self, model, bound):
         return 0.001, self.paths
@@ -37,6 +60,5 @@ class _Side:
 
 def test_sides_that_disagree_stop_the_run(capsys):
     sides = {"parent": _Side(4), "change": _Side(5)}
-    models = dict.fromkeys(sides, (None, 5))
-    assert not paired_explore.compare("ideal", sides, models, 3)
+    assert not paired_explore.compare("ideal", sides, None, 3)
     assert "disagree in pair 1" in capsys.readouterr().out

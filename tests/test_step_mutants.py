@@ -7,8 +7,8 @@ namespace, and puts it in place of that function for one test: `step` and
 `replay_counterexample` and the oracle call `run_path` through it.  An
 uncached sweep of the named oracle family must fail under it, at its first
 failing model, with an AssertionError of the oracle's, or with the
-ModelError of a generated model's own check where its registration's trial
-step already draws through a context it must not.  Each snippet must
+ModelError a generated model's registration raises where its trial step
+already fails.  Each snippet must
 occur exactly once in its function, so a rewrite that drops or repeats one
 fails here, loudly, until its mutant is written again.  Each unedited
 copy, compiled the same way, is the engine's own function, instruction for
@@ -46,11 +46,23 @@ MUTANTS = [
      "write-path", AssertionError),
     ("one context shared per step", "_step",
      "ctx = StepContext(model, iteration, values, target, entries)\n",
-     "ctx = (locals().get('ctx')\n"
-     "                       or StepContext(model, iteration, values, target,"
-     " entries))\n"
-     "                ctx._site = target\n",
-     "write-path", ModelError),
+     "ctx = shared = (locals().get('shared')\n"
+     "                                      or StepContext(model, iteration,"
+     " values, target, entries))\n"
+     "                    ctx._site = target\n",
+     "write-path", AssertionError),
+    ("live and bare contexts swapped", "_step",
+     "if live:",
+     "if not live:",
+     "random", ModelError),
+    ("bare context born closed", "_step",
+     "ctx._site = target\n",
+     "ctx._site = None\n",
+     "write-path", AssertionError),
+    ("bare context never closed", "_step",
+     "ctx._site = None   # closed however the call ended",
+     "ctx._site = None if live else ctx._site",
+     "write-path", AssertionError),
     ("carried view left stale", "_step",
      "    current = list(state.values)\n",
      "    current = list(state.values)\n    views = list(views)\n",

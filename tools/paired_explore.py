@@ -12,12 +12,15 @@ are the first run of each of the benchmark's workloads
 with the workload's overrides applied, an Enum member mapped to the one of
 the same name in each tree.
 
-Each pair explores a config once on each side, the side that goes first
-alternating from pair to pair; building the model is not timed.  Both
-sides must return the same verdict, path count, choice log and trace
-values, compared by their trace labels, or the run stops with status 1.
-For each config it prints each side's median seconds and the median of
-the pairs' change/parent ratios.  It only reads `perfbench/`.
+Each pair sets a config up and explores it once on each side, the side
+that goes first alternating from pair to pair.  Set-up is what the
+benchmark's `setup_s` times: `load_config`, the overrides and
+`build_model`, which registers the model.  Both sides must return the
+same verdict, path count, choice log and trace values, compared by their
+trace labels, or the run stops with status 1.  For each config it prints
+two lines, one for `explore` and one for set-up, each with each side's
+median seconds and the median of the pairs' change/parent ratios.  It
+only reads `perfbench/`.
 """
 
 from __future__ import annotations
@@ -91,10 +94,13 @@ class Side:
         self.scenarios = importlib.import_module(package + ".scenarios")
 
     def prepare(self, run):
+        """The seconds set-up took, and the model and bound it gave."""
+        start = time.perf_counter()
         config = self.config_io.load_config(PERFBENCH / "configs" / run.config)
         config = replace(config, **{knob: in_tree(value, self.package)
                                     for knob, value in run.overrides})
-        return self.scenarios.build_model(config), config.bound
+        model = self.scenarios.build_model(config)
+        return time.perf_counter() - start, model, config.bound
 
     def explore(self, model, bound: int):
         start = time.perf_counter()
@@ -113,15 +119,28 @@ class Side:
                       for s in verdict.trace or ()))
 
 
-def compare(name: str, sides: dict, models: dict, pairs: int) -> bool:
-    """Run `pairs` pairs on one config and print its line; False if the
-    sides disagree."""
+def report(name: str, times: dict) -> None:
+    """Print one line: each side's median of `times` and the median of
+    the pairs' change/parent ratios."""
+    ratio = median(c / p for p, c in zip(times["parent"], times["change"]))
+    print(f"{name}: parent median {median(times['parent']):.4f} s, "
+          f"change median {median(times['change']):.4f} s, "
+          f"median change/parent {ratio:.3f} "
+          f"over {len(times['parent'])} pairs")
+
+
+def compare(name: str, sides: dict, run, pairs: int) -> bool:
+    """Run `pairs` pairs on one config and print its two lines; False if
+    the sides disagree."""
     times = {side: [] for side in SIDES}
+    setups = {side: [] for side in SIDES}
     for i in range(pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         summaries = {}
         for side in order:
-            elapsed, verdict = sides[side].explore(*models[side])
+            setup, model, bound = sides[side].prepare(run)
+            elapsed, verdict = sides[side].explore(model, bound)
+            setups[side].append(setup)
             times[side].append(elapsed)
             summaries[side] = sides[side].summary(verdict)
         if summaries["parent"] != summaries["change"]:
@@ -129,10 +148,8 @@ def compare(name: str, sides: dict, models: dict, pairs: int) -> bool:
                   f"parent {summaries['parent'][:5]}, "
                   f"change {summaries['change'][:5]}")
             return False
-    ratio = median(c / p for p, c in zip(times["parent"], times["change"]))
-    print(f"{name}: parent median {median(times['parent']):.4f} s, "
-          f"change median {median(times['change']):.4f} s, "
-          f"median change/parent {ratio:.3f} over {pairs} pairs")
+    report(name, times)
+    report(f"{name} set-up", setups)
     return True
 
 
@@ -150,8 +167,7 @@ def main(argv=None) -> int:
              for side, src in zip(SIDES, (args.parent_src, args.change_src))}
     agreed = True
     for name, run in runs:
-        models = {side: sides[side].prepare(run) for side in SIDES}
-        agreed &= compare(name, sides, models, args.pairs)
+        agreed &= compare(name, sides, run, args.pairs)
     return 0 if agreed else 1
 
 
