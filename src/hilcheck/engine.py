@@ -30,8 +30,11 @@ every draw with the same message a live one would.  The three system
 functions must be deterministic and are never handed a drawing context.
 A choice point's site is the group that draws it in each step, or the
 (Group, name) of the variable it initialises before the first iteration.
-Every draw, of either kind, goes through `_draw`, which takes the next of
-the values it is given, or the point's first value once they run out.
+Every step draw, and every initialisation draw `resolve_initial` makes,
+goes through `_draw`, which takes the next of the values it is given, or
+the point's first value once they run out; only `explore` takes
+initialisation values straight from each point's candidates, as it walks
+them.
 
 `step` is the transition alone and consumes the values it draws;
 `run_path` runs one path of steps from one sequence of values and
@@ -39,15 +42,18 @@ evaluates the assertions once on each state it steps to.  `explore`
 enumerates every resolution of every choice point up to a bound, depth
 first in declared domain order, and reports the first violating path as a
 replayable counterexample.  A path is named by its choice log alone, the
-values it drew in order, and the search backtracks on that log.  All data
-is immutable, so paths are re-executed from the initial state rather than
-snapshotted; this keeps the search trivially correct.  One purity rule
-holds for the whole model: an update's result depends only on its views
-and its draws, and an assertion's only on a state's values, never on its
-iteration.  So a step that drew nothing and returned its input's values
-would do the same at every later iteration, on values the assertions
-already passed: the path has settled, and `run_path` ends it there,
-repeating that valuation up to the bound with no further step or assertion.
+values it drew in order.  The search walks the initialisation choices
+like an odometer and builds each initial state once; under it, it
+backtracks on the step part of the log.  All data is immutable, so the
+paths under an initial state re-execute their steps from it rather than
+resume from a snapshot; this keeps the search trivially correct.  One
+purity rule holds for the whole model: an update's result depends only on
+its views and its draws, and an assertion's only on a state's values,
+never on its iteration.  So a step that drew nothing and returned its
+input's values would do the same at every later iteration, on values the
+assertions already passed: the path has settled, and the path loop
+(`_run_from`) ends it there, repeating that valuation up to the bound with
+no further step or assertion.
 
 A state is one flat tuple of values, one per declared variable in declared
 order.  `register_model` fixes each variable's position once, in the
@@ -288,7 +294,7 @@ ChoiceLog = tuple[ChoiceEntry, ...]
 class Assertion:
     """A pure safety predicate; False means violated.  Handed a `ModelState`,
     it must depend only on the state's `values`, never its iteration, as
-    `run_path` ends a settled path.  `assert_id` is a trace token other
+    a settled path ends (`_run_from`).  `assert_id` is a trace token other
     than `-`, which a trace header writes for no failed assertion."""
 
     assert_id: str
@@ -382,7 +388,7 @@ class UpdateFunctions:
     Each function returns a mapping from variable name to new value for its
     target group.  Variables omitted from the mapping keep their previous
     value (carry-over).  The result must depend only on the views and the
-    draws, which is what lets `run_path` end a settled path.
+    draws, which is what lets a settled path end (`_run_from`).
     """
 
     env_input: Callable   # (sys_output, env_state, ctx) -> mapping
@@ -741,12 +747,12 @@ def _step(model: Model, state: ModelState, views: list[tuple],
                              "empty)") from None
         changed = False
         for var_name, value in items:
-            slot = names.get(var_name)
-            if slot is None:
+            try:
+                pos, contains = names[var_name]
+            except (KeyError, TypeError):   # TypeError: an unhashable name
                 raise ModelError(
                     f"update for {target.value} assigned unknown "
-                    f"variable '{var_name}'")
-            pos, contains = slot
+                    f"variable '{var_name}'") from None
             if value is current[pos]:
                 continue
             if not contains(value):
@@ -769,18 +775,35 @@ def run_path(model: Model, bound: int, values: Iterable[Value] = ()
     initialisation and the steps, then first values.  Returns the states,
     the draws and the violated assertion ids (empty if none).
 
-    The nine group views are built once, from the initial state, and each
-    step hands those of its new state to the next (`_step`), so a view is
-    built again only after an update changed its group.
+    It resolves the initial state, its draws checked by `_draw` like every
+    step draw, and runs the steps from it in the path loop `explore` runs
+    (`_run_from`).  So a log `explore` builds replays here independently of
+    how `explore` walked the initialisation choices.
+    """
+    values = iter(values)
+    state, entries = resolve_initial(model, values)
+    return _run_from(model, bound, state, _views(model, state.values),
+                     values, entries)
+
+
+def _run_from(model: Model, bound: int, state: ModelState,
+              views: list[tuple], values: Iterator[Value], entries: ChoiceLog
+              ) -> tuple[Trace, ChoiceLog, tuple[str, ...]]:
+    """The path loop: run one path on from its initial `state`, whose
+    initialisation drew `entries`, until the first iteration whose
+    assertions fail or the bound, evaluating the assertions once on each
+    state.  Its step draws take `values`, then first values.  Returns what
+    `run_path` returns.
+
+    `views` holds the nine group views of `state`, and each step hands
+    those of its new state to the next (`_step`), rewriting the list, so a
+    view is built again only after an update changed its group.
 
     A step that drew nothing and returned its input's values has settled
     the path: every later step would return the same values again, on
     which the assertions, reading only values, already held.  So the path
     ends there, its valuation repeated to the bound, sharing its tuple.
     """
-    values = iter(values)
-    state, entries = resolve_initial(model, values)
-    views = _views(model, state.values)
     snapshots = [state]
     log = list(entries)
     violated = _eval_assertions(model, state)
@@ -812,10 +835,19 @@ def explore(model: Model, bound: int,
     witness may differ, because a deeper tree can reach a violation under a
     lexicographically earlier prefix.
 
-    Each path replays a prefix of values, then draws first values.  The
-    next prefix is the last path's log up to its deepest draw whose point
-    has a later value, advanced to that value; `ChoicePoint` rejects members
-    that compare equal, so a value's place in its domain is unambiguous.
+    The initialisation choices are walked as an odometer over their
+    candidates, the last point in `choices` order changing fastest, which
+    is the order backtracking on whole paths would take, since every path
+    draws each of them once, first.  Each initial state is built once: its
+    values, its state, its group views and its log, an entry made as a
+    point takes a value, so one per node of the initialisation tree.
+    Under it, each path runs the path loop (`_run_from`) from a copy of
+    its views, replays a prefix of step values, then draws first values.
+    The next prefix is the last path's step log up to its deepest draw
+    whose point has a later value, advanced to that value; `ChoicePoint`
+    rejects members that compare equal, so a value's place in its domain
+    is unambiguous.  Once no step draw has a later value, the walk moves
+    to the next initial state.
     """
     # exactly int, as a trace header writes the bound
     if type(bound) is not int or bound < 1:
@@ -824,37 +856,66 @@ def explore(model: Model, bound: int,
         raise ModelError("path ceiling must be an int of at least 1, got "
                          f"{path_ceiling!r}")
 
+    points = model.init_choices
+    # each point's value, as its place among its candidates
+    places = [0] * len(points)
+    initial = [v.init for v in model.variables]
+    drawn: list[ChoiceEntry] = []
+    changed = 0   # the first point whose value the walk changed
     first_path: tuple[Trace, ChoiceLog] | None = None
-    prefix: list[Value] = []
     paths = 0
     while True:
-        if paths >= path_ceiling:
-            return Verdict(VerdictKind.ModelError, bound, paths_explored=paths,
-                           message="choice explosion: path ceiling "
-                                   f"{path_ceiling} exceeded")
-        try:
-            trace, log, violated = run_path(model, bound, prefix)
-        except ModelError as exc:
-            return Verdict(VerdictKind.ModelError, bound, paths_explored=paths + 1,
-                           message=str(exc))
-        paths += 1
-        if violated:
-            return Verdict(VerdictKind.Unsafe, bound, paths_explored=paths,
-                           trace=trace, choice_log=log,
-                           failed_assertion=violated[0])
-        if first_path is None:
-            first_path = (trace, log)
+        del drawn[changed:]
+        for k in range(changed, len(points)):
+            pos, cp = points[k]
+            initial[pos] = value = cp.domain[places[k]]
+            drawn.append(ChoiceEntry(0, cp.point_id, value))
+        state = ModelState(tuple(initial), 0, model.layout)
+        views = _views(model, state.values)
+        entries = tuple(drawn)
+        start = len(entries)
+        prefix: list[Value] = []
+        while True:
+            if paths >= path_ceiling:
+                return Verdict(VerdictKind.ModelError, bound,
+                               paths_explored=paths,
+                               message="choice explosion: path ceiling "
+                                       f"{path_ceiling} exceeded")
+            try:
+                trace, log, violated = _run_from(model, bound, state,
+                                                 views.copy(), iter(prefix),
+                                                 entries)
+            except ModelError as exc:
+                return Verdict(VerdictKind.ModelError, bound,
+                               paths_explored=paths + 1, message=str(exc))
+            paths += 1
+            if violated:
+                return Verdict(VerdictKind.Unsafe, bound, paths_explored=paths,
+                               trace=trace, choice_log=log,
+                               failed_assertion=violated[0])
+            if first_path is None:
+                first_path = (trace, log)
 
-        # advance the deepest draw whose point has a later value
-        for i in range(len(log) - 1, -1, -1):
-            domain = model.choices[log[i].point_id].domain
-            later = domain.index(log[i].value) + 1
-            if later < len(domain):
+            # advance the deepest step draw whose point has a later value
+            for i in range(len(log) - 1, start - 1, -1):
+                domain = model.choices[log[i].point_id].domain
+                later = domain.index(log[i].value) + 1
+                if later < len(domain):
+                    break
+            else:
                 break
+            prefix = [entry.value for entry in log[start:i]] + [domain[later]]
+
+        # the next initial state: the last point with a later candidate
+        # takes it, and every point after it wraps to its first
+        for changed in range(len(points) - 1, -1, -1):
+            if places[changed] + 1 < len(points[changed][1].domain):
+                places[changed] += 1
+                break
+            places[changed] = 0
         else:
             return Verdict(VerdictKind.Safe, bound, paths_explored=paths,
                            trace=first_path[0], choice_log=first_path[1])
-        prefix = [entry.value for entry in log[:i]] + [domain[later]]
 
 
 def probed_model(model: Model, var: tuple[Group, str]) -> Model:
@@ -879,10 +940,10 @@ def probed_model(model: Model, var: tuple[Group, str]) -> Model:
 
 
 def replay_counterexample(model: Model, verdict: Verdict) -> Trace:
-    """Re-run an Unsafe verdict's choice log through `run_path`, the path
-    runner `explore` uses, drawing the log's values in order, and check that
-    the run drew the log's entries and reproduces the trace exactly,
-    including the final violation.
+    """Re-run an Unsafe verdict's choice log through `run_path`, which
+    draws every value of it through `_draw` and runs the path loop
+    `explore` runs, and check that the run drew the log's entries and
+    reproduces the trace exactly, including the final violation.
 
     Returns the replayed trace; raises ModelError on any mismatch, including
     a ModelError inside the run (a value outside the domain of the point

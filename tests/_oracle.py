@@ -9,7 +9,7 @@ then `reference_step` at every iteration, also where the engine's
 evaluates the assertions with its own code on every state, checks that the
 draws came from the vector's points in order, and reports what an
 exhaustive search must find.  It shares only `run_path` with the engine,
-the path runner `explore` runs, and calls it through the engine's module,
+whose path loop `explore` runs, and calls it through the engine's module,
 so a stand-in put there for a test is what it checks: on every vector,
 `run_path` must give the reference's states, with their values' types, its
 draws and its violations, or raise where the reference raises, with its

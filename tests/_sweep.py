@@ -2,11 +2,14 @@
 oracle and explored, once.
 
 `sweep(name)` builds each of the family's models, runs `flat_check` and
-`explore` on it, and asserts that they agree, stopping at the first model
-that does not: on the verdict, the number of paths run, the violated
-assertion and iteration, the witness path and its choice log (a
-counterexample must also replay), or, for a ModelError, the reference's
-message.  `swept` is the same sweep, cached, so every test that reads a
+`explore` on it, with a path ceiling of exactly the oracle's path count,
+so the search must end where the oracle's does, and asserts that they
+agree, stopping at the first model that does not: on the verdict, the
+number of paths run, the violated assertion and iteration, the witness
+path and its choice log (a counterexample must also replay), or, for a
+ModelError, the reference's message.  `explore` is called through the
+engine's module, so a stand-in put there for a test is what the sweep
+checks.  `swept` is the same sweep, cached, so every test that reads a
 family shares one run of it per session.
 """
 
@@ -15,7 +18,8 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple
 
-from hilcheck.engine import Verdict, explore, replay_counterexample
+from hilcheck import engine
+from hilcheck.engine import Verdict, replay_counterexample
 
 from _modelgen import GeneratedModel
 from _oracle import FAMILIES, OracleResult, flat_check, typed
@@ -35,7 +39,8 @@ def sweep(name: str) -> tuple[Swept, ...]:
         gen = family.make(seed)
         expected = flat_check(gen.model, gen.bound, gen.init_points,
                               gen.step_points)
-        verdict = explore(gen.model, gen.bound)
+        verdict = engine.explore(gen.model, gen.bound,
+                                 path_ceiling=expected.paths)
         where = f"{name} seed {seed}"
         assert verdict.kind.value == expected.kind, where
         assert verdict.paths_explored == expected.paths, where

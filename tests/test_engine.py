@@ -8,8 +8,9 @@ import pytest
 from hilcheck import engine
 from hilcheck.engine import (Assertion, ChoiceEntry, ChoicePoint, Group,
                              IntDomain, ModelError, SymbolicDomain,
-                             UpdateFunctions, Var, probed_model,
-                             register_model, resolve_initial, run_path, step)
+                             UpdateFunctions, Var, VerdictKind, explore,
+                             probed_model, register_model, resolve_initial,
+                             run_path, step)
 
 from _helpers import updates as _updates
 from _reference import reference_step
@@ -253,6 +254,32 @@ def test_register_dry_run_catches_broken_updates():
         return {"nope": 1}
     with pytest.raises(ModelError, match="unknown"):
         _counter_model(updates=_updates(env_state=bad))
+
+
+class _Pairs:
+    """Not a dict: its one item's name is a list, which no dict can hold."""
+
+    def items(self):
+        return [([1], 2)]
+
+
+def test_an_unhashable_name_an_update_assigns_is_a_model_error():
+    message = "update for env_state assigned unknown variable '[1]'"
+
+    def at_once(ei, e, ctx):
+        return _Pairs()
+
+    with pytest.raises(ModelError) as raised:
+        _counter_model(updates=_updates(env_state=at_once))
+    assert str(raised.value) == message
+
+    # past the trial step, in the search
+    def later(ei, e, ctx):
+        return _Pairs() if e.n else {"n": 1}
+
+    verdict = explore(_counter_model(updates=_updates(env_state=later)), 2)
+    assert verdict.kind is VerdictKind.ModelError
+    assert verdict.message == message
 
 
 def test_register_dry_run_wraps_raising_update():

@@ -10,8 +10,8 @@ on the number of paths run: every complete run for a safe model, the runs
 up to and including the first violating or raising one otherwise.  The
 enumeration also checks that initialisation points are drawn in their list
 order, and step points on the schedule whatever their list order, and that
-`run_path`, which `explore` runs, gives on every vector what the reference
-gives.
+`run_path`, whose path loop `explore` runs, gives on every vector what the
+reference gives.
 
 220 random models; 100 more that saturate instead of wrapping and run to a
 bound of 6 to 10, so most of their paths settle into a fixed point well
@@ -134,14 +134,15 @@ def test_explore_matches_flat_enumeration_on_late_failing_models():
 
 
 def test_path_ceiling_at_and_one_below_each_path_count():
-    # at the oracle's path count n the search is as unbounded; at n - 1 it
-    # ends in a ModelError after exactly n - 1 paths
+    # the sweep explored at the oracle's path count n: unbounded, the
+    # search is the same; at n - 1 it ends in a ModelError after exactly
+    # n - 1 paths
     branching = dict.fromkeys(FAMILIES, 0)
     for name in FAMILIES:
-        for seed, gen, expected, unbounded in swept(name):
+        for seed, gen, expected, at_count in swept(name):
             n = expected.paths
-            assert explore(gen.model, gen.bound, path_ceiling=n) \
-                == unbounded, f"{name} seed {seed}"
+            assert explore(gen.model, gen.bound) == at_count, \
+                f"{name} seed {seed}"
             if n >= 2:
                 below = explore(gen.model, gen.bound, path_ceiling=n - 1)
                 assert below.kind is VerdictKind.ModelError, \

@@ -23,6 +23,12 @@ def test_the_checkout_against_itself_agrees_on_ideal(capsys):
         assert line.endswith(" over 2 pairs")
 
 
+def test_every_run_of_every_workload_is_timed():
+    names = [name for name, run in paired_explore.workload_runs(ROOT / "src")]
+    assert names == ["ideal", "lowered-speed", "manual-override",
+                     "reaction-probe", "branching", "route-sweep"]
+
+
 def test_set_up_is_timed_and_builds_the_run_s_model():
     src = ROOT / "src"
     run, = (run for name, run in paired_explore.workload_runs(src)

@@ -1,18 +1,21 @@
-"""Mutants of the engine's step and path runner that the oracle must kill.
+"""Mutants of the engine's step, path loop and search that the oracle must
+kill.
 
 Each mutant edits one snippet of the source of a named engine function,
-`_step` or `run_path`, compiles the result in a copy of the engine's
-namespace, and puts it in place of that function for one test: `step` and
-`run_path` call `_step` through the engine's namespace, and `explore`,
-`replay_counterexample` and the oracle call `run_path` through it.  An
+`_step`, `_run_from` or `explore`, compiles the result in a copy of the
+engine's namespace, and puts it in place of that function for one test:
+`step` and `_run_from` call `_step` through the engine's namespace,
+`run_path` and `explore` call `_run_from` through it, and the oracle and
+the sweep call `run_path` and `explore` through the engine's module.  An
 uncached sweep of the named oracle family must fail under it, at its first
 failing model, with an AssertionError of the oracle's, or with the
 ModelError a generated model's registration raises where its trial step
-already fails.  Each snippet must
-occur exactly once in its function, so a rewrite that drops or repeats one
-fails here, loudly, until its mutant is written again.  Each unedited
-copy, compiled the same way, is the engine's own function, instruction for
-instruction.
+already fails.  The sweep explores at a path ceiling of the oracle's path
+count, so a search mutant that would walk for ever meets it.  Each snippet
+must occur exactly once in its function, so a rewrite that drops or
+repeats one fails here, loudly, until its mutant is written again.  Each
+unedited copy, compiled the same way, is the engine's own function,
+instruction for instruction.
 """
 
 import __future__
@@ -24,6 +27,28 @@ from hilcheck import engine
 from hilcheck.engine import ModelError
 
 from _sweep import sweep
+
+# `explore`'s path ceiling, tested before each path, and the same test
+# moved after the path's count
+CEILING_TEST = """\
+            if paths >= path_ceiling:
+                return Verdict(VerdictKind.ModelError, bound,
+                               paths_explored=paths,
+                               message="choice explosion: path ceiling "
+                                       f"{path_ceiling} exceeded")
+"""
+RUN = """\
+            try:
+                trace, log, violated = _run_from(model, bound, state,
+                                                 views.copy(), iter(prefix),
+                                                 entries)
+            except ModelError as exc:
+                return Verdict(VerdictKind.ModelError, bound,
+                               paths_explored=paths + 1, message=str(exc))
+            paths += 1
+"""
+CEILING_BEFORE = CEILING_TEST + RUN
+CEILING_AFTER = RUN + CEILING_TEST
 
 # (name, function, snippet, its replacement, the family whose sweep must
 # fail, how)
@@ -79,22 +104,38 @@ MUTANTS = [
      "                returned = fn(*reads(views), ctx)\n"
      "                ctx._site = None\n",
      "raising", AssertionError),
-    ("path settled though the step drew", "run_path",
+    ("path settled though the step drew", "_run_from",
      "if not drawn and stepped.values == state.values:",
      "if stepped.values == state.values:",
      "settling", AssertionError),
-    ("settled tail one state short", "run_path",
+    ("settled tail one state short", "_run_from",
      "range(state.iteration + 1, bound + 1)",
      "range(state.iteration + 1, bound)",
      "settling", AssertionError),
-    ("settle test against the stepped state itself", "run_path",
+    ("settle test against the stepped state itself", "_run_from",
      "stepped.values == state.values",
      "stepped.values == stepped.values",
      "random", AssertionError),
-    ("settle test against the initial state", "run_path",
+    ("settle test against the initial state", "_run_from",
      "stepped.values == state.values",
      "stepped.values == snapshots[0].values",
      "cycling", AssertionError),
+    ("walk advances the first initialisation point fastest", "explore",
+     "range(len(points) - 1, -1, -1)",
+     "range(len(points))",
+     "random", AssertionError),
+    ("wrapped point not reset to its first candidate", "explore",
+     "            places[changed] = 0\n",
+     "",
+     "random", AssertionError),
+    ("backtrack scan reaches into the initialisation entries", "explore",
+     "range(len(log) - 1, start - 1, -1)",
+     "range(len(log) - 1, -1, -1)",
+     "random", AssertionError),
+    ("ceiling tested after a path instead of before", "explore",
+     CEILING_BEFORE,
+     CEILING_AFTER,
+     "random", AssertionError),
 ]
 
 # the functions the mutants edit

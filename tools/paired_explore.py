@@ -6,11 +6,12 @@ Usage: python3 tools/paired_explore.py PARENT_SRC CHANGE_SRC [--pairs N]
 PARENT_SRC and CHANGE_SRC are directories that each hold a `hilcheck`
 package, such as the `src/` of two checkouts.  Both are loaded in this
 process under their own package names, so a slow spell of the host hits
-both sides alike.  The configs, `ideal`, `branching` and `route-sweep`,
-are the first run of each of the benchmark's workloads
-(`perfbench/workloads.py`): a config file read from `perfbench/configs`,
-with the workload's overrides applied, an Enum member mapped to the one of
-the same name in each tree.
+both sides alike.  The configs are every run of each of the benchmark's
+workloads (`perfbench/workloads.py`): the four presets `ideal`,
+`lowered-speed`, `manual-override` and `reaction-probe`, then `branching`
+and `route-sweep`, each a config file read from `perfbench/configs`, with
+its run's overrides applied, an Enum member mapped to the one of the same
+name in each tree.
 
 Each pair sets a config up and explores it once on each side, the side
 that goes first alternating from pair to pair.  Set-up is what the
@@ -56,7 +57,7 @@ def load_tree(src: Path, name: str):
 
 
 def workload_runs(change_src: Path):
-    """(config stem, Run) of each workload's first run.  The workload
+    """(config stem, Run) of every run of each workload.  The workload
     definitions import `hilcheck`; it is taken from `change_src`."""
     sys.path.insert(0, str(change_src))
     name = "paired_explore_workloads"
@@ -67,8 +68,8 @@ def workload_runs(change_src: Path):
         module = importlib.util.module_from_spec(spec)
         sys.modules[name] = module
         spec.loader.exec_module(module)
-    return [(workload.runs[0].config.removesuffix(".cfg"), workload.runs[0])
-            for workload in module.WORKLOADS.values()]
+    return [(run.config.removesuffix(".cfg"), run)
+            for workload in module.WORKLOADS.values() for run in workload.runs]
 
 
 def in_tree(value, package: str):
