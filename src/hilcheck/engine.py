@@ -16,18 +16,19 @@ valuation the step is writing, into which a row writes only its own group,
 after its update: a group an earlier row wrote shows this step's value, any
 other the previous iteration's, so an output reports its model's new
 state.  A step pays for what changes: a path builds the nine views once,
-from its initial state, each step hands those of its new state to the
-next, and a group's view is built again only after its update changed a
-value.  A write of the very object a variable holds changes nothing, so
-it is neither checked against the domain again nor stored.  Environment
-and behaviour functions may draw values from declared choice points, each
-call through a context of its own that draws only the points sited at its
-group and only while that call runs: once it returns or raises, the
-context draws nothing.  Only a call whose group a step choice point is
-sited at gets a live context, one that can draw; every other environment
-or behaviour call gets a bare one, made without `__init__`, that refuses
-every draw with the same message a live one would.  The three system
-functions must be deterministic and are never handed a drawing context.
+from the state it starts or resumes at, each step hands those of its new
+state to the next, and a group's view is built again only after its
+update changed a value.  A write of the very object a variable holds
+changes nothing, so it is neither checked against the domain again nor
+stored.  Environment and behaviour functions may draw values from
+declared choice points, each call through a context of its own that
+draws only the points sited at its group and only while that call runs:
+once it returns or raises, the context draws nothing.  Only a call whose
+group a step choice point is sited at gets a live context, one that can
+draw; every other environment or behaviour call gets a bare one, made
+without `__init__`, that refuses every draw with the same message a live
+one would.  The three system functions must be deterministic and are
+never handed a drawing context.
 A choice point's site is the group that draws it in each step, or the
 (Group, name) of the variable it initialises before the first iteration.
 Every step draw, and every initialisation draw `resolve_initial` makes,
@@ -44,9 +45,12 @@ first in declared domain order, and reports the first violating path as a
 replayable counterexample.  A path is named by its choice log alone, the
 values it drew in order.  The search walks the initialisation choices
 like an odometer and builds each initial state once; under it, it
-backtracks on the step part of the log.  All data is immutable, so the
-paths under an initial state re-execute their steps from it rather than
-resume from a snapshot; this keeps the search trivially correct.  One
+backtracks on the step part of the log.  All data is immutable, so each
+later path under an initial state resumes from the path before it, at
+the state the step of its first new draw starts from, sharing that
+path's states and log before it: each node of the choice tree is stepped
+once, and each state checked once.  `run_path` still runs a path from its
+initial state, so a witness replays independently of the search.  One
 purity rule holds for the whole model: an update's result depends only on
 its views and its draws, and an assertion's only on a state's values,
 never on its iteration.  So a step that drew nothing and returned its
@@ -739,28 +743,35 @@ def _step(model: Model, state: ModelState, views: list[tuple],
         except Exception as exc:
             raise ModelError(f"update for {target.value} raised {exc!r} "
                              f"at iteration {iteration}") from exc
-        try:
-            items = returned.items()
-        except AttributeError:
-            raise ModelError(f"update for {target.value} returned "
-                             f"{returned!r} (return a mapping, possibly "
-                             "empty)") from None
         changed = False
-        for var_name, value in items:
-            try:
-                pos, contains = names[var_name]
-            except (KeyError, TypeError):   # TypeError: an unhashable name
-                raise ModelError(
-                    f"update for {target.value} assigned unknown "
-                    f"variable '{var_name}'") from None
-            if value is current[pos]:
-                continue
-            if not contains(value):
-                raise ModelError(
-                    f"update produced {value!r} for {model.variables[pos]}, "
-                    f"outside its domain, at iteration {iteration}")
-            current[pos] = value
-            changed = True
+        try:
+            for var_name, value in returned.items():
+                try:
+                    pos, contains = names[var_name]
+                except (KeyError, TypeError):   # TypeError: an unhashable name
+                    raise ModelError(
+                        f"update for {target.value} assigned unknown "
+                        f"variable '{var_name}'") from None
+                if value is current[pos]:
+                    continue
+                if not contains(value):
+                    raise ModelError(
+                        f"update produced {value!r} for "
+                        f"{model.variables[pos]}, outside its domain, at "
+                        f"iteration {iteration}")
+                current[pos] = value
+                changed = True
+        except ModelError:
+            raise
+        except Exception as exc:
+            if not hasattr(returned, "items"):
+                raise ModelError(f"update for {target.value} returned "
+                                 f"{returned!r} (return a mapping, possibly "
+                                 "empty)") from None
+            # items that raise or are not pairs
+            raise ModelError(f"update for {target.value} returned a mapping "
+                             f"whose items raised {exc!r} at iteration "
+                             f"{iteration}") from exc
         if changed:
             cls, read = group_views[index]
             views[index] = new(cls, read(current))
@@ -782,31 +793,42 @@ def run_path(model: Model, bound: int, values: Iterable[Value] = ()
     """
     values = iter(values)
     state, entries = resolve_initial(model, values)
-    return _run_from(model, bound, state, _views(model, state.values),
-                     values, entries)
+    return _run_from(model, bound, state, values, entries)
 
 
 def _run_from(model: Model, bound: int, state: ModelState,
-              views: list[tuple], values: Iterator[Value], entries: ChoiceLog
+              values: Iterator[Value], entries: ChoiceLog,
+              shared: Trace | None = None
               ) -> tuple[Trace, ChoiceLog, tuple[str, ...]]:
-    """The path loop: run one path on from its initial `state`, whose
-    initialisation drew `entries`, until the first iteration whose
-    assertions fail or the bound, evaluating the assertions once on each
-    state.  Its step draws take `values`, then first values.  Returns what
-    `run_path` returns.
+    """The path loop: run one path on from `state`, the path having drawn
+    `entries` before it, until the first iteration whose assertions fail
+    or the bound, evaluating the assertions once on each state.  Its step
+    draws take `values`, then first values.  Returns what `run_path`
+    returns.
 
-    `views` holds the nine group views of `state`, and each step hands
-    those of its new state to the next (`_step`), rewriting the list, so a
-    view is built again only after an update changed its group.
+    Without `shared`, `state` is the path's initial state, and the
+    assertions are evaluated on it first.  With it, the path resumes at
+    `state`, part of a path `explore` ran before: `shared` holds that
+    path's states before it, and the assertions held on all of them and on
+    `state`, so none is evaluated again.
+
+    It builds the nine group views of `state`, and each step hands those
+    of its new state to the next (`_step`), rewriting the list, so a view
+    is built again only after an update changed its group.
 
     A step that drew nothing and returned its input's values has settled
     the path: every later step would return the same values again, on
     which the assertions, reading only values, already held.  So the path
     ends there, its valuation repeated to the bound, sharing its tuple.
     """
-    snapshots = [state]
+    views = _views(model, state.values)
     log = list(entries)
-    violated = _eval_assertions(model, state)
+    if shared is None:
+        snapshots = [state]
+        violated = _eval_assertions(model, state)
+    else:
+        snapshots = [*shared, state]
+        violated = ()
     while not violated and state.iteration < bound:
         stepped, drawn = _step(model, state, views, values)
         if not drawn and stepped.values == state.values:
@@ -839,15 +861,19 @@ def explore(model: Model, bound: int,
     candidates, the last point in `choices` order changing fastest, which
     is the order backtracking on whole paths would take, since every path
     draws each of them once, first.  Each initial state is built once: its
-    values, its state, its group views and its log, an entry made as a
-    point takes a value, so one per node of the initialisation tree.
-    Under it, each path runs the path loop (`_run_from`) from a copy of
-    its views, replays a prefix of step values, then draws first values.
-    The next prefix is the last path's step log up to its deepest draw
-    whose point has a later value, advanced to that value; `ChoicePoint`
-    rejects members that compare equal, so a value's place in its domain
-    is unambiguous.  Once no step draw has a later value, the walk moves
-    to the next initial state.
+    values, its state and its log, an entry made as a point takes a
+    value, so one per node of the initialisation tree.  Under it, the
+    first path runs the path loop (`_run_from`) from the initial state,
+    drawing first values.  Each next path advances the last path's
+    deepest step draw whose point has a later value; `ChoicePoint` rejects
+    members that compare equal, so a value's place in its domain is
+    unambiguous.  If that draw was made at iteration `it`, the next path
+    resumes at the last path's state at `it - 1`, sharing its states
+    before it and its log before iteration `it`, replays the draws
+    iteration `it` made before the advanced one, draws the later value,
+    then first values.  The assertions held on every state it shares, so
+    it checks none of them again.  Once no step draw has a later value,
+    the walk moves to the next initial state.
     """
     # exactly int, as a trace header writes the bound
     if type(bound) is not int or bound < 1:
@@ -871,9 +897,9 @@ def explore(model: Model, bound: int,
             initial[pos] = value = cp.domain[places[k]]
             drawn.append(ChoiceEntry(0, cp.point_id, value))
         state = ModelState(tuple(initial), 0, model.layout)
-        views = _views(model, state.values)
         entries = tuple(drawn)
         start = len(entries)
+        shared: Trace | None = None
         prefix: list[Value] = []
         while True:
             if paths >= path_ceiling:
@@ -883,8 +909,8 @@ def explore(model: Model, bound: int,
                                        f"{path_ceiling} exceeded")
             try:
                 trace, log, violated = _run_from(model, bound, state,
-                                                 views.copy(), iter(prefix),
-                                                 entries)
+                                                 iter(prefix), entries,
+                                                 shared)
             except ModelError as exc:
                 return Verdict(VerdictKind.ModelError, bound,
                                paths_explored=paths + 1, message=str(exc))
@@ -904,7 +930,15 @@ def explore(model: Model, bound: int,
                     break
             else:
                 break
-            prefix = [entry.value for entry in log[start:i]] + [domain[later]]
+            # resume at the state the draw's iteration stepped from, sharing
+            # the path before it and the log before that iteration, and
+            # replay the iteration's draws before the advanced one
+            it = log[i].iteration
+            cut = i
+            while cut > start and log[cut - 1].iteration == it:
+                cut -= 1
+            state, shared, entries = trace[it - 1], trace[:it - 1], log[:cut]
+            prefix = [entry.value for entry in log[cut:i]] + [domain[later]]
 
         # the next initial state: the last point with a later candidate
         # takes it, and every point after it wraps to its first

@@ -282,6 +282,44 @@ def test_an_unhashable_name_an_update_assigns_is_a_model_error():
     assert verdict.message == message
 
 
+class _NotPairs:
+    """Not a dict: its one item is a name with no value."""
+
+    def items(self):
+        return ["n"]
+
+
+class _RaisingItems:
+    """Not a dict: asking for its items raises."""
+
+    def items(self):
+        raise KeyError("x")
+
+
+@pytest.mark.parametrize("returned, raised", [
+    (_NotPairs(), "ValueError('not enough values to unpack (expected 2, "
+                  "got 1)')"),
+    (_RaisingItems(), "KeyError('x')"),
+], ids=["not a pair", "items raise"])
+def test_a_mapping_whose_items_fail_is_a_model_error(returned, raised):
+    def at_once(ei, e, ctx):
+        return returned
+
+    with pytest.raises(ModelError) as error:
+        _counter_model(updates=_updates(env_state=at_once))
+    assert str(error.value) == ("update for env_state returned a mapping "
+                                f"whose items raised {raised} at iteration 1")
+
+    # past the trial step, in the search
+    def later(ei, e, ctx):
+        return returned if e.n else {"n": 1}
+
+    verdict = explore(_counter_model(updates=_updates(env_state=later)), 2)
+    assert verdict.kind is VerdictKind.ModelError
+    assert verdict.message == ("update for env_state returned a mapping "
+                               f"whose items raised {raised} at iteration 2")
+
+
 def test_register_dry_run_wraps_raising_update():
     def bad(ei, e, ctx):
         raise KeyError("oops")

@@ -1,11 +1,18 @@
-"""Exploration tests: verdict shapes, search order, probing, replay."""
+"""Exploration tests: verdict shapes, search order, probing, resumption,
+replay."""
+
+from dataclasses import fields, replace
 
 import pytest
 
+from hilcheck import engine
+from hilcheck.acc import AccCommand
 from hilcheck.engine import (Assertion, ChoiceEntry, ChoicePoint, Group,
-                             IntDomain, ModelError, Var, VerdictKind, explore,
-                             probed_model, register_model,
-                             replay_counterexample, resolve_initial, step)
+                             IntDomain, ModelError, UpdateFunctions, Var,
+                             VerdictKind, explore, probed_model,
+                             register_model, replay_counterexample,
+                             resolve_initial, step)
+from hilcheck.scenarios import SCENARIOS, build_model
 
 from _helpers import updates as _updates
 
@@ -296,6 +303,57 @@ def test_a_state_that_draws_keeps_stepping_after_it_repeats():
         [0, 1, 2, 2, 2, 2, 2]
     assert verdict.choice_log == tuple(ChoiceEntry(i, "tick", 1)
                                        for i in range(1, 7))
+
+
+# --- resumption ------------------------------------------------------------
+
+def _counting(model, calls: dict):
+    """`model` with each update function and assertion predicate counting
+    its calls in `calls`, under its slot's name or its assertion's id."""
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    updates = UpdateFunctions(**{
+        f.name: counting(f.name, getattr(model.updates, f.name))
+        for f in fields(UpdateFunctions)})
+    assertions = tuple(replace(a, predicate=counting(a.assert_id, a.predicate))
+                       for a in model.assertions)
+    return replace(model, updates=updates, assertions=assertions)
+
+
+@pytest.mark.parametrize("config, bound, steps, states, draws", [
+    # 4 initial states, each the root of a tree of 1 + 3 + ... + 3^5 = 364
+    # nodes: 1,456 states, 1,452 of them stepped to, where a search that
+    # ran each of the 972 paths from iteration 0 would step 4,860 times
+    (replace(SCENARIOS["manual-override"],
+             command_domain=(AccCommand.Maintain, AccCommand.Decelerate)),
+     5, 1452, 1456, 2420),
+    # every draw at initialisation: 864 paths of 10 steps each
+    (replace(SCENARIOS["lowered-speed"], route_length=3,
+             separation_only=True),
+     10, 8640, 9504, 0),
+], ids=["branching", "route-sweep"])
+def test_each_node_of_the_choice_tree_is_stepped_and_checked_once(
+        config, bound, steps, states, draws, monkeypatch):
+    model = build_model(config)   # its trial step is not counted
+    updates = [f.name for f in fields(UpdateFunctions)]
+    asserted = [a.assert_id for a in model.assertions]
+    calls = dict.fromkeys(updates + asserted + ["draw"], 0)
+    model = _counting(model, calls)
+    draw = engine._draw
+
+    def counted_draw(*args):
+        calls["draw"] += 1
+        return draw(*args)
+
+    monkeypatch.setattr(engine, "_draw", counted_draw)
+    verdict = explore(model, bound)
+    assert verdict.kind is VerdictKind.Safe
+    assert calls == {**dict.fromkeys(updates, steps),
+                     **dict.fromkeys(asserted, states), "draw": draws}
 
 
 # --- replay ----------------------------------------------------------------

@@ -3,17 +3,21 @@
 The oracle's flat enumeration needs generated models that draw on a fixed
 schedule, and the golden corpus pins answers only at the bounds it lists.
 A metamorphic relation needs no expected answer, only two runs that must
-agree (Chen, Cheung & Yiu, HKUST-CS98-01, 1998).  Both relations here are
-checked on the four presets and on lowered-speed with a drawn two-segment
-route, at bounds 1 to 6; lowered-speed itself only from bound 4, as below
-it the search is Safe after 31,104 paths.
+agree (Chen, Cheung & Yiu, HKUST-CS98-01, 1998).  The relations here are
+checked on the four presets, on lowered-speed with a drawn two-segment
+route and on branching, manual-override with two commands to draw at every
+iteration, whose search backtracks deep into the steps; at bounds 1 to 6,
+lowered-speed itself only from bound 4, as below it the search is Safe
+after 31,104 paths.
 
 - Ceiling: a path ceiling of exactly the path count returns the same
   verdict, and a ceiling one less ends in a ModelError after exactly as
   many paths as it allows.
-- Operator order: reversing `operators`, the candidates of the
-  integrator's initialisation choice, keeps the verdict kind and a Safe
-  path count, and the new Unsafe witness replays on its own model.
+- Bound monotonicity: a config Unsafe at a bound is Unsafe at the next.
+- Domain order: reversing `operators`, the candidates of the integrator's
+  initialisation choice, or `command_domain`, the candidates of the
+  driver's command, keeps the verdict kind and a Safe path count, and the
+  new Unsafe witness replays on its own model.
 
 Each verdict a relation starts from is explored once (`explored`).
 """
@@ -23,23 +27,32 @@ from dataclasses import replace
 
 import pytest
 
+from hilcheck.acc import AccCommand
 from hilcheck.engine import VerdictKind, explore, replay_counterexample
 from hilcheck.scenarios import SCENARIOS, build_model
 
 CONFIGS = {**SCENARIOS,
            "drawn-2": replace(SCENARIOS["lowered-speed"], name="drawn-2",
-                              route_length=2)}
+                              route_length=2),
+           "branching": replace(SCENARIOS["manual-override"],
+                                name="branching",
+                                command_domain=(AccCommand.Maintain,
+                                                AccCommand.Decelerate))}
 CASES = [(name, bound) for name in CONFIGS for bound in range(1, 7)
          if name != "lowered-speed" or bound >= 4]
+# the knobs whose order the domain-order relation reverses
+REVERSED = ("operators", "command_domain")
 
 
 @functools.cache
-def explored(name: str, bound: int, reversed_operators: bool = False):
-    """The model of config `name`, its operators reversed if asked, and
-    what `explore` returns for it at `bound`."""
+def explored(name: str, bound: int, reversed_knob: str | None = None):
+    """The model of config `name`, the order of its knob `reversed_knob`
+    reversed if one is named, and what `explore` returns for it at
+    `bound`."""
     config = CONFIGS[name]
-    if reversed_operators:
-        config = replace(config, operators=config.operators[::-1])
+    if reversed_knob is not None:
+        config = replace(config, **{
+            reversed_knob: getattr(config, reversed_knob)[::-1]})
     model = build_model(config)
     return model, explore(model, bound)
 
@@ -57,10 +70,18 @@ def test_a_ceiling_at_the_path_count_changes_nothing_and_one_below_ends_there(
         assert below.paths_explored == n - 1
 
 
+@pytest.mark.parametrize("name, bound",
+                         [case for case in CASES if case[1] < 6])
+def test_unsafe_at_a_bound_stays_unsafe_at_the_next(name, bound):
+    if explored(name, bound)[1].kind is VerdictKind.Unsafe:
+        assert explored(name, bound + 1)[1].kind is VerdictKind.Unsafe
+
+
+@pytest.mark.parametrize("knob", REVERSED)
 @pytest.mark.parametrize("name, bound", CASES)
-def test_reversing_the_operators_keeps_the_verdict(name, bound):
+def test_reversing_a_domain_keeps_the_verdict(name, bound, knob):
     _, verdict = explored(name, bound)
-    model, reversed_ = explored(name, bound, reversed_operators=True)
+    model, reversed_ = explored(name, bound, knob)
     assert reversed_.kind is verdict.kind
     if verdict.kind is VerdictKind.Safe:
         assert reversed_.paths_explored == verdict.paths_explored
@@ -68,20 +89,31 @@ def test_reversing_the_operators_keeps_the_verdict(name, bound):
         assert replay_counterexample(model, reversed_) == reversed_.trace
 
 
-def test_the_cases_exercise_both_relations():
+def test_the_cases_exercise_every_relation():
     verdicts = {case: explored(*case)[1] for case in CASES}
     # a ceiling below the path count, on Safe and Unsafe searches
     below = {v.kind for v in verdicts.values() if v.paths_explored >= 2}
     assert below == {VerdictKind.Safe, VerdictKind.Unsafe}
-    assert sum(v.paths_explored >= 2 for v in verdicts.values()) == 17
-    # the reversal moves manual-override's witness, and the path count of
-    # the witness the drawn routes reach in both orders
-    unsafe = {case: explored(*case, True)[1] for case, v in verdicts.items()
+    assert sum(v.paths_explored >= 2 for v in verdicts.values()) == 23
+    # a bound where the verdict turns Unsafe
+    assert {name for (name, bound), v in verdicts.items()
+            if v.kind is VerdictKind.Unsafe
+            and (name, bound - 1) in verdicts
+            and verdicts[name, bound - 1].kind is VerdictKind.Safe} \
+        == {"manual-override", "drawn-2", "branching"}
+    # each reversal moves a witness, and the path count of some
+    unsafe = {case for case, v in verdicts.items()
               if v.kind is VerdictKind.Unsafe}
-    assert len(unsafe) == 10
-    assert {name for (name, bound), r in unsafe.items()
-            if r.choice_log != verdicts[name, bound].choice_log} \
-        == {"manual-override"}
-    assert {name for (name, bound), r in unsafe.items()
-            if r.paths_explored != verdicts[name, bound].paths_explored} \
-        == {"lowered-speed", "drawn-2"}
+    assert len(unsafe) == 11
+    for knob, moved, recounted in [
+            ("operators", {"manual-override", "branching"},
+             {"lowered-speed", "drawn-2"}),
+            ("command_domain", {"manual-override", "branching"},
+             {"manual-override", "branching"})]:
+        reversed_ = {case: explored(*case, knob)[1] for case in unsafe}
+        assert {name for (name, bound), r in reversed_.items()
+                if r.choice_log != verdicts[name, bound].choice_log} \
+            == moved
+        assert {name for (name, bound), r in reversed_.items()
+                if r.paths_explored != verdicts[name, bound].paths_explored} \
+            == recounted

@@ -40,8 +40,8 @@ CEILING_TEST = """\
 RUN = """\
             try:
                 trace, log, violated = _run_from(model, bound, state,
-                                                 views.copy(), iter(prefix),
-                                                 entries)
+                                                 iter(prefix), entries,
+                                                 shared)
             except ModelError as exc:
                 return Verdict(VerdictKind.ModelError, bound,
                                paths_explored=paths + 1, message=str(exc))
@@ -66,8 +66,9 @@ MUTANTS = [
      "group_views[index - 1]\n            views[index - 1] =",
      "random", AssertionError),
     ("changed flag taken from the last write only", "_step",
-     "        for var_name, value in items:\n",
-     "        for var_name, value in items:\n            changed = False\n",
+     "            for var_name, value in returned.items():\n",
+     "            for var_name, value in returned.items():\n"
+     "                changed = False\n",
      "write-path", AssertionError),
     ("one context shared per step", "_step",
      "ctx = StepContext(model, iteration, values, target, entries)\n",
@@ -136,6 +137,18 @@ MUTANTS = [
      CEILING_BEFORE,
      CEILING_AFTER,
      "random", AssertionError),
+    ("path resumed at the backtracked draw's own iteration", "explore",
+     "= trace[it - 1],",
+     "= trace[it],",
+     "random", AssertionError),
+    ("same-iteration draws before the backtracked one dropped", "explore",
+     "[entry.value for entry in log[cut:i]] + ",
+     "",
+     "random", AssertionError),
+    ("one state too many shared from the previous path", "explore",
+     "trace[:it - 1]",
+     "trace[:it]",
+     "late-failing", AssertionError),
 ]
 
 # the functions the mutants edit
