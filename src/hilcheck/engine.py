@@ -16,9 +16,10 @@ valuation the step is writing, into which a row writes only its own group,
 after its update: a group an earlier row wrote shows this step's value, any
 other the previous iteration's, so an output reports its model's new
 state.  A step pays for what changes: a path builds the nine views once,
-from the state it starts or resumes at, each step hands those of its new
-state to the next, and a group's view is built again only after its
-update changed a value.  A write of the very object a variable holds
+from its initial state, each step hands those of its new state to the
+next, and a group's view is built again only after its update changed a
+value; `explore` keeps a copy of a node's views only where its step
+drew, to step its siblings from.  A write of the very object a variable holds
 changes nothing, so it is neither checked against the domain again nor
 stored.  Environment and behaviour functions may draw values from
 declared choice points, each call through a context of its own that
@@ -44,20 +45,21 @@ enumerates every resolution of every choice point up to a bound, depth
 first in declared domain order, and reports the first violating path as a
 replayable counterexample.  A path is named by its choice log alone, the
 values it drew in order.  The search walks the initialisation choices
-like an odometer and builds each initial state once; under it, it
-backtracks on the step part of the log.  All data is immutable, so each
-later path under an initial state resumes from the path before it, at
-the state the step of its first new draw starts from, sharing that
-path's states and log before it: each node of the choice tree is stepped
-once, and each state checked once.  `run_path` still runs a path from its
-initial state, so a witness replays independently of the search.  One
-purity rule holds for the whole model: an update's result depends only on
-its views and its draws, and an assertion's only on a state's values,
-never on its iteration.  So a step that drew nothing and returned its
-input's values would do the same at every later iteration, on values the
-assertions already passed: the path has settled, and the path loop
-(`_run_from`) ends it there, repeating that valuation up to the bound with
-no further step or assertion.
+like an odometer and builds each initial state once; under it, it walks
+the tree of step successors depth first, on an explicit stack with a
+frame for each node whose step drew, so each node of the choice tree is
+stepped at most once, and each state checked at most once.  `run_path`
+runs a path from its initial state on its own, so a witness replays
+independently of the search.  One purity rule holds for the whole model:
+an update's result depends only on its views and its draws, and an
+assertion's only on a state's values, never on its iteration.  So a step
+that drew nothing and returned its input's values would do the same at
+every later iteration, on values the assertions already passed: the path
+has settled, and `run_path` and `explore` end it there, repeating that
+valuation up to the bound with no further step or assertion.  And a node
+the walk reaches again, with the values and the remaining depth of one
+whose subtree it has fully explored, roots the same subtree: `explore`
+adds that subtree's path count, kept in a memo, and steps no further.
 
 A state is one flat tuple of values, one per declared variable in declared
 order.  `register_model` fixes each variable's position once, in the
@@ -298,7 +300,8 @@ ChoiceLog = tuple[ChoiceEntry, ...]
 class Assertion:
     """A pure safety predicate; False means violated.  Handed a `ModelState`,
     it must depend only on the state's `values`, never its iteration, as
-    a settled path ends (`_run_from`).  `assert_id` is a trace token other
+    a settled path ends (`run_path`) and a repeated subtree is counted once
+    (`explore`).  `assert_id` is a trace token other
     than `-`, which a trace header writes for no failed assertion."""
 
     assert_id: str
@@ -392,7 +395,8 @@ class UpdateFunctions:
     Each function returns a mapping from variable name to new value for its
     target group.  Variables omitted from the mapping keep their previous
     value (carry-over).  The result must depend only on the views and the
-    draws, which is what lets a settled path end (`_run_from`).
+    draws, which is what lets a settled path end (`run_path`) and a
+    repeated subtree be counted once (`explore`).
     """
 
     env_input: Callable   # (sys_output, env_state, ctx) -> mapping
@@ -782,53 +786,29 @@ def _step(model: Model, state: ModelState, views: list[tuple],
 def run_path(model: Model, bound: int, values: Iterable[Value] = ()
              ) -> tuple[Trace, ChoiceLog, tuple[str, ...]]:
     """Run one path from the initial state until the first iteration whose
-    assertions fail or the bound.  Its draws take `values` in order, across
-    initialisation and the steps, then first values.  Returns the states,
-    the draws and the violated assertion ids (empty if none).
+    assertions fail or the bound, evaluating the assertions once on each
+    state.  Its draws take `values` in order, across initialisation and
+    the steps, then first values.  Returns the states, the draws and the
+    violated assertion ids (empty if none).
 
     It resolves the initial state, its draws checked by `_draw` like every
-    step draw, and runs the steps from it in the path loop `explore` runs
-    (`_run_from`).  So a log `explore` builds replays here independently of
-    how `explore` walked the initialisation choices.
-    """
-    values = iter(values)
-    state, entries = resolve_initial(model, values)
-    return _run_from(model, bound, state, values, entries)
-
-
-def _run_from(model: Model, bound: int, state: ModelState,
-              values: Iterator[Value], entries: ChoiceLog,
-              shared: Trace | None = None
-              ) -> tuple[Trace, ChoiceLog, tuple[str, ...]]:
-    """The path loop: run one path on from `state`, the path having drawn
-    `entries` before it, until the first iteration whose assertions fail
-    or the bound, evaluating the assertions once on each state.  Its step
-    draws take `values`, then first values.  Returns what `run_path`
-    returns.
-
-    Without `shared`, `state` is the path's initial state, and the
-    assertions are evaluated on it first.  With it, the path resumes at
-    `state`, part of a path `explore` ran before: `shared` holds that
-    path's states before it, and the assertions held on all of them and on
-    `state`, so none is evaluated again.
-
-    It builds the nine group views of `state`, and each step hands those
-    of its new state to the next (`_step`), rewriting the list, so a view
-    is built again only after an update changed its group.
+    step draw, builds its nine group views, and each step hands those of
+    its new state to the next (`_step`), rewriting the list, so a view is
+    built again only after an update changed its group.  It shares no
+    search state with `explore`, so a log `explore` builds replays here
+    independently of how `explore` walked the choice tree.
 
     A step that drew nothing and returned its input's values has settled
     the path: every later step would return the same values again, on
     which the assertions, reading only values, already held.  So the path
     ends there, its valuation repeated to the bound, sharing its tuple.
     """
+    values = iter(values)
+    state, entries = resolve_initial(model, values)
     views = _views(model, state.values)
+    snapshots = [state]
     log = list(entries)
-    if shared is None:
-        snapshots = [state]
-        violated = _eval_assertions(model, state)
-    else:
-        snapshots = [*shared, state]
-        violated = ()
+    violated = _eval_assertions(model, state)
     while not violated and state.iteration < bound:
         stepped, drawn = _step(model, state, views, values)
         if not drawn and stepped.values == state.values:
@@ -840,6 +820,20 @@ def _run_from(model: Model, bound: int, state: ModelState,
         log.extend(drawn)
         violated = _eval_assertions(model, state)
     return tuple(snapshots), tuple(log), violated
+
+
+def _next_draws(model: Model, drawn: ChoiceLog) -> list[Value] | None:
+    """The values a step draws to reach the next sibling of the child its
+    draws `drawn` reached: its deepest draw whose point has a later value
+    takes it, after the same draws before it, or None if there is none.
+    `ChoicePoint` rejects members that compare equal, so a value's place
+    in its domain is unambiguous."""
+    for i in range(len(drawn) - 1, -1, -1):
+        domain = model.choices[drawn[i].point_id].domain
+        later = domain.index(drawn[i].value) + 1
+        if later < len(domain):
+            return [entry.value for entry in drawn[:i]] + [domain[later]]
+    return None
 
 
 def explore(model: Model, bound: int,
@@ -862,18 +856,31 @@ def explore(model: Model, bound: int,
     is the order backtracking on whole paths would take, since every path
     draws each of them once, first.  Each initial state is built once: its
     values, its state and its log, an entry made as a point takes a
-    value, so one per node of the initialisation tree.  Under it, the
-    first path runs the path loop (`_run_from`) from the initial state,
-    drawing first values.  Each next path advances the last path's
-    deepest step draw whose point has a later value; `ChoicePoint` rejects
-    members that compare equal, so a value's place in its domain is
-    unambiguous.  If that draw was made at iteration `it`, the next path
-    resumes at the last path's state at `it - 1`, sharing its states
-    before it and its log before iteration `it`, replays the draws
-    iteration `it` made before the advanced one, draws the later value,
-    then first values.  The assertions held on every state it shares, so
-    it checks none of them again.  Once no step draw has a later value,
-    the walk moves to the next initial state.
+    value, so one per node of the initialisation tree.
+
+    Under it, the walk is depth first over the successors of one step,
+    each node stepped at most once and each state it reaches checked at
+    most once.  A step that drew nothing has one successor, taken inline,
+    as `run_path` takes it.  A step that drew pushes a frame on an
+    explicit stack: the node's state and memo key, the views its step
+    started from, the draws it made, the paths counted before the node
+    was reached and the log's length before its draws.  Once a path ends, the walk backs up to the deepest frame whose
+    step has a next sibling (`_next_draws`), cuts the path's states and log
+    back to that node, and steps the sibling from there; a frame with no
+    next sibling has a fully explored subtree.  Once no frame has one, the
+    walk moves to the next initial state.
+
+    On a model that sites a step choice point at a group, one memo per
+    call maps a node's values and remaining depth to the paths under it,
+    stored as the frame of a node whose step drew finishes.  Updates and
+    assertions are pure, so a node reached again with the same key roots
+    the same subtree, in which no path fails: before it steps, such a
+    node adds the stored count and steps no further.  Only safe subtrees
+    finish, so the verdict, the first witness and its log, the first path
+    (the Safe representative, reached before any frame finishes) and
+    `paths_explored` are those of the stateless search.  The ceiling is
+    tested before each path, and a stored count that would carry past it
+    ends the search where that search would: after `path_ceiling` paths.
     """
     # exactly int, as a trace header writes the bound
     if type(bound) is not int or bound < 1:
@@ -888,8 +895,15 @@ def explore(model: Model, bound: int,
     initial = [v.init for v in model.variables]
     drawn: list[ChoiceEntry] = []
     changed = 0   # the first point whose value the walk changed
+    # (values, remaining depth) -> paths, where a step can draw
+    memo = {} if any(live for _, _, _, live, _ in model.plan) else None
     first_path: tuple[Trace, ChoiceLog] | None = None
     paths = 0
+    # the answer once the search would run more paths than the ceiling
+    exceeded = Verdict(VerdictKind.ModelError, bound,
+                       paths_explored=path_ceiling,
+                       message=f"choice explosion: path ceiling {path_ceiling} "
+                               "exceeded")
     while True:
         del drawn[changed:]
         for k in range(changed, len(points)):
@@ -897,48 +911,71 @@ def explore(model: Model, bound: int,
             initial[pos] = value = cp.domain[places[k]]
             drawn.append(ChoiceEntry(0, cp.point_id, value))
         state = ModelState(tuple(initial), 0, model.layout)
-        entries = tuple(drawn)
-        start = len(entries)
-        shared: Trace | None = None
-        prefix: list[Value] = []
+        trace = [state]
+        log = list(drawn)
+        views = _views(model, state.values)
+        values: Iterator[Value] = iter(())
+        # (node, key, views, draws, paths before it, log length before them)
+        stack: list[tuple] = []
+        before = paths   # counted before the node about to step was reached
+        violated = None   # the initial state is yet to be checked
         while True:
             if paths >= path_ceiling:
-                return Verdict(VerdictKind.ModelError, bound,
-                               paths_explored=paths,
-                               message="choice explosion: path ceiling "
-                                       f"{path_ceiling} exceeded")
+                return exceeded
+            cached = None
             try:
-                trace, log, violated = _run_from(model, bound, state,
-                                                 iter(prefix), entries,
-                                                 shared)
+                if violated is None:
+                    violated = _eval_assertions(model, state)
+                while not violated and state.iteration < bound:
+                    if memo is not None:
+                        key = (state.values, bound - state.iteration)
+                        cached = memo.get(key)
+                        if cached is not None:
+                            break
+                        saved = views.copy()
+                    stepped, step_drawn = _step(model, state, views, values)
+                    if step_drawn:
+                        stack.append((state, key, saved, step_drawn, before,
+                                      len(log)))
+                        before = paths   # no path ends on the way down
+                        log.extend(step_drawn)
+                    elif stepped.values == state.values:
+                        trace.extend(ModelState(state.values, i, model.layout)
+                                     for i in range(state.iteration + 1,
+                                                    bound + 1))
+                        break
+                    state = stepped
+                    trace.append(state)
+                    violated = _eval_assertions(model, state)
             except ModelError as exc:
                 return Verdict(VerdictKind.ModelError, bound,
                                paths_explored=paths + 1, message=str(exc))
-            paths += 1
             if violated:
-                return Verdict(VerdictKind.Unsafe, bound, paths_explored=paths,
-                               trace=trace, choice_log=log,
+                return Verdict(VerdictKind.Unsafe, bound,
+                               paths_explored=paths + 1, trace=tuple(trace),
+                               choice_log=tuple(log),
                                failed_assertion=violated[0])
-            if first_path is None:
-                first_path = (trace, log)
+            if cached is None:
+                paths += 1
+                if first_path is None:
+                    first_path = (tuple(trace), tuple(log))
+            else:
+                paths += cached
+                if paths > path_ceiling:
+                    return exceeded
 
-            # advance the deepest step draw whose point has a later value
-            for i in range(len(log) - 1, start - 1, -1):
-                domain = model.choices[log[i].point_id].domain
-                later = domain.index(log[i].value) + 1
-                if later < len(domain):
+            # back up to the deepest frame whose step has a next sibling,
+            # storing the count of each finished one on the way
+            for depth in range(len(stack) - 1, -1, -1):
+                state, key, views, step_drawn, before, logged = stack[depth]
+                later = _next_draws(model, step_drawn)
+                if later is not None:
                     break
+                memo[key] = paths - before
             else:
                 break
-            # resume at the state the draw's iteration stepped from, sharing
-            # the path before it and the log before that iteration, and
-            # replay the iteration's draws before the advanced one
-            it = log[i].iteration
-            cut = i
-            while cut > start and log[cut - 1].iteration == it:
-                cut -= 1
-            state, shared, entries = trace[it - 1], trace[:it - 1], log[:cut]
-            prefix = [entry.value for entry in log[cut:i]] + [domain[later]]
+            del stack[depth:], trace[state.iteration + 1:], log[logged:]
+            values = iter(later)
 
         # the next initial state: the last point with a later candidate
         # takes it, and every point after it wraps to its first

@@ -31,6 +31,11 @@ one: it fails once the clock, capped at 1 to the bound, is at its cap
 while two residues of pairwise sums meet, a conjunction that the first
 path seldom reaches.
 
+A repeating model is a random one whose variables each hold one bit, with
+two or three step points at distinct slots and at most one assertion, so
+paths that drew differently often reach equal states, at the same
+iteration or at another.
+
 A raising model's drawing updates keep their contexts, and each call first
 tries to draw through the one its update kept last, which must be refused.
 On some branches where a point drew its last candidate, never on the path
@@ -99,7 +104,7 @@ def _rand_domain(rng: random.Random) -> tuple[int, ...]:
 
 
 def _draw_layout(rng: random.Random, bound: int, max_runs: int,
-                 settling: bool = False):
+                 settling: bool = False, repeating: bool = False):
     """(bound, init domains, step point sites, step domains): draw layouts
     sampled until the run count fits the budget, the bound lowered on each
     miss."""
@@ -109,6 +114,9 @@ def _draw_layout(rng: random.Random, bound: int, max_runs: int,
         site_of: list[Group] = []
         if settling:
             site_of.extend(rng.sample(_DRAW_SLOTS, rng.randint(0, 1)))
+        elif repeating:
+            site_of.extend(sorted(rng.sample(_DRAW_SLOTS, rng.randint(2, 3)),
+                                  key=_DRAW_SLOTS.index))
         else:
             for slot in _DRAW_SLOTS:
                 for _ in range(rng.randint(0, 1)):
@@ -127,21 +135,22 @@ def _draw_layout(rng: random.Random, bound: int, max_runs: int,
 
 
 def generate(seed: int, max_runs: int = 400, settling: bool = False,
-             raising: bool = False, late_failing: bool = False
-             ) -> GeneratedModel:
+             raising: bool = False, late_failing: bool = False,
+             repeating: bool = False) -> GeneratedModel:
     """Build one random model whose complete-run count is at most max_runs;
     a settling one if `settling`, a raising one if `raising`, a late-failing
-    one if `late_failing`."""
+    one if `late_failing`, a repeating one if `repeating`."""
     rng = random.Random(seed)
 
-    caps = {name: rng.randint(2, 9 if settling else 6)
+    caps = {name: 1 if repeating
+            else rng.randint(2, 9 if settling else 6)
             for name in _SLOT_VAR.values()}
     coeff = {name: rng.randint(1, 2) for name in _SLOT_VAR.values()}
     offset = {name: rng.randint(0, 3) for name in _SLOT_VAR.values()}
 
     bound = rng.randint(6, 10) if settling else rng.randint(2, 4)
     bound, init_domains, site_of, step_domains = _draw_layout(
-        rng, bound, max_runs, settling)
+        rng, bound, max_runs, settling, repeating)
 
     step_points = []
     draws: dict[Group, list[ChoicePoint]] = {slot: [] for slot in _DRAW_SLOTS}
@@ -250,7 +259,8 @@ def generate(seed: int, max_runs: int = 400, settling: bool = False,
     if late_failing:
         n_asserts = 0
     else:
-        n_asserts = rng.randint(0, 1) if settling else rng.randint(1, 2)
+        n_asserts = (rng.randint(0, 1) if settling or repeating
+                     else rng.randint(1, 2))
     for k in range(n_asserts):
         watched = rng.sample(list(_SLOT_VAR.items()), 3)
         weights = [rng.randint(0, 2) for _ in watched]

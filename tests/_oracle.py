@@ -9,11 +9,11 @@ then `reference_step` at every iteration, also where the engine's
 evaluates the assertions with its own code on every state, checks that the
 draws came from the vector's points in order, and reports what an
 exhaustive search must find.  It shares only `run_path` with the engine,
-whose path loop `explore` runs, and calls it through the engine's module,
-so a stand-in put there for a test is what it checks: on every vector,
-`run_path` must give the reference's states, with their values' types, its
-draws and its violations, or raise where the reference raises, with its
-message.  A vector whose reference run raises a ModelError ends the search
+which steps by the `_step` `explore`'s walk takes, and calls it through
+the engine's module, so a stand-in put there for a test is what it
+checks: on every vector, `run_path` must give the reference's states,
+with their values' types, its draws and its violations, or raise where
+the reference raises, with its message.  A vector whose reference run raises a ModelError ends the search
 there, as a failing path ends `explore`.
 
 `FAMILIES` names each family of generated models the oracle checks: its
@@ -78,6 +78,11 @@ FAMILIES = {
     "late-failing": Family(functools.partial(generate, late_failing=True),
                            range(100),
                            {"Safe": 37, "Unsafe": 63, "ModelError": 0}),
+    # one-bit variables and two or three step points, so distinct draws
+    # often reach equal states, whose subtrees `explore` counts once
+    "repeating": Family(functools.partial(generate, max_runs=128,
+                                          repeating=True), range(50),
+                        {"Safe": 40, "Unsafe": 10, "ModelError": 0}),
 }
 
 

@@ -7,7 +7,10 @@ so the search must end where the oracle's does, and asserts that they
 agree, stopping at the first model that does not: on the verdict, the
 number of paths run, the violated assertion and iteration, the witness
 path and its choice log (a counterexample must also replay), or, for a
-ModelError, the reference's message.  `explore` is called through the
+ModelError, the reference's message.  Where the oracle runs two or more
+paths, a ceiling one below its count must end the search in a ModelError
+after exactly that many, also where a subtree `explore` counts at once
+would carry it past the ceiling.  `explore` is called through the
 engine's module, so a stand-in put there for a test is what the sweep
 checks.  `swept` is the same sweep, cached, so every test that reads a
 family shares one run of it per session.
@@ -19,7 +22,7 @@ import functools
 from typing import NamedTuple
 
 from hilcheck import engine
-from hilcheck.engine import Verdict, replay_counterexample
+from hilcheck.engine import Verdict, VerdictKind, replay_counterexample
 
 from _modelgen import GeneratedModel
 from _oracle import FAMILIES, OracleResult, flat_check, typed
@@ -55,6 +58,12 @@ def sweep(name: str) -> tuple[Swept, ...]:
                 == expected.violation_iteration, where
             assert replay_counterexample(gen.model, verdict) \
                 == verdict.trace, where
+        if expected.paths >= 2:
+            below = engine.explore(gen.model, gen.bound,
+                                   path_ceiling=expected.paths - 1)
+            assert below.kind is VerdictKind.ModelError, where
+            assert "choice explosion" in below.message, where
+            assert below.paths_explored == expected.paths - 1, where
         models.append(Swept(seed, gen, expected, verdict))
     return tuple(models)
 

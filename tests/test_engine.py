@@ -173,6 +173,21 @@ def test_choice_point_rejects_empty_and_duplicate_domains():
         IntDomain(2, 1)
 
 
+def test_a_one_value_integer_domain_holds_its_value():
+    domain = IntDomain(3, 3)
+    assert domain.values() == (3,)
+    model = register_model(
+        variables=[Var("n", Group.ENV_STATE, domain, 3)],
+        updates=_updates(env_state=lambda ei, e, ctx: {"n": e.n}))
+    # the probe draws the domain's one value
+    verdict = explore(probed_model(model, (Group.ENV_STATE, "n")), 2,
+                      path_ceiling=1)
+    assert verdict.kind is VerdictKind.Safe
+    assert verdict.paths_explored == 1
+    assert verdict.choice_log == (ChoiceEntry(0, "probe:n", 3),)
+    assert [s.value(Group.ENV_STATE, "n") for s in verdict.trace] == [3] * 3
+
+
 @pytest.mark.parametrize("declare, message", [
     (lambda: ChoicePoint("p", (0.5, (1, 2)), site=Group.ENV_INPUT),
      "choice point 'p': member 0.5 is not an int, bool, str or Enum"),

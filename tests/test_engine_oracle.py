@@ -2,7 +2,7 @@
 
 Each family of `_oracle.FAMILIES` is swept once (`_sweep.swept`): each of
 its randomized small models, each drawing on a fixed schedule, is checked
-two ways, explore()'s depth-first search with pruning, and brute
+two ways, explore()'s depth-first walk with its memo, and brute
 enumeration of the full choice-vector product, run through a reference
 step that shares no code with the engine's.  Both must agree on the
 verdict, on the violated assertion and iteration, on the witness path, and
@@ -10,8 +10,8 @@ on the number of paths run: every complete run for a safe model, the runs
 up to and including the first violating or raising one otherwise.  The
 enumeration also checks that initialisation points are drawn in their list
 order, and step points on the schedule whatever their list order, and that
-`run_path`, whose path loop `explore` runs, gives on every vector what the
-reference gives.
+`run_path`, which steps by the `_step` `explore`'s walk takes, gives on
+every vector what the reference gives.
 
 220 random models; 100 more that saturate instead of wrapping and run to a
 bound of 6 to 10, so most of their paths settle into a fixed point well
@@ -41,17 +41,24 @@ three steps before the bound, and must step on from it.
 once a clock has reached a depth and two residues meet, so most of them
 fail on a path after the first.
 
+50 repeating models hold one-bit variables and draw from two or three
+step points, so distinct draws often reach equal states: `explore` counts
+such a state's subtree once, where it has explored it with the same depth
+left, and must still count every path.
+
 A path ceiling at each model's path count changes nothing, and one below it
 ends the search after exactly that many paths.
 """
 
+import itertools
 import statistics
 
-from hilcheck.engine import VerdictKind, explore
+from hilcheck import engine
+from hilcheck.engine import explore
 
 from _modelgen import generate
 from _oracle import FAMILIES
-from _sweep import outcomes, swept
+from _sweep import Swept, outcomes, swept
 
 
 def settles(expected) -> bool:
@@ -133,27 +140,65 @@ def test_explore_matches_flat_enumeration_on_late_failing_models():
     assert sum(n == 1 for n in unsafe_path_indices("random")) == 139
 
 
+def stateless_steps(model: Swept) -> int:
+    """How many steps a search that counted no subtree at once would run on
+    a repeating model: its models draw in every step, so no path settles,
+    and a path after the first steps on from the iteration of its first
+    draw that differs from the path before it."""
+    gen, expected = model.gen, model.expected
+    points = list(gen.init_points) + list(gen.step_points) * gen.bound
+    vectors = itertools.product(*(cp.domain for cp in points))
+    total, previous = 0, None
+    for n, vector in enumerate(itertools.islice(vectors, expected.paths), 1):
+        steps = gen.bound
+        if n == expected.paths and expected.kind == "Unsafe":
+            steps = expected.violation_iteration
+        if previous is None:
+            shared = 0
+        else:
+            first = next(i for i, (a, b) in enumerate(zip(vector, previous))
+                         if a != b) - len(gen.init_points)
+            shared = max(0, first // len(gen.step_points))
+        total += steps - shared
+        previous = vector
+    return total
+
+
+def test_explore_matches_flat_enumeration_on_repeating_models(monkeypatch):
+    assert outcomes("repeating") == FAMILIES["repeating"].outcomes
+    steps = 0
+    step = engine._step
+
+    def counted(*args):
+        nonlocal steps
+        steps += 1
+        return step(*args)
+
+    monkeypatch.setattr(engine, "_step", counted)
+    repeated = 0
+    for model in swept("repeating"):
+        steps = 0
+        explore(model.gen.model, model.gen.bound)
+        stateless = stateless_steps(model)
+        assert steps <= stateless, model.seed
+        repeated += steps < stateless
+    # the models where `explore` reaches a state it counts at once
+    assert repeated == 30
+
+
 def test_path_ceiling_at_and_one_below_each_path_count():
-    # the sweep explored at the oracle's path count n: unbounded, the
-    # search is the same; at n - 1 it ends in a ModelError after exactly
-    # n - 1 paths
+    # the sweep explored at the oracle's path count n, and at n - 1 where
+    # n >= 2, which must end in a ModelError after exactly n - 1 paths;
+    # unbounded, the search is the one at n
     branching = dict.fromkeys(FAMILIES, 0)
     for name in FAMILIES:
         for seed, gen, expected, at_count in swept(name):
-            n = expected.paths
             assert explore(gen.model, gen.bound) == at_count, \
                 f"{name} seed {seed}"
-            if n >= 2:
-                below = explore(gen.model, gen.bound, path_ceiling=n - 1)
-                assert below.kind is VerdictKind.ModelError, \
-                    f"{name} seed {seed}"
-                assert "choice explosion" in below.message, \
-                    f"{name} seed {seed}"
-                assert below.paths_explored == n - 1, f"{name} seed {seed}"
-                branching[name] += 1
+            branching[name] += expected.paths >= 2
     assert branching == {"random": 76, "settling": 19, "write-path": 41,
-                         "raising": 29, "cycling": 23,
-                         "late-failing": 79}, branching
+                         "raising": 29, "cycling": 23, "late-failing": 79,
+                         "repeating": 40}, branching
 
 
 def test_generated_models_have_bounded_run_counts():

@@ -1,5 +1,5 @@
-"""Exploration tests: verdict shapes, search order, probing, resumption,
-replay."""
+"""Exploration tests: verdict shapes, search order, probing, the walk and
+its memo, replay."""
 
 from dataclasses import fields, replace
 
@@ -9,12 +9,18 @@ from hilcheck import engine
 from hilcheck.acc import AccCommand
 from hilcheck.engine import (Assertion, ChoiceEntry, ChoicePoint, Group,
                              IntDomain, ModelError, UpdateFunctions, Var,
-                             VerdictKind, explore, probed_model,
-                             register_model, replay_counterexample,
-                             resolve_initial, step)
+                             VerdictKind, probed_model, register_model,
+                             replay_counterexample, resolve_initial, step)
 from hilcheck.scenarios import SCENARIOS, build_model
 
 from _helpers import updates as _updates
+
+
+def explore(model, bound, path_ceiling=10_000):
+    """`engine.explore`, at a ceiling of 10,000 paths unless a test sets
+    its own: no search here runs more, so a walk that would not end fails
+    instead of running to the default ceiling."""
+    return engine.explore(model, bound, path_ceiling=path_ceiling)
 
 
 def _accumulator(limit: int, domain=(0, 1, 2), assertions=None):
@@ -36,7 +42,7 @@ def _accumulator(limit: int, domain=(0, 1, 2), assertions=None):
 
 def test_safe_when_no_path_violates():
     model = _accumulator(limit=99)
-    verdict = explore(model, 3)
+    verdict = explore(model, 3, path_ceiling=27)
     assert verdict.kind is VerdictKind.Safe
     assert verdict.bound == 3
     assert verdict.paths_explored == 27   # 3 draws of 3 values
@@ -170,12 +176,13 @@ def test_explore_counts_conditional_draws_correctly():
     model = register_model(
         variables=[Var("out", Group.BEH_OUTPUT, IntDomain(0, 3), 0)],
         updates=_updates(beh_output=beh_output), choices=[gate, extra])
-    verdict = explore(model, 1)
+    verdict = explore(model, 1, path_ceiling=4)
     # gate=0 is one leaf; gate=1 fans out over three extras
     assert verdict.kind is VerdictKind.Safe
     assert verdict.paths_explored == 4
 
-    verdict2 = explore(model, 2)
+    verdict2 = explore(model, 2, path_ceiling=16)
+    assert verdict2.kind is VerdictKind.Safe
     assert verdict2.paths_explored == 16
 
 
@@ -305,7 +312,7 @@ def test_a_state_that_draws_keeps_stepping_after_it_repeats():
                                        for i in range(1, 7))
 
 
-# --- resumption ------------------------------------------------------------
+# --- the walk and its memo -------------------------------------------------
 
 def _counting(model, calls: dict):
     """`model` with each update function and assertion predicate counting
@@ -324,20 +331,26 @@ def _counting(model, calls: dict):
     return replace(model, updates=updates, assertions=assertions)
 
 
-@pytest.mark.parametrize("config, bound, steps, states, draws", [
+BRANCHING = replace(SCENARIOS["manual-override"],
+                    command_domain=(AccCommand.Maintain, AccCommand.Decelerate))
+
+
+@pytest.mark.parametrize("config, bound, kind, paths, steps, states, draws", [
     # 4 initial states, each the root of a tree of 1 + 3 + ... + 3^5 = 364
-    # nodes: 1,456 states, 1,452 of them stepped to, where a search that
-    # ran each of the 972 paths from iteration 0 would step 4,860 times
-    (replace(SCENARIOS["manual-override"],
-             command_domain=(AccCommand.Maintain, AccCommand.Decelerate)),
-     5, 1452, 1456, 2420),
-    # every draw at initialisation: 864 paths of 10 steps each
+    # nodes, 1,452 of them stepped to in all; states repeat across paths,
+    # so the walk steps 804 times and counts the subtrees of 108 of the
+    # states it reaches at once
+    (BRANCHING, 5, VerdictKind.Safe, 972, 804, 808, 1340),
+    # the witness is the 19,684th path, which a walk with no memo reaches
+    # after 29,532 steps
+    (BRANCHING, 12, VerdictKind.Unsafe, 19684, 264, 265, 443),
+    # every draw at initialisation, so no memo: 864 paths of 10 steps each
     (replace(SCENARIOS["lowered-speed"], route_length=3,
              separation_only=True),
-     10, 8640, 9504, 0),
-], ids=["branching", "route-sweep"])
+     10, VerdictKind.Safe, 864, 8640, 9504, 0),
+], ids=["branching", "branching-12", "route-sweep"])
 def test_each_node_of_the_choice_tree_is_stepped_and_checked_once(
-        config, bound, steps, states, draws, monkeypatch):
+        config, bound, kind, paths, steps, states, draws, monkeypatch):
     model = build_model(config)   # its trial step is not counted
     updates = [f.name for f in fields(UpdateFunctions)]
     asserted = [a.assert_id for a in model.assertions]
@@ -350,10 +363,27 @@ def test_each_node_of_the_choice_tree_is_stepped_and_checked_once(
         return draw(*args)
 
     monkeypatch.setattr(engine, "_draw", counted_draw)
-    verdict = explore(model, bound)
-    assert verdict.kind is VerdictKind.Safe
+    verdict = explore(model, bound, path_ceiling=paths)
+    assert (verdict.kind, verdict.paths_explored) == (kind, paths)
     assert calls == {**dict.fromkeys(updates, steps),
                      **dict.fromkeys(asserted, states), "draw": draws}
+
+
+def test_a_path_that_draws_at_every_iteration_walks_any_depth():
+    # one frame per step, on the walk's own stack
+    tick = ChoicePoint("tick", (1,), site=Group.ENV_STATE)
+
+    def env_state(ei, e, ctx):
+        return {"n": (e.n + ctx.choose("tick")) % 7}
+
+    model = register_model(
+        variables=[Var("n", Group.ENV_STATE, IntDomain(0, 6), 0)],
+        updates=_updates(env_state=env_state), choices=[tick])
+    verdict = explore(model, 5000, path_ceiling=1)
+    assert verdict.kind is VerdictKind.Safe
+    assert verdict.paths_explored == 1
+    assert len(verdict.trace) == len(verdict.choice_log) + 1 == 5001
+    assert verdict.trace[-1].value(Group.ENV_STATE, "n") == 5000 % 7
 
 
 # --- replay ----------------------------------------------------------------

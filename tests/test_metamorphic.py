@@ -11,15 +11,18 @@ lowered-speed itself only from bound 4, as below it the search is Safe
 after 31,104 paths.
 
 - Ceiling: a path ceiling of exactly the path count returns the same
-  verdict, and a ceiling one less ends in a ModelError after exactly as
-  many paths as it allows.
+  verdict as one of twice that, and a ceiling one less ends in a
+  ModelError after exactly as many paths as it allows.
 - Bound monotonicity: a config Unsafe at a bound is Unsafe at the next.
 - Domain order: reversing `operators`, the candidates of the integrator's
   initialisation choice, or `command_domain`, the candidates of the
   driver's command, keeps the verdict kind and a Safe path count, and the
   new Unsafe witness replays on its own model.
 
-Each verdict a relation starts from is explored once (`explored`).
+Each verdict a relation starts from is explored once (`explored`), at a
+path ceiling of its pinned path count (`PATHS`), so a search that would
+walk for ever ends there and fails the relation, instead of running to
+the default ceiling.
 """
 
 import functools
@@ -38,31 +41,49 @@ CONFIGS = {**SCENARIOS,
                                 name="branching",
                                 command_domain=(AccCommand.Maintain,
                                                 AccCommand.Decelerate))}
-CASES = [(name, bound) for name in CONFIGS for bound in range(1, 7)
-         if name != "lowered-speed" or bound >= 4]
 # the knobs whose order the domain-order relation reverses
 REVERSED = ("operators", "command_domain")
+# each config's path counts at its last bounds up to 6: its own, then
+# with each knob of REVERSED reversed in turn
+_PINNED = {
+    "ideal": [(4, 4, 4)] * 6,
+    "lowered-speed": [(3, 2, 3)] * 3,
+    "manual-override": [(16, 16, 16), (64, 64, 64), (1, 1, 41),
+                        (1, 1, 101), (1, 1, 169), (1, 1, 169)],
+    "reaction-probe": [(1, 1, 1)] * 6,
+    "drawn-2": [(144, 144, 144)] * 3 + [(11, 10, 11)] * 3,
+    "branching": [(12, 12, 12), (36, 36, 36), (108, 108, 108),
+                  (324, 324, 324), (972, 972, 972), (322, 322, 79)],
+}
+PATHS = {(name, bound): counts for name, rows in _PINNED.items()
+         for bound, counts in zip(range(7 - len(rows), 7), rows)}
+CASES = list(PATHS)
 
 
 @functools.cache
 def explored(name: str, bound: int, reversed_knob: str | None = None):
     """The model of config `name`, the order of its knob `reversed_knob`
     reversed if one is named, and what `explore` returns for it at
-    `bound`."""
+    `bound`, at a ceiling of its pinned path count."""
     config = CONFIGS[name]
+    counts = PATHS[name, bound]
+    paths = counts[0]
     if reversed_knob is not None:
         config = replace(config, **{
             reversed_knob: getattr(config, reversed_knob)[::-1]})
+        paths = counts[1 + REVERSED.index(reversed_knob)]
     model = build_model(config)
-    return model, explore(model, bound)
+    return model, explore(model, bound, path_ceiling=paths)
 
 
 @pytest.mark.parametrize("name, bound", CASES)
 def test_a_ceiling_at_the_path_count_changes_nothing_and_one_below_ends_there(
         name, bound):
     model, verdict = explored(name, bound)
-    n = verdict.paths_explored
-    assert explore(model, bound, path_ceiling=n) == verdict
+    n = PATHS[name, bound][0]
+    assert verdict.kind is not VerdictKind.ModelError
+    assert verdict.paths_explored == n
+    assert explore(model, bound, path_ceiling=2 * n) == verdict
     if n >= 2:
         below = explore(model, bound, path_ceiling=n - 1)
         assert below.kind is VerdictKind.ModelError

@@ -1,20 +1,21 @@
 """Mutants of the engine's step, path loop and search that the oracle must
 kill.
 
-Each mutant edits one snippet of the source of a named engine function,
-`_step`, `_run_from` or `explore`, compiles the result in a copy of the
-engine's namespace, and puts it in place of that function for one test:
-`step` and `_run_from` call `_step` through the engine's namespace,
-`run_path` and `explore` call `_run_from` through it, and the oracle and
-the sweep call `run_path` and `explore` through the engine's module.  An
-uncached sweep of the named oracle family must fail under it, at its first
-failing model, with an AssertionError of the oracle's, or with the
-ModelError a generated model's registration raises where its trial step
-already fails.  The sweep explores at a path ceiling of the oracle's path
-count, so a search mutant that would walk for ever meets it.  Each snippet
-must occur exactly once in its function, so a rewrite that drops or
-repeats one fails here, loudly, until its mutant is written again.  Each
-unedited copy, compiled the same way, is the engine's own function,
+Each mutant edits the source of a named engine function, `_step`,
+`run_path`, `_next_draws` or `explore`, at one snippet, or at each of a
+tuple of snippets, compiles the result in a copy of the engine's
+namespace, and puts it in place of that function for one test: `step`,
+`run_path` and `explore` call `_step` through the engine's namespace,
+`explore` calls `_next_draws` through it, and the oracle and the sweep
+call `run_path` and `explore` through the engine's module.  An uncached
+sweep of the named oracle family must fail under it, at its first failing
+model, with an AssertionError of the oracle's, or with the ModelError a
+generated model's registration raises where its trial step already fails.
+The sweep explores at a path ceiling of the oracle's path count, and one
+below it, so a search mutant that would walk for ever meets it.  Each
+snippet must occur exactly once in its function, so a rewrite that drops
+or repeats one fails here, loudly, until its mutant is written again.
+Each unedited copy, compiled the same way, is the engine's own function,
 instruction for instruction.
 """
 
@@ -29,29 +30,31 @@ from hilcheck.engine import ModelError
 from _sweep import sweep
 
 # `explore`'s path ceiling, tested before each path, and the same test
-# moved after the path's count
+# after a path's count instead
 CEILING_TEST = """\
             if paths >= path_ceiling:
-                return Verdict(VerdictKind.ModelError, bound,
-                               paths_explored=paths,
-                               message="choice explosion: path ceiling "
-                                       f"{path_ceiling} exceeded")
+                return exceeded
 """
-RUN = """\
-            try:
-                trace, log, violated = _run_from(model, bound, state,
-                                                 iter(prefix), entries,
-                                                 shared)
-            except ModelError as exc:
-                return Verdict(VerdictKind.ModelError, bound,
-                               paths_explored=paths + 1, message=str(exc))
-            paths += 1
+COUNT = """\
+                paths += 1
 """
-CEILING_BEFORE = CEILING_TEST + RUN
-CEILING_AFTER = RUN + CEILING_TEST
+COUNT_THEN_CEILING = """\
+                paths += 1
+                if paths >= path_ceiling:
+                    return exceeded
+"""
+
+# `explore`'s back-up scan: a frame with a next sibling stops it, and each
+# finished one on the way stores its count
+SCAN = """\
+                if later is not None:
+                    break
+                memo[key] = paths - before
+"""
 
 # (name, function, snippet, its replacement, the family whose sweep must
-# fail, how)
+# fail, how); a mutant of several edits gives a tuple of snippets and one
+# of their replacements
 MUTANTS = [
     ("== for is", "_step",
      "if value is current[pos]:",
@@ -105,19 +108,19 @@ MUTANTS = [
      "                returned = fn(*reads(views), ctx)\n"
      "                ctx._site = None\n",
      "raising", AssertionError),
-    ("path settled though the step drew", "_run_from",
+    ("path settled though the step drew", "run_path",
      "if not drawn and stepped.values == state.values:",
      "if stepped.values == state.values:",
      "settling", AssertionError),
-    ("settled tail one state short", "_run_from",
+    ("settled tail one state short", "run_path",
      "range(state.iteration + 1, bound + 1)",
      "range(state.iteration + 1, bound)",
      "settling", AssertionError),
-    ("settle test against the stepped state itself", "_run_from",
+    ("settle test against the stepped state itself", "run_path",
      "stepped.values == state.values",
      "stepped.values == stepped.values",
      "random", AssertionError),
-    ("settle test against the initial state", "_run_from",
+    ("settle test against the initial state", "run_path",
      "stepped.values == state.values",
      "stepped.values == snapshots[0].values",
      "cycling", AssertionError),
@@ -129,26 +132,56 @@ MUTANTS = [
      "            places[changed] = 0\n",
      "",
      "random", AssertionError),
-    ("backtrack scan reaches into the initialisation entries", "explore",
-     "range(len(log) - 1, start - 1, -1)",
-     "range(len(log) - 1, -1, -1)",
-     "random", AssertionError),
     ("ceiling tested after a path instead of before", "explore",
-     CEILING_BEFORE,
-     CEILING_AFTER,
+     (CEILING_TEST, COUNT),
+     ("", COUNT_THEN_CEILING),
      "random", AssertionError),
-    ("path resumed at the backtracked draw's own iteration", "explore",
-     "= trace[it - 1],",
-     "= trace[it],",
+    ("walk settles a path though its step drew", "explore",
+     "                    if step_drawn:\n",
+     "                    if step_drawn and stepped.values != state.values:\n",
+     "settling", AssertionError),
+    ("walk's settled tail one state short", "explore",
+     "bound + 1))",
+     "bound))",
+     "settling", AssertionError),
+    ("sibling advances the step's first draw with a later value",
+     "_next_draws",
+     "range(len(drawn) - 1, -1, -1)",
+     "range(len(drawn))",
      "random", AssertionError),
-    ("same-iteration draws before the backtracked one dropped", "explore",
-     "[entry.value for entry in log[cut:i]] + ",
+    ("sibling drops the step's draws before the advanced one", "_next_draws",
+     "[entry.value for entry in drawn[:i]] + ",
      "",
      "random", AssertionError),
-    ("one state too many shared from the previous path", "explore",
-     "trace[:it - 1]",
-     "trace[:it]",
-     "late-failing", AssertionError),
+    ("sibling stepped from the views its child left", "explore",
+     "state, key, views, step_drawn, before, logged = stack[depth]",
+     "state, key, _, step_drawn, before, logged = stack[depth]",
+     "random", AssertionError),
+    ("one state too many kept from the path before", "explore",
+     "trace[state.iteration + 1:]",
+     "trace[state.iteration + 2:]",
+     "random", AssertionError),
+    ("frame of a stepped sibling never popped", "explore",
+     "del stack[depth:],",
+     "del stack[depth + 1:],",
+     "repeating", AssertionError),
+    ("memo key without the remaining depth", "explore",
+     "key = (state.values, bound - state.iteration)",
+     "key = state.values",
+     "repeating", AssertionError),
+    ("memo hit added past the ceiling", "explore",
+     "                if paths > path_ceiling:\n"
+     "                    return exceeded\n",
+     "",
+     "repeating", AssertionError),
+    ("memo entry stored before the node's last child finished", "explore",
+     SCAN,
+     """\
+                if later is not None:
+                    memo[key] = paths - before
+                    break
+""",
+     "repeating", AssertionError),
 ]
 
 # the functions the mutants edit
@@ -178,9 +211,12 @@ def compiled(name: str, text: str):
 def test_the_oracle_kills_the_mutant(function, snippet, replacement, family,
                                      failure, monkeypatch):
     text = source(function)
-    assert text.count(snippet) == 1
-    monkeypatch.setattr(engine, function,
-                        compiled(function, text.replace(snippet, replacement)))
+    if isinstance(snippet, str):
+        snippet, replacement = (snippet,), (replacement,)
+    for old, new in zip(snippet, replacement, strict=True):
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    monkeypatch.setattr(engine, function, compiled(function, text))
     with pytest.raises(failure):
         sweep(family)
 
