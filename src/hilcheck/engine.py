@@ -32,11 +32,9 @@ one would.  The three system functions must be deterministic and are
 never handed a drawing context.
 A choice point's site is the group that draws it in each step, or the
 (Group, name) of the variable it initialises before the first iteration.
-Every step draw, and every initialisation draw `resolve_initial` makes,
-goes through `_draw`, which takes the next of the values it is given, or
-the point's first value once they run out; only `explore` takes
-initialisation values straight from each point's candidates, as it walks
-them.
+Every draw, at initialisation or in a step, goes through `_draw`, which
+takes the next of the values it is given, or the point's first value once
+they run out.
 
 `step` is the transition alone and consumes the values it draws;
 `run_path` runs one path of steps from one sequence of values and
@@ -44,22 +42,23 @@ evaluates the assertions once on each state it steps to.  `explore`
 enumerates every resolution of every choice point up to a bound, depth
 first in declared domain order, and reports the first violating path as a
 replayable counterexample.  A path is named by its choice log alone, the
-values it drew in order.  The search walks the initialisation choices
-like an odometer and builds each initial state once; under it, it walks
-the tree of step successors depth first, on an explicit stack with a
-frame for each node whose step drew, so each node of the choice tree is
-stepped at most once, and each state checked at most once.  `run_path`
-runs a path from its initial state on its own, so a witness replays
-independently of the search.  One purity rule holds for the whole model:
-an update's result depends only on its views and its draws, and an
-assertion's only on a state's values, never on its iteration.  So a step
-that drew nothing and returned its input's values would do the same at
-every later iteration, on values the assertions already passed: the path
-has settled, and `run_path` and `explore` end it there, repeating that
-valuation up to the bound with no further step or assertion.  And a node
-the walk reaches again, with the values and the remaining depth of one
-whose subtree it has fully explored, roots the same subtree: `explore`
-adds that subtree's path count, kept in a memo, and steps no further.
+values it drew in order.  The search walks the initial states, and under
+each the tree of step successors, depth first by one sibling rule
+(`_next_draws`): it builds each initial state once, and walks the step
+tree on an explicit stack with a frame for each node whose step drew, so
+each node of the choice tree is stepped at most once, and each state
+checked at most once.  `run_path` runs a path from its initial state on
+its own, so a witness replays independently of the search.  One purity
+rule holds for the whole model: an update's result depends only on its
+views and its draws, and an assertion's only on a state's values, never
+on its iteration.  So a step that drew nothing and returned its input's
+values would do the same at every later iteration, on values the
+assertions already passed: the path has settled, and `run_path` and
+`explore` end it there, repeating that valuation up to the bound with no
+further step or assertion.  And a node the walk reaches again, with the
+values and the remaining depth of one whose subtree it has fully
+explored, roots the same subtree: `explore` adds that subtree's path
+count, kept in a memo, and steps no further.
 
 A state is one flat tuple of values, one per declared variable in declared
 order.  `register_model` fixes each variable's position once, in the
@@ -823,11 +822,11 @@ def run_path(model: Model, bound: int, values: Iterable[Value] = ()
 
 
 def _next_draws(model: Model, drawn: ChoiceLog) -> list[Value] | None:
-    """The values a step draws to reach the next sibling of the child its
-    draws `drawn` reached: its deepest draw whose point has a later value
-    takes it, after the same draws before it, or None if there is none.
-    `ChoicePoint` rejects members that compare equal, so a value's place
-    in its domain is unambiguous."""
+    """The values that draw the next sibling of the node whose draws
+    `drawn` made, the draws of a step or of an initial state: its deepest
+    draw whose point has a later value takes it, after the same draws
+    before it, or None if there is none.  `ChoicePoint` rejects members
+    that compare equal, so a value's place in its domain is unambiguous."""
     for i in range(len(drawn) - 1, -1, -1):
         domain = model.choices[drawn[i].point_id].domain
         later = domain.index(drawn[i].value) + 1
@@ -851,33 +850,37 @@ def explore(model: Model, bound: int,
     witness may differ, because a deeper tree can reach a violation under a
     lexicographically earlier prefix.
 
-    The initialisation choices are walked as an odometer over their
-    candidates, the last point in `choices` order changing fastest, which
-    is the order backtracking on whole paths would take, since every path
-    draws each of them once, first.  Each initial state is built once: its
-    values, its state and its log, an entry made as a point takes a
-    value, so one per node of the initialisation tree.
+    The initial states and the successors of each step follow one sibling
+    rule, `_next_draws`, and every value is drawn through `_draw`.  The
+    next initial state advances the last initialisation point, in
+    `choices` order, that has a later candidate: that point and the ones
+    after it are drawn again, and the points before it keep their entries,
+    so each node of the initialisation tree is drawn once.
 
-    Under it, the walk is depth first over the successors of one step,
-    each node stepped at most once and each state it reaches checked at
-    most once.  A step that drew nothing has one successor, taken inline,
-    as `run_path` takes it.  A step that drew pushes a frame on an
-    explicit stack: the node's state and memo key, the views its step
-    started from, the draws it made, the paths counted before the node
-    was reached and the log's length before its draws.  Once a path ends, the walk backs up to the deepest frame whose
-    step has a next sibling (`_next_draws`), cuts the path's states and log
-    back to that node, and steps the sibling from there; a frame with no
-    next sibling has a fully explored subtree.  Once no frame has one, the
-    walk moves to the next initial state.
+    Under each initial state, the walk is depth first over the successors
+    of one step, each node stepped at most once and each state it reaches
+    checked at most once.  A step that drew nothing has one successor,
+    taken inline, as `run_path` takes it.  A step that drew pushes a frame
+    on an explicit stack: the node's state, the views its step started
+    from, the draws it made and the paths counted before the node was
+    reached.  So a path's draws are its initial state's, then those of
+    each frame; they are joined only for a verdict's log.  Once a path
+    ends, the walk backs up to the deepest frame whose step has a next
+    sibling, cuts the path's states back to that node, and steps the
+    sibling from there; a frame with no next sibling has a fully explored
+    subtree.  Once no frame has one, the walk moves to the next initial
+    state.
 
     On a model that sites a step choice point at a group, one memo per
-    call maps a node's values and remaining depth to the paths under it,
-    stored as the frame of a node whose step drew finishes.  Updates and
-    assertions are pure, so a node reached again with the same key roots
-    the same subtree, in which no path fails: before it steps, such a
-    node adds the stored count and steps no further.  Only safe subtrees
-    finish, so the verdict, the first witness and its log, the first path
-    (the Safe representative, reached before any frame finishes) and
+    call maps a node's state to the paths under it, stored as the frame
+    of a node whose step drew finishes.  A state's equality is its values
+    and its iteration, which, the bound fixed, is its remaining depth.
+    Updates and assertions are pure, so a node reached again with the
+    same state roots the same subtree, in which no path fails: looked up
+    as a step reaches it, before its assertions, such a node adds the
+    stored count and steps no further.  Only safe subtrees finish, so the
+    verdict, the first witness and its log, the first path (the Safe
+    representative, reached before any frame finishes) and
     `paths_explored` are those of the stateless search.  The ceiling is
     tested before each path, and a stored count that would carry past it
     ends the search where that search would: after `path_ceiling` paths.
@@ -889,13 +892,11 @@ def explore(model: Model, bound: int,
         raise ModelError("path ceiling must be an int of at least 1, got "
                          f"{path_ceiling!r}")
 
-    points = model.init_choices
-    # each point's value, as its place among its candidates
-    places = [0] * len(points)
     initial = [v.init for v in model.variables]
-    drawn: list[ChoiceEntry] = []
-    changed = 0   # the first point whose value the walk changed
-    # (values, remaining depth) -> paths, where a step can draw
+    drawn: list[ChoiceEntry] = []   # the initial state's draws
+    kept = 0   # those of them the next initial state shares
+    values: Iterator[Value] = iter(())
+    # node state -> paths under it, where a step can draw
     memo = {} if any(live for _, _, _, live, _ in model.plan) else None
     first_path: tuple[Trace, ChoiceLog] | None = None
     paths = 0
@@ -905,17 +906,13 @@ def explore(model: Model, bound: int,
                        message=f"choice explosion: path ceiling {path_ceiling} "
                                "exceeded")
     while True:
-        del drawn[changed:]
-        for k in range(changed, len(points)):
-            pos, cp = points[k]
-            initial[pos] = value = cp.domain[places[k]]
-            drawn.append(ChoiceEntry(0, cp.point_id, value))
+        del drawn[kept:]
+        for pos, cp in model.init_choices[kept:]:
+            initial[pos] = _draw(cp, 0, values, drawn)
         state = ModelState(tuple(initial), 0, model.layout)
         trace = [state]
-        log = list(drawn)
         views = _views(model, state.values)
-        values: Iterator[Value] = iter(())
-        # (node, key, views, draws, paths before it, log length before them)
+        # (node, views, draws, paths before it)
         stack: list[tuple] = []
         before = paths   # counted before the node about to step was reached
         violated = None   # the initial state is yet to be checked
@@ -928,17 +925,11 @@ def explore(model: Model, bound: int,
                     violated = _eval_assertions(model, state)
                 while not violated and state.iteration < bound:
                     if memo is not None:
-                        key = (state.values, bound - state.iteration)
-                        cached = memo.get(key)
-                        if cached is not None:
-                            break
                         saved = views.copy()
                     stepped, step_drawn = _step(model, state, views, values)
                     if step_drawn:
-                        stack.append((state, key, saved, step_drawn, before,
-                                      len(log)))
+                        stack.append((state, saved, step_drawn, before))
                         before = paths   # no path ends on the way down
-                        log.extend(step_drawn)
                     elif stepped.values == state.values:
                         trace.extend(ModelState(state.values, i, model.layout)
                                      for i in range(state.iteration + 1,
@@ -946,47 +937,46 @@ def explore(model: Model, bound: int,
                         break
                     state = stepped
                     trace.append(state)
+                    if memo is not None:
+                        cached = memo.get(state)
+                        if cached is not None:
+                            break
                     violated = _eval_assertions(model, state)
             except ModelError as exc:
                 return Verdict(VerdictKind.ModelError, bound,
                                paths_explored=paths + 1, message=str(exc))
-            if violated:
-                return Verdict(VerdictKind.Unsafe, bound,
-                               paths_explored=paths + 1, trace=tuple(trace),
-                               choice_log=tuple(log),
-                               failed_assertion=violated[0])
-            if cached is None:
-                paths += 1
-                if first_path is None:
-                    first_path = (tuple(trace), tuple(log))
-            else:
-                paths += cached
-                if paths > path_ceiling:
-                    return exceeded
+            if violated or first_path is None:
+                path = (tuple(trace), (*drawn, *(entry for frame in stack
+                                                 for entry in frame[2])))
+                if violated:
+                    return Verdict(VerdictKind.Unsafe, bound,
+                                   paths_explored=paths + 1, trace=path[0],
+                                   choice_log=path[1],
+                                   failed_assertion=violated[0])
+                first_path = path
+            paths += 1 if cached is None else cached
+            if paths > path_ceiling:
+                return exceeded
 
             # back up to the deepest frame whose step has a next sibling,
             # storing the count of each finished one on the way
             for depth in range(len(stack) - 1, -1, -1):
-                state, key, views, step_drawn, before, logged = stack[depth]
+                state, views, step_drawn, before = stack[depth]
                 later = _next_draws(model, step_drawn)
                 if later is not None:
                     break
-                memo[key] = paths - before
+                memo[state] = paths - before
             else:
                 break
-            del stack[depth:], trace[state.iteration + 1:], log[logged:]
+            del stack[depth:], trace[state.iteration + 1:]
             values = iter(later)
 
-        # the next initial state: the last point with a later candidate
-        # takes it, and every point after it wraps to its first
-        for changed in range(len(points) - 1, -1, -1):
-            if places[changed] + 1 < len(points[changed][1].domain):
-                places[changed] += 1
-                break
-            places[changed] = 0
-        else:
+        later = _next_draws(model, drawn)
+        if later is None:
             return Verdict(VerdictKind.Safe, bound, paths_explored=paths,
                            trace=first_path[0], choice_log=first_path[1])
+        kept = len(later) - 1
+        values = iter(later[kept:])
 
 
 def probed_model(model: Model, var: tuple[Group, str]) -> Model:

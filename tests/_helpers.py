@@ -5,6 +5,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+from hilcheck import engine
 from hilcheck.engine import UpdateFunctions
 
 
@@ -17,6 +18,13 @@ def updates(**overrides) -> UpdateFunctions:
     return UpdateFunctions(**{**{field.name: noop
                                  for field in fields(UpdateFunctions)},
                               **overrides})
+
+
+def explore(model, bound, path_ceiling=10_000):
+    """`engine.explore`, at a ceiling of 10,000 paths unless a test sets
+    its own: no search a test makes runs more, so a walk that would not
+    end fails instead of running to the default ceiling."""
+    return engine.explore(model, bound, path_ceiling=path_ceiling)
 
 
 def load(name: str, path: Path):

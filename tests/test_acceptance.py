@@ -10,12 +10,13 @@ from hilcheck.acc import acc_decide, adaptive_separation
 from hilcheck.behaviour import (FatigueLevel, InputMode, IntegratorOp,
                                 integrate, set_driver_fatigue,
                                 set_reaction_time)
-from hilcheck.engine import (Group, VerdictKind, explore, probed_model,
+from hilcheck.engine import (Group, VerdictKind, probed_model,
                              replay_counterexample)
 from hilcheck.scenarios import SCENARIOS, build_model
 from hilcheck.trace_io import format_trace
 
 from test_acc import _closed_loop
+from _helpers import explore
 from _sweep import swept
 
 EXPECTED_VERDICTS = {

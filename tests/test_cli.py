@@ -17,6 +17,11 @@ from hilcheck.trace_io import read_trace
 
 
 def run_cli(*argv, check=None):
+    """Run the CLI in a subprocess.  A run explores at a ceiling of 10,000
+    paths unless it sets its own, so a search that would not end fails
+    instead of running to the default ceiling."""
+    if argv[:1] == ("run",) and "--path-ceiling" not in argv:
+        argv += ("--path-ceiling", "10000")
     proc = subprocess.run(
         [sys.executable, "-m", "hilcheck.cli", *argv],
         capture_output=True, text=True)
@@ -244,7 +249,8 @@ def test_console_script_is_installed(tmp_path):
         capture_output=True, text=True, env=env, cwd=tmp_path)
     assert Path(imported.stdout.strip()).is_relative_to(target), imported
 
-    proc = subprocess.run([exe, "run", "ideal", "--bound", "5"],
+    proc = subprocess.run([exe, "run", "ideal", "--bound", "5",
+                           "--path-ceiling", "4"],
                           capture_output=True, text=True, env=env,
                           cwd=tmp_path)
     assert proc.returncode == 0

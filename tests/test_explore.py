@@ -13,14 +13,7 @@ from hilcheck.engine import (Assertion, ChoiceEntry, ChoicePoint, Group,
                              replay_counterexample, resolve_initial, step)
 from hilcheck.scenarios import SCENARIOS, build_model
 
-from _helpers import updates as _updates
-
-
-def explore(model, bound, path_ceiling=10_000):
-    """`engine.explore`, at a ceiling of 10,000 paths unless a test sets
-    its own: no search here runs more, so a walk that would not end fails
-    instead of running to the default ceiling."""
-    return engine.explore(model, bound, path_ceiling=path_ceiling)
+from _helpers import explore, updates as _updates
 
 
 def _accumulator(limit: int, domain=(0, 1, 2), assertions=None):
@@ -339,15 +332,17 @@ BRANCHING = replace(SCENARIOS["manual-override"],
     # 4 initial states, each the root of a tree of 1 + 3 + ... + 3^5 = 364
     # nodes, 1,452 of them stepped to in all; states repeat across paths,
     # so the walk steps 804 times and counts the subtrees of 108 of the
-    # states it reaches at once
-    (BRANCHING, 5, VerdictKind.Safe, 972, 804, 808, 1340),
+    # states it steps to at once, before their assertions; 1,340 step
+    # draws and one initialisation draw per initial state
+    (BRANCHING, 5, VerdictKind.Safe, 972, 804, 700, 1344),
     # the witness is the 19,684th path, which a walk with no memo reaches
     # after 29,532 steps
-    (BRANCHING, 12, VerdictKind.Unsafe, 19684, 264, 265, 443),
-    # every draw at initialisation, so no memo: 864 paths of 10 steps each
+    (BRANCHING, 12, VerdictKind.Unsafe, 19684, 264, 130, 444),
+    # every draw at initialisation, so no memo: 864 paths of 10 steps
+    # each, and one draw per node of the initialisation tree, 1,552
     (replace(SCENARIOS["lowered-speed"], route_length=3,
              separation_only=True),
-     10, VerdictKind.Safe, 864, 8640, 9504, 0),
+     10, VerdictKind.Safe, 864, 8640, 9504, 1552),
 ], ids=["branching", "branching-12", "route-sweep"])
 def test_each_node_of_the_choice_tree_is_stepped_and_checked_once(
         config, bound, kind, paths, steps, states, draws, monkeypatch):

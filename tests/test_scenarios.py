@@ -12,11 +12,13 @@ from hilcheck.acc import AccCommand, ControlMode, compute_safe_stopping
 from hilcheck.behaviour import (FatigueLevel, InputMode, IntegratorOp,
                                 perception_from_fatigue, set_reaction_time)
 from hilcheck.engine import (ChoiceEntry, Group, ModelError, ModelState,
-                             VerdictKind, explore, probed_model,
+                             VerdictKind, probed_model,
                              replay_counterexample, resolve_initial, run_path)
 from hilcheck.environment import RoutePoint, Terrain
 from hilcheck.scenarios import (DEFAULT_ROUTE, SCENARIOS, ScenarioConfig,
                                 build_model, fatigue_tables, is_okay)
+
+from _helpers import explore
 
 
 # --- the separation property in isolation ----------------------------------

@@ -6,8 +6,9 @@ Each mutant edits the source of a named engine function, `_step`,
 tuple of snippets, compiles the result in a copy of the engine's
 namespace, and puts it in place of that function for one test: `step`,
 `run_path` and `explore` call `_step` through the engine's namespace,
-`explore` calls `_next_draws` through it, and the oracle and the sweep
-call `run_path` and `explore` through the engine's module.  An uncached
+`explore` calls `_next_draws`, the sibling rule of its initial states and
+of its steps alike, through it, and the oracle and the sweep call
+`run_path` and `explore` through the engine's module.  An uncached
 sweep of the named oracle family must fail under it, at its first failing
 model, with an AssertionError of the oracle's, or with the ModelError a
 generated model's registration raises where its trial step already fails.
@@ -29,19 +30,10 @@ from hilcheck.engine import ModelError
 
 from _sweep import sweep
 
-# `explore`'s path ceiling, tested before each path, and the same test
-# after a path's count instead
+# `explore`'s path ceiling, tested before each path
 CEILING_TEST = """\
             if paths >= path_ceiling:
                 return exceeded
-"""
-COUNT = """\
-                paths += 1
-"""
-COUNT_THEN_CEILING = """\
-                paths += 1
-                if paths >= path_ceiling:
-                    return exceeded
 """
 
 # `explore`'s back-up scan: a frame with a next sibling stops it, and each
@@ -49,7 +41,7 @@ COUNT_THEN_CEILING = """\
 SCAN = """\
                 if later is not None:
                     break
-                memo[key] = paths - before
+                memo[state] = paths - before
 """
 
 # (name, function, snippet, its replacement, the family whose sweep must
@@ -124,17 +116,21 @@ MUTANTS = [
      "stepped.values == state.values",
      "stepped.values == snapshots[0].values",
      "cycling", AssertionError),
-    ("walk advances the first initialisation point fastest", "explore",
-     "range(len(points) - 1, -1, -1)",
-     "range(len(points))",
+    ("advanced initialisation point's old entry kept", "explore",
+     "del drawn[kept:]",
+     "del drawn[kept + 1:]",
      "random", AssertionError),
-    ("wrapped point not reset to its first candidate", "explore",
-     "            places[changed] = 0\n",
-     "",
+    ("advanced initialisation point kept, not drawn again", "explore",
+     "kept = len(later) - 1",
+     "kept = len(later)",
+     "random", AssertionError),
+    ("path's log without the initial state's draws", "explore",
+     "(*drawn, ",
+     "(*drawn[:0], ",
      "random", AssertionError),
     ("ceiling tested after a path instead of before", "explore",
-     (CEILING_TEST, COUNT),
-     ("", COUNT_THEN_CEILING),
+     (CEILING_TEST, "if paths > path_ceiling:"),
+     ("", "if paths >= path_ceiling:"),
      "random", AssertionError),
     ("walk settles a path though its step drew", "explore",
      "                    if step_drawn:\n",
@@ -154,8 +150,8 @@ MUTANTS = [
      "",
      "random", AssertionError),
     ("sibling stepped from the views its child left", "explore",
-     "state, key, views, step_drawn, before, logged = stack[depth]",
-     "state, key, _, step_drawn, before, logged = stack[depth]",
+     "state, views, step_drawn, before = stack[depth]",
+     "state, _, step_drawn, before = stack[depth]",
      "random", AssertionError),
     ("one state too many kept from the path before", "explore",
      "trace[state.iteration + 1:]",
@@ -165,20 +161,20 @@ MUTANTS = [
      "del stack[depth:],",
      "del stack[depth + 1:],",
      "repeating", AssertionError),
-    ("memo key without the remaining depth", "explore",
-     "key = (state.values, bound - state.iteration)",
-     "key = state.values",
+    ("memo keyed by values without the remaining depth", "explore",
+     ("memo.get(state)", "memo[state] ="),
+     ("memo.get(state.values)", "memo[state.values] ="),
      "repeating", AssertionError),
     ("memo hit added past the ceiling", "explore",
-     "                if paths > path_ceiling:\n"
-     "                    return exceeded\n",
+     "            if paths > path_ceiling:\n"
+     "                return exceeded\n",
      "",
      "repeating", AssertionError),
     ("memo entry stored before the node's last child finished", "explore",
      SCAN,
      """\
                 if later is not None:
-                    memo[key] = paths - before
+                    memo[state] = paths - before
                     break
 """,
      "repeating", AssertionError),

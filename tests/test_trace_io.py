@@ -11,10 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from hilcheck.engine import (Assertion, ChoicePoint, Group, IntDomain,
                              ModelError, SymbolicDomain, UpdateFunctions, Var,
-                             Verdict, VerdictKind, explore, register_model,
+                             Verdict, VerdictKind, register_model,
                              resolve_initial, run_path)
 from hilcheck.scenarios import SCENARIOS, build_model
 from hilcheck.trace_io import export_trace, format_trace, read_trace
+
+from _helpers import explore
 
 
 @pytest.mark.parametrize("preset, bound, message", [

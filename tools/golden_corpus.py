@@ -23,7 +23,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from hilcheck.acc import AccCommand
-from hilcheck.engine import explore
+from hilcheck.engine import DEFAULT_PATH_CEILING, explore
 from hilcheck.scenarios import SCENARIOS, build_model
 from hilcheck.trace_io import format_trace
 
@@ -64,11 +64,12 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
-def explored(config, bound: int):
+def explored(config, bound: int,
+             path_ceiling: int = DEFAULT_PATH_CEILING):
     """The model `config` builds, and the verdict `explore` returns for it
-    at `bound`."""
+    at `bound` and `path_ceiling`."""
     model = build_model(config)
-    return model, explore(model, bound)
+    return model, explore(model, bound, path_ceiling=path_ceiling)
 
 
 def corpus_row(config, bound: int, model, verdict) -> str:
