@@ -20,8 +20,8 @@ from its initial state, each step hands those of its new state to the
 next, and a group's view is built again only after its update changed a
 value; `explore` keeps a copy of a node's views only where its step
 drew, to step its siblings from.  A write of the very object a variable holds
-changes nothing, so it is neither checked against the domain again nor
-stored.  Environment and behaviour functions may draw values from
+changes nothing, so it is not checked against the domain again.
+Environment and behaviour functions may draw values from
 declared choice points, each call through a context of its own that
 draws only the points sited at its group and only while that call runs:
 once it returns or raises, the context draws nothing.  Only a call whose
@@ -49,16 +49,22 @@ tree on an explicit stack with a frame for each node whose step drew, so
 each node of the choice tree is stepped at most once, and each state
 checked at most once.  `run_path` runs a path from its initial state on
 its own, so a witness replays independently of the search.  One purity
-rule holds for the whole model: an update's result depends only on its
-views and its draws, and an assertion's only on a state's values, never
-on its iteration.  So a step that drew nothing and returned its input's
-values would do the same at every later iteration, on values the
-assertions already passed: the path has settled, and `run_path` and
-`explore` end it there, repeating that valuation up to the bound with no
-further step or assertion.  And a node the walk reaches again, with the
-values and the remaining depth of one whose subtree it has fully
-explored, roots the same subtree: `explore` adds that subtree's path
-count, kept in a memo, and steps no further.
+rule holds for the whole model: an update's result, and whether it draws
+or raises, depend only on its views and its draws, and an assertion's
+result only on a state's values, never on its iteration.  So a step that
+drew nothing and returned its input's values would do the same at every
+later iteration, on values the assertions already passed: the path has
+settled, and `run_path` and `explore` end it there, repeating that
+valuation up to the bound with no further step or assertion.  A node the
+walk reaches again, with the values and the remaining depth of one whose
+subtree it has fully explored, roots the same subtree: `explore` adds that
+subtree's path count, kept in a memo, and steps no further.  And a row
+whose call gets no live context, so that it draws nothing, makes the same
+writes whenever it reads the same views: within one `explore` call such a
+row keeps a bounded table from the views it read to the writes its
+update made, and a repeated input takes them from there, with no call.
+`step`, `run_path` and `register_model`'s trial step keep no tables, so
+a replay calls every update.
 
 A state is one flat tuple of values, one per declared variable in declared
 order.  `register_model` fixes each variable's position once, in the
@@ -393,9 +399,11 @@ class UpdateFunctions:
 
     Each function returns a mapping from variable name to new value for its
     target group.  Variables omitted from the mapping keep their previous
-    value (carry-over).  The result must depend only on the views and the
-    draws, which is what lets a settled path end (`run_path`) and a
-    repeated subtree be counted once (`explore`).
+    value (carry-over).  The result, and whether the function draws or
+    raises, must depend only on the views and the draws, which is what lets
+    a settled path end (`run_path`), a repeated subtree be counted once and
+    a repeated input of a function that cannot draw be answered from a
+    table (`explore`).
     """
 
     env_input: Callable   # (sys_output, env_state, ctx) -> mapping
@@ -674,6 +682,13 @@ def _eval_assertions(model: Model, state: ModelState) -> tuple[str, ...]:
     return tuple(violated)
 
 
+# how many inputs a row's table holds before it is cleared
+_TABLE_SIZE = 64
+
+# a step with no tables: every row's update is called
+_UNTABLED = (None,) * len(_PLAN)
+
+
 def _views(model: Model, values: Sequence[Value]) -> list[tuple]:
     """The nine group views of a valuation, in `Group` order."""
     new = tuple.__new__
@@ -691,7 +706,8 @@ def step(model: Model, state: ModelState, values: Iterable[Value] = ()
     the new state and the draws made, as `resolve_initial` does.
 
     It builds the nine group views of `state` and takes the step from them
-    (`_step`), rebuilding a view only after an update changed its group.
+    (`_step`), with no tables, so every update is called, rebuilding a view
+    only after an update changed its group.
     Each drawing update gets a context that draws only while its call
     runs: once the call returns or raises, the context draws nothing.
     """
@@ -699,19 +715,28 @@ def step(model: Model, state: ModelState, values: Iterable[Value] = ()
 
 
 def _step(model: Model, state: ModelState, views: list[tuple],
-          values: Iterator[Value]) -> tuple[ModelState, ChoiceLog]:
+          values: Iterator[Value], tables: Sequence[dict | None] = _UNTABLED
+          ) -> tuple[ModelState, ChoiceLog]:
     """The step after `state`, whose group views `views` holds; leaves in
     `views` those of the new state, so a path's next step can take them.
 
     The new valuation starts as a copy of the previous one, so variables an
-    update omits carry over; each update writes its group in place.  A
-    group's view is built again only after its update changed one of its
-    values, so a group written earlier shows its new values and every view
-    ends exact.  A write of the very object its position already holds
+    update omits carry over; each update's writes go into its group in
+    place.  A group's view is built again only after a write changed one of
+    its values, so a group written earlier shows its new values and every
+    view ends exact.  A write of the very object its position already holds
     changes nothing and is not checked again: every value in the valuation
     has passed its domain check or, carried over, is as the state held it.
     It must be the same object, not an equal one, since neither 1 nor True
     is the other's domain's member.
+
+    `tables` holds, per plan row, None or the row's table, which maps the
+    views the row read to the writes its update returned on them: every
+    (position, value), checked, those that changed nothing included, since
+    a position may hold another value where the entry is used again.  A
+    row found in its table takes those writes with no call; otherwise its
+    update is called and checked and its writes stored, the table cleared
+    first once it holds `_TABLE_SIZE` inputs.
 
     Each call of a drawing update gets a context of its own, closed in a
     `finally`: once the call returns or raises, the context draws nothing.
@@ -725,59 +750,75 @@ def _step(model: Model, state: ModelState, views: list[tuple],
     entries: list[ChoiceEntry] = []
     iteration = state.iteration + 1
 
-    for (target, index, reads, live, names), fn in zip(
-            model.plan, _FUNCTIONS(model.updates)):
-        try:
-            if live is None:
-                returned = fn(*reads(views))
-            else:
-                if live:
-                    ctx = StepContext(model, iteration, values, target, entries)
-                else:
-                    ctx = bare(StepContext)
-                    ctx._model = model
-                    ctx._site = target
-                try:
-                    returned = fn(*reads(views), ctx)
-                finally:
-                    ctx._site = None   # closed however the call ended
-        except ModelError:
-            raise
-        except Exception as exc:
-            raise ModelError(f"update for {target.value} raised {exc!r} "
-                             f"at iteration {iteration}") from exc
+    for (target, index, reads, live, names), fn, table in zip(
+            model.plan, _FUNCTIONS(model.updates), tables):
+        read = reads(views)
         changed = False
-        try:
-            for var_name, value in returned.items():
-                try:
-                    pos, contains = names[var_name]
-                except (KeyError, TypeError):   # TypeError: an unhashable name
-                    raise ModelError(
-                        f"update for {target.value} assigned unknown "
-                        f"variable '{var_name}'") from None
-                if value is current[pos]:
-                    continue
-                if not contains(value):
-                    raise ModelError(
-                        f"update produced {value!r} for "
-                        f"{model.variables[pos]}, outside its domain, at "
-                        f"iteration {iteration}")
-                current[pos] = value
-                changed = True
-        except ModelError:
-            raise
-        except Exception as exc:
-            if not hasattr(returned, "items"):
-                raise ModelError(f"update for {target.value} returned "
-                                 f"{returned!r} (return a mapping, possibly "
-                                 "empty)") from None
-            # items that raise or are not pairs
-            raise ModelError(f"update for {target.value} returned a mapping "
-                             f"whose items raised {exc!r} at iteration "
-                             f"{iteration}") from exc
+        writes = None if table is None else table.get(read)
+        if writes is None:
+            try:
+                if live is None:
+                    returned = fn(*read)
+                else:
+                    if live:
+                        ctx = StepContext(model, iteration, values, target,
+                                          entries)
+                    else:
+                        ctx = bare(StepContext)
+                        ctx._model = model
+                        ctx._site = target
+                    try:
+                        returned = fn(*read, ctx)
+                    finally:
+                        ctx._site = None   # closed however the call ended
+            except ModelError:
+                raise
+            except Exception as exc:
+                raise ModelError(f"update for {target.value} raised {exc!r} "
+                                 f"at iteration {iteration}") from exc
+            stored = []
+            try:
+                for var_name, value in returned.items():
+                    try:
+                        pos, contains = names[var_name]
+                    except (KeyError, TypeError):   # TypeError: unhashable
+                        raise ModelError(
+                            f"update for {target.value} assigned unknown "
+                            f"variable '{var_name}'") from None
+                    if table is not None:
+                        stored.append((pos, value))
+                    if value is current[pos]:
+                        continue
+                    if not contains(value):
+                        raise ModelError(
+                            f"update produced {value!r} for "
+                            f"{model.variables[pos]}, outside its domain, at "
+                            f"iteration {iteration}")
+                    current[pos] = value
+                    changed = True
+            except ModelError:
+                raise
+            except Exception as exc:
+                if not hasattr(returned, "items"):
+                    raise ModelError(f"update for {target.value} returned "
+                                     f"{returned!r} (return a mapping, "
+                                     "possibly empty)") from None
+                # items that raise or are not pairs
+                raise ModelError(f"update for {target.value} returned a "
+                                 f"mapping whose items raised {exc!r} at "
+                                 f"iteration {iteration}") from exc
+            if table is not None:
+                if len(table) >= _TABLE_SIZE:
+                    table.clear()
+                table[read] = stored
+        else:
+            for pos, value in writes:
+                if value is not current[pos]:
+                    current[pos] = value
+                    changed = True
         if changed:
-            cls, read = group_views[index]
-            views[index] = new(cls, read(current))
+            cls, get = group_views[index]
+            views[index] = new(cls, get(current))
 
     return ModelState(tuple(current), iteration, model.layout), tuple(entries)
 
@@ -794,8 +835,9 @@ def run_path(model: Model, bound: int, values: Iterable[Value] = ()
     step draw, builds its nine group views, and each step hands those of
     its new state to the next (`_step`), rewriting the list, so a view is
     built again only after an update changed its group.  It shares no
-    search state with `explore`, so a log `explore` builds replays here
-    independently of how `explore` walked the choice tree.
+    search state with `explore`, its memo or its tables, and calls every
+    update, so a log `explore` builds replays here independently of how
+    `explore` walked the choice tree.
 
     A step that drew nothing and returned its input's values has settled
     the path: every later step would return the same values again, on
@@ -884,6 +926,22 @@ def explore(model: Model, bound: int,
     `paths_explored` are those of the stateless search.  The ceiling is
     tested before each path, and a stored count that would carry past it
     ends the search where that search would: after `path_ceiling` paths.
+
+    Each plan row whose call gets no live context, a system row or one
+    handed a bare context, keeps a table for the call (`_step`): the views
+    the row read, its key, map to every write its update returned, checked
+    as a call's are.  A view class is fixed per row and no domain holds two
+    equal members of different types, so equal keys are equal inputs, and
+    by the purity rule such a row, drawing nothing, writes the same on
+    them.  A repeated input takes the stored writes with no call and no
+    context, and a table is cleared once it holds `_TABLE_SIZE` inputs, so
+    it bounds the memory it costs.  A row with a live context gets no
+    table: what it writes depends on what it draws.  The tables are made
+    per call, like the memo, so one search never warms the next.
+
+    A settled path's repeated tail is built only for the first path, the
+    Safe representative: a settled path never violates, and any later
+    one's tail would be cut off again as the walk backs up.
     """
     # exactly int, as a trace header writes the bound
     if type(bound) is not int or bound < 1:
@@ -898,6 +956,8 @@ def explore(model: Model, bound: int,
     values: Iterator[Value] = iter(())
     # node state -> paths under it, where a step can draw
     memo = {} if any(live for _, _, _, live, _ in model.plan) else None
+    # per row whose call gets no live context: its views -> its writes
+    tables = [None if live else {} for _, _, _, live, _ in model.plan]
     first_path: tuple[Trace, ChoiceLog] | None = None
     paths = 0
     # the answer once the search would run more paths than the ceiling
@@ -926,14 +986,17 @@ def explore(model: Model, bound: int,
                 while not violated and state.iteration < bound:
                     if memo is not None:
                         saved = views.copy()
-                    stepped, step_drawn = _step(model, state, views, values)
+                    stepped, step_drawn = _step(model, state, views, values,
+                                                tables)
                     if step_drawn:
                         stack.append((state, saved, step_drawn, before))
                         before = paths   # no path ends on the way down
                     elif stepped.values == state.values:
-                        trace.extend(ModelState(state.values, i, model.layout)
-                                     for i in range(state.iteration + 1,
-                                                    bound + 1))
+                        if first_path is None:   # only it keeps its tail
+                            trace.extend(
+                                ModelState(state.values, i, model.layout)
+                                for i in range(state.iteration + 1,
+                                               bound + 1))
                         break
                     state = stepped
                     trace.append(state)

@@ -382,6 +382,13 @@ _DRAWN_BEFORE = {Group.SYS_INPUT: Group.ENV_INPUT,
                  Group.SYS_OUTPUT: Group.ENV_OUTPUT}
 
 
+# a drawing slot -> the input slot before it whose group it reads in the
+# same step
+_CUED_BY = {Group.ENV_STATE: Group.ENV_INPUT, Group.BEH_STATE: Group.BEH_INPUT,
+            Group.ENV_OUTPUT: Group.ENV_INPUT,
+            Group.BEH_OUTPUT: Group.BEH_INPUT}
+
+
 def _numeric(value) -> int:
     if isinstance(value, str):
         return _SYMBOLS.index(value)
@@ -405,14 +412,16 @@ def generate_write_path(seed: int, max_runs: int = 120) -> GeneratedModel:
     refuse, drawing nothing, and the update goes on.  In about half the
     models, on branches where its point drew its last candidate and its
     sum is odd, a drawing update may draw its point again through the
-    context an earlier row kept in the same step, and a drawing update no
-    point is sited at may, where an earlier row's point drew its last
-    candidate in the step, draw some point through its own context.  The
-    engine must refuse both draws, and the refusal ends the run in a
-    ModelError whose message the oracle compares with the reference's.
-    None of these branches is on the path of first values that
-    `register_model`'s trial step takes.  Draws follow the fixed schedule,
-    as in `generate`.
+    context an earlier row kept in the same step, and a state or output
+    update no point is sited at may draw some point through its own
+    context where its model's input point drew its last candidate in the
+    step.  That input update says so in a bool `cue` of its group, which
+    the state or output update reads in its view, so whether it draws
+    depends on its views alone, as the purity rule asks.  The engine must
+    refuse both draws, and the refusal ends the run in a ModelError whose
+    message the oracle compares with the reference's.  None of these
+    branches is on the path of first values that `register_model`'s trial
+    step takes.  Draws follow the fixed schedule, as in `generate`.
     """
     rng = random.Random(seed)
     bound, init_domains, site_of, step_domains = _draw_layout(
@@ -441,12 +450,12 @@ def generate_write_path(seed: int, max_runs: int = 120) -> GeneratedModel:
                  if slot is not _DRAW_SLOTS[0] and rng.random() < 0.5}
     reads = {target: [group for group, _ in row] for _, target, row in ORDER}
     kept: dict[Group, object] = {}
-    # whether each point's slot drew its last candidate in this step, set
-    # by the slot's own call, which runs before any that reads it
-    last: dict[Group, bool] = {}
-    # a drawing slot no point is sited at -> (the earlier slot whose last
-    # candidate cues it, the point it then draws)
+    # a drawing slot no point is sited at -> (the input slot whose `cue`,
+    # set where its point drew its last candidate, it reads, the point it
+    # then draws)
     misdrawn: dict[Group, tuple[Group, ChoicePoint]] = {}
+    # the input slots whose `cue` a misdrawing slot reads
+    cues: set[Group] = set()
 
     def make_update(target: Group):
         def update(*args):
@@ -459,16 +468,17 @@ def generate_write_path(seed: int, max_runs: int = 120) -> GeneratedModel:
                 _numeric(getattr(view, name))
                 for view, group in zip(views, reads[target])
                 for name in names[group])
-            drew = None
+            drew = last = None
             if target in point_of:
                 point = point_of[target]
                 drew = ctx.choose(point.point_id)
                 t += drew
-                last[target] = drew == point.domain[-1] != point.domain[0]
-                if target in borrowers and last[target] and t % 2 == 1:
+                last = drew == point.domain[-1] != point.domain[0]
+                if target in borrowers and last and t % 2 == 1:
                     # refused: ends the run
                     kept[borrowers[target]].choose(point.point_id)
-            elif target in misdrawn and last[misdrawn[target][0]]:
+            elif target in misdrawn and views[
+                    reads[target].index(misdrawn[target][0])].cue:
                 ctx.choose(misdrawn[target][1].point_id)   # refused too
             elif target in _DRAWN_BEFORE and _DRAWN_BEFORE[target] in point_of:
                 before = _DRAWN_BEFORE[target]
@@ -481,6 +491,8 @@ def generate_write_path(seed: int, max_runs: int = 120) -> GeneratedModel:
             if target is trigger and drew == point_of[target].domain[-1] \
                     and t % 2 == 0:
                 returned["one"] = True   # equal to the 1 it holds
+            if target in cues:
+                returned["cue"] = last
             return returned
         return update
 
@@ -531,12 +543,13 @@ def generate_write_path(seed: int, max_runs: int = 120) -> GeneratedModel:
     if rng.random() < 0.5:
         borrowers.clear()
     else:
-        cues = [slot for slot in _DRAW_SLOTS
-                if slot in point_of and len(point_of[slot].domain) > 1]
-        for k, slot in enumerate(_DRAW_SLOTS):
-            earlier = [cue for cue in cues if _DRAW_SLOTS.index(cue) < k]
-            if slot not in point_of and earlier and rng.random() < 0.5:
-                misdrawn[slot] = rng.choice(earlier), rng.choice(choices)
+        for slot, cue in _CUED_BY.items():
+            if slot not in point_of and cue in point_of \
+                    and len(point_of[cue].domain) > 1 and rng.random() < 0.5:
+                misdrawn[slot] = cue, rng.choice(choices)
+                cues.add(cue)
+        variables += [Var("cue", cue, SymbolicDomain((False, True)), False)
+                      for cue in sorted(cues, key=_DRAW_SLOTS.index)]
 
     model = register_model(variables=variables, updates=updates,
                            choices=choices, assertions=assertions,

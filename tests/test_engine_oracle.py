@@ -2,7 +2,8 @@
 
 Each family of `_oracle.FAMILIES` is swept once (`_sweep.swept`): each of
 its randomized small models, each drawing on a fixed schedule, is checked
-two ways, explore()'s depth-first walk with its memo, and brute
+two ways, explore()'s depth-first walk with its memo and its per-row
+tables, and brute
 enumeration of the full choice-vector product, run through a reference
 step that shares no code with the engine's.  Both must agree on the
 verdict, on the violated assertion and iteration, on the witness path, and
@@ -26,8 +27,9 @@ drawing contexts and try to draw through them later, and on some branches
 write True into an int variable that holds 1, so their search ends in a
 ModelError on the first path that does.  In half of them, on some
 branches, an update draws through a context an earlier row of its step
-kept, or one no point is sited at draws through its own, and the refusal
-ends the search in a ModelError with the reference's message.
+kept, or one no point is sited at draws through its own, cued by a flag
+its input update sets in a view it reads, and the refusal ends the search
+in a ModelError with the reference's message.
 
 100 raising models keep their drawing contexts and raise on some branches,
 and each later call tries to draw through the context its update kept
@@ -46,15 +48,20 @@ step points, so distinct draws often reach equal states: `explore` counts
 such a state's subtree once, where it has explored it with the same depth
 left, and must still count every path.
 
+In many models of every family some row whose call gets no live context
+reads an input it has read before in the search, and takes its writes from
+its table instead of calling its update.
+
 A path ceiling at each model's path count changes nothing, and one below it
 ends the search after exactly that many paths.
 """
 
 import itertools
 import statistics
+from dataclasses import fields, replace
 
 from hilcheck import engine
-from hilcheck.engine import explore
+from hilcheck.engine import UpdateFunctions, explore
 
 from _modelgen import generate
 from _oracle import FAMILIES
@@ -184,6 +191,47 @@ def test_explore_matches_flat_enumeration_on_repeating_models(monkeypatch):
         repeated += steps < stateless
     # the models where `explore` reaches a state it counts at once
     assert repeated == 30
+
+
+def served_from_a_table(model: Swept, monkeypatch) -> bool:
+    """Whether `explore` on the model serves some update call from its
+    tables: a step that ends having called fewer than its nine updates."""
+    calls, served = 0, False
+
+    def counting(fn):
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return fn(*args)
+        return counted
+
+    step = engine._step
+
+    def stepped(*args):
+        nonlocal served
+        before = calls
+        result = step(*args)
+        served |= calls - before < len(fields(UpdateFunctions))
+        return result
+
+    monkeypatch.setattr(engine, "_step", stepped)
+    updates = UpdateFunctions(**{
+        f.name: counting(getattr(model.gen.model.updates, f.name))
+        for f in fields(UpdateFunctions)})
+    explore(replace(model.gen.model, updates=updates), model.gen.bound,
+            path_ceiling=model.expected.paths)
+    return served
+
+
+def test_repeated_inputs_are_served_from_tables(monkeypatch):
+    # the models where a row whose call gets no live context reads an
+    # input it has read before in the search, and takes its writes from
+    # its table
+    served = {name: sum(served_from_a_table(model, monkeypatch)
+                        for model in swept(name)) for name in FAMILIES}
+    assert served == {"random": 83, "settling": 71, "write-path": 35,
+                      "raising": 26, "cycling": 41, "late-failing": 84,
+                      "repeating": 43}, served
 
 
 def test_path_ceiling_at_and_one_below_each_path_count():

@@ -9,8 +9,9 @@ from hilcheck import engine
 from hilcheck.acc import AccCommand
 from hilcheck.engine import (Assertion, ChoiceEntry, ChoicePoint, Group,
                              IntDomain, ModelError, UpdateFunctions, Var,
-                             VerdictKind, probed_model, register_model,
-                             replay_counterexample, resolve_initial, step)
+                             VerdictKind, probed_model,
+                             register_model, replay_counterexample,
+                             resolve_initial, run_path, step)
 from hilcheck.scenarios import SCENARIOS, build_model
 
 from _helpers import explore, updates as _updates
@@ -307,20 +308,25 @@ def test_a_state_that_draws_keeps_stepping_after_it_repeats():
 
 # --- the walk and its memo -------------------------------------------------
 
+def _counting_function(name: str, fn, calls: dict):
+    """`fn`, counting its calls in `calls[name]`."""
+    def counted(*args):
+        calls[name] += 1
+        return fn(*args)
+    return counted
+
+
 def _counting(model, calls: dict):
     """`model` with each update function and assertion predicate counting
     its calls in `calls`, under its slot's name or its assertion's id."""
-    def counting(name, fn):
-        def counted(*args):
-            calls[name] += 1
-            return fn(*args)
-        return counted
-
     updates = UpdateFunctions(**{
-        f.name: counting(f.name, getattr(model.updates, f.name))
+        f.name: _counting_function(f.name, getattr(model.updates, f.name),
+                                   calls)
         for f in fields(UpdateFunctions)})
-    assertions = tuple(replace(a, predicate=counting(a.assert_id, a.predicate))
-                       for a in model.assertions)
+    assertions = tuple(
+        replace(a, predicate=_counting_function(a.assert_id, a.predicate,
+                                                calls))
+        for a in model.assertions)
     return replace(model, updates=updates, assertions=assertions)
 
 
@@ -328,40 +334,89 @@ BRANCHING = replace(SCENARIOS["manual-override"],
                     command_domain=(AccCommand.Maintain, AccCommand.Decelerate))
 
 
-@pytest.mark.parametrize("config, bound, kind, paths, steps, states, draws", [
-    # 4 initial states, each the root of a tree of 1 + 3 + ... + 3^5 = 364
-    # nodes, 1,452 of them stepped to in all; states repeat across paths,
-    # so the walk steps 804 times and counts the subtrees of 108 of the
-    # states it steps to at once, before their assertions; 1,340 step
-    # draws and one initialisation draw per initial state
-    (BRANCHING, 5, VerdictKind.Safe, 972, 804, 700, 1344),
-    # the witness is the 19,684th path, which a walk with no memo reaches
-    # after 29,532 steps
-    (BRANCHING, 12, VerdictKind.Unsafe, 19684, 264, 130, 444),
-    # every draw at initialisation, so no memo: 864 paths of 10 steps
-    # each, and one draw per node of the initialisation tree, 1,552
-    (replace(SCENARIOS["lowered-speed"], route_length=3,
-             separation_only=True),
-     10, VerdictKind.Safe, 864, 8640, 9504, 1552),
-], ids=["branching", "branching-12", "route-sweep"])
+# each row's update calls, in `UpdateFunctions` order: env_input,
+# sys_input, beh_input, env_output, sys_output, beh_output, env_state,
+# sys_state, beh_state
+@pytest.mark.parametrize(
+    "config, bound, kind, paths, steps, states, draws, updated", [
+        # 4 initial states, each the root of a tree of 1 + 3 + ... + 3^5 =
+        # 364 nodes, 1,452 of them stepped to in all; states repeat across
+        # paths, so the walk steps 804 times and counts the subtrees of 108
+        # of the states it steps to at once, before their assertions; 1,340
+        # step draws and one initialisation draw per initial state; only
+        # beh_output draws in a step, so only its update runs in every step,
+        # and every other row runs once per distinct input it reads
+        (BRANCHING, 5, VerdictKind.Safe, 972, 804, 700, 1344,
+         (19, 180, 79, 9, 38, 804, 9, 54, 20)),
+        # the witness is the 19,684th path, which a walk with no memo
+        # reaches after 29,532 steps
+        (BRANCHING, 12, VerdictKind.Unsafe, 19684, 264, 130, 444,
+         (25, 59, 25, 7, 25, 264, 8, 41, 9)),
+        # every draw at initialisation, so no memo: 864 paths of 10 steps
+        # each, and one draw per node of the initialisation tree, 1,552;
+        # every state is distinct, but a row's inputs repeat, so 19,846
+        # update calls take the place of 9 x 8,640
+        (replace(SCENARIOS["lowered-speed"], route_length=3,
+                 separation_only=True),
+         10, VerdictKind.Safe, 864, 8640, 9504, 1552,
+         (4325, 704, 4722, 2329, 53, 2109, 2702, 406, 2496)),
+    ], ids=["branching", "branching-12", "route-sweep"])
 def test_each_node_of_the_choice_tree_is_stepped_and_checked_once(
-        config, bound, kind, paths, steps, states, draws, monkeypatch):
+        config, bound, kind, paths, steps, states, draws, updated,
+        monkeypatch):
     model = build_model(config)   # its trial step is not counted
     updates = [f.name for f in fields(UpdateFunctions)]
     asserted = [a.assert_id for a in model.assertions]
-    calls = dict.fromkeys(updates + asserted + ["draw"], 0)
+    calls = dict.fromkeys(updates + asserted + ["draw", "step"], 0)
     model = _counting(model, calls)
-    draw = engine._draw
-
-    def counted_draw(*args):
-        calls["draw"] += 1
-        return draw(*args)
-
-    monkeypatch.setattr(engine, "_draw", counted_draw)
+    for name in ("draw", "step"):
+        monkeypatch.setattr(engine, f"_{name}",
+                            _counting_function(name, getattr(engine,
+                                                             f"_{name}"),
+                                               calls))
     verdict = explore(model, bound, path_ceiling=paths)
     assert (verdict.kind, verdict.paths_explored) == (kind, paths)
-    assert calls == {**dict.fromkeys(updates, steps),
-                     **dict.fromkeys(asserted, states), "draw": draws}
+    assert calls == {**dict(zip(updates, updated)),
+                     **dict.fromkeys(asserted, states), "draw": draws,
+                     "step": steps}
+
+
+def test_a_row_that_outgrows_its_table_is_cleared_and_stays_exact():
+    # 2 x 200 initial states, each stepping a counter three times: the
+    # env_state row reads the counter alone, so the second 200 repeat the
+    # first's inputs, 600 table entries later; its table, full long
+    # before, has been cleared, and those inputs are called again
+    flag = ChoicePoint("flag", (0, 1), site=(Group.BEH_STATE, "flag"))
+    start = ChoicePoint("start", tuple(range(200)),
+                        site=(Group.ENV_STATE, "n"))
+    seen = []
+
+    def env_state(ei, e, ctx):
+        seen.append(e.n)
+        return {"n": (e.n + 1) % 200}
+
+    def met(s):
+        return (s.value(Group.BEH_STATE, "flag"),
+                s.value(Group.ENV_STATE, "n")) != (1, 150)
+
+    model = register_model(
+        variables=[Var("n", Group.ENV_STATE, IntDomain(0, 199), 0),
+                   Var("flag", Group.BEH_STATE, IntDomain(0, 1), 0)],
+        updates=_updates(env_state=env_state), choices=[flag, start],
+        assertions=[Assertion("Not150", met)])
+    seen.clear()
+    verdict = explore(model, 3)
+    assert verdict.kind is VerdictKind.Unsafe
+    assert verdict.paths_explored == 348
+    assert verdict.choice_log == (ChoiceEntry(0, "flag", 1),
+                                  ChoiceEntry(0, "start", 147))
+    assert len(set(seen)) == 200 > engine._TABLE_SIZE
+    # the first sweep calls each counter once, and the second, from
+    # cleared tables, the 150 it reaches again
+    assert len(seen) >= 200 + 150
+    trace, log, violated = run_path(model, 3, [1, 147])
+    assert (verdict.trace, verdict.choice_log) == (trace, log)
+    assert violated == ("Not150",)
 
 
 def test_a_path_that_draws_at_every_iteration_walks_any_depth():

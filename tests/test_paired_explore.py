@@ -16,11 +16,23 @@ def test_the_checkout_against_itself_agrees_on_ideal(capsys):
     sides = {side: paired_explore.Side(src, f"hilcheck_{side}")
              for side in paired_explore.SIDES}
     assert paired_explore.compare("ideal", sides, run, 2)
-    explored, setup = capsys.readouterr().out.splitlines()
+    explored, setup, memory = capsys.readouterr().out.splitlines()
     assert explored.startswith("ideal: parent median ")
     assert setup.startswith("ideal set-up: parent median ")
     for line in (explored, setup):
         assert line.endswith(" over 2 pairs")
+    assert memory.startswith("ideal memory: parent peak ")
+    assert " KiB, change peak " in memory
+
+
+def test_a_side_s_peak_is_that_of_its_explore():
+    src = ROOT / "src"
+    run, = (run for name, run in paired_explore.workload_runs(src)
+            if name == "branching")
+    side = paired_explore.Side(src, "hilcheck_change")
+    peak = side.peak(run)
+    # more than the memo of its 700 states holds, far less than 64 MiB
+    assert 64 * 1024 < peak < 64 * 1024 * 1024
 
 
 def test_every_run_of_every_workload_is_timed():
@@ -46,6 +58,13 @@ def test_each_side_s_median_and_the_median_ratio_are_reported(capsys):
     assert capsys.readouterr().out == (
         "ideal: parent median 2.0000 s, change median 2.0000 s, "
         "median change/parent 0.500 over 3 pairs\n")
+
+
+def test_each_side_s_peak_and_their_ratio_are_reported(capsys):
+    paired_explore.report_memory("ideal", {"parent": 2048, "change": 1536})
+    assert capsys.readouterr().out == (
+        "ideal memory: parent peak 2.0 KiB, change peak 1.5 KiB, "
+        "change/parent 0.750\n")
 
 
 class _Side:

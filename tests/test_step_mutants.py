@@ -17,7 +17,10 @@ below it, so a search mutant that would walk for ever meets it.  Each
 snippet must occur exactly once in its function, so a rewrite that drops
 or repeats one fails here, loudly, until its mutant is written again.
 Each unedited copy, compiled the same way, is the engine's own function,
-instruction for instruction.
+instruction for instruction, with the defaults the engine's has.
+Five mutants break the tables `explore` hands `_step`: what a row stores,
+which rows get a table, the key, the rebuild after a hit, and a table's
+scope, one `explore` call.
 """
 
 import __future__
@@ -61,16 +64,17 @@ MUTANTS = [
      "group_views[index - 1]\n            views[index - 1] =",
      "random", AssertionError),
     ("changed flag taken from the last write only", "_step",
-     "            for var_name, value in returned.items():\n",
-     "            for var_name, value in returned.items():\n"
-     "                changed = False\n",
+     "                for var_name, value in returned.items():\n",
+     "                for var_name, value in returned.items():\n"
+     "                    changed = False\n",
      "write-path", AssertionError),
     ("one context shared per step", "_step",
-     "ctx = StepContext(model, iteration, values, target, entries)\n",
+     "ctx = StepContext(model, iteration, values, target,\n"
+     "                                          entries)\n",
      "ctx = shared = (locals().get('shared')\n"
-     "                                      or StepContext(model, iteration,"
-     " values, target, entries))\n"
-     "                    ctx._site = target\n",
+     "                                          or StepContext(model, "
+     "iteration, values, target, entries))\n"
+     "                        ctx._site = target\n",
      "write-path", AssertionError),
     ("live and bare contexts swapped", "_step",
      "if live:",
@@ -93,13 +97,38 @@ MUTANTS = [
      "pass",
      "raising", AssertionError),
     ("context closed only on return", "_step",
-     "                try:\n"
-     "                    returned = fn(*reads(views), ctx)\n"
-     "                finally:\n"
-     "                    ctx._site = None   # closed however the call ended\n",
-     "                returned = fn(*reads(views), ctx)\n"
-     "                ctx._site = None\n",
+     "                    try:\n"
+     "                        returned = fn(*read, ctx)\n"
+     "                    finally:\n"
+     "                        ctx._site = None   # closed however the call "
+     "ended\n",
+     "                    returned = fn(*read, ctx)\n"
+     "                    ctx._site = None\n",
      "raising", AssertionError),
+    ("stored writes skip values identical to the state's", "_step",
+     "                    if table is not None:\n",
+     "                    if table is not None and value is not current[pos]:\n",
+     "random", AssertionError),
+    ("row with a live context tabled", "explore",
+     "[None if live else {} for",
+     "[{} for",
+     "random", AssertionError),
+    ("table key without the row's last read view", "_step",
+     ("table.get(read)", "table[read] ="),
+     ("table.get(read[:-1])", "table[read[:-1]] ="),
+     "random", AssertionError),
+    ("hit written without rebuilding its view", "_step",
+     "                if value is not current[pos]:\n"
+     "                    current[pos] = value\n"
+     "                    changed = True\n",
+     "                if value is not current[pos]:\n"
+     "                    current[pos] = value\n",
+     "random", AssertionError),
+    ("one table shared across explore calls", "explore",
+     "[None if live else {} for _, _, _, live, _ in model.plan]",
+     "[None if live else table for (_, _, _, live, _), table in zip(\n"
+     "        model.plan, globals().setdefault('_SHARED', [{} for _ in _PLAN]))]",
+     "random", AssertionError),
     ("path settled though the step drew", "run_path",
      "if not drawn and stepped.values == state.values:",
      "if stepped.values == state.values:",
@@ -219,8 +248,12 @@ def test_the_oracle_kills_the_mutant(function, snippet, replacement, family,
 
 @pytest.mark.parametrize("function", FUNCTIONS)
 def test_each_unedited_copy_compiles_to_the_engine_s_own(function):
-    copy = compiled(function, source(function)).__code__
-    own = getattr(engine, function).__code__
+    copy = compiled(function, source(function))
+    own = getattr(engine, function)
     # code objects compare by instructions, constants (nested code among
     # them), names, flags and line table
-    assert copy == own
+    assert copy.__code__ == own.__code__
+    # defaults are evaluated apart from the code, such as `_step`'s
+    # untabled rows
+    assert copy.__defaults__ == own.__defaults__
+    assert copy.__kwdefaults__ == own.__kwdefaults__

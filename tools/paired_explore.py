@@ -20,8 +20,11 @@ benchmark's `setup_s` times: `load_config`, the overrides and
 same verdict, path count, choice log and trace values, compared by their
 trace labels, or the run stops with status 1.  For each config it prints
 two lines, one for `explore` and one for set-up, each with each side's
-median seconds and the median of the pairs' change/parent ratios.  It
-only reads `perfbench/`.
+median seconds and the median of the pairs' change/parent ratios.  After
+a config's pairs, each side sets it up and explores it once more, untimed,
+under `tracemalloc`, and a third line gives each side's peak KiB of
+Python allocations during that `explore` and their ratio, so a memory cost
+shows side by side.  It only reads `perfbench/`.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import importlib
 import importlib.util
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from enum import Enum
 from pathlib import Path
@@ -108,6 +112,17 @@ class Side:
         verdict = self.engine.explore(model, bound)
         return time.perf_counter() - start, verdict
 
+    def peak(self, run) -> int:
+        """The peak bytes `tracemalloc` traces while one `explore` of the
+        run's config, set up first, runs."""
+        _, model, bound = self.prepare(run)
+        tracemalloc.start()
+        try:
+            self.engine.explore(model, bound)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def summary(self, verdict) -> tuple:
         """What both sides must agree on, in terms free of either tree's
         classes."""
@@ -130,9 +145,17 @@ def report(name: str, times: dict) -> None:
           f"over {len(times['parent'])} pairs")
 
 
+def report_memory(name: str, peaks: dict) -> None:
+    """Print one line: each side's peak KiB and change/parent."""
+    print(f"{name} memory: parent peak {peaks['parent'] / 1024:.1f} KiB, "
+          f"change peak {peaks['change'] / 1024:.1f} KiB, "
+          f"change/parent {peaks['change'] / peaks['parent']:.3f}")
+
+
 def compare(name: str, sides: dict, run, pairs: int) -> bool:
-    """Run `pairs` pairs on one config and print its two lines; False if
-    the sides disagree."""
+    """Run `pairs` pairs on one config, then one untimed `explore` a side
+    for its memory, and print its three lines; False if the sides
+    disagree."""
     times = {side: [] for side in SIDES}
     setups = {side: [] for side in SIDES}
     for i in range(pairs):
@@ -151,6 +174,7 @@ def compare(name: str, sides: dict, run, pairs: int) -> bool:
             return False
     report(name, times)
     report(f"{name} set-up", setups)
+    report_memory(name, {side: sides[side].peak(run) for side in SIDES})
     return True
 
 
