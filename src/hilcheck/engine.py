@@ -63,8 +63,13 @@ whose call gets no live context, so that it draws nothing, makes the same
 writes whenever it reads the same views: within one `explore` call such a
 row keeps a bounded table from the views it read to the writes its
 update made, and a repeated input takes them from there, with no call.
-`step`, `run_path` and `register_model`'s trial step keep no tables, so
-a replay calls every update.
+Equal writes of one row are stored as one tuple, interned through a dict
+cleared together with the row's table, so each row holds at most
+`_TABLE_SIZE` keys and as many write tuples.  No domain holds two equal
+members, so equal (position, value) pairs are interchangeable.  `explore`
+binds each row to its update function, table and intern dict once per
+call; `step`, `run_path` and `register_model`'s trial step bind rows with
+no tables, so a replay calls every update.
 
 A state is one flat tuple of values, one per declared variable in declared
 order.  `register_model` fixes each variable's position once, in the
@@ -73,8 +78,8 @@ values through it.  A view is a named tuple of one group's values, of a
 class built once per (group, names) shape.  `register_model` also resolves
 `_PLAN` once per model, so a step looks nothing up by group, only the
 names an update returns, and it decides once which rows get a live
-context.  A step fetches the nine update functions from the model's
-`updates` in one call.
+context.  A step takes its rows already bound to the nine update
+functions of the model's `updates` (`_rows`).
 
 What a trace can hold is decided here, when a model is declared.  A trace
 record is split on spaces, so every name a trace writes and every member
@@ -683,10 +688,18 @@ def _eval_assertions(model: Model, state: ModelState) -> tuple[str, ...]:
 
 
 # how many inputs a row's table holds before it is cleared
-_TABLE_SIZE = 64
+_TABLE_SIZE = 128
 
-# a step with no tables: every row's update is called
-_UNTABLED = (None,) * len(_PLAN)
+
+def _rows(model: Model, tabled: bool = False) -> tuple[tuple, ...]:
+    """The model's plan rows, each bound to its update function, then to
+    its table and the dict that interns its writes: two new dicts if
+    `tabled` and the row's call gets no live context, else None and None,
+    so every call of the row's update is made."""
+    return tuple((target, index, reads, live, names, fn,
+                  *(({}, {}) if tabled and not live else (None, None)))
+                 for (target, index, reads, live, names), fn
+                 in zip(model.plan, _FUNCTIONS(model.updates)))
 
 
 def _views(model: Model, values: Sequence[Value]) -> list[tuple]:
@@ -706,16 +719,17 @@ def step(model: Model, state: ModelState, values: Iterable[Value] = ()
     the new state and the draws made, as `resolve_initial` does.
 
     It builds the nine group views of `state` and takes the step from them
-    (`_step`), with no tables, so every update is called, rebuilding a view
-    only after an update changed its group.
+    (`_step`), on rows with no tables, so every update is called,
+    rebuilding a view only after an update changed its group.
     Each drawing update gets a context that draws only while its call
     runs: once the call returns or raises, the context draws nothing.
     """
-    return _step(model, state, _views(model, state.values), iter(values))
+    return _step(model, state, _views(model, state.values), iter(values),
+                 _rows(model))
 
 
 def _step(model: Model, state: ModelState, views: list[tuple],
-          values: Iterator[Value], tables: Sequence[dict | None] = _UNTABLED
+          values: Iterator[Value], rows: Sequence[tuple]
           ) -> tuple[ModelState, ChoiceLog]:
     """The step after `state`, whose group views `views` holds; leaves in
     `views` those of the new state, so a path's next step can take them.
@@ -730,13 +744,18 @@ def _step(model: Model, state: ModelState, views: list[tuple],
     It must be the same object, not an equal one, since neither 1 nor True
     is the other's domain's member.
 
-    `tables` holds, per plan row, None or the row's table, which maps the
-    views the row read to the writes its update returned on them: every
-    (position, value), checked, those that changed nothing included, since
-    a position may hold another value where the entry is used again.  A
-    row found in its table takes those writes with no call; otherwise its
-    update is called and checked and its writes stored, the table cleared
-    first once it holds `_TABLE_SIZE` inputs.
+    `rows` holds each plan row bound to its update function (`_rows`),
+    its table and its intern dict, both None on a row with no table.  A
+    table maps the views the row read to the writes its update returned on
+    them: one tuple of every (position, value), checked, those that
+    changed nothing included, since a position may hold another value
+    where the entry is used again.  A row found in its table takes those
+    writes with no call; otherwise its update is called and checked and
+    its writes stored.  Stored writes go through the intern dict, so equal
+    ones share one tuple: no domain holds two equal members, so an equal
+    (position, value) pair writes the same value.  Once the table holds
+    `_TABLE_SIZE` inputs it is cleared, and the intern dict with it, so
+    neither ever holds more.
 
     Each call of a drawing update gets a context of its own, closed in a
     `finally`: once the call returns or raises, the context draws nothing.
@@ -750,8 +769,7 @@ def _step(model: Model, state: ModelState, views: list[tuple],
     entries: list[ChoiceEntry] = []
     iteration = state.iteration + 1
 
-    for (target, index, reads, live, names), fn, table in zip(
-            model.plan, _FUNCTIONS(model.updates), tables):
+    for target, index, reads, live, names, fn, table, interned in rows:
         read = reads(views)
         changed = False
         writes = None if table is None else table.get(read)
@@ -810,7 +828,9 @@ def _step(model: Model, state: ModelState, views: list[tuple],
             if table is not None:
                 if len(table) >= _TABLE_SIZE:
                     table.clear()
-                table[read] = stored
+                    interned.clear()
+                stored = tuple(stored)
+                table[read] = interned.setdefault(stored, stored)
         else:
             for pos, value in writes:
                 if value is not current[pos]:
@@ -847,11 +867,12 @@ def run_path(model: Model, bound: int, values: Iterable[Value] = ()
     values = iter(values)
     state, entries = resolve_initial(model, values)
     views = _views(model, state.values)
+    rows = _rows(model)
     snapshots = [state]
     log = list(entries)
     violated = _eval_assertions(model, state)
     while not violated and state.iteration < bound:
-        stepped, drawn = _step(model, state, views, values)
+        stepped, drawn = _step(model, state, views, values, rows)
         if not drawn and stepped.values == state.values:
             snapshots.extend(ModelState(state.values, i, model.layout)
                              for i in range(state.iteration + 1, bound + 1))
@@ -934,10 +955,15 @@ def explore(model: Model, bound: int,
     equal members of different types, so equal keys are equal inputs, and
     by the purity rule such a row, drawing nothing, writes the same on
     them.  A repeated input takes the stored writes with no call and no
-    context, and a table is cleared once it holds `_TABLE_SIZE` inputs, so
-    it bounds the memory it costs.  A row with a live context gets no
-    table: what it writes depends on what it draws.  The tables are made
-    per call, like the memo, so one search never warms the next.
+    context.  Equal writes of a row share one tuple, interned through a
+    dict of the row's: a domain never holds two equal members, so equal
+    (position, value) pairs are interchangeable, by the argument the keys
+    rest on.  A table is cleared once it holds `_TABLE_SIZE` inputs, its
+    intern dict with it, so a row holds at most that many keys and write
+    tuples.  A row with a live context gets no table: what it writes
+    depends on what it draws.  The rows are bound to their update
+    functions, tables and intern dicts once per call (`_rows`), made per
+    call like the memo, so one search never warms the next.
 
     A settled path's repeated tail is built only for the first path, the
     Safe representative: a settled path never violates, and any later
@@ -956,8 +982,9 @@ def explore(model: Model, bound: int,
     values: Iterator[Value] = iter(())
     # node state -> paths under it, where a step can draw
     memo = {} if any(live for _, _, _, live, _ in model.plan) else None
-    # per row whose call gets no live context: its views -> its writes
-    tables = [None if live else {} for _, _, _, live, _ in model.plan]
+    # each row bound to its update and, where its call gets no live
+    # context, to its table, views -> writes, and its interned writes
+    rows = _rows(model, tabled=True)
     first_path: tuple[Trace, ChoiceLog] | None = None
     paths = 0
     # the answer once the search would run more paths than the ceiling
@@ -987,7 +1014,7 @@ def explore(model: Model, bound: int,
                     if memo is not None:
                         saved = views.copy()
                     stepped, step_drawn = _step(model, state, views, values,
-                                                tables)
+                                                rows)
                     if step_drawn:
                         stack.append((state, saved, step_drawn, before))
                         before = paths   # no path ends on the way down

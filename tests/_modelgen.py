@@ -36,6 +36,14 @@ two or three step points at distinct slots and at most one assertion, so
 paths that drew differently often reach equal states, at the same
 iteration or at another.
 
+A conditional-writes model is a late-failing one whose every group holds
+a second variable, `<name>2`, and whose updates choose by their input
+which of the two they write: an update writes its value to `<name>2`
+where the sum it wrapped went round its domain an odd number of times,
+else to `<name>`.  So one update writes equal values to two variables on
+different inputs.  Each update reads the sum of the two, so a write to
+either feeds the next step.
+
 A raising model's drawing updates keep their contexts, and each call first
 tries to draw through the one its update kept last, which must be refused.
 On some branches where a point drew its last candidate, never on the path
@@ -136,10 +144,12 @@ def _draw_layout(rng: random.Random, bound: int, max_runs: int,
 
 def generate(seed: int, max_runs: int = 400, settling: bool = False,
              raising: bool = False, late_failing: bool = False,
-             repeating: bool = False) -> GeneratedModel:
+             repeating: bool = False,
+             conditional: bool = False) -> GeneratedModel:
     """Build one random model whose complete-run count is at most max_runs;
     a settling one if `settling`, a raising one if `raising`, a late-failing
-    one if `late_failing`, a repeating one if `repeating`."""
+    one if `late_failing`, a repeating one if `repeating`, a
+    conditional-writes one if `conditional`."""
     rng = random.Random(seed)
 
     caps = {name: 1 if repeating
@@ -164,12 +174,29 @@ def generate(seed: int, max_runs: int = 400, settling: bool = False,
             return min(caps[name], value)
         return value % (caps[name] + 1)
 
+    def written(name: str, value: int) -> dict:
+        """The write of `value`, clamped, to `name`, or, in a conditional
+        model where `value` wraps round `name`'s domain an odd number of
+        times, to `<name>2`: which variable depends on the input, not on
+        the value written alone."""
+        if conditional and value // (caps[name] + 1) % 2:
+            return {f"{name}2": clamp(name, value)}
+        return {name: clamp(name, value)}
+
+    def val(view, name: str) -> int:
+        """`name`'s value in `view`, plus `<name>2`'s in a conditional
+        model, so what an update wrote to either feeds the next step."""
+        if conditional:
+            return view[name] + view[f"{name}2"]
+        return view[name]
+
     def accumulate(name: str, own: int, rest: int) -> int:
-        """A state's next value.  A settling state climbs from its own value
-        by at most one, so the states saturate one by one."""
+        """A state's next value, before it is clamped.  A settling state
+        climbs from its own value by at most one, so the states saturate
+        one by one."""
         if settling:
-            return min(caps[name], own + min(1, rest))
-        return clamp(name, coeff[name] * own + rest)
+            return own + min(1, rest)
+        return coeff[name] * own + rest
 
     kept: dict[tuple[Group, type], object] = {}
     # the state group holding a settling model's clock `t`, and its cap
@@ -202,40 +229,46 @@ def generate(seed: int, max_runs: int = 400, settling: bool = False,
         return total
 
     def env_input(so, e, ctx):
-        return {"ei": clamp("ei", drawn(ctx, Group.ENV_INPUT, so.so
-                                        + coeff["ei"] * e.e + offset["ei"]))}
+        return written("ei", drawn(ctx, Group.ENV_INPUT, val(so, "so")
+                                   + coeff["ei"] * val(e, "e")
+                                   + offset["ei"]))
 
     def sys_input(bo, eo, s):
-        return {"si": clamp("si", bo.bo + eo.eo + coeff["si"] * s.s
-                            + offset["si"])}
+        return written("si", val(bo, "bo") + val(eo, "eo")
+                       + coeff["si"] * val(s, "s") + offset["si"])
 
     def beh_input(b, eo, so, ctx):
-        return {"bi": clamp("bi", drawn(ctx, Group.BEH_INPUT, coeff["bi"] * b.b
-                                        + eo.eo + so.so + offset["bi"]))}
+        return written("bi", drawn(ctx, Group.BEH_INPUT,
+                                   coeff["bi"] * val(b, "b") + val(eo, "eo")
+                                   + val(so, "so") + offset["bi"]))
 
     def env_output(ei, e, ctx):
-        return {"eo": clamp("eo", drawn(ctx, Group.ENV_OUTPUT, ei.ei
-                                        + coeff["eo"] * e.e + offset["eo"]))}
+        return written("eo", drawn(ctx, Group.ENV_OUTPUT, val(ei, "ei")
+                                   + coeff["eo"] * val(e, "e")
+                                   + offset["eo"]))
 
     def sys_output(si, s):
-        return {"so": clamp("so", si.si + coeff["so"] * s.s + offset["so"])}
+        return written("so", val(si, "si") + coeff["so"] * val(s, "s")
+                       + offset["so"])
 
     def beh_output(bi, b, ctx):
-        return {"bo": clamp("bo", drawn(ctx, Group.BEH_OUTPUT, bi.bi
-                                        + coeff["bo"] * b.b + offset["bo"]))}
+        return written("bo", drawn(ctx, Group.BEH_OUTPUT, val(bi, "bi")
+                                   + coeff["bo"] * val(b, "b")
+                                   + offset["bo"]))
 
     def env_state(ei, e, ctx):
-        return {"e": accumulate("e", e.e, drawn(ctx, Group.ENV_STATE,
-                                                ei.ei + offset["e"])),
+        return {**written("e", accumulate("e", val(e, "e"), drawn(
+                    ctx, Group.ENV_STATE, val(ei, "ei") + offset["e"]))),
                 **tick(Group.ENV_STATE, e)}
 
     def sys_state(si, s):
-        return {"s": accumulate("s", s.s, si.si + offset["s"]),
+        return {**written("s", accumulate("s", val(s, "s"),
+                                          val(si, "si") + offset["s"])),
                 **tick(Group.SYS_STATE, s)}
 
     def beh_state(bi, b, ctx):
-        return {"b": accumulate("b", b.b, drawn(ctx, Group.BEH_STATE,
-                                                bi.bi + offset["b"])),
+        return {**written("b", accumulate("b", val(b, "b"), drawn(
+                    ctx, Group.BEH_STATE, val(bi, "bi") + offset["b"]))),
                 **tick(Group.BEH_STATE, b)}
 
     updates = UpdateFunctions(
@@ -246,6 +279,10 @@ def generate(seed: int, max_runs: int = 400, settling: bool = False,
     variables = [Var(name, group, IntDomain(0, caps[name]),
                      rng.randint(0, caps[name]))
                  for group, name in _SLOT_VAR.items()]
+    if conditional:
+        # no draw of rng, so the rest of the model is its random twin's
+        variables += [Var(f"{name}2", group, IntDomain(0, caps[name]), 0)
+                      for group, name in _SLOT_VAR.items()]
 
     init_targets = rng.sample(["e", "s", "b"], len(init_domains))
     choices = list(step_points)

@@ -83,6 +83,14 @@ FAMILIES = {
     "repeating": Family(functools.partial(generate, max_runs=128,
                                           repeating=True), range(50),
                         {"Safe": 40, "Unsafe": 10, "ModelError": 0}),
+    # late-failing ones whose updates each write one of two variables of
+    # their group, as their input says, so a row's table holds equal
+    # values written to different variables
+    "conditional-writes": Family(functools.partial(generate,
+                                                   late_failing=True,
+                                                   conditional=True),
+                                 range(100),
+                                 {"Safe": 42, "Unsafe": 58, "ModelError": 0}),
 }
 
 

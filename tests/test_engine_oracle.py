@@ -48,6 +48,12 @@ step points, so distinct draws often reach equal states: `explore` counts
 such a state's subtree once, where it has explored it with the same depth
 left, and must still count every path.
 
+100 conditional-writes models are late-failing ones whose updates each
+write one of two variables of their group, which one as their input
+says, so in 94 of them some update writes an equal value to each of the
+two in one search: the tables, which share equal writes, must keep those
+apart.
+
 In many models of every family some row whose call gets no live context
 reads an input it has read before in the search, and takes its writes from
 its table instead of calling its update.
@@ -128,6 +134,36 @@ def test_explore_matches_flat_enumeration_on_cycling_models():
             assert trace[0].values in [s.values for s in trace[2:-1]], \
                 model.seed
             assert not settles(model.expected), model.seed
+
+
+def writes_one_value_to_two_variables(model: Swept) -> bool:
+    """Whether, in one search of the model, some update writes an equal
+    value to one variable of its group on one input and to the other on
+    another: the writes a row's table must keep apart."""
+    written: dict[tuple[str, object], set] = {}
+
+    def recording(name: str, fn):
+        def recorded(*args):
+            returned = fn(*args)
+            for var, value in returned.items():
+                if var != "t":   # the clock of a late-failing model
+                    written.setdefault((name, value), set()).add(var)
+            return returned
+        return recorded
+
+    updates = UpdateFunctions(**{
+        f.name: recording(f.name, getattr(model.gen.model.updates, f.name))
+        for f in fields(UpdateFunctions)})
+    explore(replace(model.gen.model, updates=updates), model.gen.bound,
+            path_ceiling=model.expected.paths)
+    return any(len(variables) > 1 for variables in written.values())
+
+
+def test_explore_matches_flat_enumeration_on_conditional_writes_models():
+    assert outcomes("conditional-writes") \
+        == FAMILIES["conditional-writes"].outcomes
+    assert sum(map(writes_one_value_to_two_variables,
+                   swept("conditional-writes"))) == 94
 
 
 def unsafe_path_indices(name: str) -> list[int]:
@@ -231,7 +267,7 @@ def test_repeated_inputs_are_served_from_tables(monkeypatch):
                         for model in swept(name)) for name in FAMILIES}
     assert served == {"random": 83, "settling": 71, "write-path": 35,
                       "raising": 26, "cycling": 41, "late-failing": 84,
-                      "repeating": 43}, served
+                      "repeating": 43, "conditional-writes": 86}, served
 
 
 def test_path_ceiling_at_and_one_below_each_path_count():
@@ -246,7 +282,7 @@ def test_path_ceiling_at_and_one_below_each_path_count():
             branching[name] += expected.paths >= 2
     assert branching == {"random": 76, "settling": 19, "write-path": 41,
                          "raising": 29, "cycling": 23, "late-failing": 79,
-                         "repeating": 40}, branching
+                         "repeating": 40, "conditional-writes": 80}, branching
 
 
 def test_generated_models_have_bounded_run_counts():

@@ -347,19 +347,19 @@ BRANCHING = replace(SCENARIOS["manual-override"],
         # beh_output draws in a step, so only its update runs in every step,
         # and every other row runs once per distinct input it reads
         (BRANCHING, 5, VerdictKind.Safe, 972, 804, 700, 1344,
-         (19, 180, 79, 9, 38, 804, 9, 54, 20)),
+         (19, 79, 76, 9, 38, 804, 9, 54, 20)),
         # the witness is the 19,684th path, which a walk with no memo
         # reaches after 29,532 steps
         (BRANCHING, 12, VerdictKind.Unsafe, 19684, 264, 130, 444,
          (25, 59, 25, 7, 25, 264, 8, 41, 9)),
         # every draw at initialisation, so no memo: 864 paths of 10 steps
         # each, and one draw per node of the initialisation tree, 1,552;
-        # every state is distinct, but a row's inputs repeat, so 19,846
+        # every state is distinct, but a row's inputs repeat, so 12,142
         # update calls take the place of 9 x 8,640
         (replace(SCENARIOS["lowered-speed"], route_length=3,
                  separation_only=True),
          10, VerdictKind.Safe, 864, 8640, 9504, 1552,
-         (4325, 704, 4722, 2329, 53, 2109, 2702, 406, 2496)),
+         (4039, 111, 2679, 2238, 53, 101, 2586, 88, 247)),
     ], ids=["branching", "branching-12", "route-sweep"])
 def test_each_node_of_the_choice_tree_is_stepped_and_checked_once(
         config, bound, kind, paths, steps, states, draws, updated,
@@ -381,15 +381,13 @@ def test_each_node_of_the_choice_tree_is_stepped_and_checked_once(
                      "step": steps}
 
 
-def test_a_row_that_outgrows_its_table_is_cleared_and_stays_exact():
-    # 2 x 200 initial states, each stepping a counter three times: the
-    # env_state row reads the counter alone, so the second 200 repeat the
-    # first's inputs, 600 table entries later; its table, full long
-    # before, has been cleared, and those inputs are called again
+def _counter_model(seen: list):
+    """2 x 200 initial states, each stepping a counter three times, which
+    `env_state` reads alone and appends to `seen`; unsafe where the flag
+    is 1 and the counter reaches 150."""
     flag = ChoicePoint("flag", (0, 1), site=(Group.BEH_STATE, "flag"))
     start = ChoicePoint("start", tuple(range(200)),
                         site=(Group.ENV_STATE, "n"))
-    seen = []
 
     def env_state(ei, e, ctx):
         seen.append(e.n)
@@ -399,11 +397,19 @@ def test_a_row_that_outgrows_its_table_is_cleared_and_stays_exact():
         return (s.value(Group.BEH_STATE, "flag"),
                 s.value(Group.ENV_STATE, "n")) != (1, 150)
 
-    model = register_model(
+    return register_model(
         variables=[Var("n", Group.ENV_STATE, IntDomain(0, 199), 0),
                    Var("flag", Group.BEH_STATE, IntDomain(0, 1), 0)],
         updates=_updates(env_state=env_state), choices=[flag, start],
         assertions=[Assertion("Not150", met)])
+
+
+def test_a_row_that_outgrows_its_table_is_cleared_and_stays_exact():
+    # the second 200 initial states repeat the first's inputs of the
+    # env_state row, 600 table entries later; its table, full long
+    # before, has been cleared, and those inputs are called again
+    seen = []
+    model = _counter_model(seen)
     seen.clear()
     verdict = explore(model, 3)
     assert verdict.kind is VerdictKind.Unsafe
@@ -417,6 +423,38 @@ def test_a_row_that_outgrows_its_table_is_cleared_and_stays_exact():
     trace, log, violated = run_path(model, 3, [1, 147])
     assert (verdict.trace, verdict.choice_log) == (trace, log)
     assert violated == ("Not150",)
+
+
+def test_a_row_holds_at_most_its_cap_and_shares_equal_writes(monkeypatch):
+    # the env_state row of the 200-counter search makes 200 distinct
+    # writes, past the cap: its table and the dict interning its writes
+    # are cleared together, and equal writes it holds are one tuple
+    model = _counter_model([])
+    step = engine._step
+    held = {}
+
+    def spied(model, state, views, values, rows):
+        stepped = step(model, state, views, values, rows)
+        for target, *_, table, interned in rows:
+            if table is None:
+                assert interned is None
+                continue
+            assert len(table) <= engine._TABLE_SIZE
+            assert len(interned) <= engine._TABLE_SIZE
+            shared = {}
+            for writes in table.values():
+                assert shared.setdefault(writes, writes) is writes
+                assert interned[writes] is writes
+            held[target] = max(held.get(target, 0), len(interned))
+        return stepped
+
+    monkeypatch.setattr(engine, "_step", spied)
+    assert explore(model, 3).paths_explored == 348
+    # no step point is sited, so every row is tabled; only env_state's
+    # writes differ, and the other eight rows hold their empty writes as
+    # one empty tuple each
+    assert held[Group.ENV_STATE] == engine._TABLE_SIZE
+    assert {held[group] for group in Group} - {engine._TABLE_SIZE} == {1}
 
 
 def test_a_path_that_draws_at_every_iteration_walks_any_depth():

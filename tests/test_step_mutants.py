@@ -2,13 +2,13 @@
 kill.
 
 Each mutant edits the source of a named engine function, `_step`,
-`run_path`, `_next_draws` or `explore`, at one snippet, or at each of a
-tuple of snippets, compiles the result in a copy of the engine's
+`_rows`, `run_path`, `_next_draws` or `explore`, at one snippet, or at
+each of a tuple of snippets, compiles the result in a copy of the engine's
 namespace, and puts it in place of that function for one test: `step`,
-`run_path` and `explore` call `_step` through the engine's namespace,
-`explore` calls `_next_draws`, the sibling rule of its initial states and
-of its steps alike, through it, and the oracle and the sweep call
-`run_path` and `explore` through the engine's module.  An uncached
+`run_path` and `explore` call `_step` and `_rows` through the engine's
+namespace, `explore` calls `_next_draws`, the sibling rule of its initial
+states and of its steps alike, through it, and the oracle and the sweep
+call `run_path` and `explore` through the engine's module.  An uncached
 sweep of the named oracle family must fail under it, at its first failing
 model, with an AssertionError of the oracle's, or with the ModelError a
 generated model's registration raises where its trial step already fails.
@@ -18,9 +18,9 @@ snippet must occur exactly once in its function, so a rewrite that drops
 or repeats one fails here, loudly, until its mutant is written again.
 Each unedited copy, compiled the same way, is the engine's own function,
 instruction for instruction, with the defaults the engine's has.
-Five mutants break the tables `explore` hands `_step`: what a row stores,
-which rows get a table, the key, the rebuild after a hit, and a table's
-scope, one `explore` call.
+Six mutants break the tables `explore` binds its rows to: what a row
+stores, which rows get a table, the key, the rebuild after a hit, a
+table's scope, one `explore` call, and what its writes are interned by.
 """
 
 import __future__
@@ -109,9 +109,9 @@ MUTANTS = [
      "                    if table is not None:\n",
      "                    if table is not None and value is not current[pos]:\n",
      "random", AssertionError),
-    ("row with a live context tabled", "explore",
-     "[None if live else {} for",
-     "[{} for",
+    ("row with a live context tabled", "_rows",
+     "if tabled and not live",
+     "if tabled",
      "random", AssertionError),
     ("table key without the row's last read view", "_step",
      ("table.get(read)", "table[read] ="),
@@ -124,11 +124,14 @@ MUTANTS = [
      "                if value is not current[pos]:\n"
      "                    current[pos] = value\n",
      "random", AssertionError),
-    ("one table shared across explore calls", "explore",
-     "[None if live else {} for _, _, _, live, _ in model.plan]",
-     "[None if live else table for (_, _, _, live, _), table in zip(\n"
-     "        model.plan, globals().setdefault('_SHARED', [{} for _ in _PLAN]))]",
+    ("one table shared across explore calls", "_rows",
+     "({}, {})",
+     "globals().setdefault(('_SHARED', index), ({}, {}))",
      "random", AssertionError),
+    ("writes interned by their values alone", "_step",
+     "interned.setdefault(stored, stored)",
+     "interned.setdefault(tuple(v for _, v in stored), stored)",
+     "conditional-writes", AssertionError),
     ("path settled though the step drew", "run_path",
      "if not drawn and stepped.values == state.values:",
      "if stepped.values == state.values:",
@@ -253,7 +256,7 @@ def test_each_unedited_copy_compiles_to_the_engine_s_own(function):
     # code objects compare by instructions, constants (nested code among
     # them), names, flags and line table
     assert copy.__code__ == own.__code__
-    # defaults are evaluated apart from the code, such as `_step`'s
-    # untabled rows
+    # defaults are evaluated apart from the code, such as `_rows`'s
+    # `tabled`
     assert copy.__defaults__ == own.__defaults__
     assert copy.__kwdefaults__ == own.__kwdefaults__
