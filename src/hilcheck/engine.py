@@ -11,16 +11,17 @@ fixed order:
 
 Each group is produced by one update function, which receives read-only
 views of the groups its row in `_SLOTS` lists, in that order, and nothing
-else, so read-sets are enforced structurally.  Each view comes from the
-valuation the step is writing, into which a row writes only its own group,
-after its update: a group an earlier row wrote shows this step's value, any
+else, so read-sets are enforced structurally.  A model may also declare,
+per update, the variables it reads (`register_model`'s `reads`): its view
+of each group then holds only the declared variables of that group, and
+any other read of the group is a ModelError that names the update and the
+variable.  An update left undeclared reads every variable of its groups.
+Each view is built from the valuation the step is writing, just before
+its update is called, into which a row writes only its own group, after
+its update: a group an earlier row wrote shows this step's value, any
 other the previous iteration's, so an output reports its model's new
-state.  A step pays for what changes: a path builds the nine views once,
-from its initial state, each step hands those of its new state to the
-next, and a group's view is built again only after its update changed a
-value; `explore` keeps a copy of a node's views only where its step
-drew, to step its siblings from.  A write of the very object a variable holds
-changes nothing, so it is not checked against the domain again.
+state.  No view outlives its call.  A write of the very object a variable
+holds changes nothing, so it is not checked against the domain again.
 Environment and behaviour functions may draw values from
 declared choice points, each call through a context of its own that
 draws only the points sited at its group and only while that call runs:
@@ -60,26 +61,37 @@ walk reaches again, with the values and the remaining depth of one whose
 subtree it has fully explored, roots the same subtree: `explore` adds that
 subtree's path count, kept in a memo, and steps no further.  And a row
 whose call gets no live context, so that it draws nothing, makes the same
-writes whenever it reads the same views: within one `explore` call such a
-row keeps a bounded table from the views it read to the writes its
-update made, and a repeated input takes them from there, with no call.
-Equal writes of one row are stored as one tuple, interned through a dict
-cleared together with the row's table, so each row holds at most
-`_TABLE_SIZE` keys and as many write tuples.  No domain holds two equal
-members, so equal (position, value) pairs are interchangeable.  `explore`
-binds each row to its update function, table and intern dict once per
-call; `step`, `run_path` and `register_model`'s trial step bind rows with
-no tables, so a replay calls every update.
+writes whenever it reads the same values: within one `explore` call such
+a row keeps a bounded table keyed by the values of the variables it
+declares it reads, taken from the valuation being written, to the writes
+its update made, and a repeated input takes them from there, with no call
+and no view built.  Equal writes of one row are stored as one tuple,
+interned through a dict cleared together with the row's table, so each
+row holds at most `_TABLE_SIZE` keys and as many write tuples.  `explore`
+binds each row to its key, table and intern dict once per call; `step`,
+`run_path` and `register_model`'s trial step bind rows with no tables, so
+a replay calls every update.
+
+One equality rule holds throughout: two values are the same value only if
+they are equal and of the same type.  A domain holds a value only if it
+equals one of its members of the same type (`IntDomain.contains`,
+`SymbolicDomain.contains`), and no domain holds two equal members, so on
+the values one variable can hold, equal means the same value.  The table
+keys, the interned writes, the memo's states, `_next_draws`'s place of a
+value in its domain and the labels a trace writes all rest on it.
 
 A state is one flat tuple of values, one per declared variable in declared
 order.  `register_model` fixes each variable's position once, in the
-model's `layout`; views, steps, initial states and trace files all address
-values through it.  A view is a named tuple of one group's values, of a
-class built once per (group, names) shape.  `register_model` also resolves
-`_PLAN` once per model, so a step looks nothing up by group, only the
-names an update returns, and it decides once which rows get a live
-context.  A step takes its rows already bound to the nine update
-functions of the model's `updates` (`_rows`).
+model's `layout`; views, table keys, steps, initial states and trace files
+all address values through it.  A view is a tuple of the variables of
+one group an update reads, with named fields, of a class built once per
+shape.
+`register_model` also resolves the `_SLOTS` rows once per model, with
+each update's views, key positions and writes (`Model.plan`), so a step
+looks nothing up by group, only the names an update returns, and it
+decides once which rows get a live context.  A step takes its rows
+already bound to the nine update functions of the model's `updates`
+(`_rows`).
 
 What a trace can hold is decided here, when a model is declared.  A trace
 record is split on spaces, so every name a trace writes and every member
@@ -96,7 +108,8 @@ from __future__ import annotations
 
 import functools
 import keyword
-from collections import namedtuple
+# the C descriptor of a named tuple's fields
+from collections import _tuplegetter
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter, itemgetter
@@ -195,7 +208,8 @@ class SymbolicDomain:
     one, so a trace reads each back as the member that wrote it."""
 
     members: tuple[Value, ...]
-    _types: frozenset = field(init=False, repr=False, compare=False)
+    # each member -> its type: a value belongs if it maps to its own type
+    _types: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.members:
@@ -208,11 +222,12 @@ class SymbolicDomain:
             elif not isinstance(member, int):
                 raise ModelError(f"member {member!r} is not an int, bool, "
                                  "str or Enum")
-        if len(set(self.members)) != len(self.members):
+        types = {member: type(member) for member in self.members}
+        # equal members, such as 1 and True, share one key
+        if len(types) != len(self.members):
             raise ModelError("duplicate members")
-        types = frozenset(map(type, self.members))
         # members of one type differ in their labels too
-        if len(types) > 1:
+        if len(set(types.values())) > 1:
             seen: dict[str, Value] = {}
             for member in self.members:
                 other = seen.setdefault(label_of(member), member)
@@ -222,7 +237,12 @@ class SymbolicDomain:
         object.__setattr__(self, "_types", types)
 
     def contains(self, v: Value) -> bool:
-        return type(v) in self._types and v in self.members
+        # a value equal to a member of another type, such as 1 to an
+        # IntEnum member, is not that member
+        try:
+            return self._types.get(v) is type(v)
+        except TypeError:   # unhashable, so no member
+            return False
 
     def values(self) -> tuple[Value, ...]:
         return self.members
@@ -351,17 +371,30 @@ Trace = tuple[ModelState, ...]
 
 
 @functools.lru_cache
-def _view_class(group: Group, names: tuple[str, ...]) -> type:
-    """The read-only view of a group declaring `names`, in declared order.
+def _view_class(group: Group, names: tuple[str, ...],
+                group_names: tuple[str, ...] = (),
+                reader: Group | None = None) -> type:
+    """The read-only view of `names` of a group, in declared order: all
+    of its variables, or, handed to the update of `reader`, those it
+    declares it reads of the group's `group_names`.
 
-    A named tuple of the group's values, so attribute reads are C-level
-    field lookups; `view["name"]` reads by item.  Any other name, including
-    tuple's own `count` and `index`, is a ModelError, and `_`-names are an
-    AttributeError.  Cached, so models of the same shape share one class.
+    A tuple of those values whose fields read by name as a named tuple's
+    do, through the same C field descriptor, so attribute reads are
+    C-level field lookups; `view["name"]` reads by item and `_fields`
+    names them.  It is built with one `type` call, without the methods a
+    named tuple adds, as a model has a view class for each group each
+    update reads.  Any other name, including tuple's own `count` and
+    `index`, is a ModelError, which for an undeclared variable names the
+    update and the variable, and `_`-names are an AttributeError.  Cached,
+    so models of the same shape share one class.
     """
     fields = {name: i for i, name in enumerate(names)}
 
     def unknown(name):
+        if name in group_names:
+            return ModelError(f"update for {reader.value} read "
+                              f"{group.value}.{name}, which it does not "
+                              "declare in its reads")
         return ModelError(f"no variable '{name}' in group {group.value}")
 
     def __getitem__(self, name):
@@ -375,23 +408,40 @@ def _view_class(group: Group, names: tuple[str, ...]) -> type:
             raise AttributeError(name)
         raise unknown(name)
 
-    namespace = {"__slots__": (), "__getitem__": __getitem__,
-                 "__getattr__": __getattr__}
+    def __repr__(self):
+        return f"{typename}({', '.join(map('{}={!r}'.format, names, self))})"
+
+    typename = group.name.lower()
+    namespace = {"__slots__": (), "_fields": names,
+                 "__getitem__": __getitem__, "__getattr__": __getattr__,
+                 "__repr__": __repr__}
+    namespace.update((name, _tuplegetter(i, None))
+                     for name, i in fields.items())
     # tuple's own methods would otherwise answer for these names
     for name in {"count", "index"} - fields.keys():
         namespace[name] = property(functools.partial(__getattr__, name=name))
-    typename = group.name.lower()
-    return type(typename, (namedtuple(typename, names),), namespace)
+    return type(typename, (tuple,), namespace)
 
 
 def _reader(positions: Sequence[int]) -> Callable:
-    """Picks the items at `positions` out of a valuation, or out of a step's
-    views, as a sequence (`itemgetter` of one position would return the
-    bare item)."""
+    """Picks the items at `positions` out of a valuation as a sequence
+    (`itemgetter` of one position would return the bare item)."""
     if len(positions) > 1:
         return itemgetter(*positions)
     first = positions[0] if positions else 0
     return itemgetter(slice(first, first + len(positions)))
+
+
+def _nothing(values: Sequence[Value]) -> tuple:
+    """The key of a row that reads no variable: the same for every
+    valuation."""
+    return ()
+
+
+def _key(positions: Sequence[int]) -> Callable:
+    """A row's table key out of a valuation: its values at `positions`,
+    the bare value for one position, or () for none."""
+    return itemgetter(*positions) if positions else _nothing
 
 
 @dataclass(frozen=True)
@@ -436,15 +486,8 @@ _SLOTS = (
     (Group.BEH_OUTPUT, (Group.BEH_INPUT, Group.BEH_STATE)),
 )
 
-# a group's index is its place in declared order, which `Model.views` follows
-_GROUP_INDEX = {group: i for i, group in enumerate(Group)}
-
-# derived once from _SLOTS: (target, its index, a reader of the views of
-# the groups it reads, by their indices, may draw)
-_PLAN = tuple((target, _GROUP_INDEX[target],
-               _reader([_GROUP_INDEX[g] for g in reads]),
-               target not in SYSTEM_GROUPS)
-              for target, reads in _SLOTS)
+# each slot's target -> the groups its update reads
+_SLOT_READS = dict(_SLOTS)
 
 # the slots' update functions, in step order, out of an UpdateFunctions
 _FUNCTIONS = attrgetter(*(target.name.lower() for target, _ in _SLOTS))
@@ -509,12 +552,15 @@ class StepContext:
 class Model:
     """A registered model: immutable, validated, ready to step or explore.
     `layout` maps each (Group, name) to its position in declared order.
-    `views` gives each group, in `Group` order, its view class and a reader
-    of its values out of a valuation.  `plan` is `_PLAN` with each row's
-    context and writes resolved: None for a system row, which gets no
-    context, else whether a step choice point is sited at its group, so
-    that its calls get a live context; and its name -> (position, domain
-    check) map."""
+    `reads` is the declaration `register_model` was given, each update's
+    target group -> the (Group, name) pairs it reads.  `plan` holds the
+    rows of `_SLOTS`, in step order, each resolved: its context, None for
+    a system row, which gets no context, else whether a step choice point
+    is sited at its group, so that its calls get a live context; its name
+    -> (position, domain check) map; one call that builds, out of a
+    valuation, the views its update is handed (`_views_of`); and the
+    positions it reads, those of its views in order, which key its
+    table."""
 
     name: str
     variables: tuple[Var, ...]
@@ -523,11 +569,13 @@ class Model:
     assertions: tuple[Assertion, ...]
     init_choices: tuple[tuple[int, ChoicePoint], ...]  # (position, point)
     layout: dict[tuple[Group, str], int]
-    views: tuple[tuple[type, Callable], ...]
-    # (target, its index, reader of the read views, live: True for a live
-    # context, False for a bare one, None for none, writes)
-    plan: tuple[tuple[Group, int, Callable, bool | None,
-                      dict[str, tuple[int, Callable[[Value], bool]]]], ...]
+    reads: dict[Group, tuple[tuple[Group, str], ...]]
+    # (target, live: True for a live context, False for a bare one, None
+    # for none, writes, views out of a valuation, read positions)
+    plan: tuple[tuple[Group, bool | None,
+                      dict[str, tuple[int, Callable[[Value], bool]]],
+                      Callable[[Sequence[Value]], tuple],
+                      tuple[int, ...]], ...]
 
 
 class VerdictKind(Enum):
@@ -578,11 +626,92 @@ def _position(layout: dict, key, unknown: str = "unknown variable") -> int:
     raise ModelError(f"{unknown} {key!r}: name a variable by (Group, name)")
 
 
+def _check_reads(layout: dict, reads: Iterable[tuple]) -> None:
+    """Raise a ModelError unless each (target, pairs) item of `reads` pairs
+    the Group an update writes with the (Group, name) pairs of variables of
+    `layout`, each of a group its `_SLOTS` row hands that update."""
+    for target, pairs in reads:
+        if not isinstance(target, Group):
+            raise ModelError(f"reads are keyed by the Group an update "
+                             f"writes, not {target!r}")
+        what = f"update for {target.value}"
+        groups = _SLOT_READS[target]
+        try:
+            pairs = tuple(pairs)
+        except TypeError:
+            raise ModelError(f"{what} declares reads {pairs!r}, not a "
+                             "sequence of (Group, name) pairs") from None
+        for pair in pairs:
+            try:
+                known = pair in layout
+            except TypeError:   # unhashable, so no variable's
+                known = False
+            if not known:
+                _position(layout, pair, f"{what} declares a read of "
+                                        "unknown variable")
+            if pair[0] not in groups:
+                raise ModelError(
+                    f"{what} declares a read of {pair[0].value}.{pair[1]}, "
+                    "but is handed only "
+                    + ", ".join(group.value for group in groups))
+
+
+@functools.lru_cache
+def _read_plan(names: tuple[tuple[Group, str], ...],
+               reads: tuple[tuple[Group, tuple[tuple[Group, str], ...]], ...]
+               ) -> tuple[tuple[Callable, tuple[int, ...]], ...]:
+    """Each `_SLOTS` row's views, as one call that builds them out of a
+    valuation (`_views_of`), and the positions they read, in step order,
+    for a model whose variables are `names`, (Group, name) pairs in
+    declared order, and whose updates declare `reads`, (target, pairs)
+    items, which it checks (`_check_reads`).  Cached, so models of one
+    shape check and resolve their reads once."""
+    _check_reads({name: pos for pos, name in enumerate(names)}, reads)
+    positions: dict[Group, dict[str, int]] = {group: {} for group in Group}
+    for pos, (group, name) in enumerate(names):
+        positions[group][name] = pos
+    declared = dict(reads)
+    plan = []
+    for target, groups in _SLOTS:
+        pairs = declared.get(target)
+        views, read = [], []
+        for group in groups:
+            every = positions[group]
+            if pairs is None:
+                shown = tuple(every)
+            else:   # its declared names of the group, in declared order
+                shown = tuple(sorted({name for g, name in pairs
+                                      if g is group}, key=every.get))
+            at = [every[name] for name in shown]
+            if len(shown) < len(every):
+                cls = _view_class(group, shown, tuple(every), target)
+            else:
+                cls = _view_class(group, shown)
+            views.append((cls, _reader(at)))
+            read += at
+        plan.append((_views_of(views), tuple(read)))
+    return tuple(plan)
+
+
+def _views_of(views: Sequence[tuple[type, Callable]]) -> Callable:
+    """One call that builds a row's views, each (class, reader), out of a
+    valuation; a row of `_SLOTS` reads two groups or three."""
+    new = tuple.__new__
+    (c1, r1), (c2, r2), *third = views
+    if not third:
+        return lambda values: (new(c1, r1(values)), new(c2, r2(values)))
+    (c3, r3), = third
+    return lambda values: (new(c1, r1(values)), new(c2, r2(values)),
+                           new(c3, r3(values)))
+
+
 def register_model(variables: Sequence[Var],
                    updates: UpdateFunctions,
                    choices: Sequence[ChoicePoint] = (),
                    assertions: Sequence[Assertion] = (),
-                   name: str = "model") -> Model:
+                   name: str = "model",
+                   reads: Mapping[Group, Iterable[tuple[Group, str]]]
+                   | None = None) -> Model:
     """Validate and freeze a model definition.
 
     Each `Var` carries its own initial value, checked against its domain
@@ -590,34 +719,56 @@ def register_model(variables: Sequence[Var],
     (Group, name) overrides that initial value; such initialisation choices
     are drawn in the order they appear in `choices`.
 
+    `reads` maps the Group an update writes to the (Group, name) pairs of
+    the variables that update reads, each of a group its `_SLOTS` row
+    hands it.  Such an update is handed, for each of its groups, a view of
+    only the declared variables of that group, in declared order, and any
+    other read of the group is a ModelError that names the update and the
+    variable; within `explore` its table is keyed by those variables
+    alone.  An update the map leaves out reads every variable of its
+    groups.
+
     Checks: `name` is a trace token (`check_token`), as a trace header
     holds it; at least one variable; names unique within each group; choice
     point ids unique; every site that is not a group names a declared
     variable, at most one point targets each variable, and every candidate
-    lies inside that variable's domain.  Finally one trial step is taken
+    lies inside that variable's domain; every key of `reads` is a Group,
+    and every read it declares a (Group, name) pair naming a variable of a
+    group its update is handed.  Finally one trial step is taken
     with the first domain value at every draw, whatever the initial state's
     assertions say, and the assertions are evaluated on the stepped state,
-    so that wiring mistakes and assertions that raise surface at
-    registration rather than mid-exploration.  Violations there are ignored.
+    so that wiring mistakes, undeclared reads and assertions that raise
+    surface at registration rather than mid-exploration.  Violations there
+    are ignored.
     """
     check_token(name, "model name")
     vars_t = tuple(variables)
     if not vars_t:
         raise ModelError("a model needs at least one variable")
     layout: dict[tuple[Group, str], int] = {}
-    # each group's name -> (position, domain check), in `Group` order
-    writes: list[dict[str, tuple[int, Callable]]] = [{} for _ in Group]
+    # each group's name -> (position, domain check), in declared order
+    writes: dict[Group, dict[str, tuple[int, Callable]]] = {
+        group: {} for group in Group}
     for pos, v in enumerate(vars_t):
         if (v.group, v.name) in layout:
             raise ModelError(f"duplicate variable {v}")
         layout[(v.group, v.name)] = pos
-        writes[_GROUP_INDEX[v.group]][v.name] = (pos, v.domain.contains)
-    views = tuple((_view_class(g, tuple(names)),
-                   _reader([pos for pos, _ in names.values()]))
-                  for g, names in zip(Group, writes))
+        writes[v.group][v.name] = (pos, v.domain.contains)
+    if reads is not None and not isinstance(reads, Mapping):
+        raise ModelError(f"reads must map the Group an update writes to the "
+                         f"(Group, name) pairs it reads, not {reads!r}")
+    items = () if reads is None else reads.items()
+    try:
+        # hashable, as the cache needs, unless a read is no (Group, name)
+        # pair, which names no variable
+        declared = tuple((target, tuple(pairs)) for target, pairs in items)
+        resolved = _read_plan(tuple(layout), declared)
+    except TypeError:
+        _check_reads(layout, items)   # raises, naming the read at fault
+        raise
 
     choice_map: dict[str, ChoicePoint] = {}
-    init_ch: list[tuple[int, ChoicePoint]] = []
+    init_ch: dict[int, ChoicePoint] = {}   # position -> point, in order
     for cp in choices:
         if cp.point_id in choice_map:
             raise ModelError(f"duplicate choice point '{cp.point_id}'")
@@ -626,14 +777,14 @@ def register_model(variables: Sequence[Var],
             continue
         pos = _position(layout, cp.site, f"choice point '{cp.point_id}' "
                                          "targets unknown variable")
-        if any(pos == other for other, _ in init_ch):
+        if pos in init_ch:
             raise ModelError(f"two initialisation choices target {vars_t[pos]}")
         for value in cp.domain:
             if not vars_t[pos].domain.contains(value):
                 raise ModelError(
                     f"initialisation choice '{cp.point_id}' offers {value!r}, "
                     f"outside the domain of {vars_t[pos]}")
-        init_ch.append((pos, cp))
+        init_ch[pos] = cp
 
     assert_t = tuple(assertions)
     ids = [a.assert_id for a in assert_t]
@@ -644,13 +795,15 @@ def register_model(variables: Sequence[Var],
     # context
     sited = {cp.site for cp in choice_map.values()
              if isinstance(cp.site, Group)}
-    plan = tuple((target, index, reads,
-                  (target in sited) if may_draw else None, writes[index])
-                 for target, index, reads, may_draw in _PLAN)
+    plan = tuple((target,
+                  None if target in SYSTEM_GROUPS else target in sited,
+                  writes[target], views, positions)
+                 for (target, _), (views, positions) in zip(_SLOTS, resolved))
 
     model = Model(name=name, variables=vars_t, updates=updates,
                   choices=choice_map, assertions=assert_t, layout=layout,
-                  init_choices=tuple(init_ch), views=views, plan=plan)
+                  init_choices=tuple(init_ch.items()), reads=dict(declared),
+                  plan=plan)
 
     # trial step: surfaces read/update wiring errors now
     trial, _ = resolve_initial(model)
@@ -693,19 +846,15 @@ _TABLE_SIZE = 128
 
 def _rows(model: Model, tabled: bool = False) -> tuple[tuple, ...]:
     """The model's plan rows, each bound to its update function, then to
-    its table and the dict that interns its writes: two new dicts if
-    `tabled` and the row's call gets no live context, else None and None,
-    so every call of the row's update is made."""
-    return tuple((target, index, reads, live, names, fn,
-                  *(({}, {}) if tabled and not live else (None, None)))
-                 for (target, index, reads, live, names), fn
+    its key, table and the dict that interns its writes: a `_key` of its
+    read positions and two new dicts if `tabled` and the row's call gets
+    no live context, else three Nones, so every call of the row's update
+    is made."""
+    return tuple((target, live, names, views, fn,
+                  *((_key(positions), {}, {}) if tabled and not live
+                    else (None, None, None)))
+                 for (target, live, names, views, positions), fn
                  in zip(model.plan, _FUNCTIONS(model.updates)))
-
-
-def _views(model: Model, values: Sequence[Value]) -> list[tuple]:
-    """The nine group views of a valuation, in `Group` order."""
-    new = tuple.__new__
-    return [new(cls, read(values)) for cls, read in model.views]
 
 
 def step(model: Model, state: ModelState, values: Iterable[Value] = ()
@@ -718,127 +867,118 @@ def step(model: Model, state: ModelState, values: Iterable[Value] = ()
     run out; an iterator is consumed by exactly the draws made.  Returns
     the new state and the draws made, as `resolve_initial` does.
 
-    It builds the nine group views of `state` and takes the step from them
-    (`_step`), on rows with no tables, so every update is called,
-    rebuilding a view only after an update changed its group.
-    Each drawing update gets a context that draws only while its call
-    runs: once the call returns or raises, the context draws nothing.
+    It takes the step by `_step`, on rows with no tables, so every update
+    is called.  Each drawing update gets a context that draws only while
+    its call runs: once the call returns or raises, the context draws
+    nothing.
     """
-    return _step(model, state, _views(model, state.values), iter(values),
-                 _rows(model))
+    return _step(model, state, iter(values), _rows(model))
 
 
-def _step(model: Model, state: ModelState, views: list[tuple],
-          values: Iterator[Value], rows: Sequence[tuple]
-          ) -> tuple[ModelState, ChoiceLog]:
-    """The step after `state`, whose group views `views` holds; leaves in
-    `views` those of the new state, so a path's next step can take them.
+def _step(model: Model, state: ModelState, values: Iterator[Value],
+          rows: Sequence[tuple]) -> tuple[ModelState, ChoiceLog]:
+    """The step after `state`.
 
     The new valuation starts as a copy of the previous one, so variables an
     update omits carry over; each update's writes go into its group in
-    place.  A group's view is built again only after a write changed one of
-    its values, so a group written earlier shows its new values and every
-    view ends exact.  A write of the very object its position already holds
-    changes nothing and is not checked again: every value in the valuation
-    has passed its domain check or, carried over, is as the state held it.
-    It must be the same object, not an equal one, since neither 1 nor True
-    is the other's domain's member.
+    place.  An update is handed views built from that valuation just
+    before its call, each of the variables of one of its groups that it
+    reads, so a group written earlier in the step shows its new values.
+    No view is kept after the call.  A write of the very object its
+    position already holds changes nothing and is not checked again: every
+    value in the valuation has passed its domain check or, carried over,
+    is as the state held it.  It must be the same object, not an equal
+    one, since neither 1 nor True is the other's domain's member.
 
     `rows` holds each plan row bound to its update function (`_rows`),
-    its table and its intern dict, both None on a row with no table.  A
-    table maps the views the row read to the writes its update returned on
-    them: one tuple of every (position, value), checked, those that
-    changed nothing included, since a position may hold another value
-    where the entry is used again.  A row found in its table takes those
-    writes with no call; otherwise its update is called and checked and
-    its writes stored.  Stored writes go through the intern dict, so equal
-    ones share one tuple: no domain holds two equal members, so an equal
-    (position, value) pair writes the same value.  Once the table holds
-    `_TABLE_SIZE` inputs it is cleared, and the intern dict with it, so
-    neither ever holds more.
+    its key, table and intern dict, all three None on a row with no
+    table.  A key picks the values of the variables the row reads out of
+    the valuation being written, and the table maps it to the writes the
+    row's update returned on them: one tuple of every (position, value),
+    checked, those that changed nothing included, since a position may
+    hold another value where the entry is used again.  A row found in its
+    table takes those writes with no call and no view built; otherwise its
+    update is called and checked and its writes stored.  Stored writes go
+    through the intern dict, so equal ones share one tuple: by the
+    equality rule, an equal (position, value) pair writes the same value.
+    Once the table holds `_TABLE_SIZE` inputs it is cleared, and the
+    intern dict with it, so neither ever holds more.
 
     Each call of a drawing update gets a context of its own, closed in a
     `finally`: once the call returns or raises, the context draws nothing.
     It is live only on a row the model sites a step point at; on any other
     it is bare, its `_model` and `_site` alone set.
     """
-    group_views = model.views
-    new = tuple.__new__
     bare = object.__new__
     current = list(state.values)
     entries: list[ChoiceEntry] = []
     iteration = state.iteration + 1
 
-    for target, index, reads, live, names, fn, table, interned in rows:
-        read = reads(views)
-        changed = False
-        writes = None if table is None else table.get(read)
-        if writes is None:
-            try:
-                if live is None:
-                    returned = fn(*read)
+    for target, live, names, views, fn, key, table, interned in rows:
+        if table is not None:
+            read = key(current)
+            writes = table.get(read)
+            if writes is not None:
+                for pos, value in writes:
+                    current[pos] = value
+                continue
+        args = views(current)
+        try:
+            if live is None:
+                returned = fn(*args)
+            else:
+                if live:
+                    ctx = StepContext(model, iteration, values, target,
+                                      entries)
                 else:
-                    if live:
-                        ctx = StepContext(model, iteration, values, target,
-                                          entries)
-                    else:
-                        ctx = bare(StepContext)
-                        ctx._model = model
-                        ctx._site = target
-                    try:
-                        returned = fn(*read, ctx)
-                    finally:
-                        ctx._site = None   # closed however the call ended
-            except ModelError:
-                raise
-            except Exception as exc:
-                raise ModelError(f"update for {target.value} raised {exc!r} "
-                                 f"at iteration {iteration}") from exc
-            stored = []
-            try:
-                for var_name, value in returned.items():
-                    try:
-                        pos, contains = names[var_name]
-                    except (KeyError, TypeError):   # TypeError: unhashable
-                        raise ModelError(
-                            f"update for {target.value} assigned unknown "
-                            f"variable '{var_name}'") from None
-                    if table is not None:
-                        stored.append((pos, value))
-                    if value is current[pos]:
-                        continue
-                    if not contains(value):
-                        raise ModelError(
-                            f"update produced {value!r} for "
-                            f"{model.variables[pos]}, outside its domain, at "
-                            f"iteration {iteration}")
-                    current[pos] = value
-                    changed = True
-            except ModelError:
-                raise
-            except Exception as exc:
-                if not hasattr(returned, "items"):
-                    raise ModelError(f"update for {target.value} returned "
-                                     f"{returned!r} (return a mapping, "
-                                     "possibly empty)") from None
-                # items that raise or are not pairs
-                raise ModelError(f"update for {target.value} returned a "
-                                 f"mapping whose items raised {exc!r} at "
-                                 f"iteration {iteration}") from exc
-            if table is not None:
-                if len(table) >= _TABLE_SIZE:
-                    table.clear()
-                    interned.clear()
-                stored = tuple(stored)
-                table[read] = interned.setdefault(stored, stored)
-        else:
-            for pos, value in writes:
-                if value is not current[pos]:
-                    current[pos] = value
-                    changed = True
-        if changed:
-            cls, get = group_views[index]
-            views[index] = new(cls, get(current))
+                    ctx = bare(StepContext)
+                    ctx._model = model
+                    ctx._site = target
+                try:
+                    returned = fn(*args, ctx)
+                finally:
+                    ctx._site = None   # closed however the call ended
+        except ModelError:
+            raise
+        except Exception as exc:
+            raise ModelError(f"update for {target.value} raised {exc!r} "
+                             f"at iteration {iteration}") from exc
+        stored = []
+        try:
+            for var_name, value in returned.items():
+                try:
+                    pos, contains = names[var_name]
+                except (KeyError, TypeError):   # TypeError: unhashable
+                    raise ModelError(
+                        f"update for {target.value} assigned unknown "
+                        f"variable '{var_name}'") from None
+                if table is not None:
+                    stored.append((pos, value))
+                if value is current[pos]:
+                    continue
+                if not contains(value):
+                    raise ModelError(
+                        f"update produced {value!r} for "
+                        f"{model.variables[pos]}, outside its domain, at "
+                        f"iteration {iteration}")
+                current[pos] = value
+        except ModelError:
+            raise
+        except Exception as exc:
+            if not hasattr(returned, "items"):
+                raise ModelError(f"update for {target.value} returned "
+                                 f"{returned!r} (return a mapping, "
+                                 "possibly empty)") from None
+            # items that raise or are not pairs
+            raise ModelError(f"update for {target.value} returned a "
+                             f"mapping whose items raised {exc!r} at "
+                             f"iteration {iteration}") from exc
+        if table is not None:
+            if len(table) >= _TABLE_SIZE:
+                table.clear()
+                interned.clear()
+            stored = tuple(stored)
+            table[read] = interned.setdefault(stored, stored)
 
     return ModelState(tuple(current), iteration, model.layout), tuple(entries)
 
@@ -852,12 +992,11 @@ def run_path(model: Model, bound: int, values: Iterable[Value] = ()
     violated assertion ids (empty if none).
 
     It resolves the initial state, its draws checked by `_draw` like every
-    step draw, builds its nine group views, and each step hands those of
-    its new state to the next (`_step`), rewriting the list, so a view is
-    built again only after an update changed its group.  It shares no
-    search state with `explore`, its memo or its tables, and calls every
-    update, so a log `explore` builds replays here independently of how
-    `explore` walked the choice tree.
+    step draw, and takes each step by `_step`, which builds the views an
+    update reads for its call alone.  It shares no search state with
+    `explore`, its memo or its tables, and calls every update, so a log
+    `explore` builds replays here independently of how `explore` walked
+    the choice tree.
 
     A step that drew nothing and returned its input's values has settled
     the path: every later step would return the same values again, on
@@ -866,13 +1005,12 @@ def run_path(model: Model, bound: int, values: Iterable[Value] = ()
     """
     values = iter(values)
     state, entries = resolve_initial(model, values)
-    views = _views(model, state.values)
     rows = _rows(model)
     snapshots = [state]
     log = list(entries)
     violated = _eval_assertions(model, state)
     while not violated and state.iteration < bound:
-        stepped, drawn = _step(model, state, views, values, rows)
+        stepped, drawn = _step(model, state, values, rows)
         if not drawn and stepped.values == state.values:
             snapshots.extend(ModelState(state.values, i, model.layout)
                              for i in range(state.iteration + 1, bound + 1))
@@ -924,10 +1062,11 @@ def explore(model: Model, bound: int,
     of one step, each node stepped at most once and each state it reaches
     checked at most once.  A step that drew nothing has one successor,
     taken inline, as `run_path` takes it.  A step that drew pushes a frame
-    on an explicit stack: the node's state, the views its step started
-    from, the draws it made and the paths counted before the node was
-    reached.  So a path's draws are its initial state's, then those of
-    each frame; they are joined only for a verdict's log.  Once a path
+    on an explicit stack: the node's state, the draws its step made and
+    the paths counted before the node was reached.  No view is kept: a
+    sibling is stepped from the node's state alone.  So a path's draws
+    are its initial state's, then those of each frame; they are joined
+    only for a verdict's log.  Once a path
     ends, the walk backs up to the deepest frame whose step has a next
     sibling, cuts the path's states back to that node, and steps the
     sibling from there; a frame with no next sibling has a fully explored
@@ -949,21 +1088,22 @@ def explore(model: Model, bound: int,
     ends the search where that search would: after `path_ceiling` paths.
 
     Each plan row whose call gets no live context, a system row or one
-    handed a bare context, keeps a table for the call (`_step`): the views
-    the row read, its key, map to every write its update returned, checked
-    as a call's are.  A view class is fixed per row and no domain holds two
-    equal members of different types, so equal keys are equal inputs, and
-    by the purity rule such a row, drawing nothing, writes the same on
-    them.  A repeated input takes the stored writes with no call and no
-    context.  Equal writes of a row share one tuple, interned through a
-    dict of the row's: a domain never holds two equal members, so equal
-    (position, value) pairs are interchangeable, by the argument the keys
-    rest on.  A table is cleared once it holds `_TABLE_SIZE` inputs, its
-    intern dict with it, so a row holds at most that many keys and write
-    tuples.  A row with a live context gets no table: what it writes
-    depends on what it draws.  The rows are bound to their update
-    functions, tables and intern dicts once per call (`_rows`), made per
-    call like the memo, so one search never warms the next.
+    handed a bare context, keeps a table for the call (`_step`): its key,
+    the values of the variables the row declares it reads, in the
+    valuation being written, maps to every write its update returned,
+    checked as a call's are.  The key's positions are fixed per row, and
+    by the equality rule equal keys are the same values, on which, by the
+    purity rule, such a row, drawing nothing and reading nothing else,
+    writes the same.  A repeated input takes the stored writes with no
+    call, no view and no context.  Equal writes of a row share one tuple,
+    interned through a dict of the row's: by the same rule, equal
+    (position, value) pairs are interchangeable.  A table is cleared once
+    it holds `_TABLE_SIZE` inputs, its intern dict with it, so a row holds
+    at most that many keys and write tuples.  A row with a live context
+    gets no table: what it writes depends on what it draws.  The rows are
+    bound to their update functions, keys, tables and intern dicts once
+    per call (`_rows`), made per call like the memo, so one search never
+    warms the next.
 
     A settled path's repeated tail is built only for the first path, the
     Safe representative: a settled path never violates, and any later
@@ -981,9 +1121,10 @@ def explore(model: Model, bound: int,
     kept = 0   # those of them the next initial state shares
     values: Iterator[Value] = iter(())
     # node state -> paths under it, where a step can draw
-    memo = {} if any(live for _, _, _, live, _ in model.plan) else None
+    memo = {} if any(live for _, live, *_ in model.plan) else None
     # each row bound to its update and, where its call gets no live
-    # context, to its table, views -> writes, and its interned writes
+    # context, to its key, its table, key -> writes, and its interned
+    # writes
     rows = _rows(model, tabled=True)
     first_path: tuple[Trace, ChoiceLog] | None = None
     paths = 0
@@ -998,8 +1139,7 @@ def explore(model: Model, bound: int,
             initial[pos] = _draw(cp, 0, values, drawn)
         state = ModelState(tuple(initial), 0, model.layout)
         trace = [state]
-        views = _views(model, state.values)
-        # (node, views, draws, paths before it)
+        # (node, draws, paths before it)
         stack: list[tuple] = []
         before = paths   # counted before the node about to step was reached
         violated = None   # the initial state is yet to be checked
@@ -1011,12 +1151,9 @@ def explore(model: Model, bound: int,
                 if violated is None:
                     violated = _eval_assertions(model, state)
                 while not violated and state.iteration < bound:
-                    if memo is not None:
-                        saved = views.copy()
-                    stepped, step_drawn = _step(model, state, views, values,
-                                                rows)
+                    stepped, step_drawn = _step(model, state, values, rows)
                     if step_drawn:
-                        stack.append((state, saved, step_drawn, before))
+                        stack.append((state, step_drawn, before))
                         before = paths   # no path ends on the way down
                     elif stepped.values == state.values:
                         if first_path is None:   # only it keeps its tail
@@ -1037,7 +1174,7 @@ def explore(model: Model, bound: int,
                                paths_explored=paths + 1, message=str(exc))
             if violated or first_path is None:
                 path = (tuple(trace), (*drawn, *(entry for frame in stack
-                                                 for entry in frame[2])))
+                                                 for entry in frame[1])))
                 if violated:
                     return Verdict(VerdictKind.Unsafe, bound,
                                    paths_explored=paths + 1, trace=path[0],
@@ -1051,7 +1188,7 @@ def explore(model: Model, bound: int,
             # back up to the deepest frame whose step has a next sibling,
             # storing the count of each finished one on the way
             for depth in range(len(stack) - 1, -1, -1):
-                state, views, step_drawn, before = stack[depth]
+                state, step_drawn, before = stack[depth]
                 later = _next_draws(model, step_drawn)
                 if later is not None:
                     break
@@ -1079,7 +1216,9 @@ def probed_model(model: Model, var: tuple[Group, str]) -> Model:
     probe first in `choices`, so `register_model` rejects a variable with an
     initialisation choice of its own, which would overwrite the probed
     value, and a model that already declares a point of the probe's id.
-    The original model is not modified.  Counterexamples found on the probed
+    It keeps the model's declared `reads`, so its updates are handed the
+    same views and its tables keyed on the same values.  The original
+    model is not modified.  Counterexamples found on the probed
     model replay against the probed model, not the original, since only the
     former declares the probe choice point.
     """
@@ -1087,7 +1226,7 @@ def probed_model(model: Model, var: tuple[Group, str]) -> Model:
     cp = ChoicePoint(f"probe:{target.name}", target.domain.values(), site=var)
     return register_model(model.variables, model.updates,
                           (cp, *model.choices.values()), model.assertions,
-                          model.name)
+                          model.name, model.reads)
 
 
 def replay_counterexample(model: Model, verdict: Verdict) -> Trace:

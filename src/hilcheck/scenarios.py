@@ -201,6 +201,40 @@ _OBSTACLE_DOM = IntDomain(0, MAX_OBSTACLE)
 _CURVATURE_DOM = IntDomain(0, MAX_CURVATURE)
 
 
+# what each update reads, so that it is handed those variables alone and a
+# search runs it once per distinct value of them; `build_model` adds what
+# depends on the scenario: the route's segment fields, which env_state and
+# env_output read, and one variable of the driver's state
+_READS = {
+    Group.ENV_INPUT: ((Group.SYS_OUTPUT, "speed"),),
+    Group.ENV_STATE: ((Group.ENV_INPUT, "moved"), (Group.ENV_STATE, "cursor"),
+                      (Group.ENV_STATE, "covered")),
+    Group.ENV_OUTPUT: ((Group.ENV_STATE, "cursor"),
+                       (Group.ENV_STATE, "lead_speed")),
+    Group.SYS_INPUT: ((Group.BEH_OUTPUT, "mode_request"),
+                      (Group.BEH_OUTPUT, "manual_command"),
+                      (Group.BEH_OUTPUT, "fatigue"),
+                      (Group.ENV_OUTPUT, "journey_done"),
+                      (Group.ENV_OUTPUT, "lead_speed"),
+                      (Group.SYS_STATE, "gap")),
+    Group.SYS_STATE: ((Group.SYS_INPUT, "command"),
+                      (Group.SYS_INPUT, "lead_speed"),
+                      (Group.SYS_INPUT, "active_mode"),
+                      (Group.SYS_INPUT, "fatigue_seen"),
+                      (Group.SYS_STATE, "speed"), (Group.SYS_STATE, "gap")),
+    Group.SYS_OUTPUT: ((Group.SYS_STATE, "speed"), (Group.SYS_STATE, "gap"),
+                       (Group.SYS_STATE, "acc_status")),
+    Group.BEH_INPUT: ((Group.ENV_OUTPUT, "terrain"),
+                      (Group.ENV_OUTPUT, "obstacle"),
+                      (Group.ENV_OUTPUT, "curvature"),
+                      (Group.ENV_OUTPUT, "journey_done")),
+    Group.BEH_STATE: ((Group.BEH_INPUT, "done_seen"),
+                      (Group.BEH_INPUT, "terrain_difficulty"),
+                      (Group.BEH_STATE, "time_driven")),
+    Group.BEH_OUTPUT: ((Group.BEH_STATE, "fatigue"),),
+}
+
+
 def fatigue_tables(config: ScenarioConfig) -> tuple[dict, dict, dict]:
     """What each fatigue level fixes in a scenario, worked out once: its
     cruise gap preset, reaction time and hazard perception, each a
@@ -356,11 +390,17 @@ def build_model(config: ScenarioConfig) -> Model:
     # every variable once, in declared order, with its initial value; a
     # drawn route's fields are drawn in that order, before the integrator
     variables = []
+    distance_reads, segment_reads = (), ()
     for i, pt in enumerate(segments):
         for field_name, candidates in ROUTE_CANDIDATES.items():
             name = f"seg{i}_{field_name}"
             variables.append(Var(name, Group.ENV_STATE, field_doms[field_name],
                                  getattr(pt, field_name)))
+            # env_state reads the distances, env_output all the rest
+            if field_name == "distance":
+                distance_reads += ((Group.ENV_STATE, name),)
+            else:
+                segment_reads += ((Group.ENV_STATE, name),)
             if drawn:
                 choices.append(ChoicePoint(f"route:{name}", candidates,
                                            site=(Group.ENV_STATE, name)))
@@ -439,9 +479,19 @@ def build_model(config: ScenarioConfig) -> Model:
     if not config.separation_only:
         assertions.append(Assertion("FatigueBounded", fatigue_bounded))
 
+    # the route's fields each update reads, and the one variable of its own
+    # state beh_state reads besides the time: a pinned fatigue is read
+    # back, a worked-out one combines through the integrator
+    reads = {**_READS,
+             Group.ENV_STATE: _READS[Group.ENV_STATE] + distance_reads,
+             Group.ENV_OUTPUT: _READS[Group.ENV_OUTPUT] + segment_reads,
+             Group.BEH_STATE: _READS[Group.BEH_STATE] + (
+                 (Group.BEH_STATE, "fatigue" if config.fatigue_pinned
+                  else "combine_op"),)}
+
     return register_model(variables=variables, updates=updates,
                           choices=choices, assertions=assertions,
-                          name=config.name)
+                          name=config.name, reads=reads)
 
 
 SCENARIOS = {

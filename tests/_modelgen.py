@@ -44,6 +44,11 @@ else to `<name>`.  So one update writes equal values to two variables on
 different inputs.  Each update reads the sum of the two, so a write to
 either feeds the next step.
 
+A declared-reads model (`generate_declared_reads`) declares, per update,
+a random part of the variables of the groups it is handed, and reads
+only that, some of it only on some inputs, so its views and its table
+keys hold the declared variables alone.
+
 A raising model's drawing updates keep their contexts, and each call first
 tries to draw through the one its update kept last, which must be refused.
 On some branches where a point drew its last candidate, never on the path
@@ -597,3 +602,118 @@ def generate_write_path(seed: int, max_runs: int = 120) -> GeneratedModel:
                           if not isinstance(cp.site, Group)),
         step_points=tuple(point_of[slot] for slot in _DRAW_SLOTS
                           if slot in point_of))
+
+
+def generate_declared_reads(seed: int, max_runs: int = 400) -> GeneratedModel:
+    """Build one random model whose updates declare what they read.
+
+    Every group holds one to three int variables.  Each update declares a
+    random subset, in random order, of the variables of the groups its row
+    reads, none at all in some, or, in about one in five, is left out of
+    `reads` and reads them all.  It reads only what it declares, by
+    attribute or by item, some of it only where the sum it has read so far
+    is odd, and writes that sum, plus its draws and an offset, to some
+    variables of its group, each wrapped to its domain; some it writes
+    only where the sum is not a multiple of 3.  So whether a row's table
+    may answer a call depends on the declared variables alone.  Draws
+    follow the fixed schedule, as in `generate`.
+    """
+    rng = random.Random(seed)
+    bound, init_domains, site_of, step_domains = _draw_layout(
+        rng, rng.randint(2, 4), max_runs)
+    draws: dict[Group, list[ChoicePoint]] = {slot: [] for slot in _DRAW_SLOTS}
+    step_points = []
+    for k, (slot, dom) in enumerate(zip(site_of, step_domains)):
+        cp = ChoicePoint(f"d{k}", dom, site=slot)
+        step_points.append(cp)
+        draws[slot].append(cp)
+
+    names = {group: [f"{_SLOT_VAR[group]}{k}"
+                     for k in range(rng.randint(1, 3))] for group in Group}
+    cap = {(group, name): rng.randint(1, 4)
+           for group in Group for name in names[group]}
+    offset = {group: rng.randint(0, 3) for group in Group}
+    reads: dict[Group, list[tuple[Group, str]]] = {}
+    # each update's reads, in the order it makes them: (group, name,
+    # weight, read only where the sum so far is odd, read by item)
+    plans: dict[Group, list[tuple]] = {}
+    # each update's writes: (name, written only where the sum is not a
+    # multiple of 3)
+    writes: dict[Group, list[tuple[str, bool]]] = {}
+    for _, target, row in ORDER:
+        every = [(group, name) for group, _ in row for name in names[group]]
+        draw = rng.random()
+        if draw < 0.2:
+            chosen = every
+        elif draw < 0.35:
+            chosen = reads[target] = []
+        else:
+            chosen = reads[target] = rng.sample(every,
+                                                rng.randint(1, len(every)))
+        plans[target] = [(group, name, rng.randint(1, 2),
+                          k > 0 and rng.random() < 0.3, rng.random() < 0.5)
+                         for k, (group, name) in enumerate(chosen)]
+        writes[target] = [(name, rng.random() < 0.3)
+                          for name in names[target] if rng.random() < 0.8]
+
+    groups = {target: [group for group, _ in row] for _, target, row in ORDER}
+
+    def make_update(target: Group):
+        def update(*args):
+            if target in _DRAW_SLOTS:
+                *views, ctx = args
+            else:
+                views, ctx = args, None
+            view_of = dict(zip(groups[target], views))
+            t = offset[target]
+            for group, name, weight, when_odd, by_item in plans[target]:
+                if when_odd and t % 2 == 0:
+                    continue
+                view = view_of[group]
+                t += weight * (view[name] if by_item else getattr(view, name))
+            for cp in draws.get(target, ()):
+                t += ctx.choose(cp.point_id)
+            return {name: (t + k) % (cap[target, name] + 1)
+                    for k, (name, sometimes) in enumerate(writes[target])
+                    if not sometimes or t % 3 != 0}
+        return update
+
+    updates = UpdateFunctions(**{group.name.lower(): make_update(group)
+                                 for group in Group})
+    variables = [Var(name, group, IntDomain(0, cap[group, name]),
+                     rng.randint(0, cap[group, name]))
+                 for group in Group for name in names[group]]
+
+    choices = list(step_points)
+    for k, (group, dom) in enumerate(zip(
+            rng.sample([Group.ENV_STATE, Group.SYS_STATE, Group.BEH_STATE],
+                       len(init_domains)), init_domains)):
+        name = names[group][0]
+        dom = tuple(dict.fromkeys(v % (cap[group, name] + 1) for v in dom))
+        choices.append(ChoicePoint(f"init{k}", dom, site=(group, name)))
+    rng.shuffle(choices)
+
+    watched = [(group, name) for group in Group for name in names[group]]
+    assertions = []
+    for k in range(rng.randint(0, 1)):
+        picked = rng.sample(watched, min(3, len(watched)))
+        weights = [rng.randint(1, 2) for _ in picked]
+        modulus = rng.randint(4, 9)
+        forbidden = rng.randrange(modulus)
+
+        def pred(state, picked=picked, weights=weights, modulus=modulus,
+                 forbidden=forbidden):
+            return sum(w * state.value(group, name)
+                       for w, (group, name) in zip(weights, picked)) \
+                % modulus != forbidden
+
+        assertions.append(Assertion(f"a{k}", pred))
+
+    model = register_model(variables=variables, updates=updates,
+                           choices=choices, assertions=assertions,
+                           name=f"dr{seed}", reads=reads)
+    return GeneratedModel(
+        model=model, bound=bound,
+        init_points=tuple(cp for cp in choices
+                          if not isinstance(cp.site, Group)),
+        step_points=tuple(step_points))

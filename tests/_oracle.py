@@ -31,7 +31,7 @@ from hilcheck import engine
 from hilcheck.engine import Model, ModelError
 
 from _modelgen import (GeneratedModel, generate, generate_cycling,
-                       generate_write_path)
+                       generate_declared_reads, generate_write_path)
 from _reference import State, reference_initial, reference_step
 
 
@@ -91,6 +91,11 @@ FAMILIES = {
                                                    conditional=True),
                                  range(100),
                                  {"Safe": 42, "Unsafe": 58, "ModelError": 0}),
+    # updates that declare a subset of their groups' variables, or none,
+    # and read only those, some of them only on some inputs, so a row's
+    # table is keyed by what it declares
+    "declared-reads": Family(generate_declared_reads, range(100),
+                             {"Safe": 69, "Unsafe": 31, "ModelError": 0}),
 }
 
 

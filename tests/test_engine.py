@@ -1,5 +1,6 @@
 """Engine unit tests: registration checks, step semantics, exploration."""
 
+import re
 from dataclasses import replace
 from enum import Enum, IntEnum
 
@@ -114,12 +115,49 @@ def test_register_rejects_bool_for_int_domain():
     (SymbolicDomain(tuple(Level)), True),
     (SymbolicDomain(tuple(Level)), 2.0),
     (IntDomain(0, 2), Level.Mid),
-], ids=["int in enum", "bool in enum", "float in enum", "enum in int"])
+    (SymbolicDomain((Level.Mid, 2)), 1),
+], ids=["int in enum", "bool in enum", "float in enum", "enum in int",
+        "int beside an int member"])
 def test_a_value_belongs_only_if_it_has_a_members_type(domain, value):
     # each of these compares equal to a member
     assert value in domain.values()
     assert not domain.contains(value)
     assert all(domain.contains(member) for member in domain.values())
+
+
+def test_an_unhashable_value_belongs_to_no_symbolic_domain():
+    assert not SymbolicDomain((1, 2)).contains([1])
+    assert not SymbolicDomain(tuple(Level)).contains({})
+
+
+def test_an_int_equal_to_a_member_of_another_type_is_no_member():
+    # x holds Level.Mid or 2; an int 1, equal to Level.Mid, must not pass
+    # for it, or the tabled env_output row, keyed by x, would take the
+    # writes it made for Level.Mid on the int and the search miss the
+    # violation `run_path` finds
+    point = ChoicePoint("flip", (False, True), site=Group.ENV_INPUT)
+
+    def env_input(so, e, ctx):
+        return {"x": 1 if ctx.choose("flip") else Level.Mid}
+
+    def env_output(ei, e, ctx):
+        return {"seen_int": type(ei.x) is int}
+
+    model = register_model(
+        variables=[Var("x", Group.ENV_INPUT,
+                       SymbolicDomain((Level.Mid, 2)), Level.Mid),
+                   Var("seen_int", Group.ENV_OUTPUT,
+                       SymbolicDomain((False, True)), False)],
+        updates=_updates(env_input=env_input, env_output=env_output),
+        choices=[point],
+        assertions=[Assertion("NoInt", lambda s: not s.value(
+            Group.ENV_OUTPUT, "seen_int"))])
+    verdict = explore(model, 2)
+    assert verdict.kind is VerdictKind.ModelError
+    assert verdict.message.startswith(
+        "update produced 1 for env_in.x, outside its domain")
+    with pytest.raises(ModelError, match="update produced 1 for env_in.x"):
+        run_path(model, 2, [True])
 
 
 def test_an_update_writing_an_int_into_an_enum_variable_is_rejected():
@@ -548,6 +586,136 @@ def test_group_views_expose_group_and_reject_unknown_names():
     state, _ = resolve_initial(model)
     step(model, state)
     assert checked
+
+
+def test_narrowed_views_hold_the_declared_variables_and_reject_the_rest():
+    checked = []
+
+    def env_state(ei, e, ctx):
+        # in declared order, whatever the order of the declaration
+        assert e._fields == ("x", "z") and ei._fields == ()
+        assert e.x == e["x"] == 1 and e.z == e["z"] == 3
+        for read in (lambda: e.y, lambda: e["y"], lambda: ei.moved,
+                     lambda: ei["moved"]):
+            with pytest.raises(ModelError, match=r"^update for env_state "
+                                                 r"read env_(state\.y|in\."
+                                                 r"moved), which it does not "
+                                                 r"declare in its reads$"):
+                read()
+        for read in (lambda: e.ghost, lambda: e["ghost"], lambda: e.count,
+                     lambda: e.index):
+            with pytest.raises(ModelError, match=r"^no variable '\w+' in "
+                                                 r"group env_state$"):
+                read()
+        with pytest.raises(AttributeError):
+            e._secret
+        checked.append(True)
+        return {}
+
+    model = register_model(
+        variables=[Var("x", Group.ENV_STATE, IntDomain(0, 3), 1),
+                   Var("y", Group.ENV_STATE, IntDomain(0, 3), 2),
+                   Var("z", Group.ENV_STATE, IntDomain(0, 3), 3),
+                   Var("moved", Group.ENV_INPUT, IntDomain(0, 1), 0)],
+        updates=_updates(env_state=env_state),
+        reads={Group.ENV_STATE: [(Group.ENV_STATE, "z"),
+                                 (Group.ENV_STATE, "x")]})
+    assert checked
+    assert model.reads == {Group.ENV_STATE: ((Group.ENV_STATE, "z"),
+                                             (Group.ENV_STATE, "x"))}
+
+
+@pytest.mark.parametrize("reads, message", [
+    ({Group.ENV_STATE: [(Group.ENV_STATE, "ghost")]},
+     "update for env_state declares a read of unknown variable "
+     "env_state.ghost"),
+    ({Group.ENV_STATE: [(Group.SYS_STATE, "s")]},
+     "update for env_state declares a read of sys_state.s, but is handed "
+     "only env_in, env_state"),
+    ({Group.ENV_STATE: ["n"]},
+     "update for env_state declares a read of unknown variable 'n': name a "
+     "variable by (Group, name)"),
+    ({Group.ENV_STATE: [[Group.ENV_STATE, "n"]]},
+     "update for env_state declares a read of unknown variable "
+     "[<Group.ENV_STATE: 'env_state'>, 'n']: name a variable by "
+     "(Group, name)"),
+    ({Group.ENV_STATE: (Group.ENV_STATE, "n")},
+     "update for env_state declares a read of unknown variable "
+     "<Group.ENV_STATE: 'env_state'>: name a variable by (Group, name)"),
+    ({Group.ENV_STATE: 3},
+     "update for env_state declares reads 3, not a sequence of (Group, "
+     "name) pairs"),
+    ({"env_state": [(Group.ENV_STATE, "n")]},
+     "reads are keyed by the Group an update writes, not 'env_state'"),
+    ([(Group.ENV_STATE, "n")],
+     "reads must map the Group an update writes to the (Group, name) pairs "
+     "it reads, not [(<Group.ENV_STATE: 'env_state'>, 'n')]"),
+], ids=["unknown variable", "group not handed", "bare name", "list pair",
+        "one pair, not a sequence of them", "not a sequence", "string target",
+        "not a mapping"])
+def test_a_declaration_of_reads_names_what_is_wrong(reads, message):
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+        register_model(
+            variables=[Var("n", Group.ENV_STATE, IntDomain(0, 1), 0),
+                       Var("s", Group.SYS_STATE, IntDomain(0, 1), 0)],
+            updates=_updates(), reads=reads)
+
+
+def test_an_undeclared_read_fails_at_registration_or_where_it_is_made():
+    variables = [Var("n", Group.ENV_STATE, IntDomain(0, 3), 0),
+                 Var("m", Group.ENV_STATE, IntDomain(0, 3), 0)]
+    reads = {Group.ENV_STATE: [(Group.ENV_STATE, "n")]}
+
+    def always(ei, e, ctx):
+        return {"n": e.m}
+
+    with pytest.raises(ModelError, match="^update for env_state read "
+                                         "env_state.m, which it does not "
+                                         "declare in its reads$"):
+        register_model(variables=variables, reads=reads,
+                       updates=_updates(env_state=always))
+
+    # read only once n reaches 2, past the trial step
+    def later(ei, e, ctx):
+        return {"n": e.n + 1 if e.n < 2 else e["m"]}
+
+    model = register_model(variables=variables, reads=reads,
+                           updates=_updates(env_state=later))
+    verdict = explore(model, 5)
+    assert verdict.kind is VerdictKind.ModelError
+    assert verdict.message == ("update for env_state read env_state.m, "
+                               "which it does not declare in its reads")
+
+
+def test_a_row_keyed_by_its_declared_reads_runs_once_per_value_of_them():
+    # env_state reads n alone, though its row is handed env_in, whose m
+    # a coin sets in every step: keyed by both groups, its update runs once
+    # per (m, n) a search meets, keyed by n once per value of n
+    calls = []
+
+    def env_input(so, e, ctx):
+        return {"m": ctx.choose("coin")}
+
+    def env_state(ei, e, ctx):
+        calls.append(e.n)
+        return {"n": min(e.n + 1, 2)}
+
+    def search(reads):
+        model = register_model(
+            variables=[Var("n", Group.ENV_STATE, IntDomain(0, 2), 0),
+                       Var("m", Group.ENV_INPUT, IntDomain(0, 1), 0)],
+            updates=_updates(env_input=env_input, env_state=env_state),
+            choices=[ChoicePoint("coin", (0, 1), site=Group.ENV_INPUT)],
+            reads=reads)
+        calls.clear()
+        verdict = explore(model, 3)
+        called = sorted(calls)
+        assert verdict.paths_explored == 8
+        assert verdict.trace == run_path(model, 3)[0]
+        return called
+
+    assert search({Group.ENV_STATE: [(Group.ENV_STATE, "n")]}) == [0, 1, 2]
+    assert search(None) == [0, 0, 1, 1, 2, 2]
 
 
 def test_models_of_one_shape_share_their_view_classes():

@@ -345,21 +345,23 @@ BRANCHING = replace(SCENARIOS["manual-override"],
         # of the states it steps to at once, before their assertions; 1,340
         # step draws and one initialisation draw per initial state; only
         # beh_output draws in a step, so only its update runs in every step,
-        # and every other row runs once per distinct input it reads
+        # and every other row runs once per distinct value of the variables
+        # it reads
         (BRANCHING, 5, VerdictKind.Safe, 972, 804, 700, 1344,
-         (19, 79, 76, 9, 38, 804, 9, 54, 20)),
+         (3, 24, 4, 5, 15, 804, 9, 42, 20)),
         # the witness is the 19,684th path, which a walk with no memo
         # reaches after 29,532 steps
         (BRANCHING, 12, VerdictKind.Unsafe, 19684, 264, 130, 444,
-         (25, 59, 25, 7, 25, 264, 8, 41, 9)),
+         (2, 33, 5, 5, 18, 264, 8, 24, 9)),
         # every draw at initialisation, so no memo: 864 paths of 10 steps
         # each, and one draw per node of the initialisation tree, 1,552;
-        # every state is distinct, but a row's inputs repeat, so 12,142
-        # update calls take the place of 9 x 8,640
+        # every state is distinct, but the variables a row reads repeat
+        # their values, so 821 update calls take the place of 9 x 8,640
+        # (env_input, which reads sys_out.speed alone, runs 4 times)
         (replace(SCENARIOS["lowered-speed"], route_length=3,
                  separation_only=True),
          10, VerdictKind.Safe, 864, 8640, 9504, 1552,
-         (4039, 111, 2679, 2238, 53, 101, 2586, 88, 247)),
+         (4, 30, 3, 32, 19, 3, 577, 52, 101)),
     ], ids=["branching", "branching-12", "route-sweep"])
 def test_each_node_of_the_choice_tree_is_stepped_and_checked_once(
         config, bound, kind, paths, steps, states, draws, updated,
@@ -433,8 +435,8 @@ def test_a_row_holds_at_most_its_cap_and_shares_equal_writes(monkeypatch):
     step = engine._step
     held = {}
 
-    def spied(model, state, views, values, rows):
-        stepped = step(model, state, views, values, rows)
+    def spied(model, state, values, rows):
+        stepped = step(model, state, values, rows)
         for target, *_, table, interned in rows:
             if table is None:
                 assert interned is None

@@ -16,13 +16,16 @@ def test_the_checkout_against_itself_agrees_on_ideal(capsys):
     sides = {side: paired_explore.Side(src, f"hilcheck_{side}")
              for side in paired_explore.SIDES}
     assert paired_explore.compare("ideal", sides, run, 2)
-    explored, setup, memory = capsys.readouterr().out.splitlines()
+    explored, setup, memory, calls = capsys.readouterr().out.splitlines()
     assert explored.startswith("ideal: parent median ")
     assert setup.startswith("ideal set-up: parent median ")
     for line in (explored, setup):
         assert line.endswith(" over 2 pairs")
     assert memory.startswith("ideal memory: parent peak ")
     assert " KiB, change peak " in memory
+    # one tree on both sides: the same update calls, 107 on ideal
+    assert calls == ("ideal update calls: parent 107, change 107 per "
+                     "explore")
 
 
 def test_a_side_s_peak_is_that_of_its_explore():
@@ -33,6 +36,22 @@ def test_a_side_s_peak_is_that_of_its_explore():
     peak = side.peak(run)
     # more than the memo of its 700 states holds, far less than 64 MiB
     assert 64 * 1024 < peak < 64 * 1024 * 1024
+
+
+def test_a_side_s_update_calls_are_those_of_its_explore():
+    src = ROOT / "src"
+    run, = (run for name, run in paired_explore.workload_runs(src)
+            if name == "branching")
+    side = paired_explore.Side(src, "hilcheck_change")
+    # the calls `test_explore` pins for branching at bound 5
+    assert side.calls(run) == 926
+
+
+def test_each_side_s_update_calls_are_reported(capsys):
+    paired_explore.report_calls("route-sweep", {"parent": 12142,
+                                                "change": 821})
+    assert capsys.readouterr().out == (
+        "route-sweep update calls: parent 12,142, change 821 per explore\n")
 
 
 def test_every_run_of_every_workload_is_timed():

@@ -12,8 +12,9 @@ from hilcheck.acc import AccCommand, ControlMode, compute_safe_stopping
 from hilcheck.behaviour import (FatigueLevel, InputMode, IntegratorOp,
                                 perception_from_fatigue, set_reaction_time)
 from hilcheck.engine import (ChoiceEntry, Group, ModelError, ModelState,
-                             VerdictKind, probed_model,
-                             replay_counterexample, resolve_initial, run_path)
+                             UpdateFunctions, VerdictKind, probed_model,
+                             replay_counterexample, resolve_initial, run_path,
+                             step)
 from hilcheck.environment import RoutePoint, Terrain
 from hilcheck.scenarios import (DEFAULT_ROUTE, SCENARIOS, ScenarioConfig,
                                 build_model, fatigue_tables, is_okay)
@@ -538,3 +539,31 @@ def test_each_transition_runs_once_per_step(monkeypatch):
     assert len(trace) == 11 and not violated
     assert calls == {"advance_route": 10, "apply_command": 10,
                      "set_driver_fatigue": 10}
+
+
+def test_a_probed_model_hands_its_updates_the_views_of_the_original():
+    """`probed_model` registers afresh with the model's declared reads, so
+    each update is handed views of the same variables, and its tables
+    are keyed by the same values."""
+    model = build_model(SCENARIOS["reaction-probe"])
+    seen = {"original": {}, "probed": {}}
+    side = "original"
+
+    def recording(name, fn):
+        def recorded(*args):
+            seen[side][name] = [view._fields for view in args
+                                if isinstance(view, tuple)]
+            return fn(*args)
+        return recorded
+
+    recorded = replace(model, updates=replace(model.updates, **{
+        f.name: recording(f.name, getattr(model.updates, f.name))
+        for f in fields(UpdateFunctions)}))
+    step(recorded, resolve_initial(recorded)[0])
+    side = "probed"   # registration's trial step calls each update once
+    probed = probed_model(recorded, (Group.BEH_STATE, "fatigue"))
+    assert probed.reads == model.reads
+    assert seen["probed"] == seen["original"]
+    assert len(seen["original"]) == 9
+    # env_input is handed sys_out.speed and nothing of env_state
+    assert seen["original"]["env_input"] == [("speed",), ()]

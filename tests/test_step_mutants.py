@@ -2,25 +2,30 @@
 kill.
 
 Each mutant edits the source of a named engine function, `_step`,
-`_rows`, `run_path`, `_next_draws` or `explore`, at one snippet, or at
-each of a tuple of snippets, compiles the result in a copy of the engine's
-namespace, and puts it in place of that function for one test: `step`,
-`run_path` and `explore` call `_step` and `_rows` through the engine's
-namespace, `explore` calls `_next_draws`, the sibling rule of its initial
-states and of its steps alike, through it, and the oracle and the sweep
-call `run_path` and `explore` through the engine's module.  An uncached
-sweep of the named oracle family must fail under it, at its first failing
-model, with an AssertionError of the oracle's, or with the ModelError a
-generated model's registration raises where its trial step already fails.
+`_rows`, `_key`, `_read_plan`, `run_path`, `_next_draws` or `explore`, at
+one snippet, or at each of a tuple of snippets, compiles the result, its
+decorator included, in a copy of the engine's namespace, and puts it in
+place of that function for one test: `step`, `run_path` and `explore`
+call `_step` and `_rows` through the engine's namespace, `_rows` calls
+`_key` and `register_model` calls `_read_plan` through it, `explore`
+calls `_next_draws`, the sibling rule of its initial states and of its
+steps alike, through it, and the oracle and the sweep call `run_path` and
+`explore` through the engine's module.  An uncached sweep of the named
+oracle family must fail under it, at its first failing model, with an
+AssertionError of the oracle's, or with the ModelError a generated
+model's registration raises where its trial step already fails; or, for
+a mutant named with a check in place of a family, that check must fail.
 The sweep explores at a path ceiling of the oracle's path count, and one
 below it, so a search mutant that would walk for ever meets it.  Each
 snippet must occur exactly once in its function, so a rewrite that drops
 or repeats one fails here, loudly, until its mutant is written again.
 Each unedited copy, compiled the same way, is the engine's own function,
 instruction for instruction, with the defaults the engine's has.
-Six mutants break the tables `explore` binds its rows to: what a row
-stores, which rows get a table, the key, the rebuild after a hit, a
+Five mutants break the tables `explore` binds its rows to: what a row
+stores, which rows get a table, the key's last declared position, a
 table's scope, one `explore` call, and what its writes are interned by.
+Two break the views an update is handed: built from the step's start
+values, and a whole group where the update declares a part of it.
 """
 
 import __future__
@@ -29,9 +34,29 @@ import inspect
 import pytest
 
 from hilcheck import engine
-from hilcheck.engine import ModelError
+from hilcheck.engine import Group, IntDomain, ModelError, Var
 
+from _helpers import updates
 from _sweep import sweep
+
+
+def undeclared_read_refused() -> None:
+    """The check that an update's read of a variable its declaration
+    leaves out fails registration's trial step, naming the variable."""
+    def env_state(ei, e, ctx):
+        return {"a": e.b}
+
+    try:
+        engine.register_model(
+            variables=[Var("a", Group.ENV_STATE, IntDomain(0, 1), 0),
+                       Var("b", Group.ENV_STATE, IntDomain(0, 1), 0)],
+            updates=updates(env_state=env_state),
+            reads={Group.ENV_STATE: [(Group.ENV_STATE, "a")]})
+    except ModelError as exc:
+        assert "env_state.b" in str(exc), exc
+    else:
+        raise AssertionError("an undeclared read went through")
+
 
 # `explore`'s path ceiling, tested before each path
 CEILING_TEST = """\
@@ -48,33 +73,20 @@ SCAN = """\
 """
 
 # (name, function, snippet, its replacement, the family whose sweep must
-# fail, how); a mutant of several edits gives a tuple of snippets and one
-# of their replacements
+# fail or the check that must, how); a mutant of several edits gives a
+# tuple of snippets and one of their replacements
 MUTANTS = [
     ("== for is", "_step",
      "if value is current[pos]:",
      "if value == current[pos]:",
      "write-path", AssertionError),
-    ("no rebuild after a changed write", "_step",
-     "        if changed:\n",
-     "        if False:\n",
-     "random", AssertionError),
-    ("rebuild at the wrong group", "_step",
-     "group_views[index]\n            views[index] =",
-     "group_views[index - 1]\n            views[index - 1] =",
-     "random", AssertionError),
-    ("changed flag taken from the last write only", "_step",
-     "                for var_name, value in returned.items():\n",
-     "                for var_name, value in returned.items():\n"
-     "                    changed = False\n",
-     "write-path", AssertionError),
     ("one context shared per step", "_step",
      "ctx = StepContext(model, iteration, values, target,\n"
-     "                                          entries)\n",
+     "                                      entries)\n",
      "ctx = shared = (locals().get('shared')\n"
-     "                                          or StepContext(model, "
+     "                                      or StepContext(model, "
      "iteration, values, target, entries))\n"
-     "                        ctx._site = target\n",
+     "                    ctx._site = target\n",
      "write-path", AssertionError),
     ("live and bare contexts swapped", "_step",
      "if live:",
@@ -88,46 +100,43 @@ MUTANTS = [
      "ctx._site = None   # closed however the call ended",
      "ctx._site = None if live else ctx._site",
      "write-path", AssertionError),
-    ("carried view left stale", "_step",
-     "    current = list(state.values)\n",
-     "    current = list(state.values)\n    views = list(views)\n",
-     "random", AssertionError),
     ("context never closed", "_step",
      "ctx._site = None   # closed however the call ended",
      "pass",
      "raising", AssertionError),
     ("context closed only on return", "_step",
-     "                    try:\n"
-     "                        returned = fn(*read, ctx)\n"
-     "                    finally:\n"
-     "                        ctx._site = None   # closed however the call "
+     "                try:\n"
+     "                    returned = fn(*args, ctx)\n"
+     "                finally:\n"
+     "                    ctx._site = None   # closed however the call "
      "ended\n",
-     "                    returned = fn(*read, ctx)\n"
-     "                    ctx._site = None\n",
+     "                returned = fn(*args, ctx)\n"
+     "                ctx._site = None\n",
      "raising", AssertionError),
     ("stored writes skip values identical to the state's", "_step",
-     "                    if table is not None:\n",
-     "                    if table is not None and value is not current[pos]:\n",
+     "                if table is not None:\n",
+     "                if table is not None and value is not current[pos]:\n",
      "random", AssertionError),
     ("row with a live context tabled", "_rows",
      "if tabled and not live",
      "if tabled",
      "random", AssertionError),
-    ("table key without the row's last read view", "_step",
-     ("table.get(read)", "table[read] ="),
-     ("table.get(read[:-1])", "table[read[:-1]] ="),
-     "random", AssertionError),
-    ("hit written without rebuilding its view", "_step",
-     "                if value is not current[pos]:\n"
-     "                    current[pos] = value\n"
-     "                    changed = True\n",
-     "                if value is not current[pos]:\n"
-     "                    current[pos] = value\n",
-     "random", AssertionError),
     ("one table shared across explore calls", "_rows",
-     "({}, {})",
-     "globals().setdefault(('_SHARED', index), ({}, {}))",
+     "{}, {})",
+     "*globals().setdefault(('_SHARED', target), ({}, {})))",
      "random", AssertionError),
+    ("key without the row's last declared position", "_key",
+     "itemgetter(*positions) if positions",
+     "itemgetter(*positions[:-1]) if positions[:-1]",
+     "declared-reads", AssertionError),
+    ("views read from the step's start values", "_step",
+     "args = views(current)",
+     "args = views(state.values)",
+     "declared-reads", AssertionError),
+    ("whole-group view handed in place of the declared part", "_read_plan",
+     "if pairs is None:",
+     "if True:",
+     undeclared_read_refused, AssertionError),
     ("writes interned by their values alone", "_step",
      "interned.setdefault(stored, stored)",
      "interned.setdefault(tuple(v for _, v in stored), stored)",
@@ -181,10 +190,6 @@ MUTANTS = [
      "[entry.value for entry in drawn[:i]] + ",
      "",
      "random", AssertionError),
-    ("sibling stepped from the views its child left", "explore",
-     "state, views, step_drawn, before = stack[depth]",
-     "state, _, step_drawn, before = stack[depth]",
-     "random", AssertionError),
     ("one state too many kept from the path before", "explore",
      "trace[state.iteration + 1:]",
      "trace[state.iteration + 2:]",
@@ -233,10 +238,10 @@ def compiled(name: str, text: str):
     return namespace[name]
 
 
-@pytest.mark.parametrize("function, snippet, replacement, family, failure",
+@pytest.mark.parametrize("function, snippet, replacement, killer, failure",
                          [mutant[1:] for mutant in MUTANTS],
                          ids=[mutant[0] for mutant in MUTANTS])
-def test_the_oracle_kills_the_mutant(function, snippet, replacement, family,
+def test_the_oracle_kills_the_mutant(function, snippet, replacement, killer,
                                      failure, monkeypatch):
     text = source(function)
     if isinstance(snippet, str):
@@ -246,13 +251,14 @@ def test_the_oracle_kills_the_mutant(function, snippet, replacement, family,
         text = text.replace(old, new)
     monkeypatch.setattr(engine, function, compiled(function, text))
     with pytest.raises(failure):
-        sweep(family)
+        killer() if callable(killer) else sweep(killer)
 
 
 @pytest.mark.parametrize("function", FUNCTIONS)
 def test_each_unedited_copy_compiles_to_the_engine_s_own(function):
-    copy = compiled(function, source(function))
-    own = getattr(engine, function)
+    # a cached function's own, under its cache
+    copy = inspect.unwrap(compiled(function, source(function)))
+    own = inspect.unwrap(getattr(engine, function))
     # code objects compare by instructions, constants (nested code among
     # them), names, flags and line table
     assert copy.__code__ == own.__code__

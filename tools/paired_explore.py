@@ -24,7 +24,10 @@ median seconds and the median of the pairs' change/parent ratios.  After
 a config's pairs, each side sets it up and explores it once more, untimed,
 under `tracemalloc`, and a third line gives each side's peak KiB of
 Python allocations during that `explore` and their ratio, so a memory cost
-shows side by side.  It only reads `perfbench/`.
+shows side by side.  Then each side explores it once more, untimed, with
+its nine update functions wrapped through `dataclasses.replace` to count
+their calls, and a fourth line gives each side's update calls, so work a
+change removes shows next to its timings.  It only reads `perfbench/`.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import importlib.util
 import sys
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from enum import Enum
 from pathlib import Path
 from statistics import median
@@ -123,6 +126,26 @@ class Side:
         finally:
             tracemalloc.stop()
 
+    def calls(self, run) -> int:
+        """The update calls one `explore` of the run's config, set up
+        first, makes, counted through its nine update functions wrapped
+        with `dataclasses.replace`."""
+        _, model, bound = self.prepare(run)
+        count = 0
+
+        def counting(fn):
+            def counted(*args):
+                nonlocal count
+                count += 1
+                return fn(*args)
+            return counted
+
+        updates = replace(model.updates, **{
+            f.name: counting(getattr(model.updates, f.name))
+            for f in fields(model.updates)})
+        self.engine.explore(replace(model, updates=updates), bound)
+        return count
+
     def summary(self, verdict) -> tuple:
         """What both sides must agree on, in terms free of either tree's
         classes."""
@@ -152,10 +175,16 @@ def report_memory(name: str, peaks: dict) -> None:
           f"change/parent {peaks['change'] / peaks['parent']:.3f}")
 
 
+def report_calls(name: str, calls: dict) -> None:
+    """Print one line: each side's update calls per `explore`."""
+    print(f"{name} update calls: parent {calls['parent']:,}, "
+          f"change {calls['change']:,} per explore")
+
+
 def compare(name: str, sides: dict, run, pairs: int) -> bool:
-    """Run `pairs` pairs on one config, then one untimed `explore` a side
-    for its memory, and print its three lines; False if the sides
-    disagree."""
+    """Run `pairs` pairs on one config, then two untimed `explore`s a side,
+    for its memory and its update calls, and print its four lines; False
+    if the sides disagree."""
     times = {side: [] for side in SIDES}
     setups = {side: [] for side in SIDES}
     for i in range(pairs):
@@ -175,6 +204,7 @@ def compare(name: str, sides: dict, run, pairs: int) -> bool:
     report(name, times)
     report(f"{name} set-up", setups)
     report_memory(name, {side: sides[side].peak(run) for side in SIDES})
+    report_calls(name, {side: sides[side].calls(run) for side in SIDES})
     return True
 
 
