@@ -50,27 +50,38 @@ tree on an explicit stack with a frame for each node whose step drew, so
 each node of the choice tree is stepped at most once, and each state
 checked at most once.  `run_path` runs a path from its initial state on
 its own, so a witness replays independently of the search.  One purity
-rule holds for the whole model: an update's result, and whether it draws
-or raises, depend only on its views and its draws, and an assertion's
-result only on a state's values, never on its iteration.  So a step that
-drew nothing and returned its input's values would do the same at every
-later iteration, on values the assertions already passed: the path has
-settled, and `run_path` and `explore` end it there, repeating that
-valuation up to the bound with no further step or assertion.  A node the
-walk reaches again, with the values and the remaining depth of one whose
-subtree it has fully explored, roots the same subtree: `explore` adds that
-subtree's path count, kept in a memo, and steps no further.  And a row
-whose call gets no live context, so that it draws nothing, makes the same
-writes whenever it reads the same values: within one `explore` call such
-a row keeps a bounded table keyed by the values of the variables it
-declares it reads, taken from the valuation being written, to the writes
-its update made, and a repeated input takes them from there, with no call
-and no view built.  Equal writes of one row are stored as one tuple,
-interned through a dict cleared together with the row's table, so each
-row holds at most `_TABLE_SIZE` keys and as many write tuples.  `explore`
-binds each row to its key, table and intern dict once per call; `step`,
-`run_path` and `register_model`'s trial step bind rows with no tables, so
-a replay calls every update.
+rule holds for the whole model: an update's writes, which point it draws
+next and whether it raises depend only on its views and on the values it
+has drawn so far in the call, and an assertion's result only on a state's
+values, never on its iteration.  So a step that drew nothing and returned
+its input's values would do the same at every later iteration, on values
+the assertions already passed: the path has settled, and `run_path` and
+`explore` end it there, repeating that valuation up to the bound with no
+further step or assertion.  A node the walk reaches again, with the
+values and the remaining depth of one whose subtree it has fully
+explored, roots the same subtree: `explore` adds that subtree's path
+count, kept in a memo, and steps no further.  A row makes the same writes
+whenever it reads the same values and draws the same values: within one
+`explore` call each row keeps a bounded table keyed by the values of the
+variables it declares it reads, taken from the valuation being written.
+A row whose call gets no live context, so that it draws nothing, maps
+each key to the writes its update made; a row whose call gets a live one
+maps it to a trie of its draws (`_Trie`), each node the point the call
+drew next and, for each value drawn, the node after, down to the writes.
+A repeated input takes the writes from there, drawing each value on the
+way through `_draw`, with no call and no view built; a miss calls the
+update, whose context hands back the values the walk drew before it
+draws any, so every value is drawn once.  Equal writes of one row are
+stored as one tuple, interned through a dict cleared together with the
+row's table, so each row holds at most `_TABLE_SIZE` keys and as many
+write tuples.  And as the rows before the model's first live row draw
+nothing and read the state alone, every sibling of a node starts from
+the valuation they made for its first child, the node's prefix: `explore`
+takes it from the child stepped before, keeps it in the node's frame and
+steps a sibling from it with the rows from the first live row on.  `explore` binds each row to its key, table
+or trie and intern dict once per call; `step`, `run_path` and
+`register_model`'s trial step bind rows with no tables and step every row
+from the state, so a replay calls every update.
 
 One equality rule holds throughout: two values are the same value only if
 they are equal and of the same type.  A domain holds a value only if it
@@ -454,11 +465,14 @@ class UpdateFunctions:
 
     Each function returns a mapping from variable name to new value for its
     target group.  Variables omitted from the mapping keep their previous
-    value (carry-over).  The result, and whether the function draws or
-    raises, must depend only on the views and the draws, which is what lets
-    a settled path end (`run_path`), a repeated subtree be counted once and
-    a repeated input of a function that cannot draw be answered from a
-    table (`explore`).
+    value (carry-over).  The result, which point the function draws next
+    and whether it raises must depend only on the views and on the values
+    it has drawn so far in the call, which is what lets a settled path end
+    (`run_path`), a repeated subtree be counted once and a repeated input
+    be answered from a table, or, for a function that draws, from a trie
+    of its draws (`explore`).  A drawing function that, on the same views
+    and draws, asks for another point than before, or stops where it drew
+    on before, is caught there as a ModelError that names it.
     """
 
     env_input: Callable   # (sys_output, env_state, ctx) -> mapping
@@ -517,17 +531,27 @@ class StepContext:
     with `object.__new__` and given only `_model` and `_site`: no point is
     sited at its group, so `choose` refuses every draw through it, by the
     same checks and with the same messages, before it would need the
-    slots a draw reads."""
+    slots a draw reads.
 
-    __slots__ = ("_model", "_iteration", "_values", "_site", "_entries")
+    A live context may be handed `drawn`, the entries its row has already
+    drawn and logged in this step, walking its trie in `explore` (`_step`):
+    it hands their values back first, one per `choose` of the same point,
+    and only then draws through `_draw`, so no value is drawn twice.  A
+    `choose` of another point than the entry it would hand back breaks the
+    purity rule, and is a ModelError that names the update."""
+
+    __slots__ = ("_model", "_iteration", "_values", "_site", "_entries",
+                 "_drawn")
 
     def __init__(self, model: "Model", iteration: int, values: Iterator[Value],
-                 site: Group, entries: list[ChoiceEntry]):
+                 site: Group, entries: list[ChoiceEntry],
+                 drawn: list[ChoiceEntry] | tuple):
         self._model = model
         self._iteration = iteration
         self._values = values
         self._site = site
         self._entries = entries
+        self._drawn = drawn
 
     def choose(self, point_id: str) -> Value:
         cp = self._model.choices.get(point_id)
@@ -545,6 +569,16 @@ class StepContext:
             raise ModelError(
                 f"choice point '{point_id}' is declared for "
                 f"{cp.site.value} but was drawn while computing {self._site.value}")
+        if self._drawn:
+            entry = self._drawn.pop(0)
+            if entry.point_id != point_id:
+                raise ModelError(
+                    f"update for {self._site.value} drew '{point_id}' where, "
+                    f"on the same views and draws, it drew "
+                    f"'{entry.point_id}' before: which point an update draws "
+                    "next must depend only on its views and the values it "
+                    "has drawn")
+            return entry.value
         return _draw(cp, self._iteration, self._values, self._entries)
 
 
@@ -846,15 +880,86 @@ _TABLE_SIZE = 128
 
 def _rows(model: Model, tabled: bool = False) -> tuple[tuple, ...]:
     """The model's plan rows, each bound to its update function, then to
-    its key, table and the dict that interns its writes: a `_key` of its
-    read positions and two new dicts if `tabled` and the row's call gets
-    no live context, else three Nones, so every call of the row's update
-    is made."""
-    return tuple((target, live, names, views, fn,
-                  *((_key(positions), {}, {}) if tabled and not live
-                    else (None, None, None)))
-                 for (target, live, names, views, positions), fn
-                 in zip(model.plan, _FUNCTIONS(model.updates)))
+    its key, table and the dict that interns its writes.  If `tabled`, a
+    row gets a `_key` of its read positions and two new dicts, or, where
+    its calls get a live context, a `_key` and a new `_Trie` in place of
+    `live`, and no table; else three Nones, so every call of the row's
+    update is made."""
+    rows = []
+    for (target, live, names, views, positions), fn in zip(
+            model.plan, _FUNCTIONS(model.updates)):
+        if not tabled:
+            rows.append((target, live, names, views, fn, None, None, None))
+        elif live:
+            rows.append((target, _Trie(), names, views, fn, _key(positions),
+                         None, None))
+        else:
+            rows.append((target, live, names, views, fn, _key(positions),
+                         {}, {}))
+    return tuple(rows)
+
+
+class _Fork:
+    """A node of a drawing row's trie where its update drew `point` next:
+    `children` maps each value drawn there to the node after it, another
+    fork or the row's interned writes."""
+
+    __slots__ = ("point", "children")
+
+    def __init__(self, point: ChoicePoint, children: dict):
+        self.point = point
+        self.children = children
+
+
+class _Trie:
+    """The table of a row whose calls get a live context, for one
+    `explore` call (`_step`): `roots` maps the row's key to the root of a
+    trie of its draws, a `_Fork` or, where the call drew nothing, its
+    writes, and `interned` interns its writes as a table's dict does.
+    Cleared once `roots` holds `_TABLE_SIZE` keys, `interned` with it
+    (`_graft`)."""
+
+    __slots__ = ("roots", "interned")
+
+    def __init__(self):
+        self.roots: dict = {}
+        self.interned: dict = {}
+
+
+def _graft(model: Model, target: Group, trie: _Trie, read,
+           drawn: list[ChoiceEntry], unasked: Sequence[ChoiceEntry],
+           stored: tuple) -> None:
+    """Add to `trie` the path of a call on the key `read` that drew the
+    entries `drawn`, the values its row's walk down the trie drew first,
+    and wrote `stored`: down the forks it shares with the trie, whose
+    points the call's context has checked, then new forks to its interned
+    writes.  A call whose context still holds `unasked` entries of the
+    walk's returned before drawing a value the trie holds a fork for: it
+    broke the purity rule, and is a ModelError that names the update."""
+    if unasked:
+        asked = ", ".join(f"'{entry.point_id}'"
+                          for entry in drawn[:len(drawn) - len(unasked)])
+        raise ModelError(
+            f"update for {target.value} returned after drawing "
+            f"{asked or 'nothing'} where, on the same views and draws, it "
+            f"drew '{unasked[0].point_id}' next before: which point an "
+            "update draws next must depend only on its views and the "
+            "values it has drawn")
+    if len(trie.roots) >= _TABLE_SIZE and read not in trie.roots:
+        trie.roots.clear()
+        trie.interned.clear()
+    parent, slot = trie.roots, read
+    for depth, entry in enumerate(drawn):
+        node = parent.get(slot)
+        if node is None:
+            break
+        parent, slot = node.children, entry.value
+    else:
+        depth = len(drawn)
+    node = trie.interned.setdefault(stored, stored)
+    for entry in reversed(drawn[depth:]):
+        node = _Fork(model.choices[entry.point_id], {entry.value: node})
+    parent[slot] = node
 
 
 def step(model: Model, state: ModelState, values: Iterable[Value] = ()
@@ -872,23 +977,28 @@ def step(model: Model, state: ModelState, values: Iterable[Value] = ()
     its call runs: once the call returns or raises, the context draws
     nothing.
     """
-    return _step(model, state, iter(values), _rows(model))
+    return _step(model, state.values, state.iteration + 1, iter(values),
+                 _rows(model))
 
 
-def _step(model: Model, state: ModelState, values: Iterator[Value],
-          rows: Sequence[tuple]) -> tuple[ModelState, ChoiceLog]:
-    """The step after `state`.
+def _step(model: Model, start: tuple[Value, ...], iteration: int,
+          values: Iterator[Value], rows: Sequence[tuple]
+          ) -> tuple[ModelState, ChoiceLog]:
+    """The step to `iteration` from the valuation `start`, through `rows`:
+    every plan row from a state's values, or, for a sibling `explore`
+    steps, the rows from the model's first live row on from its node's
+    prefix, the valuation the rows before them made.
 
-    The new valuation starts as a copy of the previous one, so variables an
-    update omits carry over; each update's writes go into its group in
-    place.  An update is handed views built from that valuation just
-    before its call, each of the variables of one of its groups that it
-    reads, so a group written earlier in the step shows its new values.
-    No view is kept after the call.  A write of the very object its
-    position already holds changes nothing and is not checked again: every
-    value in the valuation has passed its domain check or, carried over,
-    is as the state held it.  It must be the same object, not an equal
-    one, since neither 1 nor True is the other's domain's member.
+    The new valuation starts as a copy of `start`, so variables an update
+    omits carry over; each update's writes go into its group in place.
+    An update is handed views built from that valuation just before its
+    call, each of the variables of one of its groups that it reads, so a
+    group written earlier in the step shows its new values.  No view is
+    kept after the call.  A write of the very object its position already
+    holds changes nothing and is not checked again: every value in the
+    valuation has passed its domain check or, carried over, is as the
+    state held it.  It must be the same object, not an equal one, since
+    neither 1 nor True is the other's domain's member.
 
     `rows` holds each plan row bound to its update function (`_rows`),
     its key, table and intern dict, all three None on a row with no
@@ -904,20 +1014,49 @@ def _step(model: Model, state: ModelState, values: Iterator[Value],
     Once the table holds `_TABLE_SIZE` inputs it is cleared, and the
     intern dict with it, so neither ever holds more.
 
+    A row whose calls get a live context has, in `explore`, a `_Trie` in
+    place of `live` and no table: its key maps to a trie of what the
+    row's update drew on that input, each `_Fork` the point it drew next
+    and, for each value drawn, the node after, down to its writes.  By the
+    purity rule, which point a call draws next and what it writes depend
+    only on its views and the values it has drawn, so the walk down the
+    trie draws each fork's point through `_draw`, checked and logged as
+    the call's context would draw it, and takes the child of the value
+    drawn; at the writes the row takes them, with no call, no view and no
+    context.  A key or a drawn value the trie holds no child for is a
+    miss: the update is called, and its context first hands back the
+    values the walk drew, so every value is drawn once, then draws
+    through `_draw`, and the call's path is grafted onto the trie
+    (`_graft`).  A call that draws another point than the trie holds, or
+    returns before drawing one it holds, broke the purity rule: a
+    ModelError that names the update.
+
     Each call of a drawing update gets a context of its own, closed in a
     `finally`: once the call returns or raises, the context draws nothing.
     It is live only on a row the model sites a step point at; on any other
     it is bare, its `_model` and `_site` alone set.
     """
     bare = object.__new__
-    current = list(state.values)
+    current = list(start)
     entries: list[ChoiceEntry] = []
-    iteration = state.iteration + 1
 
     for target, live, names, views, fn, key, table, interned in rows:
         if table is not None:
             read = key(current)
             writes = table.get(read)
+            if writes is not None:
+                for pos, value in writes:
+                    current[pos] = value
+                continue
+        elif key is not None:
+            # a live row's trie: down it, drawing each value it forks on,
+            # to the writes or to a value it holds no child for
+            read = key(current)
+            writes = live.roots.get(read)
+            walked = len(entries)
+            while type(writes) is _Fork:
+                writes = writes.children.get(
+                    _draw(writes.point, iteration, values, entries))
             if writes is not None:
                 for pos, value in writes:
                     current[pos] = value
@@ -929,7 +1068,8 @@ def _step(model: Model, state: ModelState, values: Iterator[Value],
             else:
                 if live:
                     ctx = StepContext(model, iteration, values, target,
-                                      entries)
+                                      entries, () if key is None
+                                      else entries[walked:])
                 else:
                     ctx = bare(StepContext)
                     ctx._model = model
@@ -952,7 +1092,7 @@ def _step(model: Model, state: ModelState, values: Iterator[Value],
                     raise ModelError(
                         f"update for {target.value} assigned unknown "
                         f"variable '{var_name}'") from None
-                if table is not None:
+                if key is not None:
                     stored.append((pos, value))
                 if value is current[pos]:
                     continue
@@ -979,6 +1119,9 @@ def _step(model: Model, state: ModelState, values: Iterator[Value],
                 interned.clear()
             stored = tuple(stored)
             table[read] = interned.setdefault(stored, stored)
+        elif key is not None:
+            _graft(model, target, live, read, entries[walked:], ctx._drawn,
+                   tuple(stored))
 
     return ModelState(tuple(current), iteration, model.layout), tuple(entries)
 
@@ -994,9 +1137,9 @@ def run_path(model: Model, bound: int, values: Iterable[Value] = ()
     It resolves the initial state, its draws checked by `_draw` like every
     step draw, and takes each step by `_step`, which builds the views an
     update reads for its call alone.  It shares no search state with
-    `explore`, its memo or its tables, and calls every update, so a log
-    `explore` builds replays here independently of how `explore` walked
-    the choice tree.
+    `explore`, its memo, its tables, its tries or its prefixes, and calls
+    every update on every step, so a log `explore` builds replays here
+    independently of how `explore` walked the choice tree.
 
     A step that drew nothing and returned its input's values has settled
     the path: every later step would return the same values again, on
@@ -1010,7 +1153,8 @@ def run_path(model: Model, bound: int, values: Iterable[Value] = ()
     log = list(entries)
     violated = _eval_assertions(model, state)
     while not violated and state.iteration < bound:
-        stepped, drawn = _step(model, state, values, rows)
+        stepped, drawn = _step(model, state.values, state.iteration + 1,
+                               values, rows)
         if not drawn and stepped.values == state.values:
             snapshots.extend(ModelState(state.values, i, model.layout)
                              for i in range(state.iteration + 1, bound + 1))
@@ -1062,11 +1206,11 @@ def explore(model: Model, bound: int,
     of one step, each node stepped at most once and each state it reaches
     checked at most once.  A step that drew nothing has one successor,
     taken inline, as `run_path` takes it.  A step that drew pushes a frame
-    on an explicit stack: the node's state, the draws its step made and
-    the paths counted before the node was reached.  No view is kept: a
-    sibling is stepped from the node's state alone.  So a path's draws
-    are its initial state's, then those of each frame; they are joined
-    only for a verdict's log.  Once a path
+    on an explicit stack: the node's state, the draws its step made, the
+    paths counted before the node was reached and, once a sibling needs it,
+    the node's prefix.  No view is kept: a sibling is stepped from the
+    prefix alone.  So a path's draws are its initial state's, then those of
+    each frame; they are joined only for a verdict's log.  Once a path
     ends, the walk backs up to the deepest frame whose step has a next
     sibling, cuts the path's states back to that node, and steps the
     sibling from there; a frame with no next sibling has a fully explored
@@ -1087,23 +1231,42 @@ def explore(model: Model, bound: int,
     tested before each path, and a stored count that would carry past it
     ends the search where that search would: after `path_ceiling` paths.
 
-    Each plan row whose call gets no live context, a system row or one
-    handed a bare context, keeps a table for the call (`_step`): its key,
-    the values of the variables the row declares it reads, in the
-    valuation being written, maps to every write its update returned,
-    checked as a call's are.  The key's positions are fixed per row, and
-    by the equality rule equal keys are the same values, on which, by the
-    purity rule, such a row, drawing nothing and reading nothing else,
-    writes the same.  A repeated input takes the stored writes with no
-    call, no view and no context.  Equal writes of a row share one tuple,
-    interned through a dict of the row's: by the same rule, equal
-    (position, value) pairs are interchangeable.  A table is cleared once
-    it holds `_TABLE_SIZE` inputs, its intern dict with it, so a row holds
-    at most that many keys and write tuples.  A row with a live context
-    gets no table: what it writes depends on what it draws.  The rows are
-    bound to their update functions, keys, tables and intern dicts once
-    per call (`_rows`), made per call like the memo, so one search never
-    warms the next.
+    Each plan row keeps a table for the call (`_step`): its key, the
+    values of the variables the row declares it reads, in the valuation
+    being written, maps, on a row whose call gets no live context, a
+    system row or one handed a bare context, to every write its update
+    returned, checked as a call's are.  The key's positions are fixed per
+    row, and by the equality rule equal keys are the same values, on
+    which, by the purity rule, such a row, drawing nothing and reading
+    nothing else, writes the same.  A repeated input takes the stored
+    writes with no call, no view and no context.  On a row whose call gets
+    a live context, the key maps to a trie of what the update drew
+    (`_Trie`): by the purity rule the point it drew first is the one it
+    draws first on that input, the point it drew next after each value
+    the one it draws next, and its writes at the end of the same draws
+    the same.  So the walk down the trie draws each value through
+    `_draw`, in the order the call would, checked and logged alike, and a
+    path the trie holds to its end takes the writes there with no call; a
+    miss, at the key or part way down, calls the update, whose context
+    hands back the values drawn so far before it draws any more.  By the
+    equality rule a drawn value, a member of its point's domain, finds
+    its own child.  Equal writes of a row share one tuple, interned
+    through a dict of the row's: by the same rule, equal (position, value)
+    pairs are interchangeable.  A table or trie is cleared once it holds
+    `_TABLE_SIZE` keys, its intern dict with it, so a row holds at most
+    that many keys and write tuples.  The rows are bound to their update
+    functions, keys, tables or tries and intern dicts once per call
+    (`_rows`), made per call like the memo, so one search never warms the
+    next.
+
+    Every child of a node runs the rows before the model's first live row
+    on the node's state alone, drawing nothing, so they make the same
+    valuation for each, the node's prefix.  The first time the walk backs
+    up to a node, it takes the prefix from the child stepped last: that
+    child's values where those rows write, the node's elsewhere.  The
+    node's frame keeps it, and each sibling is stepped from it with the
+    rows from the first live row on.  A model with no live row never draws
+    in a step, so it pushes no frame and makes no prefix.
 
     A settled path's repeated tail is built only for the first path, the
     Safe representative: a settled path never violates, and any later
@@ -1120,12 +1283,21 @@ def explore(model: Model, bound: int,
     drawn: list[ChoiceEntry] = []   # the initial state's draws
     kept = 0   # those of them the next initial state shares
     values: Iterator[Value] = iter(())
-    # node state -> paths under it, where a step can draw
-    memo = {} if any(live for _, live, *_ in model.plan) else None
-    # each row bound to its update and, where its call gets no live
-    # context, to its key, its table, key -> writes, and its interned
+    # each row bound to its update, its key, its table, key -> writes or,
+    # on a row with a live context, a trie of draws, and its interned
     # writes
     rows = _rows(model, tabled=True)
+    # the first row whose calls get a live context, if any
+    first = next((i for i, (_, live, *_) in enumerate(model.plan) if live),
+                 None)
+    # node state -> paths under it, where a step can draw
+    memo = None if first is None else {}
+    if first is not None:
+        # the rows from it on, which a sibling step runs, and the
+        # positions they write, which its prefix takes from the node's
+        # state
+        tail = rows[first:]
+        held = [pos for _, _, names, *_ in tail for pos, _ in names.values()]
     first_path: tuple[Trace, ChoiceLog] | None = None
     paths = 0
     # the answer once the search would run more paths than the ceiling
@@ -1139,10 +1311,12 @@ def explore(model: Model, bound: int,
             initial[pos] = _draw(cp, 0, values, drawn)
         state = ModelState(tuple(initial), 0, model.layout)
         trace = [state]
-        # (node, draws, paths before it)
+        # (node, draws, paths before it, prefix, or None until a sibling
+        # needs it)
         stack: list[tuple] = []
         before = paths   # counted before the node about to step was reached
         violated = None   # the initial state is yet to be checked
+        resumed = None   # the prefix a sibling about to step starts from
         while True:
             if paths >= path_ceiling:
                 return exceeded
@@ -1151,9 +1325,17 @@ def explore(model: Model, bound: int,
                 if violated is None:
                     violated = _eval_assertions(model, state)
                 while not violated and state.iteration < bound:
-                    stepped, step_drawn = _step(model, state, values, rows)
+                    if resumed is None:
+                        stepped, step_drawn = _step(
+                            model, state.values, state.iteration + 1,
+                            values, rows)
+                    else:   # a sibling, from its node's prefix
+                        stepped, step_drawn = _step(
+                            model, resumed, state.iteration + 1, values,
+                            tail)
                     if step_drawn:
-                        stack.append((state, step_drawn, before))
+                        stack.append((state, step_drawn, before, resumed))
+                        resumed = None
                         before = paths   # no path ends on the way down
                     elif stepped.values == state.values:
                         if first_path is None:   # only it keeps its tail
@@ -1188,13 +1370,21 @@ def explore(model: Model, bound: int,
             # back up to the deepest frame whose step has a next sibling,
             # storing the count of each finished one on the way
             for depth in range(len(stack) - 1, -1, -1):
-                state, step_drawn, before = stack[depth]
+                state, step_drawn, before, resumed = stack[depth]
                 later = _next_draws(model, step_drawn)
                 if later is not None:
                     break
                 memo[state] = paths - before
             else:
                 break
+            if resumed is None:
+                # the node's first sibling: its prefix is the state of the
+                # child before it with the node's values where the rows
+                # from the first live row on write
+                resumed = list(trace[state.iteration + 1].values)
+                for pos in held:
+                    resumed[pos] = state.values[pos]
+                resumed = tuple(resumed)
             del stack[depth:], trace[state.iteration + 1:]
             values = iter(later)
 

@@ -1,10 +1,13 @@
 """Random small-model generator for cross-checking the explorer.
 
-Every generated model draws from each of its choice points exactly once per
-iteration, on a fixed schedule, so the set of complete runs is exactly the
-cartesian product of all choice domains over the bound.  That property is
-what lets the flat-enumeration oracle in _oracle.py enumerate runs without
-any knowledge of the search algorithm.  The draws follow the engine's step
+Every generated model but a variable-schedule one draws from each of its
+choice points exactly once per iteration, on a fixed schedule, so the set
+of complete runs is exactly the cartesian product of all choice domains
+over the bound.  A variable-schedule model draws a prefix of its longest
+schedule, from points of one shared domain, so its runs are the distinct
+prefixes of that product's vectors that they consume.  That is what lets
+the flat-enumeration oracle in _oracle.py enumerate runs without any
+knowledge of the search algorithm.  The draws follow the engine's step
 order (inputs, then states, then outputs), which is also the order the
 oracle feeds values in; each update combines every view its row reads, so
 the outputs' reads of this step's new state are exercised too.
@@ -49,6 +52,14 @@ a random part of the variables of the groups it is handed, and reads
 only that, some of it only on some inputs, so its views and its table
 keys hold the declared variables alone.
 
+A variable-schedule model (`generate_variable_schedule`) has drawing
+updates that choose which point they draw next, or none, by their input
+and by what they drew before in the call.
+
+A mixed-types model (`generate_mixed_types`) holds symbolic domains of
+int, IntEnum and bool members, weighs each value by its type, and on some
+branches writes a value equal to a member of another type.
+
 A raising model's drawing updates keep their contexts, and each call first
 tries to draw through the one its update kept last, which must be refused.
 On some branches where a point drew its last candidate, never on the path
@@ -63,6 +74,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from enum import IntEnum
 
 from hilcheck.engine import (Assertion, ChoicePoint, Group, IntDomain,
                              ModelError, SymbolicDomain, UpdateFunctions, Var,
@@ -87,7 +99,10 @@ class GeneratedModel:
     model: object
     bound: int
     init_points: tuple[ChoicePoint, ...]  # in draw order
-    step_points: tuple[ChoicePoint, ...]  # draws per iteration, in order
+    # draws per iteration, in order: on a variable schedule, as many as
+    # the longest, each point of the one domain they all share
+    step_points: tuple[ChoicePoint, ...]
+    variable: bool = False   # whether its schedule is variable
 
     @property
     def runs(self) -> int:
@@ -712,6 +727,209 @@ def generate_declared_reads(seed: int, max_runs: int = 400) -> GeneratedModel:
     model = register_model(variables=variables, updates=updates,
                            choices=choices, assertions=assertions,
                            name=f"dr{seed}", reads=reads)
+    return GeneratedModel(
+        model=model, bound=bound,
+        init_points=tuple(cp for cp in choices
+                          if not isinstance(cp.site, Group)),
+        step_points=tuple(step_points))
+
+
+def generate_variable_schedule(seed: int, max_runs: int = 256
+                               ) -> GeneratedModel:
+    """Build one random model whose draw schedule varies.
+
+    One or two drawing slots hold one to three step points each, all of
+    one shared domain.  Each call of such a slot's update draws at most a
+    fixed one or two values: it starts at the point its input picks, or
+    draws nothing, and after each draw moves to the point that its input
+    and the value drawn pick, or stops.  So which point a call draws next
+    depends on its views and on what it has drawn so far, as the purity
+    rule allows, and the schedule's longest form, each slot's most draws
+    in every iteration, bounds every run.  Each update writes its group's
+    one variable from every view it reads, its draws and the points that
+    drew them, wrapped to the variable's domain; up to one assertion
+    forbids a residue of a weighted sum of three variables.
+    """
+    rng = random.Random(seed)
+    domain = tuple(sorted(rng.sample(range(4), rng.randint(2, 3))))
+    slots = sorted(rng.sample(_DRAW_SLOTS, rng.randint(1, 2)),
+                   key=_DRAW_SLOTS.index)
+    points: dict[Group, list[ChoicePoint]] = {}
+    for slot in slots:
+        points[slot] = [ChoicePoint(f"{_SLOT_VAR[slot]}{k}", domain, site=slot)
+                        for k in range(rng.randint(1, 3))]
+    most = {slot: rng.randint(1, 2) for slot in slots}
+    init = [ChoicePoint("init0", tuple(range(rng.randint(1, 2))),
+                        site=(rng.choice(_STATES), "x"))
+            for _ in range(rng.randint(0, 1))]
+    # the runs of the longest schedule: the bound lowered to fit
+    starts = len(init[0].domain) if init else 1
+    per_step = len(domain) ** sum(most.values())
+    bound = 4
+    while bound > 1 and starts * per_step ** bound > max_runs:
+        bound -= 1
+    caps = {group: rng.randint(2, 6) for group in Group}
+    offset = {group: rng.randint(0, 3) for group in Group}
+    reads = {target: [group for group, _ in row] for _, target, row in ORDER}
+
+    def make_update(target: Group):
+        def update(*args):
+            if target in _DRAW_SLOTS:
+                *views, ctx = args
+            else:
+                views, ctx = args, None
+            rest = offset[target] + sum(view.x for view in views)
+            total = rest
+            if target in points:
+                choices = points[target]
+                k = rest % (len(choices) + 1)   # none at len(choices)
+                for _ in range(most[target]):
+                    if k == len(choices):
+                        break
+                    value = ctx.choose(choices[k].point_id)
+                    total += value * (k + 1)
+                    k = (k + 1 + value + rest) % (len(choices) + 1)
+            return {"x": total % (caps[target] + 1)}
+        return update
+
+    updates = UpdateFunctions(**{group.name.lower(): make_update(group)
+                                 for group in Group})
+    variables = [Var("x", group, IntDomain(0, caps[group]),
+                     rng.randint(0, caps[group])) for group in Group]
+    assertions = []
+    if rng.random() < 0.7:
+        watched = rng.sample(list(Group), 3)
+        weights = [rng.randint(1, 2) for _ in watched]
+        modulus = rng.randint(4, 8)
+        forbidden = rng.randrange(modulus)
+
+        def pred(state):
+            return sum(w * state.value(group, "x")
+                       for w, group in zip(weights, watched)) \
+                % modulus != forbidden
+
+        assertions.append(Assertion("a0", pred))
+    choices = [cp for slot in slots for cp in points[slot]] + init
+    rng.shuffle(choices)
+    model = register_model(variables=variables, updates=updates,
+                           choices=choices, assertions=assertions,
+                           name=f"vs{seed}")
+    return GeneratedModel(
+        model=model, bound=bound, init_points=tuple(init),
+        step_points=tuple(points[slot][0] for slot in slots
+                          for _ in range(most[slot])),
+        variable=True)
+
+
+class Tone(IntEnum):
+    """The IntEnum of a mixed-types model: each member equals an int, and
+    LOW and MID equal a bool."""
+
+    LOW = 0
+    MID = 1
+    HIGH = 2
+
+
+def _kinds(n: int) -> list[type]:
+    """The types whose values can equal `n`: int, and Tone and bool where
+    one of their values does."""
+    return [int] + [Tone] * (n <= 2) + [bool] * (n <= 1)
+
+
+def _mixed(rng: random.Random) -> tuple:
+    """Two to four members of distinct numbers from 0 to 3, each an int,
+    a Tone or a bool at random, so no two are equal."""
+    numbers = sorted(rng.sample(range(4), rng.randint(2, 4)))
+    return tuple(rng.choice(_kinds(n))(n) for n in numbers)
+
+
+def _weigh(value) -> int:
+    """A number for `value` that branches on its type: equal values of
+    different types weigh differently."""
+    if type(value) is bool:
+        return 3 if value else 2
+    if isinstance(value, Tone):
+        return 2 * value + 1
+    return value
+
+
+def generate_mixed_types(seed: int, max_runs: int = 256) -> GeneratedModel:
+    """Build one random model whose symbolic domains mix types.
+
+    Every group holds one variable `x` and every step point draws from a
+    domain whose members are ints, `Tone` members and bools, of distinct
+    numbers, so a value of one type can equal a member of another.  Each
+    update weighs every value it reads and draws by its type (`_weigh`)
+    and writes the member its total picks.  On branches where a point
+    drew its last candidate and the total is odd, never on the path of
+    first values that `register_model`'s trial step takes, it writes that
+    member's twin instead: an equal value of another type of the same
+    domain, which is no member, so the run ends in a ModelError.  Draws
+    follow the fixed schedule, as in `generate`.
+    """
+    rng = random.Random(seed)
+    bound, init_domains, site_of, step_domains = _draw_layout(
+        rng, rng.randint(2, 4), max_runs)
+    draws: dict[Group, list[ChoicePoint]] = {slot: [] for slot in _DRAW_SLOTS}
+    step_points = []
+    for k, (slot, size) in enumerate(zip(site_of, map(len, step_domains))):
+        cp = ChoicePoint(f"d{k}", _mixed(rng)[:size], site=slot)
+        step_points.append(cp)
+        draws[slot].append(cp)
+    members = {group: _mixed(rng) for group in Group}
+    offset = {group: rng.randint(0, 3) for group in Group}
+    reads = {target: [group for group, _ in row] for _, target, row in ORDER}
+
+    def twin(member, domain: tuple):
+        """A value equal to `member` of another type some member of its
+        `domain` has, or `member` itself where there is none."""
+        kinds = {type(other) for other in domain} - {type(member)}
+        others = [kind for kind in _kinds(int(member)) if kind in kinds]
+        return others[0](int(member)) if others else member
+
+    def make_update(target: Group):
+        def update(*args):
+            if target in _DRAW_SLOTS:
+                *views, ctx = args
+            else:
+                views, ctx = args, None
+            total = offset[target] + sum(_weigh(view.x) for view in views)
+            last = False
+            for cp in draws.get(target, ()):
+                value = ctx.choose(cp.point_id)
+                total += _weigh(value)
+                last |= value == cp.domain[-1] != cp.domain[0]
+            member = members[target][total % len(members[target])]
+            if last and total % 2:
+                member = twin(member, members[target])
+            return {"x": member}
+        return update
+
+    updates = UpdateFunctions(**{group.name.lower(): make_update(group)
+                                 for group in Group})
+    variables = [Var("x", group, SymbolicDomain(members[group]),
+                     rng.choice(members[group])) for group in Group]
+    choices = list(step_points)
+    for k, (group, size) in enumerate(zip(rng.sample(_STATES,
+                                                     len(init_domains)),
+                                          map(len, init_domains))):
+        choices.append(ChoicePoint(f"init{k}", members[group][:size],
+                                   site=(group, "x")))
+    rng.shuffle(choices)
+    assertions = []
+    if rng.random() < 0.7:
+        watched = rng.sample(list(Group), 3)
+        modulus = rng.randint(4, 8)
+        forbidden = rng.randrange(modulus)
+
+        def pred(state):
+            return sum(_weigh(state.value(group, "x"))
+                       for group in watched) % modulus != forbidden
+
+        assertions.append(Assertion("a0", pred))
+    model = register_model(variables=variables, updates=updates,
+                           choices=choices, assertions=assertions,
+                           name=f"mt{seed}")
     return GeneratedModel(
         model=model, bound=bound,
         init_points=tuple(cp for cp in choices

@@ -1,20 +1,31 @@
 """Flat-enumeration oracle for the explorer, and the model families it
 checks.
 
-Enumerates the full cartesian product of every choice domain over the bound
-(valid because generated models draw on a fixed schedule), runs each vector
+Enumerates the full cartesian product of every choice domain over the
+longest schedule the model can draw on up to the bound, runs vectors
 through the reference of `_reference.py` alone, `reference_initial` and
 then `reference_step` at every iteration, also where the engine's
 `run_path` has found the path settled and ended it, repeating its state,
-evaluates the assertions with its own code on every state, checks that the
-draws came from the vector's points in order, and reports what an
-exhaustive search must find.  It shares only `run_path` with the engine,
-which steps by the `_step` `explore`'s walk takes, and calls it through
-the engine's module, so a stand-in put there for a test is what it
-checks: on every vector, `run_path` must give the reference's states,
-with their values' types, its draws and its violations, or raise where
-the reference raises, with its message.  A vector whose reference run raises a ModelError ends the search
-there, as a failing path ends `explore`.
+evaluates the assertions with its own code on every state, and reports
+what an exhaustive search must find.  A run is decided by the values it
+draws, so the product's vectors that begin with the prefix of it that the
+run before them consumed run that same path, and are skipped: the paths
+are the distinct consumed prefixes, in the product's order, which is depth
+first in declared domain order.  Most families draw on a fixed schedule,
+each step point once per iteration, so every run consumes its whole
+vector, and the oracle checks that the draws came from the vector's points
+in order.  A variable-schedule model decides at each draw which point it
+draws next, or none, and every step point of it shares one domain, so any
+vector value is a candidate of the point that takes it: the oracle checks
+that its initialisation points are drawn first, in order, and that no run
+draws past the longest schedule.  It shares only `run_path` with the
+engine, which steps by the `_step` `explore`'s walk takes, and calls it
+through the engine's module, so a stand-in put there for a test is what it
+checks: on every path it runs, `run_path` must give the reference's
+states, with their values' types, its draws and its violations, or raise
+where the reference raises, with its message.  A vector whose reference
+run raises a ModelError ends the search there, as a failing path ends
+`explore`.
 
 `FAMILIES` names each family of generated models the oracle checks: its
 generator, its seeds and the pinned count of each outcome.
@@ -31,7 +42,8 @@ from hilcheck import engine
 from hilcheck.engine import Model, ModelError
 
 from _modelgen import (GeneratedModel, generate, generate_cycling,
-                       generate_declared_reads, generate_write_path)
+                       generate_declared_reads, generate_mixed_types,
+                       generate_variable_schedule, generate_write_path)
 from _reference import State, reference_initial, reference_step
 
 
@@ -96,6 +108,15 @@ FAMILIES = {
     # table is keyed by what it declares
     "declared-reads": Family(generate_declared_reads, range(100),
                              {"Safe": 69, "Unsafe": 31, "ModelError": 0}),
+    # drawing updates whose next point, or none, depends on their input
+    # and on what they drew before in the call, all points of one domain
+    "variable-schedule": Family(generate_variable_schedule, range(100),
+                                {"Safe": 43, "Unsafe": 57, "ModelError": 0}),
+    # symbolic domains of int, IntEnum and bool members, and updates that
+    # weigh a value by its type; a third end where an update writes a
+    # value equal to a member of another type
+    "mixed-types": Family(generate_mixed_types, range(100),
+                          {"Safe": 31, "Unsafe": 32, "ModelError": 37}),
 }
 
 
@@ -110,11 +131,14 @@ def typed(states) -> list:
     return [(s.iteration, [(type(v), v) for v in s.values]) for s in states]
 
 
-def run_vector(model: Model, bound: int, points, vector):
+def run_vector(model: Model, bound: int, points, vector,
+               variable: bool = False):
     """Run one fully decided path through the reference; stop at the first
     violating iteration, or at a step that raises ModelError, whose message
-    is returned as `raised`.  The run must draw from `points` in order, and
-    no more draws than they hold, and `run_path` must agree with it."""
+    is returned as `raised`.  The run must draw no more values than
+    `points` holds, from `points` in order, or, on a `variable` schedule,
+    from its initialisation points first, and `run_path` must agree with
+    it."""
     values = iter(vector)
     initial, log = reference_initial(model, values)
     trace = [State(model, initial, 0)]
@@ -131,6 +155,11 @@ def run_vector(model: Model, bound: int, points, vector):
         log.extend(drawn)
         violated = violations(model, trace[-1])
     drew = [entry.point_id for entry in log]
+    if len(drew) > len(points):
+        raise AssertionError(f"the reference drew {drew}, past the "
+                             f"{len(points)} values of the longest schedule")
+    if variable:   # its initialisation draws, then any step points
+        drew = [entry.point_id for entry in log if entry.iteration == 0]
     expected = [cp.point_id for cp in points[:len(drew)]]
     if drew != expected:
         raise AssertionError(f"the reference drew {drew}, "
@@ -152,14 +181,22 @@ def run_vector(model: Model, bound: int, points, vector):
     return tuple(trace), tuple(log), violated, raised
 
 
-def flat_check(model: Model, bound: int, init_points,
-               step_points) -> OracleResult:
+def flat_check(model: Model, bound: int, init_points, step_points,
+               variable: bool = False) -> OracleResult:
+    """What a search of the model must find: `step_points` are the points
+    of one iteration's longest schedule, drawn on it as it stands unless
+    the model's schedule is `variable`."""
     points = list(init_points) + list(step_points) * bound
     first = None
-    for paths, vector in enumerate(
-            itertools.product(*(cp.domain for cp in points)), 1):
+    paths = 0
+    consumed = None   # the prefix the last run drew
+    for vector in itertools.product(*(cp.domain for cp in points)):
+        if consumed is not None and vector[:len(consumed)] == consumed:
+            continue   # that run again
+        paths += 1
         trace, log, violated, raised = run_vector(model, bound, points,
-                                                  vector)
+                                                  vector, variable)
+        consumed = vector[:len(log)]
         if raised is not None:
             return OracleResult(kind="ModelError", paths=paths,
                                 message=raised)

@@ -9,8 +9,9 @@ lists them.  The nine update functions run in README's order, inputs, then
 states, then outputs, each model's in environment, system, behaviour
 order.  Inputs see the previous valuation's outputs and states; a state
 update sees its model's new input and old state, and an output its new
-input and new state.  Every value an update returns is checked against its
-variable's domain, and a variable it omits keeps its value.  An update that
+input and new state.  Every value an update returns must equal a member
+of its variable's domain of the same type, and a variable it omits keeps
+its value.  An update that
 raises anything but a ModelError fails the step with `update for <group>
 raised <exception>`.  Environment and behaviour updates get a context of
 their own, which draws only the points sited at their group, and only
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from hilcheck.engine import ChoiceEntry, Group, ModelError
+from hilcheck.engine import ChoiceEntry, Group, ModelError, SymbolicDomain
 
 G = Group
 
@@ -64,12 +65,17 @@ class View:
         return self._values[name]
 
 
+def _member(value, members) -> bool:
+    """Whether `value` equals one of `members` of the same type."""
+    return any(type(member) is type(value) and member == value
+               for member in members)
+
+
 def _take(point, values, iteration, log):
     """Draw `point`: the next of `values`, or its first value once they
     run out, which must equal a candidate of the same type; logged."""
     value = next(values, point.domain[0])
-    if not any(type(member) is type(value) and member == value
-               for member in point.domain):
+    if not _member(value, point.domain):
         raise ModelError(f"drew {value!r}, outside the domain of "
                          f"'{point.point_id}'")
     log.append(ChoiceEntry(iteration, point.point_id, value))
@@ -162,7 +168,10 @@ def reference_step(model, state, values=()):
         for name, value in returned.items():
             var = next(v for v in model.variables
                        if v.group is target and v.name == name)
-            if not var.domain.contains(value):
+            if not (_member(value, var.domain.members)
+                    if isinstance(var.domain, SymbolicDomain)
+                    else type(value) is int
+                    and var.domain.lo <= value <= var.domain.hi):
                 raise ModelError(f"update produced {value!r} for {var}, "
                                  "outside its domain")
             new[target, name] = value

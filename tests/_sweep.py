@@ -41,7 +41,7 @@ def sweep(name: str) -> tuple[Swept, ...]:
     for seed in family.seeds:
         gen = family.make(seed)
         expected = flat_check(gen.model, gen.bound, gen.init_points,
-                              gen.step_points)
+                              gen.step_points, gen.variable)
         verdict = engine.explore(gen.model, gen.bound,
                                  path_ceiling=expected.paths)
         where = f"{name} seed {seed}"

@@ -532,9 +532,9 @@ def test_a_step_builds_a_live_context_only_where_a_step_point_is_sited(
     class Counted(engine.StepContext):
         __slots__ = ()
 
-        def __init__(self, model, iteration, values, site, entries):
+        def __init__(self, model, iteration, values, site, entries, drawn):
             built.append(site)
-            super().__init__(model, iteration, values, site, entries)
+            super().__init__(model, iteration, values, site, entries, drawn)
 
     model = register_model(
         variables=[Var("x", Group.ENV_STATE, IntDomain(0, 1), 0)],

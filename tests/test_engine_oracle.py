@@ -1,18 +1,19 @@
 """Search correctness against a flat-enumeration oracle.
 
 Each family of `_oracle.FAMILIES` is swept once (`_sweep.swept`): each of
-its randomized small models, each drawing on a fixed schedule, is checked
-two ways, explore()'s depth-first walk with its memo and its per-row
-tables, and brute
-enumeration of the full choice-vector product, run through a reference
-step that shares no code with the engine's.  Both must agree on the
-verdict, on the violated assertion and iteration, on the witness path, and
-on the number of paths run: every complete run for a safe model, the runs
-up to and including the first violating or raising one otherwise.  The
-enumeration also checks that initialisation points are drawn in their list
-order, and step points on the schedule whatever their list order, and that
-`run_path`, which steps by the `_step` `explore`'s walk takes, gives on
-every vector what the reference gives.
+its randomized small models is checked two ways, explore()'s depth-first
+walk with its memo, its per-row tables and tries and its siblings' prefixes,
+and brute enumeration of the choice-vector product over the longest
+schedule, each distinct prefix the runs consume run once through a
+reference step that shares no code with the engine's.  Both must agree on
+the verdict, on the violated assertion and iteration, on the witness path,
+and on the number of paths run: every complete run for a safe model, the
+runs up to and including the first violating or raising one otherwise.
+The enumeration also checks that initialisation points are drawn in their
+list order, and, on a fixed schedule, step points on the schedule
+whatever their list order, and that `run_path`, which steps by the
+`_step` `explore`'s walk takes, gives on every path what the reference
+gives.
 
 220 random models; 100 more that saturate instead of wrapping and run to a
 bound of 6 to 10, so most of their paths settle into a fixed point well
@@ -59,12 +60,26 @@ each update declares a random part of its groups' variables, or none, or
 is left undeclared, and reads only what it declares, some of it only on
 some inputs: its views hold its declared variables alone and its table
 is keyed by their values.  Registered again with no declaration, the
-same model gets the same verdict, and in 78 of them `explore` then
+same model gets the same verdict, and in 81 of them `explore` then
 calls its updates more often.
 
-In many models of every family some row whose call gets no live context
-reads an input it has read before in the search, and takes its writes from
-its table instead of calling its update.
+100 variable-schedule models have drawing updates whose next point, or
+none, depends on their input and on what they drew before in the call,
+all of one domain, so the oracle enumerates the product over the
+longest schedule and runs each distinct prefix the runs consume: every
+safe one runs fewer paths than that product holds, and in 61 of them a
+drawing row's trie serves a call part-way, whose context hands back the
+values the row drew before it.
+
+100 mixed-types models hold symbolic domains of int, IntEnum and bool
+members, weigh each value by its type, and on some branches write a
+value equal to a member of another type, which is no member, so 37 of
+their searches end in a ModelError.
+
+In many models of every family some row reads an input it has read
+before in the search, and takes its writes from its table, or, where its
+call gets a live context, draws its values down its trie to them, instead
+of calling its update.
 
 A path ceiling at each model's path count changes nothing, and one below it
 ends the search after exactly that many paths.
@@ -72,6 +87,7 @@ ends the search after exactly that many paths.
 
 import itertools
 import statistics
+from collections import Counter
 from dataclasses import fields, replace
 
 from hilcheck import engine
@@ -210,7 +226,68 @@ def test_explore_matches_flat_enumeration_on_declared_reads_models():
         wide = update_calls(whole, gen.bound, paths)
         assert narrow <= wide, model.seed
         fewer += narrow < wide
-    assert fewer == 78
+    assert fewer == 81
+
+
+def trie_hands_back_draws(model: Swept, monkeypatch) -> bool:
+    """Whether `explore` on the model calls a drawing update whose live
+    context first hands back values its row's trie drew in the step."""
+    handed = False
+
+    class Counted(engine.StepContext):
+        __slots__ = ()
+
+        def __init__(self, model, iteration, values, site, entries, drawn):
+            nonlocal handed
+            handed |= bool(drawn)
+            super().__init__(model, iteration, values, site, entries, drawn)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "StepContext", Counted)
+        explore(model.gen.model, model.gen.bound,
+                path_ceiling=model.expected.paths)
+    return handed
+
+
+def schedule_varies(model: Swept) -> tuple[bool, bool]:
+    """Whether, on the oracle's first or witness path, a drawing slot
+    draws nothing in one iteration and draws in another, and whether one
+    of its calls draws two values."""
+    choices = model.gen.model.choices
+    slots = {cp.site for cp in model.gen.step_points}
+    drawn = Counter((entry.iteration, choices[entry.point_id].site)
+                    for entry in model.expected.choice_log
+                    if entry.iteration > 0)
+    counts = [drawn[iteration, slot] for slot in slots
+              for iteration in range(
+                  1, model.expected.first_trace[-1].iteration + 1)]
+    return 0 in counts and any(counts), max(counts, default=0) >= 2
+
+
+def test_explore_matches_flat_enumeration_on_variable_schedule_models(
+        monkeypatch):
+    assert outcomes("variable-schedule") \
+        == FAMILIES["variable-schedule"].outcomes
+    models = swept("variable-schedule")
+    # a run consumes a prefix of the longest schedule, so a safe model
+    # runs fewer paths than the product over it holds
+    for model in models:
+        if model.expected.kind == "Safe":
+            assert model.expected.paths < model.gen.runs, model.seed
+    varies = [schedule_varies(model) for model in models]
+    assert sum(none for none, _ in varies) == 46
+    assert sum(two for _, two in varies) == 34
+    assert sum(trie_hands_back_draws(model, monkeypatch)
+               for model in models) == 61
+
+
+def test_explore_matches_flat_enumeration_on_mixed_types_models():
+    assert outcomes("mixed-types") == FAMILIES["mixed-types"].outcomes
+    # each search that ends in a ModelError ends at a value equal to a
+    # member of another type of the variable's domain
+    for model in swept("mixed-types"):
+        if model.expected.kind == "ModelError":
+            assert "outside its domain" in model.verdict.message, model.seed
 
 
 def unsafe_path_indices(name: str) -> list[int]:
@@ -310,15 +387,16 @@ def served_from_a_table(model: Swept, monkeypatch) -> bool:
 
 
 def test_repeated_inputs_are_served_from_tables(monkeypatch):
-    # the models where a row whose call gets no live context reads an
-    # input it has read before in the search, and takes its writes from
-    # its table
+    # the models where a row reads an input it has read before in the
+    # search, and takes its writes from its table or, where its call gets
+    # a live context, from its trie
     served = {name: sum(served_from_a_table(model, monkeypatch)
                         for model in swept(name)) for name in FAMILIES}
-    assert served == {"random": 83, "settling": 71, "write-path": 35,
+    assert served == {"random": 83, "settling": 71, "write-path": 36,
                       "raising": 26, "cycling": 41, "late-failing": 84,
                       "repeating": 43, "conditional-writes": 86,
-                      "declared-reads": 84}, served
+                      "declared-reads": 84, "variable-schedule": 63,
+                      "mixed-types": 73}, served
 
 
 def test_path_ceiling_at_and_one_below_each_path_count():
@@ -334,7 +412,8 @@ def test_path_ceiling_at_and_one_below_each_path_count():
     assert branching == {"random": 76, "settling": 19, "write-path": 41,
                          "raising": 29, "cycling": 23, "late-failing": 79,
                          "repeating": 40, "conditional-writes": 80,
-                         "declared-reads": 73}, branching
+                         "declared-reads": 73, "variable-schedule": 62,
+                         "mixed-types": 69}, branching
 
 
 def test_generated_models_have_bounded_run_counts():

@@ -343,16 +343,17 @@ BRANCHING = replace(SCENARIOS["manual-override"],
         # 364 nodes, 1,452 of them stepped to in all; states repeat across
         # paths, so the walk steps 804 times and counts the subtrees of 108
         # of the states it steps to at once, before their assertions; 1,340
-        # step draws and one initialisation draw per initial state; only
-        # beh_output draws in a step, so only its update runs in every step,
-        # and every other row runs once per distinct value of the variables
-        # it reads
+        # step draws and one initialisation draw per initial state; every
+        # row runs once per distinct value of the variables it reads, and
+        # beh_output, the one row that draws in a step, once per distinct
+        # value of them and sequence of its draws: a hit on its trie draws
+        # its values with no call
         (BRANCHING, 5, VerdictKind.Safe, 972, 804, 700, 1344,
-         (3, 24, 4, 5, 15, 804, 9, 42, 20)),
+         (3, 24, 4, 5, 15, 6, 9, 42, 20)),
         # the witness is the 19,684th path, which a walk with no memo
         # reaches after 29,532 steps
         (BRANCHING, 12, VerdictKind.Unsafe, 19684, 264, 130, 444,
-         (2, 33, 5, 5, 18, 264, 8, 24, 9)),
+         (2, 33, 5, 5, 18, 6, 8, 24, 9)),
         # every draw at initialisation, so no memo: 864 paths of 10 steps
         # each, and one draw per node of the initialisation tree, 1,552;
         # every state is distinct, but the variables a row reads repeat
@@ -435,8 +436,10 @@ def test_a_row_holds_at_most_its_cap_and_shares_equal_writes(monkeypatch):
     step = engine._step
     held = {}
 
-    def spied(model, state, values, rows):
-        stepped = step(model, state, values, rows)
+    def spied(model, start, iteration, values, rows):
+        stepped = step(model, start, iteration, values, rows)
+        # no live row, so no sibling step, and each step runs every row
+        assert len(rows) == len(Group)
         for target, *_, table, interned in rows:
             if table is None:
                 assert interned is None
@@ -457,6 +460,134 @@ def test_a_row_holds_at_most_its_cap_and_shares_equal_writes(monkeypatch):
     # one empty tuple each
     assert held[Group.ENV_STATE] == engine._TABLE_SIZE
     assert {held[group] for group in Group} - {engine._TABLE_SIZE} == {1}
+
+
+# --- drawing rows: their tries and a sibling's resumption -----------------
+
+def _drawing_model(schedule):
+    """beh_output draws, on its k-th call, the points of `schedule(k)` in
+    order, each of 0 and 1, and writes how many of them drew 1; it reads
+    no variable, so every call has one key."""
+    calls = []
+
+    def beh_output(bi, b, ctx):
+        calls.append(None)
+        return {"y": sum(ctx.choose(point)
+                         for point in schedule(len(calls)))}
+
+    return register_model(
+        variables=[Var("y", Group.BEH_OUTPUT, IntDomain(0, 2), 0)],
+        updates=_updates(beh_output=beh_output),
+        choices=[ChoicePoint(point, (0, 1), site=Group.BEH_OUTPUT)
+                 for point in ("a", "b")])
+
+
+def test_a_drawing_row_s_trie_draws_its_values_with_no_call():
+    # two draws a call, four paths a step: the walk draws each path's
+    # values down the trie, so its update runs once per leaf, and every
+    # value is drawn once, by the walk or by the call
+    calls = []
+    model = _drawing_model(lambda k: calls.append(k) or ("a", "b"))
+    calls.clear()   # the registration's trial step is not counted
+    verdict = explore(model, 2)
+    assert verdict.kind is VerdictKind.Safe
+    assert verdict.paths_explored == 16
+    assert len(calls) == 4
+    trace, log, _ = run_path(model, 2, [1, 0, 0, 1])
+    assert [s.value(Group.BEH_OUTPUT, "y") for s in trace] == [0, 1, 1]
+    assert [(e.iteration, e.point_id, e.value) for e in log] == [
+        (1, "a", 1), (1, "b", 0), (2, "a", 0), (2, "b", 1)]
+
+
+def test_a_call_that_draws_another_point_than_its_trie_is_an_error():
+    # the second call in the search, on the same key after the same draw
+    # of a, draws b first
+    model = _drawing_model(lambda k: ("a",) if k < 3 else ("b",))
+    verdict = explore(model, 1)
+    assert verdict.kind is VerdictKind.ModelError
+    assert verdict.message.startswith(
+        "update for beh_out drew 'b' where, on the same views and draws, "
+        "it drew 'a' before")
+
+
+def test_a_call_that_stops_before_its_trie_does_is_an_error():
+    # the second call in the search draws a, where the first drew a and
+    # then b
+    model = _drawing_model(lambda k: ("a", "b") if k < 3 else ("a",))
+    verdict = explore(model, 1)
+    assert verdict.kind is VerdictKind.ModelError
+    assert verdict.message.startswith(
+        "update for beh_out returned after drawing 'a' where, on the same "
+        "views and draws, it drew 'b' next before")
+
+
+def test_a_drawing_row_holds_at_most_its_cap_and_shares_equal_writes(
+        monkeypatch):
+    # beh_output reads a counter of 200 values, one per initial state,
+    # and draws one of two writes: its trie is cleared at the cap, and
+    # each leaf is one of its interned writes
+    start = ChoicePoint("start", tuple(range(200)),
+                        site=(Group.BEH_STATE, "n"))
+    model = register_model(
+        variables=[Var("n", Group.BEH_STATE, IntDomain(0, 199), 0),
+                   Var("y", Group.BEH_OUTPUT, IntDomain(0, 1), 0)],
+        updates=_updates(
+            beh_state=lambda bi, b, ctx: {"n": (b.n + 1) % 200},
+            beh_output=lambda bi, b, ctx: {"y": ctx.choose("p")}),
+        choices=[start, ChoicePoint("p", (0, 1), site=Group.BEH_OUTPUT)])
+    step = engine._step
+    held = []
+
+    def leaves(node):
+        if type(node) is engine._Fork:
+            for child in node.children.values():
+                yield from leaves(child)
+        else:
+            yield node
+
+    def spied(model, start, iteration, values, rows):
+        stepped = step(model, start, iteration, values, rows)
+        trie = rows[-1][1]
+        assert len(trie.roots) <= engine._TABLE_SIZE
+        assert len(trie.interned) <= 2
+        for root in trie.roots.values():
+            for writes in leaves(root):
+                assert trie.interned[writes] is writes
+        held.append(len(trie.roots))
+        return stepped
+
+    monkeypatch.setattr(engine, "_step", spied)
+    assert explore(model, 2).paths_explored == 800
+    assert max(held) == engine._TABLE_SIZE
+
+
+def test_a_sibling_steps_from_its_node_s_prefix_with_the_drawing_rows(
+        monkeypatch):
+    # env_state counts and beh_output, the last row, draws: a node's
+    # first child runs all nine rows from the node's state, each sibling
+    # only beh_output, from the valuation the first eight made, the count
+    # already stepped
+    model = register_model(
+        variables=[Var("n", Group.ENV_STATE, IntDomain(0, 9), 0),
+                   Var("y", Group.BEH_OUTPUT, IntDomain(0, 2), 0)],
+        updates=_updates(
+            env_state=lambda ei, e, ctx: {"n": e.n + 1},
+            beh_output=lambda bi, b, ctx: {"y": ctx.choose("p")}),
+        choices=[ChoicePoint("p", (0, 1, 2), site=Group.BEH_OUTPUT)])
+    step = engine._step
+    stepped = []
+
+    def spied(model, start, iteration, values, rows):
+        stepped.append((len(rows), iteration, start))
+        return step(model, start, iteration, values, rows)
+
+    monkeypatch.setattr(engine, "_step", spied)
+    verdict = explore(model, 2)
+    assert verdict.paths_explored == 9
+    assert stepped == [(9, 1, (0, 0)), (9, 2, (1, 0)), (1, 2, (2, 0)),
+                       (1, 2, (2, 0)), (1, 1, (1, 0)), (9, 2, (1, 1)),
+                       (1, 2, (2, 1)), (1, 2, (2, 1)), (1, 1, (1, 0)),
+                       (9, 2, (1, 2)), (1, 2, (2, 2)), (1, 2, (2, 2))]
 
 
 def test_a_path_that_draws_at_every_iteration_walks_any_depth():

@@ -1,6 +1,8 @@
 """Smoke tests for `tools/paired_explore.py`, which times set-up and
-`explore` on two source trees loaded side by side in one process."""
+`explore` on two source trees loaded side by side in one process, and
+counts each side's update calls and draws."""
 
+import itertools
 from pathlib import Path
 
 from _helpers import load
@@ -23,9 +25,10 @@ def test_the_checkout_against_itself_agrees_on_ideal(capsys):
         assert line.endswith(" over 2 pairs")
     assert memory.startswith("ideal memory: parent peak ")
     assert " KiB, change peak " in memory
-    # one tree on both sides: the same update calls, 107 on ideal
+    # one tree on both sides: the same update calls, 107 on ideal, and
+    # the same draws, one per initial state
     assert calls == ("ideal update calls: parent 107, change 107 per "
-                     "explore")
+                     "explore; draws: parent 4, change 4")
 
 
 def test_a_side_s_peak_is_that_of_its_explore():
@@ -38,20 +41,23 @@ def test_a_side_s_peak_is_that_of_its_explore():
     assert 64 * 1024 < peak < 64 * 1024 * 1024
 
 
-def test_a_side_s_update_calls_are_those_of_its_explore():
+def test_a_side_s_update_calls_and_draws_are_those_of_its_explore():
     src = ROOT / "src"
     run, = (run for name, run in paired_explore.workload_runs(src)
             if name == "branching")
     side = paired_explore.Side(src, "hilcheck_change")
-    # the calls `test_explore` pins for branching at bound 5
-    assert side.calls(run) == 926
+    # the calls and draws `test_explore` pins for branching at bound 5
+    assert side.calls(run) == (128, 1344)
+    # and the engine's own `_draw` is back in place
+    assert side.engine._draw.__name__ == "_draw"
 
 
-def test_each_side_s_update_calls_are_reported(capsys):
-    paired_explore.report_calls("route-sweep", {"parent": 12142,
-                                                "change": 821})
+def test_each_side_s_update_calls_and_draws_are_reported(capsys):
+    paired_explore.report_calls("branching", {"parent": (926, 1344),
+                                              "change": (128, 1350)})
     assert capsys.readouterr().out == (
-        "route-sweep update calls: parent 12,142, change 821 per explore\n")
+        "branching update calls: parent 926, change 128 per explore; "
+        "draws: parent 1,344, change 1,350\n")
 
 
 def test_every_run_of_every_workload_is_timed():
@@ -87,13 +93,15 @@ def test_each_side_s_peak_and_their_ratio_are_reported(capsys):
 
 
 class _Side:
-    """Stands in for a loaded tree whose verdict is a bare path count."""
+    """Stands in for a loaded tree whose verdict is a bare path count and
+    whose set-ups take each of `setups` seconds in turn."""
 
-    def __init__(self, paths):
+    def __init__(self, paths, setups=(0.001,)):
         self.paths = paths
+        self.setups = itertools.cycle(setups)
 
     def prepare(self, run):
-        return 0.001, None, 5
+        return next(self.setups), None, 5
 
     def explore(self, model, bound):
         return 0.001, self.paths
@@ -101,8 +109,25 @@ class _Side:
     def summary(self, verdict):
         return (verdict,)
 
+    def peak(self, run):
+        return 1024
+
+    def calls(self, run):
+        return 9, 1
+
 
 def test_sides_that_disagree_stop_the_run(capsys):
     sides = {"parent": _Side(4), "change": _Side(5)}
     assert not paired_explore.compare("ideal", sides, None, 3)
     assert "disagree in pair 1" in capsys.readouterr().out
+
+
+def test_a_pair_s_set_up_is_the_fastest_of_its_builds(capsys):
+    # each side builds three times a pair, the second build fastest
+    assert paired_explore.BUILDS == 3
+    sides = {side: _Side(4, (0.003, 0.001, 0.002))
+             for side in paired_explore.SIDES}
+    assert paired_explore.compare("ideal", sides, None, 2)
+    setup = capsys.readouterr().out.splitlines()[1]
+    assert setup == ("ideal set-up: parent median 0.0010 s, change median "
+                     "0.0010 s, median change/parent 1.000 over 2 pairs")

@@ -1,31 +1,39 @@
 """Mutants of the engine's step, path loop and search that the oracle must
 kill.
 
-Each mutant edits the source of a named engine function, `_step`,
-`_rows`, `_key`, `_read_plan`, `run_path`, `_next_draws` or `explore`, at
-one snippet, or at each of a tuple of snippets, compiles the result, its
-decorator included, in a copy of the engine's namespace, and puts it in
-place of that function for one test: `step`, `run_path` and `explore`
+Each mutant edits the source of a named engine function, `_step`, `_rows`,
+`_graft`, `_key`, `_read_plan`, `run_path`, `_next_draws` or `explore`, or
+of the class of a named method, `SymbolicDomain.contains`, at one snippet,
+or at each of a tuple of snippets, compiles the result, its decorator
+included, in a copy of the engine's namespace, and puts it in place of
+that function or method for one test: `step`, `run_path` and `explore`
 call `_step` and `_rows` through the engine's namespace, `_rows` calls
-`_key` and `register_model` calls `_read_plan` through it, `explore`
-calls `_next_draws`, the sibling rule of its initial states and of its
-steps alike, through it, and the oracle and the sweep call `run_path` and
-`explore` through the engine's module.  An uncached sweep of the named
-oracle family must fail under it, at its first failing model, with an
-AssertionError of the oracle's, or with the ModelError a generated
-model's registration raises where its trial step already fails; or, for
-a mutant named with a check in place of a family, that check must fail.
-The sweep explores at a path ceiling of the oracle's path count, and one
-below it, so a search mutant that would walk for ever meets it.  Each
-snippet must occur exactly once in its function, so a rewrite that drops
-or repeats one fails here, loudly, until its mutant is written again.
-Each unedited copy, compiled the same way, is the engine's own function,
+`_key`, `_step` calls `_graft` and `register_model` calls `_read_plan`
+through it, `explore` calls `_next_draws`, the sibling rule of its initial
+states and of its steps alike, through it, every domain check looks
+`contains` up on its domain's class, and the oracle and the sweep call
+`run_path` and `explore` through the engine's module.  An uncached sweep
+of the named oracle family must fail under it, at its first failing model,
+with an AssertionError of the oracle's, or with the ModelError a generated
+model's registration raises where its trial step already fails; or, for a
+mutant named with a check in place of a family, that check must fail.  The
+sweep explores at a path ceiling of the oracle's path count, and one below
+it, so a search mutant that would walk for ever meets it.  Each snippet
+must occur exactly once in its function, so a rewrite that drops or
+repeats one fails here, loudly, until its mutant is written again.  Each
+unedited copy, compiled the same way, is the engine's own function,
 instruction for instruction, with the defaults the engine's has.
 Five mutants break the tables `explore` binds its rows to: what a row
-stores, which rows get a table, the key's last declared position, a
-table's scope, one `explore` call, and what its writes are interned by.
-Two break the views an update is handed: built from the step's start
-values, and a whole group where the update declares a part of it.
+stores, a drawing row tabled by its key with no trie of its draws, the
+key's last declared position, a table's scope, one `explore` call, and
+what its writes are interned by.  Two break the drawing rows' tries: a
+leaf keyed by the last value drawn alone, which only a call that draws
+twice shows, and a miss whose call draws the values the walk drew again;
+one breaks a sibling's prefix, taken after the first drawing row has
+run.  Two break the views an update is handed: built from the step's
+start values, and a whole group where the update declares a part of it.
+And one is the domain check that took a value equal to a member of
+another type, such as 1 for an IntEnum member, for that member.
 """
 
 import __future__
@@ -82,10 +90,11 @@ MUTANTS = [
      "write-path", AssertionError),
     ("one context shared per step", "_step",
      "ctx = StepContext(model, iteration, values, target,\n"
-     "                                      entries)\n",
+     "                                      entries, () if key is None\n"
+     "                                      else entries[walked:])\n",
      "ctx = shared = (locals().get('shared')\n"
      "                                      or StepContext(model, "
-     "iteration, values, target, entries))\n"
+     "iteration, values, target, entries, ()))\n"
      "                    ctx._site = target\n",
      "write-path", AssertionError),
     ("live and bare contexts swapped", "_step",
@@ -114,16 +123,31 @@ MUTANTS = [
      "                ctx._site = None\n",
      "raising", AssertionError),
     ("stored writes skip values identical to the state's", "_step",
-     "                if table is not None:\n",
-     "                if table is not None and value is not current[pos]:\n",
+     "                if key is not None:\n",
+     "                if key is not None and value is not current[pos]:\n",
      "random", AssertionError),
-    ("row with a live context tabled", "_rows",
-     "if tabled and not live",
-     "if tabled",
+    ("row with a live context tabled by its key alone", "_rows",
+     "_Trie(), names, views, fn, _key(positions),\n"
+     "                         None, None",
+     "live, names, views, fn, _key(positions),\n"
+     "                         {}, {}",
+     "random", AssertionError),
+    ("trie leaf keyed by the last drawn value alone", "_graft",
+     "    for entry in reversed(drawn[depth:]):\n"
+     "        node = _Fork(model.choices[entry.point_id], "
+     "{entry.value: node})\n",
+     "    if drawn[depth:]:\n"
+     "        node = _Fork(model.choices[drawn[depth].point_id],\n"
+     "                     {drawn[-1].value: node})\n",
+     "variable-schedule", AssertionError),
+    ("trie miss whose call draws again from the iterator", "_step",
+     "() if key is None\n"
+     "                                      else entries[walked:]",
+     "()",
      "random", AssertionError),
     ("one table shared across explore calls", "_rows",
-     "{}, {})",
-     "*globals().setdefault(('_SHARED', target), ({}, {})))",
+     "{}, {}))",
+     "*globals().setdefault(('_SHARED', target), ({}, {}))))",
      "random", AssertionError),
     ("key without the row's last declared position", "_key",
      "itemgetter(*positions) if positions",
@@ -131,12 +155,17 @@ MUTANTS = [
      "declared-reads", AssertionError),
     ("views read from the step's start values", "_step",
      "args = views(current)",
-     "args = views(state.values)",
+     "args = views(start)",
      "declared-reads", AssertionError),
     ("whole-group view handed in place of the declared part", "_read_plan",
      "if pairs is None:",
      "if True:",
      undeclared_read_refused, AssertionError),
+    ("a value equal to a member of another type of the domain is one",
+     "SymbolicDomain.contains",
+     "return self._types.get(v) is type(v)",
+     "return type(v) in self._types.values() and v in self.members",
+     "mixed-types", AssertionError),
     ("writes interned by their values alone", "_step",
      "interned.setdefault(stored, stored)",
      "interned.setdefault(tuple(v for _, v in stored), stored)",
@@ -174,9 +203,15 @@ MUTANTS = [
      ("", "if paths >= path_ceiling:"),
      "random", AssertionError),
     ("walk settles a path though its step drew", "explore",
-     "                    if step_drawn:\n",
-     "                    if step_drawn and stepped.values != state.values:\n",
+     "                    if step_drawn:\n                        stack",
+     "                    if step_drawn and stepped.values != state.values:\n"
+     "                        stack",
      "settling", AssertionError),
+    ("sibling's prefix taken after the first drawing row has run",
+     "explore",
+     "for _, _, names, *_ in tail for",
+     "for _, _, names, *_ in tail[1:] for",
+     "random", AssertionError),
     ("walk's settled tail one state short", "explore",
      "bound + 1))",
      "bound))",
@@ -221,21 +256,32 @@ MUTANTS = [
 FUNCTIONS = tuple(dict.fromkeys(mutant[1] for mutant in MUTANTS))
 
 
+def owner(name: str) -> tuple[object, str]:
+    """Where function `name` is found, the engine or, for a method
+    `Class.method`, its class, and its name there."""
+    cls, _, attr = name.rpartition(".")
+    return (getattr(engine, cls) if cls else engine), attr
+
+
 def source(name: str) -> str:
-    """The function's source, after as many blank lines as the engine's
-    lines above it, so a copy's code starts at the engine's own line."""
-    lines, first = inspect.getsourcelines(getattr(engine, name))
+    """The source of function `name`, or of the class of a method, after
+    as many blank lines as the engine's lines above it, so a copy's code
+    starts at the engine's own line."""
+    lines, first = inspect.getsourcelines(getattr(engine,
+                                                  name.split(".")[0]))
     return "\n" * (first - 1) + "".join(lines)
 
 
 def compiled(name: str, text: str):
     """Function `name` compiled from `text` as the engine is, postponed
-    annotations and all, in a copy of the engine's namespace."""
+    annotations and all, in a copy of the engine's namespace; a method
+    with its class."""
     namespace = dict(vars(engine))
     exec(compile(text, engine.__file__, "exec",
                  flags=__future__.annotations.compiler_flag,
                  dont_inherit=True), namespace)
-    return namespace[name]
+    top, *method = name.split(".")
+    return vars(namespace[top])[method[0]] if method else namespace[top]
 
 
 @pytest.mark.parametrize("function, snippet, replacement, killer, failure",
@@ -249,7 +295,7 @@ def test_the_oracle_kills_the_mutant(function, snippet, replacement, killer,
     for old, new in zip(snippet, replacement, strict=True):
         assert text.count(old) == 1
         text = text.replace(old, new)
-    monkeypatch.setattr(engine, function, compiled(function, text))
+    monkeypatch.setattr(*owner(function), compiled(function, text))
     with pytest.raises(failure):
         killer() if callable(killer) else sweep(killer)
 
@@ -258,7 +304,8 @@ def test_the_oracle_kills_the_mutant(function, snippet, replacement, killer,
 def test_each_unedited_copy_compiles_to_the_engine_s_own(function):
     # a cached function's own, under its cache
     copy = inspect.unwrap(compiled(function, source(function)))
-    own = inspect.unwrap(getattr(engine, function))
+    where, name = owner(function)
+    own = inspect.unwrap(vars(where)[name])
     # code objects compare by instructions, constants (nested code among
     # them), names, flags and line table
     assert copy.__code__ == own.__code__

@@ -16,18 +16,23 @@ name in each tree.
 Each pair sets a config up and explores it once on each side, the side
 that goes first alternating from pair to pair.  Set-up is what the
 benchmark's `setup_s` times: `load_config`, the overrides and
-`build_model`, which registers the model.  Both sides must return the
-same verdict, path count, choice log and trace values, compared by their
-trace labels, or the run stops with status 1.  For each config it prints
-two lines, one for `explore` and one for set-up, each with each side's
-median seconds and the median of the pairs' change/parent ratios.  After
-a config's pairs, each side sets it up and explores it once more, untimed,
-under `tracemalloc`, and a third line gives each side's peak KiB of
-Python allocations during that `explore` and their ratio, so a memory cost
-shows side by side.  Then each side explores it once more, untimed, with
-its nine update functions wrapped through `dataclasses.replace` to count
-their calls, and a fourth line gives each side's update calls, so work a
-change removes shows next to its timings.  It only reads `perfbench/`.
+`build_model`, which registers the model.  A side sets the config up
+`BUILDS` times in each pair and counts the fastest, as one cold build is
+at the mercy of the host, and explores the last model built.  Both sides
+must return the same verdict, path count, choice log and trace values,
+compared by their trace labels, or the run stops with status 1.  For each
+config it prints two lines, one for `explore` and one for set-up, each
+with each side's median seconds and the median of the pairs' change/parent
+ratios.  After a config's pairs, each side sets it up and explores it once
+more, untimed, under `tracemalloc`, and a third line gives each side's
+peak KiB of Python allocations during that `explore` and their ratio, so a
+memory cost shows side by side.  Then each side explores it once more,
+untimed, with its nine update functions wrapped through
+`dataclasses.replace` to count their calls and its engine's `_draw`, the
+one function that draws a value, wrapped to count the values drawn, and a
+fourth line gives each side's update calls and draws, so work a change
+removes, or a value it draws twice, shows next to its timings.  It only
+reads `perfbench/`.
 """
 
 from __future__ import annotations
@@ -46,6 +51,8 @@ from statistics import median
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 SIDES = ("parent", "change")
+# set-ups a side times per pair, of which the fastest counts
+BUILDS = 3
 
 
 def load_tree(src: Path, name: str):
@@ -126,25 +133,30 @@ class Side:
         finally:
             tracemalloc.stop()
 
-    def calls(self, run) -> int:
-        """The update calls one `explore` of the run's config, set up
-        first, makes, counted through its nine update functions wrapped
-        with `dataclasses.replace`."""
+    def calls(self, run) -> tuple[int, int]:
+        """The update calls and the draws one `explore` of the run's
+        config, set up first, makes: the calls counted through its nine
+        update functions wrapped with `dataclasses.replace`, the draws
+        through the engine's `_draw`, wrapped for that `explore`."""
         _, model, bound = self.prepare(run)
-        count = 0
+        counts = {"calls": 0, "draws": 0}
 
-        def counting(fn):
+        def counting(fn, what: str):
             def counted(*args):
-                nonlocal count
-                count += 1
+                counts[what] += 1
                 return fn(*args)
             return counted
 
         updates = replace(model.updates, **{
-            f.name: counting(getattr(model.updates, f.name))
+            f.name: counting(getattr(model.updates, f.name), "calls")
             for f in fields(model.updates)})
-        self.engine.explore(replace(model, updates=updates), bound)
-        return count
+        draw = self.engine._draw
+        self.engine._draw = counting(draw, "draws")
+        try:
+            self.engine.explore(replace(model, updates=updates), bound)
+        finally:
+            self.engine._draw = draw
+        return counts["calls"], counts["draws"]
 
     def summary(self, verdict) -> tuple:
         """What both sides must agree on, in terms free of either tree's
@@ -176,22 +188,30 @@ def report_memory(name: str, peaks: dict) -> None:
 
 
 def report_calls(name: str, calls: dict) -> None:
-    """Print one line: each side's update calls per `explore`."""
-    print(f"{name} update calls: parent {calls['parent']:,}, "
-          f"change {calls['change']:,} per explore")
+    """Print one line: each side's update calls and draws per `explore`,
+    each an (update calls, draws) pair."""
+    (parent, parent_draws), (change, change_draws) = \
+        calls["parent"], calls["change"]
+    print(f"{name} update calls: parent {parent:,}, change {change:,} per "
+          f"explore; draws: parent {parent_draws:,}, "
+          f"change {change_draws:,}")
 
 
 def compare(name: str, sides: dict, run, pairs: int) -> bool:
-    """Run `pairs` pairs on one config, then two untimed `explore`s a side,
-    for its memory and its update calls, and print its four lines; False
-    if the sides disagree."""
+    """Run `pairs` pairs on one config, each side's set-up the fastest of
+    `BUILDS`, then two untimed `explore`s a side, for its memory and its
+    update calls and draws, and print its four lines; False if the sides
+    disagree."""
     times = {side: [] for side in SIDES}
     setups = {side: [] for side in SIDES}
     for i in range(pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         summaries = {}
         for side in order:
-            setup, model, bound = sides[side].prepare(run)
+            setup = float("inf")
+            for _ in range(BUILDS):
+                took, model, bound = sides[side].prepare(run)
+                setup = min(setup, took)
             elapsed, verdict = sides[side].explore(model, bound)
             setups[side].append(setup)
             times[side].append(elapsed)
