@@ -327,7 +327,8 @@ class ChoicePoint:
 @dataclass(frozen=True)
 class ChoiceEntry:
     """One resolved draw: which point, during which iteration, which value.
-    Initialisation draws use iteration 0."""
+    Initialisation draws use iteration 0.  The engine makes its entries in
+    `_draw`, as `_state` makes a state."""
 
     iteration: int
     point_id: str
@@ -361,7 +362,9 @@ class ModelState:
 
     `values` holds one value per variable in the model's declared order, and
     `layout`, the model's, says which position belongs to which variable.
-    Equality and hashing use the values and the iteration only.
+    Equality and hashing use the values and the iteration only.  The engine
+    makes its states with `_state`, which skips `__init__`'s per-field
+    `object.__setattr__`: each is in every way one `ModelState(...)` builds.
     """
 
     values: tuple[Value, ...]
@@ -379,6 +382,18 @@ class ModelState:
 
 
 Trace = tuple[ModelState, ...]
+
+
+def _state(values: tuple[Value, ...], iteration: int,
+           layout: dict[tuple[Group, str], int]) -> ModelState:
+    """`ModelState(values, iteration, layout)`, its fields set straight in
+    its `__dict__`, in field order, as the frozen `__init__` sets them."""
+    state = object.__new__(ModelState)
+    fields = state.__dict__
+    fields["values"] = values
+    fields["iteration"] = iteration
+    fields["layout"] = layout
+    return state
 
 
 @functools.lru_cache
@@ -511,12 +526,19 @@ def _draw(cp: ChoicePoint, iteration: int, values: Iterator[Value],
           entries: list[ChoiceEntry]) -> Value:
     """The one place a choice is drawn: take the next of `values`, or the
     point's first value once they run out, check that it is one of the
-    point's candidates, and log it in `entries`."""
+    point's candidates, and log it in `entries`, as
+    `ChoiceEntry(iteration, cp.point_id, value)` made as `_state` makes a
+    state."""
     value = next(values, cp.domain[0])
     if not cp.offers(value):
         raise ModelError(
             f"drew {value!r}, outside the domain of '{cp.point_id}'")
-    entries.append(ChoiceEntry(iteration, cp.point_id, value))
+    entry = object.__new__(ChoiceEntry)
+    fields = entry.__dict__
+    fields["iteration"] = iteration
+    fields["point_id"] = cp.point_id
+    fields["value"] = value
+    entries.append(entry)
     return value
 
 
@@ -855,7 +877,7 @@ def resolve_initial(model: Model, values: Iterable[Value] = ()
     entries: list[ChoiceEntry] = []
     for pos, cp in model.init_choices:
         initial[pos] = _draw(cp, 0, values, entries)
-    return ModelState(tuple(initial), 0, model.layout), tuple(entries)
+    return _state(tuple(initial), 0, model.layout), tuple(entries)
 
 
 def _eval_assertions(model: Model, state: ModelState) -> tuple[str, ...]:
@@ -1123,7 +1145,7 @@ def _step(model: Model, start: tuple[Value, ...], iteration: int,
             _graft(model, target, live, read, entries[walked:], ctx._drawn,
                    tuple(stored))
 
-    return ModelState(tuple(current), iteration, model.layout), tuple(entries)
+    return _state(tuple(current), iteration, model.layout), tuple(entries)
 
 
 def run_path(model: Model, bound: int, values: Iterable[Value] = ()
@@ -1156,7 +1178,7 @@ def run_path(model: Model, bound: int, values: Iterable[Value] = ()
         stepped, drawn = _step(model, state.values, state.iteration + 1,
                                values, rows)
         if not drawn and stepped.values == state.values:
-            snapshots.extend(ModelState(state.values, i, model.layout)
+            snapshots.extend(_state(state.values, i, model.layout)
                              for i in range(state.iteration + 1, bound + 1))
             break
         state = stepped
@@ -1218,15 +1240,16 @@ def explore(model: Model, bound: int,
     state.
 
     On a model that sites a step choice point at a group, one memo per
-    call maps a node's state to the paths under it, stored as the frame
-    of a node whose step drew finishes.  A state's equality is its values
-    and its iteration, which, the bound fixed, is its remaining depth.
-    Updates and assertions are pure, so a node reached again with the
-    same state roots the same subtree, in which no path fails: looked up
-    as a step reaches it, before its assertions, such a node adds the
-    stored count and steps no further.  Only safe subtrees finish, so the
-    verdict, the first witness and its log, the first path (the Safe
-    representative, reached before any frame finishes) and
+    call maps a node's iteration, which, the bound fixed, is its remaining
+    depth, and its values to the paths under it, stored as the frame of a
+    node whose step drew finishes.  Updates and assertions are pure, so a
+    node reached again with the same values at the same depth roots the
+    same subtree, in which no path fails: looked up as a step reaches it,
+    before its assertions, such a node adds the stored count and steps no
+    further.  A frame's node is below the bound, so no entry is stored at
+    the bound and a state there is not looked up.  Only safe subtrees
+    finish, so the verdict, the first witness and its log, the first path
+    (the Safe representative, reached before any frame finishes) and
     `paths_explored` are those of the stateless search.  The ceiling is
     tested before each path, and a stored count that would carry past it
     ends the search where that search would: after `path_ceiling` paths.
@@ -1290,8 +1313,10 @@ def explore(model: Model, bound: int,
     # the first row whose calls get a live context, if any
     first = next((i for i, (_, live, *_) in enumerate(model.plan) if live),
                  None)
-    # node state -> paths under it, where a step can draw
-    memo = None if first is None else {}
+    # (iteration, values) of a node -> paths under it, where a step can
+    # draw; a state is looked up only below `reach`, the bound then
+    memo: dict[tuple[int, tuple[Value, ...]], int] = {}
+    reach = 0 if first is None else bound
     if first is not None:
         # the rows from it on, which a sibling step runs, and the
         # positions they write, which its prefix takes from the node's
@@ -1309,7 +1334,7 @@ def explore(model: Model, bound: int,
         del drawn[kept:]
         for pos, cp in model.init_choices[kept:]:
             initial[pos] = _draw(cp, 0, values, drawn)
-        state = ModelState(tuple(initial), 0, model.layout)
+        state = _state(tuple(initial), 0, model.layout)
         trace = [state]
         # (node, draws, paths before it, prefix, or None until a sibling
         # needs it)
@@ -1340,14 +1365,14 @@ def explore(model: Model, bound: int,
                     elif stepped.values == state.values:
                         if first_path is None:   # only it keeps its tail
                             trace.extend(
-                                ModelState(state.values, i, model.layout)
+                                _state(state.values, i, model.layout)
                                 for i in range(state.iteration + 1,
                                                bound + 1))
                         break
                     state = stepped
                     trace.append(state)
-                    if memo is not None:
-                        cached = memo.get(state)
+                    if state.iteration < reach:
+                        cached = memo.get((state.iteration, state.values))
                         if cached is not None:
                             break
                     violated = _eval_assertions(model, state)
@@ -1374,7 +1399,7 @@ def explore(model: Model, bound: int,
                 later = _next_draws(model, step_drawn)
                 if later is not None:
                     break
-                memo[state] = paths - before
+                memo[state.iteration, state.values] = paths - before
             else:
                 break
             if resumed is None:

@@ -124,40 +124,74 @@ class _IntLabels(_Labels):
 
 
 def format_trace(verdict: Verdict, model: Model, scenario: str) -> str:
-    """Render a Safe or Unsafe verdict's witness path as text.  A scenario
-    other than the model's name, a ModelError verdict or one without a
-    trace, and states of another model's variables are a ValueError; the
-    engine's declarations make everything else a model holds writable."""
-    if scenario != model.name:
-        raise ValueError(f"scenario {scenario!r} is not the model's name")
+    """Render a Safe or Unsafe verdict's witness path as text, which
+    `read_trace` reads back as the verdict's states and choices.
+
+    A ValueError is raised for whatever it would not: a ModelError verdict
+    or one without a trace or with no states, states of another model's
+    variables, a header the reader rejects (`_check_header`: a scenario
+    other than the model's name, a bound or path count below 1, a failed
+    assertion the verdict kind or the model does not allow), states whose
+    iterations do not run 0, 1, 2, ... or do not reach as far as the
+    verdict and bound say (`_check_bound`), and a choice of a point the
+    model does not declare, of a value outside its domain, of an iteration
+    past the last state or out of iteration order.  The engine's
+    declarations make everything else a model holds writable."""
     if verdict.kind is VerdictKind.ModelError:
         raise ValueError("a ModelError verdict has no trace to export")
     if verdict.trace is None or verdict.choice_log is None:
         raise ValueError("verdict carries no trace")
+    if not verdict.trace:
+        raise ValueError("verdict carries no states")
     # identity first, then layouts: the same model may have been built twice
     if any(state.layout is not model.layout and state.layout != model.layout
            for state in verdict.trace):
         raise ValueError(f"a verdict of another model than {model.name!r}")
+    header = dict(zip(_HEADER_FIELDS, map(str, (
+        scenario, verdict.bound, verdict.kind.value,
+        verdict.failed_assertion or "-", verdict.paths_explored))))
+    _check_header(header, model)
+    if [state.iteration for state in verdict.trace] != \
+            list(range(len(verdict.trace))):
+        raise ValueError("the states' iterations must run 0, 1, 2, ... in "
+                         "order")
+    last = len(verdict.trace) - 1
+    _check_bound(header, last)
+    previous = 0
+    for entry in verdict.choice_log:
+        point = model.choices.get(entry.point_id)
+        if point is None:
+            raise ValueError(f"unknown choice point '{entry.point_id}'")
+        if not point.offers(entry.value):
+            raise ValueError(f"choice of {entry.value!r} is outside the "
+                             f"domain of '{entry.point_id}'")
+        if entry.iteration < previous:
+            raise ValueError(f"choice for iteration {entry.iteration} is "
+                             "out of iteration order")
+        if entry.iteration > last:
+            raise ValueError(f"choice for iteration {entry.iteration} "
+                             "precedes no state")
+        previous = entry.iteration
 
-    header = (scenario, verdict.bound, verdict.kind.value,
-              verdict.failed_assertion or "-", verdict.paths_explored)
     lines = ["header " + " ".join(f"{key}={value}" for key, value
-                                  in zip(_HEADER_FIELDS, header))]
+                                  in header.items())]
     by_iter: dict[int, list[ChoiceEntry]] = {}
     for entry in verdict.choice_log:
         by_iter.setdefault(entry.iteration, []).append(entry)
     keys = _keys(model.variables)
     rendered = None
-    for state in verdict.trace:
-        for entry in by_iter.get(state.iteration, ()):
-            lines.append(f"choice iter={entry.iteration} "
+    # each state's iteration equals its place, which is written in
+    # decimal even where the iteration is an equal bool
+    for iteration, state in enumerate(verdict.trace):
+        for entry in by_iter.get(iteration, ()):
+            lines.append(f"choice iter={iteration} "
                          f"point={entry.point_id} value={label_of(entry.value)}")
         # a settled path repeats its valuation: render it once
         if state.values != rendered:
             rendered = state.values
             fields = " ".join(key + label_of(value)
                               for key, value in zip(keys, rendered))
-        lines.append(f"state iter={state.iteration} {fields}")
+        lines.append(f"state iter={iteration} {fields}")
     return "\n".join(lines) + "\n"
 
 

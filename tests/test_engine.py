@@ -1,17 +1,18 @@
 """Engine unit tests: registration checks, step semantics, exploration."""
 
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from enum import Enum, IntEnum
 
 import pytest
 
 from hilcheck import engine
 from hilcheck.engine import (Assertion, ChoiceEntry, ChoicePoint, Group,
-                             IntDomain, ModelError, SymbolicDomain,
-                             UpdateFunctions, Var, VerdictKind, explore,
-                             probed_model, register_model, resolve_initial,
-                             run_path, step)
+                             IntDomain, ModelError, ModelState,
+                             SymbolicDomain, UpdateFunctions, Var,
+                             VerdictKind, explore, probed_model,
+                             register_model, resolve_initial, run_path, step)
+from hilcheck.scenarios import SCENARIOS, build_model
 
 from _helpers import updates as _updates
 from _reference import reference_step
@@ -1048,3 +1049,42 @@ def test_step_draws_the_values_it_is_given_then_first_values():
     assert step(model, state, values)[1] == (ChoiceEntry(1, "p", 1),)
     assert list(values) == [2]
     assert step(model, state)[1] == (ChoiceEntry(1, "p", 0),)
+
+
+# --- the records the walk makes ----------------------------------------------
+
+def _rebuilt(record):
+    """`record` built again through its class's public constructor."""
+    return type(record)(**{f.name: getattr(record, f.name)
+                           for f in fields(record)})
+
+
+def test_records_the_walk_makes_keep_the_public_contract():
+    # the engine makes its states and entries without the dataclass
+    # `__init__`; each must be the record the public constructor builds
+    config = SCENARIOS["manual-override"]
+    model = build_model(config)
+    initial, init_log = resolve_initial(model)
+    stepped, step_log = step(model, initial)
+    trace, log, _ = run_path(model, 3)
+    verdict = explore(model, config.bound)
+    states = (initial, stepped, *trace, *verdict.trace)
+    entries = (*init_log, *step_log, *log, *verdict.choice_log)
+    assert (len(init_log), len(step_log)) == (1, 2)
+    for record in states + entries:
+        public = _rebuilt(record)
+        assert type(record) is type(public)
+        assert record == public and public == record
+        assert hash(record) == hash(public)
+        assert repr(record) == repr(public)
+        assert vars(record) == vars(public)
+        assert replace(record) == record
+        for f in fields(record):
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, f.name, getattr(record, f.name))
+    later = replace(stepped, iteration=7)
+    assert later == ModelState(stepped.values, 7, model.layout)
+    assert later.layout is model.layout
+    entry = step_log[0]
+    assert replace(entry, iteration=5) == ChoiceEntry(5, entry.point_id,
+                                                      entry.value)

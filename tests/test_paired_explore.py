@@ -1,6 +1,6 @@
 """Smoke tests for `tools/paired_explore.py`, which times set-up and
 `explore` on two source trees loaded side by side in one process, and
-counts each side's update calls and draws."""
+counts each side's update calls, draws, steps and checked states."""
 
 import itertools
 from pathlib import Path
@@ -25,10 +25,12 @@ def test_the_checkout_against_itself_agrees_on_ideal(capsys):
         assert line.endswith(" over 2 pairs")
     assert memory.startswith("ideal memory: parent peak ")
     assert " KiB, change peak " in memory
-    # one tree on both sides: the same update calls, 107 on ideal, and
-    # the same draws, one per initial state
+    # one tree on both sides: the same update calls, 107 on ideal, the
+    # same draws, one per initial state, and the same 60 steps and checked
+    # states, 4 paths that settle
     assert calls == ("ideal update calls: parent 107, change 107 per "
-                     "explore; draws: parent 4, change 4")
+                     "explore; draws: parent 4, change 4; steps: parent 60, "
+                     "change 60; checked states: parent 60, change 60")
 
 
 def test_a_side_s_peak_is_that_of_its_explore():
@@ -47,17 +49,31 @@ def test_a_side_s_update_calls_and_draws_are_those_of_its_explore():
             if name == "branching")
     side = paired_explore.Side(src, "hilcheck_change")
     # the calls and draws `test_explore` pins for branching at bound 5
-    assert side.calls(run) == (128, 1344)
+    assert side.calls(run)[:2] == (128, 1344)
     # and the engine's own `_draw` is back in place
     assert side.engine._draw.__name__ == "_draw"
 
 
+def test_a_side_s_steps_and_checked_states_are_those_of_its_explore():
+    src = ROOT / "src"
+    runs = dict(paired_explore.workload_runs(src))
+    side = paired_explore.Side(src, "hilcheck_change")
+    # the steps and checked states `test_explore` pins: the memo's walk
+    # on branching, and every step of every path on route-sweep
+    assert side.calls(runs["branching"])[2:] == (804, 700)
+    assert side.calls(runs["route-sweep"])[2:] == (8640, 9504)
+    # and the engine's own functions are back in place
+    for name in ("_step", "_eval_assertions"):
+        assert getattr(side.engine, name).__name__ == name
+
+
 def test_each_side_s_update_calls_and_draws_are_reported(capsys):
-    paired_explore.report_calls("branching", {"parent": (926, 1344),
-                                              "change": (128, 1350)})
+    paired_explore.report_calls("branching", {
+        "parent": (926, 1344, 804, 700), "change": (128, 1350, 810, 701)})
     assert capsys.readouterr().out == (
         "branching update calls: parent 926, change 128 per explore; "
-        "draws: parent 1,344, change 1,350\n")
+        "draws: parent 1,344, change 1,350; steps: parent 804, change 810; "
+        "checked states: parent 700, change 701\n")
 
 
 def test_every_run_of_every_workload_is_timed():
@@ -113,7 +129,7 @@ class _Side:
         return 1024
 
     def calls(self, run):
-        return 9, 1
+        return 9, 1, 2, 3
 
 
 def test_sides_that_disagree_stop_the_run(capsys):

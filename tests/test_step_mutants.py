@@ -33,7 +33,11 @@ one breaks a sibling's prefix, taken after the first drawing row has
 run.  Two break the views an update is handed: built from the step's
 start values, and a whole group where the update declares a part of it.
 And one is the domain check that took a value equal to a member of
-another type, such as 1 for an IntEnum member, for that member.
+another type, such as 1 for an IntEnum member, for that member.  Four
+break the memo, keyed by a state's iteration and values: one memo shared
+across iterations, keyed by the values alone; a state looked up one
+depth off; an entry stored before its node's last child finished; and a
+stored count added past the path ceiling.
 """
 
 import __future__
@@ -77,7 +81,7 @@ CEILING_TEST = """\
 SCAN = """\
                 if later is not None:
                     break
-                memo[state] = paths - before
+                memo[state.iteration, state.values] = paths - before
 """
 
 # (name, function, snippet, its replacement, the family whose sweep must
@@ -234,8 +238,13 @@ MUTANTS = [
      "del stack[depth + 1:],",
      "repeating", AssertionError),
     ("memo keyed by values without the remaining depth", "explore",
-     ("memo.get(state)", "memo[state] ="),
+     ("memo.get((state.iteration, state.values))",
+      "memo[state.iteration, state.values] ="),
      ("memo.get(state.values)", "memo[state.values] ="),
+     "repeating", AssertionError),
+    ("memo looked up one depth off", "explore",
+     "memo.get((state.iteration, state.values))",
+     "memo.get((state.iteration - 1, state.values))",
      "repeating", AssertionError),
     ("memo hit added past the ceiling", "explore",
      "            if paths > path_ceiling:\n"
@@ -246,7 +255,7 @@ MUTANTS = [
      SCAN,
      """\
                 if later is not None:
-                    memo[state] = paths - before
+                    memo[state.iteration, state.values] = paths - before
                     break
 """,
      "repeating", AssertionError),

@@ -192,6 +192,86 @@ def test_format_trace_rejects_states_of_another_models_variables():
         format_trace(verdict, model, config.name)
 
 
+def _shifted(verdict):
+    """`verdict` with its first choice moved after its second."""
+    first, second, *rest = verdict.choice_log
+    return replace(verdict, choice_log=(second, first, *rest))
+
+
+# an edit to manual-override's Unsafe verdict, 4 states and 7 choices, that
+# `read_trace` would reject or read back otherwise: (edit, message)
+UNWRITABLE = {
+    "paths left at 0": (
+        lambda v: replace(v, paths_explored=0),
+        "header paths needs an integer of at least 1, got '0'"),
+    "Safe short of its bound": (
+        lambda v: replace(v, kind=VerdictKind.Safe, failed_assertion=None),
+        "a Safe trace at bound 100 holds iterations 0..100, this one 0..3"),
+    "states skipping an iteration": (
+        lambda v: replace(v, trace=v.trace[:2] + v.trace[3:]),
+        "the states' iterations must run 0, 1, 2, ... in order"),
+    "a choice of an unknown point": (
+        lambda v: replace(v, choice_log=(
+            replace(v.choice_log[0], point_id="ghost"), *v.choice_log[1:])),
+        "unknown choice point 'ghost'"),
+    "a choice outside its point's domain": (
+        lambda v: replace(v, choice_log=(
+            replace(v.choice_log[0], value=7), *v.choice_log[1:])),
+        "choice of 7 is outside the domain of 'integrator'"),
+    "a choice past the last state": (
+        lambda v: replace(v, choice_log=(
+            *v.choice_log, replace(v.choice_log[-1], iteration=4))),
+        "choice for iteration 4 precedes no state"),
+    "a log out of iteration order": (
+        _shifted, "choice for iteration 0 is out of iteration order"),
+}
+
+
+@pytest.mark.parametrize("edit, message", UNWRITABLE.values(),
+                         ids=UNWRITABLE)
+def test_format_trace_writes_only_what_read_trace_reads_back(edit, message,
+                                                             tmp_path):
+    config = SCENARIOS["manual-override"]
+    model = build_model(config)
+    verdict = explore(model, config.bound)
+    assert (len(verdict.trace), len(verdict.choice_log)) == (4, 7)
+    path = tmp_path / "trace.txt"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        export_trace(path, edit(verdict), model, config.name)
+    # raised before the file was opened
+    assert not path.exists()
+    # and the verdict as the search made it writes a trace that reads back
+    export_trace(path, verdict, model, config.name)
+    read = read_trace(path, model)
+    assert (read.trace, read.choices) == (verdict.trace, verdict.choice_log)
+
+
+def test_format_trace_writes_an_iteration_that_is_a_bool_in_decimal(
+        tmp_path):
+    # False equals 0, and True 1: the reader takes only decimal
+    config = SCENARIOS["manual-override"]
+    model = build_model(config)
+    verdict = explore(model, config.bound)
+    first, second, *rest = verdict.trace
+    entry, *entries = verdict.choice_log
+    bools = replace(verdict, trace=(replace(first, iteration=False),
+                                    replace(second, iteration=True), *rest),
+                    choice_log=(replace(entry, iteration=False), *entries))
+    text = format_trace(bools, model, config.name)
+    assert text == format_trace(verdict, model, config.name)
+    path = tmp_path / "trace.txt"
+    path.write_text(text, encoding="ascii")
+    assert read_trace(path, model).trace == verdict.trace
+
+
+def test_format_trace_refuses_a_trace_of_no_states():
+    config = SCENARIOS["manual-override"]
+    model = build_model(config)
+    verdict = replace(explore(model, config.bound), trace=(), choice_log=())
+    with pytest.raises(ValueError, match="^verdict carries no states$"):
+        format_trace(verdict, model, config.name)
+
+
 def test_state_equality_hash_valuation_and_unknown_names():
     model = build_model(SCENARIOS["ideal"])
     first, _ = resolve_initial(model)

@@ -28,11 +28,19 @@ more, untimed, under `tracemalloc`, and a third line gives each side's
 peak KiB of Python allocations during that `explore` and their ratio, so a
 memory cost shows side by side.  Then each side explores it once more,
 untimed, with its nine update functions wrapped through
-`dataclasses.replace` to count their calls and its engine's `_draw`, the
-one function that draws a value, wrapped to count the values drawn, and a
-fourth line gives each side's update calls and draws, so work a change
-removes, or a value it draws twice, shows next to its timings.  It only
+`dataclasses.replace` to count their calls, and its engine's `_draw`,
+`_step` and `_eval_assertions`, the one function that draws a value, the
+one that takes a step and the one that checks a state, wrapped to count
+them.  A fourth line gives each side's update calls, draws, steps and
+checked states, so work a change removes, or a value it draws twice or a
+node it steps or checks again, shows next to its timings.  It only
 reads `perfbench/`.
+
+A change/parent ratio carries a bias of about 1% of the process, whichever
+tree is loaded first: two identical trees have read 0.990 and 0.999 on one
+config, and one pair of trees 1.024 with the parent given first and 1/1.012
+with it second.  So a ratio within 2% of 1.00 says nothing until a second
+run, with the trees given in the other order, reads the same way.
 """
 
 from __future__ import annotations
@@ -133,13 +141,14 @@ class Side:
         finally:
             tracemalloc.stop()
 
-    def calls(self, run) -> tuple[int, int]:
-        """The update calls and the draws one `explore` of the run's
-        config, set up first, makes: the calls counted through its nine
-        update functions wrapped with `dataclasses.replace`, the draws
-        through the engine's `_draw`, wrapped for that `explore`."""
+    def calls(self, run) -> tuple[int, int, int, int]:
+        """The update calls, draws, steps and checked states one `explore`
+        of the run's config, set up first, makes: the calls counted
+        through its nine update functions wrapped with
+        `dataclasses.replace`, the rest through the engine's `_draw`,
+        `_step` and `_eval_assertions`, wrapped for that `explore`."""
         _, model, bound = self.prepare(run)
-        counts = {"calls": 0, "draws": 0}
+        counts = {"calls": 0, "draws": 0, "steps": 0, "states": 0}
 
         def counting(fn, what: str):
             def counted(*args):
@@ -150,13 +159,19 @@ class Side:
         updates = replace(model.updates, **{
             f.name: counting(getattr(model.updates, f.name), "calls")
             for f in fields(model.updates)})
-        draw = self.engine._draw
-        self.engine._draw = counting(draw, "draws")
+        engine = self.engine
+        wrapped = {"_draw": "draws", "_step": "steps",
+                   "_eval_assertions": "states"}
+        own = {name: getattr(engine, name) for name in wrapped}
+        for name, what in wrapped.items():
+            setattr(engine, name, counting(own[name], what))
         try:
-            self.engine.explore(replace(model, updates=updates), bound)
+            engine.explore(replace(model, updates=updates), bound)
         finally:
-            self.engine._draw = draw
-        return counts["calls"], counts["draws"]
+            for name, fn in own.items():
+                setattr(engine, name, fn)
+        return (counts["calls"], counts["draws"], counts["steps"],
+                counts["states"])
 
     def summary(self, verdict) -> tuple:
         """What both sides must agree on, in terms free of either tree's
@@ -188,20 +203,23 @@ def report_memory(name: str, peaks: dict) -> None:
 
 
 def report_calls(name: str, calls: dict) -> None:
-    """Print one line: each side's update calls and draws per `explore`,
-    each an (update calls, draws) pair."""
-    (parent, parent_draws), (change, change_draws) = \
+    """Print one line: each side's update calls, draws, steps and checked
+    states per `explore`, each side's an (update calls, draws, steps,
+    checked states) tuple."""
+    (parent, *parent_work), (change, *change_work) = \
         calls["parent"], calls["change"]
     print(f"{name} update calls: parent {parent:,}, change {change:,} per "
-          f"explore; draws: parent {parent_draws:,}, "
-          f"change {change_draws:,}")
+          "explore" + "".join(
+              f"; {what}: parent {p:,}, change {c:,}" for what, p, c in zip(
+                  ("draws", "steps", "checked states"), parent_work,
+                  change_work)))
 
 
 def compare(name: str, sides: dict, run, pairs: int) -> bool:
     """Run `pairs` pairs on one config, each side's set-up the fastest of
     `BUILDS`, then two untimed `explore`s a side, for its memory and its
-    update calls and draws, and print its four lines; False if the sides
-    disagree."""
+    update calls, draws, steps and checked states, and print its four
+    lines; False if the sides disagree."""
     times = {side: [] for side in SIDES}
     setups = {side: [] for side in SIDES}
     for i in range(pairs):
